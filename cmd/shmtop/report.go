@@ -93,7 +93,7 @@ func quantileCell(v float64) string {
 func writeTable(w io.Writer, rep report) error {
 	tbl := trace.New(fmt.Sprintf("shmtop — %d nodes @ %s",
 		len(rep.Nodes), rep.TakenAt.Format("15:04:05")),
-		"NODE", "ROLE", "HEALTH", "OFFSET", "CONNS", "ERRS", "REAPED",
+		"NODE", "ROLE", "HEALTH", "OFFSET", "CONNS", "ERRS",
 		"ACCUM", "ITERS", "PUSHES", "ACC P50", "ACC P99", "EVENTS")
 	for _, st := range rep.Nodes {
 		events := trace.Itoa(st.Events)
@@ -102,8 +102,8 @@ func writeTable(w io.Writer, rep report) error {
 		}
 		tbl.Add(st.Name, st.Role, health(st), offsetCell(st),
 			trace.Itoa(int(st.Connections)), trace.Itoa(int(st.ConnErrors)),
-			trace.Itoa(int(st.ReapedSeqs)), trace.Itoa(int(st.Accumulates)),
-			trace.Itoa(int(st.Iterations)), trace.Itoa(int(st.Pushes)),
+			trace.Itoa(int(st.Accumulates)), trace.Itoa(int(st.Iterations)),
+			trace.Itoa(int(st.Pushes)),
 			quantileCell(st.AccP50), quantileCell(st.AccP99), events)
 	}
 	if err := tbl.Render(w); err != nil {
@@ -130,12 +130,12 @@ func writeMarkdownReport(w io.Writer, rep report) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# shmtop fleet snapshot\n\nTaken: %s\n\n",
 		rep.TakenAt.UTC().Format(time.RFC3339))
-	b.WriteString("| Node | Role | Health | Offset | Conns | Errs | Reaped | Accum | Iters | Pushes | Acc p50 | Acc p99 | Events |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
+	b.WriteString("| Node | Role | Health | Offset | Conns | Errs | Accum | Iters | Pushes | Acc p50 | Acc p99 | Events |\n")
+	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|\n")
 	for _, st := range rep.Nodes {
-		fmt.Fprintf(&b, "| %s | %s | %s | %s | %d | %d | %d | %d | %d | %d | %s | %s | %d |\n",
+		fmt.Fprintf(&b, "| %s | %s | %s | %s | %d | %d | %d | %d | %d | %s | %s | %d |\n",
 			st.Name, st.Role, health(st), offsetCell(st),
-			st.Connections, st.ConnErrors, st.ReapedSeqs, st.Accumulates,
+			st.Connections, st.ConnErrors, st.Accumulates,
 			st.Iterations, st.Pushes,
 			quantileCell(st.AccP50), quantileCell(st.AccP99), st.Events)
 	}

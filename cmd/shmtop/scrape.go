@@ -63,7 +63,6 @@ type nodeStatus struct {
 
 	Connections int64 `json:"connections"`
 	ConnErrors  int64 `json:"conn_errors"`
-	ReapedSeqs  int64 `json:"reaped_sequences"`
 	Accumulates int64 `json:"accumulates"`
 	Iterations  int64 `json:"iterations"`
 	Pushes      int64 `json:"pushes"`
@@ -145,7 +144,6 @@ func (s *scraper) scrape(spec nodeSpec) nodeStatus {
 	}
 	st.Connections = counter("smb_server_connections")
 	st.ConnErrors = counter("smb_server_conn_errors_total")
-	st.ReapedSeqs = counter("smb_server_reaped_sequences_total")
 	st.Accumulates = counter("smb_accumulates_total")
 	st.Iterations = counter("seasgd_iterations_total")
 	st.Pushes = counter("seasgd_pushes_total")

@@ -50,8 +50,8 @@ func wantsJSON(r *http.Request) bool {
 // startMetricsHTTP binds addr and serves the store's operational surface.
 // It installs the latency histograms on the store, so servers running with
 // -http also export smb_*_seconds distributions. A non-nil srv additionally
-// exports the connection-health counters (handler errors, reaped sequences,
-// live connections); chaos mode passes nil because the frontend — and its
+// exports the connection-health counters (handler errors, live
+// connections); chaos mode passes nil because the frontend — and its
 // counters — is recreated on every restart. A non-nil tracer is exported as
 // a Chrome trace on /debug/trace (the server-side spans a fleet aggregator
 // merges with the workers' traces); the flight recorder is always on

@@ -158,7 +158,6 @@ func TestMetricsServerCounters(t *testing.T) {
 	out := string(body)
 	for _, want := range []string{
 		"smb_server_conn_errors_total",
-		"smb_server_reaped_sequences_total",
 		"smb_server_connections",
 		"smb_seq_duplicates_total",
 	} {

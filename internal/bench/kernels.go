@@ -84,10 +84,10 @@ func benchResult(name string, logicalBytes int64, r testing.BenchmarkResult) Ker
 }
 
 // benchMin runs fn through testing.Benchmark k times and returns the run
-// with the lowest ns/op. The comparison pairs (fused vs unfused, chunked vs
-// split) are decided by sub-10% margins that scheduler steal time on a
-// shared host can invert between back-to-back runs; the minimum is the
-// least-disturbed measurement of each side.
+// with the lowest ns/op. The comparison pairs (fused vs unfused, shm vs
+// tcp) can be inverted between back-to-back runs by scheduler steal time on
+// a shared host; the minimum is the least-disturbed measurement of each
+// side.
 func benchMin(k int, fn func(bb *testing.B)) testing.BenchmarkResult {
 	best := testing.Benchmark(fn)
 	bestNs := float64(best.T.Nanoseconds()) / float64(best.N)
@@ -358,74 +358,7 @@ func KernelBench(quick bool) (*KernelReport, error) {
 		rep.Results = append(rep.Results, benchResult("smb/tcp_write/16KiB", 4096*4, r))
 	}
 
-	// End-to-end TCP push of a 1 MiB increment: the split Write then
-	// Accumulate pair (two round trips, server idle while the second
-	// request is in flight) against the chunk-pipelined WRITE+ACCUMULATE
-	// (16 streamed chunks, one ack; the server folds chunk k while chunk
-	// k+1 is on the wire).
-	{
-		const vals = 1 << 18 // 1 MiB
-		store := smb.NewStore()
-		srv, err := smb.NewServer(store, "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-		go srv.Serve() //lint:ignore goleak joined by srv.Close via the server's WaitGroup
-		client, err := smb.Dial(srv.Addr())
-		if err != nil {
-			return nil, err
-		}
-		defer client.Close()
-		gKey, err := client.Create("kern/push_wg", vals*4)
-		if err != nil {
-			return nil, err
-		}
-		hg, err := client.Attach(gKey)
-		if err != nil {
-			return nil, err
-		}
-		dKey, err := client.Create("kern/push_dw", vals*4)
-		if err != nil {
-			return nil, err
-		}
-		hd, err := client.Attach(dKey)
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]float32, vals)
-		kernelFill(buf, 10)
-		raw := tensor.Float32Bytes(buf)
-		split := benchMin(3, func(bb *testing.B) {
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				if err := client.Write(hd, 0, raw); err != nil {
-					bb.Fatal(err)
-				}
-				if err := client.Accumulate(hg, hd); err != nil {
-					bb.Fatal(err)
-				}
-			}
-		})
-		chunked := benchMin(3, func(bb *testing.B) {
-			bb.ReportAllocs()
-			for i := 0; i < bb.N; i++ {
-				if err := client.WriteAccumulate(hg, hd, raw); err != nil {
-					bb.Fatal(err)
-				}
-			}
-		})
-		rep.Results = append(rep.Results,
-			benchResult("smb/tcp_push_split/1MiB", vals*4, split),
-			benchResult("smb/tcp_push_chunked/1MiB", vals*4, chunked))
-		spNs := float64(split.T.Nanoseconds()) / float64(split.N)
-		chNs := float64(chunked.T.Nanoseconds()) / float64(chunked.N)
-		if chNs > 0 {
-			rep.Speedups["smb/tcp_push/1MiB"] = spNs / chNs
-		}
-	}
-
-	// Transport rows (tcp / tcp_sg / shm push+accumulate) and the
+	// Transport rows (tcp / shm push+accumulate) and the
 	// cross-transport speedups at 1 MiB.
 	if err := transportKernelRows(rep, quick); err != nil {
 		return nil, err

@@ -17,11 +17,11 @@ import (
 )
 
 // Transport microbenchmarks (DESIGN.md §16): the same two verbs — a bulk
-// push (Write) and a fused WRITE+ACCUMULATE — through each transport the
-// SMB client can negotiate. tcp is the staged frame protocol, tcp_sg the
-// registered scatter-gather path (header+payload in one writev, replies
-// landing in the caller's buffer), shm the cross-process mmap path where
-// the verbs run as fused kernels against the mapped stripes.
+// push (Write) and the WRITE+ACCUMULATE push — through each transport the
+// SMB client can negotiate. tcp is the frame protocol (header+payload in
+// one writev, replies landing in the caller's buffer), shm the
+// cross-process mmap path where the verbs run as fused kernels against the
+// mapped stripes.
 //
 // The server is a separate OS process (this binary re-exec'd via
 // MaybeServeBenchChild), not an in-process goroutine: that is the real
@@ -31,11 +31,11 @@ import (
 // through the socket buffer costs a ~200ns goroutine switch instead of a
 // process context switch, flattering tcp by >2x at 1MiB. The shm rows run
 // the same topology (control socket to the child, SCM_RIGHTS fd pass,
-// mapped data path), so all three columns price the negotiated data path
+// mapped data path), so both columns price the negotiated data path
 // against a real peer process.
 
 // transportSizes are the payload points: 64 KiB (one lock stripe), 1 MiB
-// (the acceptance point: spans 16 stripes and 4 chunk frames), 16 MiB (a
+// (the acceptance point: spans 16 stripes), 16 MiB (a
 // full AlexNet-scale weight push, far out of cache).
 var transportSizes = []struct {
 	name  string
@@ -47,8 +47,7 @@ var transportSizes = []struct {
 }
 
 // benchServeEnv marks a re-exec'd child as a bench server; its value is
-// the serving mode ("tcp" or "shm" — tcp_sg is a client-side capability
-// over the same server).
+// the serving mode ("tcp" or "shm").
 const benchServeEnv = "SHMCAFFE_BENCH_SERVE"
 
 // MaybeServeBenchChild turns this process into a bench SMB server when it
@@ -174,7 +173,7 @@ func spawnBenchServer(mode string) (tcpAddr, unixSock string, stop func(), err e
 // client for the named transport. The cleanup tears down both.
 func transportClient(transport string) (smb.Client, func(), error) {
 	switch transport {
-	case "tcp", "tcp_sg":
+	case "tcp":
 		addr, _, stop, err := spawnBenchServer("tcp")
 		if err != nil {
 			return nil, nil, err
@@ -183,9 +182,6 @@ func transportClient(transport string) (smb.Client, func(), error) {
 		if err != nil {
 			stop()
 			return nil, nil, err
-		}
-		if transport == "tcp_sg" {
-			c.EnableScatterGather(true)
 		}
 		return c, func() { c.Close(); stop() }, nil
 	case "shm":
@@ -211,7 +207,7 @@ func transportClient(transport string) (smb.Client, func(), error) {
 	}
 }
 
-// transportKernelRows appends the transport/{tcp,tcp_sg,shm} push and
+// transportKernelRows appends the transport/{tcp,shm} push and
 // accumulate rows plus the cross-transport speedups at 1 MiB. quick trims
 // the 16 MiB point and the repeat count.
 func transportKernelRows(rep *KernelReport, quick bool) error {
@@ -223,16 +219,10 @@ func transportKernelRows(rep *KernelReport, quick bool) error {
 	push1M := map[string]float64{}
 	acc1M := map[string]float64{}
 
-	for _, transport := range []string{"tcp", "tcp_sg", "shm"} {
+	for _, transport := range []string{"tcp", "shm"} {
 		c, cleanup, err := transportClient(transport)
 		if err != nil {
 			return err
-		}
-		if c != nil {
-			if _, ok := c.(smb.WriteAccumulator); !ok {
-				cleanup()
-				return fmt.Errorf("transport %q client does not implement WriteAccumulator", transport)
-			}
 		}
 		if c == nil {
 			// shm not supported on this platform/build: skip the rows rather
@@ -285,11 +275,10 @@ func transportKernelRows(rep *KernelReport, quick bool) error {
 					}
 				}
 			})
-			wa := c.(smb.WriteAccumulator)
 			acc := benchMin(reps, func(bb *testing.B) {
 				bb.ReportAllocs()
 				for i := 0; i < bb.N; i++ {
-					if err := wa.WriteAccumulate(hg, hd, raw); err != nil {
+					if err := c.WriteAccumulate(hg, hd, raw); err != nil {
 						bb.Fatal(err)
 					}
 				}
@@ -305,12 +294,6 @@ func transportKernelRows(rep *KernelReport, quick bool) error {
 		cleanup()
 	}
 
-	if tcp, sg := push1M["tcp"], push1M["tcp_sg"]; tcp > 0 && sg > 0 {
-		rep.Speedups["transport/tcp_sg_vs_tcp/push/1MiB"] = tcp / sg
-	}
-	if tcp, sg := acc1M["tcp"], acc1M["tcp_sg"]; tcp > 0 && sg > 0 {
-		rep.Speedups["transport/tcp_sg_vs_tcp/accumulate/1MiB"] = tcp / sg
-	}
 	if tcp, shm := acc1M["tcp"], acc1M["shm"]; tcp > 0 && shm > 0 {
 		rep.Speedups["transport/shm_vs_tcp/accumulate/1MiB"] = tcp / shm
 	}

@@ -93,23 +93,7 @@ func SetupBuffersPolling(client smb.Client, job string, rank, n, elems int, init
 		time.Sleep(opts.PollInterval)
 	}
 
-	global, err := client.Attach(globalKey)
-	if err != nil {
-		return nil, fmt.Errorf("attach global: %w", err)
-	}
-	incrKey, err := client.Create(names.Increment(rank), elems*4)
-	if err != nil {
-		return nil, fmt.Errorf("create increment: %w", err)
-	}
-	incr, err := client.Attach(incrKey)
-	if err != nil {
-		return nil, err
-	}
-	ctlKey, err := client.Lookup(names.Control())
-	if err != nil {
-		return nil, err
-	}
-	control, err := client.Attach(ctlKey)
+	b, err := attachJob(client, names, rank, n, elems, globalKey)
 	if err != nil {
 		return nil, err
 	}
@@ -150,29 +134,7 @@ func SetupBuffersPolling(client smb.Client, job string, rank, n, elems int, init
 	if err := client.Detach(boot); err != nil {
 		return nil, err
 	}
-
-	// Feature-test the chunk-pipelined push exactly like SetupBuffers does
-	// (the seed forgot this here, so polling-bootstrapped workers silently
-	// fell back to the unfused Write+Accumulate pair). The trace carrier is
-	// feature-tested the same way: without it, polling-bootstrapped workers
-	// — i.e. every multi-process worker — silently run untraced.
-	wacc, _ := client.(smb.WriteAccumulator)
-	carrier, _ := client.(smb.TraceCarrier)
-	return &JobBuffers{
-		client:    client,
-		carrier:   carrier,
-		wacc:      wacc,
-		rank:      rank,
-		n:         n,
-		elems:     elems,
-		globalKey: globalKey,
-		global:    global,
-		incr:      incr,
-		control:   control,
-		wgBytes:   make([]byte, elems*4),
-		dwBytes:   make([]byte, elems*4),
-		wgFloats:  make([]float32, elems),
-	}, nil
+	return b, nil
 }
 
 // NewWorkerPolling builds a SEASGD worker using the SMB-only rendezvous:

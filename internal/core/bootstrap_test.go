@@ -76,29 +76,43 @@ type tracingClient struct {
 func (c *tracingClient) SetTraceContext(tc smb.TraceContext) { c.tc = tc }
 func (c *tracingClient) ClearTraceContext()                  { c.tc = smb.TraceContext{} }
 
-// TestPollingBootstrapCapturesCarrier: SetupBuffersPolling must feature-test
-// the trace carrier like SetupBuffers does. It once didn't, so every
+// TestBootstrapCapturesCarrier: both bootstraps build their JobBuffers
+// through one constructor holding the single TraceCarrier probe. The polling
+// bootstrap once had its own copy and dropped the carrier, so every
 // multi-process worker (they all bootstrap by polling) ran untraced and the
 // merged fleet trace had zero cross-node chains.
-func TestPollingBootstrapCapturesCarrier(t *testing.T) {
+func TestBootstrapCapturesCarrier(t *testing.T) {
 	job := newTestJob(t, 1, 54)
-	opts := BootstrapOptions{PollInterval: time.Millisecond, Timeout: 10 * time.Second}
 	elems := job.nets[0].NumParams()
-	client := &tracingClient{Client: smb.NewLocalClient(job.store)}
 	weights := make([]float32, elems)
-	bufs, err := SetupBuffersPolling(client, "carrier", 0, 1, elems, weights, opts)
+	comm, err := job.world.Comm(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bufs.TraceCarrier() == nil {
-		t.Fatal("polling bootstrap dropped the client's TraceCarrier")
+	bootstraps := map[string]func(c smb.Client, job string) (*JobBuffers, error){
+		"mpi": func(c smb.Client, job string) (*JobBuffers, error) {
+			return SetupBuffers(comm, c, job, elems, weights)
+		},
+		"polling": func(c smb.Client, job string) (*JobBuffers, error) {
+			opts := BootstrapOptions{PollInterval: time.Millisecond, Timeout: 10 * time.Second}
+			return SetupBuffersPolling(c, job, 0, 1, elems, weights, opts)
+		},
 	}
-	bare, err := SetupBuffersPolling(smb.NewLocalClient(job.store), "carrier2", 0, 1, elems, weights, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.TraceCarrier() != nil {
-		t.Fatal("a client without SetTraceContext must yield a nil carrier")
+	for name, setup := range bootstraps {
+		bufs, err := setup(&tracingClient{Client: smb.NewLocalClient(job.store)}, name+"/carrier")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bufs.TraceCarrier() == nil {
+			t.Errorf("%s bootstrap dropped the client's TraceCarrier", name)
+		}
+		bare, err := setup(smb.NewLocalClient(job.store), name+"/bare")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bare.TraceCarrier() != nil {
+			t.Errorf("%s bootstrap: a client without SetTraceContext must yield a nil carrier", name)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/smb"
+	"shmcaffe/internal/telemetry"
 	"shmcaffe/internal/tensor"
 )
 
@@ -19,13 +20,9 @@ type JobBuffers struct {
 	// carrier is non-nil when client can stamp cross-process trace contexts
 	// onto its wire frames (smb.StreamClient and smb.SupervisedClient do).
 	carrier smb.TraceCarrier
-	// wacc is non-nil when client supports the chunk-pipelined
-	// WRITE+ACCUMULATE sequence (all in-repo clients do; test doubles that
-	// wrap the interface fall back to the split Write+Accumulate pair).
-	wacc  smb.WriteAccumulator
-	rank  int
-	n     int
-	elems int
+	rank    int
+	n       int
+	elems   int
 
 	globalKey smb.SHMKey
 	global    smb.Handle // Wg (shared)
@@ -116,6 +113,19 @@ func SetupBuffers(comm *mpi.Comm, client smb.Client, job string, elems int, init
 	}
 	globalKey = smb.SHMKey(binary.LittleEndian.Uint64(out))
 
+	b, err := attachJob(client, names, rank, n, elems, globalKey)
+	if err != nil {
+		return nil, err
+	}
+	// All ranks attached before anyone starts writing.
+	comm.Barrier()
+	return b, nil
+}
+
+// attachJob is the bootstrap tail both rendezvous flavours share: attach
+// Wg, create and attach this rank's ΔWx, attach the control segment, and
+// build the JobBuffers around them.
+func attachJob(client smb.Client, names smb.SegmentNames, rank, n, elems int, globalKey smb.SHMKey) (*JobBuffers, error) {
 	global, err := client.Attach(globalKey)
 	if err != nil {
 		return nil, fmt.Errorf("attach global: %w", err)
@@ -136,15 +146,11 @@ func SetupBuffers(comm *mpi.Comm, client smb.Client, job string, elems int, init
 	if err != nil {
 		return nil, fmt.Errorf("attach control: %w", err)
 	}
-	// All ranks attached before anyone starts writing.
-	comm.Barrier()
-
-	wacc, _ := client.(smb.WriteAccumulator)
+	// The one capability probe: without the carrier a worker runs untraced.
 	carrier, _ := client.(smb.TraceCarrier)
 	return &JobBuffers{
 		client:    client,
 		carrier:   carrier,
-		wacc:      wacc,
 		rank:      rank,
 		n:         n,
 		elems:     elems,
@@ -169,67 +175,18 @@ func (b *JobBuffers) ReadGlobal(dst []float32) error {
 	return tensor.DecodeFloat32(b.wgBytes, dst)
 }
 
-// WriteIncrement stores delta into the worker's ΔWx segment — the T.A2
-// store of the push. Split from AccumulateIncrement so the phase tracer can
-// time the two halves of the exchange separately.
-func (b *JobBuffers) WriteIncrement(delta []float32) error {
-	if len(delta) != b.elems {
-		return fmt.Errorf("push %d elements, want %d: %w", len(delta), b.elems, ErrConfig)
-	}
-	if _, err := tensor.EncodeFloat32(delta, b.dwBytes); err != nil {
-		return err
-	}
-	if err := b.client.Write(b.incr, 0, b.dwBytes); err != nil {
-		return fmt.Errorf("write increment: %w", err)
-	}
-	return nil
-}
-
-// AccumulateIncrement asks the server to fold the previously written ΔWx
-// into Wg — the T.A3 accumulate, Eq. (7).
-func (b *JobBuffers) AccumulateIncrement() error {
-	if err := b.client.Accumulate(b.global, b.incr); err != nil {
-		return fmt.Errorf("accumulate: %w", err)
-	}
-	return nil
-}
-
 // PushIncrement writes delta into the worker's ΔWx segment and asks the
 // server to accumulate it into Wg — the full T.A2–T.A3 push, Eq. (7).
-// When the client supports it, the push streams as a chunk-pipelined
-// WRITE+ACCUMULATE sequence.
 func (b *JobBuffers) PushIncrement(delta []float32) error {
-	if b.CanStreamPush() {
-		return b.StreamIncrement(delta)
-	}
-	if err := b.WriteIncrement(delta); err != nil {
-		return err
-	}
-	return b.AccumulateIncrement()
-}
-
-// CanStreamPush reports whether the client supports the chunk-pipelined
-// WRITE+ACCUMULATE sequence, making StreamIncrement available.
-func (b *JobBuffers) CanStreamPush() bool { return b.wacc != nil }
-
-// StreamIncrement pushes delta as one chunked WRITE+ACCUMULATE sequence:
-// the server folds chunk k into Wg while chunk k+1 is still on the wire,
-// overlapping the ΔWx store with the accumulate instead of running them
-// back-to-back. Observable effects match WriteIncrement followed by
-// AccumulateIncrement exactly — ΔWx holds delta afterwards, Wg += ΔWx once,
-// and the server counts one Write and one Accumulate. Callers must check
-// CanStreamPush first.
-func (b *JobBuffers) StreamIncrement(delta []float32) error {
 	if err := b.StageIncrement(delta); err != nil {
 		return err
 	}
-	return b.StreamStaged()
+	return b.PushStaged()
 }
 
 // StageIncrement encodes delta into the wire staging buffer — the local
-// half of a streamed push. Split from StreamStaged so the phase tracer can
-// put the span boundary between preparing ΔWx (T.A2) and the pipelined
-// store+fold (T.A3).
+// half of a push. Split from PushStaged so the phase tracer can put the
+// span boundary between preparing ΔWx (T.A2) and the store+fold (T.A3).
 func (b *JobBuffers) StageIncrement(delta []float32) error {
 	if len(delta) != b.elems {
 		return fmt.Errorf("push %d elements, want %d: %w", len(delta), b.elems, ErrConfig)
@@ -238,13 +195,41 @@ func (b *JobBuffers) StageIncrement(delta []float32) error {
 	return err
 }
 
-// StreamStaged issues the chunked WRITE+ACCUMULATE sequence for the staged
-// increment. StageIncrement must have been called first.
-func (b *JobBuffers) StreamStaged() error {
-	if err := b.wacc.WriteAccumulate(b.global, b.incr, b.dwBytes); err != nil {
-		return fmt.Errorf("stream increment: %w", err)
+// PushStaged stores the staged increment into ΔWx and folds it into Wg.
+// StageIncrement must have been called first.
+func (b *JobBuffers) PushStaged() error {
+	if err := b.client.WriteAccumulate(b.global, b.incr, b.dwBytes); err != nil {
+		return fmt.Errorf("push increment: %w", err)
 	}
 	return nil
+}
+
+// pushTraced runs the two timed halves of one push on track tid: T.A2
+// stages ΔWx, T.A3 stores it and folds it into Wg (Eq. 7). When the client
+// can carry trace contexts on its wire frames, a fresh cross-process trace
+// is rooted at the T.A3 span: the server's srv.dispatch/srv.acc spans for
+// the frames of this push become its children in the merged fleet trace.
+// push labels the trace with the caller's push count.
+func (b *JobBuffers) pushTraced(tel *telemetry.Trainer, tid int32, push int, delta []float32) error {
+	var tc telemetry.TraceContext
+	if tel != nil && b.carrier != nil {
+		id := telemetry.NextSpanID(uint64(b.rank+1) << 48)
+		tc = telemetry.TraceContext{TraceID: id, SpanID: id}
+		b.carrier.SetTraceContext(smb.TraceContext{
+			TraceID: id, SpanID: id, Rank: uint32(b.rank), Iter: uint32(push),
+		})
+		defer b.carrier.ClearTraceContext()
+	}
+	spA2 := tel.Begin(tid, telemetry.PhaseTA2)
+	err := b.StageIncrement(delta)
+	spA2.End()
+	if err != nil {
+		return err
+	}
+	spA3 := tel.BeginTraced(tid, telemetry.PhaseTA3, tc)
+	err = b.PushStaged()
+	spA3.End()
+	return err
 }
 
 // ReportProgress publishes this worker's completed iteration count to its

@@ -5,15 +5,13 @@ import (
 	"math"
 	"testing"
 
-	"shmcaffe/internal/smb"
 	"shmcaffe/internal/tensor"
 )
 
 // Tests for the fused SEASGD math path: FusedWeightStep must be
 // bitwise-identical to the two-pass WeightIncrement → ApplyIncrementLocal
-// chain it replaced in the worker's T2 block, and the streamed
-// (chunk-pipelined) push must be observably identical to the split
-// Write+Accumulate pair.
+// chain it replaced in the worker's T2 block. (The push itself is pinned
+// across every client by smb's TestPushEquivalence.)
 
 func fusedVec(n int, seed float32) []float32 {
 	v := make([]float32, n)
@@ -98,81 +96,10 @@ func TestElasticExchangeMatchesThreePass(t *testing.T) {
 	}
 }
 
-// TestStreamIncrementMatchesSplitPush: the chunk-pipelined push and the
-// split Write+Accumulate pair leave identical segment contents and identical
-// server counters.
-func TestStreamIncrementMatchesSplitPush(t *testing.T) {
-	store, bufs := setupPair(t, "fused/stream")
-	if !bufs[0].CanStreamPush() {
-		t.Fatal("LocalClient should support the streamed push")
-	}
-	delta := fusedVec(8, 5)
-
-	store.ResetStats()
-	if err := bufs[0].StreamIncrement(delta); err != nil {
-		t.Fatal(err)
-	}
-	st := store.Stats()
-	if st.Writes != 1 || st.Accumulates != 1 {
-		t.Fatalf("streamed push counted writes=%d accumulates=%d, want 1/1", st.Writes, st.Accumulates)
-	}
-	streamed := make([]float32, 8)
-	if err := bufs[1].ReadGlobal(streamed); err != nil {
-		t.Fatal(err)
-	}
-
-	// Replay the same push with the split pair on a fresh family.
-	_, bufs2 := setupPair(t, "fused/split")
-	if err := bufs2[0].WriteIncrement(delta); err != nil {
-		t.Fatal(err)
-	}
-	if err := bufs2[0].AccumulateIncrement(); err != nil {
-		t.Fatal(err)
-	}
-	split := make([]float32, 8)
-	if err := bufs2[1].ReadGlobal(split); err != nil {
-		t.Fatal(err)
-	}
-	for i := range split {
-		if math.Float32bits(streamed[i]) != math.Float32bits(split[i]) {
-			t.Fatalf("i=%d: streamed %v != split %v", i, streamed[i], split[i])
-		}
-	}
-}
-
-// TestStreamPushFallback: a client wrapper that hides the WriteAccumulator
-// capability forces PushIncrement down the split path, and StreamIncrement
-// still validates lengths.
-func TestStreamPushFallback(t *testing.T) {
-	store, bufs := setupPair(t, "fused/fallback")
-	if err := bufs[0].StreamIncrement(make([]float32, 3)); !errors.Is(err, ErrConfig) {
-		t.Fatalf("short stream: want ErrConfig, got %v", err)
-	}
-	// A bare-interface wrapper drops the capability.
-	b := *bufs[0]
-	b.client = clientOnly{bufs[0].client}
-	b.wacc, _ = b.client.(smb.WriteAccumulator)
-	if b.CanStreamPush() {
-		t.Fatal("wrapper should not stream")
-	}
-	store.ResetStats()
-	delta := fusedVec(8, 6)
-	if err := b.PushIncrement(delta); err != nil {
-		t.Fatal(err)
-	}
-	st := store.Stats()
-	if st.Writes != 1 || st.Accumulates != 1 {
-		t.Fatalf("fallback push counted writes=%d accumulates=%d, want 1/1", st.Writes, st.Accumulates)
-	}
-}
-
-// clientOnly forwards the base Client interface and nothing else.
-type clientOnly struct{ smb.Client }
-
-// TestFusedStepAndStreamZeroAlloc pins the steady-state exchange: the fused
-// T2 math and the staged streamed push (LocalClient) allocate nothing per
+// TestFusedStepAndPushZeroAlloc pins the steady-state exchange: the fused
+// T2 math and the staged push (LocalClient) allocate nothing per
 // iteration. scripts/check.sh tier 2 runs this by name.
-func TestFusedStepAndStreamZeroAlloc(t *testing.T) {
+func TestFusedStepAndPushZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
@@ -194,7 +121,7 @@ func TestFusedStepAndStreamZeroAlloc(t *testing.T) {
 	_, bufs := setupPair(t, "fused/alloc")
 	inc := fusedVec(8, 9)
 	for i := 0; i < 4; i++ { // warm pools
-		if err := bufs[0].StreamIncrement(inc); err != nil {
+		if err := bufs[0].PushIncrement(inc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -202,10 +129,10 @@ func TestFusedStepAndStreamZeroAlloc(t *testing.T) {
 		if err := bufs[0].StageIncrement(inc); err != nil {
 			t.Fatal(err)
 		}
-		if err := bufs[0].StreamStaged(); err != nil {
+		if err := bufs[0].PushStaged(); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {
-		t.Errorf("staged streamed push allocates %.1f per op, want 0", a)
+		t.Errorf("staged push allocates %.1f per op, want 0", a)
 	}
 }

@@ -464,51 +464,13 @@ func (g *HybridGroup) checkTermination(completed int64) (bool, string, error) {
 
 func (g *HybridGroup) pushPending() error {
 	tel := g.cfg.Telemetry
-	rank := g.cfg.Comm.Rank()
-	tid := telemetry.UpdateTID(rank)
+	tid := telemetry.UpdateTID(g.cfg.Comm.Rank())
 	spA1 := tel.Begin(tid, telemetry.PhaseTA1)
 	g.mu.Lock()
 	spA1.End()
 	defer g.mu.Unlock()
-	// Same cross-process trace rooting as Worker.pushPending: the group
-	// root's T.A3 span anchors the server-side children of this push.
-	var tc telemetry.TraceContext
-	if carrier := g.buffers.TraceCarrier(); tel != nil && carrier != nil {
-		id := telemetry.NextSpanID(uint64(rank+1) << 48)
-		tc = telemetry.TraceContext{TraceID: id, SpanID: id}
-		carrier.SetTraceContext(smb.TraceContext{
-			TraceID: id, SpanID: id, Rank: uint32(rank), Iter: uint32(g.pushes),
-		})
-		defer carrier.ClearTraceContext()
-	}
-	if g.buffers.CanStreamPush() {
-		// Chunk-pipelined WRITE+ACCUMULATE; see Worker.pushPending for the
-		// span convention (T.A2 = staging, T.A3 = streamed store+fold).
-		spA2 := tel.Begin(tid, telemetry.PhaseTA2)
-		err := g.buffers.StageIncrement(g.pendingDelta)
-		spA2.End()
-		if err != nil {
-			return err
-		}
-		spA3 := tel.BeginTraced(tid, telemetry.PhaseTA3, tc)
-		err = g.buffers.StreamStaged()
-		spA3.End()
-		if err != nil {
-			return err
-		}
-	} else {
-		spA2 := tel.Begin(tid, telemetry.PhaseTA2)
-		err := g.buffers.WriteIncrement(g.pendingDelta)
-		spA2.End()
-		if err != nil {
-			return err
-		}
-		spA3 := tel.BeginTraced(tid, telemetry.PhaseTA3, tc)
-		err = g.buffers.AccumulateIncrement()
-		spA3.End()
-		if err != nil {
-			return err
-		}
+	if err := g.buffers.pushTraced(tel, tid, g.pushes, g.pendingDelta); err != nil {
+		return err
 	}
 	spA4 := tel.Begin(tid, telemetry.PhaseTA4)
 	g.pushes++

@@ -466,52 +466,8 @@ func (w *Worker) pushPending(tid int32) error {
 	w.mu.Lock()
 	spA1.End()
 	defer w.mu.Unlock()
-	// Cross-process trace: when the client can carry trace contexts on its
-	// wire frames, root a fresh trace at this push. The T.A3 span below is
-	// the root; the server's srv.dispatch/srv.acc/srv.chunk spans for the
-	// frames of this push become its children in the merged fleet trace.
-	var tc telemetry.TraceContext
-	if carrier := w.buffers.TraceCarrier(); tel != nil && carrier != nil {
-		id := telemetry.NextSpanID(uint64(w.rank+1) << 48)
-		tc = telemetry.TraceContext{TraceID: id, SpanID: id}
-		carrier.SetTraceContext(smb.TraceContext{
-			TraceID: id, SpanID: id, Rank: uint32(w.rank), Iter: uint32(w.pushes),
-		})
-		defer carrier.ClearTraceContext()
-	}
-	if w.buffers.CanStreamPush() {
-		// Chunk-pipelined push: the server folds chunk k into Wg while
-		// chunk k+1 is on the wire, so the segment store rides inside the
-		// accumulate. The T.A2 span now covers staging ΔWx and T.A3 the
-		// streamed store+fold — the phase boundary the pipeline blurs by
-		// design; the trace shows T.A2 shrinking to the encode cost.
-		spA2 := tel.Begin(tid, telemetry.PhaseTA2)
-		err := w.buffers.StageIncrement(w.pendingDelta)
-		spA2.End()
-		if err != nil {
-			return err
-		}
-		spA3 := tel.BeginTraced(tid, telemetry.PhaseTA3, tc)
-		err = w.buffers.StreamStaged()
-		spA3.End()
-		if err != nil {
-			return err
-		}
-	} else {
-		// T.A2: store ΔWx into the worker's increment segment.
-		spA2 := tel.Begin(tid, telemetry.PhaseTA2)
-		err := w.buffers.WriteIncrement(w.pendingDelta)
-		spA2.End()
-		if err != nil {
-			return err
-		}
-		// T.A3: server-side accumulate Wg += ΔWx (Eq. 7).
-		spA3 := tel.BeginTraced(tid, telemetry.PhaseTA3, tc)
-		err = w.buffers.AccumulateIncrement()
-		spA3.End()
-		if err != nil {
-			return err
-		}
+	if err := w.buffers.pushTraced(tel, tid, w.pushes, w.pendingDelta); err != nil {
+		return err
 	}
 	// T.A4: bookkeeping tail (and the cached-Wg refresh in hidden-read
 	// mode — done here precisely because this phase is off the critical

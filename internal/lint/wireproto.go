@@ -217,7 +217,7 @@ func armLabel(arm SwitchArm, byValue map[string]*types.Const) string {
 }
 
 // isOpName matches the repo's opcode naming convention: "op" followed by an
-// exported-style tail (opCreate, opWriteAccChunk, opSeqAccumulate).
+// exported-style tail (opCreate, opSnapRead, opSeqAccumulate).
 func isOpName(name string) bool {
 	if !strings.HasPrefix(name, "op") || len(name) < 3 {
 		return false

@@ -69,10 +69,10 @@ type Config struct {
 	// external SMB server instead of an in-process store; each worker
 	// dials its own connection, like a real deployment.
 	SMBAddr string
-	// SMBTransport selects the wire for SMBAddr: "tcp" (default),
-	// "tcp_sg" (TCP with scatter-gather writev and direct-landing reads),
-	// "shm" (cross-process shared memory; requires a co-located server
-	// exporting memfd segments), "auto" (negotiate shm, fall back to tcp),
+	// SMBTransport selects the wire for SMBAddr: "tcp" (default; "tcp_sg"
+	// is a second name for it), "shm" (cross-process shared memory;
+	// requires a co-located server exporting memfd segments), "auto"
+	// (negotiate shm, fall back to tcp),
 	// or "rds" (the reliable-datagram transport of internal/rds, the
 	// paper's RDS-based communication module).
 	SMBTransport string

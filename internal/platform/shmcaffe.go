@@ -276,10 +276,9 @@ func smbClients(cfg *Config, n int) (clients []smb.Client, closeAll func(), err 
 	for i := range clients {
 		switch cfg.SMBTransport {
 		case "", "tcp", "tcp_sg", "shm", "auto":
-			// The registry resolves the wire: supervised TCP (plain or
-			// scatter-gather) with per-op deadlines, reconnect, and
-			// sequence-stamped pushes, the negotiated shared-memory path,
-			// or auto-negotiation between them. ClientID is rank-derived so
+			// The registry resolves the wire: supervised TCP with per-op
+			// deadlines, reconnect, and sequence-stamped pushes, the
+			// negotiated shared-memory path, or auto-negotiation between them. ClientID is rank-derived so
 			// dedup keys stay distinct per worker on every transport.
 			name := cfg.SMBTransport
 			if name == "" {

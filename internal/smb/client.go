@@ -28,6 +28,12 @@ type Client interface {
 	// Accumulate adds the src segment into the dst segment (float32-wise)
 	// exclusively on the server.
 	Accumulate(dst, src Handle) error
+	// WriteAccumulate is the worker push (Fig. 6 T.A2–T.A3, Eq. 7): store
+	// data into src at offset 0, then accumulate src into dst. data must
+	// cover the whole src segment. Observable effects equal one Write plus
+	// one Accumulate on every client; clients that can retry make the fold
+	// exactly-once.
+	WriteAccumulate(dst, src Handle, data []byte) error
 	// Close releases client resources.
 	Close() error
 }
@@ -76,6 +82,11 @@ func (c *LocalClient) Write(h Handle, off int, src []byte) error {
 // Accumulate implements Client.
 func (c *LocalClient) Accumulate(dst, src Handle) error {
 	return c.store.Accumulate(dst, src)
+}
+
+// WriteAccumulate implements Client as one fused copy+add store call.
+func (c *LocalClient) WriteAccumulate(dst, src Handle, data []byte) error {
+	return c.store.WriteAccumulate(dst, src, data)
 }
 
 // Close implements Client.

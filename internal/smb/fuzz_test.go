@@ -15,13 +15,15 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(byte(opRead), []byte{1, 2, 3})
 	f.Add(byte(opWrite), bytes.Repeat([]byte{0xff}, 40))
 	f.Add(byte(opAccumulate), []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2})
-	f.Add(byte(opWriteAccChunk), []byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4}) // hdr+pad+one float
-	f.Add(byte(opWriteAccChunk), []byte{7})                 // truncated header
-	f.Add(byte(opWriteAccEnd), bytes.Repeat([]byte{0}, 16)) // end without chunks
-	f.Add(byte(opHello), []byte{1, 0, 0, 0, 0, 0, 0, 0})    // feature negotiation
-	f.Add(byte(opHello), []byte{})                          // truncated hello
-	f.Add(byte(opAccumulate)|traceFlagBit, []byte{1})       // flagged op leaks to dispatch
+	// Opcodes 11 and 12 carried the retired chunk pipeline; the old seeds
+	// stay as must-reject cases (see retiredOpcodes).
+	f.Add(byte(11), []byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4}) // chunk hdr+pad+one float
+	f.Add(byte(11), []byte{7})                           // truncated chunk header
+	f.Add(byte(12), bytes.Repeat([]byte{0}, 16))         // end without chunks
+	f.Add(byte(opHello), []byte{1, 0, 0, 0, 0, 0, 0, 0}) // feature negotiation
+	f.Add(byte(opHello), []byte{})                       // truncated hello
+	f.Add(byte(opAccumulate)|traceFlagBit, []byte{1})    // flagged op leaks to dispatch
 	f.Add(byte(99), []byte{1})
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
 		srv := &Server{store: NewStore()}
@@ -37,7 +39,10 @@ func FuzzDispatch(f *testing.F) {
 			binary.LittleEndian.Uint64(payload) == uint64(h) {
 			t.Skip("WaitUpdate on live handle blocks by design")
 		}
-		_, _ = srv.dispatch(opcode(op), payload, &connState{})
+		_, err := srv.dispatch(opcode(op), payload, &connState{})
+		if retiredOpcodes[op] && err == nil {
+			t.Fatalf("retired opcode %d was served", op)
+		}
 	})
 }
 

@@ -24,7 +24,6 @@ type storeInstruments struct {
 	writeLatency    *telemetry.Histogram
 	accLatency      *telemetry.Histogram
 	stripeWait      *telemetry.Histogram
-	chunkApply      *telemetry.Histogram
 	snapReadLatency *telemetry.Histogram
 }
 
@@ -99,9 +98,6 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 		stripeWait: reg.Histogram("smb_accumulate_stripe_wait_seconds",
 			"total time one Accumulate spent blocked on stripe locks — contention between workers colliding on the same 64 KiB of Wg",
 			telemetry.DefLatencyBuckets),
-		chunkApply: reg.Histogram("smb_chunk_apply_seconds",
-			"server-side latency of one chunked WRITE+ACCUMULATE chunk (copy into src + add into dst under the stripe locks)",
-			telemetry.DefLatencyBuckets),
 		snapReadLatency: reg.Histogram("smb_snap_read_seconds",
 			"server-side snapshot read latency (the serving hot path)", telemetry.DefLatencyBuckets),
 	})
@@ -135,44 +131,23 @@ func newClientInstruments(reg *telemetry.Registry, family, help string) *clientI
 	}
 }
 
-// chunkInstruments is the StreamClient's pipelined-transfer telemetry:
-// per-chunk wire-write latency (where backpressure from a lagging server
-// shows up) and the pipeline depth each WriteAccumulate sequence reached.
-type chunkInstruments struct {
-	chunkWrite *telemetry.Histogram
-	depth      *telemetry.Histogram
-}
-
 // Instrument enables round-trip timing on the wire client, exporting
-// smb_client_rtt_seconds{op=...} plus the chunked-transfer histograms
-// smb_client_chunk_write_seconds and smb_client_chunk_pipeline_depth.
-// Call before issuing traffic.
+// smb_client_rtt_seconds{op=...}. Call before issuing traffic.
 func (c *StreamClient) Instrument(reg *telemetry.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.inst = newClientInstruments(reg, "smb_client_rtt_seconds",
 		"wire-client round-trip latency per verb")
-	c.chunkInst = &chunkInstruments{
-		chunkWrite: reg.Histogram("smb_client_chunk_write_seconds",
-			"time to push one WriteAccumulate chunk into the transport; grows when the server cannot drain the pipeline",
-			telemetry.DefLatencyBuckets),
-		depth: reg.Histogram("smb_client_chunk_pipeline_depth",
-			"chunks streamed per WriteAccumulate before the single End ack (the pipeline depth reached)",
-			telemetry.LinearBuckets(1, 2, 32)),
-	}
 }
 
 // Instrument registers the server's connection-health counters: handler
 // loops that exited on transport errors (satellite of the silent-drop fix
-// in connDone), chunked sequences reaped mid-stream, and the live
-// connection gauge. Call once, before serving traffic.
+// in connDone) and the live connection gauge. Call once, before serving
+// traffic.
 func (s *Server) Instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("smb_server_conn_errors_total",
 		"connection handlers that exited on a transport error (not a clean close)",
 		s.connErrors.Load)
-	reg.CounterFunc("smb_server_reaped_sequences_total",
-		"chunked WRITE+ACCUMULATE sequences abandoned mid-stream by a dying connection",
-		s.reapedSeqs.Load)
 	reg.GaugeFunc("smb_server_connections", "live connection handlers", func() float64 {
 		return float64(s.active.Load())
 	})

@@ -29,16 +29,6 @@ import (
 // Reply: applied u64 (1 = applied now, 0 = duplicate of an earlier apply).
 const opSeqAccumulate opcode = 13
 
-// SeqAccumulator is the optional deduplicating-accumulate capability of a
-// Client. Callers feature-test with a type assertion.
-type SeqAccumulator interface {
-	// SeqAccumulate behaves like Accumulate(dst, src) but applies at most
-	// once per (client, seq): seq values at or below the highest already
-	// applied for client are acknowledged (applied=false) without touching
-	// dst. Sequences must be issued in increasing order per client.
-	SeqAccumulate(dst, src Handle, client, seq uint64) (applied bool, err error)
-}
-
 // clientSeq tracks one client's dedup state. The entry mutex is held across
 // the accumulate itself so a retry racing its own in-flight original (client
 // timed out, reconnected, and re-sent while the first attempt is still
@@ -95,15 +85,10 @@ func (s *Store) SeqAccumulate(dst, src Handle, client, seq uint64) (bool, error)
 	return true, nil
 }
 
-// SeqAccumulate implements SeqAccumulator in-process.
-func (c *LocalClient) SeqAccumulate(dst, src Handle, client, seq uint64) (bool, error) {
-	return c.store.SeqAccumulate(dst, src, client, seq)
-}
-
-var _ SeqAccumulator = (*LocalClient)(nil)
-var _ SeqAccumulator = (*StreamClient)(nil)
-
-// SeqAccumulate implements SeqAccumulator over the wire.
+// SeqAccumulate sends the stamped accumulate: like Accumulate(dst, src) but
+// applied at most once per (client, seq). A seq at or below the highest
+// already applied for client is acknowledged (applied=false) without
+// touching dst; sequences must be issued in increasing order per client.
 //
 //shm:hotpath
 func (c *StreamClient) SeqAccumulate(dst, src Handle, client, seq uint64) (bool, error) {

@@ -30,11 +30,10 @@ type Server struct {
 	wg     sync.WaitGroup
 
 	connErrors atomic.Int64 // handler loops that exited on a transport error
-	reapedSeqs atomic.Int64 // chunked sequences abandoned mid-stream by a dying conn
 	active     atomic.Int64 // live connection handlers
 
 	// tracer, when installed via SetTracer, records server-side spans
-	// (dispatch, accumulate apply, chunk pipeline, waits) — with trace
+	// (dispatch, accumulate apply, waits) — with trace
 	// propagation they become children of the client span that sent the
 	// frame. Atomic so chaos frontends can share one tracer across server
 	// incarnations without racing the handler loops.
@@ -81,9 +80,9 @@ func NewServerFromListener(store *Store, ln net.Listener) *Server {
 	}
 }
 
-// SetLogf installs a logger for abnormal per-connection handler exits —
-// broken pipes mid-frame, abandoned chunk sequences. Nil (the default)
-// keeps the server silent; the counters still advance either way.
+// SetLogf installs a logger for abnormal per-connection handler exits
+// (broken pipes mid-frame). Nil (the default) keeps the server silent; the
+// counters still advance either way.
 func (s *Server) SetLogf(logf func(format string, args ...any)) {
 	s.mu.Lock()
 	s.logf = logf
@@ -91,7 +90,7 @@ func (s *Server) SetLogf(logf func(format string, args ...any)) {
 }
 
 // SetTracer installs a span tracer on the server: every request frame then
-// records a srv.dispatch span, and the accumulate/chunk/wait arms record
+// records a srv.dispatch span, and the accumulate/wait arms record
 // their own nested spans. With a tracer installed the server also grants
 // the trace feature to clients negotiating via opHello, linking those spans
 // to the client side. Safe to call while serving; nil uninstalls.
@@ -100,10 +99,6 @@ func (s *Server) SetTracer(tr *telemetry.Tracer) { s.tracer.Store(tr) }
 // ConnErrors returns how many connection handlers exited on a transport
 // error (as opposed to a clean close between frames).
 func (s *Server) ConnErrors() int64 { return s.connErrors.Load() }
-
-// ReapedSequences returns how many chunked WRITE+ACCUMULATE sequences died
-// mid-stream with their connection and were reaped.
-func (s *Server) ReapedSequences() int64 { return s.reapedSeqs.Load() }
 
 // Addr returns the listener's address (useful with port 0).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
@@ -192,14 +187,6 @@ type connState struct {
 	wire []byte      // outbound frame staging (writeFrameInto)
 	vw   vecWriter   // registered iovec list for vectored bulk replies (sg.go)
 
-	// chunkErr poisons the current chunked WRITE+ACCUMULATE sequence: the
-	// first chunk failure is recorded here (later chunks are skipped) and
-	// reported once on the End frame. Single handler goroutine; no lock.
-	chunkErr error
-	// chunkOpen is true between the first chunk frame and the End frame —
-	// a connection dying with it set abandoned a sequence mid-stream.
-	chunkOpen bool
-
 	// tc is the trace context of the request currently being dispatched
 	// (zero = untraced). cur is the server's own dispatch-span context,
 	// which the arm spans parent onto. Single handler goroutine; no lock.
@@ -233,8 +220,6 @@ func (s *Server) handleConn(conn io.ReadWriteCloser) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
 	cs := connStatePool.Get().(*connState)
-	cs.chunkErr = nil // a pooled state may carry a dead connection's sequence
-	cs.chunkOpen = false
 	cs.tc = TraceContext{}
 	cs.cur = telemetry.TraceContext{}
 	cs.tid = 0
@@ -253,8 +238,7 @@ func (s *Server) handleConn(conn io.ReadWriteCloser) {
 		cs.tc = TraceContext{}
 		if op&traceFlagBit != 0 {
 			// A truncated trace header is connection-fatal, never an error
-			// reply: the flagged frame may be a streamed chunk that expects
-			// no reply, and answering it would desync the framing.
+			// reply: the peer's framing cannot be trusted past it.
 			tc, body, perr := parseTraceExt(payload)
 			if perr != nil {
 				s.connDone(cs, perr)
@@ -265,9 +249,6 @@ func (s *Server) handleConn(conn io.ReadWriteCloser) {
 		}
 		resp, err := s.dispatch(opcode(op), payload, cs)
 		if err != nil {
-			if errors.Is(err, errNoReply) {
-				continue // streamed chunk frame: the End frame carries the ack
-			}
 			cs.fw.buf = cs.fw.buf[:0]
 			cs.fw.str(err.Error())
 			if werr := writeFrameInto(conn, statusErr, cs.fw.buf, &cs.wire); werr != nil {
@@ -306,10 +287,7 @@ func (s *Server) handleConn(conn io.ReadWriteCloser) {
 // truncated by the network) behind the same silence as a clean shutdown.
 // A clean close — io.EOF exactly between frames, or any error during
 // server shutdown — stays silent; everything else advances connErrors and
-// hits the optional log. A sequence abandoned mid-chunk-stream is reaped
-// here: its poison is cleared before the state returns to the pool (the
-// chunks already applied stay applied — see DESIGN.md §12 for why that is
-// safe only because supervised retries go through SeqAccumulate).
+// hits the optional log.
 func (s *Server) connDone(cs *connState, err error) {
 	if cs.lease != 0 {
 		// Crash-safety of the shared locks: whatever stripe words the dead
@@ -333,19 +311,12 @@ func (s *Server) connDone(cs *connState, err error) {
 		s.store.shmc.mapBytes.Add(-b)
 		clear(cs.shmMaps)
 	}
-	mid := cs.chunkOpen || cs.chunkErr != nil
-	if mid {
-		total := s.reapedSeqs.Add(1)
-		telemetry.RecordEvent(telemetry.EvSeqReaped, total, 0, 0)
-		cs.chunkErr = nil
-		cs.chunkOpen = false
-	}
 	select {
 	case <-s.done:
 		return // shutdown breaks every connection, by design
 	default:
 	}
-	if errors.Is(err, io.EOF) && !mid {
+	if errors.Is(err, io.EOF) {
 		return // clean close at a frame boundary
 	}
 	telemetry.RecordEvent(telemetry.EvConnError, s.connErrors.Add(1), 0, 0)
@@ -353,11 +324,7 @@ func (s *Server) connDone(cs *connState, err error) {
 	logf := s.logf
 	s.mu.Unlock()
 	if logf != nil {
-		if mid {
-			logf("smb: connection died mid chunk sequence (reaped): %v", err)
-		} else {
-			logf("smb: connection handler exited: %v", err)
-		}
+		logf("smb: connection handler exited: %v", err)
 	}
 }
 
@@ -393,8 +360,8 @@ func (s *Server) dispatch(op opcode, payload []byte, cs *connState) ([]byte, err
 	return resp, err
 }
 
-// armSpan opens a nested span for one dispatch arm (accumulate apply, chunk
-// apply, wait). It parents onto the connection's current dispatch span when
+// armSpan opens a nested span for one dispatch arm (accumulate apply,
+// wait). It parents onto the connection's current dispatch span when
 // that span is part of a propagated trace. Returns the inert zero Span when
 // no tracer is installed, so arms call it unconditionally.
 func (s *Server) armSpan(cs *connState, p telemetry.Phase) telemetry.Span {
@@ -503,43 +470,6 @@ func (s *Server) dispatchOp(op opcode, payload []byte, cs *connState) ([]byte, e
 		err := s.store.Accumulate(Handle(dst), Handle(src))
 		sp.End()
 		return nil, err
-	case opWriteAccChunk:
-		// Streamed chunk: apply immediately, never reply — the client is
-		// already sending the next chunk (the T.A2/T.A3 pipeline).
-		cs.chunkOpen = true
-		if cs.chunkErr != nil {
-			return nil, errNoReply // sequence poisoned: skip to the End frame
-		}
-		dst := fr.u64()
-		src := fr.u64()
-		off := fr.u64()
-		fr.skip(writeAccPad)
-		data := fr.rest()
-		if fr.err != nil {
-			cs.chunkErr = fr.err
-			return nil, errNoReply
-		}
-		sp := s.armSpan(cs, telemetry.PhaseSrvChunk)
-		if err := s.store.WriteAccumulateAt(Handle(dst), Handle(src), int(off), data); err != nil {
-			cs.chunkErr = err
-		}
-		sp.End()
-		return nil, errNoReply
-	case opWriteAccEnd:
-		cs.chunkOpen = false
-		dst := fr.u64()
-		src := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
-		}
-		if err := cs.chunkErr; err != nil {
-			cs.chunkErr = nil
-			return nil, err
-		}
-		sp := s.armSpan(cs, telemetry.PhaseSrvAcc)
-		err := s.store.FinishWriteAccumulate(Handle(dst), Handle(src))
-		sp.End()
-		return nil, err
 	case opSeqAccumulate:
 		dst := fr.u64()
 		src := fr.u64()
@@ -586,25 +516,20 @@ func (s *Server) dispatchOp(op opcode, payload []byte, cs *connState) ([]byte, e
 // connection lock against per-client grow-only scratch buffers, so
 // steady-state verbs allocate nothing.
 type StreamClient struct {
-	mu        sync.Mutex
-	conn      io.ReadWriteCloser
-	req       frameWriter        // request payload builder, guarded by mu
-	in        []byte             // response frame scratch, guarded by mu
-	wire      []byte             // request frame staging, guarded by mu
-	inst      *clientInstruments // optional RTT timing, guarded by mu
-	chunkInst *chunkInstruments  // optional pipelined-transfer timing, guarded by mu
+	mu   sync.Mutex
+	conn io.ReadWriteCloser
+	req  frameWriter        // request payload builder, guarded by mu
+	in   []byte             // response frame scratch, guarded by mu
+	wire []byte             // request frame staging, guarded by mu
+	inst *clientInstruments // optional RTT timing, guarded by mu
 
 	opTimeout   time.Duration // guarded by mu; 0 = block forever (seed behavior)
 	waitTimeout time.Duration // guarded by mu; WaitUpdate budget, 0 = block forever
 	broken      error         // guarded by mu; first transport failure latches here
 
-	// Scatter-gather state (sg.go): sg enables vectored writes and
-	// direct-landing reads; vw and hdrs are the registered buffers those
-	// paths reuse — an iovec list and a chunk-header slab, both grow-only
-	// so the steady state stays allocation-free. All guarded by mu.
-	sg   bool
-	vw   vecWriter
-	hdrs []byte
+	// vw is the registered, grow-only iovec list of the vectored bulk
+	// write (sg.go), guarded by mu.
+	vw vecWriter
 
 	// traceOK is set by NegotiateTrace when the server granted the trace
 	// feature; tc is the context stamped on outgoing requests while nonzero.
@@ -703,17 +628,28 @@ func (c *StreamClient) roundTripLocked(op opcode) ([]byte, error) {
 	return c.roundTripBodyLocked(op, nil)
 }
 
-// roundTripBodyLocked is roundTripLocked with an optional bulk body: when
-// body is non-nil the frame goes out as one vectored write of the staged
-// header+head and the caller's body — header and payload in a single
-// writev, no staging copy of the bulk bytes (sg.go).
+// roundTripBodyLocked is roundTripLocked with an optional bulk body that
+// goes out vectored (see sendLocked).
 func (c *StreamClient) roundTripBodyLocked(op opcode, body []byte) ([]byte, error) {
-	if c.broken != nil {
-		return nil, fmt.Errorf("smb: connection poisoned: %w", c.broken)
-	}
 	timeout := c.opTimeout
 	if op == opWaitUpdate {
 		timeout = c.waitTimeout
+	}
+	if err := c.sendLocked(op, body, timeout); err != nil {
+		return nil, err
+	}
+	return c.readReplyLocked(timeout)
+}
+
+// sendLocked writes one request frame with c.req.buf as its payload. When
+// body is non-nil the frame goes out as one vectored write of the staged
+// header+head and the caller's body — header and payload in a single
+// writev, no staging copy of the bulk bytes (sg.go). Caller holds c.mu.
+//
+//shm:hotpath
+func (c *StreamClient) sendLocked(op opcode, body []byte, timeout time.Duration) error {
+	if c.broken != nil {
+		return fmt.Errorf("smb: connection poisoned: %w", c.broken)
 	}
 	dc, deadlines := c.conn.(deadlineConn)
 	deadlines = deadlines && timeout > 0
@@ -730,17 +666,16 @@ func (c *StreamClient) roundTripBodyLocked(op opcode, body []byte) ([]byte, erro
 		err = writeFrameInto(c.conn, byte(op), c.req.buf, &c.wire)
 	}
 	if err != nil {
-		return nil, c.poisonLocked(fmt.Errorf("smb request: %w: %w", ErrTransport, err))
+		return c.poisonLocked(fmt.Errorf("smb request: %w: %w", ErrTransport, err))
 	}
 	if deadlines {
 		dc.SetWriteDeadline(time.Time{})
 	}
-	return c.readReplyLocked(timeout)
+	return nil
 }
 
 // readReplyLocked reads and classifies one reply frame — the shared tail
-// of every round trip, including the scatter-gather paths that write their
-// requests out of band. Caller holds c.mu.
+// of every round trip. Caller holds c.mu.
 func (c *StreamClient) readReplyLocked(timeout time.Duration) ([]byte, error) {
 	dc, deadlines := c.conn.(deadlineConn)
 	deadlines = deadlines && timeout > 0
@@ -846,8 +781,8 @@ func (c *StreamClient) Free(key SHMKey) error {
 	return err
 }
 
-// Read implements Client. The response payload is copied into dst straight
-// from the connection scratch — no intermediate allocation.
+// Read implements Client. The reply payload lands directly in dst, with no
+// staging through the response scratch (sg.go).
 //
 //shm:hotpath
 func (c *StreamClient) Read(h Handle, off int, dst []byte) error {
@@ -858,27 +793,11 @@ func (c *StreamClient) Read(h Handle, off int, dst []byte) error {
 		t0 = time.Now()
 	}
 	c.beginLocked().u64(uint64(h)).u64(uint64(off)).u64(uint64(len(dst)))
-	if c.sg && len(dst) >= sgMinPayload {
-		// Direct landing: the reply payload is read straight into dst,
-		// skipping the response-scratch staging copy (sg.go).
-		err := c.roundTripReadIntoLocked(opRead, dst)
-		if err == nil && c.inst != nil {
-			c.inst.read.ObserveSeconds(time.Since(t0).Nanoseconds())
-		}
-		return err
-	}
-	resp, err := c.roundTripLocked(opRead)
-	if err != nil {
-		return err
-	}
-	if len(resp) != len(dst) {
-		return fmt.Errorf("smb read returned %d bytes, want %d", len(resp), len(dst))
-	}
-	copy(dst, resp)
-	if c.inst != nil {
+	err := c.roundTripReadIntoLocked(opRead, dst)
+	if err == nil && c.inst != nil {
 		c.inst.read.ObserveSeconds(time.Since(t0).Nanoseconds())
 	}
-	return nil
+	return err
 }
 
 // Write implements Client.
@@ -892,7 +811,7 @@ func (c *StreamClient) Write(h Handle, off int, src []byte) error {
 		t0 = time.Now()
 	}
 	var err error
-	if c.sg && len(src) >= sgMinPayload {
+	if len(src) >= sgMinPayload && connWritev(c.conn) {
 		// Vectored request: header+head staged once, src goes out of the
 		// caller's buffer in the same writev — wire bytes identical to the
 		// staged path, minus the payload copy (sg.go).
@@ -924,4 +843,15 @@ func (c *StreamClient) Accumulate(dst, src Handle) error {
 		c.inst.acc.ObserveSeconds(time.Since(t0).Nanoseconds())
 	}
 	return err
+}
+
+// WriteAccumulate implements Client as the two frames of the paper's push:
+// a Write of data into src, then an Accumulate of src into dst. A bare
+// connection has no retry, so the fold needs no sequence stamp (the
+// supervised client, which does retry, sends opSeqAccumulate instead).
+func (c *StreamClient) WriteAccumulate(dst, src Handle, data []byte) error {
+	if err := c.Write(src, 0, data); err != nil {
+		return err
+	}
+	return c.Accumulate(dst, src)
 }

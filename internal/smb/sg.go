@@ -8,13 +8,13 @@ import (
 	"time"
 )
 
-// Scatter-gather TCP path (DESIGN.md §16): the frame protocol's bytes are
-// unchanged, but bulk payloads stop being staged. Outbound, header and
-// payload leave in one writev (net.Buffers) — the payload goes out of the
-// caller's buffer, and a chunked WRITE+ACCUMULATE sends its whole pipeline
-// (every chunk frame plus the End frame) as a single vectored write.
-// Inbound, a bulk Read reply lands directly in the caller's destination
-// buffer. The iovec list and the chunk-header slab are registered per
+// Scatter-gather TCP path (DESIGN.md §11): the frame protocol's bytes are
+// unchanged, but bulk payloads are not staged. Outbound, header and payload
+// leave in one writev (net.Buffers) with the payload going out of the
+// caller's buffer — chosen per frame from what the code observes: a
+// connection with real writev support and a payload of at least
+// sgMinPayload. Inbound, a Read reply lands directly in the caller's
+// destination buffer on every connection. The iovec list is registered per
 // connection and grow-only, so the steady state allocates nothing.
 
 // sgMinPayload is the payload size below which vectoring is not worth it:
@@ -22,18 +22,9 @@ import (
 // to the kernel as two iovecs.
 const sgMinPayload = 4 << 10
 
-// EnableScatterGather switches the client's bulk verbs to the vectored
-// path. Only honored on transports with real writev support (TCP, unix
-// sockets); elsewhere net.Buffers would degrade into one syscall per
-// iovec, which is strictly worse than staging.
-func (c *StreamClient) EnableScatterGather(on bool) {
-	c.mu.Lock()
-	c.sg = on && connWritev(c.conn)
-	c.mu.Unlock()
-}
-
 // connWritev reports whether conn reaches the kernel's writev via
-// net.Buffers.
+// net.Buffers (TCP, unix sockets). Elsewhere net.Buffers would degrade
+// into one write per iovec, which is strictly worse than staging.
 func connWritev(conn io.ReadWriteCloser) bool {
 	switch conn.(type) {
 	case *net.TCPConn, *net.UnixConn:
@@ -149,33 +140,20 @@ func (c *StreamClient) writeFrameVecLocked(op byte, body []byte) error {
 }
 
 // roundTripReadIntoLocked is the direct-landing Read round trip: the reply
-// header is parsed from a small stack buffer and, when the payload is the
-// expected bulk, it is read straight into dst — no staging through the
-// response scratch. Error replies and unexpected sizes take the scratch
-// path with unchanged semantics. Caller holds c.mu.
+// header is parsed on its own and, when the payload has the expected size,
+// it is read straight into dst — no staging through the response scratch.
+// Error replies and unexpected sizes take the scratch path with unchanged
+// semantics. Caller holds c.mu.
 //
 //shm:hotpath
 func (c *StreamClient) roundTripReadIntoLocked(op opcode, dst []byte) error {
-	if c.broken != nil {
-		return fmt.Errorf("smb: connection poisoned: %w", c.broken)
-	}
 	timeout := c.opTimeout
+	if err := c.sendLocked(op, nil, timeout); err != nil {
+		return err
+	}
 	dc, deadlines := c.conn.(deadlineConn)
 	deadlines = deadlines && timeout > 0
 	if deadlines {
-		dc.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	var err error
-	if c.traceOK && c.tc.TraceID != 0 {
-		err = writeFrameTracedInto(c.conn, byte(op), c.req.buf, c.tc, &c.wire)
-	} else {
-		err = writeFrameInto(c.conn, byte(op), c.req.buf, &c.wire)
-	}
-	if err != nil {
-		return c.poisonLocked(fmt.Errorf("smb request: %w: %w", ErrTransport, err))
-	}
-	if deadlines {
-		dc.SetWriteDeadline(time.Time{})
 		dc.SetReadDeadline(time.Now().Add(timeout))
 	}
 	// The reply header lands in the wire scratch (free again once the
@@ -224,74 +202,4 @@ func (c *StreamClient) roundTripReadIntoLocked(op opcode, dst []byte) error {
 		return remoteError(fr.str())
 	}
 	return fmt.Errorf("smb read returned %d bytes, want %d", payLen, len(dst))
-}
-
-// writeAccumulateSGLocked streams a chunked WRITE+ACCUMULATE as one
-// vectored write: every chunk header is stamped into the registered header
-// slab, the iovec list interleaves headers with slices of the caller's
-// data, the End frame rides at the tail, and the whole pipeline reaches
-// the kernel in a single net.Buffers write. One reply round trip collects
-// the sequence status, exactly like the staged path. Caller holds c.mu.
-//
-//shm:hotpath
-func (c *StreamClient) writeAccumulateSGLocked(dst, src Handle, data []byte) error {
-	traced := c.traceOK && c.tc.TraceID != 0
-	hb := 5
-	if traced {
-		hb += traceHeaderLen
-	}
-	chunkHdr := hb + 24 + writeAccPad // dst, src, off, padding
-	endHdr := hb + 16                 // dst, src
-	nchunks := (len(data) + writeAccChunkBytes - 1) / writeAccChunkBytes
-	need := nchunks*chunkHdr + endHdr
-	if cap(c.hdrs) < need {
-		//lint:ignore hotalloc the header slab is registered per client and grow-only
-		c.hdrs = make([]byte, need)
-	}
-	slab := c.hdrs[:need]
-	c.vw.reset()
-	pos := 0
-	for off := 0; off < len(data); off += writeAccChunkBytes {
-		end := off + writeAccChunkBytes
-		if end > len(data) {
-			end = len(data)
-		}
-		h := slab[pos : pos+chunkHdr]
-		pos += chunkHdr
-		b := sgStampHdr(h, byte(opWriteAccChunk), end-off, traced, c.tc)
-		binary.LittleEndian.PutUint64(h[b:b+8], uint64(dst))
-		binary.LittleEndian.PutUint64(h[b+8:b+16], uint64(src))
-		binary.LittleEndian.PutUint64(h[b+16:b+24], uint64(off))
-		h[b+24], h[b+25], h[b+26] = 0, 0, 0
-		c.vw.add(h)
-		c.vw.add(data[off:end])
-	}
-	e := slab[pos : pos+endHdr]
-	b := sgStampHdr(e, byte(opWriteAccEnd), 0, traced, c.tc)
-	binary.LittleEndian.PutUint64(e[b:b+8], uint64(dst))
-	binary.LittleEndian.PutUint64(e[b+8:b+16], uint64(src))
-	c.vw.add(e)
-	dc, deadlines := c.conn.(deadlineConn)
-	deadlines = deadlines && c.opTimeout > 0
-	if deadlines {
-		dc.SetWriteDeadline(time.Now().Add(c.opTimeout))
-	}
-	err := c.vw.writeTo(c.conn)
-	if err != nil {
-		// Same poison rationale as the staged chunk stream: the server saw
-		// an unknown prefix of the sequence and the framing is desynced.
-		return c.poisonLocked(fmt.Errorf("smb chunk stream: %w: %w", ErrTransport, err))
-	}
-	if deadlines {
-		dc.SetWriteDeadline(time.Time{})
-	}
-	if _, err := c.readReplyLocked(c.opTimeout); err != nil {
-		return err
-	}
-	if c.chunkInst != nil {
-		// The whole sequence is unacknowledged until the End reply — the
-		// pipeline depth reached equals the chunk count.
-		c.chunkInst.depth.Observe(float64(nchunks))
-	}
-	return nil
 }

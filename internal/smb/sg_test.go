@@ -9,12 +9,11 @@ import (
 	"shmcaffe/internal/tensor"
 )
 
-// The scatter-gather TCP path must be wire-equivalent to the staged path:
-// same protocol bytes, same results, same error semantics — just fewer
-// copies and syscalls. These tests drive both paths against one server and
-// compare outcomes.
+// Bulk payloads over TCP leave as one vectored write and land directly in
+// the caller's buffer (sg.go). wire_golden_test.go pins the bytes; these
+// tests pin results, error semantics, tracing and the zero-alloc contract.
 
-const sgTestBytes = 1 << 20 // 1 MiB: > sgMinPayload and > writeAccChunkBytes
+const sgTestBytes = 1 << 20 // 1 MiB: far above sgMinPayload, 16 stripes
 
 func sgPattern(n int, seed byte) []byte {
 	b := make([]byte, n)
@@ -30,14 +29,12 @@ func sgPattern(n int, seed byte) []byte {
 	return b
 }
 
-// TestScatterGatherRoundTrip exercises the three vectored verbs end to end:
-// a bulk Write (header+payload in one writev), a bulk Read (direct landing
-// in the caller's buffer), and a multi-chunk WriteAccumulate (the whole
-// chunk pipeline as a single vectored write).
+// TestScatterGatherRoundTrip exercises the bulk verbs end to end: a Write
+// (header+payload in one writev), a Read (direct landing in the caller's
+// buffer), and a push built from them.
 func TestScatterGatherRoundTrip(t *testing.T) {
 	srv := startServer(t)
 	c := dialT(t, srv)
-	c.EnableScatterGather(true)
 
 	key, err := c.Create("wg", sgTestBytes)
 	if err != nil {
@@ -59,7 +56,6 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 		t.Fatal("vectored write/read corrupted the payload")
 	}
 
-	// Fused push through the vectored chunk pipeline (4 chunks at 1 MiB).
 	kd, err := c.Create("dw", sgTestBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -78,62 +74,15 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	gf, _ := tensor.Float32View(got)
 	for i := range gf {
 		if gf[i] != want[i]*2 {
-			t.Fatalf("wg[%d] = %v after fused push, want %v", i, gf[i], want[i]*2)
+			t.Fatalf("wg[%d] = %v after push, want %v", i, gf[i], want[i]*2)
 		}
 	}
-	// The pushed data also landed in dw (WRITE half of the fused verb).
+	// The pushed data also landed in dw (the WRITE half of the push).
 	if err := c.Read(hd, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
-		t.Fatal("fused push did not store the increment in src")
-	}
-}
-
-// TestScatterGatherWireEquivalence runs the same operations through a
-// vectored and a staged client and asserts bitwise-identical segment
-// contents — the SG path changes syscalls, never bytes.
-func TestScatterGatherWireEquivalence(t *testing.T) {
-	srv := startServer(t)
-	sg := dialT(t, srv)
-	sg.EnableScatterGather(true)
-	plain := dialT(t, srv)
-
-	data := sgPattern(sgTestBytes, 9)
-	run := func(c *StreamClient, name string) []byte {
-		t.Helper()
-		key, err := c.Create(name, sgTestBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := c.Attach(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kd, err := c.Create(name+"-dw", sgTestBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hd, err := c.Attach(kd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Write(h, 0, data); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.WriteAccumulate(h, hd, data); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]byte, sgTestBytes)
-		if err := c.Read(h, 0, out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a := run(sg, "sg")
-	b := run(plain, "plain")
-	if !bytes.Equal(a, b) {
-		t.Fatal("vectored and staged paths produced different segment contents")
+		t.Fatal("push did not store the increment in src")
 	}
 }
 
@@ -143,7 +92,6 @@ func TestScatterGatherWireEquivalence(t *testing.T) {
 func TestScatterGatherErrorReply(t *testing.T) {
 	srv := startServer(t)
 	c := dialT(t, srv)
-	c.EnableScatterGather(true)
 
 	dst := make([]byte, sgTestBytes)
 	err := c.Read(Handle(999), 0, dst)
@@ -181,7 +129,6 @@ func TestScatterGatherTrace(t *testing.T) {
 	srv := startServer(t)
 	srv.SetTracer(telemetry.NewTracer(4096))
 	c := dialT(t, srv)
-	c.EnableScatterGather(true)
 	ok, err := c.NegotiateTrace()
 	if err != nil || !ok {
 		t.Fatalf("NegotiateTrace = (%v, %v)", ok, err)
@@ -220,7 +167,7 @@ func TestScatterGatherTrace(t *testing.T) {
 	gf, _ := tensor.Float32View(got)
 	for i := range gf {
 		if gf[i] != want[i]*2 {
-			t.Fatalf("traced fused push wg[%d] = %v, want %v", i, gf[i], want[i]*2)
+			t.Fatalf("traced push wg[%d] = %v, want %v", i, gf[i], want[i]*2)
 		}
 	}
 }
@@ -232,7 +179,6 @@ func TestScatterGatherTrace(t *testing.T) {
 func TestScatterGatherSteadyStateZeroAlloc(t *testing.T) {
 	srv := startServer(t)
 	c := dialT(t, srv)
-	c.EnableScatterGather(true)
 
 	key, err := c.Create("wg", sgTestBytes)
 	if err != nil {
@@ -283,20 +229,15 @@ func TestScatterGatherSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); a > eps {
-		t.Errorf("vectored WriteAccumulate allocates %.1f per op, want ~0", a)
+		t.Errorf("bulk WriteAccumulate allocates %.1f per op, want ~0", a)
 	}
 }
 
-// TestSupervisedScatterGather wires the SG flag through the supervised
-// client: every connection (including reconnects) comes up vectored, and
-// the exactly-once push protocol holds across a connection loss.
-func TestSupervisedScatterGather(t *testing.T) {
+// TestSupervisedBulkPushAcrossReconnect: the exactly-once push protocol
+// holds for a bulk (vectored) payload across a connection loss.
+func TestSupervisedBulkPushAcrossReconnect(t *testing.T) {
 	srv := startServer(t)
-	c := NewSupervisedClient(SupervisedConfig{
-		Addr:          srv.Addr(),
-		ScatterGather: true,
-		ClientID:      71,
-	})
+	c := NewSupervisedClient(SupervisedConfig{Addr: srv.Addr(), ClientID: 71})
 	defer c.Close()
 
 	key, err := c.Create("wg", sgTestBytes)
@@ -319,8 +260,8 @@ func TestSupervisedScatterGather(t *testing.T) {
 	if err := c.WriteAccumulate(h, hd, data); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the live connection; the next push must reconnect, re-enable SG,
-	// and apply exactly once.
+	// Kill the live connection; the next push must reconnect and apply
+	// exactly once.
 	c.mu.Lock()
 	c.conn.conn.Close()
 	c.mu.Unlock()

@@ -436,6 +436,26 @@ func (s *ShardedClient) Accumulate(dst, src Handle) error {
 	return nil
 }
 
+// WriteAccumulate implements Client: each server receives its shard's slice
+// of data as one push. Shards run concurrently.
+func (s *ShardedClient) WriteAccumulate(dst, src Handle, data []byte) error {
+	dsh, err := s.handle(dst)
+	if err != nil {
+		return err
+	}
+	ssh, err := s.handle(src)
+	if err != nil {
+		return err
+	}
+	if dsh.total != ssh.total || len(data) != ssh.total {
+		return fmt.Errorf("sharded write-accumulate %d bytes: %d += %d bytes: %w",
+			len(data), dsh.total, ssh.total, ErrSizeMismatch)
+	}
+	return s.parallelRange(ssh, 0, data, func(i, _ int, part []byte) error {
+		return s.clients[i].WriteAccumulate(dsh.subs[i], ssh.subs[i], part)
+	})
+}
+
 // Close implements Client: closes every backing client.
 func (s *ShardedClient) Close() error {
 	var firstErr error

@@ -237,6 +237,146 @@ func TestShmHeapSegmentWireFallback(t *testing.T) {
 	}
 }
 
+// cutConn is a server-side control connection that, once its plan is armed,
+// dies at a chosen point of the next wire-fallback push. Wrapping the
+// connection also hides the unix socket from the fd-passing check, so no
+// segment maps and every data verb of the client rides the wire.
+type cutConn struct {
+	net.Conn
+	plan *cutPlan
+}
+
+// cutPlan counts the replies sent since arming (-1 = disarmed). A push is
+// two frames, Write then SeqAccumulate: with lostAck false the connection
+// dies right after the Write ack, before the fold frame is read; with
+// lostAck true the fold is applied and its ack is swallowed.
+type cutPlan struct {
+	mu      sync.Mutex
+	replies int // guarded by mu
+	lostAck bool
+}
+
+func (c *cutConn) Write(b []byte) (int, error) {
+	p := c.plan
+	p.mu.Lock()
+	k := -1
+	if p.replies >= 0 {
+		p.replies++
+		k = p.replies
+		if k == 2 || !p.lostAck {
+			p.replies = -1
+		}
+	}
+	p.mu.Unlock()
+	switch {
+	case k == 1 && !p.lostAck:
+		n, err := c.Conn.Write(b)
+		c.Conn.Close()
+		return n, err
+	case k == 2:
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	return c.Conn.Write(b)
+}
+
+// TestShmWireFallbackPushExactlyOnce: a push that falls back to the control
+// socket is a Write plus a fold stamped (ClientID, seq), retried across
+// redials. Whether the socket dies between the two frames or eats the
+// fold's ack, the server applies every push exactly once.
+func TestShmWireFallbackPushExactlyOnce(t *testing.T) {
+	if !ShmSupported() {
+		t.Skip("shm transport not supported on this platform/build")
+	}
+	for _, lostAck := range []bool{false, true} {
+		store := NewStore()
+		if err := store.EnableShm(); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(store, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		uln, err := net.Listen("unix", filepath.Join(t.TempDir(), "smb.sock"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := &cutPlan{replies: -1, lostAck: lostAck}
+		var uwg sync.WaitGroup
+		uwg.Add(1)
+		go func() {
+			defer uwg.Done()
+			for {
+				conn, err := uln.Accept()
+				if err != nil {
+					return
+				}
+				go srv.ServeConn(&cutConn{Conn: conn, plan: plan}) //lint:ignore goleak joined by srv.Close in the cleanup below
+			}
+		}()
+		t.Cleanup(func() { uln.Close(); uwg.Wait(); srv.Close() })
+
+		c, err := DialShmConfig(ShmConfig{Path: uln.Addr().String(), ClientID: 77})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		kw, err := c.Create("wg", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kd, err := c.Create("dw", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg, err := c.Attach(kw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dw, err := c.Attach(kd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Mapped(wg) || c.Mapped(dw) {
+			t.Fatal("segments mapped through a wrapped socket, want wire fallback")
+		}
+
+		const pushes = 3
+		data := tensor.Float32Bytes([]float32{1, 2, 3, 4})
+		for i := 0; i < pushes; i++ {
+			if i == 1 {
+				plan.mu.Lock()
+				plan.replies = 0 // the second push loses its connection mid-flight
+				plan.mu.Unlock()
+			}
+			if err := c.WriteAccumulate(wg, dw, data); err != nil {
+				t.Fatalf("lostAck=%v push %d: %v", lostAck, i, err)
+			}
+		}
+		st := store.Stats()
+		if st.Accumulates != pushes {
+			t.Fatalf("lostAck=%v: server applied %d accumulates for %d pushes", lostAck, st.Accumulates, pushes)
+		}
+		// Only a fold that was applied and then lost its ack may come back
+		// as a duplicate.
+		wantDups := int64(0)
+		if lostAck {
+			wantDups = 1
+		}
+		if st.SeqDuplicates != wantDups {
+			t.Fatalf("lostAck=%v: %d duplicate acks, want %d", lostAck, st.SeqDuplicates, wantDups)
+		}
+		for i, v := range readF32(t, c, wg, 4) {
+			if want := float32(pushes * (i + 1)); v != want {
+				t.Fatalf("lostAck=%v: wg[%d] = %v, want %v", lostAck, i, v, want)
+			}
+		}
+		if c.Stats().Reconnects < 1 {
+			t.Fatalf("lostAck=%v: stats %+v, want a control-socket redial", lostAck, c.Stats())
+		}
+	}
+}
+
 // TestShmAutoNegotiate covers the transport registry's decision making:
 // against an offering server "auto" yields shm; against a plain TCP server
 // it falls back to tcp; forcing "shm" there is a hard error; forcing "tcp"
@@ -282,54 +422,6 @@ func TestShmAutoNegotiate(t *testing.T) {
 	}
 	if _, err := DialTransport("shm", popts); err == nil {
 		t.Fatal("forced shm against a non-offering server succeeded")
-	}
-}
-
-// TestShmSeqAccumulateDedup extends the exactly-once contract to the mapped
-// path: the dedup table lives client-side (a mapped push has no ambiguous
-// outcome), and a replayed sequence is acknowledged without re-applying.
-func TestShmSeqAccumulateDedup(t *testing.T) {
-	_, path := startShmServer(t)
-	c := dialShmT(t, path)
-
-	kw, err := c.Create("wg", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kd, err := c.Create("dw", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wg, err := c.Attach(kw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dw, err := c.Attach(kd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Mapped(wg) || !c.Mapped(dw) {
-		t.Fatal("segments did not map")
-	}
-	if err := c.Write(dw, 0, tensor.Float32Bytes([]float32{1, 1, 1, 1})); err != nil {
-		t.Fatal(err)
-	}
-	applied, err := c.SeqAccumulate(wg, dw, 42, 1)
-	if err != nil || !applied {
-		t.Fatalf("first SeqAccumulate = (%v, %v), want (true, nil)", applied, err)
-	}
-	applied, err = c.SeqAccumulate(wg, dw, 42, 1) // the retry replay
-	if err != nil || applied {
-		t.Fatalf("replayed SeqAccumulate = (%v, %v), want (false, nil)", applied, err)
-	}
-	if applied, err := c.SeqAccumulate(wg, dw, 43, 1); err != nil || !applied {
-		t.Fatalf("other client's seq 1 = (%v, %v), want (true, nil)", applied, err)
-	}
-	got := readF32(t, c, wg, 4)
-	for i, v := range got {
-		if v != 2 { // two distinct pushes applied, the replay skipped
-			t.Fatalf("wg[%d] = %v, want 2", i, v)
-		}
 	}
 }
 

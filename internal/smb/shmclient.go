@@ -42,14 +42,7 @@ type ShmClient struct {
 	maps   map[Handle]*shmMapped // guarded by mu; public handle → mapping
 
 	nextHandle Handle // guarded by mu
-	wireSeq    uint64 // guarded by mu; stamp for the next wire-fallback push
-
-	// seqs is the client-side dedup table of the mapped SeqAccumulate path.
-	// A mapped push has no ambiguous outcome — it either ran to completion
-	// in this process or it did not — so dedup state needs no server round
-	// trip; it only has to survive control-socket redials, which it does by
-	// living here rather than on the connection.
-	seqs map[uint64]uint64 // guarded by mu; pusher id → last applied seq
+	seq        uint64 // guarded by mu; stamp of the last wire-fallback fold
 
 	wantTrace bool         // guarded by mu
 	tc        TraceContext // guarded by mu
@@ -97,7 +90,9 @@ type ShmConfig struct {
 	OpTimeout time.Duration
 	// WaitTimeout bounds wire-fallback WaitUpdate calls (default OpTimeout).
 	WaitTimeout time.Duration
-	// ClientID is the dedup identity of wire-fallback pushes (0 = auto).
+	// ClientID keys the server-side dedup of wire-fallback folds. 0 draws
+	// a process-local unique ID; multi-process jobs must set it (rank+1),
+	// like SupervisedConfig.ClientID.
 	ClientID uint64
 }
 
@@ -131,7 +126,6 @@ func DialShmConfig(cfg ShmConfig) (*ShmClient, error) {
 		keys:   make(map[Handle]SHMKey),
 		remote: make(map[Handle]Handle),
 		maps:   make(map[Handle]*shmMapped),
-		seqs:   make(map[uint64]uint64),
 	}
 	c.mu.Lock()
 	err := c.redialLocked()
@@ -162,8 +156,6 @@ func shmTimeouts(op, wait time.Duration) (time.Duration, time.Duration) {
 
 var _ Client = (*ShmClient)(nil)
 var _ Notifier = (*ShmClient)(nil)
-var _ WriteAccumulator = (*ShmClient)(nil)
-var _ SeqAccumulator = (*ShmClient)(nil)
 var _ TraceCarrier = (*ShmClient)(nil)
 
 // redialLocked (re)establishes the control connection: dial, hello for a
@@ -511,22 +503,7 @@ func (c *ShmClient) accumulateLocked(dst, src Handle) error {
 	}
 	dm, sm := c.maps[dst], c.maps[src]
 	if dm == nil || sm == nil {
-		// One side rides the wire → the whole op does; the server is the
-		// only place that can see both. Single shot: a wire Accumulate is
-		// not idempotent, so a transport failure surfaces instead of
-		// retrying blind (use SeqAccumulate for exactly-once pushes).
-		c.ctlOps.Add(1)
-		return c.withCtlOnceLocked(func(ctl *StreamClient) error {
-			rd, err := c.resolveLocked(ctl, dst)
-			if err != nil {
-				return err
-			}
-			rs, err := c.resolveLocked(ctl, src)
-			if err != nil {
-				return err
-			}
-			return ctl.Accumulate(rd, rs)
-		})
+		return c.wireAccumulateLocked(dst, src, nil)
 	}
 	dsh, ssh := dm.sh, sm.sh
 	if len(dsh.dat) != len(ssh.dat) {
@@ -556,23 +533,34 @@ func (c *ShmClient) accumulateLocked(dst, src Handle) error {
 	return nil
 }
 
-// withCtlOnceLocked is withCtlLocked without the retry loop: dial if
-// needed, run fn exactly once, drop the connection on transport failure.
-// Callers hold c.mu.
-func (c *ShmClient) withCtlOnceLocked(fn func(ctl *StreamClient) error) error {
-	if c.closed {
-		return errShmClientClosed
-	}
-	if c.ctl == nil {
-		if err := c.redialLocked(); err != nil {
+// wireAccumulateLocked folds src into dst on the server, for handles that
+// are not both mapped: one side rides the wire → the whole op does, because
+// the server is the only place that can see both. stage, when non-nil, is
+// first written into src. The fold is stamped with this client's
+// (ClientID, seq), drawn once before the retry loop, so a control-socket
+// redial mid-push replays the idempotent Write and the same stamp, and the
+// server applies the fold exactly once. Callers hold c.mu.
+func (c *ShmClient) wireAccumulateLocked(dst, src Handle, stage []byte) error {
+	c.ctlOps.Add(1)
+	c.seq++
+	seq := c.seq
+	return c.withCtlLocked(func(ctl *StreamClient) error {
+		rd, err := c.resolveLocked(ctl, dst)
+		if err != nil {
 			return err
 		}
-	}
-	err := fn(c.ctl)
-	if err != nil && errors.Is(err, ErrTransport) {
-		c.dropCtlLocked()
-	}
-	return err
+		rs, err := c.resolveLocked(ctl, src)
+		if err != nil {
+			return err
+		}
+		if stage != nil {
+			if err := ctl.Write(rs, 0, stage); err != nil {
+				return err
+			}
+		}
+		_, err = ctl.SeqAccumulate(rd, rs, c.cfg.ClientID, seq)
+		return err
+	})
 }
 
 // lockStripePair takes stripe ci's shared words of two distinct segments
@@ -632,10 +620,10 @@ func unlockStripePair(a *shmShared, ak SHMKey, b *shmShared, bk SHMKey, ci int, 
 	}
 }
 
-// WriteAccumulate implements WriteAccumulator fused against the mapped
-// stripes: per stripe, copy the pushed bytes into src and add the same
-// range into dst, under both lock words. One pass over the data, zero
-// protocol bytes — this is the transport's headline verb (ΔWx push).
+// WriteAccumulate implements Client fused against the mapped stripes: per
+// stripe, copy the pushed bytes into src and add the same range into dst,
+// under both lock words. One pass over the data, zero protocol bytes — this
+// is the transport's headline verb (ΔWx push).
 //
 //shm:hotpath
 func (c *ShmClient) WriteAccumulate(dst, src Handle, data []byte) error {
@@ -646,36 +634,20 @@ func (c *ShmClient) WriteAccumulate(dst, src Handle, data []byte) error {
 	}
 	dm, sm := c.maps[dst], c.maps[src]
 	if dm == nil || sm == nil {
-		c.ctlOps.Add(1)
-		return c.withCtlOnceLocked(func(ctl *StreamClient) error {
-			rd, err := c.resolveLocked(ctl, dst)
-			if err != nil {
-				return err
-			}
-			rs, err := c.resolveLocked(ctl, src)
-			if err != nil {
-				return err
-			}
-			return ctl.WriteAccumulate(rd, rs, data)
-		})
+		return c.wireAccumulateLocked(dst, src, data)
 	}
 	dsh, ssh := dm.sh, sm.sh
-	if len(dsh.dat) != len(ssh.dat) {
-		return fmt.Errorf("smb shm write+accumulate: size mismatch %d vs %d: %w",
-			len(dsh.dat), len(ssh.dat), ErrSizeMismatch)
-	}
-	if len(data) > len(ssh.dat) {
-		return fmt.Errorf("smb shm write+accumulate: %d bytes into %d-byte segment: %w",
-			len(data), len(ssh.dat), ErrOutOfRange)
+	if len(dsh.dat) != len(ssh.dat) || len(data) != len(ssh.dat) {
+		return fmt.Errorf("smb shm write+accumulate %d bytes: %d += %d bytes: %w",
+			len(data), len(dsh.dat), len(ssh.dat), ErrSizeMismatch)
 	}
 	if len(data)%4 != 0 {
-		return fmt.Errorf("smb shm write+accumulate: %d bytes not float32-aligned: %w",
-			len(data), ErrSizeMismatch)
+		return fmt.Errorf("smb shm write+accumulate: %d bytes: %w", len(data), ErrNotFloatAligned)
 	}
 	lease := c.lease
 	// Both segments are mutated, so both snapshot gates are held for the
 	// whole fused op — in key order, matching every other multi-gate
-	// acquisition (server WriteAccumulateAt, snapshot cuts), so gates cannot
+	// acquisition (Store.WriteAccumulate, snapshot cuts), so gates cannot
 	// deadlock across processes.
 	snapGateRLockPair(dsh, dm.key, ssh, sm.key)
 	defer snapGateRUnlockPair(dsh, ssh)
@@ -713,62 +685,6 @@ func (c *ShmClient) WriteAccumulate(dst, src Handle, data []byte) error {
 	}
 	return nil
 }
-
-// SeqAccumulate implements SeqAccumulator. On the mapped path dedup is
-// client-side: a mapped push has no ambiguous transport outcome (it either
-// completed in this process or it did not), so the (client, seq) table
-// lives here and survives control-socket redials. Wire fallback defers to
-// the server's dedup table, which makes cross-path retries consistent —
-// both sides treat seq ≤ last-applied as a duplicate.
-func (c *ShmClient) SeqAccumulate(dst, src Handle, client, seq uint64) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return false, errShmClientClosed
-	}
-	if seq == 0 {
-		return false, fmt.Errorf("smb shm seq-accumulate: sequence must be nonzero")
-	}
-	dm, sm := c.maps[dst], c.maps[src]
-	if dm == nil || sm == nil {
-		c.ctlOps.Add(1)
-		var applied bool
-		err := c.withCtlLocked(func(ctl *StreamClient) error {
-			rd, err := c.resolveLocked(ctl, dst)
-			if err != nil {
-				return err
-			}
-			rs, err := c.resolveLocked(ctl, src)
-			if err != nil {
-				return err
-			}
-			applied, err = ctl.SeqAccumulate(rd, rs, client, seq)
-			return err
-		})
-		return applied, err
-	}
-	if seq <= c.seqs[client] {
-		return false, nil
-	}
-	if err := c.accumulateLocked(dst, src); err != nil {
-		return false, err
-	}
-	//lint:ignore hotalloc one map insert per pusher lifetime; steady-state stamps overwrite the entry
-	c.seqs[client] = seq
-	return true, nil
-}
-
-// NextSeq draws a fresh push sequence number (wire-fallback parity with
-// the supervised client's internal stamping).
-func (c *ShmClient) NextSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.wireSeq++
-	return c.wireSeq
-}
-
-// ClientID returns the dedup identity of this client's own pushes.
-func (c *ShmClient) ClientID() uint64 { return c.cfg.ClientID }
 
 // Version implements Notifier: the shared version word for mapped
 // segments, a control round trip otherwise.

@@ -265,8 +265,7 @@ func (sh *shmShared) unlockStripe(ci int, lease uint32) {
 // reapLease force-releases every stripe lock word still held by lease — the
 // crash-recovery path for a client that died mid-accumulate. Returns how
 // many words were cleared. The reaped stripes may hold a half-applied
-// accumulate; that is the same partial-push outcome as a TCP worker dying
-// mid chunk stream, and SEASGD absorbs it (DESIGN.md §16).
+// accumulate — a partial gradient, which SEASGD absorbs (DESIGN.md §16).
 func (sh *shmShared) reapLease(lease uint32) int {
 	n := 0
 	for ci := 0; ci < sh.stripes; ci++ {

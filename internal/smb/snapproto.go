@@ -85,27 +85,15 @@ func (c *StreamClient) Snapshot(h Handle) (SnapInfo, error) {
 	return info, fr.err
 }
 
-// SnapRead implements Snapshotter. Like Read, the scatter-gather path lands
-// the reply payload straight in dst with no staging copy — the snapshot
-// serving path inherits the transport's zero-copy read.
+// SnapRead implements Snapshotter. Like Read, the reply payload lands
+// straight in dst with no staging copy.
 //
 //shm:hotpath
 func (c *StreamClient) SnapRead(id SnapID, off int, dst []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.beginLocked().u64(uint64(id)).u64(uint64(off)).u64(uint64(len(dst)))
-	if c.sg && len(dst) >= sgMinPayload {
-		return c.roundTripReadIntoLocked(opSnapRead, dst)
-	}
-	resp, err := c.roundTripLocked(opSnapRead)
-	if err != nil {
-		return err
-	}
-	if len(resp) != len(dst) {
-		return fmt.Errorf("smb snap read returned %d bytes, want %d", len(resp), len(dst))
-	}
-	copy(dst, resp)
-	return nil
+	return c.roundTripReadIntoLocked(opSnapRead, dst)
 }
 
 // SnapRelease implements Snapshotter over the wire.

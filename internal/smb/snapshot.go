@@ -17,9 +17,8 @@ import (
 // gives multi-stripe readers a consistent cut without funneling the write
 // path through a reader lock convoy:
 //
-//   - Every mutating store operation (Write, Accumulate, each streamed
-//     WriteAccumulateAt chunk) holds its target segment's op gate in read
-//     mode for the whole sweep. Steady state this is one uncontended
+//   - Every mutating store operation (Write, Accumulate, WriteAccumulate)
+//     holds its target segment's op gate in read mode for the whole sweep. Steady state this is one uncontended
 //     RWMutex.RLock per op — the write path stays wait-free.
 //   - Snapshot takes the gate exclusively for the brief cut: with no op
 //     mid-sweep it arms one copy-on-write mark per stripe, records the
@@ -62,7 +61,7 @@ type SnapInfo struct {
 // Snapshot takes a cut of the segment behind h, SnapRead serves bytes of
 // that cut (bitwise stable for the snapshot's lifetime, whatever the
 // write traffic), and SnapRelease retires it. Callers feature-test with a
-// type assertion, exactly like WriteAccumulator.
+// type assertion.
 type Snapshotter interface {
 	Snapshot(h Handle) (SnapInfo, error)
 	SnapRead(id SnapID, off int, dst []byte) error
@@ -143,10 +142,10 @@ func (seg *segment) cowStripe(ci int, snaps []*snapState) {
 
 // Snapshot takes a consistent cut of the segment behind h and returns its
 // ID, captured version, and size. The cut is atomic with respect to every
-// whole store operation: Write, Accumulate, SeqAccumulate, and each
-// individual WriteAccumulateAt chunk (an N-chunk streamed push is N gate
-// sections, so a snapshot may land between chunks of one streamed
-// sequence — see DESIGN.md §17 for the exact contract per transport).
+// whole store operation: Write, Accumulate, SeqAccumulate and
+// WriteAccumulate (a wire push is a Write then an Accumulate, so a snapshot
+// may land between the two — see DESIGN.md §17 for the exact contract per
+// transport).
 //
 // Heap segments cut lazily (no bytes copied until a writer returns);
 // exported segments copy eagerly under the shared snapshot gate, which

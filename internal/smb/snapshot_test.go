@@ -257,7 +257,7 @@ func TestSnapshotStableUnderAccumulateStorm(t *testing.T) {
 }
 
 // TestSnapshotTransports runs the storm/cut assertion over the wire
-// transports: plain TCP, scatter-gather TCP, and the sharded fan-out.
+// transports: TCP and the sharded fan-out.
 // (The shm-mapped writer storm has its own test below; it needs the
 // shared gate.)
 func TestSnapshotTransports(t *testing.T) {
@@ -265,23 +265,6 @@ func TestSnapshotTransports(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
 		srv := startServer(t)
 		c, w := dialT(t, srv), dialT(t, srv)
-		key, err := c.Create("snap/wg", size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, _ := c.Attach(key)
-		wh, _ := w.Attach(key)
-		stop := stormWrites(t, w, wh, size)
-		defer stop()
-		for i := 0; i < 5; i++ {
-			assertSnapshotStable(t, c, h, size)
-		}
-	})
-	t.Run("tcp_sg", func(t *testing.T) {
-		srv := startServer(t)
-		c, w := dialT(t, srv), dialT(t, srv)
-		c.EnableScatterGather(true)
-		w.EnableScatterGather(true)
 		key, err := c.Create("snap/wg", size)
 		if err != nil {
 			t.Fatal(err)

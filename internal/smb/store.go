@@ -448,6 +448,7 @@ func (s *Store) Accumulate(dst, src Handle) error {
 		}
 		if dseg.key < sseg.key {
 			waitNs += dseg.lockStripe(ci, timed)
+			//lint:ignore lockorder second stripe of the same class is taken in segment-key order (dseg.key < sseg.key here, the mirror branch below), so concurrent pairs cannot cross
 			sseg.rlockStripe(ci)
 		} else {
 			sseg.rlockStripe(ci)
@@ -463,6 +464,99 @@ func (s *Store) Accumulate(dst, src Handle) error {
 	s.versions.bump(dseg)
 	s.stats.accumulates.Add(1)
 	s.stats.bytesWrite.Add(int64(len(dseg.data)))
+	if timed {
+		ins.accLatency.ObserveSeconds(time.Since(t0).Nanoseconds())
+		ins.stripeWait.ObserveSeconds(waitNs)
+	}
+	return nil
+}
+
+// WriteAccumulate is the fused push of the in-process transport: data
+// lands in src and the same values fold into dst (float32-wise) in one
+// sweep, stripe by stripe. data must cover the whole src segment, so the
+// result equals Write(src, 0, data) then Accumulate(dst, src): both
+// versions bump once and the counters advance by one Write plus one
+// Accumulate. Each stripe is processed under the exclusive locks of both
+// segments, taken in segment-key order like Accumulate, so crossed pushes
+// (A: X ⇐ Y, B: Y ⇐ X) cannot deadlock and no increment is lost.
+//
+//shm:hotpath
+func (s *Store) WriteAccumulate(dst, src Handle, data []byte) error {
+	dseg, err := s.lookupHandle(dst)
+	if err != nil {
+		return err
+	}
+	sseg, err := s.lookupHandle(src)
+	if err != nil {
+		return err
+	}
+	if len(dseg.data) != len(sseg.data) || len(data) != len(sseg.data) {
+		return fmt.Errorf("write-accumulate %d bytes: %q (%d B) += %q (%d B): %w",
+			len(data), dseg.name, len(dseg.data), sseg.name, len(sseg.data), ErrSizeMismatch)
+	}
+	if len(data)%4 != 0 {
+		return fmt.Errorf("write-accumulate %q: %w", dseg.name, ErrNotFloatAligned)
+	}
+	ins := s.inst.Load()
+	timed := ins != nil
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	var waitNs int64
+
+	// Snapshot fence: the push mutates both segments, so it is one
+	// cut-atomic unit against snapshots of either. Both gates in
+	// segment-key order — the same discipline as the stripe locks.
+	if dseg == sseg {
+		dseg.gate.RLock()
+		defer dseg.gate.RUnlock()
+	} else if dseg.key < sseg.key {
+		//lint:ignore lockorder the two gates of this class are taken in segment-key order (this branch and its mirror below), so concurrent pushes cannot cross
+		dseg.gate.RLock()
+		defer dseg.gate.RUnlock()
+		sseg.gate.RLock()
+		defer sseg.gate.RUnlock()
+	} else {
+		sseg.gate.RLock()
+		defer sseg.gate.RUnlock()
+		dseg.gate.RLock()
+		defer dseg.gate.RUnlock()
+	}
+	for ci := range sseg.locks {
+		lo, hi := sseg.chunkRange(ci)
+		if dseg == sseg {
+			// Self-target: one lock; the write lands and is doubled in place.
+			waitNs += dseg.lockStripe(ci, timed)
+			copy(sseg.data[lo:hi], data[lo:hi])
+			err = accumulateChunk(dseg.data[lo:hi], dseg.data[lo:hi])
+			dseg.unlockStripe(ci)
+		} else {
+			if dseg.key < sseg.key {
+				waitNs += dseg.lockStripe(ci, timed)
+				//lint:ignore lockorder second stripe of the same class is taken in segment-key order (dseg.key < sseg.key here, the mirror branch below), so concurrent pairs cannot cross
+				waitNs += sseg.lockStripe(ci, timed)
+			} else {
+				waitNs += sseg.lockStripe(ci, timed)
+				waitNs += dseg.lockStripe(ci, timed)
+			}
+			err = copyAccumulateChunk(dseg.data[lo:hi], sseg.data[lo:hi], data[lo:hi])
+			sseg.unlockStripe(ci)
+			dseg.unlockStripe(ci)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	s.versions.bump(sseg)
+	if dseg != sseg {
+		s.versions.bump(dseg)
+	}
+	s.stats.writes.Add(1)
+	s.stats.accumulates.Add(1)
+	// len(data) bytes into src plus len(data) accumulated bytes into dst —
+	// the accounting of the Write + Accumulate pair.
+	s.stats.bytesWrite.Add(int64(2 * len(data)))
 	if timed {
 		ins.accLatency.ObserveSeconds(time.Since(t0).Nanoseconds())
 		ins.stripeWait.ObserveSeconds(waitNs)
@@ -504,18 +598,16 @@ func accumulateChunk(dst, src []byte) error {
 }
 
 // copyAccumulateChunk applies the fused WRITE+ACCUMULATE body to one
-// mapped stripe: data lands in src (the WRITE half) and folds into dst
-// (the ACCUMULATE half) in a single sweep, without the separate copy pass
+// stripe: data lands in src (the WRITE half) and folds into dst (the
+// ACCUMULATE half) in a single sweep, without the separate copy pass
 // re-reading src. On the SIMD backend the src stores are non-temporal —
-// the whole point is to avoid the read-for-ownership stream a cached
-// store would add. That is the right trade only where the fold is the
-// entire operation (ShmClient.WriteAccumulate, whose caller is blocked on
-// it); the server's wire fold keeps copy + add, which overlaps the next
-// chunk's transfer and leaves the stripes cache-resident for the serves
-// that follow. Falls back to copy + accumulateChunk when any buffer is
-// not float32-viewable (misaligned or big-endian). dst and src must not
-// alias each other or data — callers route the self-target case through
-// the copy + in-place-double path instead.
+// the fold is the entire operation for both callers (Store.WriteAccumulate
+// and the mapped ShmClient.WriteAccumulate), so skipping the
+// read-for-ownership stream a cached store would add is the right trade.
+// Falls back to copy + accumulateChunk when any buffer is not
+// float32-viewable (misaligned or big-endian). dst and src must not alias
+// each other or data — callers route the self-target case through the
+// copy + in-place-double path instead.
 //
 //shm:hotpath
 func copyAccumulateChunk(dst, src, data []byte) error {

@@ -68,10 +68,6 @@ type SupervisedConfig struct {
 	// ClientID keys the server-side push dedup. 0 draws a process-local
 	// unique ID; multi-process jobs must set it (rank+1).
 	ClientID uint64
-	// ScatterGather enables the vectored TCP path (sg.go) on every
-	// connection, including reconnects: bulk writes and chunked pushes go
-	// out header+payload in one writev, bulk reads land directly.
-	ScatterGather bool
 }
 
 // SupervisedStats snapshots a client's recovery counters.
@@ -84,8 +80,8 @@ type SupervisedStats struct {
 }
 
 // SupervisedClient wraps the SMB wire protocol with reconnect-and-retry
-// supervision. It implements Client, Notifier, WriteAccumulator and
-// SeqAccumulator. Like StreamClient it is safe for concurrent use, with
+// supervision. It implements Client, Notifier, Snapshotter and
+// TraceCarrier. Like StreamClient it is safe for concurrent use, with
 // operations serialized on one connection.
 type SupervisedClient struct {
 	cfg SupervisedConfig
@@ -122,7 +118,6 @@ type SupervisedClient struct {
 
 var _ Client = (*SupervisedClient)(nil)
 var _ Notifier = (*SupervisedClient)(nil)
-var _ WriteAccumulator = (*SupervisedClient)(nil)
 
 // NewSupervisedClient returns a supervised client. The first connection is
 // established lazily, so constructing one against a down server succeeds —
@@ -205,9 +200,6 @@ func (c *SupervisedClient) ensureLocked() (*StreamClient, error) {
 		return nil, fmt.Errorf("smb supervised dial: %w", err)
 	}
 	sc.SetTimeouts(c.cfg.OpTimeout, c.cfg.WaitTimeout)
-	if c.cfg.ScatterGather {
-		sc.EnableScatterGather(true)
-	}
 	if c.wantTrace {
 		// Re-negotiate on every fresh connection — the grant is per-conn
 		// state on the server. A transport failure here counts as a failed
@@ -535,40 +527,11 @@ func (c *SupervisedClient) seqAccumulateLocked(dst, src Handle) error {
 	return err
 }
 
-// SeqAccumulate implements SeqAccumulator, exposing the raw stamped verb
-// for callers that manage their own sequence space. Most callers should use
-// Accumulate/WriteAccumulate, which stamp automatically.
-func (c *SupervisedClient) SeqAccumulate(dst, src Handle, client, seq uint64) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var applied bool
-	err := c.withRetry("seq-accumulate", func(sc *StreamClient) error {
-		rdst, err := c.resolveLocked(sc, dst)
-		if err != nil {
-			return err
-		}
-		rsrc, err := c.resolveLocked(sc, src)
-		if err != nil {
-			return err
-		}
-		a, err := sc.SeqAccumulate(rdst, rsrc, client, seq)
-		applied = a
-		return err
-	})
-	return applied, err
-}
-
-// WriteAccumulate implements WriteAccumulator — the supervised form of the
-// worker push (Fig. 6 T.A2+T.A3). The fused chunk pipeline applies chunks
-// into Wg as they arrive, which is unretriable by construction (a replay
-// re-adds every chunk that landed before the failure). The supervised push
-// therefore decomposes into the two-phase recipe that IS safe:
+// WriteAccumulate implements Client — the supervised form of the worker
+// push (Fig. 6 T.A2+T.A3), as the two-phase recipe that is safe to retry:
 //
 //	Write(src, 0, data)   — idempotent staging into the private ΔWx segment
 //	SeqAccumulate(dst,src) — deduped fold into Wg
-//
-// trading the pipeline overlap for at-most-once semantics. Jobs that want
-// the pipeline back on a quiet network use a bare StreamClient.
 func (c *SupervisedClient) WriteAccumulate(dst, src Handle, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

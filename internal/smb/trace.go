@@ -14,7 +14,7 @@ import (
 //	[4B len] [1B opcode|0x80] [8B traceID] [8B spanID] [4B rank] [4B iter] [payload]
 //
 // The server strips the header before dispatch and records its own spans
-// (dispatch, accumulate apply, chunk pipeline, waits) as children of the
+// (dispatch, accumulate apply, waits) as children of the
 // client's span, so a merged Chrome trace shows the causal chain
 // worker push → server apply across processes.
 //
@@ -134,9 +134,7 @@ var _ TraceCarrier = (*StreamClient)(nil)
 
 // parseTraceExt splits a flagged request body into its trace context and
 // the real payload. An undersized header is a framing error: the server
-// must drop the connection rather than reply, because the request may be a
-// streamed chunk frame that expects no reply — answering it would desync
-// the request/response pairing.
+// drops the connection rather than reply.
 func parseTraceExt(payload []byte) (TraceContext, []byte, error) {
 	if len(payload) < traceHeaderLen {
 		return TraceContext{}, nil, fmt.Errorf("smb: truncated trace header (%d bytes)", len(payload))

@@ -2,7 +2,6 @@ package smb
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -96,8 +95,8 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One traced push: Write + Accumulate under a client span, then a
-	// chunked WriteAccumulate under a second span of the same trace.
+	// One traced push spelled out (Write + Accumulate) and one through the
+	// push verb, both under the same client span.
 	tc := TraceContext{TraceID: 0x42, SpanID: telemetry.NextSpanID(1 << 48), Rank: 0, Iter: 7}
 	c.SetTraceContext(tc)
 	data := make([]byte, 64)
@@ -133,7 +132,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	// parented on a server-minted span id, not directly on the client span.
 	accs := tracedSpans(tr, "srv.acc")
 	if len(accs) < 2 {
-		t.Fatalf("traced srv.acc spans = %d, want >= 2 (accumulate + chunked end)", len(accs))
+		t.Fatalf("traced srv.acc spans = %d, want >= 2 (accumulate + push)", len(accs))
 	}
 	dispatchIDs := map[string]bool{}
 	for _, ev := range dispatch {
@@ -146,9 +145,6 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		if !dispatchIDs[ev.Args["parent_id"]] {
 			t.Fatalf("acc span parent %s is not a dispatch span", ev.Args["parent_id"])
 		}
-	}
-	if got := tracedSpans(tr, "srv.chunk"); len(got) == 0 {
-		t.Fatal("chunked push recorded no traced srv.chunk span")
 	}
 
 	// The Version call after ClearTraceContext must not carry the trace.
@@ -233,9 +229,6 @@ func legacyServe(t *testing.T, ln net.Listener, store *Store) {
 				resp, derr = srv.dispatchOp(opcode(op), payload, cs)
 			}
 			if derr != nil {
-				if errors.Is(derr, errNoReply) {
-					continue
-				}
 				cs.fw.buf = cs.fw.buf[:0]
 				cs.fw.str(derr.Error())
 				if writeFrameInto(conn, statusErr, cs.fw.buf, &wire) != nil {

@@ -36,8 +36,6 @@ const (
 	EvRetriesExhausted
 	// EvConnError: a server handler exited on a transport error. a=total conn errors.
 	EvConnError
-	// EvSeqReaped: the server reaped a mid-stream chunk sequence. a=total reaped.
-	EvSeqReaped
 	// EvWorkerDead: a liveness tracker declared a rank dead. a=observer rank b=dead rank.
 	EvWorkerDead
 	// EvReElection: the termination master changed. a=observer rank b=new master.
@@ -65,9 +63,9 @@ const (
 
 var eventNames = [NumEventKinds]string{
 	"none", "reconnect", "deadline_fired", "retries_exhausted",
-	"conn_error", "seq_reaped", "worker_dead", "re_election",
-	"group_shrink", "chaos_crash", "chaos_restart", "fault_injected",
-	"wait_canceled", "crash_dump", "shm_map", "shm_lease_reaped",
+	"conn_error", "worker_dead", "re_election", "group_shrink",
+	"chaos_crash", "chaos_restart", "fault_injected", "wait_canceled",
+	"crash_dump", "shm_map", "shm_lease_reaped",
 }
 
 // eventArgNames labels the A/B/C payload slots per kind ("" = unused).
@@ -76,7 +74,6 @@ var eventArgNames = [NumEventKinds][3]string{
 	EvDeadlineFired:    {"client", "", ""},
 	EvRetriesExhausted: {"client", "attempts", ""},
 	EvConnError:        {"total", "", ""},
-	EvSeqReaped:        {"total", "", ""},
 	EvWorkerDead:       {"observer", "rank", ""},
 	EvReElection:       {"observer", "master", ""},
 	EvGroupShrink:      {"member", "", ""},

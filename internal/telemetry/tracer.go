@@ -40,9 +40,6 @@ const (
 	PhaseSrvDispatch
 	// PhaseSrvAcc is the server-side accumulate apply (Wg += ΔWx, Eq. 7).
 	PhaseSrvAcc
-	// PhaseSrvChunk is one chunk of a streamed WRITE+ACCUMULATE sequence
-	// being applied; overlapping srv.chunk spans render the pipeline depth.
-	PhaseSrvChunk
 	// PhaseSrvWait is a WaitUpdate parked on the server's version table.
 	PhaseSrvWait
 
@@ -55,7 +52,7 @@ const (
 // benchtables -trace breakdown.
 var phaseNames = [NumPhases]string{
 	"T1", "T2", "T4+T5", "T.A1", "T.A2", "T.A3", "T.A4", "T.A5",
-	"srv.dispatch", "srv.acc", "srv.chunk", "srv.wait",
+	"srv.dispatch", "srv.acc", "srv.wait",
 }
 
 // String returns the Fig. 6 label.

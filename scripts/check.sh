@@ -34,6 +34,11 @@ tier1() {
 	# The smb suite must pass with the mmap transport stubbed: shm tests
 	# skip, every wire path still works, and auto-negotiation falls back.
 	go test -tags noshm ./internal/smb
+	echo "== tier 1: benchmark module (toy-size smoke + measured-surface import test) =="
+	# benchmark/ is its own module, so ./... above never sees it: a refactor
+	# that breaks what the benchmark binds to must fail here, not in the
+	# driver's run.
+	(cd benchmark && go test ./...)
 	echo "== tier 1: shmlint (baseline-aware) =="
 	go run ./cmd/shmlint -baseline .shmlint-baseline.json ./...
 }
@@ -57,16 +62,14 @@ tier2() {
 		./internal/parallel ./internal/tensor ./internal/smb
 	echo "== tier 2: allocation regression guard =="
 	# Pins the zero-alloc contract of the SMB hot path (Store and
-	# StreamClient Read/Write/Accumulate, the chunked WRITE+ACCUMULATE
-	# sequence, pooled wire scratch), the fused worker exchange step, and
-	# the pooled parallel.For/ForRanger dispatch.
+	# StreamClient Read/Write/Accumulate, the WriteAccumulate push, pooled
+	# wire scratch), the fused worker exchange step, and the pooled
+	# parallel.For/ForRanger dispatch.
 	go test -run='TestSteadyStateZeroAlloc|TestReadInt64Slots|TestSnapReadZeroAlloc' -count=1 ./internal/smb
 	go test -run='TestRecordingZeroAlloc|TestSpanZeroAlloc|TestEventRecordZeroAlloc' -count=1 ./internal/telemetry
-	go test -run='TestFusedStepAndStreamZeroAlloc' -count=1 ./internal/core
+	go test -run='TestFusedStepAndPushZeroAlloc' -count=1 ./internal/core
 	go test -run='TestForRangerZeroAlloc|TestForZeroAlloc|TestFreelist' -count=1 ./internal/parallel
 	go test -run='ZeroAllocAcrossGC|TestDispatchedKernelsZeroAlloc' -count=1 ./internal/tensor
-	echo "== tier 2: pipelined-transfer smoke (chunked WRITE+ACCUMULATE over TCP) =="
-	go test -run='TestWriteAccumulateTCP|TestChunkedInterleavedClients' -count=1 ./internal/smb
 	echo "== tier 2: telemetry smoke (2-worker -telemetry run) =="
 	telemetry_smoke
 	echo "== tier 2: fault-injection smoke (chaos server + reconnecting workers) =="
@@ -330,10 +333,11 @@ obs_smoke() {
 # shm_smoke is ISSUE 9's acceptance drill for the zero-copy transport.
 # Part (a): an shm-enabled server with two co-located -smb-transport auto
 # workers — both must negotiate the mapped path and /metrics must report the
-# passed segment fds. Part (b): three 1-worker runs of the same seed against
-# fresh servers — auto (maps shm), forced tcp (clean fallback while shm is
-# offered), and tcp_sg — must print bitwise-identical final Wg hashes
-# (-no-overlap removes the one scheduling race so the comparison is exact).
+# passed segment fds. Part (b): two 1-worker runs of the same seed against
+# fresh servers — auto (maps shm) and tcp_sg (forced TCP while shm is
+# offered; "tcp" is the same dialer) — must print bitwise-identical final
+# Wg hashes (-no-overlap removes the one scheduling race so the comparison
+# is exact).
 shm_smoke() {
 	tmpdir4="$(mktemp -d)"
 	trap 'clean_smoke' EXIT
@@ -411,7 +415,7 @@ shm_smoke() {
 	# run (reusing one server would trip the exactly-once dedup table, which
 	# silently drops a new run's replayed sequence numbers).
 	sha=""
-	for t in auto tcp tcp_sg; do
+	for t in auto tcp_sg; do
 		start_shm_server "$t" || return 1
 		"$tmpdir4/shmtrain" -rank 0 -world 1 -smb "$smb" -job detdrill \
 			-epochs 10 -per-class 40 -smb-transport "$t" -no-overlap \
@@ -441,7 +445,7 @@ shm_smoke() {
 			return 1
 		fi
 	done
-	echo "shm smoke: OK (2 workers mapped, $fd_passed fds passed; Wg $sha identical on shm/tcp/tcp_sg)"
+	echo "shm smoke: OK (2 workers mapped, $fd_passed fds passed; Wg $sha identical on shm/tcp_sg)"
 }
 
 # serve_smoke is ISSUE 10's acceptance drill for serve-from-live-buffer: an

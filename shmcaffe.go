@@ -49,7 +49,8 @@ type (
 	Store = smb.Store
 	// SMBServer serves a Store over TCP.
 	SMBServer = smb.Server
-	// SMBClient is the SMB API: segment lifecycle, Read/Write, Accumulate.
+	// SMBClient is the SMB API: segment lifecycle, Read/Write, Accumulate,
+	// and the WriteAccumulate push built from the last two.
 	SMBClient = smb.Client
 	// SHMKey identifies a segment for attachment (broadcast by the master).
 	SHMKey = smb.SHMKey
