@@ -88,10 +88,6 @@ func run(args []string) error {
 		return err
 	}
 	defer closeClient()
-	sc, ok := client.(smb.Snapshotter)
-	if !ok {
-		return fmt.Errorf("transport %s does not support snapshots", tname)
-	}
 
 	net, err := nn.MLP("serve", *features, *hidden, *classes)
 	if err != nil {
@@ -105,7 +101,7 @@ func run(args []string) error {
 	log.Printf("shmserve: attached %s via %s (%d params)", segName, tname, net.NumParams())
 
 	srv := &server{
-		sc:       sc,
+		sc:       client,
 		h:        h,
 		net:      net,
 		features: *features,
@@ -225,7 +221,7 @@ type inferResp struct {
 }
 
 type server struct {
-	sc       smb.Snapshotter
+	sc       smb.Client
 	h        smb.Handle
 	net      *nn.Network
 	features int

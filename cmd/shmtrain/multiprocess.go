@@ -40,23 +40,11 @@ type singleWorkerOpts struct {
 // Every participating process must use identical -seed/-classes/-per-class
 // so they regenerate the same corpus and shard it disjointly.
 func runSingleWorker(out io.Writer, o singleWorkerOpts) error {
-	client, cleanup, negotiated, err := dialSMB(o.smbAddr, o.transport, o.rank, o.opTimeout)
+	client, cleanup, negotiated, err := dialSMB(o)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
-	if o.reg != nil {
-		if ic, ok := client.(interface{ Instrument(*telemetry.Registry) }); ok {
-			ic.Instrument(o.reg)
-		}
-	}
-	if o.tel != nil {
-		// Negotiate wire-level trace propagation so the worker's pushes
-		// carry trace contexts; an old server declines and nothing changes.
-		if tc, ok := client.(interface{ EnableTrace() }); ok {
-			tc.EnableTrace()
-		}
-	}
 
 	full, err := dataset.NewGaussian(dataset.GaussianConfig{
 		Classes: o.classes, PerClass: o.perClass, Shape: []int{8},
@@ -153,12 +141,17 @@ func runSingleWorker(out io.Writer, o singleWorkerOpts) error {
 // processes. "shm" maps segments of a co-located server, "auto" negotiates
 // shm and falls back to tcp. RDS stays a bare stream client — its endpoint
 // cannot be re-dialed without tearing down the local socket.
-func dialSMB(addr, transport string, rank int, opTimeout time.Duration) (smb.Client, func(), string, error) {
+func dialSMB(o singleWorkerOpts) (smb.Client, func(), string, error) {
 	opts := smb.DialOptions{
-		Addr:      addr,
-		OpTimeout: opTimeout,
-		Seed:      uint64(rank)*7919 + 1,
-		ClientID:  uint64(rank + 1),
+		Addr:      o.smbAddr,
+		OpTimeout: o.opTimeout,
+		Seed:      uint64(o.rank)*7919 + 1,
+		ClientID:  uint64(o.rank + 1),
+		Metrics:   o.reg,
+		// With a tracer, negotiate wire-level trace propagation so the
+		// worker's pushes carry trace contexts; an old server declines and
+		// nothing changes.
+		Trace: o.tel != nil,
 	}
 	probe := func(c smb.Client) error {
 		// Supervised clients dial lazily; probe now so a bad address fails
@@ -169,9 +162,9 @@ func dialSMB(addr, transport string, rank int, opTimeout time.Duration) (smb.Cli
 		}
 		return nil
 	}
-	switch transport {
+	switch o.transport {
 	case "", "tcp", "tcp_sg", "shm":
-		name := transport
+		name := o.transport
 		if name == "" {
 			name = "tcp"
 		}
@@ -197,14 +190,17 @@ func dialSMB(addr, transport string, rank int, opTimeout time.Duration) (smb.Cli
 		if err != nil {
 			return nil, nil, "", err
 		}
-		conn, err := ep.Dial(addr)
+		conn, err := ep.Dial(o.smbAddr)
 		if err != nil {
 			ep.Close()
 			return nil, nil, "", err
 		}
 		c := smb.NewStreamClient(conn)
+		if o.reg != nil {
+			c.Instrument(o.reg)
+		}
 		return c, func() { c.Close(); ep.Close() }, "rds", nil
 	default:
-		return nil, nil, "", fmt.Errorf("unknown SMB transport %q", transport)
+		return nil, nil, "", fmt.Errorf("unknown SMB transport %q", o.transport)
 	}
 }

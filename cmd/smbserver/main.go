@@ -79,7 +79,7 @@ func run() error {
 		return err
 	}
 	srv.SetLogf(logf)
-	// Server-side spans (srv.dispatch, srv.acc, srv.wait) record
+	// Server-side spans (srv.dispatch, srv.acc) record
 	// into this ring and export on the metrics endpoint's /debug/trace;
 	// trace-negotiating clients get their contexts propagated into it.
 	tracer := telemetry.NewTracer(1 << 16)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"shmcaffe/internal/smb"
+	"shmcaffe/internal/telemetry"
 )
 
 // TestPollingBootstrapTrains forms a 3-worker job with no MPI at all —
@@ -66,21 +67,24 @@ func TestPollingBootstrapValidation(t *testing.T) {
 	}
 }
 
-// tracingClient wraps a client with a no-op TraceCarrier surface, modeling
-// the supervised TCP client multi-process workers actually use.
+// tracingClient is a full smb.Client (the embedded one) that records the
+// trace contexts handed to it, modeling the supervised TCP client
+// multi-process workers actually use.
 type tracingClient struct {
 	smb.Client
-	tc smb.TraceContext
+	sets, clears int
+	last         smb.TraceContext
 }
 
-func (c *tracingClient) SetTraceContext(tc smb.TraceContext) { c.tc = tc }
-func (c *tracingClient) ClearTraceContext()                  { c.tc = smb.TraceContext{} }
+func (c *tracingClient) SetTraceContext(tc smb.TraceContext) { c.sets++; c.last = tc }
+func (c *tracingClient) ClearTraceContext()                  { c.clears++ }
 
 // TestBootstrapCapturesCarrier: both bootstraps build their JobBuffers
-// through one constructor holding the single TraceCarrier probe. The polling
-// bootstrap once had its own copy and dropped the carrier, so every
-// multi-process worker (they all bootstrap by polling) ran untraced and the
-// merged fleet trace had zero cross-node chains.
+// through one constructor, and a traced push through either hands its
+// context to the client. The polling bootstrap once had its own copy that
+// dropped the trace surface, so every multi-process worker (they all
+// bootstrap by polling) ran untraced and the merged fleet trace had zero
+// cross-node chains.
 func TestBootstrapCapturesCarrier(t *testing.T) {
 	job := newTestJob(t, 1, 54)
 	elems := job.nets[0].NumParams()
@@ -98,20 +102,26 @@ func TestBootstrapCapturesCarrier(t *testing.T) {
 			return SetupBuffersPolling(c, job, 0, 1, elems, weights, opts)
 		},
 	}
+	tel := telemetry.NewTrainer(telemetry.NewRegistry(), 64)
 	for name, setup := range bootstraps {
-		bufs, err := setup(&tracingClient{Client: smb.NewLocalClient(job.store)}, name+"/carrier")
+		client := &tracingClient{Client: smb.NewLocalClient(job.store)}
+		bufs, err := setup(client, name+"/carrier")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bufs.TraceCarrier() == nil {
-			t.Errorf("%s bootstrap dropped the client's TraceCarrier", name)
-		}
-		bare, err := setup(smb.NewLocalClient(job.store), name+"/bare")
-		if err != nil {
+		if err := bufs.pushTraced(tel, 1, 7, weights); err != nil {
 			t.Fatal(err)
 		}
-		if bare.TraceCarrier() != nil {
-			t.Errorf("%s bootstrap: a client without SetTraceContext must yield a nil carrier", name)
+		if client.sets != 1 || client.clears != 1 || client.last.TraceID == 0 || client.last.Iter != 7 {
+			t.Errorf("%s bootstrap: traced push made %d sets / %d clears with context %+v, want one stamped push",
+				name, client.sets, client.clears, client.last)
+		}
+		// Telemetry off: the client is never asked to stamp.
+		if err := bufs.pushTraced(nil, 1, 8, weights); err != nil {
+			t.Fatal(err)
+		}
+		if client.sets != 1 {
+			t.Errorf("%s bootstrap: an untraced push stamped a context", name)
 		}
 	}
 }

@@ -17,12 +17,9 @@ import (
 // plus a stop flag (Sec. III-E).
 type JobBuffers struct {
 	client smb.Client
-	// carrier is non-nil when client can stamp cross-process trace contexts
-	// onto its wire frames (smb.StreamClient and smb.SupervisedClient do).
-	carrier smb.TraceCarrier
-	rank    int
-	n       int
-	elems   int
+	rank   int
+	n      int
+	elems  int
 
 	globalKey smb.SHMKey
 	global    smb.Handle // Wg (shared)
@@ -146,11 +143,8 @@ func attachJob(client smb.Client, names smb.SegmentNames, rank, n, elems int, gl
 	if err != nil {
 		return nil, fmt.Errorf("attach control: %w", err)
 	}
-	// The one capability probe: without the carrier a worker runs untraced.
-	carrier, _ := client.(smb.TraceCarrier)
 	return &JobBuffers{
 		client:    client,
-		carrier:   carrier,
 		rank:      rank,
 		n:         n,
 		elems:     elems,
@@ -205,20 +199,21 @@ func (b *JobBuffers) PushStaged() error {
 }
 
 // pushTraced runs the two timed halves of one push on track tid: T.A2
-// stages ΔWx, T.A3 stores it and folds it into Wg (Eq. 7). When the client
-// can carry trace contexts on its wire frames, a fresh cross-process trace
-// is rooted at the T.A3 span: the server's srv.dispatch/srv.acc spans for
-// the frames of this push become its children in the merged fleet trace.
-// push labels the trace with the caller's push count.
+// stages ΔWx, T.A3 stores it and folds it into Wg (Eq. 7). With telemetry
+// on, a fresh cross-process trace is rooted at the T.A3 span and handed to
+// the client: where its frames cross a wire, the server's
+// srv.dispatch/srv.acc spans for this push become children of that span in
+// the merged fleet trace. push labels the trace with the caller's push
+// count.
 func (b *JobBuffers) pushTraced(tel *telemetry.Trainer, tid int32, push int, delta []float32) error {
 	var tc telemetry.TraceContext
-	if tel != nil && b.carrier != nil {
+	if tel != nil {
 		id := telemetry.NextSpanID(uint64(b.rank+1) << 48)
 		tc = telemetry.TraceContext{TraceID: id, SpanID: id}
-		b.carrier.SetTraceContext(smb.TraceContext{
+		b.client.SetTraceContext(smb.TraceContext{
 			TraceID: id, SpanID: id, Rank: uint32(b.rank), Iter: uint32(push),
 		})
-		defer b.carrier.ClearTraceContext()
+		defer b.client.ClearTraceContext()
 	}
 	spA2 := tel.Begin(tid, telemetry.PhaseTA2)
 	err := b.StageIncrement(delta)
@@ -289,10 +284,6 @@ func (b *JobBuffers) ClocksInto(out []int64) error {
 	}
 	return smb.ReadInt64SlotsAtInto(b.client, b.control, 2*b.n+1, out)
 }
-
-// TraceCarrier returns the client's trace-stamping surface, or nil when the
-// underlying client cannot carry trace contexts on its wire frames.
-func (b *JobBuffers) TraceCarrier() smb.TraceCarrier { return b.carrier }
 
 // SignalStop raises the shared stop flag; every worker observes it at its
 // next termination check.

@@ -9,8 +9,7 @@ import (
 // NetDeadline enforces the failure-model discipline DESIGN.md §12 commits
 // the SMB data path to: blocking network I/O must be bounded. A worker that
 // blocks forever on a dead memory server stalls the whole termination
-// alignment — exactly the WaitUpdate hang this PR series fixed — so the
-// analyzer flags
+// alignment, so the analyzer flags
 //
 //   - net.Dial, which has no connect timeout (use net.DialTimeout or a
 //     net.Dialer with Timeout/Context), and

@@ -22,7 +22,7 @@ func dispatch(o op) int {
 }
 
 // verb's constants are covered by the union of two switches, mirroring the
-// SMB server's dispatch → dispatchNotify chain.
+// SMB server's dispatchOp → dispatchShm chain.
 type verb int
 
 const (

@@ -83,9 +83,6 @@ type Config struct {
 	// (0 = the supervised client's 10s default; negative disables
 	// deadlines). Ignored for the in-process store and the RDS transport.
 	SMBOpTimeout time.Duration
-	// SMBWaitTimeout bounds WaitUpdate round trips (0 inherits
-	// SMBOpTimeout).
-	SMBWaitTimeout time.Duration
 	// LivenessTimeout enables crash-aware termination alignment in the
 	// ShmCaffe platforms: workers heartbeat through the control segment
 	// and exclude peers silent for longer than this from the termination

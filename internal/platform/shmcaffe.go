@@ -12,7 +12,6 @@ import (
 	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/rds"
 	"shmcaffe/internal/smb"
-	"shmcaffe/internal/telemetry"
 	"shmcaffe/internal/tensor"
 )
 
@@ -284,13 +283,20 @@ func smbClients(cfg *Config, n int) (clients []smb.Client, closeAll func(), err 
 			if name == "" {
 				name = "tcp"
 			}
-			c, err := smb.DialTransport(name, smb.DialOptions{
-				Addr:        cfg.SMBAddr,
-				OpTimeout:   cfg.SMBOpTimeout,
-				WaitTimeout: cfg.SMBWaitTimeout,
-				Seed:        cfg.Seed + uint64(i)*7919,
-				ClientID:    uint64(i + 1),
-			})
+			opts := smb.DialOptions{
+				Addr:      cfg.SMBAddr,
+				OpTimeout: cfg.SMBOpTimeout,
+				Seed:      cfg.Seed + uint64(i)*7919,
+				ClientID:  uint64(i + 1),
+			}
+			if i == 0 {
+				// Instrument one representative connection: every client
+				// registering the same metric family would collide in the
+				// registry, and one worker's round trips characterize the
+				// wire.
+				opts.Metrics = cfg.Metrics
+			}
+			c, err := smb.DialTransport(name, opts)
 			if err != nil {
 				return fail(i, fmt.Errorf("dial SMB transport %s: %w", name, err))
 			}
@@ -306,17 +312,13 @@ func smbClients(cfg *Config, n int) (clients []smb.Client, closeAll func(), err 
 				return fail(i, fmt.Errorf("rds dial SMB server: %w", err))
 			}
 			extra = append(extra, ep)
-			clients[i] = smb.NewStreamClient(conn)
+			sc := smb.NewStreamClient(conn)
+			if i == 0 && cfg.Metrics != nil {
+				sc.Instrument(cfg.Metrics) // rank 0 only, as above
+			}
+			clients[i] = sc
 		default:
 			return fail(i, fmt.Errorf("unknown SMB transport %q: %w", cfg.SMBTransport, ErrConfig))
-		}
-	}
-	if cfg.Metrics != nil {
-		// Instrument one representative connection: every client registering
-		// the same RTT family would collide in the registry, and one
-		// worker's round trips characterize the wire.
-		if ic, ok := clients[0].(interface{ Instrument(*telemetry.Registry) }); ok {
-			ic.Instrument(cfg.Metrics)
 		}
 	}
 	return clients, func() {

@@ -7,8 +7,9 @@ import (
 
 // Client is the SMB API surface the paper describes (Sec. III-B): segment
 // lifecycle, the SHM-key/access-key handshake, RDMA-style Read/Write, and
-// server-side accumulation. Both the in-process client and the TCP client
-// implement it, so the distributed solvers are transport-agnostic.
+// server-side accumulation — plus the consistent-read verbs and the trace
+// stamp. Every transport implements the whole set, so callers never probe
+// for a capability and the distributed solvers are transport-agnostic.
 type Client interface {
 	// Create allocates a named segment and returns its SHM key.
 	Create(name string, size int) (SHMKey, error)
@@ -34,6 +35,15 @@ type Client interface {
 	// one Accumulate on every client; clients that can retry make the fold
 	// exactly-once.
 	WriteAccumulate(dst, src Handle, data []byte) error
+	// Snapshot, SnapRead and SnapRelease are the consistent multi-stripe
+	// read (snapshot.go).
+	Snapshotter
+	// SetTraceContext stamps the requests that follow with tc, so a tracing
+	// server records its spans as children of the caller's span (trace.go);
+	// ClearTraceContext stops stamping. Clients whose verbs never cross a
+	// wire accept and ignore both.
+	SetTraceContext(tc TraceContext)
+	ClearTraceContext()
 	// Close releases client resources.
 	Close() error
 }
@@ -88,6 +98,13 @@ func (c *LocalClient) Accumulate(dst, src Handle) error {
 func (c *LocalClient) WriteAccumulate(dst, src Handle, data []byte) error {
 	return c.store.WriteAccumulate(dst, src, data)
 }
+
+// SetTraceContext implements Client: in-process calls cross no wire, so
+// there is nothing to stamp.
+func (c *LocalClient) SetTraceContext(TraceContext) {}
+
+// ClearTraceContext implements Client.
+func (c *LocalClient) ClearTraceContext() {}
 
 // Close implements Client.
 func (c *LocalClient) Close() error { return nil }

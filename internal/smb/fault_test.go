@@ -16,9 +16,8 @@ import (
 )
 
 // Fault-injection tests for the supervised SMB data path: reconnect across
-// server restarts, exactly-once pushes under connection drops, deadline and
-// cancellation behaviour of WaitUpdate, chunk-stream poisoning, and handler
-// exit accounting.
+// server restarts, exactly-once pushes under connection drops, deadline
+// poisoning, and handler exit accounting.
 
 // fastRetry is a SupervisedConfig tuned for tests: millisecond backoff and
 // a generous attempt budget so seeded fault schedules never exhaust it.
@@ -89,67 +88,6 @@ func TestSupervisedReconnectAcrossRestart(t *testing.T) {
 	}
 	if st := c.Stats(); st.Reconnects < 1 {
 		t.Fatalf("reconnects = %d, want >= 1 after a crash", st.Reconnects)
-	}
-}
-
-func TestSupervisedWaitUpdateResumesAcrossRestart(t *testing.T) {
-	store := NewStore()
-	rs := startRestartable(t, store)
-
-	c := NewSupervisedClient(fastRetry(rs.Addr()))
-	defer c.Close()
-	key, err := c.Create("job/wg", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type result struct {
-		v   uint64
-		err error
-	}
-	res := make(chan result, 1)
-	go func() {
-		v, err := c.WaitUpdate(h, 0)
-		res <- result{v, err}
-	}()
-	time.Sleep(50 * time.Millisecond) // let the wait park server-side
-
-	// The server dies under the parked wait and comes back; a writer then
-	// bumps the version. The supervised wait must resume on the fresh
-	// connection and observe the update instead of hanging or failing.
-	if err := rs.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	w, err := Dial(rs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	wh, err := w.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(wh, 0, make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-
-	select {
-	case r := <-res:
-		if r.err != nil {
-			t.Fatalf("resumed WaitUpdate: %v", r.err)
-		}
-		if r.v < 1 {
-			t.Fatalf("resumed WaitUpdate version = %d, want >= 1", r.v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitUpdate still parked 5s after restart + write")
 	}
 }
 
@@ -234,91 +172,170 @@ func TestSupervisedExactlyOnceUnderDrops(t *testing.T) {
 	}
 }
 
-// TestWaitUpdateDeadline: a configured wait timeout bounds WaitUpdate even
-// when no update ever arrives (satellite: the seed's WaitUpdate blocked
-// forever when the server went quiet).
-func TestWaitUpdateDeadline(t *testing.T) {
-	srv := startServer(t)
-	c := dialT(t, srv)
-	key, err := c.Create("wg", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
+// cutListener wraps every accepted connection in a cutConn sharing plan.
+type cutListener struct {
+	net.Listener
+	plan *cutPlan
+}
 
-	c.SetTimeouts(time.Second, 100*time.Millisecond)
-	start := time.Now()
-	_, err = c.WaitUpdate(h, 0)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("WaitUpdate with no update returned nil, want deadline error")
+func (l *cutListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
 	}
-	if !errors.Is(err, ErrTransport) || !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("WaitUpdate error = %v, want ErrTransport and os.ErrDeadlineExceeded", err)
+	return &cutConn{Conn: conn, plan: l.plan}, nil
+}
+
+// TestLostReplyContract pins what a caller sees when the connection dies
+// after the server applied a verb but before its reply arrived — once, over
+// both sessions that can retry (TCP and the shm control socket, which is
+// the same SupervisedClient): Create resolves to the segment it already
+// made, SnapRelease of the pin it already dropped succeeds, Free is
+// single-shot and reports the transport error with the segment gone, and
+// the push folds exactly once.
+func TestLostReplyContract(t *testing.T) {
+	type session struct {
+		c     Client
+		store *Store
+		plan  *cutPlan
 	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("WaitUpdate took %v, want ~100ms wait budget", elapsed)
+	sessions := map[string]func(t *testing.T) session{
+		"supervised-tcp": func(t *testing.T) session {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := &cutPlan{replies: -1, lostAck: true}
+			srv := NewServerFromListener(NewStore(), &cutListener{Listener: ln, plan: plan})
+			served := make(chan struct{})
+			go func() { defer close(served); srv.Serve() }()
+			t.Cleanup(func() { srv.Close(); <-served })
+			c := NewSupervisedClient(fastRetry(srv.Addr()))
+			t.Cleanup(func() { c.Close() })
+			return session{c, srv.Store(), plan}
+		},
+		"shm": func(t *testing.T) session {
+			plan := &cutPlan{replies: -1, lostAck: true}
+			store, path := startCutShmServer(t, plan)
+			c, err := DialShmConfig(ShmConfig{Path: path, ClientID: 78})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return session{c, store, plan}
+		},
 	}
-	// A fired deadline abandons the round trip mid-flight; the connection
-	// must be poisoned, not reused.
-	if _, err := c.Version(h); err == nil || !strings.Contains(err.Error(), "poisoned") {
-		t.Fatalf("op after fired deadline = %v, want poisoned-connection error", err)
+	for name, dial := range sessions {
+		t.Run(name, func(t *testing.T) {
+			s := dial(t)
+			c, store := s.c, s.store
+			// loseReply arms the plan so the reply of the frame-th request
+			// frame from now is swallowed with the connection.
+			loseReply := func(frame int) {
+				s.plan.mu.Lock()
+				s.plan.replies = 2 - frame
+				s.plan.mu.Unlock()
+			}
+
+			loseReply(1)
+			kw, err := c.Create("wg", 16)
+			if err != nil {
+				t.Fatalf("create whose reply was lost: %v", err)
+			}
+			if got, err := store.Lookup("wg"); err != nil || got != kw {
+				t.Fatalf("create returned key %d, store has %d (%v)", kw, got, err)
+			}
+			kd, err := c.Create("dw", 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg, err := c.Attach(kw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dw, err := c.Attach(kd)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			info, err := c.Snapshot(wg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loseReply(1)
+			if err := c.SnapRelease(info.ID); err != nil {
+				t.Fatalf("snap-release whose reply was lost: %v", err)
+			}
+			if n := store.SnapCount(); n != 0 {
+				t.Fatalf("%d snapshots still pinned after release", n)
+			}
+
+			// Re-attach both handles on the fresh connection first, so the
+			// push is exactly its two frames.
+			readF32(t, c, wg, 4)
+			readF32(t, c, dw, 4)
+			before := store.Stats()
+			loseReply(2) // Write is acked, the fold's ack is lost
+			if err := c.WriteAccumulate(wg, dw, tensor.Float32Bytes([]float32{1, 2, 3, 4})); err != nil {
+				t.Fatalf("push whose fold ack was lost: %v", err)
+			}
+			after := store.Stats()
+			if a, d := after.Accumulates-before.Accumulates, after.SeqDuplicates-before.SeqDuplicates; a != 1 || d != 1 {
+				t.Fatalf("push applied %d times with %d duplicate acks, want 1 and 1", a, d)
+			}
+
+			kv, err := c.Create("victim", 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loseReply(1)
+			if err := c.Free(kv); !errors.Is(err, ErrTransport) {
+				t.Fatalf("free whose reply was lost: %v, want the transport error (never retried)", err)
+			}
+			if _, err := store.Lookup("victim"); !errors.Is(err, ErrUnknownSegment) {
+				t.Fatalf("victim after the free: %v, want it gone", err)
+			}
+			if got := readF32(t, c, wg, 4); got[3] != 4 {
+				t.Fatalf("session unusable after the lost free: wg = %v", got)
+			}
+		})
 	}
 }
 
-// TestWaitUpdateServerDiesMidWait is the regression for the satellite bug:
-// a StreamClient parked in WaitUpdate hung forever when the server died
-// under it. Now the parked wait must fail promptly — either with the
-// server's ErrWaitCanceled farewell or with a transport error, depending on
-// how far the shutdown got.
-func TestWaitUpdateServerDiesMidWait(t *testing.T) {
-	store := NewStore()
-	srv, err := NewServer(store, "127.0.0.1:0")
+// TestOpDeadlinePoisons: a configured op timeout bounds a round trip whose
+// reply never arrives, and the fired deadline poisons the connection — the
+// abandoned reply could otherwise pair with a later request.
+func TestOpDeadlinePoisons(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve() }()
-
-	c, err := Dial(srv.Addr())
+	defer ln.Close()
+	silent := make(chan net.Conn, 1)
+	go func() { // accepts, then never answers
+		if conn, err := ln.Accept(); err == nil {
+			silent <- conn
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	key, err := c.Create("wg", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer func() { (<-silent).Close() }()
 
-	errc := make(chan error, 1)
-	go func() {
-		_, err := c.WaitUpdate(h, 0) // no timeouts configured: blocks until the server speaks
-		errc <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the wait park server-side
-
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
+	c.SetTimeouts(100 * time.Millisecond)
+	start := time.Now()
+	_, err = c.Lookup("wg")
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrTransport) || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Lookup against a silent server = %v, want ErrTransport and os.ErrDeadlineExceeded", err)
 	}
-	<-done
-
-	select {
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("WaitUpdate returned nil after server shutdown")
-		}
-		if !errors.Is(err, ErrWaitCanceled) && !errors.Is(err, ErrTransport) {
-			t.Fatalf("WaitUpdate error = %v, want ErrWaitCanceled or ErrTransport", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitUpdate still parked 5s after Server.Close (seed deadlock)")
+	if elapsed > 2*time.Second {
+		t.Fatalf("Lookup took %v, want ~100ms op budget", elapsed)
+	}
+	if _, err := c.Lookup("wg"); err == nil || !strings.Contains(err.Error(), "poisoned") {
+		t.Fatalf("op after fired deadline = %v, want poisoned-connection error", err)
 	}
 }
 
@@ -381,10 +398,8 @@ func TestCleanCloseNotCounted(t *testing.T) {
 	}
 }
 
-// TestServerCloseLeavesNoHandlers: after Close returns — including with a
-// waiter parked in WaitUpdate — every handler goroutine has exited (the
-// seed's Close deadlocked behind parked waiters; an earlier variant leaked
-// them).
+// TestServerCloseLeavesNoHandlers: after Close returns — with connections
+// still open and idle between frames — every handler goroutine has exited.
 func TestServerCloseLeavesNoHandlers(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -408,16 +423,12 @@ func TestServerCloseLeavesNoHandlers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := clients[1].Attach(key)
-	if err != nil {
-		t.Fatal(err)
+	// Every connection has a handler parked in its frame read.
+	for _, c := range clients[1:] {
+		if _, err := c.Attach(key); err != nil {
+			t.Fatal(err)
+		}
 	}
-	parked := make(chan struct{})
-	go func() {
-		defer close(parked)
-		clients[1].WaitUpdate(h, 0) // parks until shutdown
-	}()
-	time.Sleep(50 * time.Millisecond)
 
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
@@ -427,10 +438,9 @@ func TestServerCloseLeavesNoHandlers(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Server.Close deadlocked behind a parked WaitUpdate")
+		t.Fatal("Server.Close deadlocked behind idle connections")
 	}
 	<-served
-	<-parked
 	for _, c := range clients {
 		c.Close()
 	}

@@ -2,7 +2,6 @@ package smb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 )
 
@@ -15,8 +14,9 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(byte(opRead), []byte{1, 2, 3})
 	f.Add(byte(opWrite), bytes.Repeat([]byte{0xff}, 40))
 	f.Add(byte(opAccumulate), []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2})
-	// Opcodes 11 and 12 carried the retired chunk pipeline; the old seeds
-	// stay as must-reject cases (see retiredOpcodes).
+	// Opcodes 11 and 12 carried the retired chunk pipeline (9 and 10, in the
+	// seed corpus, the retired version watch); the old seeds stay as
+	// must-reject cases (see retiredOpcodes).
 	f.Add(byte(11), []byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4}) // chunk hdr+pad+one float
 	f.Add(byte(11), []byte{7})                           // truncated chunk header
@@ -30,15 +30,7 @@ func FuzzDispatch(f *testing.F) {
 		// Prepare one real segment so handle-bearing ops can hit both
 		// the found and not-found paths.
 		key, _ := srv.store.Create("seed", 16)
-		h, _ := srv.store.Attach(key)
-		// opWaitUpdate on the live handle blocks until another writer
-		// bumps the segment version — there is none here, so that one
-		// input would hang the fuzzer rather than find a bug. Invalid
-		// handles still exercise the WaitUpdate parse/lookup paths.
-		if opcode(op) == opWaitUpdate && len(payload) >= 8 &&
-			binary.LittleEndian.Uint64(payload) == uint64(h) {
-			t.Skip("WaitUpdate on live handle blocks by design")
-		}
+		srv.store.Attach(key)
 		_, err := srv.dispatch(opcode(op), payload, &connState{})
 		if retiredOpcodes[op] && err == nil {
 			t.Fatalf("retired opcode %d was served", op)

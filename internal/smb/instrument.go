@@ -2,6 +2,7 @@ package smb
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"shmcaffe/internal/telemetry"
@@ -40,7 +41,6 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 	reg.CounterFunc("smb_accumulates_total", "Accumulate verbs served (Eq. 7)", s.stats.accumulates.Load)
 	reg.CounterFunc("smb_bytes_read_total", "payload bytes served to Read", s.stats.bytesRead.Load)
 	reg.CounterFunc("smb_bytes_written_total", "payload bytes stored by Write/Accumulate", s.stats.bytesWrite.Load)
-	reg.CounterFunc("smb_notify_wakeups_total", "blocked WaitUpdate calls released by a version bump", s.stats.notifyWakeups.Load)
 	reg.GaugeFunc("smb_segments", "live segments in the store", func() float64 {
 		return float64(s.SegmentCount())
 	})
@@ -178,23 +178,21 @@ type supervisedInstruments struct {
 	dupAcks    *telemetry.Counter
 }
 
-// Instrument registers the supervised client's recovery counters:
-// smb_supervised_reconnects_total, smb_supervised_retries_total,
-// smb_supervised_timeouts_total, smb_supervised_dup_acks_total, and the
-// smb_supervised_pushes_total counter whose sum across clients equals the
-// server's smb_accumulates_total under the exactly-once invariant. Call
-// before issuing traffic.
-func (c *SupervisedClient) Instrument(reg *telemetry.Registry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.inst = &supervisedInstruments{
+// newSupervisedInstruments registers a supervised client's recovery
+// counters (SupervisedConfig.Metrics): smb_supervised_reconnects_total,
+// smb_supervised_retries_total, smb_supervised_timeouts_total,
+// smb_supervised_dup_acks_total, and the smb_supervised_pushes_total view of
+// pushes, whose sum across clients equals the server's
+// smb_accumulates_total under the exactly-once invariant.
+func newSupervisedInstruments(reg *telemetry.Registry, pushes *atomic.Int64) *supervisedInstruments {
+	reg.CounterFunc("smb_supervised_pushes_total",
+		"logical pushes applied exactly once", pushes.Load)
+	return &supervisedInstruments{
 		reconnects: reg.Counter("smb_supervised_reconnects_total", "connections re-established after a failure"),
 		retries:    reg.Counter("smb_supervised_retries_total", "operation attempts beyond the first"),
 		timeouts:   reg.Counter("smb_supervised_timeouts_total", "attempts failed on a fired per-op deadline"),
 		dupAcks:    reg.Counter("smb_supervised_dup_acks_total", "pushes acknowledged as server-side duplicates"),
 	}
-	reg.CounterFunc("smb_supervised_pushes_total",
-		"logical pushes applied exactly once", c.pushes.Load)
 }
 
 // Instrument enables fan-out timing on the sharded client, exporting

@@ -58,59 +58,6 @@ func TestStoreInstrumented(t *testing.T) {
 	}
 }
 
-// TestNotifyWakeupCounter: a blocked WaitUpdate released by a Write counts
-// one wakeup; a non-blocking WaitUpdate counts none.
-func TestNotifyWakeupCounter(t *testing.T) {
-	store := NewStore()
-	key, err := store.Create("seg", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := store.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Write(h, 0, make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-	// Version is now 1: waiting for >0 returns without blocking.
-	if _, err := store.WaitUpdate(h, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := store.Stats().NotifyWakeups; got != 0 {
-		t.Fatalf("non-blocking wait counted %d wakeups", got)
-	}
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := store.WaitUpdate(h, 1)
-		done <- err
-	}()
-	// The waiter may or may not have parked yet; the Write below releases it
-	// either way, and the counter must reflect whether it actually blocked.
-	if err := store.Write(h, 0, make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := store.Stats().NotifyWakeups
-			if w != 0 && w != 1 {
-				t.Fatalf("NotifyWakeups = %d, want 0 or 1", w)
-			}
-			return
-		default:
-			// Keep bumping in case the waiter parked after our first write.
-			if err := store.Write(h, 0, make([]byte, 8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 // TestStreamClientInstrumented covers the wire RTT histograms end to end.
 func TestStreamClientInstrumented(t *testing.T) {
 	store := NewStore()

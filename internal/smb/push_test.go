@@ -3,11 +3,13 @@ package smb
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"sync"
 	"testing"
 
+	"shmcaffe/internal/telemetry"
 	"shmcaffe/internal/tensor"
 )
 
@@ -93,45 +95,100 @@ func segVersion(t *testing.T, s *Store, name string) uint64 {
 	return v
 }
 
+// clientCase is one row of the client table: every Client implementation,
+// dialed against fresh stores. The push and contract tests below run the
+// same assertions over all of them.
+type clientCase struct {
+	c      Client
+	stores []*Store
+	// nameOn maps a logical segment name to its name on store i.
+	nameOn func(name string, i int) string
+	// tracers are the span tracers of the servers the client's frames
+	// reach, one per store; nil when no verb crosses a wire. Clients are
+	// dialed with trace propagation on.
+	tracers []*telemetry.Tracer
+	// session is the supervised session under the client, nil when it has
+	// none; yanking its connection forces a reconnect.
+	session *SupervisedClient
+}
+
+// tracedServer is startServer with a span tracer installed, so the server
+// grants the trace extension.
+func tracedServer(t *testing.T) (*Server, *telemetry.Tracer) {
+	srv := startServer(t)
+	tr := telemetry.NewTracer(4096)
+	srv.SetTracer(tr)
+	return srv, tr
+}
+
+var clientTable = []struct {
+	name string
+	dial func(t *testing.T) clientCase
+}{
+	{"local", func(t *testing.T) clientCase {
+		store := NewStore()
+		return clientCase{c: NewLocalClient(store), stores: []*Store{store}, nameOn: wholeName}
+	}},
+	{"stream-pipe", func(t *testing.T) clientCase {
+		srv, tr := tracedServer(t)
+		near, far := net.Pipe()
+		go srv.ServeConn(far) //lint:ignore goleak joined by the server's Close in startServer's cleanup
+		c := NewStreamClient(near)
+		t.Cleanup(func() { c.Close() })
+		if ok, err := c.NegotiateTrace(); err != nil || !ok {
+			t.Fatalf("trace negotiation = %v, %v", ok, err)
+		}
+		return clientCase{c: c, stores: []*Store{srv.Store()}, nameOn: wholeName, tracers: []*telemetry.Tracer{tr}}
+	}},
+	{"supervised-tcp", func(t *testing.T) clientCase {
+		srv, tr := tracedServer(t)
+		c := NewSupervisedClient(SupervisedConfig{Addr: srv.Addr(), Trace: true})
+		t.Cleanup(func() { c.Close() })
+		return clientCase{c: c, stores: []*Store{srv.Store()}, nameOn: wholeName,
+			tracers: []*telemetry.Tracer{tr}, session: c}
+	}},
+	{"sharded", func(t *testing.T) clientCase {
+		s1, s2 := NewStore(), NewStore()
+		c, err := NewShardedClient(NewLocalClient(s1), NewLocalClient(s2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return clientCase{c: c, stores: []*Store{s1, s2}, nameOn: shardName}
+	}},
+	{"sharded-tcp", func(t *testing.T) clientCase {
+		var cc clientCase
+		var shards []Client
+		for i := 0; i < 2; i++ {
+			srv, tr := tracedServer(t)
+			shards = append(shards, NewSupervisedClient(SupervisedConfig{Addr: srv.Addr(), Trace: true}))
+			cc.stores = append(cc.stores, srv.Store())
+			cc.tracers = append(cc.tracers, tr)
+		}
+		c, err := NewShardedClient(shards...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		cc.c, cc.nameOn = c, shardName
+		return cc
+	}},
+	{"shm", func(t *testing.T) clientCase {
+		srv, path := startShmServer(t)
+		tr := telemetry.NewTracer(4096)
+		srv.SetTracer(tr)
+		c, err := DialShmConfig(ShmConfig{Path: path, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return clientCase{c: c, stores: []*Store{srv.Store()}, nameOn: wholeName,
+			tracers: []*telemetry.Tracer{tr}, session: c.SupervisedClient}
+	}},
+}
+
+func wholeName(name string, _ int) string { return name }
+
 func TestPushEquivalence(t *testing.T) {
-	whole := func(name string, _ int) string { return name }
-	cases := []struct {
-		name string
-		// dial returns the client under test, the stores behind it, and how
-		// a logical segment name maps to the name on store i.
-		dial func(t *testing.T) (Client, []*Store, func(string, int) string)
-	}{
-		{"local", func(t *testing.T) (Client, []*Store, func(string, int) string) {
-			store := NewStore()
-			return NewLocalClient(store), []*Store{store}, whole
-		}},
-		{"stream-pipe", func(t *testing.T) (Client, []*Store, func(string, int) string) {
-			srv := startServer(t)
-			near, far := net.Pipe()
-			go srv.ServeConn(far) //lint:ignore goleak joined by the server's Close in startServer's cleanup
-			c := NewStreamClient(near)
-			t.Cleanup(func() { c.Close() })
-			return c, []*Store{srv.Store()}, whole
-		}},
-		{"supervised-tcp", func(t *testing.T) (Client, []*Store, func(string, int) string) {
-			srv := startServer(t)
-			c := NewSupervisedClient(SupervisedConfig{Addr: srv.Addr()})
-			t.Cleanup(func() { c.Close() })
-			return c, []*Store{srv.Store()}, whole
-		}},
-		{"sharded", func(t *testing.T) (Client, []*Store, func(string, int) string) {
-			s1, s2 := NewStore(), NewStore()
-			c, err := NewShardedClient(NewLocalClient(s1), NewLocalClient(s2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c, []*Store{s1, s2}, shardName
-		}},
-		{"shm", func(t *testing.T) (Client, []*Store, func(string, int) string) {
-			srv, path := startShmServer(t)
-			return dialShmT(t, path), []*Store{srv.Store()}, whole
-		}},
-	}
 	const n = pushTestVals
 	init := tensor.Float32Bytes(patternVec(n, 3))
 	data := tensor.Float32Bytes(patternVec(n, 11))
@@ -153,9 +210,10 @@ func TestPushEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, tc := range cases {
+	for _, tc := range clientTable {
 		t.Run(tc.name, func(t *testing.T) {
-			c, stores, nameOn := tc.dial(t)
+			cc := tc.dial(t)
+			c, stores, nameOn := cc.c, cc.stores, cc.nameOn
 			gKey, err := c.Create("push/wg", n*4)
 			if err != nil {
 				t.Fatal(err)
@@ -218,6 +276,148 @@ func TestPushEquivalence(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Error("dst diverges from Write + Accumulate (not dst += data exactly once)")
+			}
+		})
+	}
+}
+
+// TestClientContract is the rest of the verb set, asserted identically on
+// every client: a snapshot cut reports the store's size and version, serves
+// the cut's bytes whatever is written afterwards, and releases cleanly; a
+// trace context set on the client reaches every server its frames reach and
+// stops reaching them once cleared.
+func TestClientContract(t *testing.T) {
+	const size = pushTestVals * 4
+	first := tensor.Float32Bytes(patternVec(pushTestVals, 5))
+	second := tensor.Float32Bytes(patternVec(pushTestVals, 9))
+	for _, tc := range clientTable {
+		t.Run(tc.name, func(t *testing.T) {
+			cc := tc.dial(t)
+			c := cc.c
+			key, err := c.Create("contract/wg", size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := c.Attach(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Write(h, 0, first); err != nil {
+				t.Fatal(err)
+			}
+
+			info, err := c.Snapshot(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantVersion uint64
+			for i, s := range cc.stores {
+				wantVersion += segVersion(t, s, cc.nameOn("contract/wg", i))
+			}
+			if info.Size != size || info.Version != wantVersion {
+				t.Errorf("snapshot reports size %d version %d, stores say %d / %d",
+					info.Size, info.Version, size, wantVersion)
+			}
+			if err := c.Write(h, 0, second); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, size)
+			if err := c.SnapRead(info.ID, 0, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, first) {
+				t.Error("snapshot read does not serve the bytes of the cut")
+			}
+			if err := c.SnapRelease(info.ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SnapRead(info.ID, 0, got); !errors.Is(err, ErrUnknownSnapshot) {
+				t.Errorf("read of a released snapshot: %v, want ErrUnknownSnapshot", err)
+			}
+			for i, s := range cc.stores {
+				if n := s.SnapCount(); n != 0 {
+					t.Errorf("store %d still pins %d snapshots after release", i, n)
+				}
+			}
+
+			tctx := TraceContext{TraceID: 0x5eed0000 + uint64(len(tc.name)), SpanID: telemetry.NextSpanID(1 << 48), Rank: 1, Iter: 3}
+			wantID := fmt.Sprintf("%016x", tctx.TraceID)
+			stamped := func(tr *telemetry.Tracer) (n int) {
+				for _, ev := range tracedSpans(tr, "srv.dispatch") {
+					if ev.Args["trace_id"] == wantID {
+						n++
+					}
+				}
+				return n
+			}
+			// A snapshot cycle crosses the wire on every remote client, the
+			// mapped shm one included.
+			cycle := func() {
+				t.Helper()
+				info, err := c.Snapshot(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.SnapRelease(info.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.SetTraceContext(tctx)
+			cycle()
+			c.ClearTraceContext()
+			counts := make([]int, len(cc.tracers))
+			for i, tr := range cc.tracers {
+				if counts[i] = stamped(tr); counts[i] == 0 {
+					t.Errorf("server %d recorded no span of trace %s", i, wantID)
+				}
+			}
+			cycle()
+			for i, tr := range cc.tracers {
+				if n := stamped(tr); n != counts[i] {
+					t.Errorf("server %d: %d spans joined the trace after ClearTraceContext", i, n-counts[i])
+				}
+			}
+		})
+	}
+}
+
+// TestTraceRestampAfterReconnect: a session dialed with tracing on
+// negotiates again on every fresh connection and re-stamps the caller's
+// context, so a trace survives the connection dying under it.
+func TestTraceRestampAfterReconnect(t *testing.T) {
+	for _, tc := range clientTable {
+		t.Run(tc.name, func(t *testing.T) {
+			cc := tc.dial(t)
+			if cc.session == nil {
+				t.Skip("no supervised session to reconnect")
+			}
+			tctx := TraceContext{TraceID: 0xfeed, SpanID: telemetry.NextSpanID(1 << 48)}
+			cc.c.SetTraceContext(tctx)
+			defer cc.c.ClearTraceContext()
+			if _, err := cc.c.Create("restamp/wg", 64); err != nil {
+				t.Fatal(err)
+			}
+			before := len(tracedSpans(cc.tracers[0], "srv.dispatch"))
+			if before == 0 {
+				t.Fatal("no traced span before the reconnect")
+			}
+
+			cc.session.mu.Lock()
+			cc.session.conn.conn.Close() // yank the socket mid-session
+			cc.session.mu.Unlock()
+			if _, err := cc.c.Lookup("restamp/wg"); err != nil {
+				t.Fatalf("lookup across the reconnect: %v", err)
+			}
+			if cc.session.Stats().Reconnects < 1 {
+				t.Fatal("the yanked connection was not re-dialed")
+			}
+			spans := tracedSpans(cc.tracers[0], "srv.dispatch")
+			if len(spans) <= before {
+				t.Fatal("no traced span on the fresh connection")
+			}
+			want := fmt.Sprintf("%016x", tctx.TraceID)
+			if got := spans[len(spans)-1].Args["trace_id"]; got != want {
+				t.Fatalf("span after the reconnect carries trace %s, want %s", got, want)
 			}
 		})
 	}

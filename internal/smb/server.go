@@ -21,7 +21,7 @@ type Server struct {
 	store *Store
 	ln    net.Listener
 
-	done chan struct{} // closed by Close; cancels parked WaitUpdates
+	done chan struct{} // closed by Close; connDone reads it to tell shutdown from failure
 
 	mu     sync.Mutex
 	conns  map[io.Closer]struct{}           // guarded by mu
@@ -33,9 +33,8 @@ type Server struct {
 	active     atomic.Int64 // live connection handlers
 
 	// tracer, when installed via SetTracer, records server-side spans
-	// (dispatch, accumulate apply, waits) — with trace
-	// propagation they become children of the client span that sent the
-	// frame. Atomic so chaos frontends can share one tracer across server
+	// (dispatch, accumulate apply) — with trace propagation they become
+	// children of the client span that sent the frame. Atomic so chaos frontends can share one tracer across server
 	// incarnations without racing the handler loops.
 	tracer      atomic.Pointer[telemetry.Tracer]
 	dispatchLat atomic.Pointer[telemetry.Histogram]
@@ -90,8 +89,8 @@ func (s *Server) SetLogf(logf func(format string, args ...any)) {
 }
 
 // SetTracer installs a span tracer on the server: every request frame then
-// records a srv.dispatch span, and the accumulate/wait arms record
-// their own nested spans. With a tracer installed the server also grants
+// records a srv.dispatch span, and the accumulate arms record their own
+// nested spans. With a tracer installed the server also grants
 // the trace feature to clients negotiating via opHello, linking those spans
 // to the client side. Safe to call while serving; nil uninstalls.
 func (s *Server) SetTracer(tr *telemetry.Tracer) { s.tracer.Store(tr) }
@@ -163,9 +162,6 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	// Unpark handlers blocked in WaitUpdate before yanking their
-	// connections: with cond-based waits the seed's Close deadlocked in
-	// wg.Wait behind any parked watcher.
 	close(s.done)
 	for conn := range s.conns {
 		conn.Close()
@@ -360,9 +356,9 @@ func (s *Server) dispatch(op opcode, payload []byte, cs *connState) ([]byte, err
 	return resp, err
 }
 
-// armSpan opens a nested span for one dispatch arm (accumulate apply,
-// wait). It parents onto the connection's current dispatch span when
-// that span is part of a propagated trace. Returns the inert zero Span when
+// armSpan opens a nested span for one dispatch arm (accumulate apply). It
+// parents onto the connection's current dispatch span when that span is
+// part of a propagated trace. Returns the inert zero Span when
 // no tracer is installed, so arms call it unconditionally.
 func (s *Server) armSpan(cs *connState, p telemetry.Phase) telemetry.Span {
 	tr := s.tracer.Load()
@@ -504,7 +500,7 @@ func (s *Server) dispatchOp(op opcode, payload []byte, cs *connState) ([]byte, e
 		}
 		return fw.u64(granted).buf, nil
 	default:
-		return s.dispatchNotify(op, payload, cs)
+		return s.dispatchShm(op, payload, cs)
 	}
 }
 
@@ -523,9 +519,8 @@ type StreamClient struct {
 	wire []byte             // request frame staging, guarded by mu
 	inst *clientInstruments // optional RTT timing, guarded by mu
 
-	opTimeout   time.Duration // guarded by mu; 0 = block forever (seed behavior)
-	waitTimeout time.Duration // guarded by mu; WaitUpdate budget, 0 = block forever
-	broken      error         // guarded by mu; first transport failure latches here
+	opTimeout time.Duration // guarded by mu; 0 = block forever (seed behavior)
+	broken    error         // guarded by mu; first transport failure latches here
 
 	// vw is the registered, grow-only iovec list of the vectored bulk
 	// write (sg.go), guarded by mu.
@@ -565,19 +560,14 @@ func Dial(addr string) (*StreamClient, error) {
 	return &StreamClient{conn: conn}, nil
 }
 
-// SetTimeouts bounds every operation on the client: op is the per-round-trip
-// budget for data verbs, wait the budget for WaitUpdate (0 inherits op;
-// both 0 restores block-forever). A deadline that fires poisons the client —
-// an abandoned round trip leaves an unpaired response in flight, so the
-// connection cannot be reused — and the call fails with an error matching
-// both ErrTransport and os.ErrDeadlineExceeded.
-func (c *StreamClient) SetTimeouts(op, wait time.Duration) {
+// SetTimeouts bounds every round trip on the client to op (0 restores
+// block-forever). A deadline that fires poisons the client — an abandoned
+// round trip leaves an unpaired response in flight, so the connection
+// cannot be reused — and the call fails with an error matching both
+// ErrTransport and os.ErrDeadlineExceeded.
+func (c *StreamClient) SetTimeouts(op time.Duration) {
 	c.mu.Lock()
 	c.opTimeout = op
-	if wait <= 0 {
-		wait = op
-	}
-	c.waitTimeout = wait
 	c.mu.Unlock()
 }
 
@@ -631,14 +621,10 @@ func (c *StreamClient) roundTripLocked(op opcode) ([]byte, error) {
 // roundTripBodyLocked is roundTripLocked with an optional bulk body that
 // goes out vectored (see sendLocked).
 func (c *StreamClient) roundTripBodyLocked(op opcode, body []byte) ([]byte, error) {
-	timeout := c.opTimeout
-	if op == opWaitUpdate {
-		timeout = c.waitTimeout
-	}
-	if err := c.sendLocked(op, body, timeout); err != nil {
+	if err := c.sendLocked(op, body); err != nil {
 		return nil, err
 	}
-	return c.readReplyLocked(timeout)
+	return c.readReplyLocked()
 }
 
 // sendLocked writes one request frame with c.req.buf as its payload. When
@@ -647,14 +633,14 @@ func (c *StreamClient) roundTripBodyLocked(op opcode, body []byte) ([]byte, erro
 // writev, no staging copy of the bulk bytes (sg.go). Caller holds c.mu.
 //
 //shm:hotpath
-func (c *StreamClient) sendLocked(op opcode, body []byte, timeout time.Duration) error {
+func (c *StreamClient) sendLocked(op opcode, body []byte) error {
 	if c.broken != nil {
 		return fmt.Errorf("smb: connection poisoned: %w", c.broken)
 	}
 	dc, deadlines := c.conn.(deadlineConn)
-	deadlines = deadlines && timeout > 0
+	deadlines = deadlines && c.opTimeout > 0
 	if deadlines {
-		dc.SetWriteDeadline(time.Now().Add(timeout))
+		dc.SetWriteDeadline(time.Now().Add(c.opTimeout))
 	}
 	var err error
 	switch {
@@ -676,11 +662,11 @@ func (c *StreamClient) sendLocked(op opcode, body []byte, timeout time.Duration)
 
 // readReplyLocked reads and classifies one reply frame — the shared tail
 // of every round trip. Caller holds c.mu.
-func (c *StreamClient) readReplyLocked(timeout time.Duration) ([]byte, error) {
+func (c *StreamClient) readReplyLocked() ([]byte, error) {
 	dc, deadlines := c.conn.(deadlineConn)
-	deadlines = deadlines && timeout > 0
+	deadlines = deadlines && c.opTimeout > 0
 	if deadlines {
-		dc.SetReadDeadline(time.Now().Add(timeout))
+		dc.SetReadDeadline(time.Now().Add(c.opTimeout))
 	}
 	status, resp, err := readFrameInto(c.conn, &c.in)
 	if err != nil {
@@ -706,7 +692,7 @@ func (c *StreamClient) readReplyLocked(timeout time.Duration) ([]byte, error) {
 var knownRemoteErrors = []error{
 	ErrSegmentExists, ErrUnknownSegment, ErrUnknownHandle,
 	ErrOutOfRange, ErrSizeMismatch, ErrNotFloatAligned,
-	ErrWaitCanceled, ErrUnknownSnapshot,
+	ErrUnknownSnapshot,
 }
 
 // remoteError reconstructs well-known errors from their messages so callers

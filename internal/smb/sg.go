@@ -147,14 +147,13 @@ func (c *StreamClient) writeFrameVecLocked(op byte, body []byte) error {
 //
 //shm:hotpath
 func (c *StreamClient) roundTripReadIntoLocked(op opcode, dst []byte) error {
-	timeout := c.opTimeout
-	if err := c.sendLocked(op, nil, timeout); err != nil {
+	if err := c.sendLocked(op, nil); err != nil {
 		return err
 	}
 	dc, deadlines := c.conn.(deadlineConn)
-	deadlines = deadlines && timeout > 0
+	deadlines = deadlines && c.opTimeout > 0
 	if deadlines {
-		dc.SetReadDeadline(time.Now().Add(timeout))
+		dc.SetReadDeadline(time.Now().Add(c.opTimeout))
 	}
 	// The reply header lands in the wire scratch (free again once the
 	// request is out): a local array would escape through the io.Reader

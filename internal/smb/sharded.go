@@ -139,8 +139,7 @@ func (s *ShardedClient) resolveName(key SHMKey) (string, error) {
 	}
 	defer s.clients[0].Detach(h)
 	// The directory segment holds exactly the name bytes.
-	// Read the whole segment.
-	size, err := segmentSize(s.clients[0], h)
+	size, err := snapSize(s.clients[0], h)
 	if err != nil {
 		return "", err
 	}
@@ -152,41 +151,14 @@ func (s *ShardedClient) resolveName(key SHMKey) (string, error) {
 	return string(buf), nil
 }
 
-// segmentSize probes a segment's size. The base Client interface has no
-// size query, so probe by exponential growth + binary search on
-// out-of-range reads (cheap: directory segments are tiny).
-func segmentSize(c Client, h Handle) (int, error) {
-	if lc, ok := c.(*LocalClient); ok {
-		return lc.store.SegmentSize(h)
+// snapSize learns the byte size of the segment behind h from the one verb
+// that reports it: a snapshot cut, released at once.
+func snapSize(c Client, h Handle) (int, error) {
+	info, err := c.Snapshot(h)
+	if err != nil {
+		return 0, err
 	}
-	// Grow until a read fails. One pooled buffer serves every probe: it is
-	// grown to the next probe size by getScratch's grow-only contract.
-	probe, bp := getScratch(1)
-	defer func() { putScratch(bp) }()
-	hi := 1
-	for {
-		if err := c.Read(h, 0, probe[:hi]); err != nil {
-			break
-		}
-		if hi > 1<<20 {
-			return 0, fmt.Errorf("smb: directory segment unreasonably large")
-		}
-		hi *= 2
-		if cap(probe) < hi {
-			putScratch(bp)
-			probe, bp = getScratch(hi)
-		}
-	}
-	lo := hi / 2
-	for lo < hi-1 {
-		mid := (lo + hi) / 2
-		if err := c.Read(h, 0, probe[:mid]); err != nil {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return lo, nil
+	return info.Size, c.SnapRelease(info.ID)
 }
 
 // Attach implements Client: resolves the key, attaches every shard.
@@ -210,7 +182,7 @@ func (s *ShardedClient) attachByName(name string) (Handle, error) {
 		if err != nil {
 			return 0, fmt.Errorf("shard %d: %w", i, err)
 		}
-		size, err := segmentSize(c, sub)
+		size, err := snapSize(c, sub)
 		if err != nil {
 			return 0, err
 		}
@@ -454,6 +426,21 @@ func (s *ShardedClient) WriteAccumulate(dst, src Handle, data []byte) error {
 	return s.parallelRange(ssh, 0, data, func(i, _ int, part []byte) error {
 		return s.clients[i].WriteAccumulate(dsh.subs[i], ssh.subs[i], part)
 	})
+}
+
+// SetTraceContext implements Client: every shard connection carries tc, so
+// each server's spans join the caller's trace.
+func (s *ShardedClient) SetTraceContext(tc TraceContext) {
+	for _, c := range s.clients {
+		c.SetTraceContext(tc)
+	}
+}
+
+// ClearTraceContext implements Client.
+func (s *ShardedClient) ClearTraceContext() {
+	for _, c := range s.clients {
+		c.ClearTraceContext()
+	}
 }
 
 // Close implements Client: closes every backing client.

@@ -1,6 +1,7 @@
 package smb
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -305,5 +306,62 @@ func TestShardedWithTCPBackends(t *testing.T) {
 	// Both servers must actually hold data.
 	if srv1.Store().Stats().BytesWrite == 0 || srv2.Store().Stats().BytesWrite == 0 {
 		t.Fatal("striping did not reach both TCP servers")
+	}
+}
+
+// TestShardedLargeShardsOverTCP: shards far past the old probing ceiling
+// (2 MiB) attach over remote backing clients, and the data verbs and the
+// push cover both of them. Attach learns each shard's size from one
+// snapshot cut rather than from reads sized to fail.
+func TestShardedLargeShardsOverTCP(t *testing.T) {
+	const shardBytes = 3 << 20
+	const n = 2 * shardBytes / 4
+	srv1, srv2 := startServer(t), startServer(t)
+	sc, err := NewShardedClient(dialT(t, srv1), dialT(t, srv2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kw, err := sc.Create("big/wg", n*4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kd, err := sc.Create("big/dw", n*4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg, err := sc.Attach(kw)
+	if err != nil {
+		t.Fatalf("attach of 2 x %d-byte shards: %v", shardBytes, err)
+	}
+	dw, err := sc.Attach(kd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, srv := range []*Server{srv1, srv2} {
+		if live := srv.Store().SnapCount(); live != 0 {
+			t.Fatalf("server %d still pins %d snapshots after attach", i, live)
+		}
+	}
+
+	pat := patternVec(n, 3)
+	base := tensor.Float32Bytes(pat)
+	if err := sc.Write(wg, 0, base); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, n*4)
+	if err := sc.Read(wg, 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, base) {
+		t.Fatal("read back differs from what was written across the shards")
+	}
+	if err := sc.WriteAccumulate(wg, dw, tensor.Float32Bytes(onesVec(n))); err != nil {
+		t.Fatal(err)
+	}
+	vals := readF32(t, sc, wg, n)
+	for _, i := range []int{0, shardBytes/4 - 1, shardBytes / 4, n - 1} {
+		if want := pat[i] + 1; vals[i] != want {
+			t.Fatalf("wg[%d] = %v after the push, want %v", i, vals[i], want)
+		}
 	}
 }

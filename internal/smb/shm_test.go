@@ -1,7 +1,6 @@
 package smb
 
 import (
-	"errors"
 	"net"
 	"path/filepath"
 	"sync"
@@ -280,43 +279,52 @@ func (c *cutConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
+// startCutShmServer serves a memfd-exporting store on a unix control socket
+// whose every connection is a cutConn driven by plan, and returns the store
+// and the socket path.
+func startCutShmServer(t *testing.T, plan *cutPlan) (*Store, string) {
+	t.Helper()
+	if !ShmSupported() {
+		t.Skip("shm transport not supported on this platform/build")
+	}
+	store := NewStore()
+	if err := store.EnableShm(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(store, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	uln, err := net.Listen("unix", filepath.Join(t.TempDir(), "smb.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uwg sync.WaitGroup
+	uwg.Add(1)
+	go func() {
+		defer uwg.Done()
+		for {
+			conn, err := uln.Accept()
+			if err != nil {
+				return
+			}
+			go srv.ServeConn(&cutConn{Conn: conn, plan: plan}) //lint:ignore goleak joined by srv.Close in the cleanup below
+		}
+	}()
+	t.Cleanup(func() { uln.Close(); uwg.Wait(); srv.Close() })
+	return store, uln.Addr().String()
+}
+
 // TestShmWireFallbackPushExactlyOnce: a push that falls back to the control
 // socket is a Write plus a fold stamped (ClientID, seq), retried across
 // redials. Whether the socket dies between the two frames or eats the
 // fold's ack, the server applies every push exactly once.
 func TestShmWireFallbackPushExactlyOnce(t *testing.T) {
-	if !ShmSupported() {
-		t.Skip("shm transport not supported on this platform/build")
-	}
 	for _, lostAck := range []bool{false, true} {
-		store := NewStore()
-		if err := store.EnableShm(); err != nil {
-			t.Fatal(err)
-		}
-		srv, err := NewServer(store, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		uln, err := net.Listen("unix", filepath.Join(t.TempDir(), "smb.sock"))
-		if err != nil {
-			t.Fatal(err)
-		}
 		plan := &cutPlan{replies: -1, lostAck: lostAck}
-		var uwg sync.WaitGroup
-		uwg.Add(1)
-		go func() {
-			defer uwg.Done()
-			for {
-				conn, err := uln.Accept()
-				if err != nil {
-					return
-				}
-				go srv.ServeConn(&cutConn{Conn: conn, plan: plan}) //lint:ignore goleak joined by srv.Close in the cleanup below
-			}
-		}()
-		t.Cleanup(func() { uln.Close(); uwg.Wait(); srv.Close() })
+		store, path := startCutShmServer(t, plan)
 
-		c, err := DialShmConfig(ShmConfig{Path: uln.Addr().String(), ClientID: 77})
+		c, err := DialShmConfig(ShmConfig{Path: path, ClientID: 77})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,9 +451,9 @@ func TestShmCtlReconnect(t *testing.T) {
 	}
 	oldLease := c.Lease()
 
-	c.mu.Lock()
-	c.ctl.conn.Close() // yank the socket mid-session
-	c.mu.Unlock()
+	c.SupervisedClient.mu.Lock()
+	c.conn.conn.Close() // yank the socket mid-session
+	c.SupervisedClient.mu.Unlock()
 
 	// Control verbs supervise: redial, fresh lease, lazy re-attach.
 	if _, err := c.Lookup("wg"); err != nil {
@@ -464,138 +472,6 @@ func TestShmCtlReconnect(t *testing.T) {
 	got := readF32(t, c, h, 1)
 	if got[0] != 7 {
 		t.Fatalf("mapped readback %v after reconnect, want 7", got[0])
-	}
-}
-
-// TestShmWaitUpdateCrossClient parks one mapped client on the shared
-// version futex and wakes it with another client's mapped Write — the
-// cross-process notification path, exercised across two mappings of one
-// segment in one process.
-func TestShmWaitUpdateCrossClient(t *testing.T) {
-	_, path := startShmServer(t)
-	a := dialShmT(t, path)
-	b := dialShmT(t, path)
-
-	key, err := a.Create("wg", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ha, err := a.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb, err := b.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Mapped(ha) || !b.Mapped(hb) {
-		t.Fatal("segments did not map")
-	}
-	v0, err := a.Version(ha)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type res struct {
-		v   uint64
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		v, err := a.WaitUpdate(ha, v0)
-		ch <- res{v, err}
-	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter park
-	if err := b.Write(hb, 0, tensor.Float32Bytes([]float32{1})); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-ch:
-		if r.err != nil || r.v <= v0 {
-			t.Fatalf("WaitUpdate = (%d, %v), want version > %d", r.v, r.err, v0)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitUpdate did not wake on the shared version bump")
-	}
-}
-
-// TestShmWaitUpdateCanceledByClose parks a mapped WaitUpdate and closes the
-// client under it: the waiter must return ErrWaitCanceled, and Close must
-// drain it before the munmap — the use-after-unmap regression where a
-// parked waiter's version load hit unmapped memory.
-func TestShmWaitUpdateCanceledByClose(t *testing.T) {
-	_, path := startShmServer(t)
-	c := dialShmT(t, path)
-
-	key, err := c.Create("wg", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Mapped(h) {
-		t.Fatal("segment did not map")
-	}
-	v0, err := c.Version(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() {
-		_, err := c.WaitUpdate(h, v0)
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter park
-	c.Close()                         // returns only after the waiter left the mapping
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrWaitCanceled) {
-			t.Fatalf("parked WaitUpdate after Close = %v, want ErrWaitCanceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitUpdate still parked after Close")
-	}
-}
-
-// TestShmWaitUpdateCanceledByDetach is the Detach half of the same drill:
-// detaching the watched handle cancels the park (it used to leave the
-// waiter parked on a freshly unmapped segment).
-func TestShmWaitUpdateCanceledByDetach(t *testing.T) {
-	_, path := startShmServer(t)
-	c := dialShmT(t, path)
-
-	key, err := c.Create("wg", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := c.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Mapped(h) {
-		t.Fatal("segment did not map")
-	}
-	v0, err := c.Version(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() {
-		_, err := c.WaitUpdate(h, v0)
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the waiter park
-	if err := c.Detach(h); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrWaitCanceled) {
-			t.Fatalf("parked WaitUpdate after Detach = %v, want ErrWaitCanceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitUpdate still parked after Detach")
 	}
 }
 
@@ -685,24 +561,17 @@ func TestShmMapBytesReconcileOnConnDeath(t *testing.T) {
 	}
 }
 
-// TestShmTimeoutDefaults pins the shared control-plane timeout defaulting
-// used by both DialShmConfig and negotiateShm: 0 means 10s (never "no
-// deadline"), negative disables, wait inherits op.
-func TestShmTimeoutDefaults(t *testing.T) {
-	cases := []struct {
-		op, wait         time.Duration
-		wantOp, wantWait time.Duration
-	}{
-		{0, 0, 10 * time.Second, 10 * time.Second},
-		{-1, 0, 0, 0},
-		{2 * time.Second, 0, 2 * time.Second, 2 * time.Second},
-		{2 * time.Second, 5 * time.Second, 2 * time.Second, 5 * time.Second},
-	}
-	for _, tc := range cases {
-		op, wait := shmTimeouts(tc.op, tc.wait)
-		if op != tc.wantOp || wait != tc.wantWait {
-			t.Errorf("shmTimeouts(%v, %v) = (%v, %v), want (%v, %v)",
-				tc.op, tc.wait, op, wait, tc.wantOp, tc.wantWait)
+// TestOpTimeoutDefaults pins the timeout defaulting every dial path shares
+// (NewSupervisedClient, and through it DialShmConfig; negotiateShm): 0
+// means 10s (never "no deadline"), negative disables.
+func TestOpTimeoutDefaults(t *testing.T) {
+	for in, want := range map[time.Duration]time.Duration{
+		0:               10 * time.Second,
+		-1:              0,
+		2 * time.Second: 2 * time.Second,
+	} {
+		if got := opTimeoutOrDefault(in); got != want {
+			t.Errorf("opTimeoutOrDefault(%v) = %v, want %v", in, got, want)
 		}
 	}
 }
@@ -725,7 +594,7 @@ func TestShmLeaseReapOnConnClose(t *testing.T) {
 	}
 	c.mu.Lock()
 	m := c.maps[h]
-	lease := c.lease
+	lease := c.lease.Load()
 	c.mu.Unlock()
 	if m == nil {
 		t.Fatal("segment did not map")
@@ -803,5 +672,79 @@ func TestShmWriteAccumulateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("mapped WriteAccumulate allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestShmCloseUnderTraffic detaches a handle and then closes the client
+// while other goroutines run mapped kernels and control verbs on it: every
+// call must return (cleanly or with an error), and no kernel may touch a
+// mapping after its munmap — that would fault the whole test binary.
+func TestShmCloseUnderTraffic(t *testing.T) {
+	_, path := startShmServer(t)
+	c := dialShmT(t, path)
+	const n = 2 * chunkBytes / 4
+	var hs [3]Handle
+	for i, name := range []string{"wg", "dw", "spare"} {
+		key, err := c.Create(name, n*4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hs[i], err = c.Attach(key); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Mapped(hs[i]) {
+			t.Fatalf("%s did not map", name)
+		}
+	}
+	wg, dw, spare := hs[0], hs[1], hs[2]
+	data := tensor.Float32Bytes(onesVec(n))
+	buf := make([][]byte, 4)
+	var workers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := range buf {
+		w := w
+		buf[w] = make([]byte, n*4)
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				switch w {
+				case 0:
+					_ = c.WriteAccumulate(wg, dw, data)
+				case 1:
+					_ = c.Read(spare, 0, buf[w])
+				case 2:
+					_ = c.Write(spare, 0, buf[w])
+				default:
+					if info, err := c.Snapshot(wg); err == nil {
+						_ = c.SnapRelease(info.ID)
+					}
+				}
+			}
+		}()
+	}
+	// Let mapped kernels pile up before each teardown step.
+	traffic := func() {
+		for start := c.Stats().MappedOps; c.Stats().MappedOps < start+50; {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	traffic()
+	if err := c.Detach(spare); err != nil {
+		t.Fatal(err)
+	}
+	traffic()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	workers.Wait()
+	if err := c.WriteAccumulate(wg, dw, data); err == nil {
+		t.Fatal("push on a closed client succeeded")
 	}
 }

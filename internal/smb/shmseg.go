@@ -24,13 +24,12 @@ import (
 //	off  8  u32  layout version
 //	off 12  u32  stripe count
 //	off 16  u64  data size in bytes
-//	off 24  u64  segment version (futex word = low 32 bits)
+//	off 24  u64  segment version (whole mutating ops applied, by any process)
 //	off 32  u64  accumulates applied through mappings
 //	off 40  u64  bytes accumulated through mappings
 //	off 48  u64  writes applied through mappings
 //	off 56  u64  reads served through mappings
-//	off 64  u32  version-futex waiter count (own cache line: written by
-//	             waiters, read by every bump)
+//	off 64  u32  reserved
 //	off 72  u32  snapshot gate: mapped clients hold it in read mode for
 //	             each whole mutating op, the server takes it exclusively
 //	             to cut a consistent snapshot (layout v3; snapshot.go)
@@ -74,17 +73,11 @@ const (
 	shmOffBytesAcc    = 40
 	shmOffWrites      = 48
 	shmOffReads       = 56
-	// shmOffVersionWaiters counts parked waitVersion callers so bumpVersion
-	// can skip the FUTEX_WAKE syscall when nobody is listening — the common
-	// case on the push path, and the difference between "no syscalls on the
-	// data path" being a design claim and being true. It starts the second
-	// cache line so waiter arrivals do not bounce the line every bump reads.
-	shmOffVersionWaiters = 64
 	// shmOffSnapGate is the cross-process snapshot gate (snapshot.go): a
 	// reader-count word mapped clients hold in read mode around each whole
 	// mutating op, write-locked by the serving process to drain them before
-	// copying a consistent cut. Same cache line as the waiter count — both
-	// are off the stripe data path.
+	// copying a consistent cut. It sits in the second cache line, off the
+	// op counters every mapped verb bumps.
 	shmOffSnapGate = 72
 )
 
@@ -124,11 +117,6 @@ const shmLockSpins = 128
 // cleared between our read and our sleep), the waiter re-checks within 10ms
 // instead of sleeping forever.
 const shmLockWaitNs = int64(10_000_000)
-
-// shmVersionWaitNs slices a WaitUpdate futex sleep so cancellation (server
-// shutdown, client close) is honored within 50ms even though cross-process
-// version bumps arrive by futex wake, not by channel close.
-const shmVersionWaitNs = int64(50_000_000)
 
 // ShmSupported reports whether this build and platform can serve/map
 // memfd-backed segments (linux amd64/arm64 without the noshm tag).
@@ -289,52 +277,11 @@ func (sh *shmShared) reapLease(lease uint32) int {
 // segments, where bumps can originate in any mapping process.
 func (sh *shmShared) version() uint64 { return sh.word64(shmOffVersion).Load() }
 
-// bumpVersion advances the shared version and wakes cross-process waiters.
-// The futex watches the low 32 bits of the little-endian u64, so any bump
-// changes the watched word. The wake is gated on the shared waiter count:
-// the Add is a full barrier, so a waiter whose registration we miss here is
-// guaranteed to observe the new version in its post-registration re-check
-// and never sleeps on the stale value — the standard futex pairing. With no
-// waiters the bump is pure user-space stores, keeping the mapped data path
-// syscall-free.
+// bumpVersion advances the shared version: one atomic add, no syscall —
+// the mapped data path stays pure user-space stores.
 //
 //shm:hotpath
-func (sh *shmShared) bumpVersion() {
-	sh.word64(shmOffVersion).Add(1)
-	if sh.word32(shmOffVersionWaiters).Load() != 0 {
-		futexWakeAll(sh.word32(shmOffVersion))
-	}
-}
-
-// waitVersion blocks until the shared version exceeds since or cancel
-// closes. Sleeps are sliced (shmVersionWaitNs) because a cancel arrives as
-// a channel close in this process while the wake arrives as a futex from
-// another one. Each sleep is bracketed by a waiter-count register/deregister
-// so bumpVersion knows when a wake syscall is needed; the re-load of the
-// version between registering and parking closes the lost-wakeup window (a
-// bump that missed our registration is ordered before our re-load). A
-// waiter that dies while registered leaves the count permanently high,
-// which only costs bumps a harmless wake of nobody — never a lost wakeup.
-func (sh *shmShared) waitVersion(since uint64, cancel <-chan struct{}) (v uint64, blocked bool, err error) {
-	waiters := sh.word32(shmOffVersionWaiters)
-	for {
-		v = sh.version()
-		if v > since {
-			return v, blocked, nil
-		}
-		select {
-		case <-cancel:
-			return 0, blocked, ErrWaitCanceled
-		default:
-		}
-		blocked = true
-		waiters.Add(1)
-		if cur := sh.version(); cur <= since {
-			futexWait(sh.word32(shmOffVersion), uint32(cur), shmVersionWaitNs)
-		}
-		waiters.Add(^uint32(0))
-	}
-}
+func (sh *shmShared) bumpVersion() { sh.word64(shmOffVersion).Add(1) }
 
 // addOp advances one of the shared op counters (mapped-path traffic
 // accounting, exported by Store.Instrument with transport="shm").

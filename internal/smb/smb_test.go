@@ -29,8 +29,8 @@ func TestStoreCreateAttachReadWrite(t *testing.T) {
 	if dst[0] != 1 || dst[3] != 4 {
 		t.Fatalf("read back %v", dst)
 	}
-	if size, err := st.SegmentSize(h); err != nil || size != 16 {
-		t.Fatalf("SegmentSize = %d, %v", size, err)
+	if info, err := st.Snapshot(h); err != nil || info.Size != 16 {
+		t.Fatalf("snapshot size = %d, %v", info.Size, err)
 	}
 }
 

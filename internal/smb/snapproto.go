@@ -26,7 +26,8 @@ const (
 )
 
 // dispatchSnap serves the snapshot verbs; chained from dispatchShm's
-// default arm so unknown opcodes still error in one place.
+// default arm, and the one place unknown opcodes (never assigned, or
+// retired: 9–12) are answered.
 func (s *Server) dispatchSnap(op opcode, payload []byte, cs *connState) ([]byte, error) {
 	fr := frameReader{buf: payload}
 	switch op {
@@ -71,7 +72,7 @@ func (s *Server) dispatchSnap(op opcode, payload []byte, cs *connState) ([]byte,
 	}
 }
 
-// Snapshot implements Snapshotter over the wire.
+// Snapshot implements Client over the wire.
 func (c *StreamClient) Snapshot(h Handle) (SnapInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -85,7 +86,7 @@ func (c *StreamClient) Snapshot(h Handle) (SnapInfo, error) {
 	return info, fr.err
 }
 
-// SnapRead implements Snapshotter. Like Read, the reply payload lands
+// SnapRead implements Client. Like Read, the reply payload lands
 // straight in dst with no staging copy.
 //
 //shm:hotpath
@@ -96,7 +97,7 @@ func (c *StreamClient) SnapRead(id SnapID, off int, dst []byte) error {
 	return c.roundTripReadIntoLocked(opSnapRead, dst)
 }
 
-// SnapRelease implements Snapshotter over the wire.
+// SnapRelease implements Client over the wire.
 func (c *StreamClient) SnapRelease(id SnapID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -105,9 +106,7 @@ func (c *StreamClient) SnapRelease(id SnapID) error {
 	return err
 }
 
-var _ Snapshotter = (*StreamClient)(nil)
-
-// Snapshot implements Snapshotter with supervision. A retry whose first
+// Snapshot implements Client with supervision. A retry whose first
 // attempt succeeded server-side but lost the reply leaks that snapshot
 // until the store is torn down — bounded by the retry budget and visible
 // in smb_snapshots_live, and preferable to not retrying at all (the verb
@@ -116,21 +115,15 @@ var _ Snapshotter = (*StreamClient)(nil)
 // has no snapshot table, so SnapRead after failover returns
 // ErrUnknownSnapshot and the caller retakes the cut.
 func (c *SupervisedClient) Snapshot(h Handle) (SnapInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var info SnapInfo
-	err := c.withRetry("snapshot", func(sc *StreamClient) error {
-		rh, err := c.resolveLocked(sc, h)
-		if err != nil {
-			return err
-		}
+	err := c.withHandle("snapshot", h, func(sc *StreamClient, rh Handle) (err error) {
 		info, err = sc.Snapshot(rh)
 		return err
 	})
 	return info, err
 }
 
-// SnapRead implements Snapshotter (idempotent; retried).
+// SnapRead implements Client (idempotent; retried).
 func (c *SupervisedClient) SnapRead(id SnapID, off int, dst []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -139,7 +132,7 @@ func (c *SupervisedClient) SnapRead(id SnapID, off int, dst []byte) error {
 	})
 }
 
-// SnapRelease implements Snapshotter. An unknown id is success: either a
+// SnapRelease implements Client. An unknown id is success: either a
 // previous attempt's release landed before its reply was lost, or the
 // server restarted and the snapshot died with it — in both cases the pin
 // is gone, which is all the caller wants.
@@ -155,8 +148,6 @@ func (c *SupervisedClient) SnapRelease(id SnapID) error {
 	return err
 }
 
-var _ Snapshotter = (*SupervisedClient)(nil)
-
 // shardedSnap is one sharded snapshot: the per-shard snapshot ids plus the
 // geometry handle they were cut from.
 type shardedSnap struct {
@@ -165,7 +156,7 @@ type shardedSnap struct {
 	version uint64
 }
 
-// Snapshot implements Snapshotter as a per-shard version-vector cut: every
+// Snapshot implements Client as a per-shard version-vector cut: every
 // shard's snapshot is internally consistent (no torn accumulate within a
 // shard), and the vector of shard versions is recorded at cut time. The
 // cut is NOT globally atomic across servers — shard A may be at iteration
@@ -175,7 +166,6 @@ type shardedSnap struct {
 // over the seed's ShardedClient.Read, which had no cut at all (each shard
 // read could additionally be torn internally). Version is the sum of the
 // shard versions, so it is monotonic and changes whenever any shard moved.
-// Every backing client must implement Snapshotter.
 func (s *ShardedClient) Snapshot(h Handle) (SnapInfo, error) {
 	sh, err := s.handle(h)
 	if err != nil {
@@ -183,14 +173,12 @@ func (s *ShardedClient) Snapshot(h Handle) (SnapInfo, error) {
 	}
 	snap := &shardedSnap{sh: sh, subs: make([]SnapID, len(s.clients))}
 	for i, c := range s.clients {
-		sc, ok := c.(Snapshotter)
-		if !ok {
-			s.releaseShards(snap, i)
-			return SnapInfo{}, fmt.Errorf("smb: sharded snapshot: server %d client %T does not implement Snapshotter", i, c)
-		}
-		info, err := sc.Snapshot(sh.subs[i])
+		info, err := c.Snapshot(sh.subs[i])
 		if err != nil {
-			s.releaseShards(snap, i)
+			// Best-effort release of the shards already cut.
+			for j := 0; j < i; j++ {
+				_ = s.clients[j].SnapRelease(snap.subs[j])
+			}
 			return SnapInfo{}, fmt.Errorf("shard %d snapshot: %w", i, err)
 		}
 		snap.subs[i] = info.ID
@@ -207,17 +195,7 @@ func (s *ShardedClient) Snapshot(h Handle) (SnapInfo, error) {
 	return SnapInfo{ID: id, Version: snap.version, Size: sh.total}, nil
 }
 
-// releaseShards best-effort releases the first n shard snapshots of a
-// partially-built cut.
-func (s *ShardedClient) releaseShards(snap *shardedSnap, n int) {
-	for i := 0; i < n; i++ {
-		if sc, ok := s.clients[i].(Snapshotter); ok {
-			_ = sc.SnapRelease(snap.subs[i])
-		}
-	}
-}
-
-// SnapRead implements Snapshotter: fan-out reads against the pinned
+// SnapRead implements Client: fan-out reads against the pinned
 // per-shard snapshots, concurrently across servers.
 func (s *ShardedClient) SnapRead(id SnapID, off int, dst []byte) error {
 	s.mu.Lock()
@@ -227,11 +205,11 @@ func (s *ShardedClient) SnapRead(id SnapID, off int, dst []byte) error {
 		return fmt.Errorf("smb: sharded snap read %d: %w", uint64(id), ErrUnknownSnapshot)
 	}
 	return s.parallelRange(snap.sh, off, dst, func(i, shardOff int, part []byte) error {
-		return s.clients[i].(Snapshotter).SnapRead(snap.subs[i], shardOff, part)
+		return s.clients[i].SnapRead(snap.subs[i], shardOff, part)
 	})
 }
 
-// SnapRelease implements Snapshotter: unpins every shard snapshot.
+// SnapRelease implements Client: unpins every shard snapshot.
 func (s *ShardedClient) SnapRelease(id SnapID) error {
 	s.mu.Lock()
 	snap := s.snaps[id]
@@ -242,57 +220,9 @@ func (s *ShardedClient) SnapRelease(id SnapID) error {
 	}
 	var firstErr error
 	for i := range s.clients {
-		if err := s.clients[i].(Snapshotter).SnapRelease(snap.subs[i]); err != nil && firstErr == nil {
+		if err := s.clients[i].SnapRelease(snap.subs[i]); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return firstErr
 }
-
-var _ Snapshotter = (*ShardedClient)(nil)
-
-// Snapshot implements Snapshotter on the shm transport. The cut itself
-// happens server-side over the control socket (the server owns the
-// epoch/COW machinery); for an exported segment the server drains mapped
-// writers through the shared snapshot gate first, so a cut is consistent
-// against this process's mapped stores too. Snapshot pages live on the
-// server heap, not in the mapping, so SnapRead rides the wire — the
-// serving path trades the mapped zero-copy read for a cut that cannot
-// tear.
-func (c *ShmClient) Snapshot(h Handle) (SnapInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var info SnapInfo
-	c.ctlOps.Add(1)
-	err := c.withCtlLocked(func(ctl *StreamClient) error {
-		rh, err := c.resolveLocked(ctl, h)
-		if err != nil {
-			return err
-		}
-		info, err = ctl.Snapshot(rh)
-		return err
-	})
-	return info, err
-}
-
-// SnapRead implements Snapshotter over the control socket.
-func (c *ShmClient) SnapRead(id SnapID, off int, dst []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ctlOps.Add(1)
-	return c.withCtlLocked(func(ctl *StreamClient) error {
-		return ctl.SnapRead(id, off, dst)
-	})
-}
-
-// SnapRelease implements Snapshotter over the control socket.
-func (c *ShmClient) SnapRelease(id SnapID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ctlOps.Add(1)
-	return c.withCtlLocked(func(ctl *StreamClient) error {
-		return ctl.SnapRelease(id)
-	})
-}
-
-var _ Snapshotter = (*ShmClient)(nil)

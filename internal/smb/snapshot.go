@@ -57,11 +57,10 @@ type SnapInfo struct {
 	Size    int
 }
 
-// Snapshotter is the optional consistent-read capability of a Client:
-// Snapshot takes a cut of the segment behind h, SnapRead serves bytes of
-// that cut (bitwise stable for the snapshot's lifetime, whatever the
-// write traffic), and SnapRelease retires it. Callers feature-test with a
-// type assertion.
+// Snapshotter is the consistent-read part of Client: Snapshot takes a cut
+// of the segment behind h, SnapRead serves bytes of that cut (bitwise
+// stable for the snapshot's lifetime, whatever the write traffic), and
+// SnapRelease retires it.
 type Snapshotter interface {
 	Snapshot(h Handle) (SnapInfo, error)
 	SnapRead(id SnapID, off int, dst []byte) error
@@ -189,7 +188,7 @@ func (s *Store) Snapshot(h Handle) (SnapInfo, error) {
 			sn.marks[i].Store(1)
 		}
 		seg.gate.Lock() // no op is mid-sweep while held
-		sn.version = s.versions.get(seg)
+		sn.version = seg.version.Load()
 		old := seg.snaps.Load()
 		var list []*snapState
 		if old != nil {
@@ -370,15 +369,13 @@ func (s *Store) SnapCount() int { return int(s.snapc.live.Load()) }
 
 // LocalClient passthroughs.
 
-// Snapshot implements Snapshotter.
+// Snapshot implements Client.
 func (c *LocalClient) Snapshot(h Handle) (SnapInfo, error) { return c.store.Snapshot(h) }
 
-// SnapRead implements Snapshotter.
+// SnapRead implements Client.
 func (c *LocalClient) SnapRead(id SnapID, off int, dst []byte) error {
 	return c.store.SnapRead(id, off, dst)
 }
 
-// SnapRelease implements Snapshotter.
+// SnapRelease implements Client.
 func (c *LocalClient) SnapRelease(id SnapID) error { return c.store.SnapRelease(id) }
-
-var _ Snapshotter = (*LocalClient)(nil)

@@ -43,14 +43,13 @@ type Handle uint64
 // Stats counts server-side traffic; the Fig. 7 bandwidth experiment and the
 // comm-volume assertions read these.
 type Stats struct {
-	Creates       int64
-	Attaches      int64
-	Reads         int64
-	Writes        int64
-	Accumulates   int64
-	BytesRead     int64
-	BytesWrite    int64
-	NotifyWakeups int64
+	Creates     int64
+	Attaches    int64
+	Reads       int64
+	Writes      int64
+	Accumulates int64
+	BytesRead   int64
+	BytesWrite  int64
 	// SeqDuplicates counts sequence-stamped accumulates acknowledged as
 	// already-applied duplicates (seq.go). Duplicates do not advance
 	// Accumulates, so Accumulates stays exactly the count of distinct
@@ -63,15 +62,14 @@ type Stats struct {
 // allocated a closure and serialized every Read/Write/Accumulate behind one
 // statMu.
 type statCounters struct {
-	creates       atomic.Int64
-	attaches      atomic.Int64
-	reads         atomic.Int64
-	writes        atomic.Int64
-	accumulates   atomic.Int64
-	bytesRead     atomic.Int64
-	bytesWrite    atomic.Int64
-	notifyWakeups atomic.Int64
-	seqDups       atomic.Int64
+	creates     atomic.Int64
+	attaches    atomic.Int64
+	reads       atomic.Int64
+	writes      atomic.Int64
+	accumulates atomic.Int64
+	bytesRead   atomic.Int64
+	bytesWrite  atomic.Int64
+	seqDups     atomic.Int64
 }
 
 // chunkBytes is the lock-striping granularity of a segment: each chunk has
@@ -99,6 +97,10 @@ type segment struct {
 	// cross-process mapping (shmseg.go); nil for heap segments. Immutable
 	// after Create, like data — data aliases shm's data region when set.
 	shm *shmShared
+	// version counts the whole operations that mutated a heap segment — what
+	// SnapInfo.Version reports. Exported segments count in their shared
+	// control page instead, where mapped clients can bump it too.
+	version atomic.Uint64
 
 	// gate is the whole-operation fence snapshots cut against
 	// (snapshot.go): every mutating op holds it in read mode for its full
@@ -145,9 +147,6 @@ type Store struct {
 	// install it while traffic is in flight.
 	inst atomic.Pointer[storeInstruments]
 
-	// versions backs the update-notification API (notify.go).
-	versions *versionTable
-
 	// seqs backs the at-most-once accumulate dedup (seq.go).
 	seqs seqTable
 
@@ -172,7 +171,6 @@ func NewStore() *Store {
 		segments: make(map[SHMKey]*segment),
 		byName:   make(map[string]SHMKey),
 		handles:  make(map[Handle]*segment),
-		versions: newVersionTable(),
 	}
 }
 
@@ -285,13 +283,28 @@ func (s *Store) lookupHandle(h Handle) (*segment, error) {
 	return seg, nil
 }
 
-// SegmentSize returns the byte size of the segment behind handle h.
-func (s *Store) SegmentSize(h Handle) (int, error) {
+// bumpVersion records one more whole mutating operation on the segment.
+//
+//shm:hotpath
+func (seg *segment) bumpVersion() {
+	if seg.shm != nil {
+		seg.shm.bumpVersion()
+		return
+	}
+	seg.version.Add(1)
+}
+
+// Version returns the update version of the segment behind h: 0 until its
+// first Write or Accumulate, one more per whole mutating operation since.
+func (s *Store) Version(h Handle) (uint64, error) {
 	seg, err := s.lookupHandle(h)
 	if err != nil {
 		return 0, err
 	}
-	return len(seg.data), nil // the slice header is immutable after Create
+	if seg.shm != nil {
+		return seg.shm.version(), nil
+	}
+	return seg.version.Load(), nil
 }
 
 // Read copies len(dst) bytes from the segment at off into dst — the RDMA
@@ -367,7 +380,7 @@ func (s *Store) Write(h Handle, off int, src []byte) error {
 		seg.unlockStripe(ci)
 		covered += hi - start
 	}
-	s.versions.bump(seg)
+	seg.bumpVersion()
 	seg.gate.RUnlock()
 	s.stats.writes.Add(1)
 	s.stats.bytesWrite.Add(int64(len(src)))
@@ -461,7 +474,7 @@ func (s *Store) Accumulate(dst, src Handle) error {
 			return err
 		}
 	}
-	s.versions.bump(dseg)
+	dseg.bumpVersion()
 	s.stats.accumulates.Add(1)
 	s.stats.bytesWrite.Add(int64(len(dseg.data)))
 	if timed {
@@ -548,9 +561,9 @@ func (s *Store) WriteAccumulate(dst, src Handle, data []byte) error {
 			return err
 		}
 	}
-	s.versions.bump(sseg)
+	sseg.bumpVersion()
 	if dseg != sseg {
-		s.versions.bump(dseg)
+		dseg.bumpVersion()
 	}
 	s.stats.writes.Add(1)
 	s.stats.accumulates.Add(1)
@@ -634,7 +647,6 @@ func (s *Store) Stats() Stats {
 		Accumulates:   s.stats.accumulates.Load(),
 		BytesRead:     s.stats.bytesRead.Load(),
 		BytesWrite:    s.stats.bytesWrite.Load(),
-		NotifyWakeups: s.stats.notifyWakeups.Load(),
 		SeqDuplicates: s.stats.seqDups.Load(),
 	}
 }
@@ -648,7 +660,6 @@ func (s *Store) ResetStats() {
 	s.stats.accumulates.Store(0)
 	s.stats.bytesRead.Store(0)
 	s.stats.bytesWrite.Store(0)
-	s.stats.notifyWakeups.Store(0)
 	s.stats.seqDups.Store(0)
 }
 

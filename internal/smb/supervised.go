@@ -29,7 +29,6 @@ import (
 //     reconnect and retry. Safe because every verb routed through here is
 //     idempotent (Write/Read of fixed ranges, Lookup/Attach) or deduped
 //     (SeqAccumulate).
-//   - ErrWaitCanceled: the server shut down mid-wait; reconnect and re-wait.
 //   - Remote errors (ErrUnknownSegment, ErrOutOfRange...): the server spoke;
 //     retrying changes nothing. Returned as-is.
 //
@@ -47,14 +46,12 @@ var supervisedClientIDs atomic.Uint64
 type SupervisedConfig struct {
 	// Addr is the server address, re-dialed on every reconnect.
 	Addr string
-	// Dial overrides how connections are established (tests inject faulty
-	// transports here). Default: Dial(addr).
+	// Dial overrides how connections are established: the shm transport
+	// dials its unix control socket and says hello here, tests inject
+	// faulty transports. Default: Dial(addr).
 	Dial func(addr string) (*StreamClient, error)
 	// OpTimeout bounds each round trip (default 10s; <0 disables).
 	OpTimeout time.Duration
-	// WaitTimeout bounds WaitUpdate round trips (default OpTimeout). A
-	// WaitUpdate is expected to park, so give it the longer budget.
-	WaitTimeout time.Duration
 	// MaxAttempts bounds tries per logical operation, dial included
 	// (default 10).
 	MaxAttempts int
@@ -68,6 +65,12 @@ type SupervisedConfig struct {
 	// ClientID keys the server-side push dedup. 0 draws a process-local
 	// unique ID; multi-process jobs must set it (rank+1).
 	ClientID uint64
+	// Metrics, when set, receives the recovery counters
+	// (smb_supervised_*; instrument.go).
+	Metrics *telemetry.Registry
+	// Trace negotiates the trace extension on every connection, reconnects
+	// included; against an old server the client silently runs untraced.
+	Trace bool
 }
 
 // SupervisedStats snapshots a client's recovery counters.
@@ -80,8 +83,7 @@ type SupervisedStats struct {
 }
 
 // SupervisedClient wraps the SMB wire protocol with reconnect-and-retry
-// supervision. It implements Client, Notifier, Snapshotter and
-// TraceCarrier. Like StreamClient it is safe for concurrent use, with
+// supervision. Like StreamClient it is safe for concurrent use, with
 // operations serialized on one connection.
 type SupervisedClient struct {
 	cfg SupervisedConfig
@@ -101,11 +103,9 @@ type SupervisedClient struct {
 	closed    bool // guarded by mu
 	connected bool // guarded by mu; a connection has succeeded at least once
 
-	// wantTrace makes every (re)connection negotiate the trace extension;
 	// tc is the caller's current trace context, re-stamped onto each fresh
-	// connection so propagation survives reconnects. Both guarded by mu.
-	wantTrace bool
-	tc        TraceContext
+	// connection so propagation survives reconnects.
+	tc TraceContext // guarded by mu
 
 	reconnects atomic.Int64
 	retries    atomic.Int64
@@ -113,11 +113,10 @@ type SupervisedClient struct {
 	dupAcks    atomic.Int64
 	pushes     atomic.Int64
 
-	inst *supervisedInstruments // set before use; nil = uninstrumented
+	inst *supervisedInstruments // immutable after construction; nil = uninstrumented
 }
 
 var _ Client = (*SupervisedClient)(nil)
-var _ Notifier = (*SupervisedClient)(nil)
 
 // NewSupervisedClient returns a supervised client. The first connection is
 // established lazily, so constructing one against a down server succeeds —
@@ -126,14 +125,7 @@ func NewSupervisedClient(cfg SupervisedConfig) *SupervisedClient {
 	if cfg.Dial == nil {
 		cfg.Dial = Dial
 	}
-	if cfg.OpTimeout == 0 {
-		cfg.OpTimeout = 10 * time.Second
-	} else if cfg.OpTimeout < 0 {
-		cfg.OpTimeout = 0
-	}
-	if cfg.WaitTimeout <= 0 {
-		cfg.WaitTimeout = cfg.OpTimeout
-	}
+	cfg.OpTimeout = opTimeoutOrDefault(cfg.OpTimeout)
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 10
 	}
@@ -146,12 +138,30 @@ func NewSupervisedClient(cfg SupervisedConfig) *SupervisedClient {
 	if cfg.ClientID == 0 {
 		cfg.ClientID = supervisedClientIDs.Add(1)
 	}
-	return &SupervisedClient{
+	c := &SupervisedClient{
 		cfg:    cfg,
 		keys:   make(map[Handle]SHMKey),
 		remote: make(map[Handle]Handle),
 		rng:    cfg.Seed ^ cfg.ClientID,
 	}
+	if cfg.Metrics != nil {
+		c.inst = newSupervisedInstruments(cfg.Metrics, &c.pushes)
+	}
+	return c
+}
+
+// opTimeoutOrDefault resolves a configured per-op budget: 0 → 10s, < 0 → no
+// deadline. Every dial path shares it, so DialAuto's negotiation probe can
+// never hang forever where the client it negotiates for would have timed
+// out.
+func opTimeoutOrDefault(d time.Duration) time.Duration {
+	switch {
+	case d == 0:
+		return 10 * time.Second
+	case d < 0:
+		return 0
+	}
+	return d
 }
 
 // ClientID returns the dedup identity pushes are stamped with.
@@ -199,8 +209,8 @@ func (c *SupervisedClient) ensureLocked() (*StreamClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("smb supervised dial: %w", err)
 	}
-	sc.SetTimeouts(c.cfg.OpTimeout, c.cfg.WaitTimeout)
-	if c.wantTrace {
+	sc.SetTimeouts(c.cfg.OpTimeout)
+	if c.cfg.Trace {
 		// Re-negotiate on every fresh connection — the grant is per-conn
 		// state on the server. A transport failure here counts as a failed
 		// dial; an old server just leaves the connection untraced.
@@ -229,25 +239,18 @@ func (c *SupervisedClient) ensureLocked() (*StreamClient, error) {
 	return sc, nil
 }
 
-// EnableTrace makes the client negotiate the trace extension on every
-// connection, including reconnects. Against an old server it degrades
-// silently to untraced. Call before traffic (it also upgrades a live
-// connection in place).
-func (c *SupervisedClient) EnableTrace() {
+// connect establishes the first connection now, single-shot: a dialer
+// that must fail fast on an unreachable or unwilling server (DialShmConfig)
+// calls it instead of letting the first verb pay the retry schedule.
+func (c *SupervisedClient) connect() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wantTrace = true
-	if c.conn != nil {
-		if _, err := c.conn.NegotiateTrace(); err != nil {
-			c.dropLocked() // transport failure: the next verb redials
-			return
-		}
-		c.conn.SetTraceContext(c.tc)
-	}
+	_, err := c.ensureLocked()
+	return err
 }
 
-// SetTraceContext implements TraceCarrier. The context survives reconnects:
-// every fresh connection is re-stamped with it.
+// SetTraceContext implements Client. The context survives reconnects: every
+// fresh connection is re-stamped with it.
 func (c *SupervisedClient) SetTraceContext(tc TraceContext) {
 	c.mu.Lock()
 	c.tc = tc
@@ -257,7 +260,7 @@ func (c *SupervisedClient) SetTraceContext(tc TraceContext) {
 	c.mu.Unlock()
 }
 
-// ClearTraceContext implements TraceCarrier.
+// ClearTraceContext implements Client.
 func (c *SupervisedClient) ClearTraceContext() {
 	c.mu.Lock()
 	c.tc = TraceContext{}
@@ -266,8 +269,6 @@ func (c *SupervisedClient) ClearTraceContext() {
 	}
 	c.mu.Unlock()
 }
-
-var _ TraceCarrier = (*SupervisedClient)(nil)
 
 // dropLocked discards the connection after a transport failure.
 func (c *SupervisedClient) dropLocked() {
@@ -278,9 +279,7 @@ func (c *SupervisedClient) dropLocked() {
 }
 
 // retryable reports whether err warrants a reconnect-and-retry.
-func retryable(err error) bool {
-	return errors.Is(err, ErrTransport) || errors.Is(err, ErrWaitCanceled)
-}
+func retryable(err error) bool { return errors.Is(err, ErrTransport) }
 
 // backoffLocked sleeps the attempt-th reconnect delay (half-jittered
 // exponential: d/2 + uniform(0, d/2]). Caller holds c.mu — deliberately, so
@@ -358,8 +357,23 @@ func (c *SupervisedClient) resolveLocked(sc *StreamClient, h Handle) (Handle, er
 	if err != nil {
 		return 0, err
 	}
-	c.remote[h] = rh
+	c.remote[h] = rh //lint:ignore hotalloc re-attach runs once per handle per reconnect; steady state hits the cache lookup above
 	return rh, nil
+}
+
+// withHandle runs op under the retry schedule with h resolved to the live
+// connection's handle — the shape of every handle-bearing verb, here and in
+// the shm overlay (shmclient.go).
+func (c *SupervisedClient) withHandle(verb string, h Handle, op func(sc *StreamClient, rh Handle) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.withRetry(verb, func(sc *StreamClient) error {
+		rh, err := c.resolveLocked(sc, h)
+		if err != nil {
+			return err
+		}
+		return op(sc, rh)
+	})
 }
 
 // publishLocked mints a public handle for key.
@@ -425,7 +439,12 @@ func (c *SupervisedClient) Attach(key SHMKey) (Handle, error) {
 
 // Detach implements Client. The local mapping always goes; the server-side
 // detach is best-effort (a dead connection already detached it).
-func (c *SupervisedClient) Detach(h Handle) error {
+func (c *SupervisedClient) Detach(h Handle) error { return c.detach(h, nil) }
+
+// detach is Detach with an optional verb to run first against the live
+// connection's handle, on the same best-effort single-shot terms (the shm
+// overlay retires its mapping's server-side accounting with it).
+func (c *SupervisedClient) detach(h Handle, pre func(sc *StreamClient, rh Handle) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.keys[h]; !ok {
@@ -434,10 +453,20 @@ func (c *SupervisedClient) Detach(h Handle) error {
 	rh, attached := c.remote[h]
 	delete(c.keys, h)
 	delete(c.remote, h)
-	if attached && c.conn != nil {
-		if err := c.conn.Detach(rh); err != nil && !retryable(err) {
+	if !attached || c.conn == nil {
+		return nil
+	}
+	if pre != nil {
+		if err := pre(c.conn, rh); retryable(err) {
+			c.dropLocked()
+			return nil
+		}
+	}
+	if err := c.conn.Detach(rh); err != nil {
+		if !retryable(err) {
 			return err
 		}
+		c.dropLocked()
 	}
 	return nil
 }
@@ -461,26 +490,14 @@ func (c *SupervisedClient) Free(key SHMKey) error {
 
 // Read implements Client (idempotent; retried).
 func (c *SupervisedClient) Read(h Handle, off int, dst []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.withRetry("read", func(sc *StreamClient) error {
-		rh, err := c.resolveLocked(sc, h)
-		if err != nil {
-			return err
-		}
+	return c.withHandle("read", h, func(sc *StreamClient, rh Handle) error {
 		return sc.Read(rh, off, dst)
 	})
 }
 
 // Write implements Client (idempotent — same bytes, same range; retried).
 func (c *SupervisedClient) Write(h Handle, off int, src []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.withRetry("write", func(sc *StreamClient) error {
-		rh, err := c.resolveLocked(sc, h)
-		if err != nil {
-			return err
-		}
+	return c.withHandle("write", h, func(sc *StreamClient, rh Handle) error {
 		return sc.Write(rh, off, src)
 	})
 }
@@ -500,6 +517,7 @@ func (c *SupervisedClient) Accumulate(dst, src Handle) error {
 func (c *SupervisedClient) seqAccumulateLocked(dst, src Handle) error {
 	c.seq++
 	seq := c.seq
+	//lint:ignore hotalloc wire path: one closure per round trip, reached from the shm hot path only when a handle is not mapped
 	err := c.withRetry("accumulate", func(sc *StreamClient) error {
 		rdst, err := c.resolveLocked(sc, dst)
 		if err != nil {
@@ -535,6 +553,7 @@ func (c *SupervisedClient) seqAccumulateLocked(dst, src Handle) error {
 func (c *SupervisedClient) WriteAccumulate(dst, src Handle, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	//lint:ignore hotalloc wire path: one closure per round trip, reached from the shm hot path only when a handle is not mapped
 	err := c.withRetry("write-accumulate stage", func(sc *StreamClient) error {
 		rsrc, err := c.resolveLocked(sc, src)
 		if err != nil {
@@ -546,43 +565,4 @@ func (c *SupervisedClient) WriteAccumulate(dst, src Handle, data []byte) error {
 		return err
 	}
 	return c.seqAccumulateLocked(dst, src)
-}
-
-// Version implements Notifier (read-only; retried).
-func (c *SupervisedClient) Version(h Handle) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var v uint64
-	err := c.withRetry("version", func(sc *StreamClient) error {
-		rh, err := c.resolveLocked(sc, h)
-		if err != nil {
-			return err
-		}
-		vv, err := sc.Version(rh)
-		v = vv
-		return err
-	})
-	return v, err
-}
-
-// WaitUpdate implements Notifier. A wait interrupted by a server shutdown
-// (ErrWaitCanceled) or a broken connection resumes on the fresh connection
-// with the same since — versions are monotonic per segment lifetime, so the
-// resumed wait can only be satisfied by the same-or-later update. Note a
-// WaitTimeout shorter than the real update cadence turns this into a
-// polling loop; budget it generously.
-func (c *SupervisedClient) WaitUpdate(h Handle, since uint64) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var v uint64
-	err := c.withRetry("wait-update", func(sc *StreamClient) error {
-		rh, err := c.resolveLocked(sc, h)
-		if err != nil {
-			return err
-		}
-		vv, err := sc.WaitUpdate(rh, since)
-		v = vv
-		return err
-	})
-	return v, err
 }

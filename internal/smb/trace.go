@@ -14,9 +14,9 @@ import (
 //	[4B len] [1B opcode|0x80] [8B traceID] [8B spanID] [4B rank] [4B iter] [payload]
 //
 // The server strips the header before dispatch and records its own spans
-// (dispatch, accumulate apply, waits) as children of the
-// client's span, so a merged Chrome trace shows the causal chain
-// worker push → server apply across processes.
+// (dispatch, accumulate apply) as children of the client's span, so a
+// merged Chrome trace shows the causal chain worker push → server apply
+// across processes.
 //
 // Backward compatibility is by negotiation, not by guessing: a client only
 // sets the flag after an opHello exchange in which the server granted the
@@ -53,15 +53,6 @@ type TraceContext struct {
 	SpanID  uint64
 	Rank    uint32
 	Iter    uint32
-}
-
-// TraceCarrier is implemented by clients that can stamp outgoing requests
-// with a trace context (StreamClient, SupervisedClient). Callers set the
-// context before an operation and clear it after; an empty context (zero
-// TraceID) disables stamping.
-type TraceCarrier interface {
-	SetTraceContext(tc TraceContext)
-	ClearTraceContext()
 }
 
 // writeFrameTracedInto is writeFrameInto plus the trace extension header:
@@ -115,22 +106,20 @@ func (c *StreamClient) NegotiateTrace() (bool, error) {
 	return c.traceOK, nil
 }
 
-// SetTraceContext implements TraceCarrier: while tc is nonzero (and the
-// server granted the feature), every request is stamped with it.
+// SetTraceContext implements Client: while tc is nonzero (and the server
+// granted the feature), every request is stamped with it.
 func (c *StreamClient) SetTraceContext(tc TraceContext) {
 	c.mu.Lock()
 	c.tc = tc
 	c.mu.Unlock()
 }
 
-// ClearTraceContext implements TraceCarrier.
+// ClearTraceContext implements Client.
 func (c *StreamClient) ClearTraceContext() {
 	c.mu.Lock()
 	c.tc = TraceContext{}
 	c.mu.Unlock()
 }
-
-var _ TraceCarrier = (*StreamClient)(nil)
 
 // parseTraceExt splits a flagged request body into its trace context and
 // the real payload. An undersized header is a framing error: the server

@@ -110,7 +110,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.ClearTraceContext()
-	if _, err := c.Version(dst); err != nil {
+	if _, err := c.Lookup("wg"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,7 +147,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The Version call after ClearTraceContext must not carry the trace.
+	// The Lookup after ClearTraceContext must not carry the trace.
 	var stray int
 	for _, ev := range tr.Events() {
 		if ev.Ph == "X" && ev.Args["trace_id"] == "" {
@@ -337,9 +337,8 @@ func TestSupervisedTracePropagation(t *testing.T) {
 	tr := telemetry.NewTracer(1024)
 	srv.SetTracer(tr)
 
-	c := NewSupervisedClient(SupervisedConfig{Addr: srv.Addr(), ClientID: 7})
+	c := NewSupervisedClient(SupervisedConfig{Addr: srv.Addr(), ClientID: 7, Trace: true})
 	defer c.Close()
-	c.EnableTrace()
 	key, err := c.Create("wg", 32)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"shmcaffe/internal/telemetry"
 )
 
 // Pluggable transports (DESIGN.md §16): the TCP frame protocol and the
@@ -20,12 +22,16 @@ type DialOptions struct {
 	Addr string
 	// OpTimeout bounds each operation (0 = transport default).
 	OpTimeout time.Duration
-	// WaitTimeout bounds WaitUpdate (0 = OpTimeout).
-	WaitTimeout time.Duration
 	// ClientID keys push dedup (0 = auto; multi-process jobs set rank+1).
 	ClientID uint64
 	// Seed drives retry jitter where the transport supervises reconnects.
 	Seed uint64
+	// Metrics, when set, receives the dialed client's own counters. Metric
+	// names are per-registry unique: hand one registry to one client.
+	Metrics *telemetry.Registry
+	// Trace asks the client to negotiate wire-level trace propagation, so
+	// contexts set with SetTraceContext reach a tracing server.
+	Trace bool
 }
 
 // TransportDialer dials one transport.
@@ -68,12 +74,24 @@ func TransportNames() []string {
 
 func dialSupervised(opts DialOptions) (Client, error) {
 	return NewSupervisedClient(SupervisedConfig{
-		Addr:        opts.Addr,
-		OpTimeout:   opts.OpTimeout,
-		WaitTimeout: opts.WaitTimeout,
-		Seed:        opts.Seed,
-		ClientID:    opts.ClientID,
+		Addr:      opts.Addr,
+		OpTimeout: opts.OpTimeout,
+		Seed:      opts.Seed,
+		ClientID:  opts.ClientID,
+		Metrics:   opts.Metrics,
+		Trace:     opts.Trace,
 	}), nil
+}
+
+// dialShm dials the unix control socket advertised at path with opts.
+func dialShm(path string, opts DialOptions) (*ShmClient, error) {
+	return DialShmConfig(ShmConfig{
+		Path:      path,
+		OpTimeout: opts.OpTimeout,
+		ClientID:  opts.ClientID,
+		Metrics:   opts.Metrics,
+		Trace:     opts.Trace,
+	})
 }
 
 func init() {
@@ -84,12 +102,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return DialShmConfig(ShmConfig{
-			Path:        path,
-			OpTimeout:   opts.OpTimeout,
-			WaitTimeout: opts.WaitTimeout,
-			ClientID:    opts.ClientID,
-		})
+		return dialShm(path, opts)
 	})
 	RegisterTransport("auto", func(opts DialOptions) (Client, error) {
 		c, _, err := DialAuto(opts)
@@ -112,11 +125,7 @@ func negotiateShm(opts DialOptions) (string, error) {
 		return "", err
 	}
 	defer sc.Close()
-	// Same defaulting as DialShmConfig (0 → 10s, <0 → none): a default-
-	// options DialAuto must not hang forever in ShmQuery against an
-	// unresponsive server.
-	opT, waitT := shmTimeouts(opts.OpTimeout, opts.WaitTimeout)
-	sc.SetTimeouts(opT, waitT)
+	sc.SetTimeouts(opTimeoutOrDefault(opts.OpTimeout))
 	flags, serverBoot, path, err := sc.ShmQuery()
 	if err != nil {
 		return "", err
@@ -136,12 +145,7 @@ func negotiateShm(opts DialOptions) (string, error) {
 // "tcp") so callers can log the decision.
 func DialAuto(opts DialOptions) (Client, string, error) {
 	if path, err := negotiateShm(opts); err == nil {
-		c, err := DialShmConfig(ShmConfig{
-			Path:        path,
-			OpTimeout:   opts.OpTimeout,
-			WaitTimeout: opts.WaitTimeout,
-			ClientID:    opts.ClientID,
-		})
+		c, err := dialShm(path, opts)
 		if err == nil {
 			return c, "shm", nil
 		}

@@ -27,10 +27,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/wire_requ
 
 const goldenPath = "testdata/wire_requests.golden"
 
-// retiredOpcodes are the opcode bytes of the deleted chunk pipeline (its
-// chunk and end frames). They stay unassigned: a server must reject them
-// like any unknown opcode.
-var retiredOpcodes = map[byte]bool{11: true, 12: true}
+// retiredOpcodes are the opcode bytes of deleted verbs: the version watch
+// (9 version, 10 wait-update) and the chunk pipeline (11 chunk, 12 end).
+// They stay unassigned: a server must reject them like any unknown opcode.
+var retiredOpcodes = map[byte]bool{9: true, 10: true, 11: true, 12: true}
 
 // recordingProxy forwards TCP connections to target and records the
 // client→server byte stream of each, in accept order.
@@ -345,9 +345,9 @@ func clip(b []byte) []byte {
 	return b
 }
 
-// TestRetiredOpcodesRejected: the chunk-pipeline opcodes are gone; a peer
-// that still sends them gets the ordinary unknown-opcode error reply — a
-// correctly framed one, so the connection stays usable.
+// TestRetiredOpcodesRejected: the version-watch and chunk-pipeline opcodes
+// are gone; a peer that still sends them gets the ordinary unknown-opcode
+// error reply — a correctly framed one, so the connection stays usable.
 func TestRetiredOpcodesRejected(t *testing.T) {
 	srv := startServer(t)
 	c := dialT(t, srv)

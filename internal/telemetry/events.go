@@ -48,8 +48,6 @@ const (
 	EvChaosRestart
 	// EvFaultInjected: the fault injector fired. a=fault kind (0 drop, 1 delay, 2 partial).
 	EvFaultInjected
-	// EvWaitCanceled: a parked WaitUpdate was canceled server-side.
-	EvWaitCanceled
 	// EvCrashDump: the recorder itself was dumped on a fatal signal. a=signal number.
 	EvCrashDump
 	// EvShmMap: a segment fd was passed to a mapping client. a=shm key b=mapped bytes.
@@ -64,7 +62,7 @@ const (
 var eventNames = [NumEventKinds]string{
 	"none", "reconnect", "deadline_fired", "retries_exhausted",
 	"conn_error", "worker_dead", "re_election", "group_shrink",
-	"chaos_crash", "chaos_restart", "fault_injected", "wait_canceled",
+	"chaos_crash", "chaos_restart", "fault_injected",
 	"crash_dump", "shm_map", "shm_lease_reaped",
 }
 
@@ -80,7 +78,6 @@ var eventArgNames = [NumEventKinds][3]string{
 	EvChaosCrash:       {"crashes", "", ""},
 	EvChaosRestart:     {"crashes", "", ""},
 	EvFaultInjected:    {"fault", "", ""},
-	EvWaitCanceled:     {"", "", ""},
 	EvCrashDump:        {"signal", "", ""},
 	EvShmMap:           {"key", "bytes", ""},
 	EvShmLeaseReaped:   {"lease", "locks", ""},

@@ -40,11 +40,9 @@ const (
 	PhaseSrvDispatch
 	// PhaseSrvAcc is the server-side accumulate apply (Wg += ΔWx, Eq. 7).
 	PhaseSrvAcc
-	// PhaseSrvWait is a WaitUpdate parked on the server's version table.
-	PhaseSrvWait
 
 	// NumPhases is the number of named phases.
-	NumPhases = int(PhaseSrvWait) + 1
+	NumPhases = int(PhaseSrvAcc) + 1
 )
 
 // phaseNames must match the paper's Fig. 6 labels: these exact strings
@@ -52,7 +50,7 @@ const (
 // benchtables -trace breakdown.
 var phaseNames = [NumPhases]string{
 	"T1", "T2", "T4+T5", "T.A1", "T.A2", "T.A3", "T.A4", "T.A5",
-	"srv.dispatch", "srv.acc", "srv.wait",
+	"srv.dispatch", "srv.acc",
 }
 
 // String returns the Fig. 6 label.

@@ -2,9 +2,9 @@
 # check.sh — the repo's verification gate, in two tiers.
 #
 #   Tier 1 (correctness): build + full test suite + shmlint against the
-#   committed baseline (.shmlint-baseline.json — only NEW findings fail).
-#   Must always pass; CI and the growth driver treat a tier-1 failure as
-#   a broken tree.
+#   committed baseline (.shmlint-baseline.json — only NEW findings fail)
+#   + the no-capability-probe grep. Must always pass; CI and the growth
+#   driver treat a tier-1 failure as a broken tree.
 #
 #   Tier 2 (analysis): go vet, the -race stress suite over the
 #   concurrency core, and a short deterministic smoke run of every fuzz
@@ -41,6 +41,13 @@ tier1() {
 	(cd benchmark && go test ./...)
 	echo "== tier 1: shmlint (baseline-aware) =="
 	go run ./cmd/shmlint -baseline .shmlint-baseline.json ./...
+	echo "== tier 1: no capability probing of smb clients =="
+	# smb.Client is the whole verb set: callers type-assert neither to an smb
+	# type nor to an anonymous interface to find out what a client can do.
+	if grep -rnE '\.\((smb\.|interface ?\{)' --include='*.go' cmd internal/core internal/platform | grep -v _test.go; then
+		echo "capability probe found (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
@@ -151,7 +158,7 @@ clean_smoke() {
 # server logs the restart, both workers reconnect and run to completion.
 fault_smoke() {
 	go test -run 'TestFaultyTrainingRunAcceptance|TestMasterCrashSurvivorsReElect|TestHybridGroupShrinksPastFailedMember' -count=1 ./internal/core
-	go test -run 'TestSupervisedExactlyOnceUnderDrops|TestSupervisedReconnectAcrossRestart|TestWaitUpdateServerDiesMidWait' -count=1 ./internal/smb
+	go test -run 'TestSupervisedExactlyOnceUnderDrops|TestSupervisedReconnectAcrossRestart' -count=1 ./internal/smb
 
 	tmpdir2="$(mktemp -d)"
 	trap 'clean_smoke' EXIT
