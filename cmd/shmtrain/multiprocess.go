@@ -10,7 +10,6 @@ import (
 	"shmcaffe/internal/core"
 	"shmcaffe/internal/dataset"
 	"shmcaffe/internal/nn"
-	"shmcaffe/internal/rds"
 	"shmcaffe/internal/smb"
 	"shmcaffe/internal/telemetry"
 	"shmcaffe/internal/tensor"
@@ -40,11 +39,11 @@ type singleWorkerOpts struct {
 // Every participating process must use identical -seed/-classes/-per-class
 // so they regenerate the same corpus and shard it disjointly.
 func runSingleWorker(out io.Writer, o singleWorkerOpts) error {
-	client, cleanup, negotiated, err := dialSMB(o)
+	client, negotiated, err := dialSMB(o)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer client.Close()
 
 	full, err := dataset.NewGaussian(dataset.GaussianConfig{
 		Classes: o.classes, PerClass: o.perClass, Shape: []int{8},
@@ -135,13 +134,12 @@ func runSingleWorker(out io.Writer, o singleWorkerOpts) error {
 }
 
 // dialSMB opens one SMB connection over the selected transport and reports
-// what was actually negotiated. The TCP paths get the fault-tolerant
-// supervised client: per-op deadlines plus reconnect with sequence-stamped
-// pushes, keyed by rank so the server-side dedup table distinguishes
-// processes. "shm" maps segments of a co-located server, "auto" negotiates
-// shm and falls back to tcp. RDS stays a bare stream client — its endpoint
-// cannot be re-dialed without tearing down the local socket.
-func dialSMB(o singleWorkerOpts) (smb.Client, func(), string, error) {
+// what was actually negotiated. Every wire transport in the registry is the
+// fault-tolerant supervised session: per-op deadlines plus reconnect with
+// sequence-stamped pushes, keyed by rank so the server-side dedup table
+// distinguishes processes. "shm" maps segments of a co-located server,
+// "auto" negotiates shm and falls back to tcp.
+func dialSMB(o singleWorkerOpts) (smb.Client, string, error) {
 	opts := smb.DialOptions{
 		Addr:      o.smbAddr,
 		OpTimeout: o.opTimeout,
@@ -153,54 +151,23 @@ func dialSMB(o singleWorkerOpts) (smb.Client, func(), string, error) {
 		// nothing changes.
 		Trace: o.tel != nil,
 	}
-	probe := func(c smb.Client) error {
-		// Supervised clients dial lazily; probe now so a bad address fails
-		// here instead of deep inside the bootstrap key exchange.
-		if _, err := c.Lookup("\x00reachability-probe"); err != nil && !errors.Is(err, smb.ErrUnknownSegment) {
-			c.Close()
-			return err
-		}
-		return nil
+	var c smb.Client
+	var err error
+	name := o.transport
+	if name == "auto" {
+		c, name, err = smb.DialAuto(opts)
+		name += ", auto-negotiated"
+	} else {
+		c, err = smb.DialTransport(name, opts)
 	}
-	switch o.transport {
-	case "", "tcp", "tcp_sg", "shm":
-		name := o.transport
-		if name == "" {
-			name = "tcp"
-		}
-		c, err := smb.DialTransport(name, opts)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if err := probe(c); err != nil {
-			return nil, nil, "", err
-		}
-		return c, func() { c.Close() }, name, nil
-	case "auto":
-		c, name, err := smb.DialAuto(opts)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if err := probe(c); err != nil {
-			return nil, nil, "", err
-		}
-		return c, func() { c.Close() }, name + ", auto-negotiated", nil
-	case "rds":
-		ep, err := rds.ListenUDP("127.0.0.1:0")
-		if err != nil {
-			return nil, nil, "", err
-		}
-		conn, err := ep.Dial(o.smbAddr)
-		if err != nil {
-			ep.Close()
-			return nil, nil, "", err
-		}
-		c := smb.NewStreamClient(conn)
-		if o.reg != nil {
-			c.Instrument(o.reg)
-		}
-		return c, func() { c.Close(); ep.Close() }, "rds", nil
-	default:
-		return nil, nil, "", fmt.Errorf("unknown SMB transport %q", o.transport)
+	if err != nil {
+		return nil, "", err
 	}
+	// Supervised clients dial lazily; probe now so a bad address fails
+	// here instead of deep inside the bootstrap key exchange.
+	if _, err := c.Lookup("\x00reachability-probe"); err != nil && !errors.Is(err, smb.ErrUnknownSegment) {
+		c.Close()
+		return nil, "", err
+	}
+	return c, name, nil
 }

@@ -110,9 +110,9 @@ func SetupBuffersPolling(client smb.Client, job string, rank, n, elems int, init
 	if err := smb.WriteInt64(client, boot, rank, 1); err != nil {
 		return nil, err
 	}
+	flags := make([]int64, n)
 	for {
-		flags, err := smb.ReadInt64Slots(client, boot, n)
-		if err != nil {
+		if err := smb.ReadInt64SlotsAt(client, boot, 0, flags); err != nil {
 			return nil, err
 		}
 		allReady := true

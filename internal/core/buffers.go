@@ -235,7 +235,11 @@ func (b *JobBuffers) ReportProgress(iter int64) error {
 
 // Progress reads every worker's published iteration count.
 func (b *JobBuffers) Progress() ([]int64, error) {
-	return smb.ReadInt64Slots(b.client, b.control, b.n)
+	out := make([]int64, b.n)
+	if err := b.ProgressInto(out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ProgressInto reads every worker's published iteration count into out
@@ -245,7 +249,7 @@ func (b *JobBuffers) ProgressInto(out []int64) error {
 	if len(out) != b.n {
 		return fmt.Errorf("progress into %d slots, want %d: %w", len(out), b.n, ErrConfig)
 	}
-	return smb.ReadInt64SlotsInto(b.client, b.control, out)
+	return smb.ReadInt64SlotsAt(b.client, b.control, 0, out)
 }
 
 // Beat publishes this worker's heartbeat — any value strictly greater than
@@ -273,7 +277,7 @@ func (b *JobBuffers) HeartbeatsInto(out []int64) error {
 	if len(out) != b.n {
 		return fmt.Errorf("heartbeats into %d slots, want %d: %w", len(out), b.n, ErrConfig)
 	}
-	return smb.ReadInt64SlotsAtInto(b.client, b.control, b.n+1, out)
+	return smb.ReadInt64SlotsAt(b.client, b.control, b.n+1, out)
 }
 
 // ClocksInto reads every worker's wall-clock slot (UnixNano as of its last
@@ -282,7 +286,7 @@ func (b *JobBuffers) ClocksInto(out []int64) error {
 	if len(out) != b.n {
 		return fmt.Errorf("clocks into %d slots, want %d: %w", len(out), b.n, ErrConfig)
 	}
-	return smb.ReadInt64SlotsAtInto(b.client, b.control, 2*b.n+1, out)
+	return smb.ReadInt64SlotsAt(b.client, b.control, 2*b.n+1, out)
 }
 
 // SignalStop raises the shared stop flag; every worker observes it at its

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,6 +55,41 @@ func hasRank(ranks []int, want int) bool {
 		}
 	}
 	return false
+}
+
+// holdUntilDead returns a survivor Hook that parks iteration 0 until rank
+// dead's tombstone is in the heartbeat table, and iteration 1 until all
+// survivors have got that far — i.e. until each has run one termination
+// check with the tombstone visible. Without it a starved crasher can die
+// after the survivors reach their target, and the first survivor to notice
+// raises the stop flag before the others ever look (checkTermination reads
+// the flag ahead of the heartbeats), leaving them with an empty DeadPeers.
+func holdUntilDead(dead, survivors int) func(w *Worker, iter int) error {
+	var checked atomic.Int32
+	poll := func(done func() (bool, error)) error {
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			if ok, err := done(); ok || err != nil {
+				return err
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("rank %d never reported dead", dead)
+			}
+		}
+	}
+	return func(w *Worker, iter int) error {
+		switch iter {
+		case 0:
+			beats := make([]int64, w.Buffers().WorldSize())
+			return poll(func() (bool, error) {
+				err := w.Buffers().HeartbeatsInto(beats)
+				return beats[dead] == DeadTombstone, err
+			})
+		case 1:
+			checked.Add(1)
+			return poll(func() (bool, error) { return int(checked.Load()) == survivors, nil })
+		}
+		return nil
+	}
 }
 
 // TestLivenessTrackerStaleness drives the tracker with a fake clock:
@@ -147,11 +183,14 @@ func TestShouldStopAlive(t *testing.T) {
 // never reaches it). With liveness the survivors re-elect the lowest live
 // rank as the reference and terminate on schedule.
 func TestMasterCrashSurvivorsReElect(t *testing.T) {
+	const maxIters = 30
 	job := newTestJob(t, 3, 17)
+	hold := holdUntilDead(0, 2)
 	stats, errs := runWorkersAllowFail(t, job, func(rank int, cfg *WorkerConfig) {
 		cfg.Termination = StopOnMaster
-		cfg.MaxIterations = 30
+		cfg.MaxIterations = maxIters
 		cfg.LivenessTimeout = 10 * time.Second // tombstone path only: deterministic
+		cfg.Hook = hold
 		if rank == 0 {
 			cfg.Hook = func(w *Worker, iter int) error {
 				if iter >= 2 {
@@ -168,9 +207,11 @@ func TestMasterCrashSurvivorsReElect(t *testing.T) {
 		if errs[r] != nil {
 			t.Fatalf("survivor %d failed: %v", r, errs[r])
 		}
-		// Well below the hard cap (MaxIterations*100): the survivors did
-		// not spin waiting for a master that will never finish.
-		if stats[r].Iterations >= 100 {
+		// Below the hard cap (MaxIterations*100): the survivors did not spin
+		// waiting for a master that will never finish. How far below is the
+		// scheduler's business — survivor 2 runs until survivor 1, the
+		// re-elected reference, gets the CPU time for its 30.
+		if stats[r].Iterations >= maxIters*100 {
 			t.Fatalf("survivor %d ran %d iterations — termination never re-aligned", r, stats[r].Iterations)
 		}
 		if !hasRank(stats[r].DeadPeers, 0) {

@@ -15,7 +15,7 @@ import (
 // server.go, so clients get "unknown opcode" from a server that claims to
 // speak the version. Coverage is the union over all switches in the
 // package, because dispatch chains are split across handlers
-// (dispatchOp → dispatchShm → dispatchSnap).
+// (serve → serveShm → serveSnap).
 var OpcodeExhaustive = &Analyzer{
 	Name: "opcode",
 	Doc:  "every constant of a locally-declared switched-on type needs a dispatch case",

@@ -562,8 +562,9 @@ func (s *summarizer) isAssigned(expr ast.Expr) bool {
 }
 
 // constRole classifies a constant reference: a case label is dispatch, a
-// call argument (looking through conversions like byte(opX)) is encode,
-// anything else — comparisons, assignments — is other.
+// call argument (looking through conversions like byte(opX) and struct
+// literals like call{op: opX}) is encode, anything else — comparisons,
+// assignments — is other.
 func (s *summarizer) constRole(id *ast.Ident) int {
 	pos := id.Pos()
 	for i := len(s.stack) - 1; i >= 0; i-- {

@@ -71,12 +71,18 @@ func send(op opcode, payload []byte) {
 	_ = payload
 }
 
+// call is the request-by-value shape: an opcode named as a field of a
+// struct literal passed to a call is encoded just like a bare argument.
+type call struct{ op opcode }
+
+func do(c call) { _ = c }
+
 func client() {
 	send(opPing, nil)
 	send(opStore, nil)
 	send(opDrop, nil)
 	send(opAlias, nil)
 	send(opFetch, nil)
-	send(opFlush, nil)
-	send(opHello, nil)
+	do(call{op: opFlush})
+	do(call{op: opHello})
 }

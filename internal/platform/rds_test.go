@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"testing"
 
 	"shmcaffe/internal/rds"
@@ -50,7 +51,22 @@ func TestUnknownSMBTransport(t *testing.T) {
 	cfg := testConfig(t, 2, 42)
 	cfg.SMBAddr = "127.0.0.1:1"
 	cfg.SMBTransport = "carrier-pigeon"
-	if _, err := (ShmCaffeA{}).Train(cfg); err == nil {
-		t.Fatal("expected error for unknown transport")
+	if _, err := (ShmCaffeA{}).Train(cfg); !errors.Is(err, ErrConfig) {
+		t.Fatalf("unknown transport: err = %v, want ErrConfig", err)
+	}
+}
+
+// TestShmCaffeAUnreachableRDS: a bad address must fail before any MPI
+// collective starts, on the rds session as on the tcp one — not strand the
+// other ranks in a broadcast rank 0 never joins. An unreachable server is a
+// transport fault, not a configuration error. Slow by construction: the
+// supervised session spends its ten dial attempts, 2 s of handshake each.
+func TestShmCaffeAUnreachableRDS(t *testing.T) {
+	cfg := testConfig(t, 2, 43)
+	cfg.SMBAddr = "127.0.0.1:1" // nothing listens here
+	cfg.SMBTransport = "rds"
+	_, err := (ShmCaffeA{}).Train(cfg)
+	if !errors.Is(err, smb.ErrTransport) || errors.Is(err, ErrConfig) {
+		t.Fatalf("unreachable rds server: err = %v, want ErrTransport and not ErrConfig", err)
 	}
 }

@@ -3,14 +3,12 @@ package platform
 import (
 	"errors"
 	"fmt"
-	"io"
+	"slices"
 	"sync"
-	"time"
 
 	"shmcaffe/internal/core"
 	"shmcaffe/internal/dataset"
 	"shmcaffe/internal/mpi"
-	"shmcaffe/internal/rds"
 	"shmcaffe/internal/smb"
 	"shmcaffe/internal/tensor"
 )
@@ -230,7 +228,7 @@ func (ShmCaffeH) Train(cfg Config) (*Result, error) {
 
 // smbClients builds one SMB client per participant: local clients on a
 // fresh in-process store by default, or per-worker connections to
-// cfg.SMBAddr over TCP or the RDS datagram transport.
+// cfg.SMBAddr over the transport cfg.SMBTransport names in smb's registry.
 func smbClients(cfg *Config, n int) (clients []smb.Client, closeAll func(), err error) {
 	clients = make([]smb.Client, n)
 	if cfg.SMBAddr == "" {
@@ -243,89 +241,58 @@ func smbClients(cfg *Config, n int) (clients []smb.Client, closeAll func(), err 
 		}
 		return clients, func() {}, nil
 	}
-	var extra []io.Closer
 	fail := func(i int, err error) ([]smb.Client, func(), error) {
 		for _, done := range clients[:i] {
 			done.Close()
 		}
-		for _, c := range extra {
-			c.Close()
-		}
 		return nil, nil, err
 	}
-	switch cfg.SMBTransport {
-	case "", "tcp", "tcp_sg", "auto":
-		// One bounded probe verifies the server is reachable before any MPI
-		// collective starts. Supervised clients connect lazily, so without
-		// this a misconfigured address would fail inside rank 0's bootstrap
-		// and strand the other ranks in a broadcast it never joins.
-		probe := smb.NewSupervisedClient(smb.SupervisedConfig{
-			Addr:        cfg.SMBAddr,
-			OpTimeout:   cfg.SMBOpTimeout,
-			MaxAttempts: 3,
-			BackoffBase: 20 * time.Millisecond,
-			BackoffMax:  100 * time.Millisecond,
-		})
-		_, err := probe.Lookup("\x00reachability-probe")
-		probe.Close()
-		if err != nil && !errors.Is(err, smb.ErrUnknownSegment) {
-			return fail(0, fmt.Errorf("dial SMB server: %w", err))
-		}
+	name := cfg.SMBTransport
+	if name == "" {
+		name = "tcp"
 	}
 	for i := range clients {
-		switch cfg.SMBTransport {
-		case "", "tcp", "tcp_sg", "shm", "auto":
-			// The registry resolves the wire: supervised TCP with per-op
-			// deadlines, reconnect, and sequence-stamped pushes, the
-			// negotiated shared-memory path, or auto-negotiation between them. ClientID is rank-derived so
-			// dedup keys stay distinct per worker on every transport.
-			name := cfg.SMBTransport
-			if name == "" {
-				name = "tcp"
+		// The registry resolves the wire: a supervised session (per-op
+		// deadlines, reconnect, sequence-stamped pushes) over TCP or the RDS
+		// datagram transport, the negotiated shared-memory path, or
+		// auto-negotiation between them. ClientID is rank-derived so dedup
+		// keys stay distinct per worker on every transport.
+		opts := smb.DialOptions{
+			Addr:      cfg.SMBAddr,
+			OpTimeout: cfg.SMBOpTimeout,
+			Seed:      cfg.Seed + uint64(i)*7919,
+			ClientID:  uint64(i + 1),
+		}
+		if i == 0 {
+			// Instrument one representative connection: every client
+			// registering the same metric family would collide in the
+			// registry, and one worker's round trips characterize the
+			// wire.
+			opts.Metrics = cfg.Metrics
+		}
+		c, err := smb.DialTransport(name, opts)
+		if err != nil {
+			if !slices.Contains(smb.TransportNames(), name) {
+				// Only a name the registry lacks is a configuration error;
+				// a failed negotiation is a transport fault and stays one.
+				err = fmt.Errorf("%w: %w", ErrConfig, err)
 			}
-			opts := smb.DialOptions{
-				Addr:      cfg.SMBAddr,
-				OpTimeout: cfg.SMBOpTimeout,
-				Seed:      cfg.Seed + uint64(i)*7919,
-				ClientID:  uint64(i + 1),
+			return fail(i, fmt.Errorf("dial SMB transport %s: %w", name, err))
+		}
+		clients[i] = c
+		if i == 0 {
+			// One bounded probe verifies the server is reachable before
+			// any MPI collective starts. Supervised sessions connect
+			// lazily, so without this a misconfigured address would fail
+			// inside rank 0's bootstrap and strand the other ranks in a
+			// broadcast it never joins.
+			if _, err := c.Lookup("\x00reachability-probe"); err != nil && !errors.Is(err, smb.ErrUnknownSegment) {
+				return fail(1, fmt.Errorf("dial SMB server: %w", err))
 			}
-			if i == 0 {
-				// Instrument one representative connection: every client
-				// registering the same metric family would collide in the
-				// registry, and one worker's round trips characterize the
-				// wire.
-				opts.Metrics = cfg.Metrics
-			}
-			c, err := smb.DialTransport(name, opts)
-			if err != nil {
-				return fail(i, fmt.Errorf("dial SMB transport %s: %w", name, err))
-			}
-			clients[i] = c
-		case "rds":
-			ep, err := rds.ListenUDP("127.0.0.1:0")
-			if err != nil {
-				return fail(i, err)
-			}
-			conn, err := ep.Dial(cfg.SMBAddr)
-			if err != nil {
-				ep.Close()
-				return fail(i, fmt.Errorf("rds dial SMB server: %w", err))
-			}
-			extra = append(extra, ep)
-			sc := smb.NewStreamClient(conn)
-			if i == 0 && cfg.Metrics != nil {
-				sc.Instrument(cfg.Metrics) // rank 0 only, as above
-			}
-			clients[i] = sc
-		default:
-			return fail(i, fmt.Errorf("unknown SMB transport %q: %w", cfg.SMBTransport, ErrConfig))
 		}
 	}
 	return clients, func() {
 		for _, c := range clients {
-			c.Close()
-		}
-		for _, c := range extra {
 			c.Close()
 		}
 	}, nil

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"testing"
 
 	"shmcaffe/internal/smb"
@@ -46,8 +47,12 @@ func TestShmCaffeAOverTCP(t *testing.T) {
 func TestShmCaffeADialFailure(t *testing.T) {
 	cfg := testConfig(t, 2, 22)
 	cfg.SMBAddr = "127.0.0.1:1" // nothing listens here
-	if _, err := (ShmCaffeA{}).Train(cfg); err == nil {
+	_, err := (ShmCaffeA{}).Train(cfg)
+	if err == nil {
 		t.Fatal("expected dial error")
+	}
+	if errors.Is(err, ErrConfig) {
+		t.Fatalf("an unreachable server is not a configuration error: %v", err)
 	}
 }
 

@@ -242,9 +242,10 @@ func TestSteadyStateZeroAllocWriteAccumulate(t *testing.T) {
 	}
 }
 
-// TestReadInt64SlotsSingleAllocation pins the satellite fix: only the
-// returned []int64 may allocate; the byte staging buffer is pooled.
-func TestReadInt64SlotsSingleAllocation(t *testing.T) {
+// TestReadInt64SlotsZeroAlloc: the slot reader decodes into the caller's
+// slice and stages through the pooled scratch — zero allocations. This is
+// the staleness probe's per-T1 path, so it is pinned exactly.
+func TestReadInt64SlotsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
@@ -263,29 +264,17 @@ func TestReadInt64SlotsSingleAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	out := make([]int64, 12)
 	// Warm the pool.
-	if _, err := ReadInt64Slots(c, h, 16); err != nil {
+	if err := ReadInt64SlotsAt(c, h, 4, out); err != nil {
 		t.Fatal(err)
 	}
 	n := testing.AllocsPerRun(100, func() {
-		slots, err := ReadInt64Slots(c, h, 16)
-		if err != nil || slots[7] != 7 {
-			t.Fatalf("slots=%v err=%v", slots, err)
-		}
-	})
-	if n > 1 {
-		t.Errorf("ReadInt64Slots allocates %.1f per call, want ≤1 (the result slice)", n)
-	}
-
-	// The Into variant reuses the caller's slice: zero allocations. This is
-	// the staleness probe's per-T1 path, so it is pinned exactly.
-	out := make([]int64, 16)
-	n = testing.AllocsPerRun(100, func() {
-		if err := ReadInt64SlotsInto(c, h, out); err != nil || out[7] != 7 {
+		if err := ReadInt64SlotsAt(c, h, 4, out); err != nil || out[3] != 7 {
 			t.Fatalf("out=%v err=%v", out, err)
 		}
 	})
 	if n != 0 {
-		t.Errorf("ReadInt64SlotsInto allocates %.1f per call, want 0", n)
+		t.Errorf("ReadInt64SlotsAt allocates %.1f per call, want 0", n)
 	}
 }

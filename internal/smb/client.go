@@ -48,55 +48,18 @@ type Client interface {
 	Close() error
 }
 
-// LocalClient is the in-process transport: direct calls into a Store. Used
-// when all workers run as goroutines of one process (the functional
-// experiments) and as the server-side backend of the TCP transport.
+// LocalClient is the in-process transport: the Store's own verbs, which
+// already carry Client's exact signatures. Used when all workers run as
+// goroutines of one process (the functional experiments).
 type LocalClient struct {
-	store *Store
+	*Store
 }
 
 var _ Client = (*LocalClient)(nil)
 
 // NewLocalClient returns a client operating directly on store.
 func NewLocalClient(store *Store) *LocalClient {
-	return &LocalClient{store: store}
-}
-
-// Create implements Client.
-func (c *LocalClient) Create(name string, size int) (SHMKey, error) {
-	return c.store.Create(name, size)
-}
-
-// Lookup implements Client.
-func (c *LocalClient) Lookup(name string) (SHMKey, error) { return c.store.Lookup(name) }
-
-// Attach implements Client.
-func (c *LocalClient) Attach(key SHMKey) (Handle, error) { return c.store.Attach(key) }
-
-// Detach implements Client.
-func (c *LocalClient) Detach(h Handle) error { return c.store.Detach(h) }
-
-// Free implements Client.
-func (c *LocalClient) Free(key SHMKey) error { return c.store.Free(key) }
-
-// Read implements Client.
-func (c *LocalClient) Read(h Handle, off int, dst []byte) error {
-	return c.store.Read(h, off, dst)
-}
-
-// Write implements Client.
-func (c *LocalClient) Write(h Handle, off int, src []byte) error {
-	return c.store.Write(h, off, src)
-}
-
-// Accumulate implements Client.
-func (c *LocalClient) Accumulate(dst, src Handle) error {
-	return c.store.Accumulate(dst, src)
-}
-
-// WriteAccumulate implements Client as one fused copy+add store call.
-func (c *LocalClient) WriteAccumulate(dst, src Handle, data []byte) error {
-	return c.store.WriteAccumulate(dst, src, data)
+	return &LocalClient{Store: store}
 }
 
 // SetTraceContext implements Client: in-process calls cross no wire, so
@@ -108,6 +71,95 @@ func (c *LocalClient) ClearTraceContext() {}
 
 // Close implements Client.
 func (c *LocalClient) Close() error { return nil }
+
+// doer is the one primitive under every wire client: exchange one request
+// frame for its reply (StreamClient.do), or do so under a retry policy
+// (SupervisedClient.do).
+type doer interface {
+	do(call) (reply, error)
+}
+
+// verbs spells the wire verb set once, over a doer: each verb is the
+// encoder of its opTable row. StreamClient and SupervisedClient embed it,
+// pointing d at themselves.
+type verbs struct{ d doer }
+
+// Create implements Client.
+func (v verbs) Create(name string, size int) (SHMKey, error) {
+	r, err := v.d.do(call{op: opCreate, str: name, w: [4]uint64{uint64(size)}})
+	return SHMKey(r.w[0]), err
+}
+
+// Lookup implements Client.
+func (v verbs) Lookup(name string) (SHMKey, error) {
+	r, err := v.d.do(call{op: opLookup, str: name})
+	return SHMKey(r.w[0]), err
+}
+
+// Attach implements Client.
+func (v verbs) Attach(key SHMKey) (Handle, error) {
+	r, err := v.d.do(call{op: opAttach, w: [4]uint64{uint64(key)}})
+	return Handle(r.w[0]), err
+}
+
+// Detach implements Client.
+func (v verbs) Detach(h Handle) error {
+	_, err := v.d.do(call{op: opDetach, w: [4]uint64{uint64(h)}})
+	return err
+}
+
+// Free implements Client.
+func (v verbs) Free(key SHMKey) error {
+	_, err := v.d.do(call{op: opFree, w: [4]uint64{uint64(key)}})
+	return err
+}
+
+// Read implements Client. The reply payload lands directly in dst.
+func (v verbs) Read(h Handle, off int, dst []byte) error {
+	_, err := v.d.do(call{op: opRead, w: [4]uint64{uint64(h), uint64(off), uint64(len(dst))}, into: dst})
+	return err
+}
+
+// Write implements Client.
+func (v verbs) Write(h Handle, off int, src []byte) error {
+	_, err := v.d.do(call{op: opWrite, w: [4]uint64{uint64(h), uint64(off)}, body: src})
+	return err
+}
+
+// Accumulate implements Client.
+func (v verbs) Accumulate(dst, src Handle) error {
+	_, err := v.d.do(call{op: opAccumulate, w: [4]uint64{uint64(dst), uint64(src)}})
+	return err
+}
+
+// WriteAccumulate implements Client as the two frames of the paper's push:
+// a Write of data into src, then an Accumulate of src into dst. A bare
+// connection has no retry, so the fold needs no sequence stamp; the
+// supervised client, which does retry, overrides this with its own.
+func (v verbs) WriteAccumulate(dst, src Handle, data []byte) error {
+	if err := v.Write(src, 0, data); err != nil {
+		return err
+	}
+	return v.Accumulate(dst, src)
+}
+
+// Snapshot implements Client.
+func (v verbs) Snapshot(h Handle) (SnapInfo, error) {
+	r, err := v.d.do(call{op: opSnapshot, w: [4]uint64{uint64(h)}})
+	return SnapInfo{ID: SnapID(r.w[0]), Version: r.w[1], Size: int(r.w[2])}, err
+}
+
+// SnapRead implements Client. Like Read, the payload lands directly in dst.
+func (v verbs) SnapRead(id SnapID, off int, dst []byte) error {
+	_, err := v.d.do(call{op: opSnapRead, w: [4]uint64{uint64(id), uint64(off), uint64(len(dst))}, into: dst})
+	return err
+}
+
+// SnapRelease implements Client.
+func (v verbs) SnapRelease(id SnapID) error {
+	_, err := v.d.do(call{op: opSnapRelease, w: [4]uint64{uint64(id)}})
+	return err
+}
 
 // Counter helpers: the termination-alignment protocol (paper Sec. III-E)
 // shares per-worker iteration counts through a small control segment laid
@@ -129,42 +181,11 @@ func ReadInt64(c Client, h Handle, slot int) (int64, error) {
 	return int64(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
-// ReadInt64Slots loads n consecutive int64 slots starting at slot 0. The
-// byte staging buffer comes from the package scratch pool, so the only
-// allocation is the returned slice.
-func ReadInt64Slots(c Client, h Handle, n int) ([]int64, error) {
-	buf, bp := getScratch(8 * n)
-	defer putScratch(bp)
-	if err := c.Read(h, 0, buf); err != nil {
-		return nil, err
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
-}
-
-// ReadInt64SlotsInto loads len(out) consecutive int64 slots starting at
-// slot 0 into out. Unlike ReadInt64Slots it allocates nothing on the steady
-// state — the telemetry staleness probe calls it once per T1 read with a
-// preallocated slice.
-func ReadInt64SlotsInto(c Client, h Handle, out []int64) error {
-	buf, bp := getScratch(8 * len(out))
-	defer putScratch(bp)
-	if err := c.Read(h, 0, buf); err != nil {
-		return err
-	}
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return nil
-}
-
-// ReadInt64SlotsAtInto loads len(out) consecutive int64 slots starting at
-// startSlot into out, allocating nothing on the steady state — the liveness
-// tracker reads the heartbeat block of the control segment with it.
-func ReadInt64SlotsAtInto(c Client, h Handle, startSlot int, out []int64) error {
+// ReadInt64SlotsAt loads len(out) consecutive int64 slots starting at
+// startSlot into out. The byte staging buffer comes from the package
+// scratch pool, so the steady state allocates nothing — the telemetry
+// staleness probe and the liveness tracker call it once per iteration.
+func ReadInt64SlotsAt(c Client, h Handle, startSlot int, out []int64) error {
 	buf, bp := getScratch(8 * len(out))
 	defer putScratch(bp)
 	if err := c.Read(h, 8*startSlot, buf); err != nil {

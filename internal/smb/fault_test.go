@@ -3,6 +3,7 @@ package smb
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"shmcaffe/internal/faults"
+	"shmcaffe/internal/rds"
 	"shmcaffe/internal/tensor"
 )
 
@@ -186,9 +188,19 @@ func (l *cutListener) Accept() (net.Conn, error) {
 	return &cutConn{Conn: conn, plan: l.plan}, nil
 }
 
+// netRDS gives an rds connection the net.Conn surface cutConn wraps; the
+// server only ever calls Read, Write and Close.
+type netRDS struct{ *rds.Conn }
+
+func (netRDS) LocalAddr() net.Addr              { return nil }
+func (netRDS) RemoteAddr() net.Addr             { return nil }
+func (netRDS) SetDeadline(time.Time) error      { return nil }
+func (netRDS) SetReadDeadline(time.Time) error  { return nil }
+func (netRDS) SetWriteDeadline(time.Time) error { return nil }
+
 // TestLostReplyContract pins what a caller sees when the connection dies
 // after the server applied a verb but before its reply arrived — once, over
-// both sessions that can retry (TCP and the shm control socket, which is
+// every session that can retry (TCP, rds and the shm control socket — all
 // the same SupervisedClient): Create resolves to the segment it already
 // made, SnapRelease of the pin it already dropped succeeds, Free is
 // single-shot and reports the transport error with the segment gone, and
@@ -211,6 +223,19 @@ func TestLostReplyContract(t *testing.T) {
 			go func() { defer close(served); srv.Serve() }()
 			t.Cleanup(func() { srv.Close(); <-served })
 			c := NewSupervisedClient(fastRetry(srv.Addr()))
+			t.Cleanup(func() { c.Close() })
+			return session{c, srv.Store(), plan}
+		},
+		"rds": func(t *testing.T) session {
+			plan := &cutPlan{replies: -1, lostAck: true}
+			srv := startServer(t)
+			addr := serveRDS(t, srv, func(c *rds.Conn) io.ReadWriteCloser {
+				return &cutConn{Conn: netRDS{c}, plan: plan}
+			})
+			c, err := DialTransport("rds", DialOptions{Addr: addr, ClientID: 79})
+			if err != nil {
+				t.Fatal(err)
+			}
 			t.Cleanup(func() { c.Close() })
 			return session{c, srv.Store(), plan}
 		},
@@ -583,5 +608,24 @@ func TestSupervisedExactlyOnceProperty(t *testing.T) {
 				t.Fatalf("accumulates = %d, pushes = %d, want both %d", acc, p, pushes)
 			}
 		})
+	}
+}
+
+// TestSupervisedHasNoCallerStampedPush: the stamped accumulate with a
+// caller-chosen (client, seq) is a bare-connection verb only. A supervised
+// session draws its own stamp; exposing the raw verb there would let a
+// caller poison the dedup table for the session's ClientID.
+func TestSupervisedHasNoCallerStampedPush(t *testing.T) {
+	type stamped interface {
+		SeqAccumulate(dst, src Handle, client, seq uint64) (bool, error)
+	}
+	if _, ok := any((*StreamClient)(nil)).(stamped); !ok {
+		t.Fatal("StreamClient lost SeqAccumulate")
+	}
+	if _, ok := any((*SupervisedClient)(nil)).(stamped); ok {
+		t.Fatal("SupervisedClient exposes a caller-stamped SeqAccumulate")
+	}
+	if _, ok := any((*ShmClient)(nil)).(stamped); ok {
+		t.Fatal("ShmClient exposes a caller-stamped SeqAccumulate")
 	}
 }

@@ -25,6 +25,14 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(byte(opHello), []byte{})                       // truncated hello
 	f.Add(byte(opAccumulate)|traceFlagBit, []byte{1})    // flagged op leaks to dispatch
 	f.Add(byte(99), []byte{1})
+	// Every table row's zero-argument frame, whole and one word short.
+	for op := range opTable {
+		if _, err := specOf(opcode(op)); err == nil {
+			full := zeroArgPayload(opcode(op))
+			f.Add(byte(op), full)
+			f.Add(byte(op), full[:max(0, len(full)-8)])
+		}
+	}
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
 		srv := &Server{store: NewStore()}
 		// Prepare one real segment so handle-bearing ops can hit both

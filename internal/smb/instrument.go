@@ -115,29 +115,16 @@ func lockWait(mu *sync.RWMutex, timed bool) int64 {
 	return time.Since(t0).Nanoseconds()
 }
 
-// clientInstruments is the per-transport RTT instrumentation shared by
-// StreamClient and ShardedClient.
-type clientInstruments struct {
-	read  *telemetry.Histogram
-	write *telemetry.Histogram
-	acc   *telemetry.Histogram
-}
-
-func newClientInstruments(reg *telemetry.Registry, family, help string) *clientInstruments {
-	return &clientInstruments{
-		read:  reg.Histogram(family+`{op="read"}`, help, telemetry.DefLatencyBuckets),
-		write: reg.Histogram(family+`{op="write"}`, help, telemetry.DefLatencyBuckets),
-		acc:   reg.Histogram(family+`{op="accumulate"}`, help, telemetry.DefLatencyBuckets),
-	}
-}
-
 // Instrument enables round-trip timing on the wire client, exporting
-// smb_client_rtt_seconds{op=...}. Call before issuing traffic.
+// smb_client_rtt_seconds{op=...} for the three data verbs. Call before
+// issuing traffic.
 func (c *StreamClient) Instrument(reg *telemetry.Registry) {
+	const help = "wire-client round-trip latency per verb"
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.inst = newClientInstruments(reg, "smb_client_rtt_seconds",
-		"wire-client round-trip latency per verb")
+	c.rtt[opRead] = reg.Histogram(`smb_client_rtt_seconds{op="read"}`, help, telemetry.DefLatencyBuckets)
+	c.rtt[opWrite] = reg.Histogram(`smb_client_rtt_seconds{op="write"}`, help, telemetry.DefLatencyBuckets)
+	c.rtt[opAccumulate] = reg.Histogram(`smb_client_rtt_seconds{op="accumulate"}`, help, telemetry.DefLatencyBuckets)
 }
 
 // Instrument registers the server's connection-health counters: handler
@@ -193,14 +180,4 @@ func newSupervisedInstruments(reg *telemetry.Registry, pushes *atomic.Int64) *su
 		timeouts:   reg.Counter("smb_supervised_timeouts_total", "attempts failed on a fired per-op deadline"),
 		dupAcks:    reg.Counter("smb_supervised_dup_acks_total", "pushes acknowledged as server-side duplicates"),
 	}
-}
-
-// Instrument enables fan-out timing on the sharded client, exporting
-// smb_sharded_seconds{op=...} (the full fan-out/join time across shards).
-// Call before issuing traffic.
-func (s *ShardedClient) Instrument(reg *telemetry.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inst = newClientInstruments(reg, "smb_sharded_seconds",
-		"sharded-client fan-out latency per verb across all shards")
 }

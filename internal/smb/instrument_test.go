@@ -110,44 +110,3 @@ func TestStreamClientInstrumented(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedClientInstrumented covers the fan-out histograms.
-func TestShardedClientInstrumented(t *testing.T) {
-	s1, s2 := NewStore(), NewStore()
-	sc, err := NewShardedClient(NewLocalClient(s1), NewLocalClient(s2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry()
-	sc.Instrument(reg)
-
-	key, err := sc.Create("wg", 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sc.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4096)
-	if err := sc.Write(h, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Read(h, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`smb_sharded_seconds_count{op="read"} 1`,
-		`smb_sharded_seconds_count{op="write"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q\n%s", want, out)
-		}
-	}
-}

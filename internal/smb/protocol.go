@@ -31,6 +31,93 @@ const (
 	opAccumulate
 )
 
+// opSpec states one verb's frames, once, for both ends of the wire. A
+// request payload is [string] [words × u64] [bulk tail]; an OK reply
+// payload is either rwords × u64 then an optional string, or — rbulk —
+// nothing but the bytes asked for. The client encoder (StreamClient.do)
+// and the server decoder (Server.dispatchOp) both read the row, so a verb
+// is one row, one three-line encoder (verbs, client.go) and one server arm.
+type opSpec struct {
+	name    string // verb name in diagnostics; "" = no such opcode
+	str     bool   // request leads with a 2-byte-length string
+	words   int    // request u64 words
+	bulk    bool   // request ends with a bulk tail
+	handles uint8  // bit i set: request word i is a connection-scoped Handle
+	rwords  int    // reply u64 words
+	rstr    bool   // reply ends with a string
+	rbulk   bool   // reply is a bulk payload of the size the request named
+}
+
+// opTable is the protocol. Opcodes 9–12 (the retired version watch and
+// chunk pipeline) have no row: a server answers them with unknown-opcode.
+var opTable = [...]opSpec{
+	opCreate:        {name: "create", str: true, words: 1, rwords: 1},
+	opLookup:        {name: "lookup", str: true, rwords: 1},
+	opAttach:        {name: "attach", words: 1, rwords: 1},
+	opDetach:        {name: "detach", words: 1, handles: 1},
+	opFree:          {name: "free", words: 1},
+	opRead:          {name: "read", words: 3, handles: 1, rbulk: true},
+	opWrite:         {name: "write", words: 2, bulk: true, handles: 1},
+	opAccumulate:    {name: "accumulate", words: 2, handles: 3},
+	opSeqAccumulate: {name: "seq-accumulate", words: 4, handles: 3, rwords: 1},
+	opHello:         {name: "hello", words: 1, rwords: 1},
+	opShmHello:      {name: "shm-hello", words: 1, rwords: 1},
+	opShmMap:        {name: "shm-map", words: 1, handles: 1, rwords: 4},
+	opShmUnmap:      {name: "shm-unmap", words: 1, handles: 1},
+	opShmLease:      {name: "shm-lease", words: 1, rwords: 1},
+	opShmQuery:      {name: "shm-query", words: 1, rwords: 2, rstr: true},
+	opSnapshot:      {name: "snapshot", words: 1, handles: 1, rwords: 3},
+	opSnapRead:      {name: "snap-read", words: 3, rbulk: true},
+	opSnapRelease:   {name: "snap-release", words: 1},
+}
+
+// specOf returns op's table row, or an error for an opcode that has none.
+func specOf(op opcode) (*opSpec, error) {
+	if int(op) >= len(opTable) || opTable[op].name == "" {
+		return nil, fmt.Errorf("smb: unknown opcode %d", op)
+	}
+	return &opTable[op], nil
+}
+
+// call is one request, by value: the table row of op says which of str, w
+// and body travel. into is client-side only — where an rbulk reply lands.
+type call struct {
+	op   opcode
+	str  string
+	w    [4]uint64
+	body []byte
+	into []byte
+}
+
+// reply is one OK reply, by value. bulk is server-side only: the rbulk
+// payload, aliasing connection scratch (the client's landed in call.into).
+type reply struct {
+	w    [4]uint64
+	str  string
+	bulk []byte
+}
+
+// decodeCall parses a request payload by op's table row. Bytes past the
+// row's layout are ignored, as they always were.
+func decodeCall(op opcode, payload []byte) (call, error) {
+	spec, err := specOf(op)
+	if err != nil {
+		return call{}, err
+	}
+	q := call{op: op}
+	fr := frameReader{buf: payload}
+	if spec.str {
+		q.str = fr.str()
+	}
+	for i := 0; i < spec.words; i++ {
+		q.w[i] = fr.u64()
+	}
+	if spec.bulk {
+		q.body = fr.rest()
+	}
+	return q, fr.err
+}
+
 const (
 	statusOK  byte = 0
 	statusErr byte = 1
@@ -108,7 +195,7 @@ func readFrameInto(r io.Reader, scratch *[]byte) (op byte, payload []byte, err e
 }
 
 // scratchPool recycles transient byte buffers across the package: frame
-// bodies, sharded-client probe reads, control-slot decodes. Buffers are
+// bodies, control-slot decodes. Buffers are
 // held through a pointer so Put does not allocate.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -187,18 +274,6 @@ func (r *frameReader) str() string {
 	s := string(r.buf[:n])
 	r.buf = r.buf[n:]
 	return s
-}
-
-// skip advances past n bytes of padding.
-func (r *frameReader) skip(n int) {
-	if r.err != nil {
-		return
-	}
-	if len(r.buf) < n {
-		r.err = io.ErrUnexpectedEOF
-		return
-	}
-	r.buf = r.buf[n:]
 }
 
 func (r *frameReader) rest() []byte {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"sync"
 	"testing"
 
+	"shmcaffe/internal/rds"
 	"shmcaffe/internal/telemetry"
 	"shmcaffe/internal/tensor"
 )
@@ -96,17 +98,15 @@ func segVersion(t *testing.T, s *Store, name string) uint64 {
 }
 
 // clientCase is one row of the client table: every Client implementation,
-// dialed against fresh stores. The push and contract tests below run the
+// dialed against a fresh store. The push and contract tests below run the
 // same assertions over all of them.
 type clientCase struct {
-	c      Client
-	stores []*Store
-	// nameOn maps a logical segment name to its name on store i.
-	nameOn func(name string, i int) string
-	// tracers are the span tracers of the servers the client's frames
-	// reach, one per store; nil when no verb crosses a wire. Clients are
-	// dialed with trace propagation on.
-	tracers []*telemetry.Tracer
+	c     Client
+	store *Store
+	// tracer is the span tracer of the server the client's frames reach;
+	// nil when no verb crosses a wire. Clients are dialed with trace
+	// propagation on.
+	tracer *telemetry.Tracer
 	// session is the supervised session under the client, nil when it has
 	// none; yanking its connection forces a reconnect.
 	session *SupervisedClient
@@ -121,13 +121,42 @@ func tracedServer(t *testing.T) (*Server, *telemetry.Tracer) {
 	return srv, tr
 }
 
+// serveRDS serves srv on a fresh rds endpoint — the smbserver -rds wiring —
+// passing each accepted connection through wrap, and returns the endpoint's
+// address.
+func serveRDS(t *testing.T, srv *Server, wrap func(*rds.Conn) io.ReadWriteCloser) string {
+	t.Helper()
+	ep, err := rds.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ep.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				srv.ServeConn(wrap(conn))
+			}()
+		}
+	}()
+	t.Cleanup(func() { ep.Close(); wg.Wait() })
+	return ep.Addr()
+}
+
 var clientTable = []struct {
 	name string
 	dial func(t *testing.T) clientCase
 }{
 	{"local", func(t *testing.T) clientCase {
 		store := NewStore()
-		return clientCase{c: NewLocalClient(store), stores: []*Store{store}, nameOn: wholeName}
+		return clientCase{c: NewLocalClient(store), store: store}
 	}},
 	{"stream-pipe", func(t *testing.T) clientCase {
 		srv, tr := tracedServer(t)
@@ -138,39 +167,23 @@ var clientTable = []struct {
 		if ok, err := c.NegotiateTrace(); err != nil || !ok {
 			t.Fatalf("trace negotiation = %v, %v", ok, err)
 		}
-		return clientCase{c: c, stores: []*Store{srv.Store()}, nameOn: wholeName, tracers: []*telemetry.Tracer{tr}}
+		return clientCase{c: c, store: srv.Store(), tracer: tr}
 	}},
 	{"supervised-tcp", func(t *testing.T) clientCase {
 		srv, tr := tracedServer(t)
 		c := NewSupervisedClient(SupervisedConfig{Addr: srv.Addr(), Trace: true})
 		t.Cleanup(func() { c.Close() })
-		return clientCase{c: c, stores: []*Store{srv.Store()}, nameOn: wholeName,
-			tracers: []*telemetry.Tracer{tr}, session: c}
+		return clientCase{c: c, store: srv.Store(), tracer: tr, session: c}
 	}},
-	{"sharded", func(t *testing.T) clientCase {
-		s1, s2 := NewStore(), NewStore()
-		c, err := NewShardedClient(NewLocalClient(s1), NewLocalClient(s2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return clientCase{c: c, stores: []*Store{s1, s2}, nameOn: shardName}
-	}},
-	{"sharded-tcp", func(t *testing.T) clientCase {
-		var cc clientCase
-		var shards []Client
-		for i := 0; i < 2; i++ {
-			srv, tr := tracedServer(t)
-			shards = append(shards, NewSupervisedClient(SupervisedConfig{Addr: srv.Addr(), Trace: true}))
-			cc.stores = append(cc.stores, srv.Store())
-			cc.tracers = append(cc.tracers, tr)
-		}
-		c, err := NewShardedClient(shards...)
+	{"rds", func(t *testing.T) clientCase {
+		srv, tr := tracedServer(t)
+		addr := serveRDS(t, srv, func(c *rds.Conn) io.ReadWriteCloser { return c })
+		c, err := DialTransport("rds", DialOptions{Addr: addr, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		cc.c, cc.nameOn = c, shardName
-		return cc
+		return clientCase{c: c, store: srv.Store(), tracer: tr, session: c.(*SupervisedClient)}
 	}},
 	{"shm", func(t *testing.T) clientCase {
 		srv, path := startShmServer(t)
@@ -181,12 +194,9 @@ var clientTable = []struct {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		return clientCase{c: c, stores: []*Store{srv.Store()}, nameOn: wholeName,
-			tracers: []*telemetry.Tracer{tr}, session: c.SupervisedClient}
+		return clientCase{c: c, store: srv.Store(), tracer: tr, session: c.SupervisedClient}
 	}},
 }
-
-func wholeName(name string, _ int) string { return name }
 
 func TestPushEquivalence(t *testing.T) {
 	const n = pushTestVals
@@ -213,7 +223,7 @@ func TestPushEquivalence(t *testing.T) {
 	for _, tc := range clientTable {
 		t.Run(tc.name, func(t *testing.T) {
 			cc := tc.dial(t)
-			c, stores, nameOn := cc.c, cc.stores, cc.nameOn
+			c, store := cc.c, cc.store
 			gKey, err := c.Create("push/wg", n*4)
 			if err != nil {
 				t.Fatal(err)
@@ -238,30 +248,25 @@ func TestPushEquivalence(t *testing.T) {
 				writes, accs int64
 				wgV, dwV     uint64
 			}
-			snap := func() []mark {
-				out := make([]mark, len(stores))
-				for i, s := range stores {
-					out[i].writes, out[i].accs = pushCounts(s)
-					out[i].wgV = segVersion(t, s, nameOn("push/wg", i))
-					out[i].dwV = segVersion(t, s, nameOn("push/dw", i))
-				}
-				return out
+			snap := func() (m mark) {
+				m.writes, m.accs = pushCounts(store)
+				m.wgV = segVersion(t, store, "push/wg")
+				m.dwV = segVersion(t, store, "push/dw")
+				return m
 			}
 			before := snap()
 			if err := c.WriteAccumulate(hg, hd, data); err != nil {
 				t.Fatal(err)
 			}
 			after := snap()
-			for i := range stores {
-				if w, a := after[i].writes-before[i].writes, after[i].accs-before[i].accs; w != 1 || a != 1 {
-					t.Errorf("store %d counted %d writes / %d accumulates for one push, want 1/1", i, w, a)
-				}
-				if d := after[i].wgV - before[i].wgV; d != 1 {
-					t.Errorf("store %d: dst version moved by %d, want 1", i, d)
-				}
-				if d := after[i].dwV - before[i].dwV; d != 1 {
-					t.Errorf("store %d: src version moved by %d, want 1", i, d)
-				}
+			if w, a := after.writes-before.writes, after.accs-before.accs; w != 1 || a != 1 {
+				t.Errorf("store counted %d writes / %d accumulates for one push, want 1/1", w, a)
+			}
+			if d := after.wgV - before.wgV; d != 1 {
+				t.Errorf("dst version moved by %d, want 1", d)
+			}
+			if d := after.dwV - before.dwV; d != 1 {
+				t.Errorf("src version moved by %d, want 1", d)
 			}
 
 			got := make([]byte, n*4)
@@ -310,13 +315,9 @@ func TestClientContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wantVersion uint64
-			for i, s := range cc.stores {
-				wantVersion += segVersion(t, s, cc.nameOn("contract/wg", i))
-			}
-			if info.Size != size || info.Version != wantVersion {
-				t.Errorf("snapshot reports size %d version %d, stores say %d / %d",
-					info.Size, info.Version, size, wantVersion)
+			if v := segVersion(t, cc.store, "contract/wg"); info.Size != size || info.Version != v {
+				t.Errorf("snapshot reports size %d version %d, store says %d / %d",
+					info.Size, info.Version, size, v)
 			}
 			if err := c.Write(h, 0, second); err != nil {
 				t.Fatal(err)
@@ -334,10 +335,8 @@ func TestClientContract(t *testing.T) {
 			if err := c.SnapRead(info.ID, 0, got); !errors.Is(err, ErrUnknownSnapshot) {
 				t.Errorf("read of a released snapshot: %v, want ErrUnknownSnapshot", err)
 			}
-			for i, s := range cc.stores {
-				if n := s.SnapCount(); n != 0 {
-					t.Errorf("store %d still pins %d snapshots after release", i, n)
-				}
+			if n := cc.store.SnapCount(); n != 0 {
+				t.Errorf("store still pins %d snapshots after release", n)
 			}
 
 			tctx := TraceContext{TraceID: 0x5eed0000 + uint64(len(tc.name)), SpanID: telemetry.NextSpanID(1 << 48), Rank: 1, Iter: 3}
@@ -365,17 +364,16 @@ func TestClientContract(t *testing.T) {
 			c.SetTraceContext(tctx)
 			cycle()
 			c.ClearTraceContext()
-			counts := make([]int, len(cc.tracers))
-			for i, tr := range cc.tracers {
-				if counts[i] = stamped(tr); counts[i] == 0 {
-					t.Errorf("server %d recorded no span of trace %s", i, wantID)
-				}
+			if cc.tracer == nil {
+				return
+			}
+			count := stamped(cc.tracer)
+			if count == 0 {
+				t.Errorf("server recorded no span of trace %s", wantID)
 			}
 			cycle()
-			for i, tr := range cc.tracers {
-				if n := stamped(tr); n != counts[i] {
-					t.Errorf("server %d: %d spans joined the trace after ClearTraceContext", i, n-counts[i])
-				}
+			if n := stamped(cc.tracer); n != count {
+				t.Errorf("%d spans joined the trace after ClearTraceContext", n-count)
 			}
 		})
 	}
@@ -397,7 +395,7 @@ func TestTraceRestampAfterReconnect(t *testing.T) {
 			if _, err := cc.c.Create("restamp/wg", 64); err != nil {
 				t.Fatal(err)
 			}
-			before := len(tracedSpans(cc.tracers[0], "srv.dispatch"))
+			before := len(tracedSpans(cc.tracer, "srv.dispatch"))
 			if before == 0 {
 				t.Fatal("no traced span before the reconnect")
 			}
@@ -411,7 +409,7 @@ func TestTraceRestampAfterReconnect(t *testing.T) {
 			if cc.session.Stats().Reconnects < 1 {
 				t.Fatal("the yanked connection was not re-dialed")
 			}
-			spans := tracedSpans(cc.tracers[0], "srv.dispatch")
+			spans := tracedSpans(cc.tracer, "srv.dispatch")
 			if len(spans) <= before {
 				t.Fatal("no traced span on the fresh connection")
 			}

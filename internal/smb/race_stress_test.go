@@ -134,20 +134,6 @@ func TestStoreRaceStress(t *testing.T) {
 	stressClient(t, NewLocalClient(NewStore()))
 }
 
-// TestShardedRaceStress hammers the sharded client over three backing
-// stores, exercising the fan-out paths and the shared handle table.
-func TestShardedRaceStress(t *testing.T) {
-	sc, err := NewShardedClient(
-		NewLocalClient(NewStore()),
-		NewLocalClient(NewStore()),
-		NewLocalClient(NewStore()),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stressClient(t, sc)
-}
-
 // TestServerRaceStress hammers the TCP transport end to end: one server,
 // one StreamClient per logical worker, all verbs concurrent.
 func TestServerRaceStress(t *testing.T) {

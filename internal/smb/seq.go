@@ -85,21 +85,12 @@ func (s *Store) SeqAccumulate(dst, src Handle, client, seq uint64) (bool, error)
 	return true, nil
 }
 
-// SeqAccumulate sends the stamped accumulate: like Accumulate(dst, src) but
-// applied at most once per (client, seq). A seq at or below the highest
-// already applied for client is acknowledged (applied=false) without
-// touching dst; sequences must be issued in increasing order per client.
-//
-//shm:hotpath
-func (c *StreamClient) SeqAccumulate(dst, src Handle, client, seq uint64) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginLocked().u64(uint64(dst)).u64(uint64(src)).u64(client).u64(seq)
-	resp, err := c.roundTripLocked(opSeqAccumulate)
-	if err != nil {
-		return false, err
-	}
-	fr := frameReader{buf: resp}
-	applied := fr.u64()
-	return applied == 1, fr.err
+// SeqAccumulate sends the stamped accumulate on a bare connection, with a
+// caller-chosen stamp: applied=false acknowledges a seq at or below the
+// highest already applied for client, without touching dst. It is not part
+// of the shared verb set — a supervised session draws its own stamp, and a
+// caller-supplied one would poison the dedup table for its ClientID.
+func (c *StreamClient) SeqAccumulate(dst, src Handle, client, seq uint64) (applied bool, err error) {
+	r, err := c.do(call{op: opSeqAccumulate, w: [4]uint64{uint64(dst), uint64(src), client, seq}})
+	return r.w[0] == 1, err
 }

@@ -1,6 +1,7 @@
 package smb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -376,131 +377,110 @@ func (s *Server) armSpan(cs *connState, p telemetry.Phase) telemetry.Span {
 	return tr.BeginTraced(cs.tid, p, tc)
 }
 
-// dispatchOp is the opcode switch behind dispatch.
+// dispatchOp decodes one request by its opTable row, runs the verb's arm
+// and encodes the reply by the same row.
 func (s *Server) dispatchOp(op opcode, payload []byte, cs *connState) ([]byte, error) {
-	fr := frameReader{buf: payload}
+	q, err := decodeCall(op, payload)
+	if err != nil {
+		return nil, err
+	}
+	r, err := s.serve(q, cs)
+	if err != nil {
+		return nil, err
+	}
+	spec := &opTable[op]
+	if spec.rbulk {
+		return r.bulk, nil
+	}
 	fw := &cs.fw
 	fw.buf = fw.buf[:0]
-	switch op {
+	for i := 0; i < spec.rwords; i++ {
+		fw.u64(r.w[i])
+	}
+	if spec.rstr {
+		fw.str(r.str)
+	}
+	return fw.buf, nil
+}
+
+// words builds a reply out of its leading u64 words.
+func words(w ...uint64) (r reply) {
+	copy(r.w[:], w)
+	return r
+}
+
+// bulkOut returns n bytes of the connection's grow-only bulk-reply scratch.
+func (cs *connState) bulkOut(n uint64) ([]byte, error) {
+	if n > maxFrame {
+		return nil, ErrFrameTooLarge
+	}
+	if uint64(cap(cs.out)) < n {
+		cs.out = make([]byte, n)
+	}
+	return cs.out[:n], nil
+}
+
+// serve is the opcode switch behind dispatchOp: each arm calls the store
+// and builds the reply. The shm control verbs and the snapshot verbs chain
+// from the default arm (serveShm → serveSnap).
+func (s *Server) serve(q call, cs *connState) (reply, error) {
+	switch q.op {
 	//lint:ignore wireproto control-plane verb: one frame per session/segment, not a data-path latency
 	case opCreate:
-		name := fr.str()
-		size := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
+		// A size off the wire is outside input: one no frame could ever
+		// fill would only make the store's make() panic.
+		if q.w[0] > maxFrame {
+			return reply{}, fmt.Errorf("smb: create %q with size %d: %w", q.str, q.w[0], ErrFrameTooLarge)
 		}
-		key, err := s.store.Create(name, int(size))
-		if err != nil {
-			return nil, err
-		}
-		return fw.u64(uint64(key)).buf, nil
+		key, err := s.store.Create(q.str, int(q.w[0]))
+		return words(uint64(key)), err
 	//lint:ignore wireproto control-plane verb: one frame per session/segment, not a data-path latency
 	case opLookup:
-		name := fr.str()
-		if fr.err != nil {
-			return nil, fr.err
-		}
-		key, err := s.store.Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		return fw.u64(uint64(key)).buf, nil
+		key, err := s.store.Lookup(q.str)
+		return words(uint64(key)), err
 	//lint:ignore wireproto control-plane verb: one frame per session/segment, not a data-path latency
 	case opAttach:
-		key := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
-		}
-		h, err := s.store.Attach(SHMKey(key))
-		if err != nil {
-			return nil, err
-		}
-		return fw.u64(uint64(h)).buf, nil
+		h, err := s.store.Attach(SHMKey(q.w[0]))
+		return words(uint64(h)), err
 	//lint:ignore wireproto control-plane verb: one frame per session/segment, not a data-path latency
 	case opDetach:
-		h := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
-		}
-		return nil, s.store.Detach(Handle(h))
+		return reply{}, s.store.Detach(Handle(q.w[0]))
 	//lint:ignore wireproto control-plane verb: one frame per session/segment, not a data-path latency
 	case opFree:
-		key := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
-		}
-		return nil, s.store.Free(SHMKey(key))
+		return reply{}, s.store.Free(SHMKey(q.w[0]))
 	case opRead:
-		h := fr.u64()
-		off := fr.u64()
-		n := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
+		dst, err := cs.bulkOut(q.w[2])
+		if err == nil {
+			err = s.store.Read(Handle(q.w[0]), int(q.w[1]), dst)
 		}
-		if n > maxFrame {
-			return nil, ErrFrameTooLarge
-		}
-		if uint64(cap(cs.out)) < n {
-			cs.out = make([]byte, n)
-		}
-		dst := cs.out[:n]
-		if err := s.store.Read(Handle(h), int(off), dst); err != nil {
-			return nil, err
-		}
-		return dst, nil
+		return reply{bulk: dst}, err
 	case opWrite:
-		h := fr.u64()
-		off := fr.u64()
-		data := fr.rest()
-		if fr.err != nil {
-			return nil, fr.err
-		}
-		return nil, s.store.Write(Handle(h), int(off), data)
+		return reply{}, s.store.Write(Handle(q.w[0]), int(q.w[1]), q.body)
 	case opAccumulate:
-		dst := fr.u64()
-		src := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
-		}
 		sp := s.armSpan(cs, telemetry.PhaseSrvAcc)
-		err := s.store.Accumulate(Handle(dst), Handle(src))
+		err := s.store.Accumulate(Handle(q.w[0]), Handle(q.w[1]))
 		sp.End()
-		return nil, err
+		return reply{}, err
 	case opSeqAccumulate:
-		dst := fr.u64()
-		src := fr.u64()
-		client := fr.u64()
-		seq := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
-		}
 		sp := s.armSpan(cs, telemetry.PhaseSrvAcc)
-		applied, err := s.store.SeqAccumulate(Handle(dst), Handle(src), client, seq)
+		applied, err := s.store.SeqAccumulate(Handle(q.w[0]), Handle(q.w[1]), q.w[2], q.w[3])
 		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		var v uint64
 		if applied {
-			v = 1
+			return words(1), err
 		}
-		return fw.u64(v).buf, nil
+		return words(0), err
 	//lint:ignore wireproto control-plane verb: one frame per session/segment, not a data-path latency
 	case opHello:
-		want := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
-		}
 		// Grant only what this server can honor: the trace feature needs an
 		// installed tracer (otherwise the header would be parsed and thrown
 		// away — better to tell the client not to pay for stamping).
 		var granted uint64
 		if s.tracer.Load() != nil {
-			granted = want & helloFeatureTrace
+			granted = q.w[0] & helloFeatureTrace
 		}
-		return fw.u64(granted).buf, nil
+		return words(granted), nil
 	default:
-		return s.dispatchShm(op, payload, cs)
+		return s.serveShm(q, cs)
 	}
 }
 
@@ -512,12 +492,15 @@ func (s *Server) dispatchOp(op opcode, payload []byte, cs *connState) ([]byte, e
 // connection lock against per-client grow-only scratch buffers, so
 // steady-state verbs allocate nothing.
 type StreamClient struct {
+	verbs // the Client verb set, encoded through do
+
 	mu   sync.Mutex
 	conn io.ReadWriteCloser
-	req  frameWriter        // request payload builder, guarded by mu
-	in   []byte             // response frame scratch, guarded by mu
-	wire []byte             // request frame staging, guarded by mu
-	inst *clientInstruments // optional RTT timing, guarded by mu
+	in   []byte // reply payload scratch, guarded by mu
+	wire []byte // request staging, then reply header; guarded by mu
+	// rtt times the round trips of the opcodes Instrument installed a
+	// histogram for (nil entries are untimed). Guarded by mu.
+	rtt [len(opTable)]*telemetry.Histogram
 
 	opTimeout time.Duration // guarded by mu; 0 = block forever (seed behavior)
 	broken    error         // guarded by mu; first transport failure latches here
@@ -557,7 +540,7 @@ func Dial(addr string) (*StreamClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("smb dial %s: %w: %w", addr, ErrTransport, err)
 	}
-	return &StreamClient{conn: conn}, nil
+	return NewStreamClient(conn), nil
 }
 
 // SetTimeouts bounds every round trip on the client to op (0 restores
@@ -590,7 +573,9 @@ func (c *StreamClient) poisonLocked(err error) error {
 
 // NewStreamClient wraps an established connection of any transport.
 func NewStreamClient(rwc io.ReadWriteCloser) *StreamClient {
-	return &StreamClient{conn: rwc} //lint:ignore hotalloc one allocation per established connection; hot paths reach this only through the cold redial recovery branch
+	c := &StreamClient{conn: rwc} //lint:ignore hotalloc one allocation per established connection; hot paths reach this only through the cold redial recovery branch
+	c.d = c
+	return c
 }
 
 // Close implements Client.
@@ -600,90 +585,151 @@ func (c *StreamClient) Close() error {
 	return c.conn.Close()
 }
 
-// beginLocked resets the request builder for a new call. The caller must
-// hold c.mu (every verb method locks, builds, then round-trips).
-func (c *StreamClient) beginLocked() *frameWriter {
-	c.req.buf = c.req.buf[:0]
-	return &c.req
+// do implements doer: one synchronous round trip on the connection.
+func (c *StreamClient) do(cl call) (reply, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.doLocked(cl)
 }
 
-// roundTripLocked performs one synchronous RPC with c.req.buf as the
-// request payload. The returned payload aliases the client's scratch and
-// must be consumed before c.mu is released. Caller holds c.mu.
+// doLocked exchanges one request frame for its reply — the only place a
+// client frame is written or read. The frame is [4B length][1B opcode]
+// [24B trace extension, when negotiated and a context is set] then the
+// payload op's opTable row describes. Header and head are staged in c.wire;
+// a bulk body of at least sgMinPayload on a connection with real writev
+// leaves from the caller's buffer in the same vectored write, anything else
+// is appended to the staging buffer and sent with one Write (sg.go). The
+// reply's 5-byte header is read on its own: an OK rbulk payload of the
+// expected size lands straight in cl.into, everything else in c.in — so an
+// error reply or a size surprise still leaves the framing intact.
 //
 // Any transport failure — write error, read error, or a fired deadline —
 // poisons the client: the framing state of the connection is unknown, so
-// reuse could pair a stale response with a fresh request.
-func (c *StreamClient) roundTripLocked(op opcode) ([]byte, error) {
-	return c.roundTripBodyLocked(op, nil)
-}
-
-// roundTripBodyLocked is roundTripLocked with an optional bulk body that
-// goes out vectored (see sendLocked).
-func (c *StreamClient) roundTripBodyLocked(op opcode, body []byte) ([]byte, error) {
-	if err := c.sendLocked(op, body); err != nil {
-		return nil, err
-	}
-	return c.readReplyLocked()
-}
-
-// sendLocked writes one request frame with c.req.buf as its payload. When
-// body is non-nil the frame goes out as one vectored write of the staged
-// header+head and the caller's body — header and payload in a single
-// writev, no staging copy of the bulk bytes (sg.go). Caller holds c.mu.
+// reuse could pair a stale response with a fresh request. Caller holds c.mu.
 //
 //shm:hotpath
-func (c *StreamClient) sendLocked(op opcode, body []byte) error {
+func (c *StreamClient) doLocked(cl call) (reply, error) {
 	if c.broken != nil {
-		return fmt.Errorf("smb: connection poisoned: %w", c.broken)
+		return reply{}, fmt.Errorf("smb: connection poisoned: %w", c.broken)
 	}
+	spec, err := specOf(cl.op)
+	if err != nil {
+		return reply{}, err
+	}
+	h := c.rtt[cl.op]
+	var t0 time.Time
+	if h != nil {
+		t0 = time.Now()
+	}
+
+	str := cl.str
+	if len(str) > 0xffff {
+		str = str[:0xffff]
+	}
+	traced := c.traceOK && c.tc.TraceID != 0
+	hn := 5 + 8*spec.words
+	if traced {
+		hn += traceHeaderLen
+	}
+	if spec.str {
+		hn += 2 + len(str)
+	}
+	if hn-4+len(cl.body) > maxFrame {
+		return reply{}, ErrFrameTooLarge
+	}
+	vectored := len(cl.body) >= sgMinPayload && connWritev(c.conn)
+	stage := hn
+	if !vectored {
+		stage += len(cl.body)
+	}
+	if cap(c.wire) < stage {
+		//lint:ignore hotalloc grow-only per-client staging, amortized to zero
+		c.wire = make([]byte, stage)
+	}
+	buf := c.wire[:stage]
+	b := sgStampHdr(buf[:hn], byte(cl.op), len(cl.body), traced, c.tc)
+	if spec.str {
+		binary.LittleEndian.PutUint16(buf[b:], uint16(len(str)))
+		b += 2 + copy(buf[b+2:], str)
+	}
+	for i := 0; i < spec.words; i++ {
+		binary.LittleEndian.PutUint64(buf[b:], cl.w[i])
+		b += 8
+	}
+
 	dc, deadlines := c.conn.(deadlineConn)
 	deadlines = deadlines && c.opTimeout > 0
 	if deadlines {
 		dc.SetWriteDeadline(time.Now().Add(c.opTimeout))
 	}
-	var err error
-	switch {
-	case body != nil:
-		err = c.writeFrameVecLocked(byte(op), body)
-	case c.traceOK && c.tc.TraceID != 0 && op != opHello:
-		err = writeFrameTracedInto(c.conn, byte(op), c.req.buf, c.tc, &c.wire)
-	default:
-		err = writeFrameInto(c.conn, byte(op), c.req.buf, &c.wire)
+	if vectored {
+		c.vw.reset()
+		c.vw.add(buf)
+		c.vw.add(cl.body)
+		err = c.vw.writeTo(c.conn)
+	} else {
+		copy(buf[b:], cl.body)
+		_, err = c.conn.Write(buf)
 	}
 	if err != nil {
-		return c.poisonLocked(fmt.Errorf("smb request: %w: %w", ErrTransport, err))
+		return reply{}, c.poisonLocked(fmt.Errorf("smb request: %w: %w", ErrTransport, err))
 	}
 	if deadlines {
 		dc.SetWriteDeadline(time.Time{})
-	}
-	return nil
-}
-
-// readReplyLocked reads and classifies one reply frame — the shared tail
-// of every round trip. Caller holds c.mu.
-func (c *StreamClient) readReplyLocked() ([]byte, error) {
-	dc, deadlines := c.conn.(deadlineConn)
-	deadlines = deadlines && c.opTimeout > 0
-	if deadlines {
 		dc.SetReadDeadline(time.Now().Add(c.opTimeout))
 	}
-	status, resp, err := readFrameInto(c.conn, &c.in)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, c.poisonLocked(fmt.Errorf("smb server closed connection: %w: %w", ErrTransport, err))
+
+	// The reply header lands in the wire scratch (free again once the
+	// request is out): a local array would escape through the io.Reader
+	// interface and cost one allocation per op.
+	hdr := c.wire[:5]
+	if _, err := io.ReadFull(c.conn, hdr); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return reply{}, c.poisonLocked(fmt.Errorf("smb server closed connection: %w: %w", ErrTransport, err))
 		}
-		return nil, c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
+		return reply{}, c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
+	}
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	if n == 0 || n > maxFrame {
+		return reply{}, c.poisonLocked(fmt.Errorf("smb response frame length %d: %w", n, ErrTransport))
+	}
+	status, payLen := hdr[4], int(n)-1
+	landed := status == statusOK && spec.rbulk && payLen == len(cl.into)
+	payload := cl.into
+	if !landed {
+		if cap(c.in) < payLen {
+			c.in = make([]byte, payLen)
+		}
+		payload = c.in[:payLen]
+	}
+	if _, err := io.ReadFull(c.conn, payload); err != nil {
+		return reply{}, c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
 	}
 	if deadlines {
 		dc.SetReadDeadline(time.Time{})
 	}
+
+	fr := frameReader{buf: payload}
 	if status == statusErr {
-		fr := frameReader{buf: resp}
-		msg := fr.str()
-		return nil, remoteError(msg)
+		return reply{}, remoteError(fr.str())
 	}
-	return resp, nil
+	if spec.rbulk && !landed {
+		return reply{}, fmt.Errorf("smb %s returned %d bytes, want %d", spec.name, payLen, len(cl.into))
+	}
+	var r reply
+	for i := 0; i < spec.rwords; i++ {
+		r.w[i] = fr.u64()
+	}
+	if spec.rstr {
+		r.str = fr.str()
+	}
+	if fr.err != nil {
+		return reply{}, fr.err
+	}
+	if h != nil {
+		h.ObserveSeconds(time.Since(t0).Nanoseconds())
+	}
+	return r, nil
 }
 
 // knownRemoteErrors are the sentinel errors remoteError can reconstruct
@@ -708,136 +754,4 @@ func remoteError(msg string) error {
 
 func hasSuffix(s, suffix string) bool {
 	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
-}
-
-// Create implements Client.
-func (c *StreamClient) Create(name string, size int) (SHMKey, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginLocked().str(name).u64(uint64(size))
-	resp, err := c.roundTripLocked(opCreate)
-	if err != nil {
-		return 0, err
-	}
-	fr := frameReader{buf: resp}
-	return SHMKey(fr.u64()), fr.err
-}
-
-// Lookup implements Client.
-func (c *StreamClient) Lookup(name string) (SHMKey, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginLocked().str(name)
-	resp, err := c.roundTripLocked(opLookup)
-	if err != nil {
-		return 0, err
-	}
-	fr := frameReader{buf: resp}
-	return SHMKey(fr.u64()), fr.err
-}
-
-// Attach implements Client.
-func (c *StreamClient) Attach(key SHMKey) (Handle, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginLocked().u64(uint64(key))
-	resp, err := c.roundTripLocked(opAttach)
-	if err != nil {
-		return 0, err
-	}
-	fr := frameReader{buf: resp}
-	return Handle(fr.u64()), fr.err
-}
-
-// Detach implements Client.
-func (c *StreamClient) Detach(h Handle) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginLocked().u64(uint64(h))
-	_, err := c.roundTripLocked(opDetach)
-	return err
-}
-
-// Free implements Client.
-func (c *StreamClient) Free(key SHMKey) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginLocked().u64(uint64(key))
-	_, err := c.roundTripLocked(opFree)
-	return err
-}
-
-// Read implements Client. The reply payload lands directly in dst, with no
-// staging through the response scratch (sg.go).
-//
-//shm:hotpath
-func (c *StreamClient) Read(h Handle, off int, dst []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t0 time.Time
-	if c.inst != nil {
-		t0 = time.Now()
-	}
-	c.beginLocked().u64(uint64(h)).u64(uint64(off)).u64(uint64(len(dst)))
-	err := c.roundTripReadIntoLocked(opRead, dst)
-	if err == nil && c.inst != nil {
-		c.inst.read.ObserveSeconds(time.Since(t0).Nanoseconds())
-	}
-	return err
-}
-
-// Write implements Client.
-//
-//shm:hotpath
-func (c *StreamClient) Write(h Handle, off int, src []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t0 time.Time
-	if c.inst != nil {
-		t0 = time.Now()
-	}
-	var err error
-	if len(src) >= sgMinPayload && connWritev(c.conn) {
-		// Vectored request: header+head staged once, src goes out of the
-		// caller's buffer in the same writev — wire bytes identical to the
-		// staged path, minus the payload copy (sg.go).
-		c.beginLocked().u64(uint64(h)).u64(uint64(off))
-		_, err = c.roundTripBodyLocked(opWrite, src)
-	} else {
-		c.beginLocked().u64(uint64(h)).u64(uint64(off)).bytes(src)
-		_, err = c.roundTripLocked(opWrite)
-	}
-	if err == nil && c.inst != nil {
-		c.inst.write.ObserveSeconds(time.Since(t0).Nanoseconds())
-	}
-	return err
-}
-
-// Accumulate implements Client.
-//
-//shm:hotpath
-func (c *StreamClient) Accumulate(dst, src Handle) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t0 time.Time
-	if c.inst != nil {
-		t0 = time.Now()
-	}
-	c.beginLocked().u64(uint64(dst)).u64(uint64(src))
-	_, err := c.roundTripLocked(opAccumulate)
-	if err == nil && c.inst != nil {
-		c.inst.acc.ObserveSeconds(time.Since(t0).Nanoseconds())
-	}
-	return err
-}
-
-// WriteAccumulate implements Client as the two frames of the paper's push:
-// a Write of data into src, then an Accumulate of src into dst. A bare
-// connection has no retry, so the fold needs no sequence stamp (the
-// supervised client, which does retry, sends opSeqAccumulate instead).
-func (c *StreamClient) WriteAccumulate(dst, src Handle, data []byte) error {
-	if err := c.Write(src, 0, data); err != nil {
-		return err
-	}
-	return c.Accumulate(dst, src)
 }

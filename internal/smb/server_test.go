@@ -282,3 +282,20 @@ func TestLargePayloadTransfer(t *testing.T) {
 		}
 	}
 }
+
+// TestCreateOversizedRejected: a Create size off the wire that no frame
+// could ever fill is refused by the server's arm with an error reply — it
+// must not reach the store's make() (which panics on a size the runtime
+// cannot satisfy and takes the server down) — and the session stays usable.
+func TestCreateOversizedRejected(t *testing.T) {
+	srv := startServer(t)
+	c := dialT(t, srv)
+	for _, size := range []int{maxFrame + 1, 1 << 62} {
+		if _, err := c.Create("huge", size); err == nil {
+			t.Fatalf("Create(size %d) succeeded, want an error reply", size)
+		}
+	}
+	if _, err := c.Create("ok", 16); err != nil {
+		t.Fatalf("session unusable after the rejected creates: %v", err)
+	}
+}

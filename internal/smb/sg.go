@@ -2,10 +2,8 @@ package smb
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
-	"time"
 )
 
 // Scatter-gather TCP path (DESIGN.md §11): the frame protocol's bytes are
@@ -107,98 +105,4 @@ func sgStampHdr(h []byte, op byte, payload int, traced bool, tc TraceContext) in
 	binary.LittleEndian.PutUint32(h[21:25], tc.Rank)
 	binary.LittleEndian.PutUint32(h[25:29], tc.Iter)
 	return 29
-}
-
-// writeFrameVecLocked sends one request frame whose payload is the staged
-// head (c.req.buf) followed by body, as a single vectored write — the body
-// never passes through the wire-staging buffer. Caller holds c.mu.
-//
-//shm:hotpath
-func (c *StreamClient) writeFrameVecLocked(op byte, body []byte) error {
-	head := c.req.buf
-	traced := c.traceOK && c.tc.TraceID != 0
-	hn := 5 + len(head)
-	if traced {
-		hn += traceHeaderLen
-	}
-	if hn-4+len(body) > maxFrame {
-		return ErrFrameTooLarge
-	}
-	if cap(c.wire) < hn {
-		//lint:ignore hotalloc grow-only per-client staging, amortized to zero
-		c.wire = make([]byte, hn)
-	}
-	buf := c.wire[:hn]
-	// The staged head lives inside buf, so only body counts as trailing
-	// payload for the length stamp.
-	b := sgStampHdr(buf, op, len(body), traced, c.tc)
-	copy(buf[b:], head)
-	c.vw.reset()
-	c.vw.add(buf)
-	c.vw.add(body)
-	return c.vw.writeTo(c.conn)
-}
-
-// roundTripReadIntoLocked is the direct-landing Read round trip: the reply
-// header is parsed on its own and, when the payload has the expected size,
-// it is read straight into dst — no staging through the response scratch.
-// Error replies and unexpected sizes take the scratch path with unchanged
-// semantics. Caller holds c.mu.
-//
-//shm:hotpath
-func (c *StreamClient) roundTripReadIntoLocked(op opcode, dst []byte) error {
-	if err := c.sendLocked(op, nil); err != nil {
-		return err
-	}
-	dc, deadlines := c.conn.(deadlineConn)
-	deadlines = deadlines && c.opTimeout > 0
-	if deadlines {
-		dc.SetReadDeadline(time.Now().Add(c.opTimeout))
-	}
-	// The reply header lands in the wire scratch (free again once the
-	// request is out): a local array would escape through the io.Reader
-	// interface and cost one allocation per op.
-	if cap(c.wire) < 5 {
-		//lint:ignore hotalloc grow-only per-client staging, amortized to zero
-		c.wire = make([]byte, 5)
-	}
-	hdr := c.wire[:5]
-	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return c.poisonLocked(fmt.Errorf("smb server closed connection: %w: %w", ErrTransport, err))
-		}
-		return c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxFrame {
-		return c.poisonLocked(fmt.Errorf("smb response frame length %d: %w", n, ErrTransport))
-	}
-	status := hdr[4]
-	payLen := int(n) - 1
-	if status == statusOK && payLen == len(dst) {
-		if _, err := io.ReadFull(c.conn, dst); err != nil {
-			return c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
-		}
-		if deadlines {
-			dc.SetReadDeadline(time.Time{})
-		}
-		return nil
-	}
-	// Slow path: error reply or a size surprise — land in the scratch so
-	// the connection framing stays intact either way.
-	if cap(c.in) < payLen {
-		c.in = make([]byte, payLen)
-	}
-	buf := c.in[:payLen]
-	if _, err := io.ReadFull(c.conn, buf); err != nil {
-		return c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
-	}
-	if deadlines {
-		dc.SetReadDeadline(time.Time{})
-	}
-	if status == statusErr {
-		fr := frameReader{buf: buf}
-		return remoteError(fr.str())
-	}
-	return fmt.Errorf("smb read returned %d bytes, want %d", payLen, len(dst))
 }

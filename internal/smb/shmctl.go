@@ -46,41 +46,33 @@ var errNoShmLease = errors.New("smb: no shm lease on this connection (hello firs
 // errShmNotOffered reports that the server is not exporting segments.
 var errShmNotOffered = errors.New("smb: shm transport not offered by this server")
 
-// dispatchShm serves the shared-memory control verbs; chained from
-// dispatchNotify's default arm so unknown opcodes still error there.
-func (s *Server) dispatchShm(op opcode, payload []byte, cs *connState) ([]byte, error) {
-	fr := frameReader{buf: payload}
-	switch op {
+// serveShm serves the shared-memory control verbs; chained from serve's
+// default arm.
+func (s *Server) serveShm(q call, cs *connState) (reply, error) {
+	switch q.op {
 	//lint:ignore wireproto control-plane verb: one frame per control connection, not a data-path latency
-	case opShmHello:
-		_ = fr.u64() // feature flags, reserved
-		if fr.err != nil {
-			return nil, fr.err
-		}
+	case opShmHello: // q.w[0]: feature flags, reserved
 		if !ShmSupported() || !s.store.ShmEnabled() {
-			return nil, errShmNotOffered
+			return reply{}, errShmNotOffered
 		}
 		if cs.lease == 0 {
 			cs.lease = s.shmLeases.Add(1) + 1 // leases start at 2; 1 is the server
 			s.store.shmc.leases.Add(1)
 			s.activeShm.Add(1)
 		}
-		return cs.fw.u64(uint64(cs.lease)).buf, nil
+		return words(uint64(cs.lease)), nil
 	//lint:ignore wireproto control-plane verb: one frame per mapped segment, not a data-path latency
 	case opShmMap:
-		h := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
-		}
+		h := Handle(q.w[0])
 		if cs.lease == 0 {
-			return nil, errNoShmLease
+			return reply{}, errNoShmLease
 		}
 		if !canPassFD(cs.conn) {
-			return nil, errFDTransport
+			return reply{}, errFDTransport
 		}
-		sh, seg, err := s.store.shmSegment(Handle(h))
+		sh, seg, err := s.store.shmSegment(h)
 		if err != nil {
-			return nil, err
+			return reply{}, err
 		}
 		// The fd goes out as ancillary data right after this OK reply —
 		// handleConn sends it before reading the next request frame.
@@ -90,49 +82,37 @@ func (s *Server) dispatchShm(op opcode, payload []byte, cs *connState) ([]byte, 
 		if cs.shmMaps == nil {
 			cs.shmMaps = make(map[Handle]int64)
 		}
-		cs.shmMaps[Handle(h)] += int64(len(sh.m))
+		cs.shmMaps[h] += int64(len(sh.m))
 		telemetry.RecordEvent(telemetry.EvShmMap, int64(seg.key), int64(len(sh.m)), 0)
-		return cs.fw.u64(uint64(seg.key)).u64(uint64(sh.ctlBytes)).
-			u64(uint64(len(sh.dat))).u64(uint64(sh.stripes)).buf, nil
+		return words(uint64(seg.key), uint64(sh.ctlBytes), uint64(len(sh.dat)), uint64(sh.stripes)), nil
 	//lint:ignore wireproto control-plane verb: one frame per unmapped segment, not a data-path latency
 	case opShmUnmap:
-		h := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
-		}
+		h := Handle(q.w[0])
 		// Only retire mappings this connection made: a duplicate or
 		// unsolicited unmap must not drive the map-bytes gauge negative.
-		b, ok := cs.shmMaps[Handle(h)]
+		b, ok := cs.shmMaps[h]
 		if !ok {
-			return nil, fmt.Errorf("smb: handle %d was not mapped on this connection", h)
+			return reply{}, fmt.Errorf("smb: handle %d was not mapped on this connection", h)
 		}
-		delete(cs.shmMaps, Handle(h))
+		delete(cs.shmMaps, h)
 		s.store.shmc.mapBytes.Add(-b)
-		return nil, nil
+		return reply{}, nil
 	//lint:ignore wireproto control-plane verb: a heartbeat frame, not a data-path latency
 	case opShmLease:
-		lease := fr.u64()
-		if fr.err != nil {
-			return nil, fr.err
+		if cs.lease == 0 || uint64(cs.lease) != q.w[0] {
+			return reply{}, errNoShmLease
 		}
-		if cs.lease == 0 || uint64(cs.lease) != lease {
-			return nil, errNoShmLease
-		}
-		return cs.fw.u64(uint64(cs.lease)).buf, nil
+		return words(uint64(cs.lease)), nil
 	//lint:ignore wireproto control-plane verb: one frame per dial, not a data-path latency
-	case opShmQuery:
-		_ = fr.u64() // client boot id; informational
-		if fr.err != nil {
-			return nil, fr.err
+	case opShmQuery: // q.w[0]: client boot id, informational
+		r := words(0, localBootID())
+		r.str = s.ShmAddr()
+		if ShmSupported() && s.store.ShmEnabled() && r.str != "" {
+			r.w[0] = shmQueryOffered
 		}
-		var flags uint64
-		path := s.ShmAddr()
-		if ShmSupported() && s.store.ShmEnabled() && path != "" {
-			flags |= shmQueryOffered
-		}
-		return cs.fw.u64(flags).u64(localBootID()).str(path).buf, nil
+		return r, nil
 	default:
-		return s.dispatchSnap(op, payload, cs)
+		return s.serveSnap(q, cs)
 	}
 }
 
@@ -161,16 +141,8 @@ type shmGeometry struct {
 // exporting segments; against a non-shm or old server the remote error
 // surfaces directly (DialShm treats it as "not offered").
 func (c *StreamClient) ShmHello() (uint32, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginLocked().u64(0)
-	resp, err := c.roundTripLocked(opShmHello)
-	if err != nil {
-		return 0, err
-	}
-	fr := frameReader{buf: resp}
-	lease := fr.u64()
-	return uint32(lease), fr.err
+	r, err := c.do(call{op: opShmHello})
+	return uint32(r.w[0]), err
 }
 
 // shmMap maps the segment behind h: one round trip for the geometry, then
@@ -179,19 +151,10 @@ func (c *StreamClient) ShmHello() (uint32, error) {
 func (c *StreamClient) shmMap(h Handle) (*shmShared, shmGeometry, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var g shmGeometry
-	c.beginLocked().u64(uint64(h))
-	resp, err := c.roundTripLocked(opShmMap)
+	r, err := c.doLocked(call{op: opShmMap, w: [4]uint64{uint64(h)}})
+	g := shmGeometry{key: SHMKey(r.w[0]), ctlBytes: int(r.w[1]), size: int(r.w[2]), stripes: int(r.w[3])}
 	if err != nil {
 		return nil, g, err
-	}
-	fr := frameReader{buf: resp}
-	g.key = SHMKey(fr.u64())
-	g.ctlBytes = int(fr.u64())
-	g.size = int(fr.u64())
-	g.stripes = int(fr.u64())
-	if fr.err != nil {
-		return nil, g, fr.err
 	}
 	// The fd's carrier byte is the next thing on the stream; a failure here
 	// desyncs the framing, so it poisons like any transport error.
@@ -213,19 +176,13 @@ func (c *StreamClient) shmMap(h Handle) (*shmShared, shmGeometry, error) {
 
 // ShmUnmap retires the server-side accounting of one mapping.
 func (c *StreamClient) ShmUnmap(h Handle) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginLocked().u64(uint64(h))
-	_, err := c.roundTripLocked(opShmUnmap)
+	_, err := c.do(call{op: opShmUnmap, w: [4]uint64{uint64(h)}})
 	return err
 }
 
 // ShmLease validates/renews the connection's lease.
 func (c *StreamClient) ShmLease(lease uint32) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginLocked().u64(uint64(lease))
-	_, err := c.roundTripLocked(opShmLease)
+	_, err := c.do(call{op: opShmLease, w: [4]uint64{uint64(lease)}})
 	return err
 }
 
@@ -234,19 +191,9 @@ func (c *StreamClient) ShmLease(lease uint32) error {
 // (0, 0, "", nil) with the connection fully usable. Only transport
 // failures surface as errors.
 func (c *StreamClient) ShmQuery() (flags, serverBootID uint64, path string, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beginLocked().u64(localBootID())
-	resp, err := c.roundTripLocked(opShmQuery)
-	if err != nil {
-		if errors.Is(err, ErrTransport) {
-			return 0, 0, "", err
-		}
-		return 0, 0, "", nil // old or non-shm server: framing intact
+	r, err := c.do(call{op: opShmQuery, w: [4]uint64{localBootID()}})
+	if err != nil && !retryable(err) {
+		err = nil // old or non-shm server: framing intact
 	}
-	fr := frameReader{buf: resp}
-	flags = fr.u64()
-	serverBootID = fr.u64()
-	path = fr.str()
-	return flags, serverBootID, path, fr.err
+	return r.w[0], r.w[1], r.str, err
 }

@@ -231,9 +231,9 @@ func TestLocalClientImplementsAPI(t *testing.T) {
 	if err != nil || v != 42 {
 		t.Fatalf("ReadInt64 = %d, %v", v, err)
 	}
-	slots, err := ReadInt64Slots(c, h, 2)
-	if err != nil || slots[0] != 0 || slots[1] != 42 {
-		t.Fatalf("ReadInt64Slots = %v, %v", slots, err)
+	slots := make([]int64, 2)
+	if err := ReadInt64SlotsAt(c, h, 0, slots); err != nil || slots[0] != 0 || slots[1] != 42 {
+		t.Fatalf("ReadInt64SlotsAt = %v, %v", slots, err)
 	}
 	if err := c.Detach(h); err != nil {
 		t.Fatal(err)

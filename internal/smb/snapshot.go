@@ -48,9 +48,7 @@ var ErrUnknownSnapshot = errors.New("smb: unknown snapshot")
 type SnapID uint64
 
 // SnapInfo describes a snapshot cut: its ID, the segment version the cut
-// captured, and the segment size in bytes. For sharded snapshots Version
-// is the sum of the per-shard versions (a scalar view of the version
-// vector; still monotonic per logical segment).
+// captured, and the segment size in bytes.
 type SnapInfo struct {
 	ID      SnapID
 	Version uint64
@@ -366,16 +364,3 @@ func (s *Store) SnapRelease(id SnapID) error {
 // SnapCount returns the number of live snapshots (scrape gauge and test
 // hook).
 func (s *Store) SnapCount() int { return int(s.snapc.live.Load()) }
-
-// LocalClient passthroughs.
-
-// Snapshot implements Client.
-func (c *LocalClient) Snapshot(h Handle) (SnapInfo, error) { return c.store.Snapshot(h) }
-
-// SnapRead implements Client.
-func (c *LocalClient) SnapRead(id SnapID, off int, dst []byte) error {
-	return c.store.SnapRead(id, off, dst)
-}
-
-// SnapRelease implements Client.
-func (c *LocalClient) SnapRelease(id SnapID) error { return c.store.SnapRelease(id) }

@@ -256,10 +256,9 @@ func TestSnapshotStableUnderAccumulateStorm(t *testing.T) {
 	}
 }
 
-// TestSnapshotTransports runs the storm/cut assertion over the wire
-// transports: TCP and the sharded fan-out.
-// (The shm-mapped writer storm has its own test below; it needs the
-// shared gate.)
+// TestSnapshotTransports runs the storm/cut assertion over TCP. (The
+// shm-mapped writer storm has its own test below; it needs the shared
+// gate.)
 func TestSnapshotTransports(t *testing.T) {
 	size := 4 * chunkBytes
 	t.Run("tcp", func(t *testing.T) {
@@ -275,58 +274,6 @@ func TestSnapshotTransports(t *testing.T) {
 		defer stop()
 		for i := 0; i < 5; i++ {
 			assertSnapshotStable(t, c, h, size)
-		}
-	})
-	t.Run("sharded", func(t *testing.T) {
-		s1, s2 := NewStore(), NewStore()
-		sc, err := NewShardedClient(NewLocalClient(s1), NewLocalClient(s2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		key, err := sc.Create("snap/wg", size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := sc.Attach(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stop := stormWrites(t, sc, h, size)
-		defer stop()
-		// The sharded cut is a version vector, not a global point: each
-		// shard is internally consistent, but two shards may capture
-		// different storm epochs. Assert exactly that contract — per-shard
-		// uniformity and whole-cut stability.
-		half := size / 2
-		for i := 0; i < 5; i++ {
-			info, err := sc.Snapshot(h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			first := make([]byte, size)
-			if err := sc.SnapRead(info.ID, 0, first); err != nil {
-				t.Fatal(err)
-			}
-			for s, lo := 0, 0; lo < size; s, lo = s+1, lo+half {
-				if off, ok := uniformWords(first[lo : lo+half]); !ok {
-					t.Fatalf("shard %d torn at offset %d", s, off)
-				}
-			}
-			again := make([]byte, size)
-			for j := 0; j < 4; j++ {
-				if err := sc.SnapRead(info.ID, 0, again); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(first, again) {
-					t.Fatal("sharded snapshot unstable under storm")
-				}
-			}
-			if err := sc.SnapRelease(info.ID); err != nil {
-				t.Fatal(err)
-			}
-			if err := sc.SnapRead(info.ID, 0, again); !errors.Is(err, ErrUnknownSnapshot) {
-				t.Fatalf("released sharded snapshot read: %v", err)
-			}
 		}
 	})
 }

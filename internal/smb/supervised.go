@@ -86,6 +86,8 @@ type SupervisedStats struct {
 // supervision. Like StreamClient it is safe for concurrent use, with
 // operations serialized on one connection.
 type SupervisedClient struct {
+	verbs // the Client verb set, encoded through do
+
 	cfg SupervisedConfig
 
 	mu   sync.Mutex
@@ -144,6 +146,7 @@ func NewSupervisedClient(cfg SupervisedConfig) *SupervisedClient {
 		remote: make(map[Handle]Handle),
 		rng:    cfg.Seed ^ cfg.ClientID,
 	}
+	c.d = c
 	if cfg.Metrics != nil {
 		c.inst = newSupervisedInstruments(cfg.Metrics, &c.pushes)
 	}
@@ -385,61 +388,109 @@ func (c *SupervisedClient) publishLocked(key SHMKey, rh Handle) Handle {
 	return h
 }
 
-// Create implements Client. On a retry after a transport failure the
-// original Create may have succeeded server-side, so ErrSegmentExists on a
-// later attempt resolves to Lookup of the (durable) segment — idempotent
-// create, matching what a restarted worker needs anyway.
-func (c *SupervisedClient) Create(name string, size int) (SHMKey, error) {
+// do implements doer under the retry policy: lock → withRetry → resolve the
+// words the opTable row marks as handles → the connection's do. Every verb
+// routed through the retry loop is idempotent (fixed-range Read/Write,
+// Lookup, the snapshot verbs) or deduped (opSeqAccumulate); the arms that
+// differ are spelled here, once:
+//
+//   - Create: a retried Create may find its own first attempt's segment, so
+//     ErrSegmentExists after the first attempt resolves to Lookup of the
+//     (durable) segment — idempotent create, which a restarted worker needs
+//     anyway.
+//   - Attach returns the client's own handle, valid across reconnects (the
+//     server-side attach replays lazily via resolveLocked).
+//   - Detach drops the local mapping first; the server side is best-effort.
+//   - Free is single-shot: it destroys shared state, and a retry racing a
+//     concurrent re-Create could free the successor segment.
+//   - Accumulate goes out as opSeqAccumulate, stamped once before the retry
+//     loop — every retry replays the SAME sequence number, which is the
+//     whole point (a bare retried ACCUMULATE could double-apply, corrupting
+//     Wg worse than losing the push; seq.go).
+//   - Snapshot: a retry whose first attempt succeeded server-side but lost
+//     its reply leaks that cut until the store is torn down — bounded by the
+//     retry budget, visible in smb_snapshots_live. SnapIDs do not survive a
+//     server restart: SnapRead then returns ErrUnknownSnapshot and the caller
+//     retakes the cut.
+//   - SnapRelease of an unknown id is success: either an earlier attempt's
+//     release landed before its reply was lost, or the server restarted and
+//     the snapshot died with it — the pin is gone, which is all the caller
+//     wants.
+func (c *SupervisedClient) do(cl call) (reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var key SHMKey
-	attempt := 0
-	err := c.withRetry("create", func(sc *StreamClient) error {
-		attempt++
-		k, err := sc.Create(name, size)
-		if errors.Is(err, ErrSegmentExists) && attempt > 1 {
-			k, err = sc.Lookup(name)
-		}
-		key = k
-		return err
-	})
-	return key, err
+	r, err := c.doLocked(cl)
+	if cl.op == opAttach && err == nil {
+		// Minted here, not in doLocked: growing the handle directory is the
+		// one arm that allocates, and doLocked is the push's hot path.
+		r.w[0] = uint64(c.publishLocked(SHMKey(cl.w[0]), Handle(r.w[0])))
+	}
+	return r, err
 }
 
-// Lookup implements Client.
-func (c *SupervisedClient) Lookup(name string) (SHMKey, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var key SHMKey
-	err := c.withRetry("lookup", func(sc *StreamClient) error {
-		k, err := sc.Lookup(name)
-		key = k
-		return err
-	})
-	return key, err
-}
-
-// Attach implements Client. The returned handle is the supervised client's
-// own: it remains valid across reconnects (the server-side attach replays
-// lazily).
-func (c *SupervisedClient) Attach(key SHMKey) (Handle, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var h Handle
-	err := c.withRetry("attach", func(sc *StreamClient) error {
-		rh, err := sc.Attach(key)
+// doLocked is do under a lock the caller already holds (WriteAccumulate
+// runs its two calls under one hold).
+func (c *SupervisedClient) doLocked(cl call) (r reply, err error) {
+	if cl.op == opDetach {
+		return r, c.detachLocked(Handle(cl.w[0]), nil)
+	}
+	if cl.op == opFree {
+		sc, err := c.ensureLocked()
 		if err != nil {
-			return err
+			return r, err
 		}
-		h = c.publishLocked(key, rh)
-		return nil
+		if r, err = sc.do(cl); retryable(err) {
+			c.dropLocked()
+		}
+		return r, err
+	}
+	if cl.op == opAccumulate {
+		c.seq++
+		cl.op, cl.w[2], cl.w[3] = opSeqAccumulate, c.cfg.ClientID, c.seq
+	}
+	spec, err := specOf(cl.op)
+	if err != nil {
+		return r, err
+	}
+	attempt := 0
+	//lint:ignore hotalloc wire path: one closure per round trip, reached from the shm hot path only when a handle is not mapped
+	err = c.withRetry(spec.name, func(sc *StreamClient) error {
+		attempt++
+		q := cl
+		for i := 0; i < spec.words; i++ {
+			if spec.handles&(1<<i) == 0 {
+				continue
+			}
+			rh, err := c.resolveLocked(sc, Handle(cl.w[i]))
+			if err != nil {
+				return err
+			}
+			q.w[i] = uint64(rh)
+		}
+		var err error
+		r, err = sc.do(q)
+		if cl.op == opCreate && attempt > 1 && errors.Is(err, ErrSegmentExists) {
+			r, err = sc.do(call{op: opLookup, str: cl.str})
+		}
+		return err
 	})
-	return h, err
+	if cl.op == opSnapRelease && errors.Is(err, ErrUnknownSnapshot) {
+		return r, nil
+	}
+	if err != nil {
+		return r, err
+	}
+	if cl.op == opSeqAccumulate {
+		c.pushes.Add(1)
+		if r.w[0] == 0 {
+			c.dupAcks.Add(1)
+			if c.inst != nil {
+				c.inst.dupAcks.Inc()
+			}
+		}
+	}
+	return r, nil
 }
-
-// Detach implements Client. The local mapping always goes; the server-side
-// detach is best-effort (a dead connection already detached it).
-func (c *SupervisedClient) Detach(h Handle) error { return c.detach(h, nil) }
 
 // detach is Detach with an optional verb to run first against the live
 // connection's handle, on the same best-effort single-shot terms (the shm
@@ -447,6 +498,12 @@ func (c *SupervisedClient) Detach(h Handle) error { return c.detach(h, nil) }
 func (c *SupervisedClient) detach(h Handle, pre func(sc *StreamClient, rh Handle) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.detachLocked(h, pre)
+}
+
+// detachLocked: the local mapping always goes; the server-side detach is
+// best-effort (a dead connection already detached it).
+func (c *SupervisedClient) detachLocked(h Handle, pre func(sc *StreamClient, rh Handle) error) error {
 	if _, ok := c.keys[h]; !ok {
 		return fmt.Errorf("smb supervised: %w: handle %d", ErrUnknownHandle, h)
 	}
@@ -471,98 +528,18 @@ func (c *SupervisedClient) detach(h Handle, pre func(sc *StreamClient, rh Handle
 	return nil
 }
 
-// Free implements Client. Deliberately NOT retried: Free destroys shared
-// state, and a retry racing a concurrent re-Create could free the
-// successor segment.
-func (c *SupervisedClient) Free(key SHMKey) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sc, err := c.ensureLocked()
-	if err != nil {
-		return err
-	}
-	err = sc.Free(key)
-	if retryable(err) {
-		c.dropLocked()
-	}
-	return err
-}
-
-// Read implements Client (idempotent; retried).
-func (c *SupervisedClient) Read(h Handle, off int, dst []byte) error {
-	return c.withHandle("read", h, func(sc *StreamClient, rh Handle) error {
-		return sc.Read(rh, off, dst)
-	})
-}
-
-// Write implements Client (idempotent — same bytes, same range; retried).
-func (c *SupervisedClient) Write(h Handle, off int, src []byte) error {
-	return c.withHandle("write", h, func(sc *StreamClient, rh Handle) error {
-		return sc.Write(rh, off, src)
-	})
-}
-
-// Accumulate implements Client. Routed through the sequence-stamped opcode:
-// a bare retried ACCUMULATE could double-apply, which corrupts Wg worse
-// than losing the push (see seq.go).
-func (c *SupervisedClient) Accumulate(dst, src Handle) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seqAccumulateLocked(dst, src)
-}
-
-// seqAccumulateLocked stamps one logical accumulate and retries it to
-// completion. The stamp is drawn once, before the retry loop — every retry
-// replays the SAME sequence number, which is the whole point.
-func (c *SupervisedClient) seqAccumulateLocked(dst, src Handle) error {
-	c.seq++
-	seq := c.seq
-	//lint:ignore hotalloc wire path: one closure per round trip, reached from the shm hot path only when a handle is not mapped
-	err := c.withRetry("accumulate", func(sc *StreamClient) error {
-		rdst, err := c.resolveLocked(sc, dst)
-		if err != nil {
-			return err
-		}
-		rsrc, err := c.resolveLocked(sc, src)
-		if err != nil {
-			return err
-		}
-		applied, err := sc.SeqAccumulate(rdst, rsrc, c.cfg.ClientID, seq)
-		if err != nil {
-			return err
-		}
-		if !applied {
-			c.dupAcks.Add(1)
-			if c.inst != nil {
-				c.inst.dupAcks.Inc()
-			}
-		}
-		return nil
-	})
-	if err == nil {
-		c.pushes.Add(1)
-	}
-	return err
-}
-
 // WriteAccumulate implements Client — the supervised form of the worker
-// push (Fig. 6 T.A2+T.A3), as the two-phase recipe that is safe to retry:
+// push (Fig. 6 T.A2+T.A3), as the two-phase recipe that is safe to retry,
+// under one hold of the lock:
 //
 //	Write(src, 0, data)   — idempotent staging into the private ΔWx segment
 //	SeqAccumulate(dst,src) — deduped fold into Wg
 func (c *SupervisedClient) WriteAccumulate(dst, src Handle, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	//lint:ignore hotalloc wire path: one closure per round trip, reached from the shm hot path only when a handle is not mapped
-	err := c.withRetry("write-accumulate stage", func(sc *StreamClient) error {
-		rsrc, err := c.resolveLocked(sc, src)
-		if err != nil {
-			return err
-		}
-		return sc.Write(rsrc, 0, data)
-	})
-	if err != nil {
+	if _, err := c.doLocked(call{op: opWrite, w: [4]uint64{uint64(src)}, body: data}); err != nil {
 		return err
 	}
-	return c.seqAccumulateLocked(dst, src)
+	_, err := c.doLocked(call{op: opAccumulate, w: [4]uint64{uint64(dst), uint64(src)}})
+	return err
 }

@@ -2,9 +2,7 @@ package smb
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 )
 
 // Wire-level trace propagation. A client that has negotiated the trace
@@ -55,31 +53,6 @@ type TraceContext struct {
 	Iter    uint32
 }
 
-// writeFrameTracedInto is writeFrameInto plus the trace extension header:
-// the opcode byte gets traceFlagBit and the 24-byte header is staged
-// between it and the payload, all in one buffer and one Write.
-//
-//shm:hotpath
-func writeFrameTracedInto(w io.Writer, op byte, payload []byte, tc TraceContext, scratch *[]byte) error {
-	if len(payload)+1+traceHeaderLen > maxFrame {
-		return ErrFrameTooLarge
-	}
-	need := 5 + traceHeaderLen + len(payload)
-	if cap(*scratch) < need {
-		*scratch = make([]byte, need)
-	}
-	buf := (*scratch)[:need]
-	binary.LittleEndian.PutUint32(buf[:4], uint32(need-4))
-	buf[4] = op | traceFlagBit
-	binary.LittleEndian.PutUint64(buf[5:13], tc.TraceID)
-	binary.LittleEndian.PutUint64(buf[13:21], tc.SpanID)
-	binary.LittleEndian.PutUint32(buf[21:25], tc.Rank)
-	binary.LittleEndian.PutUint32(buf[25:29], tc.Iter)
-	copy(buf[29:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
 // NegotiateTrace performs the opHello feature exchange and reports whether
 // the server granted the trace extension. Against an old server the hello
 // comes back as a clean, correctly-framed "unknown opcode" remote error —
@@ -88,21 +61,15 @@ func writeFrameTracedInto(w io.Writer, op byte, payload []byte, tc TraceContext,
 func (c *StreamClient) NegotiateTrace() (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.traceOK = false
-	c.beginLocked().u64(helloFeatureTrace)
-	resp, err := c.roundTripLocked(opHello)
+	c.traceOK = false // the hello itself is never stamped
+	r, err := c.doLocked(call{op: opHello, w: [4]uint64{helloFeatureTrace}})
 	if err != nil {
-		if errors.Is(err, ErrTransport) {
+		if retryable(err) {
 			return false, err
 		}
 		return false, nil // old server: opcode rejected, framing intact
 	}
-	fr := frameReader{buf: resp}
-	granted := fr.u64()
-	if fr.err != nil {
-		return false, fr.err
-	}
-	c.traceOK = granted&helloFeatureTrace != 0
+	c.traceOK = r.w[0]&helloFeatureTrace != 0
 	return c.traceOK, nil
 }
 

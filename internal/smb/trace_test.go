@@ -14,15 +14,29 @@ import (
 // negotiation, client→server span linking, and both interop directions
 // (old client → new server, new client → old server).
 
+// scriptConn is a connection that records what is written and replays a
+// canned reply stream.
+type scriptConn struct {
+	bytes.Buffer               // requests written
+	replies      *bytes.Reader // replies to serve
+}
+
+func (c *scriptConn) Read(p []byte) (int, error) { return c.replies.Read(p) }
+func (c *scriptConn) Close() error               { return nil }
+
 func TestTraceFrameRoundTrip(t *testing.T) {
 	tc := TraceContext{TraceID: 0xdeadbeef, SpanID: 0x1122334455667788, Rank: 3, Iter: 41}
 	payload := []byte("hello segment")
-	var buf bytes.Buffer
-	var scratch []byte
-	if err := writeFrameTracedInto(&buf, byte(opWrite), payload, tc, &scratch); err != nil {
+	conn := &scriptConn{replies: bytes.NewReader([]byte{1, 0, 0, 0, statusOK})}
+	c := NewStreamClient(conn)
+	c.traceOK = true
+	c.SetTraceContext(tc)
+	if err := c.Write(0, 0, payload); err != nil {
 		t.Fatal(err)
 	}
-	op, body, err := readFrame(&buf)
+	buf := &conn.Buffer
+	payload = append(make([]byte, 16), payload...) // handle and offset words lead the body
+	op, body, err := readFrame(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

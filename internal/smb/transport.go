@@ -6,14 +6,16 @@ import (
 	"sync"
 	"time"
 
+	"shmcaffe/internal/rds"
 	"shmcaffe/internal/telemetry"
 )
 
-// Pluggable transports (DESIGN.md §16): the TCP frame protocol and the
-// cross-process shared-memory path are peers behind one dial registry
-// ("tcp" and "tcp_sg" name the same supervised TCP dialer). A transport
-// turns DialOptions into a Client; everything above (platform wiring,
-// shmtrain) selects by name and never sees the difference.
+// Pluggable transports (DESIGN.md §16): the frame protocol over TCP or over
+// the RDS-like datagram transport and the cross-process shared-memory path
+// are peers behind one dial registry ("tcp" and "tcp_sg" name the same
+// supervised TCP dialer). A transport turns DialOptions into a Client;
+// everything above (platform wiring, shmtrain) selects by name and never
+// sees the difference.
 
 // DialOptions is the transport-independent dial configuration.
 type DialOptions struct {
@@ -72,16 +74,51 @@ func TransportNames() []string {
 	return names
 }
 
-func dialSupervised(opts DialOptions) (Client, error) {
-	return NewSupervisedClient(SupervisedConfig{
+// supervisedConfig carries opts into a supervised session's configuration.
+func supervisedConfig(opts DialOptions) SupervisedConfig {
+	return SupervisedConfig{
 		Addr:      opts.Addr,
 		OpTimeout: opts.OpTimeout,
 		Seed:      opts.Seed,
 		ClientID:  opts.ClientID,
 		Metrics:   opts.Metrics,
 		Trace:     opts.Trace,
-	}), nil
+	}
 }
+
+func dialSupervised(opts DialOptions) (Client, error) {
+	return NewSupervisedClient(supervisedConfig(opts)), nil
+}
+
+// dialRDS is the supervised session over the RDS-like reliable datagram
+// transport (internal/rds; the server side is smbserver -rds). Every
+// (re)connection dials from a private UDP endpoint that dies with it, so
+// the session redials like any other.
+func dialRDS(opts DialOptions) (Client, error) {
+	cfg := supervisedConfig(opts)
+	cfg.Dial = func(addr string) (*StreamClient, error) {
+		ep, err := rds.ListenUDP("127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("smb rds listen: %w: %w", ErrTransport, err)
+		}
+		conn, err := ep.Dial(addr)
+		if err != nil {
+			ep.Close()
+			return nil, fmt.Errorf("smb rds dial %s: %w: %w", addr, ErrTransport, err)
+		}
+		return NewStreamClient(rdsConn{conn, ep}), nil
+	}
+	return NewSupervisedClient(cfg), nil
+}
+
+// rdsConn is an rds connection that owns its local endpoint: closing the
+// endpoint closes the connection and the socket under it.
+type rdsConn struct {
+	*rds.Conn
+	ep *rds.Endpoint
+}
+
+func (c rdsConn) Close() error { return c.ep.Close() }
 
 // dialShm dials the unix control socket advertised at path with opts.
 func dialShm(path string, opts DialOptions) (*ShmClient, error) {
@@ -97,6 +134,7 @@ func dialShm(path string, opts DialOptions) (*ShmClient, error) {
 func init() {
 	RegisterTransport("tcp", dialSupervised)
 	RegisterTransport("tcp_sg", dialSupervised)
+	RegisterTransport("rds", dialRDS)
 	RegisterTransport("shm", func(opts DialOptions) (Client, error) {
 		path, err := negotiateShm(opts)
 		if err != nil {

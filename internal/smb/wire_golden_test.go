@@ -7,7 +7,11 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
 	"net"
 	"os"
 	"strings"
@@ -19,9 +23,11 @@ import (
 
 // Golden wire bytes: the request frames of every surviving verb, captured
 // from the commit before the chunk pipeline and the plain-tcp fork were
-// deleted (testdata/wire_requests.golden). The encoder must keep
-// reproducing them byte for byte, on the staged path (small payloads) and
-// the vectored path (payloads of at least sgMinPayload over real TCP).
+// deleted (testdata/wire_requests.golden), plus the five shm control
+// requests captured from the last commit that had three frame writers.
+// The one encoder (StreamClient.do) must keep reproducing them byte for
+// byte, on the staged path (small payloads) and the vectored path
+// (payloads of at least sgMinPayload over real TCP).
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/wire_requests.golden from the current encoder")
 
@@ -279,6 +285,26 @@ func TestGoldenWireRequests(t *testing.T) {
 		{"free", func() error { return c.Free(dwKey) }},
 	})
 
+	// The shm control plane, requests only: over plain TCP against a store
+	// that exports nothing the server answers most of these with a remote
+	// error, which is fine — the request frame is what the fixture pins.
+	remoteOK := func(err error) error {
+		if retryable(err) {
+			return err
+		}
+		return nil
+	}
+	runSteps(0, []goldenStep{
+		{"shm_hello", func() error { _, err := c.ShmHello(); return remoteOK(err) }},
+		{"shm_map", func() error { _, _, err := c.shmMap(wg); return remoteOK(err) }},
+		{"shm_unmap", func() error { return remoteOK(c.ShmUnmap(wg)) }},
+		{"shm_lease", func() error { return remoteOK(c.ShmLease(2)) }},
+		{"shm_query", func() error { _, _, _, err := c.ShmQuery(); return err }},
+	})
+	// opShmQuery carries this host's boot id: mask it so the fixture is
+	// host-independent ([4B len][1B op][8B boot id]).
+	clear(got["shm_query"][5:13])
+
 	if *updateGolden {
 		var b strings.Builder
 		b.WriteString("# Request frames of the SMB wire protocol, one `name hex` entry per scripted\n")
@@ -356,12 +382,17 @@ func TestRetiredOpcodesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	for op := range retiredOpcodes {
+		// The client has no encoder for a row-less opcode, so the frame is
+		// written raw on its connection.
 		c.mu.Lock()
-		c.beginLocked().u64(1).u64(1).u64(0).bytes(make([]byte, 7))
-		_, err := c.roundTripLocked(opcode(op))
+		err := writeFrame(c.conn, op, make([]byte, 31))
+		status, resp, rerr := readFrame(c.conn)
 		c.mu.Unlock()
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown opcode %d", op)) {
-			t.Fatalf("opcode %d: got %v, want the unknown-opcode error", op, err)
+		if err != nil || rerr != nil {
+			t.Fatalf("opcode %d: %v / %v", op, err, rerr)
+		}
+		if status != statusErr || !strings.Contains(string(resp), fmt.Sprintf("unknown opcode %d", op)) {
+			t.Fatalf("opcode %d: status %d %q, want the unknown-opcode error", op, status, resp)
 		}
 		if got, err := c.Lookup("wg"); err != nil || got != key {
 			t.Fatalf("connection unusable after retired opcode %d: %v, %v", op, got, err)
@@ -417,4 +448,122 @@ func TestTCPNamesShareOnePath(t *testing.T) {
 			t.Fatalf("%s connection %T does not take the vectored path", name, sup.conn.conn)
 		}
 	}
+}
+
+// opNamesInSource parses the package's non-test files and returns the names
+// of the op* constants of type opcode and the keys of the opTable literal.
+func opNamesInSource(t *testing.T) (consts, rows map[string]bool) {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts, rows = map[string]bool{}, map[string]bool{}
+	for _, f := range pkgs["smb"].Files {
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			typ := "" // carried down an iota block's implicit repetitions
+			for _, sp := range gd.Specs {
+				vs, ok := sp.(*ast.ValueSpec)
+				if !ok {
+					continue
+				}
+				if id, ok := vs.Type.(*ast.Ident); ok {
+					typ = id.Name
+				} else if len(vs.Values) > 0 {
+					typ = ""
+				}
+				for i, name := range vs.Names {
+					switch {
+					case gd.Tok == token.CONST && typ == "opcode" && strings.HasPrefix(name.Name, "op"):
+						consts[name.Name] = true
+					case gd.Tok == token.VAR && name.Name == "opTable":
+						for _, e := range vs.Values[i].(*ast.CompositeLit).Elts {
+							rows[e.(*ast.KeyValueExpr).Key.(*ast.Ident).Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return consts, rows
+}
+
+// TestOpTableMatchesDispatch: the table is the protocol. Every op* constant
+// has a row and every row a constant; over one connection, every opcode
+// byte with a row is served by an arm — a zero-argument frame built from the
+// row gets OK or a typed remote error, a frame one word short gets the
+// decode error — and every byte without one gets unknown-opcode. Nothing
+// panics and the connection is never dropped.
+func TestOpTableMatchesDispatch(t *testing.T) {
+	consts, rows := opNamesInSource(t)
+	if len(consts) == 0 || len(rows) == 0 {
+		t.Fatalf("found %d op constants and %d table rows in the source", len(consts), len(rows))
+	}
+	for name := range consts {
+		if !rows[name] {
+			t.Errorf("%s has no opTable row", name)
+		}
+	}
+	for name := range rows {
+		if !consts[name] {
+			t.Errorf("opTable row %s is not an opcode constant", name)
+		}
+	}
+
+	srv := startServer(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exchange := func(op byte, payload []byte) (ok bool, msg string) {
+		t.Helper()
+		if err := writeFrame(conn, op, payload); err != nil {
+			t.Fatalf("opcode %d: %v", op, err)
+		}
+		status, resp, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("opcode %d: connection dropped: %v", op, err)
+		}
+		if status == statusOK {
+			return true, ""
+		}
+		fr := frameReader{buf: resp}
+		return false, fr.str()
+	}
+	for op := 1; op < 128; op++ {
+		if _, err := specOf(opcode(op)); err != nil {
+			if ok, msg := exchange(byte(op), nil); ok || !strings.Contains(msg, "unknown opcode") {
+				t.Errorf("opcode %d has no row but was answered ok=%v %q", op, ok, msg)
+			}
+			continue
+		}
+		if retiredOpcodes[byte(op)] {
+			t.Errorf("retired opcode %d has a table row", op)
+		}
+		full := zeroArgPayload(opcode(op))
+		if ok, msg := exchange(byte(op), full); !ok && strings.Contains(msg, "unknown opcode") {
+			t.Errorf("opcode %d (%s) has a row but no server arm: %q", op, opTable[op].name, msg)
+		}
+		short := full[:max(0, len(full)-8)]
+		if ok, msg := exchange(byte(op), short); ok || !strings.Contains(msg, io.ErrUnexpectedEOF.Error()) {
+			t.Errorf("opcode %d (%s) one word short: ok=%v %q, want the decode error", op, opTable[op].name, ok, msg)
+		}
+	}
+}
+
+// zeroArgPayload builds the all-zero request payload of op's table row.
+func zeroArgPayload(op opcode) []byte {
+	spec := opTable[op]
+	n := 8 * spec.words
+	if spec.str {
+		n += 2
+	}
+	return make([]byte, n)
 }

@@ -48,6 +48,12 @@ tier1() {
 		echo "capability probe found (see above)" >&2
 		return 1
 	fi
+	# Every remote transport is dialed through smb's registry: nothing above
+	# it forks on a transport's package.
+	if grep -rn 'internal/rds"' --include='*.go' cmd/shmtrain internal/platform | grep -v _test.go; then
+		echo "out-of-registry rds dial found (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
