@@ -40,8 +40,7 @@ func startTelemetry(out io.Writer, httpAddr, traceOut string, linger time.Durati
 	}
 	reg := telemetry.NewRegistry()
 	// The fleet aggregator (shmtop) estimates this node's clock offset as
-	// reported wallclock minus the scrape midpoint — the HTTP analogue of
-	// the control segment's per-worker clock slots.
+	// reported wallclock minus the scrape midpoint.
 	reg.GaugeFunc("shm_wallclock_unix_nano",
 		"this process's wall clock at scrape time (UnixNano)",
 		func() float64 { return float64(time.Now().UnixNano()) })

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"shmcaffe/internal/smb"
-	"shmcaffe/internal/tensor"
 )
 
 // SMB-only bootstrap: form a training job across OS processes with no MPI
@@ -48,29 +47,11 @@ func SetupBuffersPolling(client smb.Client, job string, rank, n, elems int, init
 	deadline := time.Now().Add(opts.Timeout)
 
 	if rank == 0 {
-		if len(initWeights) != elems {
-			return nil, fmt.Errorf("bootstrap %q: %d init weights for %d elems: %w",
-				job, len(initWeights), elems, ErrConfig)
-		}
-		key, err := client.Create(names.Global(), elems*4)
-		if err != nil {
-			return nil, fmt.Errorf("create global: %w", err)
-		}
-		if _, err := client.Create(names.Control(), controlSize(n)); err != nil {
-			return nil, fmt.Errorf("create control: %w", err)
+		if _, err := createJob(client, names, n, elems, initWeights); err != nil {
+			return nil, err
 		}
 		if _, err := client.Create(bootSegment(job), n*8); err != nil {
 			return nil, fmt.Errorf("create boot: %w", err)
-		}
-		h, err := client.Attach(key)
-		if err != nil {
-			return nil, err
-		}
-		if err := client.Write(h, 0, tensor.Float32Bytes(initWeights)); err != nil {
-			return nil, fmt.Errorf("seed global: %w", err)
-		}
-		if err := client.Detach(h); err != nil {
-			return nil, err
 		}
 	}
 
@@ -150,12 +131,6 @@ func NewWorkerPolling(cfg WorkerConfig, rank, world int, opts BootstrapOptions) 
 	if rank < 0 || rank >= world {
 		return nil, fmt.Errorf("rank %d of %d: %w", rank, world, ErrConfig)
 	}
-	if cfg.ProgressEvery < 1 {
-		cfg.ProgressEvery = 1
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	elems := cfg.Net.NumParams()
 	var seed []float32
 	if rank == 0 {
@@ -165,9 +140,5 @@ func NewWorkerPolling(cfg WorkerConfig, rank, world int, opts BootstrapOptions) 
 	if err != nil {
 		return nil, fmt.Errorf("rank %d polling setup: %w", rank, err)
 	}
-	// The shared constructor also allocates the staleness-probe scratch the
-	// seed's polling path skipped (which silently disabled the telemetry
-	// staleness probe for multi-process workers).
-	cfg.Telemetry.NameWorker(rank)
 	return newWorkerFromBuffers(cfg, rank, buffers), nil
 }

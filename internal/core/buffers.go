@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/smb"
@@ -21,34 +20,27 @@ type JobBuffers struct {
 	n      int
 	elems  int
 
-	globalKey smb.SHMKey
-	global    smb.Handle // Wg (shared)
-	incr      smb.Handle // ΔWx (private to this worker)
-	control   smb.Handle // progress counters + stop flag
+	global  smb.Handle // Wg (shared)
+	incr    smb.Handle // ΔWx (private to this worker)
+	control smb.Handle // progress counters + stop flag + heartbeats
 
 	// scratch buffers reused across iterations
-	wgBytes  []byte
-	dwBytes  []byte
-	wgFloats []float32
+	wgBytes []byte
+	dwBytes []byte
 }
 
 // Control segment layout: n int64 iteration counters, one int64 stop flag
-// (slot n), then n int64 heartbeat slots (slots n+1 .. 2n), then n int64
-// wall-clock slots (slots 2n+1 .. 3n). A heartbeat slot carries a
-// monotonically increasing beat while its worker lives and the tombstone
-// value when the worker dies on purpose (MarkDead); a worker that crashes
-// without a tombstone is detected by its beat going stale (see
-// livenessTracker). A clock slot carries the worker's wall clock
-// (UnixNano) as of its last beat — the per-node clock sample a fleet
-// aggregator (shmtop) uses to estimate cross-node clock offsets when
-// aligning merged traces.
+// (slot n), then n int64 heartbeat slots (slots n+1 .. 2n). A heartbeat slot
+// carries a monotonically increasing beat while its worker lives and the
+// tombstone value when the worker dies on purpose (MarkDead); a worker that
+// crashes without a tombstone is detected by its beat going stale (see
+// livenessTracker). The termination check reads a prefix of the segment in
+// one go (readControl), so the order of the three blocks is load-bearing.
 func controlSize(n int) int { return ControlSegmentSlots(n) * 8 }
 
 // ControlSegmentSlots returns the number of int64 slots in the control
-// segment of an n-worker job (progress + stop flag + heartbeats + clocks).
-func ControlSegmentSlots(n int) int { return 3*n + 1 }
-
-const stopFlagSlot = -1 // resolved to slot n at runtime
+// segment of an n-worker job (progress + stop flag + heartbeats).
+func ControlSegmentSlots(n int) int { return 2*n + 1 }
 
 // deadTombstone is the heartbeat value a worker writes on its way out of a
 // failed Run — an explicit obituary, faster to detect than staleness.
@@ -74,31 +66,11 @@ func SetupBuffers(comm *mpi.Comm, client smb.Client, job string, elems int, init
 
 	var globalKey smb.SHMKey
 	if rank == 0 {
-		if len(initWeights) != elems {
-			return nil, fmt.Errorf("setup %q: %d init weights for %d elements: %w",
-				job, len(initWeights), elems, ErrConfig)
-		}
-		key, err := client.Create(names.Global(), elems*4)
+		key, err := createJob(client, names, n, elems, initWeights)
 		if err != nil {
-			return nil, fmt.Errorf("create global: %w", err)
+			return nil, err
 		}
 		globalKey = key
-		if _, err := client.Create(names.Control(), controlSize(n)); err != nil {
-			return nil, fmt.Errorf("create control: %w", err)
-		}
-		// Seed Wg with the initial weights so all replicas start from
-		// the same point (master worker "initializes parameter",
-		// Sec. III-A).
-		h, err := client.Attach(key)
-		if err != nil {
-			return nil, fmt.Errorf("attach global for init: %w", err)
-		}
-		if err := client.Write(h, 0, tensor.Float32Bytes(initWeights)); err != nil {
-			return nil, fmt.Errorf("seed global: %w", err)
-		}
-		if err := client.Detach(h); err != nil {
-			return nil, fmt.Errorf("detach init handle: %w", err)
-		}
 	}
 
 	// Broadcast the SHM key (Fig. 2 "Broadcast SHM key").
@@ -117,6 +89,34 @@ func SetupBuffers(comm *mpi.Comm, client smb.Client, job string, elems int, init
 	// All ranks attached before anyone starts writing.
 	comm.Barrier()
 	return b, nil
+}
+
+// createJob is the master's half of both rendezvous flavours: create Wg and
+// the control segment, and seed Wg with initWeights so all replicas start
+// from the same point (master worker "initializes parameter", Sec. III-A).
+func createJob(client smb.Client, names smb.SegmentNames, n, elems int, initWeights []float32) (smb.SHMKey, error) {
+	if len(initWeights) != elems {
+		return 0, fmt.Errorf("setup %q: %d init weights for %d elements: %w",
+			names.Job, len(initWeights), elems, ErrConfig)
+	}
+	key, err := client.Create(names.Global(), elems*4)
+	if err != nil {
+		return 0, fmt.Errorf("create global: %w", err)
+	}
+	if _, err := client.Create(names.Control(), controlSize(n)); err != nil {
+		return 0, fmt.Errorf("create control: %w", err)
+	}
+	h, err := client.Attach(key)
+	if err != nil {
+		return 0, fmt.Errorf("attach global for init: %w", err)
+	}
+	if err := client.Write(h, 0, tensor.Float32Bytes(initWeights)); err != nil {
+		return 0, fmt.Errorf("seed global: %w", err)
+	}
+	if err := client.Detach(h); err != nil {
+		return 0, fmt.Errorf("detach init handle: %w", err)
+	}
+	return key, nil
 }
 
 // attachJob is the bootstrap tail both rendezvous flavours share: attach
@@ -144,17 +144,15 @@ func attachJob(client smb.Client, names smb.SegmentNames, rank, n, elems int, gl
 		return nil, fmt.Errorf("attach control: %w", err)
 	}
 	return &JobBuffers{
-		client:    client,
-		rank:      rank,
-		n:         n,
-		elems:     elems,
-		globalKey: globalKey,
-		global:    global,
-		incr:      incr,
-		control:   control,
-		wgBytes:   make([]byte, elems*4),
-		dwBytes:   make([]byte, elems*4),
-		wgFloats:  make([]float32, elems),
+		client:  client,
+		rank:    rank,
+		n:       n,
+		elems:   elems,
+		global:  global,
+		incr:    incr,
+		control: control,
+		wgBytes: make([]byte, elems*4),
+		dwBytes: make([]byte, elems*4),
 	}, nil
 }
 
@@ -253,15 +251,10 @@ func (b *JobBuffers) ProgressInto(out []int64) error {
 }
 
 // Beat publishes this worker's heartbeat — any value strictly greater than
-// the last one it published (the iteration count works) — and stamps the
-// worker's wall clock into its clock slot. Written alongside ReportProgress
-// when liveness tracking is enabled; the clock stamp is what lets a fleet
-// aggregator estimate per-node clock offsets from the control segment.
+// the last one it published (the iteration count works). Written alongside
+// ReportProgress when liveness tracking is enabled.
 func (b *JobBuffers) Beat(v int64) error {
-	if err := smb.WriteInt64(b.client, b.control, b.n+1+b.rank, v); err != nil {
-		return err
-	}
-	return smb.WriteInt64(b.client, b.control, 2*b.n+1+b.rank, time.Now().UnixNano())
+	return smb.WriteInt64(b.client, b.control, b.n+1+b.rank, v)
 }
 
 // MarkDead writes this worker's tombstone. Called best-effort on the error
@@ -280,13 +273,15 @@ func (b *JobBuffers) HeartbeatsInto(out []int64) error {
 	return smb.ReadInt64SlotsAt(b.client, b.control, b.n+1, out)
 }
 
-// ClocksInto reads every worker's wall-clock slot (UnixNano as of its last
-// Beat; zero before the first) into out (len WorldSize) without allocating.
-func (b *JobBuffers) ClocksInto(out []int64) error {
-	if len(out) != b.n {
-		return fmt.Errorf("clocks into %d slots, want %d: %w", len(out), b.n, ErrConfig)
+// readControl is the termination check's view of the job: ONE read of the
+// control segment's first len(scratch) slots, decoded in place. scratch has
+// n+1 slots (progress + stop flag; beats comes back empty) or 2n+1 (with the
+// heartbeat block).
+func (b *JobBuffers) readControl(scratch []int64) (progress []int64, stop bool, beats []int64, err error) {
+	if err := smb.ReadInt64SlotsAt(b.client, b.control, 0, scratch); err != nil {
+		return nil, false, nil, fmt.Errorf("read control: %w", err)
 	}
-	return smb.ReadInt64SlotsAt(b.client, b.control, 2*b.n+1, out)
+	return scratch[:b.n], scratch[b.n] != 0, scratch[b.n+1:], nil
 }
 
 // SignalStop raises the shared stop flag; every worker observes it at its

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,37 +57,26 @@ func hasRank(ranks []int, want int) bool {
 }
 
 // holdUntilDead returns a survivor Hook that parks iteration 0 until rank
-// dead's tombstone is in the heartbeat table, and iteration 1 until all
-// survivors have got that far — i.e. until each has run one termination
-// check with the tombstone visible. Without it a starved crasher can die
-// after the survivors reach their target, and the first survivor to notice
-// raises the stop flag before the others ever look (checkTermination reads
-// the flag ahead of the heartbeats), leaving them with an empty DeadPeers.
-func holdUntilDead(dead, survivors int) func(w *Worker, iter int) error {
-	var checked atomic.Int32
-	poll := func(done func() (bool, error)) error {
+// dead's tombstone is in the heartbeat table, so every survivor's first
+// termination check already sees it. Without the hold a starved crasher can
+// die after the survivors have reached their target and stopped — nobody
+// was left to see the tombstone, and DeadPeers comes back empty. (Survivors
+// need not wait for each other: a survivor stopped by a peer's flag observes
+// the heartbeats of the same read first, see TestFlagStopSeesTombstone.)
+func holdUntilDead(dead int) func(w *Worker, iter int) error {
+	return func(w *Worker, iter int) error {
+		if iter != 0 {
+			return nil
+		}
+		beats := make([]int64, w.Buffers().WorldSize())
 		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-			if ok, err := done(); ok || err != nil {
+			if err := w.Buffers().HeartbeatsInto(beats); err != nil || beats[dead] == DeadTombstone {
 				return err
 			}
 			if time.Now().After(deadline) {
 				return fmt.Errorf("rank %d never reported dead", dead)
 			}
 		}
-	}
-	return func(w *Worker, iter int) error {
-		switch iter {
-		case 0:
-			beats := make([]int64, w.Buffers().WorldSize())
-			return poll(func() (bool, error) {
-				err := w.Buffers().HeartbeatsInto(beats)
-				return beats[dead] == DeadTombstone, err
-			})
-		case 1:
-			checked.Add(1)
-			return poll(func() (bool, error) { return int(checked.Load()) == survivors, nil })
-		}
-		return nil
 	}
 }
 
@@ -185,7 +173,7 @@ func TestShouldStopAlive(t *testing.T) {
 func TestMasterCrashSurvivorsReElect(t *testing.T) {
 	const maxIters = 30
 	job := newTestJob(t, 3, 17)
-	hold := holdUntilDead(0, 2)
+	hold := holdUntilDead(0)
 	stats, errs := runWorkersAllowFail(t, job, func(rank int, cfg *WorkerConfig) {
 		cfg.Termination = StopOnMaster
 		cfg.MaxIterations = maxIters

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"shmcaffe/internal/tensor"
 )
@@ -97,8 +98,9 @@ func TestElasticExchangeMatchesThreePass(t *testing.T) {
 }
 
 // TestFusedStepAndPushZeroAlloc pins the steady-state exchange: the fused
-// T2 math and the staged push (LocalClient) allocate nothing per
-// iteration. scripts/check.sh tier 2 runs this by name.
+// T2 math, the engine's per-iteration report + termination check and the
+// staged push (LocalClient) allocate nothing per iteration.
+// scripts/check.sh tier 2 runs this by name.
 func TestFusedStepAndPushZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -115,10 +117,25 @@ func TestFusedStepAndPushZeroAlloc(t *testing.T) {
 		t.Errorf("FusedWeightStep allocates %.1f per op, want 0", a)
 	}
 
+	_, bufs := setupPair(t, "fused/alloc")
+	for _, liveness := range []time.Duration{0, time.Minute} {
+		// A budget the master never reaches: every check runs the whole
+		// report → read → observe → evaluate path and says "keep going".
+		ex := newExchange(bufs[0], DefaultElasticConfig(), StopOnMaster, math.MaxInt32, liveness, nil)
+		iter := int64(0)
+		if a := testing.AllocsPerRun(100, func() {
+			iter++
+			if stop, _, err := ex.finishIteration(iter); err != nil || stop {
+				t.Fatalf("finishIteration(%d) = stop %v, err %v", iter, stop, err)
+			}
+		}); a != 0 {
+			t.Errorf("finishIteration (liveness %v) allocates %.1f per op, want 0", liveness, a)
+		}
+	}
+
 	if _, ok := tensor.Float32View(tensor.Float32Bytes(make([]float32, 16))); !ok {
 		t.Skip("no zero-copy fast path on this platform")
 	}
-	_, bufs := setupPair(t, "fused/alloc")
 	inc := fusedVec(8, 9)
 	for i := 0; i < 4; i++ { // warm pools
 		if err := bufs[0].PushIncrement(inc); err != nil {

@@ -40,10 +40,6 @@ type HybridGroupConfig struct {
 	Termination TerminationPolicy
 	// MaxIterations is the per-group iteration budget.
 	MaxIterations int
-	// ProgressEvery is iterations between termination checks (default 1).
-	ProgressEvery int
-	// Now supplies time for the timing breakdown (defaults to time.Now).
-	Now func() time.Time
 	// Hook, if non-nil, runs on the root member after every completed
 	// group iteration. Returning an error aborts training.
 	Hook func(g *HybridGroup, iter int) error
@@ -67,19 +63,7 @@ func (c *HybridGroupConfig) Validate() error {
 		return fmt.Errorf("hybrid group has %d nets and %d loaders: %w",
 			len(c.Nets), len(c.Loaders), ErrConfig)
 	}
-	if c.Job == "" {
-		return fmt.Errorf("hybrid group needs a job name: %w", ErrConfig)
-	}
-	if c.MaxIterations < 1 {
-		return fmt.Errorf("max iterations %d < 1: %w", c.MaxIterations, ErrConfig)
-	}
-	if err := c.Elastic.Validate(); err != nil {
-		return err
-	}
-	if err := c.Solver.Validate(); err != nil {
-		return err
-	}
-	return c.Termination.Validate()
+	return validateRun(c.Job, c.MaxIterations, c.Elastic, c.Solver, c.Termination)
 }
 
 // GroupStats aggregates the outcome of one hybrid group.
@@ -106,17 +90,15 @@ type GroupStats struct {
 
 // HybridGroup runs HSGD for one worker group. All groups of a job must be
 // constructed concurrently (the bootstrap is collective over Comm's world).
+// The root member drives the group's exchange engine — the same Fig. 6
+// procedure and termination protocol a Worker runs; the group owns the
+// member goroutines, the all-reduce, the broadcast and the shrink past a
+// failed member.
 type HybridGroup struct {
-	cfg      HybridGroupConfig
-	buffers  *JobBuffers
-	group    *nccl.Group
-	liveness *livenessTracker // nil unless LivenessTimeout > 0
-	beats    []int64          // heartbeat read scratch (root only)
-
-	mu           sync.Mutex
-	pendingDelta []float32 // guarded by mu
-	pushErr      error     // guarded by mu
-	pushes       int       // guarded by mu
+	cfg     HybridGroupConfig
+	buffers *JobBuffers
+	group   *nccl.Group
+	ex      *exchange // driven by the root member only
 }
 
 // NewHybridGroup validates cfg, initializes the intra-node NCCL group, and
@@ -124,12 +106,6 @@ type HybridGroup struct {
 func NewHybridGroup(cfg HybridGroupConfig) (*HybridGroup, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.ProgressEvery < 1 {
-		cfg.ProgressEvery = 1
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	elems := cfg.Nets[0].NumParams()
 	for i, net := range cfg.Nets {
@@ -151,17 +127,13 @@ func NewHybridGroup(cfg HybridGroupConfig) (*HybridGroup, error) {
 		return nil, fmt.Errorf("group %d setup: %w", cfg.Comm.Rank(), err)
 	}
 	cfg.Telemetry.NameWorker(cfg.Comm.Rank())
-	g := &HybridGroup{
-		cfg:          cfg,
-		buffers:      buffers,
-		group:        group,
-		pendingDelta: make([]float32, elems),
-	}
-	if cfg.LivenessTimeout > 0 {
-		g.liveness = newLivenessTracker(cfg.Comm.Rank(), cfg.Comm.Size(), cfg.LivenessTimeout, cfg.Now)
-		g.beats = make([]int64, cfg.Comm.Size())
-	}
-	return g, nil
+	return &HybridGroup{
+		cfg:     cfg,
+		buffers: buffers,
+		group:   group,
+		ex: newExchange(buffers, cfg.Elastic, cfg.Termination, cfg.MaxIterations,
+			cfg.LivenessTimeout, cfg.Telemetry),
+	}, nil
 }
 
 // Buffers exposes the group's SMB view (used by hooks and diagnostics).
@@ -176,18 +148,11 @@ func (g *HybridGroup) Buffers() *JobBuffers { return g.buffers }
 func (g *HybridGroup) Run() (stats *GroupStats, err error) {
 	cfg := &g.cfg
 	n := len(cfg.Nets)
-	elems := g.buffers.Elems()
-	if g.liveness != nil {
-		defer func() {
-			if err != nil {
-				_ = g.buffers.MarkDead() // best-effort obituary
-			}
-		}()
-	}
 
 	// All replicas start from the shared initial weights.
-	initWeights := make([]float32, elems)
-	if err := g.buffers.ReadGlobal(initWeights); err != nil {
+	initWeights := make([]float32, g.buffers.Elems())
+	defer func() { g.ex.shutdown(err) }()
+	if err := g.ex.start(initWeights); err != nil {
 		return nil, err
 	}
 	for _, net := range cfg.Nets {
@@ -196,23 +161,9 @@ func (g *HybridGroup) Run() (stats *GroupStats, err error) {
 		}
 	}
 
-	// Root's asynchronous update thread (same Fig. 6 overlap as SEASGD).
-	wake := make(chan struct{}, 1)
-	stopPush := make(chan struct{})
-	pushDone := make(chan struct{})
-	go g.updateThread(wake, stopPush, pushDone)
-	var stopOnce sync.Once
-	shutdown := func() {
-		stopOnce.Do(func() { close(stopPush) })
-		<-pushDone
-	}
-	defer shutdown()
-
 	stats = &GroupStats{GroupRank: cfg.Comm.Rank()}
 	var wg sync.WaitGroup
 	errs := make([]error, n)
-	stopFlag := make([]float32, 1) // broadcast each check round: 1 = stop
-	stoppedBy := make([]string, 1)
 
 	solverFor := make([]*nn.SGDSolver, n)
 	for m := 0; m < n; m++ {
@@ -225,7 +176,7 @@ func (g *HybridGroup) Run() (stats *GroupStats, err error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			memberErr := g.runMember(m, solverFor[m], hardCap, wake, stats, stopFlag, stoppedBy)
+			memberErr := g.runMember(m, solverFor[m], hardCap, stats)
 			if memberErr == nil {
 				return
 			}
@@ -259,30 +210,18 @@ func (g *HybridGroup) Run() (stats *GroupStats, err error) {
 			stats.FailedMembers = append(stats.FailedMembers, m)
 		}
 	}
-	// Finish the update thread (draining any queued push) before reading
-	// the counter.
-	shutdown()
-	g.mu.Lock()
-	stats.Pushes = g.pushes
-	pushErr := g.pushErr
-	g.mu.Unlock()
-	if pushErr != nil {
-		return nil, fmt.Errorf("group %d update thread: %w", cfg.Comm.Rank(), pushErr)
+	if stats.Pushes, stats.DeadPeers, err = g.ex.finish(); err != nil {
+		return nil, fmt.Errorf("group %d %w", cfg.Comm.Rank(), err)
 	}
-	if stoppedBy[0] == "" {
-		stoppedBy[0] = "budget"
-	}
-	stats.StoppedBy = stoppedBy[0]
-	if g.liveness != nil {
-		stats.DeadPeers = g.liveness.deadRanks(nil)
+	if stats.StoppedBy == "" {
+		stats.StoppedBy = "budget"
 	}
 	return stats, nil
 }
 
-// runMember is the per-member training loop. Member 0 is the group root.
-func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int,
-	wake chan<- struct{}, stats *GroupStats, stopFlag []float32, stoppedBy []string) error {
-
+// runMember is the per-member training loop. Member 0 is the group root,
+// the only member that writes stats.
+func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int, stats *GroupStats) error {
 	cfg := &g.cfg
 	net := cfg.Nets[m]
 	loader := cfg.Loaders[m]
@@ -299,7 +238,7 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int,
 	grads := make([]float32, elems)
 	local := make([]float32, elems)
 	global := make([]float32, elems)
-	flag := make([]float32, 1)
+	flag := make([]float32, 1) // broadcast each check round: 1 = stop
 
 	for iter := 0; iter < hardCap; iter++ {
 		// (1) Synchronous SSGD inside the group: compute gradients,
@@ -328,35 +267,13 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int,
 		}
 
 		// (2) Root's inter-group SEASGD exchange every update_interval.
-		if iter%cfg.Elastic.UpdateInterval == 0 && isRoot {
-			spA5 := tel.Begin(mainTID, telemetry.PhaseTA5)
-			g.mu.Lock()
-			spA5.End()
-			spT1 := tel.Begin(mainTID, telemetry.PhaseT1)
-			err := g.buffers.ReadGlobal(global)
-			spT1.End()
-			if err != nil {
-				g.mu.Unlock()
+		if isRoot && g.ex.due(iter) {
+			if _, _, err := g.ex.step(net, local, global); err != nil {
 				return err
 			}
-			// Fused Eqs. (5)+(6): one sweep writing the increment directly
-			// into pendingDelta (we hold mu), same as Worker.Run.
-			spT2 := tel.Begin(mainTID, telemetry.PhaseT2)
-			net.FlatWeights(local)
-			err = FusedWeightStep(g.pendingDelta, local, global, cfg.Elastic.MovingRate)
-			if err == nil {
-				err = net.SetFlatWeights(local)
-			}
-			spT2.End()
-			if err != nil {
-				g.mu.Unlock()
-				return err
-			}
-			g.mu.Unlock()
-			wake <- struct{}{}
 		}
 		// (3) Root broadcasts the refreshed weight W'grp to the group.
-		if iter%cfg.Elastic.UpdateInterval == 0 {
+		if g.ex.due(iter) {
 			net.FlatWeights(local)
 			if err := g.group.Broadcast(m, 0, local); err != nil {
 				return err
@@ -368,12 +285,10 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int,
 			}
 		}
 
-		// Asynchronous push failures surface here.
-		g.mu.Lock()
-		pushErr := g.pushErr
-		g.mu.Unlock()
-		if pushErr != nil {
-			return fmt.Errorf("group %d update thread: %w", cfg.Comm.Rank(), pushErr)
+		if isRoot {
+			if err := g.ex.asyncErr(); err != nil {
+				return fmt.Errorf("group %d %w", cfg.Comm.Rank(), err)
+			}
 		}
 
 		if isRoot && cfg.Hook != nil {
@@ -385,36 +300,24 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int,
 		// (4) Progress + termination. The root evaluates the shared
 		// criterion and broadcasts the verdict so all members stop at
 		// the same iteration.
-		if (iter+1)%cfg.ProgressEvery == 0 || iter+1 >= cfg.MaxIterations {
-			if isRoot {
-				if err := g.buffers.ReportProgress(int64(iter + 1)); err != nil {
-					return err
-				}
-				if g.liveness != nil {
-					// Best-effort: ReportProgress just proved the path
-					// works; a transient beat failure only delays peers'
-					// staleness clocks.
-					_ = g.buffers.Beat(int64(iter + 1))
-				}
-				stopNow, by, err := g.checkTermination(int64(iter + 1))
-				if err != nil {
-					return err
-				}
-				if stopNow {
-					stopFlag[0] = 1
-					stoppedBy[0] = by
-				}
-				flag[0] = stopFlag[0]
-			}
-			if err := g.group.Broadcast(m, 0, flag); err != nil {
+		if isRoot {
+			stopNow, by, err := g.ex.finishIteration(int64(iter + 1))
+			if err != nil {
 				return err
 			}
-			if flag[0] != 0 {
-				if isRoot {
-					stats.Iterations = iter + 1
-				}
-				return nil
+			if stopNow {
+				flag[0] = 1
+				stats.StoppedBy = by
 			}
+		}
+		if err := g.group.Broadcast(m, 0, flag); err != nil {
+			return err
+		}
+		if flag[0] != 0 {
+			if isRoot {
+				stats.Iterations = iter + 1
+			}
+			return nil
 		}
 		// See the matching yield in Worker.Run: keep group progress
 		// comparable when CPU-oversubscribed.
@@ -424,87 +327,4 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int,
 		stats.Iterations = hardCap
 	}
 	return nil
-}
-
-func (g *HybridGroup) checkTermination(completed int64) (bool, string, error) {
-	cfg := &g.cfg
-	if cfg.Termination == StopIndependently {
-		if completed >= int64(cfg.MaxIterations) {
-			return true, "budget", nil
-		}
-		return false, "", nil
-	}
-	if stop, err := g.buffers.StopRequested(); err != nil {
-		return false, "", err
-	} else if stop {
-		return true, "flag", nil
-	}
-	progress, err := g.buffers.Progress()
-	if err != nil {
-		return false, "", err
-	}
-	var alive []bool
-	if g.liveness != nil {
-		if err := g.buffers.HeartbeatsInto(g.beats); err == nil {
-			alive = g.liveness.observe(g.beats)
-		} else {
-			// Stale-but-safe: reuse the previous view (death is monotone,
-			// so a worker already declared dead stays excluded).
-			alive = g.liveness.alive
-		}
-	}
-	if cfg.Termination.ShouldStopAlive(progress, alive, int64(cfg.MaxIterations)) {
-		if err := g.buffers.SignalStop(); err != nil {
-			return false, "", err
-		}
-		return true, cfg.Termination.String(), nil
-	}
-	return false, "", nil
-}
-
-func (g *HybridGroup) pushPending() error {
-	tel := g.cfg.Telemetry
-	tid := telemetry.UpdateTID(g.cfg.Comm.Rank())
-	spA1 := tel.Begin(tid, telemetry.PhaseTA1)
-	g.mu.Lock()
-	spA1.End()
-	defer g.mu.Unlock()
-	if err := g.buffers.pushTraced(tel, tid, g.pushes, g.pendingDelta); err != nil {
-		return err
-	}
-	spA4 := tel.Begin(tid, telemetry.PhaseTA4)
-	g.pushes++
-	tel.IncPush()
-	spA4.End()
-	return nil
-}
-
-func (g *HybridGroup) updateThread(wake <-chan struct{}, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-wake:
-			if err := g.pushPending(); err != nil {
-				g.mu.Lock()
-				if g.pushErr == nil {
-					g.pushErr = err
-				}
-				g.mu.Unlock()
-				return
-			}
-		case <-stop:
-			select {
-			case <-wake:
-				if err := g.pushPending(); err != nil {
-					g.mu.Lock()
-					if g.pushErr == nil {
-						g.pushErr = err
-					}
-					g.mu.Unlock()
-				}
-			default:
-			}
-			return
-		}
-	}
 }

@@ -76,7 +76,8 @@ func TestWorkerTelemetryPhases(t *testing.T) {
 }
 
 // TestHybridTelemetryPhases: a 2-group hybrid run records root-member spans
-// for compute and the exchange phases.
+// for compute and every exchange phase, and — the probe living in the
+// engine — feeds the T1 staleness histogram like a Worker does.
 func TestHybridTelemetryPhases(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tel := telemetry.NewTrainer(reg, 1<<14)
@@ -92,10 +93,23 @@ func TestHybridTelemetryPhases(t *testing.T) {
 			seen[ev.Name] = true
 		}
 	}
-	for _, want := range []string{"T4+T5", "T1", "T2", "T.A2", "T.A3"} {
+	for _, want := range []string{"T4+T5", "T1", "T2", "T.A1", "T.A2", "T.A3", "T.A4", "T.A5"} {
 		if !seen[want] {
 			t.Errorf("hybrid run missing %s spans (saw %v)", want, seen)
 		}
+	}
+
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := telemetry.ParsePrometheus(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := telemetry.SampleValue(samples, "seasgd_t1_staleness_iterations_count", nil); n == 0 {
+		t.Errorf("hybrid roots recorded no T1 staleness observations:\n%s",
+			grepLines(b.String(), "seasgd_t1_staleness"))
 	}
 }
 

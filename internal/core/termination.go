@@ -75,11 +75,10 @@ func (p TerminationPolicy) ShouldStopAlive(progress []int64, alive []bool, targe
 	if len(progress) == 0 {
 		return false
 	}
-	isAlive := func(i int) bool { return alive == nil || i >= len(alive) || alive[i] }
 	switch p {
 	case StopOnMaster:
 		for i, v := range progress {
-			if isAlive(i) {
+			if aliveAt(alive, i) {
 				return v >= target
 			}
 		}
@@ -94,7 +93,7 @@ func (p TerminationPolicy) ShouldStopAlive(progress []int64, alive []bool, targe
 	case StopOnAverage:
 		var sum, count int64
 		for i, v := range progress {
-			if !isAlive(i) {
+			if !aliveAt(alive, i) {
 				continue
 			}
 			sum += v
@@ -108,3 +107,7 @@ func (p TerminationPolicy) ShouldStopAlive(progress []int64, alive []bool, targe
 		return false
 	}
 }
+
+// aliveAt reads a liveness view that may be nil or short: everyone it does
+// not cover is alive.
+func aliveAt(alive []bool, i int) bool { return i >= len(alive) || alive[i] }

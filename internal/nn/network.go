@@ -137,10 +137,16 @@ func (n *Network) ZeroGrads() {
 	}
 }
 
-// FlatWeights copies all parameters into dst (len NumParams) in network
-// order and returns dst; if dst is nil a new slice is allocated.
+// FlatWeights copies all parameters into dst (len >= NumParams) in network
+// order and returns dst; if dst is nil a new slice is allocated. A non-nil
+// dst that is too short is a caller bug and panics — callers that reuse a
+// buffer ignore the return value, so growing it here would leave them with
+// a stale one.
 func (n *Network) FlatWeights(dst []float32) []float32 {
-	if dst == nil {
+	if len(dst) < n.total {
+		if dst != nil {
+			panic(fmt.Sprintf("nn: network %q has %d weights, FlatWeights dst holds %d", n.name, n.total, len(dst)))
+		}
 		dst = make([]float32, n.total)
 	}
 	off := 0

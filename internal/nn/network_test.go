@@ -51,6 +51,17 @@ func TestFlatWeightsRoundTrip(t *testing.T) {
 	if err := net.SetFlatWeights(w2[:3]); err == nil {
 		t.Fatal("expected error for short weight vector")
 	}
+	// A reused full-size dst is filled in place; a short one is rejected
+	// rather than silently replaced (callers ignore the return value).
+	if into := net.FlatWeights(w); &into[0] != &w[0] || into[1] != w2[1] {
+		t.Fatal("FlatWeights did not fill the dst it was given")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for short non-nil dst")
+		}
+	}()
+	net.FlatWeights(w[:3])
 }
 
 func TestFlatGradsRoundTrip(t *testing.T) {

@@ -165,11 +165,14 @@ func (v verbs) SnapRelease(id SnapID) error {
 // shares per-worker iteration counts through a small control segment laid
 // out as consecutive int64 slots.
 
-// WriteInt64 stores v at slot index (8-byte slots) of the segment.
+// WriteInt64 stores v at slot index (8-byte slots) of the segment. Like
+// ReadInt64SlotsAt it stages through the scratch pool: a worker reports
+// progress (and beats) with it every iteration.
 func WriteInt64(c Client, h Handle, slot int, v int64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	return c.Write(h, slot*8, buf[:])
+	buf, bp := getScratch(8)
+	defer putScratch(bp)
+	binary.LittleEndian.PutUint64(buf, uint64(v))
+	return c.Write(h, slot*8, buf)
 }
 
 // ReadInt64 loads the int64 at slot index of the segment.

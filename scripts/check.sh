@@ -54,6 +54,12 @@ tier1() {
 		echo "out-of-registry rds dial found (see above)" >&2
 		return 1
 	fi
+	# The Fig. 6 exchange and the termination check are spelled once, in
+	# core's exchange engine: neither driver grows its own copy back.
+	if grep -nE 'func \((w \*Worker|g \*HybridGroup)\) (checkTermination|pushPending|updateThread|observeStaleness)\(' internal/core/*.go; then
+		echo "second spelling of the exchange procedure found (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
@@ -163,7 +169,7 @@ clean_smoke() {
 # shmtrain worker processes training through it. Survival criteria: the
 # server logs the restart, both workers reconnect and run to completion.
 fault_smoke() {
-	go test -run 'TestFaultyTrainingRunAcceptance|TestMasterCrashSurvivorsReElect|TestHybridGroupShrinksPastFailedMember' -count=1 ./internal/core
+	go test -run 'TestFaultyTrainingRunAcceptance|TestMasterCrashSurvivorsReElect|TestHybridGroupShrinksPastFailedMember|TestFlagStopSeesTombstone' -count=1 ./internal/core
 	go test -run 'TestSupervisedExactlyOnceUnderDrops|TestSupervisedReconnectAcrossRestart' -count=1 ./internal/smb
 
 	tmpdir2="$(mktemp -d)"

@@ -81,13 +81,16 @@ func DialSMB(addr string) (SMBClient, error) { return smb.Dial(addr) }
 type (
 	// Worker is one SEASGD training process (Fig. 6).
 	Worker = core.Worker
-	// WorkerConfig configures a Worker.
+	// WorkerConfig configures a Worker. The termination check runs every
+	// iteration and the timing split reads the wall clock; neither is an
+	// option.
 	WorkerConfig = core.WorkerConfig
 	// RunStats is a worker's outcome with the Eq. (8) timing breakdown.
 	RunStats = core.RunStats
 	// HybridGroup runs HSGD for one intra-node worker group (Fig. 4).
 	HybridGroup = core.HybridGroup
-	// HybridGroupConfig configures a HybridGroup.
+	// HybridGroupConfig configures a HybridGroup; its root runs the same
+	// exchange and termination check as a Worker.
 	HybridGroupConfig = core.HybridGroupConfig
 	// GroupStats is a hybrid group's outcome.
 	GroupStats = core.GroupStats
