@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"shmcaffe/internal/nn"
 	"shmcaffe/internal/telemetry"
 )
 
@@ -124,13 +123,14 @@ func (e *exchange) shutdown(runErr error) {
 func (e *exchange) due(iter int) bool { return iter%e.elastic.UpdateInterval == 0 }
 
 // step is one exchange on the caller's thread: T.A5 wait for the previous
-// push, T1 read Wg into global, T2 fold it into net's weights through local
-// (Eqs. 5+6, fused into one sweep that writes the increment straight into
-// pendingDelta), T3 hand the increment to the update thread. blocked is the
-// T.A5 stall; exposed is T1+T2, plus the push itself when it runs inline.
+// push, T1 read Wg into global, T2 fold it into weights — the replica's own
+// parameter slab (nn.Network.Weights), updated in place — in one sweep that
+// also writes the increment straight into pendingDelta (Eqs. 5+6), T3 hand
+// the increment to the update thread. blocked is the T.A5 stall; exposed is
+// T1+T2, plus the push itself when it runs inline.
 //
 //shm:hotpath
-func (e *exchange) step(net *nn.Network, local, global []float32) (blocked, exposed time.Duration, err error) {
+func (e *exchange) step(weights, global []float32) (blocked, exposed time.Duration, err error) {
 	tel := e.tel
 	t0 := time.Now()
 	spA5 := tel.Begin(e.mainTID, telemetry.PhaseTA5)
@@ -151,11 +151,7 @@ func (e *exchange) step(net *nn.Network, local, global []float32) (blocked, expo
 	spT1.End()
 	if err == nil {
 		spT2 := tel.Begin(e.mainTID, telemetry.PhaseT2)
-		net.FlatWeights(local)
-		err = FusedWeightStep(e.pendingDelta, local, wg, e.elastic.MovingRate)
-		if err == nil {
-			err = net.SetFlatWeights(local)
-		}
+		err = FusedWeightStep(e.pendingDelta, weights, wg, e.elastic.MovingRate)
 		spT2.End()
 	}
 	e.mu.Unlock()

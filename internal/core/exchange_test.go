@@ -199,22 +199,21 @@ func TestExchangeStepAfterThreadDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := w.ex
-	local := make([]float32, w.Buffers().Elems())
 	global := make([]float32, w.Buffers().Elems())
 	defer ex.shutdown(nil)
 	if err := ex.start(global); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ex.step(cfg.Net, local, global); err != nil {
+	if _, _, err := ex.step(cfg.Net.Weights(), global); err != nil {
 		t.Fatal(err)
 	}
 	<-ex.done // the first push failed and took the thread with it
 	stepped := make(chan error, 1)
 	go func() {
 		// The first of these may still find room in wake; the second cannot.
-		_, _, err := ex.step(cfg.Net, local, global)
+		_, _, err := ex.step(cfg.Net.Weights(), global)
 		if err == nil {
-			_, _, err = ex.step(cfg.Net, local, global)
+			_, _, err = ex.step(cfg.Net.Weights(), global)
 		}
 		stepped <- err
 	}()

@@ -98,8 +98,9 @@ func TestElasticExchangeMatchesThreePass(t *testing.T) {
 }
 
 // TestFusedStepAndPushZeroAlloc pins the steady-state exchange: the fused
-// T2 math, the engine's per-iteration report + termination check and the
-// staged push (LocalClient) allocate nothing per iteration.
+// T2 math, the engine's per-iteration report + termination check, the
+// staged push (LocalClient) and the whole T.A5 → T1 → T2 (in place on the
+// replica's weight slab) → push step allocate nothing per iteration.
 // scripts/check.sh tier 2 runs this by name.
 func TestFusedStepAndPushZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -151,5 +152,28 @@ func TestFusedStepAndPushZeroAlloc(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Errorf("staged push allocates %.1f per op, want 0", a)
+	}
+
+	// The step itself, with the push inline so every allocation it causes
+	// lands inside the measured call.
+	ex := newExchange(bufs[0], DefaultElasticConfig(), StopOnMaster, math.MaxInt32, 0, nil)
+	ex.disableOverlap = true
+	defer ex.shutdown(nil)
+	weights := fusedVec(bufs[0].Elems(), 10)
+	wg := make([]float32, bufs[0].Elems())
+	if err := ex.start(wg); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ { // warm pools
+		if _, _, err := ex.step(weights, wg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, _, err := ex.step(weights, wg); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("exchange step allocates %.1f per op, want 0", a)
 	}
 }

@@ -226,7 +226,6 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int, stats 
 	net := cfg.Nets[m]
 	loader := cfg.Loaders[m]
 	isRoot := m == 0
-	elems := g.buffers.Elems()
 	// Only the root member records spans: the group occupies one pair of
 	// tracks in the trace, mirroring the one-SMB-rank-per-group topology.
 	var tel *telemetry.Trainer
@@ -235,27 +234,24 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int, stats 
 	}
 	mainTID := telemetry.MainTID(cfg.Comm.Rank())
 
-	grads := make([]float32, elems)
-	local := make([]float32, elems)
-	global := make([]float32, elems)
+	var global []float32 // T1's landing buffer: the root exchanges, members only receive
+	if isRoot {
+		global = make([]float32, g.buffers.Elems())
+	}
 	flag := make([]float32, 1) // broadcast each check round: 1 = stop
 
 	for iter := 0; iter < hardCap; iter++ {
-		// (1) Synchronous SSGD inside the group: compute gradients,
-		// ncclAllReduce, local update from the aggregated gradient.
+		// (1) Synchronous SSGD inside the group: compute gradients into the
+		// (clear) gradient slab, ncclAllReduce it in place, local update from
+		// the aggregated gradient — which consumes it for the next iteration.
 		spT45 := tel.Begin(mainTID, telemetry.PhaseT45)
 		batch := loader.Next()
-		net.ZeroGrads()
 		loss, _, err := net.TrainStep(batch.X, batch.Labels)
 		if err != nil {
 			spT45.End()
 			return fmt.Errorf("group %d member %d iter %d: %w", cfg.Comm.Rank(), m, iter, err)
 		}
-		net.FlatGrads(grads)
-		err = g.group.AllReduceMean(m, grads)
-		if err == nil {
-			err = net.SetFlatGrads(grads)
-		}
+		err = g.group.AllReduceMean(m, net.Grads())
 		spT45.End()
 		if err != nil {
 			return err
@@ -268,20 +264,15 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int, stats 
 
 		// (2) Root's inter-group SEASGD exchange every update_interval.
 		if isRoot && g.ex.due(iter) {
-			if _, _, err := g.ex.step(net, local, global); err != nil {
+			if _, _, err := g.ex.step(net.Weights(), global); err != nil {
 				return err
 			}
 		}
-		// (3) Root broadcasts the refreshed weight W'grp to the group.
+		// (3) Root broadcasts the refreshed weight W'grp to the group,
+		// slab to slab.
 		if g.ex.due(iter) {
-			net.FlatWeights(local)
-			if err := g.group.Broadcast(m, 0, local); err != nil {
+			if err := g.group.Broadcast(m, 0, net.Weights()); err != nil {
 				return err
-			}
-			if !isRoot {
-				if err := net.SetFlatWeights(local); err != nil {
-					return err
-				}
 			}
 		}
 

@@ -178,7 +178,6 @@ func (w *Worker) Run() (stats *RunStats, err error) {
 	tel := cfg.Telemetry
 	mainTID := telemetry.MainTID(rank)
 
-	local := make([]float32, w.buffers.Elems())
 	global := make([]float32, w.buffers.Elems())
 
 	defer func() { ex.shutdown(err) }()
@@ -194,7 +193,7 @@ func (w *Worker) Run() (stats *RunStats, err error) {
 	iter := 0
 	for iter < hardCap {
 		if ex.due(iter) {
-			blocked, exposed, err := ex.step(cfg.Net, local, global)
+			blocked, exposed, err := ex.step(cfg.Net.Weights(), global)
 			if err != nil {
 				return nil, fmt.Errorf("rank %d iter %d: %w", rank, iter, err)
 			}

@@ -86,12 +86,11 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	// dW += xᵀ g
-	dw := tensor.New(d.in, d.out)
-	if err := tensor.MatMulTransA(d.lastIn, g, dw); err != nil {
+	// dW += xᵀ g, accumulated straight into the gradient: no in×out
+	// temporary, no second pass to add it in.
+	if err := tensor.MatMulTransAAdd(d.lastIn, g, d.w.Grad); err != nil {
 		return nil, err
 	}
-	tensor.AxpySlice(1, dw.Data(), d.w.Grad.Data())
 	// db += column sums of g
 	for i := 0; i < n; i++ {
 		row := g.Data()[i*d.out : (i+1)*d.out]

@@ -20,13 +20,16 @@ var ErrBadShape = errors.New("nn: bad input shape")
 // Param is one parameter blob with its gradient. Frozen parameters are
 // carried in the flat weight vector (so replica synchronization, SEASGD
 // exchanges, checkpoints and evaluation transfers preserve them) but are
-// never touched by the solver — batch-norm running statistics are the
-// canonical case, exactly like Caffe's lr_mult=0 blobs.
+// never updated by the solver — batch-norm running statistics are the
+// canonical case, exactly like Caffe's lr_mult=0 blobs. Once a Network is
+// built over it, W and Grad are views into that network's slabs.
 type Param struct {
 	Name   string
 	W      *tensor.Tensor
 	Grad   *tensor.Tensor
 	Frozen bool
+
+	owner *Network // the network whose slabs W and Grad view; nil until packed
 }
 
 // newParam allocates a parameter and a same-shaped gradient.

@@ -7,26 +7,36 @@ import (
 )
 
 // Network is a sequential stack of layers with a softmax cross-entropy head.
-// It exposes Caffe-style flat weight/gradient vectors: every distributed
-// solver in this repository moves parameters as one contiguous float32
-// vector, which is exactly what ShmCaffe stores in SMB segments.
+// Like Caffe, it keeps every parameter in one contiguous buffer: all
+// Param.W are views into one weight slab and all Param.Grad into one
+// gradient slab, in network order. Weights and Grads expose the slabs
+// themselves, so the distributed solvers in this repository read, reduce
+// and update the whole parameter vector in place — exactly the flat vector
+// ShmCaffe stores in SMB segments — while FlatWeights/SetFlatWeights and
+// FlatGrads/SetFlatGrads remain the copying interface.
 type Network struct {
 	name    string
 	inShape []int // per-sample input shape
 	layers  []Layer
 	loss    SoftmaxLoss
 	params  []*Param
-	total   int // total parameter elements
+	weights []float32 // every Param.W is a view into this slab
+	grads   []float32 // every Param.Grad is a view into this slab
 }
 
 // NewNetwork assembles a network for per-sample input shape inShape,
-// validating layer-to-layer shape compatibility.
+// validating layer-to-layer shape compatibility, and packs every
+// parameter's weights and gradients into the network's two slabs (current
+// weights are kept; gradients start cleared). A parameter may belong to one
+// network only, once: a Param that appears twice, or that an earlier
+// NewNetwork already packed, is an error.
 func NewNetwork(name string, inShape []int, layers ...Layer) (*Network, error) {
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("nn: network %q has no layers", name)
 	}
 	shape := append([]int(nil), inShape...)
 	var params []*Param
+	seen := make(map[*Param]bool)
 	total := 0
 	for _, l := range layers {
 		out, err := l.OutShape(shape)
@@ -35,6 +45,13 @@ func NewNetwork(name string, inShape []int, layers ...Layer) (*Network, error) {
 		}
 		shape = out
 		for _, p := range l.Params() {
+			if seen[p] {
+				return nil, fmt.Errorf("nn: network %q lists param %q twice", name, p.Name)
+			}
+			if p.owner != nil {
+				return nil, fmt.Errorf("nn: network %q: param %q already belongs to network %q", name, p.Name, p.owner.name)
+			}
+			seen[p] = true
 			params = append(params, p)
 			total += p.W.Len()
 		}
@@ -42,13 +59,37 @@ func NewNetwork(name string, inShape []int, layers ...Layer) (*Network, error) {
 	if shapeVolume(shape) < 2 {
 		return nil, fmt.Errorf("nn: network %q final shape %v is not a class distribution", name, shape)
 	}
-	return &Network{
+	n := &Network{
 		name:    name,
 		inShape: append([]int(nil), inShape...),
 		layers:  layers,
 		params:  params,
-		total:   total,
-	}, nil
+		weights: make([]float32, total),
+		grads:   make([]float32, total),
+	}
+	off := 0
+	for _, p := range params {
+		end := off + p.W.Len()
+		copy(n.weights[off:end], p.W.Data())
+		p.W = slabView(n.weights, off, end, p.W.Shape())
+		// Gradients start cleared and the slab stays untouched until the
+		// first backward pass, so a network that only runs Forward (a
+		// serving replica) never makes its gradient pages resident.
+		p.Grad = slabView(n.grads, off, end, p.Grad.Shape())
+		p.owner = n
+		off = end
+	}
+	return n, nil
+}
+
+// slabView returns slab[off:end] as a tensor of the given shape, capped so
+// no append through it can spill into a neighbouring parameter.
+func slabView(slab []float32, off, end int, shape []int) *tensor.Tensor {
+	view, err := tensor.FromSlice(slab[off:end:end], shape...)
+	if err != nil {
+		panic(err) // the region has exactly the shape's volume
+	}
+	return view
 }
 
 // Name returns the network name.
@@ -58,7 +99,7 @@ func (n *Network) Name() string { return n.name }
 func (n *Network) InShape() []int { return append([]int(nil), n.inShape...) }
 
 // NumParams returns the number of learnable scalar parameters.
-func (n *Network) NumParams() int { return n.total }
+func (n *Network) NumParams() int { return len(n.weights) }
 
 // Params returns the parameter blobs in network order.
 func (n *Network) Params() []*Param { return n.params }
@@ -87,8 +128,9 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) 
 }
 
 // TrainStep runs forward + loss + backward for one minibatch, accumulating
-// parameter gradients (callers must ZeroGrads first). It returns the mean
-// loss and the probability tensor.
+// parameter gradients into Grads — which must be clear on entry: an
+// SGDSolver keeps them so (ApplyUpdate consumes them), other callers
+// ZeroGrads first. It returns the mean loss and the probability tensor.
 func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (float64, *tensor.Tensor, error) {
 	logits, err := n.Forward(x, true)
 	if err != nil {
@@ -130,12 +172,17 @@ func (n *Network) Evaluate(x *tensor.Tensor, labels []int, topK int) (loss, acc 
 	return loss, acc, nil
 }
 
+// Weights returns the weight slab itself — not a copy. Every Param.W is a
+// view into it, so writing through it writes the parameters; callers that
+// hold it across a call that updates the network see the update.
+func (n *Network) Weights() []float32 { return n.weights }
+
+// Grads returns the gradient slab itself — not a copy — in the same layout
+// as Weights.
+func (n *Network) Grads() []float32 { return n.grads }
+
 // ZeroGrads clears all parameter gradients.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.params {
-		p.Grad.Zero()
-	}
-}
+func (n *Network) ZeroGrads() { clear(n.grads) }
 
 // FlatWeights copies all parameters into dst (len >= NumParams) in network
 // order and returns dst; if dst is nil a new slice is allocated. A non-nil
@@ -143,57 +190,41 @@ func (n *Network) ZeroGrads() {
 // buffer ignore the return value, so growing it here would leave them with
 // a stale one.
 func (n *Network) FlatWeights(dst []float32) []float32 {
-	if len(dst) < n.total {
-		if dst != nil {
-			panic(fmt.Sprintf("nn: network %q has %d weights, FlatWeights dst holds %d", n.name, n.total, len(dst)))
-		}
-		dst = make([]float32, n.total)
-	}
-	off := 0
-	for _, p := range n.params {
-		copy(dst[off:], p.W.Data())
-		off += p.W.Len()
-	}
-	return dst
+	return n.copyOut("FlatWeights", "weights", n.weights, dst)
 }
 
 // SetFlatWeights overwrites all parameters from src (len >= NumParams).
 func (n *Network) SetFlatWeights(src []float32) error {
-	if len(src) < n.total {
-		return fmt.Errorf("nn: network %q needs %d weights, got %d: %w", n.name, n.total, len(src), ErrBadShape)
-	}
-	off := 0
-	for _, p := range n.params {
-		copy(p.W.Data(), src[off:off+p.W.Len()])
-		off += p.W.Len()
-	}
-	return nil
+	return n.copyIn("weights", n.weights, src)
 }
 
-// FlatGrads copies all gradients into dst in network order (allocating when
-// dst is nil) and returns dst.
+// FlatGrads copies all gradients into dst in network order and returns dst,
+// with FlatWeights' contract: nil allocates, a short non-nil dst panics.
 func (n *Network) FlatGrads(dst []float32) []float32 {
-	if dst == nil {
-		dst = make([]float32, n.total)
-	}
-	off := 0
-	for _, p := range n.params {
-		copy(dst[off:], p.Grad.Data())
-		off += p.Grad.Len()
-	}
-	return dst
+	return n.copyOut("FlatGrads", "grads", n.grads, dst)
 }
 
 // SetFlatGrads overwrites all gradients from src; used after collective
 // gradient aggregation (allreduce) replaces local gradients.
 func (n *Network) SetFlatGrads(src []float32) error {
-	if len(src) < n.total {
-		return fmt.Errorf("nn: network %q needs %d grads, got %d: %w", n.name, n.total, len(src), ErrBadShape)
+	return n.copyIn("grads", n.grads, src)
+}
+
+func (n *Network) copyOut(fn, what string, slab, dst []float32) []float32 {
+	if len(dst) < len(slab) {
+		if dst != nil {
+			panic(fmt.Sprintf("nn: network %q has %d %s, %s dst holds %d", n.name, len(slab), what, fn, len(dst)))
+		}
+		dst = make([]float32, len(slab))
 	}
-	off := 0
-	for _, p := range n.params {
-		copy(p.Grad.Data(), src[off:off+p.Grad.Len()])
-		off += p.Grad.Len()
+	copy(dst, slab)
+	return dst
+}
+
+func (n *Network) copyIn(what string, slab, src []float32) error {
+	if len(src) < len(slab) {
+		return fmt.Errorf("nn: network %q needs %d %s, got %d: %w", n.name, len(slab), what, len(src), ErrBadShape)
 	}
+	copy(slab, src)
 	return nil
 }

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -96,6 +98,77 @@ func TestFlatGradsRoundTrip(t *testing.T) {
 		if g[i] != g2[i] {
 			t.Fatal("SetFlatGrads/FlatGrads round trip broken")
 		}
+	}
+	// FlatWeights' contract: a full-size dst is filled in place, a short
+	// non-nil one panics naming the network and both lengths instead of
+	// being copied into partially.
+	if into := net.FlatGrads(g); &into[0] != &g[0] {
+		t.Fatal("FlatGrads did not fill the dst it was given")
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		want := fmt.Sprintf("network %q has %d grads, FlatGrads dst holds %d", "g", net.NumParams(), 3)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("short dst: panic %q, want it to contain %q", msg, want)
+		}
+	}()
+	net.FlatGrads(g[:3])
+}
+
+// TestNetworkSlabs: every Param.W and Param.Grad is a view into the
+// network's one weight and one gradient slab, in network order, so writes
+// through Weights()/Grads() are writes to the parameters and vice versa.
+func TestNetworkSlabs(t *testing.T) {
+	d := NewDense("fc", 3, 2)
+	d.w.W.Fill(7) // values set before packing survive it
+	net, err := NewNetwork("slab", []int{3}, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, g := net.Weights(), net.Grads()
+	if len(w) != net.NumParams() || len(g) != net.NumParams() || net.NumParams() != 3*2+2 {
+		t.Fatalf("slab lengths %d/%d, NumParams %d", len(w), len(g), net.NumParams())
+	}
+	if w[0] != 7 || w[5] != 7 || w[6] != 0 {
+		t.Fatalf("packing lost the pre-set weights: %v", w)
+	}
+	off := 0
+	for _, p := range net.Params() {
+		if &p.W.Data()[0] != &w[off] || &p.Grad.Data()[0] != &g[off] {
+			t.Fatalf("param %q is not a view into the slabs at offset %d", p.Name, off)
+		}
+		if cap(p.W.Data()) != p.W.Len() {
+			t.Fatalf("param %q view is not capped: cap %d, len %d", p.Name, cap(p.W.Data()), p.W.Len())
+		}
+		off += p.W.Len()
+	}
+	w[7] = 3
+	if d.b.W.Data()[1] != 3 {
+		t.Fatal("write through Weights() did not reach the bias")
+	}
+	d.w.Grad.Data()[0] = 5
+	if g[0] != 5 {
+		t.Fatal("write to a gradient did not reach Grads()")
+	}
+	net.ZeroGrads()
+	if g[0] != 0 {
+		t.Fatal("ZeroGrads did not clear the slab")
+	}
+}
+
+// TestNewNetworkRejectsSharedParams: a parameter belongs to one network,
+// once — a layer listed twice or reused by a second network is an error,
+// not two networks silently writing each other's weights.
+func TestNewNetworkRejectsSharedParams(t *testing.T) {
+	d := NewDense("fc", 4, 4)
+	if _, err := NewNetwork("twice", []int{4}, d, d); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("layer listed twice: err %v", err)
+	}
+	if _, err := NewNetwork("first", []int{4}, d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewNetwork("second", []int{4}, d); err == nil || !strings.Contains(err.Error(), `already belongs to network "first"`) {
+		t.Fatalf("layer reused by a second network: err %v", err)
 	}
 }
 
@@ -207,6 +280,35 @@ func TestSolverConfigValidate(t *testing.T) {
 	bad.WeightDecay = -1
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected error for negative decay")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*SolverConfig)
+	}{
+		{"NaN base LR", func(c *SolverConfig) { c.BaseLR = nan }},
+		{"+Inf base LR", func(c *SolverConfig) { c.BaseLR = inf }},
+		{"NaN momentum", func(c *SolverConfig) { c.Momentum = nan }},
+		{"NaN weight decay", func(c *SolverConfig) { c.WeightDecay = nan }},
+		{"+Inf weight decay", func(c *SolverConfig) { c.WeightDecay = inf }},
+		{"NaN gradient clip", func(c *SolverConfig) { c.GradClip = nan }},
+		{"+Inf gradient clip", func(c *SolverConfig) { c.GradClip = inf }},
+		{"negative gradient clip", func(c *SolverConfig) { c.GradClip = -1 }},
+	} {
+		bad := good
+		tc.edit(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, bad)
+		}
+	}
+	// Clipping off (0) stays valid, and so does every config the zoo's
+	// callers build from the defaults.
+	ok := good
+	ok.GradClip = 0
+	ok.Nesterov = true
+	ok.StepSize, ok.Gamma = 10, 0.1
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("clip 0: %v", err)
 	}
 }
 

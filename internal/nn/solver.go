@@ -38,7 +38,7 @@ type SolverConfig struct {
 	Gamma        float64  // multiplicative LR drop at each step
 	Power        float64  // exponent for inv/poly policies
 	StepSize     int      // iterations between LR drops; 0 disables the policy
-	GradClip     float64  // elementwise gradient clamp; 0 disables
+	GradClip     float64  // elementwise gradient clamp; 0 disables, negative is invalid
 	MaxIteration int      // training length in iterations (poly policy)
 }
 
@@ -106,12 +106,15 @@ type SGDSolver struct {
 	iter     int
 }
 
-// NewSGDSolver returns a solver bound to net.
+// NewSGDSolver returns a solver bound to net. It clears net's gradients
+// once; from then on ApplyUpdate leaves them cleared, so Step never pays a
+// separate zeroing sweep.
 func NewSGDSolver(net *Network, cfg SolverConfig) *SGDSolver {
 	vel := make([]*tensor.Tensor, len(net.Params()))
 	for i, p := range net.Params() {
 		vel[i] = tensor.New(p.W.Shape()...)
 	}
+	net.ZeroGrads()
 	return &SGDSolver{cfg: cfg, net: net, velocity: vel}
 }
 
@@ -121,12 +124,14 @@ func (s *SGDSolver) Iter() int { return s.iter }
 // Config returns the solver configuration.
 func (s *SGDSolver) Config() SolverConfig { return s.cfg }
 
-// Step trains one minibatch: zero grads, forward/backward, apply the
-// momentum update. It returns the minibatch loss.
+// Step trains one minibatch: forward/backward into the (already clear)
+// gradients, then the momentum update, which consumes them. It returns the
+// minibatch loss. A failed forward/backward clears the gradients it may
+// have half-accumulated, so the next Step starts clean either way.
 func (s *SGDSolver) Step(x *tensor.Tensor, labels []int) (float64, error) {
-	s.net.ZeroGrads()
 	loss, _, err := s.net.TrainStep(x, labels)
 	if err != nil {
+		s.net.ZeroGrads()
 		return 0, err
 	}
 	s.ApplyUpdate()
@@ -134,9 +139,13 @@ func (s *SGDSolver) Step(x *tensor.Tensor, labels []int) (float64, error) {
 }
 
 // ApplyUpdate applies the momentum update using the gradients currently
-// stored in the network. Split out from Step so distributed solvers can
-// aggregate gradients (allreduce) between backward and update. With
-// Nesterov enabled it applies the NAG form w −= (1+μ)v_new − μ·v_old.
+// stored in the network, and consumes them: every gradient is +0 when it
+// returns (frozen parameters' included), ready for the next backward pass.
+// Split out from Step so distributed solvers can aggregate gradients
+// (allreduce) between backward and update. With Nesterov enabled it applies
+// the NAG form w −= (1+μ)v_new − μ·v_old. Each parameter is one
+// tensor.FusedMomentumStep sweep (clip, weight decay, momentum, weight
+// write, gradient clear).
 func (s *SGDSolver) ApplyUpdate() {
 	lr := float32(s.cfg.LearningRate(s.iter))
 	mom := float32(s.cfg.Momentum)
@@ -144,26 +153,10 @@ func (s *SGDSolver) ApplyUpdate() {
 	clip := float32(s.cfg.GradClip)
 	for i, p := range s.net.Params() {
 		if p.Frozen {
+			p.Grad.Zero()
 			continue
 		}
-		if clip > 0 {
-			tensor.ClipInPlace(p.Grad, clip)
-		}
-		v := s.velocity[i].Data()
-		w := p.W.Data()
-		g := p.Grad.Data()
-		if s.cfg.Nesterov {
-			for j := range v {
-				prev := v[j]
-				v[j] = mom*v[j] + lr*(g[j]+wd*w[j])
-				w[j] -= (1+mom)*v[j] - mom*prev
-			}
-		} else {
-			for j := range v {
-				v[j] = mom*v[j] + lr*(g[j]+wd*w[j])
-				w[j] -= v[j]
-			}
-		}
+		tensor.FusedMomentumStep(lr, mom, wd, clip, s.cfg.Nesterov, p.W.Data(), p.Grad.Data(), s.velocity[i].Data())
 	}
 	s.iter++
 }
@@ -177,8 +170,19 @@ func (s *SGDSolver) ResetMomentum() {
 	}
 }
 
-// Validate checks the configuration for obviously unusable values.
+// Validate checks the configuration for obviously unusable values. A
+// non-finite rate, momentum, decay or clip is rejected outright: each would
+// silently turn every weight into NaN (or, for GradClip, disable the clamp)
+// on the first update.
 func (c SolverConfig) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"base LR", c.BaseLR}, {"momentum", c.Momentum}, {"weight decay", c.WeightDecay}, {"gradient clip", c.GradClip}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("nn: solver %s %v is not finite", f.name, f.v)
+		}
+	}
 	if c.BaseLR <= 0 {
 		return fmt.Errorf("nn: solver base LR %v must be positive", c.BaseLR)
 	}
@@ -187,6 +191,9 @@ func (c SolverConfig) Validate() error {
 	}
 	if c.WeightDecay < 0 {
 		return fmt.Errorf("nn: solver weight decay %v negative", c.WeightDecay)
+	}
+	if c.GradClip < 0 {
+		return fmt.Errorf("nn: solver gradient clip %v negative (0 disables clipping)", c.GradClip)
 	}
 	if c.StepSize < 0 {
 		return fmt.Errorf("nn: solver step size %d negative", c.StepSize)

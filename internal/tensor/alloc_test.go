@@ -58,7 +58,7 @@ func TestGemmTransAParallelZeroAllocAcrossGC(t *testing.T) {
 	c := make([]float32, s*s)
 	fillPattern(a, 3)
 	fillPattern(b, 4)
-	assertZeroAllocAcrossGC(t, "gemmTransAParallel", func() { gemmTransAParallel(s, s, s, a, b, c) })
+	assertZeroAllocAcrossGC(t, "gemmTransAParallel", func() { gemmTransAParallel(s, s, s, a, b, c, true) })
 }
 
 func TestGemmTransBParallelZeroAllocAcrossGC(t *testing.T) {
@@ -86,4 +86,5 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 	assertZeroAllocAcrossGC(t, "FusedElasticStep", func() { FusedElasticStep(0.3, d, x, y) })
 	assertZeroAllocAcrossGC(t, "FusedElasticExchange", func() { FusedElasticExchange(0.3, d, x, y) })
 	assertZeroAllocAcrossGC(t, "FusedAxpyCopy", func() { FusedAxpyCopy(0.3, x, y, d) })
+	assertZeroAllocAcrossGC(t, "FusedMomentumStep", func() { FusedMomentumStep(0.01, 0.9, 1e-4, 5, true, x, y, d) })
 }

@@ -3,13 +3,14 @@ package tensor
 import "shmcaffe/internal/tensor/simd"
 
 // Kernel dispatch. The exported hot kernels (AxpySlice, FusedElasticStep,
-// FusedElasticExchange, FusedAxpyCopy) and the blocked gemm call through
-// the indirect function pointers below. The pointers default to the
-// portable scalar-unrolled bodies and are swapped exactly once, at package
-// init, to the AVX2/FMA assembly in internal/tensor/simd when its CPUID
-// probe passes — so steady state pays one indirect call and zero branches
-// per kernel invocation, and a build with `-tags noasm` (or a run with
-// SHMCAFFE_NOSIMD set) never leaves the portable path.
+// FusedElasticExchange, FusedAxpyCopy, FusedCopyAdd, FusedMomentumStep) and
+// the blocked gemm call through the indirect function pointers below. The
+// pointers default to the portable scalar-unrolled bodies and are swapped
+// exactly once, at package init, to the AVX2/FMA assembly in
+// internal/tensor/simd when its CPUID probe passes — so steady state pays
+// one indirect call and zero branches per kernel invocation, and a build
+// with `-tags noasm` (or a run with SHMCAFFE_NOSIMD set) never leaves the
+// portable path.
 //
 // tensor's init runs after simd's (import dependency), so simd.Enabled()
 // is already final here and nothing ever mutates these pointers again;
@@ -21,6 +22,7 @@ var (
 	fusedElasticExchangeImpl = fusedElasticExchangeUnrolled
 	fusedAxpyCopyImpl        = fusedAxpyCopyUnrolled
 	fusedCopyAddImpl         = fusedCopyAddUnrolled
+	fusedMomentumStepImpl    = fusedMomentumStepUnrolled
 
 	// gemmInner4 is the quad-row gemm microkernel; nil means the blocked
 	// kernel runs its pure-Go inner loop (see gemmRows).
@@ -37,6 +39,7 @@ func init() {
 	fusedElasticExchangeImpl = simd.FusedElasticExchange
 	fusedAxpyCopyImpl = simd.FusedAxpyCopy
 	fusedCopyAddImpl = simd.FusedCopyAdd
+	fusedMomentumStepImpl = simd.FusedMomentumStep
 	gemmInner4 = simd.GemmInner4
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -112,9 +113,64 @@ func TestGemmTransAParallelMatchesScalar(t *testing.T) {
 		got := make([]float32, s.m*s.n)
 		fillPattern(a, 3)
 		fillPattern(b, 4)
-		gemmTransAScalar(s.m, s.n, s.k, a, b, ref)
-		gemmTransAParallel(s.m, s.n, s.k, a, b, got)
+		gemmTransAScalar(s.m, s.n, s.k, a, b, ref, false)
+		gemmTransAParallel(s.m, s.n, s.k, a, b, got, false)
 		assertULP(t, "gemmTransA", got, ref)
+		// Accumulating form: both kernels fold the products into the C
+		// they are handed, in the same per-element order.
+		fillPattern(ref, 5)
+		copy(got, ref)
+		gemmTransAScalar(s.m, s.n, s.k, a, b, ref, true)
+		gemmTransAParallel(s.m, s.n, s.k, a, b, got, true)
+		assertULP(t, "gemmTransA(acc)", got, ref)
+	}
+}
+
+// TestMatMulTransAAdd: on a zero dst the accumulating form is bitwise the
+// overwriting one (the Dense backward relies on this: its gradient is +0 on
+// entry), and on a non-zero dst it adds the product to what was there —
+// checked exactly on small integers, where no sum rounds.
+func TestMatMulTransAAdd(t *testing.T) {
+	for _, s := range gemmShapes {
+		a := New(s.k, s.m)
+		b := New(s.k, s.n)
+		fillPattern(a.Data(), 6)
+		fillPattern(b.Data(), 7)
+		want := New(s.m, s.n)
+		if err := MatMulTransA(a, b, want); err != nil {
+			t.Fatal(err)
+		}
+		got := New(s.m, s.n)
+		if err := MatMulTransAAdd(a, b, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(got.Data(), want.Data()) {
+			t.Fatalf("MatMulTransAAdd on zero dst %dx%dx%d differs from MatMulTransA", s.m, s.n, s.k)
+		}
+
+		for i := range a.Data() {
+			a.Data()[i] = float32(i%5 - 2)
+		}
+		for i := range b.Data() {
+			b.Data()[i] = float32(i%3 - 1)
+		}
+		if err := MatMulTransA(a, b, want); err != nil {
+			t.Fatal(err)
+		}
+		for i := range got.Data() {
+			got.Data()[i] = float32(i % 7)
+		}
+		if err := MatMulTransAAdd(a, b, got); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want.Data() {
+			if got.Data()[i] != float32(i%7)+w {
+				t.Fatalf("MatMulTransAAdd %dx%dx%d [%d] = %v, want %v + %v", s.m, s.n, s.k, i, got.Data()[i], i%7, w)
+			}
+		}
+	}
+	if err := MatMulTransAAdd(New(2, 3), New(2, 4), New(4, 3)); !errors.Is(err, ErrShapeMismatch) {
+		t.Fatalf("mismatched dst: got %v, want ErrShapeMismatch", err)
 	}
 }
 

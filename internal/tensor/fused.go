@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Fused SEASGD sweeps. The worker-side elastic update (Eqs. 5–6) and the
 // residual-merge pattern in the nets are pure streaming float math; running
 // them as separate passes costs one full traversal of the parameter vector
@@ -294,5 +296,109 @@ func fusedCopyAddScalar(x, src, dst []float32) {
 		v := x[i]
 		src[i] = v
 		dst[i] = dst[i] + v
+	}
+}
+
+// FusedMomentumStep is Caffe's momentum-SGD update (Eq. 2) for one
+// parameter blob in one sweep over w, g and v:
+//
+//	g' := clamp(g[i], -clip, clip)
+//	v[i] = mom*v[i] + lr*(g' + wd*w[i])
+//	w[i] -= v[i]                          (plain)
+//	w[i] -= (1+mom)*v[i] - mom*v_old      (nesterov)
+//	g[i] = +0
+//
+// The gradient is consumed: it is written back as +0, so the next backward
+// pass accumulates into a cleared buffer without a separate zeroing sweep.
+// clip ≤ 0 (or NaN) disables clipping. The clamp lets a NaN gradient
+// through unchanged, like the two-branch scalar clip it replaces. Separate
+// multiplies and adds in the scalar order, no contraction, so every
+// backend is bitwise-identical to fusedMomentumStepScalar — NaN, ±Inf and
+// −0 included. w, g and v must not alias one another.
+//
+//shm:hotpath
+func FusedMomentumStep(lr, mom, wd, clip float32, nesterov bool, w, g, v []float32) {
+	if !(clip > 0) {
+		clip = float32(math.Inf(1)) // the clamp is then the identity, bit for bit
+	}
+	fusedMomentumStepImpl(lr, mom, wd, clip, nesterov, w, g, v)
+}
+
+// fusedMomentumStepUnrolled is the portable FusedMomentumStep kernel and
+// the dispatch default; clip is already normalised (> 0 or +Inf).
+func fusedMomentumStepUnrolled(lr, mom, wd, clip float32, nesterov bool, w, g, v []float32) {
+	n := minLen3(len(w), len(g), len(v))
+	nclip, mom1 := -clip, 1+mom
+	i := 0
+	for ; i+fusedLanes <= n; i += fusedLanes {
+		wv := (*lanes8)(w[i:])
+		gv := (*lanes8)(g[i:])
+		vv := (*lanes8)(v[i:])
+		for k := range wv {
+			gk := gv[k]
+			if gk > clip {
+				gk = clip
+			} else if gk < nclip {
+				gk = nclip
+			}
+			prev := vv[k]
+			vk := mom*prev + lr*(gk+wd*wv[k])
+			if nesterov {
+				wv[k] -= mom1*vk - mom*prev
+			} else {
+				wv[k] -= vk
+			}
+			vv[k] = vk
+			gv[k] = 0
+		}
+	}
+	for ; i < n; i++ {
+		gk := g[i]
+		if gk > clip {
+			gk = clip
+		} else if gk < nclip {
+			gk = nclip
+		}
+		prev := v[i]
+		vk := mom*prev + lr*(gk+wd*w[i])
+		if nesterov {
+			w[i] -= mom1*vk - mom*prev
+		} else {
+			w[i] -= vk
+		}
+		v[i] = vk
+		g[i] = 0
+	}
+}
+
+// fusedMomentumStepScalar is the reference FusedMomentumStep is pinned
+// against: the solver's former three passes verbatim — clamp the gradient
+// in place, the momentum loop, then clear the gradient.
+func fusedMomentumStepScalar(lr, mom, wd, clip float32, nesterov bool, w, g, v []float32) {
+	n := minLen3(len(w), len(g), len(v))
+	w, g, v = w[:n], g[:n], v[:n]
+	if clip > 0 {
+		for i, x := range g {
+			if x > clip {
+				g[i] = clip
+			} else if x < -clip {
+				g[i] = -clip
+			}
+		}
+	}
+	if nesterov {
+		for j := range v {
+			prev := v[j]
+			v[j] = mom*v[j] + lr*(g[j]+wd*w[j])
+			w[j] -= (1+mom)*v[j] - mom*prev
+		}
+	} else {
+		for j := range v {
+			v[j] = mom*v[j] + lr*(g[j]+wd*w[j])
+			w[j] -= v[j]
+		}
+	}
+	for j := range g {
+		g[j] = 0
 	}
 }

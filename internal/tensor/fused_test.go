@@ -370,6 +370,63 @@ func TestFusedKernelsSpecialValues(t *testing.T) {
 	if !bitsEqual(delta, wantDelta) || !bitsEqual(local, wantLocal) {
 		t.Fatal("FusedElasticStep diverges from scalar on IEEE special values")
 	}
+
+	// The solver sweep: every special in every position of w, g and v, plus
+	// gradients exactly at ±clip and one ULP past it, clamp on and off.
+	const clip = 0.5
+	specials = []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32,
+		-math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32, 1, -1,
+		clip, -clip, math.Nextafter32(clip, 1), math.Nextafter32(-clip, -1), 1e-39, -1e-39,
+	}
+	n = 3*len(specials) + 5 // vector blocks and a scalar tail
+	for _, nesterov := range []bool{false, true} {
+		for _, c := range []float32{0, clip} {
+			for rot := 0; rot < len(specials); rot++ {
+				w := make([]float32, n)
+				g := make([]float32, n)
+				v := make([]float32, n)
+				for i := range w {
+					w[i] = specials[i%len(specials)]
+					g[i] = specials[(i+rot)%len(specials)]
+					v[i] = specials[(i+2*rot+1)%len(specials)]
+				}
+				checkMomentumStep(t, "special", 0.1, 0.9, 1e-4, c, nesterov, w, g, v)
+			}
+		}
+	}
+}
+
+// checkMomentumStep runs FusedMomentumStep on (w, g, v) in place through the
+// dispatcher, and on copies through the portable body and the scalar
+// reference, and fails unless all three agree bit for bit and every
+// consumed gradient is +0 afterwards.
+func checkMomentumStep(t *testing.T, tag string, lr, mom, wd, clip float32, nesterov bool, w, g, v []float32) {
+	t.Helper()
+	fbW, fbG, fbV := cloneSlice(w), cloneSlice(g), cloneSlice(v)
+	refW, refG, refV := cloneSlice(w), cloneSlice(g), cloneSlice(v)
+	FusedMomentumStep(lr, mom, wd, clip, nesterov, w, g, v)
+	unrolledClip := clip
+	if !(clip > 0) {
+		unrolledClip = float32(math.Inf(1))
+	}
+	fusedMomentumStepUnrolled(lr, mom, wd, unrolledClip, nesterov, fbW, fbG, fbV)
+	fusedMomentumStepScalar(lr, mom, wd, clip, nesterov, refW, refG, refV)
+	for i := range refW {
+		if !bitwiseEqual32(w[i], refW[i]) || !bitwiseEqual32(v[i], refV[i]) {
+			t.Fatalf("%s nesterov=%v clip=%v i=%d: dispatched (w %v, v %v) != scalar (w %v, v %v)",
+				tag, nesterov, clip, i, w[i], v[i], refW[i], refV[i])
+		}
+		if !bitwiseEqual32(fbW[i], refW[i]) || !bitwiseEqual32(fbV[i], refV[i]) {
+			t.Fatalf("%s nesterov=%v clip=%v i=%d: portable (w %v, v %v) != scalar (w %v, v %v)",
+				tag, nesterov, clip, i, fbW[i], fbV[i], refW[i], refV[i])
+		}
+		if math.Float32bits(g[i]) != 0 || math.Float32bits(fbG[i]) != 0 || math.Float32bits(refG[i]) != 0 {
+			t.Fatalf("%s nesterov=%v clip=%v i=%d: gradient not cleared to +0 (dispatched %v, portable %v, scalar %v)",
+				tag, nesterov, clip, i, g[i], fbG[i], refG[i])
+		}
+	}
 }
 
 // FuzzFusedKernels drives every fused kernel through the dispatcher AND
@@ -378,12 +435,15 @@ func TestFusedKernelsSpecialValues(t *testing.T) {
 // dispatched path is the assembly, so one fuzz run cross-checks the
 // dispatched and `noasm` implementations against the same reference; the
 // FMA-contracted FusedAxpyCopy is instead held to the float64 reference.
+// FusedMomentumStep takes alpha as its learning rate and momBits as its
+// momentum; mode picks Nesterov (bit 0) and the clamp (bit 1).
 func FuzzFusedKernels(f *testing.F) {
-	f.Add(uint16(8), uint8(0), uint32(0x3f000000), int64(1))
-	f.Add(uint16(17), uint8(3), uint32(0x3f800000), int64(42))
-	f.Add(uint16(0), uint8(1), uint32(0xbf800000), int64(7))
-	f.Add(uint16(255), uint8(5), uint32(0x7fc00000), int64(99)) // NaN alpha
-	f.Fuzz(func(t *testing.T, rawN uint16, rawOff uint8, alphaBits uint32, seed int64) {
+	f.Add(uint16(8), uint8(0), uint32(0x3f000000), int64(1), uint32(0x3f666666), uint8(0))
+	f.Add(uint16(17), uint8(3), uint32(0x3f800000), int64(42), uint32(0x3f666666), uint8(3))
+	f.Add(uint16(0), uint8(1), uint32(0xbf800000), int64(7), uint32(0), uint8(1))
+	f.Add(uint16(255), uint8(5), uint32(0x7fc00000), int64(99), uint32(0x3f000000), uint8(2)) // NaN alpha / lr
+	f.Add(uint16(131), uint8(6), uint32(0x3dcccccd), int64(5), uint32(0x7fc00000), uint8(3))  // NaN momentum
+	f.Fuzz(func(t *testing.T, rawN uint16, rawOff uint8, alphaBits uint32, seed int64, momBits uint32, mode uint8) {
 		n := int(rawN) % 300
 		off := int(rawOff) % 8
 		alpha := math.Float32frombits(alphaBits)
@@ -459,5 +519,12 @@ func FuzzFusedKernels(f *testing.F) {
 		if !bitsEqual(fbLocal, wantLocal) {
 			t.Fatalf("axpySliceUnrolled n=%d off=%d alpha=%x diverges", n, off, alphaBits)
 		}
+
+		var clip float32
+		if mode&2 != 0 {
+			clip = 0.75
+		}
+		checkMomentumStep(t, "fuzz", alpha, math.Float32frombits(momBits), 1e-3, clip, mode&1 != 0,
+			local[off:], global[off:], delta[off:])
 	})
 }

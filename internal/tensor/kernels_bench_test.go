@@ -36,13 +36,43 @@ func BenchmarkGemm(b *testing.B) {
 }
 
 func BenchmarkGemmTransA(b *testing.B) {
-	b.Run("scalar/256", func(b *testing.B) { benchGemm(b, 256, 256, 256, gemmTransAScalar) })
-	b.Run("parallel/256", func(b *testing.B) { benchGemm(b, 256, 256, 256, gemmTransAParallel) })
+	scalar := func(m, n, k int, a, bb, c []float32) { gemmTransAScalar(m, n, k, a, bb, c, false) }
+	par := func(m, n, k int, a, bb, c []float32) { gemmTransAParallel(m, n, k, a, bb, c, false) }
+	b.Run("scalar/256", func(b *testing.B) { benchGemm(b, 256, 256, 256, scalar) })
+	b.Run("parallel/256", func(b *testing.B) { benchGemm(b, 256, 256, 256, par) })
 }
 
 func BenchmarkGemmTransB(b *testing.B) {
 	b.Run("scalar/256", func(b *testing.B) { benchGemm(b, 256, 256, 256, gemmTransBScalar) })
 	b.Run("parallel/256", func(b *testing.B) { benchGemm(b, 256, 256, 256, gemmTransBParallel) })
+}
+
+// BenchmarkFusedMomentumStep sweeps one wide-model-sized parameter vector
+// (1.32M elements: w, g and v read, all three written) through the scalar
+// three-pass reference, the portable body and the dispatched kernel.
+func BenchmarkFusedMomentumStep(b *testing.B) {
+	const n = 1_320_000
+	w := make([]float32, n)
+	g := make([]float32, n)
+	v := make([]float32, n)
+	fillPattern(w, 1)
+	fillPattern(v, 2)
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"scalar", func() { fusedMomentumStepScalar(0.01, 0.9, 1e-4, 5, false, w, g, v) }},
+		{"portable", func() { fusedMomentumStepUnrolled(0.01, 0.9, 1e-4, 5, false, w, g, v) }},
+		{"dispatched", func() { FusedMomentumStep(0.01, 0.9, 1e-4, 5, false, w, g, v) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(6 * 4 * n) // three streams read, three written
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.run()
+			}
+		})
+	}
 }
 
 func BenchmarkIm2Col(b *testing.B) {

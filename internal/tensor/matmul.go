@@ -153,10 +153,12 @@ func gemmScalar(m, n, k int, a, b, c []float32) {
 // gemmRows computes rows of C for a row-major A panel (rows×k), full B
 // (k×n) and C panel (rows×n), cache-blocked over k and j. For every (i, j)
 // the k index still increases monotonically across blocks, so the
-// accumulation order matches gemmScalar exactly.
-func gemmRows(aRows, b, cRows []float32, rows, k, n int) {
-	for i := range cRows {
-		cRows[i] = 0
+// accumulation order matches gemmScalar exactly. With acc set the panel is
+// not cleared first: C += A×B, the products folding into what C holds in
+// the same l-order.
+func gemmRows(aRows, b, cRows []float32, rows, k, n int, acc bool) {
+	if !acc {
+		clear(cRows)
 	}
 	for kb := 0; kb < k; kb += gemmBlockK {
 		kend := kb + gemmBlockK
@@ -179,7 +181,8 @@ func gemmRows(aRows, b, cRows []float32, rows, k, n int) {
 					// bitwise-equal to the scalar kernel for finite B. A
 					// zero A lane contributes ±0 instead of being skipped,
 					// which is also bitwise-neutral on finite data (c is
-					// never -0 mid-accumulation); all-zero quads are
+					// never -0 mid-accumulation, nor on entry when acc
+					// folds into a cleared gradient); all-zero quads are
 					// skipped outright for the sparse case.
 					for ; l+4 <= len(arow); l += 4 {
 						if arow[l] == 0 && arow[l+1] == 0 && arow[l+2] == 0 && arow[l+3] == 0 {
@@ -188,21 +191,13 @@ func gemmRows(aRows, b, cRows []float32, rows, k, n int) {
 						gemmInner4(&arow[l], &b[(kb+l)*n+jb], n, &crow[0], len(crow))
 					}
 				}
+				// Leftover k-steps (all of them at k < 4 — a batch-1 weight
+				// gradient is one): each is crow += av·brow, the dispatched
+				// axpy, whose per-element c + a·b with two roundings is the
+				// scalar kernel's expression.
 				for ; l < len(arow); l++ {
-					av := arow[l]
-					if av == 0 {
-						continue
-					}
-					// Full-slice-expression plus clamp let the compiler
-					// prove j < len(crow) and drop the bounds check in the
-					// hot loop (~2× on amd64; the lengths are always equal,
-					// so the clamp never trims).
-					brow := b[(kb+l)*n+jb : (kb+l)*n+jend : (kb+l)*n+jend]
-					if len(brow) > len(crow) {
-						brow = brow[:len(crow)]
-					}
-					for j, bv := range brow {
-						crow[j] += av * bv
+					if av := arow[l]; av != 0 {
+						axpyImpl(av, b[(kb+l)*n+jb:(kb+l)*n+jend], crow)
 					}
 				}
 			}
@@ -226,7 +221,16 @@ func GemmScalar(m, n, k int, a, b, c []float32) { gemmScalar(m, n, k, a, b, c) }
 func GemmParallel(m, n, k int, a, b, c []float32) { gemmParallel(m, n, k, a, b, c) }
 
 // MatMulTransA computes dst = aᵀ × b for a (k×m), b (k×n), dst (m×n).
-func MatMulTransA(a, b, dst *Tensor) error {
+func MatMulTransA(a, b, dst *Tensor) error { return matMulTransA(a, b, dst, false) }
+
+// MatMulTransAAdd computes dst += aᵀ × b for a (k×m), b (k×n), dst (m×n):
+// the weight-gradient accumulation of a dense layer, with no aᵀ×b
+// temporary and no second pass to add it in. Per element the products
+// fold into dst in the same l-order MatMulTransA sums them, so on a dst
+// that is zero on entry the two are bitwise-equal.
+func MatMulTransAAdd(a, b, dst *Tensor) error { return matMulTransA(a, b, dst, true) }
+
+func matMulTransA(a, b, dst *Tensor, acc bool) error {
 	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
 		return fmt.Errorf("tensor: matmulTransA requires 2-D operands: %w", ErrShapeMismatch)
 	}
@@ -236,28 +240,30 @@ func MatMulTransA(a, b, dst *Tensor) error {
 		return fmt.Errorf("tensor: matmulTransA: %w", ErrShapeMismatch)
 	}
 	if !useParallelTransA(m * n * k) {
-		gemmTransAScalar(m, n, k, a.data, b.data, dst.data)
+		gemmTransAScalar(m, n, k, a.data, b.data, dst.data, acc)
 		return nil
 	}
-	gemmTransAParallel(m, n, k, a.data, b.data, dst.data)
+	gemmTransAParallel(m, n, k, a.data, b.data, dst.data, acc)
 	return nil
 }
 
 // gemmTransAParallel partitions C rows; each range packs its strip of aᵀ
 // (rows lo..hi of the logical m×k matrix, read column-wise from a) into a
 // contiguous pooled panel so the row kernel streams it like plain gemm.
-func gemmTransAParallel(m, n, k int, a, b, c []float32) {
+// acc keeps C's contents and adds into them (see gemmRows).
+func gemmTransAParallel(m, n, k int, a, b, c []float32, acc bool) {
 	g := transARangerFree.Get()
-	*g = transARanger{a: a, b: b, c: c, m: m, k: k, n: n}
+	*g = transARanger{a: a, b: b, c: c, m: m, k: k, n: n, acc: acc}
 	parallel.ForRanger(m, gemmRowGrain, g)
 	*g = transARanger{}
 	transARangerFree.Put(g)
 }
 
-// gemmTransAScalar is the seed's original aᵀ×b kernel (reference).
-func gemmTransAScalar(m, n, k int, a, b, c []float32) {
-	for i := range c {
-		c[i] = 0
+// gemmTransAScalar is the seed's original aᵀ×b kernel (reference); acc
+// skips the clear, accumulating into C.
+func gemmTransAScalar(m, n, k int, a, b, c []float32, acc bool) {
+	if !acc {
+		clear(c)
 	}
 	for l := 0; l < k; l++ {
 		arow := a[l*m : (l+1)*m]

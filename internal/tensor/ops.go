@@ -175,18 +175,3 @@ func L2Norm(t *Tensor) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// ClipInPlace clamps every element into [-limit, limit]. Gradient clipping
-// keeps the small functional models stable at high worker counts.
-func ClipInPlace(t *Tensor, limit float32) {
-	if limit <= 0 {
-		return
-	}
-	for i, v := range t.data {
-		if v > limit {
-			t.data[i] = limit
-		} else if v < -limit {
-			t.data[i] = -limit
-		}
-	}
-}

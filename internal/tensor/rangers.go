@@ -21,7 +21,7 @@ type gemmRanger struct {
 }
 
 func (g *gemmRanger) Range(lo, hi int) {
-	gemmRows(g.a[lo*g.k:hi*g.k], g.b, g.c[lo*g.n:hi*g.n], hi-lo, g.k, g.n)
+	gemmRows(g.a[lo*g.k:hi*g.k], g.b, g.c[lo*g.n:hi*g.n], hi-lo, g.k, g.n, false)
 }
 
 var gemmRangerFree = parallel.NewFreelist[gemmRanger](8)
@@ -31,6 +31,7 @@ var gemmRangerFree = parallel.NewFreelist[gemmRanger](8)
 type transARanger struct {
 	a, b, c []float32
 	m, k, n int
+	acc     bool // accumulate into c instead of overwriting it
 }
 
 func (g *transARanger) Range(lo, hi int) {
@@ -42,7 +43,7 @@ func (g *transARanger) Range(lo, hi int) {
 			pack[i*g.k+l] = v
 		}
 	}
-	gemmRows(pack, g.b, g.c[lo*g.n:hi*g.n], rows, g.k, g.n)
+	gemmRows(pack, g.b, g.c[lo*g.n:hi*g.n], rows, g.k, g.n, g.acc)
 	putPack(ph)
 }
 

@@ -68,6 +68,24 @@ func FusedAxpyCopy(alpha float32, x, y, dst []float32)
 //go:noescape
 func FusedCopyAdd(x, src, dst []float32)
 
+// FusedMomentumStep computes, per element over the min length, the
+// momentum-SGD update with the gradient clamped, consumed and cleared:
+//
+//	c := min(clip, max(-clip, g[i]))   // VMAXPS/VMINPS, g the second source
+//	u := mom*v[i]; vn := u + lr*(c + wd*w[i])
+//	w[i] -= vn                         (plain)
+//	w[i] -= (1+mom)*vn - u             (nesterov)
+//	v[i] = vn; g[i] = +0
+//
+// clip must be > 0 or +Inf (the tensor wrapper maps "off" to +Inf). With g
+// as the second source operand MAXPS/MINPS return it whenever it is NaN, so
+// the clamp passes a NaN gradient through exactly as the scalar branches
+// do. Separate multiplies and adds, no FMA: bitwise-equal to the portable
+// body. w, g and v must not alias one another.
+//
+//go:noescape
+func FusedMomentumStep(lr, mom, wd, clip float32, nesterov bool, w, g, v []float32)
+
 // GemmInner4 is the quad-row gemm microkernel: with a pointing at four
 // consecutive A values a0..a3 and b at the first of four B rows spaced
 // ldb floats apart, it computes for j < n:

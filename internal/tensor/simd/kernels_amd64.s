@@ -613,3 +613,150 @@ gi4_tail_loop:
 gi4_done:
 	VZEROUPPER
 	RET
+
+// func FusedMomentumStep(lr, mom, wd, clip float32, nesterov bool, w, g, v []float32)
+//
+// c := min(clip, max(-clip, g[i])); u := mom*v[i]; vn := u + lr*(c + wd*w[i]);
+// w[i] -= vn (plain) or w[i] -= (1+mom)*vn - u (nesterov); v[i] = vn;
+// g[i] = +0. The clamp takes g as the SECOND source of VMAXPS/VMINPS
+// (the first Go operand), which is what both return when one input is
+// NaN — a NaN gradient passes through as it does the scalar branches.
+// Every product and sum is a separate VMULPS/VADDPS/VSUBPS whose first
+// source is the value the Go expression names first: no FMA, bitwise-equal
+// to the portable body. One branch on nesterov picks the loop; no branch
+// inside either.
+TEXT ·FusedMomentumStep(SB), NOSPLIT, $0-96
+	MOVQ w_len+32(FP), CX
+	MOVQ g_len+56(FP), DX
+	CMPQ DX, CX
+	JGE  fms_min1
+	MOVQ DX, CX
+
+fms_min1:
+	MOVQ v_len+80(FP), DX
+	CMPQ DX, CX
+	JGE  fms_min2
+	MOVQ DX, CX
+
+fms_min2:
+	MOVQ         w_base+24(FP), DI
+	MOVQ         g_base+48(FP), SI
+	MOVQ         v_base+72(FP), DX
+	VBROADCASTSS lr+0(FP), Y0
+	VBROADCASTSS mom+4(FP), Y1
+	VBROADCASTSS wd+8(FP), Y2
+	VBROADCASTSS clip+12(FP), Y3
+	MOVL         $0x80000000, AX
+	VMOVD        AX, X4
+	VBROADCASTSS X4, Y4
+	VXORPS       Y3, Y4, Y4           // -clip
+	MOVL         $0x3f800000, AX
+	VMOVD        AX, X5
+	VADDSS       mom+4(FP), X5, X5    // 1 + mom
+	VBROADCASTSS X5, Y5
+	VXORPS       Y12, Y12, Y12        // the +0 the gradient is cleared to
+	XORQ         BX, BX
+	MOVQ         CX, R10
+	ANDQ         $-8, R10
+	CMPB         nesterov+16(FP), $0
+	JNE          fms_nag
+
+	CMPQ BX, R10
+	JGE  fms_tail
+
+fms_loop8:
+	VMOVUPS (SI)(BX*4), Y6
+	VMAXPS  Y6, Y4, Y6
+	VMINPS  Y6, Y3, Y6
+	VMOVUPS (DI)(BX*4), Y7
+	VMULPS  Y7, Y2, Y8
+	VADDPS  Y8, Y6, Y8
+	VMULPS  Y8, Y0, Y8
+	VMOVUPS (DX)(BX*4), Y9
+	VMULPS  Y9, Y1, Y9
+	VADDPS  Y8, Y9, Y9
+	VSUBPS  Y9, Y7, Y7
+	VMOVUPS Y7, (DI)(BX*4)
+	VMOVUPS Y9, (DX)(BX*4)
+	VMOVUPS Y12, (SI)(BX*4)
+	ADDQ    $8, BX
+	CMPQ    BX, R10
+	JLT     fms_loop8
+
+fms_tail:
+	CMPQ BX, CX
+	JGE  fms_done
+
+fms_tail_loop:
+	VMOVSS (SI)(BX*4), X6
+	VMAXSS X6, X4, X6
+	VMINSS X6, X3, X6
+	VMOVSS (DI)(BX*4), X7
+	VMULSS X7, X2, X8
+	VADDSS X8, X6, X8
+	VMULSS X8, X0, X8
+	VMOVSS (DX)(BX*4), X9
+	VMULSS X9, X1, X9
+	VADDSS X8, X9, X9
+	VSUBSS X9, X7, X7
+	VMOVSS X7, (DI)(BX*4)
+	VMOVSS X9, (DX)(BX*4)
+	VMOVSS X12, (SI)(BX*4)
+	INCQ   BX
+	CMPQ   BX, CX
+	JLT    fms_tail_loop
+	JMP    fms_done
+
+fms_nag:
+	CMPQ BX, R10
+	JGE  fms_nag_tail
+
+fms_nag_loop8:
+	VMOVUPS (SI)(BX*4), Y6
+	VMAXPS  Y6, Y4, Y6
+	VMINPS  Y6, Y3, Y6
+	VMOVUPS (DI)(BX*4), Y7
+	VMULPS  Y7, Y2, Y8
+	VADDPS  Y8, Y6, Y8
+	VMULPS  Y8, Y0, Y8
+	VMOVUPS (DX)(BX*4), Y9
+	VMULPS  Y9, Y1, Y9
+	VADDPS  Y8, Y9, Y10
+	VMULPS  Y10, Y5, Y11
+	VSUBPS  Y9, Y11, Y11
+	VSUBPS  Y11, Y7, Y7
+	VMOVUPS Y7, (DI)(BX*4)
+	VMOVUPS Y10, (DX)(BX*4)
+	VMOVUPS Y12, (SI)(BX*4)
+	ADDQ    $8, BX
+	CMPQ    BX, R10
+	JLT     fms_nag_loop8
+
+fms_nag_tail:
+	CMPQ BX, CX
+	JGE  fms_done
+
+fms_nag_tail_loop:
+	VMOVSS (SI)(BX*4), X6
+	VMAXSS X6, X4, X6
+	VMINSS X6, X3, X6
+	VMOVSS (DI)(BX*4), X7
+	VMULSS X7, X2, X8
+	VADDSS X8, X6, X8
+	VMULSS X8, X0, X8
+	VMOVSS (DX)(BX*4), X9
+	VMULSS X9, X1, X9
+	VADDSS X8, X9, X10
+	VMULSS X10, X5, X11
+	VSUBSS X9, X11, X11
+	VSUBSS X11, X7, X7
+	VMOVSS X7, (DI)(BX*4)
+	VMOVSS X10, (DX)(BX*4)
+	VMOVSS X12, (SI)(BX*4)
+	INCQ   BX
+	CMPQ   BX, CX
+	JLT    fms_nag_tail_loop
+
+fms_done:
+	VZEROUPPER
+	RET

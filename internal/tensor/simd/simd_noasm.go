@@ -29,5 +29,10 @@ func FusedAxpyCopy(alpha float32, x, y, dst []float32) { unreachable() }
 // FusedCopyAdd panics; the portable build has no assembly backend.
 func FusedCopyAdd(x, src, dst []float32) { unreachable() }
 
+// FusedMomentumStep panics; the portable build has no assembly backend.
+func FusedMomentumStep(lr, mom, wd, clip float32, nesterov bool, w, g, v []float32) {
+	unreachable()
+}
+
 // GemmInner4 panics; the portable build has no assembly backend.
 func GemmInner4(a *float32, b *float32, ldb int, c *float32, n int) { unreachable() }

@@ -17,9 +17,9 @@ func bitwiseEqual32(a, b float32) bool {
 // every unaligned starting offset within a 64-byte line. The contract
 // (DESIGN.md §14):
 //
-//   - Axpy / Add / FusedElasticStep / FusedElasticExchange: bitwise equal
-//     to the scalar kernels on every backend — no FMA contraction, same
-//     per-element expression order.
+//   - Axpy / Add / FusedElasticStep / FusedElasticExchange /
+//     FusedMomentumStep: bitwise equal to the scalar kernels on every
+//     backend — no FMA contraction, same per-element expression order.
 //   - FusedAxpyCopy: bitwise on the portable backend; within 1 ULP of the
 //     float64 reference when the FMA backend is active (one rounding versus
 //     the scalar kernel's two).
@@ -79,6 +79,30 @@ func TestSimdTailAndOffsetEquivalence(t *testing.T) {
 						assertWithin1ULP(t, "FusedAxpyCopy", dst, ref)
 					} else {
 						assertBitwiseSlices(t, "FusedAxpyCopy", n, off, alpha, dst, want, nil, nil)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSimdFusedMomentumTailAndOffset runs the solver sweep at every residue
+// mod 16 on top of zero to four full vectors, at every start offset within a
+// 64-byte line, plain and Nesterov, clamp off and on: dispatched, portable
+// and scalar reference agree bit for bit and the gradient ends +0.
+func TestSimdFusedMomentumTailAndOffset(t *testing.T) {
+	for _, base := range []int{0, 16, 32} {
+		for tail := 0; tail < 16; tail++ {
+			n := base + tail
+			for off := 0; off < 16; off++ {
+				raw := func(seed int) []float32 {
+					s := make([]float32, off+n)
+					fillPattern(s, seed)
+					return s[off : off+n]
+				}
+				for _, nesterov := range []bool{false, true} {
+					for _, clip := range []float32{0, 2.5} {
+						checkMomentumStep(t, "FusedMomentumStep", 0.05, 0.9, 5e-4, clip, nesterov, raw(1), raw(2), raw(3))
 					}
 				}
 			}

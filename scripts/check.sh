@@ -28,6 +28,10 @@ tier1() {
 	# Second pass with the assembly backend compiled out: the portable
 	# unrolled kernels must pass the same suite bitwise (DESIGN.md §14).
 	go test -tags noasm ./...
+	echo "== tier 1: solver trajectory + momentum kernel (SHMCAFFE_NOSIMD — portable at runtime) =="
+	# Same binary, assembly vetoed by the environment: the golden trajectory
+	# hashes and the kernel contract hold on the runtime opt-out too.
+	SHMCAFFE_NOSIMD=1 go test -run 'Trajectory|FusedMomentum' ./internal/nn ./internal/tensor
 	echo "== tier 1: build (noshm) =="
 	go build -tags noshm ./...
 	echo "== tier 1: tests (noshm — shared-memory transport compiled out) =="
@@ -60,6 +64,14 @@ tier1() {
 		echo "second spelling of the exchange procedure found (see above)" >&2
 		return 1
 	fi
+	# The solver update is one fused sweep per parameter and the dense
+	# weight gradient accumulates in place: neither the scalar clip and
+	# momentum loops nor the in×out dW temporary grows back.
+	if grep -nE 'ClipInPlace|for j := range v' internal/nn/solver.go ||
+		grep -n 'tensor.New(d.in, d.out)' internal/nn/dense.go; then
+		echo "scalar solver sweep or dense dW temporary found (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
@@ -82,11 +94,13 @@ tier2() {
 	echo "== tier 2: allocation regression guard =="
 	# Pins the zero-alloc contract of the SMB hot path (Store and
 	# StreamClient Read/Write/Accumulate, the WriteAccumulate push, pooled
-	# wire scratch), the fused worker exchange step, and the pooled
-	# parallel.For/ForRanger dispatch.
+	# wire scratch), the fused worker exchange step, the pooled
+	# parallel.For/ForRanger dispatch, and the byte budget of one wide-model
+	# solver Step (no parameter-sized temporaries).
 	go test -run='TestSteadyStateZeroAlloc|TestReadInt64Slots|TestSnapReadZeroAlloc' -count=1 ./internal/smb
 	go test -run='TestRecordingZeroAlloc|TestSpanZeroAlloc|TestEventRecordZeroAlloc' -count=1 ./internal/telemetry
 	go test -run='TestFusedStepAndPushZeroAlloc' -count=1 ./internal/core
+	go test -run='TestWideStepAllocBytes' -count=1 ./internal/nn
 	go test -run='TestForRangerZeroAlloc|TestForZeroAlloc|TestFreelist' -count=1 ./internal/parallel
 	go test -run='ZeroAllocAcrossGC|TestDispatchedKernelsZeroAlloc' -count=1 ./internal/tensor
 	echo "== tier 2: telemetry smoke (2-worker -telemetry run) =="
