@@ -9,12 +9,13 @@
 //	shmserve -addr 127.0.0.1:7700 -job mpjob -listen 127.0.0.1:8080
 //	curl -d '{"features":[0.1,...]}' http://127.0.0.1:8080/infer
 //
-// Requests to /infer are batched (up to -batch, waiting at most
-// -batch-delay) into one batch-first Forward call. /metrics exposes the
-// Prometheus surface: snapshot age, batch-size and end-to-end latency
-// histograms, refresh counters. A built-in load generator
-// (-loadgen http://host:port) drives a running frontend and prints the
-// client-side p50/p99.
+// The batcher is work-conserving: an /infer request that finds it idle is
+// forwarded at once, and requests that arrive while a Forward runs are
+// folded (up to -batch) into the next batch-first Forward call — nothing
+// ever waits on a timer. /metrics exposes the Prometheus surface: snapshot
+// age, batch-size and end-to-end latency histograms, refresh counters. A
+// built-in load generator (-loadgen http://host:port) drives a running
+// frontend and prints the client-side p50/p99.
 package main
 
 import (
@@ -32,6 +33,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -57,21 +59,20 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("shmserve", flag.ContinueOnError)
 	var (
-		addr       = fs.String("addr", "127.0.0.1:7700", "SMB server address the trainer writes Wg to")
-		transport  = fs.String("transport", "auto", "SMB transport: auto, tcp, tcp_sg or shm")
-		job        = fs.String("job", "mpjob", "job name whose global weight segment to serve")
-		features   = fs.Int("features", 8, "model input features (must match the trainer)")
-		hidden     = fs.Int("hidden", 16, "model hidden width (must match the trainer)")
-		classes    = fs.Int("classes", 4, "model classes (must match the trainer)")
-		listen     = fs.String("listen", "127.0.0.1:8080", "HTTP listen address (port 0 picks one)")
-		refresh    = fs.Duration("refresh", 200*time.Millisecond, "snapshot refresh interval")
-		batch      = fs.Int("batch", 16, "max requests folded into one forward pass")
-		batchDelay = fs.Duration("batch-delay", 2*time.Millisecond, "max wait to fill a batch")
-		wait       = fs.Duration("wait", 30*time.Second, "how long to wait for the trainer to create the segment")
-		opTimeout  = fs.Duration("op-timeout", 5*time.Second, "per-operation SMB timeout")
-		loadgen    = fs.String("loadgen", "", "load-generator mode: target frontend base URL (e.g. http://127.0.0.1:8080)")
-		conc       = fs.Int("concurrency", 4, "with -loadgen: concurrent client goroutines")
-		duration   = fs.Duration("duration", 3*time.Second, "with -loadgen: how long to generate load")
+		addr      = fs.String("addr", "127.0.0.1:7700", "SMB server address the trainer writes Wg to")
+		transport = fs.String("transport", "auto", "SMB transport: "+strings.Join(smb.TransportNames(), " | "))
+		job       = fs.String("job", "mpjob", "job name whose global weight segment to serve")
+		features  = fs.Int("features", 8, "model input features (must match the trainer)")
+		hidden    = fs.Int("hidden", 16, "model hidden width (must match the trainer)")
+		classes   = fs.Int("classes", 4, "model classes (must match the trainer)")
+		listen    = fs.String("listen", "127.0.0.1:8080", "HTTP listen address (port 0 picks one)")
+		refresh   = fs.Duration("refresh", 200*time.Millisecond, "snapshot refresh interval")
+		batch     = fs.Int("batch", 16, "max requests folded into one forward pass")
+		wait      = fs.Duration("wait", 30*time.Second, "how long to wait for the trainer to create the segment")
+		opTimeout = fs.Duration("op-timeout", 5*time.Second, "per-operation SMB timeout")
+		loadgen   = fs.String("loadgen", "", "load-generator mode: target frontend base URL (e.g. http://127.0.0.1:8080)")
+		conc      = fs.Int("concurrency", 4, "with -loadgen: concurrent client goroutines")
+		duration  = fs.Duration("duration", 3*time.Second, "with -loadgen: how long to generate load")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,15 +80,21 @@ func run(args []string) error {
 	if *loadgen != "" {
 		return runLoadgen(*loadgen, *features, *conc, *duration)
 	}
+	if *batch < 1 {
+		return fmt.Errorf("-batch %d: want at least 1", *batch)
+	}
+	if *refresh <= 0 {
+		return fmt.Errorf("-refresh %s: want a positive interval", *refresh)
+	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	client, closeClient, tname, err := dialSMB(*addr, *transport, *opTimeout)
+	client, tname, err := dialSMB(*addr, *transport, *opTimeout)
 	if err != nil {
 		return err
 	}
-	defer closeClient()
+	defer client.Close()
 
 	net, err := nn.MLP("serve", *features, *hidden, *classes)
 	if err != nil {
@@ -100,16 +107,7 @@ func run(args []string) error {
 	}
 	log.Printf("shmserve: attached %s via %s (%d params)", segName, tname, net.NumParams())
 
-	srv := &server{
-		sc:       client,
-		h:        h,
-		net:      net,
-		features: *features,
-		classes:  *classes,
-		nparams:  net.NumParams(),
-		reqCh:    make(chan inferReq, 256),
-	}
-	srv.initMetrics()
+	srv := newServer(client, h, net, *features, *classes)
 
 	// First refresh runs synchronously: /infer never sees a weightless
 	// model, and a mismatched -features/-hidden/-classes fails here with a
@@ -118,7 +116,7 @@ func run(args []string) error {
 		return fmt.Errorf("initial snapshot of %s: %w", segName, err)
 	}
 	go srv.refreshLoop(ctx, *refresh)
-	go srv.batchLoop(ctx, *batch, *batchDelay)
+	go srv.batchLoop(ctx, *batch)
 
 	ln, err := net2Listen(*listen)
 	if err != nil {
@@ -142,39 +140,29 @@ func run(args []string) error {
 // shadowing the net package name in run.
 func net2Listen(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
 
-// dialSMB connects to the SMB server over the named transport (the same
-// negotiation the trainer uses, minus the experimental endpoints).
-func dialSMB(addr, transport string, opTimeout time.Duration) (smb.Client, func(), string, error) {
+// dialSMB connects to the SMB server over any transport in smb's registry
+// (the trainer's idiom) and reports the one negotiated: "auto" tries shm
+// and falls back to tcp.
+func dialSMB(addr, transport string, opTimeout time.Duration) (smb.Client, string, error) {
 	opts := smb.DialOptions{Addr: addr, OpTimeout: opTimeout, Seed: 104729, ClientID: 104729}
-	probe := func(c smb.Client) error {
-		if _, err := c.Lookup("\x00reachability-probe"); err != nil && !errors.Is(err, smb.ErrUnknownSegment) {
-			c.Close()
-			return err
-		}
-		return nil
+	var c smb.Client
+	var err error
+	name := transport
+	if name == "auto" {
+		c, name, err = smb.DialAuto(opts)
+	} else {
+		c, err = smb.DialTransport(name, opts)
 	}
-	switch transport {
-	case "tcp", "tcp_sg", "shm":
-		c, err := smb.DialTransport(transport, opts)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if err := probe(c); err != nil {
-			return nil, nil, "", err
-		}
-		return c, func() { c.Close() }, transport, nil
-	case "", "auto":
-		c, name, err := smb.DialAuto(opts)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if err := probe(c); err != nil {
-			return nil, nil, "", err
-		}
-		return c, func() { c.Close() }, name, nil
-	default:
-		return nil, nil, "", fmt.Errorf("unknown transport %q (want auto, tcp, tcp_sg or shm)", transport)
+	if err != nil {
+		return nil, "", err
 	}
+	// Supervised clients dial lazily; probe now so a bad address fails
+	// here instead of inside the segment wait.
+	if _, err := c.Lookup("\x00reachability-probe"); err != nil && !errors.Is(err, smb.ErrUnknownSegment) {
+		c.Close()
+		return nil, "", err
+	}
+	return c, name, nil
 }
 
 // waitForSegment polls for the trainer's weight segment: the frontend is
@@ -201,7 +189,9 @@ func waitForSegment(ctx context.Context, c smb.Client, name string, wait time.Du
 }
 
 // weightsCut is one published model state: the flat weights of a snapshot,
-// its store version, and when the cut was taken (feeds the age gauge).
+// its store version, and when the cut was taken (feeds the age gauge). The
+// struct is immutable once published; flat is one of the two recycled
+// weight buffers (see server.mu).
 type weightsCut struct {
 	flat    []float32
 	version uint64
@@ -220,6 +210,9 @@ type inferResp struct {
 	err     error
 }
 
+// errShuttingDown answers requests the batcher will never serve.
+var errShuttingDown = errors.New("shmserve: shutting down")
+
 type server struct {
 	sc       smb.Client
 	h        smb.Handle
@@ -228,8 +221,17 @@ type server struct {
 	classes  int
 	nparams  int
 	reqCh    chan inferReq
+	done     chan struct{} // closed when batchLoop returns
 
+	// latest is the published cut. The batcher reads its flat buffer only
+	// in SetFlatWeights under mu, and the refresher swaps latest under mu:
+	// once the swap returns, no copy out of the replaced buffer is running,
+	// so it becomes spare, which the next refresh decodes into without the
+	// lock. spare and snap (the SnapRead buffer) belong to the refresher.
+	mu     sync.Mutex
 	latest atomic.Pointer[weightsCut]
+	spare  []float32
+	snap   []byte
 
 	reg          *telemetry.Registry
 	batchSize    *telemetry.Histogram
@@ -237,6 +239,26 @@ type server struct {
 	infers       *telemetry.Counter
 	refreshes    *telemetry.Counter
 	refreshFails *telemetry.Counter
+}
+
+// newServer serves net's layout out of segment h. The queue holds 256
+// requests so that a burst arriving during one Forward waits in the channel
+// rather than in blocked handler goroutines.
+func newServer(sc smb.Client, h smb.Handle, net *nn.Network, features, classes int) *server {
+	s := &server{
+		sc:       sc,
+		h:        h,
+		net:      net,
+		features: features,
+		classes:  classes,
+		nparams:  net.NumParams(),
+		reqCh:    make(chan inferReq, 256),
+		done:     make(chan struct{}),
+		spare:    make([]float32, net.NumParams()),
+		snap:     make([]byte, net.NumParams()*4),
+	}
+	s.initMetrics()
+	return s
 }
 
 func (s *server) initMetrics() {
@@ -272,29 +294,38 @@ func (s *server) initMetrics() {
 // it. The snapshot is released immediately after the copy: the frontend
 // pins the cut only for the SnapRead, not between refreshes, so the store
 // retires the COW pages instead of accumulating one pinned set per cycle.
+// The cut is decoded into the spare weight buffer and published; the
+// buffer it replaces becomes the next spare, so a steady refresh allocates
+// no weight-sized memory. Only one goroutine may call it at a time.
 func (s *server) refreshOnce() error {
 	info, err := s.sc.Snapshot(s.h)
 	if err != nil {
 		return err
 	}
-	want := s.nparams * 4
-	if info.Size < want {
+	// Core creates Wg at exactly the model's size: any other size is
+	// another layout, and serving a prefix of it would be garbage.
+	if want := len(s.snap); info.Size != want {
 		_ = s.sc.SnapRelease(info.ID)
 		return fmt.Errorf("segment holds %d bytes but the model needs %d (check -features/-hidden/-classes against the trainer)", info.Size, want)
 	}
-	buf := make([]byte, want)
-	if err := s.sc.SnapRead(info.ID, 0, buf); err != nil {
+	if err := s.sc.SnapRead(info.ID, 0, s.snap); err != nil {
 		_ = s.sc.SnapRelease(info.ID)
 		return err
 	}
 	if err := s.sc.SnapRelease(info.ID); err != nil {
 		return err
 	}
-	flat := make([]float32, s.nparams)
-	if err := tensor.DecodeFloat32(buf, flat); err != nil {
+	if err := tensor.DecodeFloat32(s.snap, s.spare); err != nil {
 		return err
 	}
-	s.latest.Store(&weightsCut{flat: flat, version: info.Version, taken: time.Now()})
+	s.mu.Lock()
+	old := s.latest.Swap(&weightsCut{flat: s.spare, version: info.Version, taken: time.Now()})
+	s.mu.Unlock()
+	if old != nil {
+		s.spare = old.flat
+	} else {
+		s.spare = make([]float32, s.nparams)
+	}
 	s.refreshes.Inc()
 	return nil
 }
@@ -315,50 +346,55 @@ func (s *server) refreshLoop(ctx context.Context, every time.Duration) {
 	}
 }
 
-// batchLoop is the single consumer of reqCh: it folds up to maxBatch
-// requests (waiting at most delay after the first) into one batch-first
-// Forward. Running alone it also owns the Network — SetFlatWeights and
-// Forward never race, so a refresh mid-batch is simply picked up by the
-// next batch.
-func (s *server) batchLoop(ctx context.Context, maxBatch int, delay time.Duration) {
-	var applied uint64
+// batchLoop is the single consumer of reqCh. It is work-conserving: it
+// blocks for one request, takes whatever else is already queued (up to
+// maxBatch) without waiting, and runs one batch-first Forward — so an idle
+// frontend answers at once, and requests that arrive during a Forward form
+// the next batch. Running alone it also owns the Network: SetFlatWeights
+// and Forward never race, so a refresh mid-batch is simply picked up by the
+// next batch. On cancellation it answers every queued request with
+// errShuttingDown before returning.
+func (s *server) batchLoop(ctx context.Context, maxBatch int) {
+	defer close(s.done)
+	batch := make([]inferReq, 0, maxBatch)
+	xs := make([]float32, maxBatch*s.features)
+	var applied uint64 // a fresh Network and a never-written (version 0) segment are both zero
 	for {
-		var first inferReq
+		batch = batch[:0]
 		select {
 		case <-ctx.Done():
+			s.drain()
 			return
-		case first = <-s.reqCh:
+		case r := <-s.reqCh:
+			batch = append(batch, r)
 		}
-		batch := append(make([]inferReq, 0, maxBatch), first)
-		timer := time.NewTimer(delay)
 	fill:
 		for len(batch) < maxBatch {
 			select {
 			case r := <-s.reqCh:
 				batch = append(batch, r)
-			case <-timer.C:
+			default:
 				break fill
-			case <-ctx.Done():
-				timer.Stop()
-				return
 			}
 		}
-		timer.Stop()
 		s.batchSize.Observe(float64(len(batch)))
 
+		s.mu.Lock()
 		w := s.latest.Load()
+		var err error
 		if w.version != applied {
-			if err := s.net.SetFlatWeights(w.flat); err != nil {
-				s.fail(batch, err)
-				continue
-			}
-			applied = w.version
+			err = s.net.SetFlatWeights(w.flat)
 		}
-		xs := make([]float32, 0, len(batch)*s.features)
-		for _, r := range batch {
-			xs = append(xs, r.x...)
+		s.mu.Unlock()
+		if err != nil {
+			s.fail(batch, err)
+			continue
 		}
-		x, err := tensor.FromSlice(xs, len(batch), s.features)
+		applied = w.version
+		for i, r := range batch {
+			copy(xs[i*s.features:], r.x)
+		}
+		x, err := tensor.FromSlice(xs[:len(batch)*s.features], len(batch), s.features)
 		if err != nil {
 			s.fail(batch, err)
 			continue
@@ -382,6 +418,18 @@ func (s *server) batchLoop(ctx context.Context, maxBatch int, delay time.Duratio
 			r.resp <- inferResp{class: best, scores: scores, version: w.version}
 		}
 		s.infers.Add(int64(len(batch)))
+	}
+}
+
+// drain answers every request still queued with errShuttingDown.
+func (s *server) drain() {
+	for {
+		select {
+		case r := <-s.reqCh:
+			r.resp <- inferResp{err: errShuttingDown}
+		default:
+			return
+		}
 	}
 }
 
@@ -441,9 +489,12 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		return
 	}
+	// A request queued after the batcher's final drain is answered here.
 	var resp inferResp
 	select {
 	case resp = <-req.resp:
+	case <-s.done:
+		resp.err = errShuttingDown
 	case <-r.Context().Done():
 		return
 	}

@@ -72,13 +72,18 @@ tier1() {
 		echo "scalar solver sweep or dense dW temporary found (see above)" >&2
 		return 1
 	fi
+	# shmserve's batcher is work-conserving: no fixed batch wait comes back.
+	if grep -nE 'time\.NewTimer|batch-delay' cmd/shmserve/main.go; then
+		echo "fixed batch wait found in shmserve (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
 	echo "== tier 2: go vet =="
 	go vet ./...
-	echo "== tier 2: race stress (smb, ps, core, rds, telemetry) =="
-	go test -race ./internal/smb ./internal/ps ./internal/core ./internal/rds ./internal/telemetry
+	echo "== tier 2: race stress (smb, ps, core, rds, telemetry, shmserve) =="
+	go test -race ./internal/smb ./internal/ps ./internal/core ./internal/rds ./internal/telemetry ./cmd/shmserve
 	echo "== tier 2: fuzz smoke (100 execs per target) =="
 	# go test accepts exactly one -fuzz pattern per invocation.
 	for target in FuzzDispatch FuzzFrameRoundTrip FuzzReadFrame; do
@@ -95,14 +100,16 @@ tier2() {
 	# Pins the zero-alloc contract of the SMB hot path (Store and
 	# StreamClient Read/Write/Accumulate, the WriteAccumulate push, pooled
 	# wire scratch), the fused worker exchange step, the pooled
-	# parallel.For/ForRanger dispatch, and the byte budget of one wide-model
-	# solver Step (no parameter-sized temporaries).
+	# parallel.For/ForRanger dispatch, the byte budget of one wide-model
+	# solver Step (no parameter-sized temporaries), and shmserve's recycled
+	# weight cuts (no weight-sized buffers per refresh).
 	go test -run='TestSteadyStateZeroAlloc|TestReadInt64Slots|TestSnapReadZeroAlloc' -count=1 ./internal/smb
 	go test -run='TestRecordingZeroAlloc|TestSpanZeroAlloc|TestEventRecordZeroAlloc' -count=1 ./internal/telemetry
 	go test -run='TestFusedStepAndPushZeroAlloc' -count=1 ./internal/core
 	go test -run='TestWideStepAllocBytes' -count=1 ./internal/nn
 	go test -run='TestForRangerZeroAlloc|TestForZeroAlloc|TestFreelist' -count=1 ./internal/parallel
 	go test -run='ZeroAllocAcrossGC|TestDispatchedKernelsZeroAlloc' -count=1 ./internal/tensor
+	go test -run='TestRefreshAllocBytes' -count=1 ./cmd/shmserve
 	echo "== tier 2: telemetry smoke (2-worker -telemetry run) =="
 	telemetry_smoke
 	echo "== tier 2: fault-injection smoke (chaos server + reconnecting workers) =="
