@@ -15,8 +15,7 @@ const sampleTrace = `{"traceEvents":[
 {"name":"T2","cat":"seasgd","ph":"X","ts":2000,"dur":1000,"pid":0,"tid":0},
 {"name":"T4+T5","cat":"seasgd","ph":"X","ts":3000,"dur":10000,"pid":0,"tid":0},
 {"name":"T.A1","cat":"seasgd","ph":"X","ts":3000,"dur":500,"pid":0,"tid":1},
-{"name":"T.A2","cat":"seasgd","ph":"X","ts":3500,"dur":2500,"pid":0,"tid":1},
-{"name":"T.A3","cat":"seasgd","ph":"X","ts":6000,"dur":2000,"pid":0,"tid":1},
+{"name":"T.A3","cat":"seasgd","ph":"X","ts":3500,"dur":4500,"pid":0,"tid":1},
 {"name":"T.A4","cat":"seasgd","ph":"X","ts":8000,"dur":1000,"pid":0,"tid":1},
 {"name":"T.A5","cat":"seasgd","ph":"X","ts":13000,"dur":1000,"pid":0,"tid":0},
 {"name":"process_name","ph":"M","pid":0,"args":{"name":"train"}}

@@ -226,12 +226,11 @@ type server struct {
 	// latest is the published cut. The batcher reads its flat buffer only
 	// in SetFlatWeights under mu, and the refresher swaps latest under mu:
 	// once the swap returns, no copy out of the replaced buffer is running,
-	// so it becomes spare, which the next refresh decodes into without the
-	// lock. spare and snap (the SnapRead buffer) belong to the refresher.
+	// so it becomes spare, which the next refresh reads into without the
+	// lock. spare belongs to the refresher.
 	mu     sync.Mutex
 	latest atomic.Pointer[weightsCut]
 	spare  []float32
-	snap   []byte
 
 	reg          *telemetry.Registry
 	batchSize    *telemetry.Histogram
@@ -255,7 +254,6 @@ func newServer(sc smb.Client, h smb.Handle, net *nn.Network, features, classes i
 		reqCh:    make(chan inferReq, 256),
 		done:     make(chan struct{}),
 		spare:    make([]float32, net.NumParams()),
-		snap:     make([]byte, net.NumParams()*4),
 	}
 	s.initMetrics()
 	return s
@@ -294,9 +292,12 @@ func (s *server) initMetrics() {
 // it. The snapshot is released immediately after the copy: the frontend
 // pins the cut only for the SnapRead, not between refreshes, so the store
 // retires the COW pages instead of accumulating one pinned set per cycle.
-// The cut is decoded into the spare weight buffer and published; the
+// The cut is read straight into the spare weight buffer's memory (the wire
+// encoding of a []float32 is its little-endian memory) and published; the
 // buffer it replaces becomes the next spare, so a steady refresh allocates
-// no weight-sized memory. Only one goroutine may call it at a time.
+// no weight-sized memory. A failed refresh may leave the unpublished spare
+// partly overwritten, never the published cut. Only one goroutine may call
+// it at a time.
 func (s *server) refreshOnce() error {
 	info, err := s.sc.Snapshot(s.h)
 	if err != nil {
@@ -304,20 +305,18 @@ func (s *server) refreshOnce() error {
 	}
 	// Core creates Wg at exactly the model's size: any other size is
 	// another layout, and serving a prefix of it would be garbage.
-	if want := len(s.snap); info.Size != want {
+	if want := 4 * s.nparams; info.Size != want {
 		_ = s.sc.SnapRelease(info.ID)
 		return fmt.Errorf("segment holds %d bytes but the model needs %d (check -features/-hidden/-classes against the trainer)", info.Size, want)
 	}
-	if err := s.sc.SnapRead(info.ID, 0, s.snap); err != nil {
+	if err := s.sc.SnapRead(info.ID, 0, tensor.AsBytes(s.spare)); err != nil {
 		_ = s.sc.SnapRelease(info.ID)
 		return err
 	}
 	if err := s.sc.SnapRelease(info.ID); err != nil {
 		return err
 	}
-	if err := tensor.DecodeFloat32(s.snap, s.spare); err != nil {
-		return err
-	}
+	tensor.SwapWireOrder(s.spare)
 	s.mu.Lock()
 	old := s.latest.Swap(&weightsCut{flat: s.spare, version: info.Version, taken: time.Now()})
 	s.mu.Unlock()

@@ -23,10 +23,6 @@ type JobBuffers struct {
 	global  smb.Handle // Wg (shared)
 	incr    smb.Handle // ΔWx (private to this worker)
 	control smb.Handle // progress counters + stop flag + heartbeats
-
-	// scratch buffers reused across iterations
-	wgBytes []byte
-	dwBytes []byte
 }
 
 // Control segment layout: n int64 iteration counters, one int64 stop flag
@@ -151,55 +147,47 @@ func attachJob(client smb.Client, names smb.SegmentNames, rank, n, elems int, gl
 		global:  global,
 		incr:    incr,
 		control: control,
-		wgBytes: make([]byte, elems*4),
-		dwBytes: make([]byte, elems*4),
 	}, nil
 }
 
-// ReadGlobal fetches Wg into dst (len elems) — the T1 step.
+// ReadGlobal fetches Wg into dst (len elems) — the T1 step. The segment's
+// bytes land straight in dst's memory (the SMB wire encoding of a []float32
+// is its little-endian memory), with no staging buffer and no decode pass.
+// A failed read may leave dst partly overwritten; every caller treats a
+// failed T1 or T.A4 read as fatal.
 func (b *JobBuffers) ReadGlobal(dst []float32) error {
 	if len(dst) != b.elems {
 		return fmt.Errorf("read global into %d elements, want %d: %w", len(dst), b.elems, ErrConfig)
 	}
-	if err := b.client.Read(b.global, 0, b.wgBytes); err != nil {
+	if err := b.client.Read(b.global, 0, tensor.AsBytes(dst)); err != nil {
 		return fmt.Errorf("read global: %w", err)
 	}
-	return tensor.DecodeFloat32(b.wgBytes, dst)
+	tensor.SwapWireOrder(dst)
+	return nil
 }
 
 // PushIncrement writes delta into the worker's ΔWx segment and asks the
-// server to accumulate it into Wg — the full T.A2–T.A3 push, Eq. (7).
+// server to accumulate it into Wg — the whole push, Eq. (7), in one
+// WriteAccumulate sent straight from delta's memory. On a big-endian host
+// delta is in wire order for the duration of the call; it comes back
+// unchanged on every path.
 func (b *JobBuffers) PushIncrement(delta []float32) error {
-	if err := b.StageIncrement(delta); err != nil {
-		return err
-	}
-	return b.PushStaged()
-}
-
-// StageIncrement encodes delta into the wire staging buffer — the local
-// half of a push. Split from PushStaged so the phase tracer can put the
-// span boundary between preparing ΔWx (T.A2) and the store+fold (T.A3).
-func (b *JobBuffers) StageIncrement(delta []float32) error {
 	if len(delta) != b.elems {
 		return fmt.Errorf("push %d elements, want %d: %w", len(delta), b.elems, ErrConfig)
 	}
-	_, err := tensor.EncodeFloat32(delta, b.dwBytes)
-	return err
-}
-
-// PushStaged stores the staged increment into ΔWx and folds it into Wg.
-// StageIncrement must have been called first.
-func (b *JobBuffers) PushStaged() error {
-	if err := b.client.WriteAccumulate(b.global, b.incr, b.dwBytes); err != nil {
+	tensor.SwapWireOrder(delta)
+	err := b.client.WriteAccumulate(b.global, b.incr, tensor.AsBytes(delta))
+	tensor.SwapWireOrder(delta)
+	if err != nil {
 		return fmt.Errorf("push increment: %w", err)
 	}
 	return nil
 }
 
-// pushTraced runs the two timed halves of one push on track tid: T.A2
-// stages ΔWx, T.A3 stores it and folds it into Wg (Eq. 7). With telemetry
-// on, a fresh cross-process trace is rooted at the T.A3 span and handed to
-// the client: where its frames cross a wire, the server's
+// pushTraced runs one push on track tid as one T.A3 span: the
+// WriteAccumulate that stores ΔWx and folds it into Wg (Eq. 7). With
+// telemetry on, a fresh cross-process trace is rooted at that span and
+// handed to the client: where its frames cross a wire, the server's
 // srv.dispatch/srv.acc spans for this push become children of that span in
 // the merged fleet trace. push labels the trace with the caller's push
 // count.
@@ -213,14 +201,8 @@ func (b *JobBuffers) pushTraced(tel *telemetry.Trainer, tid int32, push int, del
 		})
 		defer b.client.ClearTraceContext()
 	}
-	spA2 := tel.Begin(tid, telemetry.PhaseTA2)
-	err := b.StageIncrement(delta)
-	spA2.End()
-	if err != nil {
-		return err
-	}
 	spA3 := tel.BeginTraced(tid, telemetry.PhaseTA3, tc)
-	err = b.PushStaged()
+	err := b.PushIncrement(delta)
 	spA3.End()
 	return err
 }

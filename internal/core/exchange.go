@@ -233,7 +233,8 @@ func (e *exchange) push(tid int32) error {
 }
 
 // updateThread is the Fig. 6 update thread: blocked until woken (T3), then
-// T.A1 store increment, T.A2 request accumulation, T.A4 release, repeat. A
+// T.A1 take the lock, T.A3 store the increment and accumulate it, T.A4
+// release, repeat. A
 // failed push ends it; asyncErr surfaces the failure to the caller.
 func (e *exchange) updateThread() {
 	defer close(e.done)

@@ -99,7 +99,7 @@ func TestElasticExchangeMatchesThreePass(t *testing.T) {
 
 // TestFusedStepAndPushZeroAlloc pins the steady-state exchange: the fused
 // T2 math, the engine's per-iteration report + termination check, the
-// staged push (LocalClient) and the whole T.A5 → T1 → T2 (in place on the
+// push (LocalClient) and the whole T.A5 → T1 → T2 (in place on the
 // replica's weight slab) → push step allocate nothing per iteration.
 // scripts/check.sh tier 2 runs this by name.
 func TestFusedStepAndPushZeroAlloc(t *testing.T) {
@@ -144,14 +144,11 @@ func TestFusedStepAndPushZeroAlloc(t *testing.T) {
 		}
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if err := bufs[0].StageIncrement(inc); err != nil {
-			t.Fatal(err)
-		}
-		if err := bufs[0].PushStaged(); err != nil {
+		if err := bufs[0].PushIncrement(inc); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {
-		t.Errorf("staged push allocates %.1f per op, want 0", a)
+		t.Errorf("PushIncrement allocates %.1f per op, want 0", a)
 	}
 
 	// The step itself, with the push inline so every allocation it causes

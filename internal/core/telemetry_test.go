@@ -93,7 +93,7 @@ func TestHybridTelemetryPhases(t *testing.T) {
 			seen[ev.Name] = true
 		}
 	}
-	for _, want := range []string{"T4+T5", "T1", "T2", "T.A1", "T.A2", "T.A3", "T.A4", "T.A5"} {
+	for _, want := range []string{"T4+T5", "T1", "T2", "T.A1", "T.A3", "T.A4", "T.A5"} {
 		if !seen[want] {
 			t.Errorf("hybrid run missing %s spans (saw %v)", want, seen)
 		}

@@ -109,7 +109,7 @@ type RunStats struct {
 	// BlockedTime is the T.A5 stall: main thread waiting because the
 	// update thread's push outlived the compute phase.
 	BlockedTime time.Duration
-	// Pushes counts global-weight accumulations issued (T.A2).
+	// Pushes counts global-weight accumulations issued (T.A3).
 	Pushes int
 	// StoppedBy records which condition ended training.
 	StoppedBy string

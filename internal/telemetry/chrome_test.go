@@ -22,7 +22,7 @@ func buildSampleTracer(t *testing.T) *Tracer {
 			time.Sleep(200 * time.Microsecond)
 			sp.End()
 		}
-		for _, p := range []Phase{PhaseTA1, PhaseTA2, PhaseTA3, PhaseTA4} {
+		for _, p := range []Phase{PhaseTA1, PhaseTA3, PhaseTA4} {
 			sp := tr.Begin(UpdateTID(rank), p)
 			time.Sleep(200 * time.Microsecond)
 			sp.End()
@@ -88,7 +88,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	if epochs != 1 {
 		t.Errorf("clock_epoch events = %d, want 1", epochs)
 	}
-	for _, name := range []string{"T1", "T2", "T4+T5", "T.A1", "T.A2", "T.A3", "T.A4", "T.A5"} {
+	for _, name := range []string{"T1", "T2", "T4+T5", "T.A1", "T.A3", "T.A4", "T.A5"} {
 		if seen[name] != 2 {
 			t.Errorf("phase %q appears %d times, want 2 (one per worker)", name, seen[name])
 		}
@@ -127,7 +127,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 }
 
 func TestComputeBreakdown(t *testing.T) {
-	// Hand-built trace: one worker, compute 10ms, hidden work 2+3+1+1=7ms,
+	// Hand-built trace: one worker, compute 10ms, hidden work 2+4+1=7ms,
 	// exposed 4ms, blocked 0.5ms, plus one unknown event.
 	ms := func(d float64) float64 { return d * 1e3 } // ms -> us
 	events := []TraceEvent{
@@ -136,8 +136,7 @@ func TestComputeBreakdown(t *testing.T) {
 		{Name: "T2", Ph: "X", TS: ms(3), Dur: ms(1), TID: 0},
 		{Name: "T4+T5", Ph: "X", TS: ms(4), Dur: ms(10), TID: 0},
 		{Name: "T.A1", Ph: "X", TS: ms(5), Dur: ms(2), TID: 1},
-		{Name: "T.A2", Ph: "X", TS: ms(7), Dur: ms(3), TID: 1},
-		{Name: "T.A3", Ph: "X", TS: ms(10), Dur: ms(1), TID: 1},
+		{Name: "T.A3", Ph: "X", TS: ms(7), Dur: ms(4), TID: 1},
 		{Name: "T.A4", Ph: "X", TS: ms(11), Dur: ms(1), TID: 1},
 		{Name: "T.A5", Ph: "X", TS: ms(14), Dur: ms(0.5), TID: 0},
 		{Name: "mystery", Ph: "X", TS: 0, Dur: ms(1), TID: 9},
@@ -164,10 +163,10 @@ func TestComputeBreakdown(t *testing.T) {
 	if got, want := b.OverlapRatio(), 0.7; math.Abs(got-want) > 1e-9 {
 		t.Errorf("OverlapRatio = %v, want %v", got, want)
 	}
-	// The sample trace exercises exactly the 8 Fig. 6 worker phases; the
+	// The sample trace exercises exactly the 7 Fig. 6 worker phases; the
 	// server-side srv.* phases are absent.
-	if len(b.Phases) != 8 {
-		t.Errorf("Phases = %d entries, want 8", len(b.Phases))
+	if len(b.Phases) != 7 {
+		t.Errorf("Phases = %d entries, want 7", len(b.Phases))
 	}
 	for i, st := range b.Phases {
 		if int(st.Phase) != i {

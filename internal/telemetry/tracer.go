@@ -10,9 +10,10 @@ import (
 // Phase names the SEASGD timeline regions of the paper's Fig. 6. The main
 // thread's critical path is T1 (read Wg), T2 (elastic update) and T4+T5
 // (minibatch compute + local apply); the update thread's hidden path is
-// T.A1–T.A4 (acquire the exchange lock, store ΔWx, server accumulate,
-// release); T.A5 is the main thread's back-pressure stall when a push
-// outlives the compute phase.
+// T.A1 (acquire the exchange lock), T.A3 (the push: one WriteAccumulate
+// stores ΔWx and folds it into Wg, so the paper's T.A2 store has no phase of
+// its own) and T.A4 (release). T.A5 is the main thread's back-pressure stall
+// when a push outlives the compute phase.
 type Phase uint8
 
 const (
@@ -25,9 +26,8 @@ const (
 	PhaseT45
 	// PhaseTA1 is the update thread acquiring the exchange lock.
 	PhaseTA1
-	// PhaseTA2 is the ΔWx store into the worker's SMB increment segment.
-	PhaseTA2
-	// PhaseTA3 is the server-side accumulate Wg += ΔWx (Eq. 7).
+	// PhaseTA3 is the whole push: ΔWx stored into the worker's SMB
+	// increment segment and accumulated, Wg += ΔWx (Eq. 7).
 	PhaseTA3
 	// PhaseTA4 is the release/bookkeeping tail of the push.
 	PhaseTA4
@@ -49,7 +49,7 @@ const (
 // appear in the Chrome trace, the per-phase histograms, and the
 // benchtables -trace breakdown.
 var phaseNames = [NumPhases]string{
-	"T1", "T2", "T4+T5", "T.A1", "T.A2", "T.A3", "T.A4", "T.A5",
+	"T1", "T2", "T4+T5", "T.A1", "T.A3", "T.A4", "T.A5",
 	"srv.dispatch", "srv.acc",
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPhaseNames(t *testing.T) {
-	want := []string{"T1", "T2", "T4+T5", "T.A1", "T.A2", "T.A3", "T.A4", "T.A5"}
+	want := []string{"T1", "T2", "T4+T5", "T.A1", "T.A3", "T.A4", "T.A5"}
 	for i, name := range want {
 		if got := Phase(i).String(); got != name {
 			t.Errorf("Phase(%d) = %q, want %q", i, got, name)
@@ -17,8 +17,11 @@ func TestPhaseNames(t *testing.T) {
 			t.Errorf("PhaseFromName(%q) = %v,%v", name, p, ok)
 		}
 	}
-	if _, ok := PhaseFromName("T9"); ok {
-		t.Error("PhaseFromName accepted an unknown label")
+	// The push is one T.A3 span; T.A2 names no phase.
+	for _, name := range []string{"T9", "T.A2"} {
+		if _, ok := PhaseFromName(name); ok {
+			t.Errorf("PhaseFromName accepted the unknown label %q", name)
+		}
 	}
 	for p := PhaseT1; p <= PhaseTA5; p++ {
 		want := p >= PhaseTA1 && p <= PhaseTA4
@@ -91,7 +94,7 @@ func TestTracerConcurrent(t *testing.T) {
 func TestSpanZeroAlloc(t *testing.T) {
 	tr := NewTracer(1 << 12)
 	if n := testing.AllocsPerRun(500, func() {
-		sp := tr.Begin(UpdateTID(0), PhaseTA2)
+		sp := tr.Begin(UpdateTID(0), PhaseTA3)
 		sp.End()
 	}); n != 0 {
 		t.Errorf("Tracer Begin/End allocates %.1f per span", n)

@@ -55,7 +55,7 @@ func NewTrainer(reg *Registry, spanCapacity int) *Trainer {
 	t.hiddenRefr = reg.Counter("seasgd_hidden_read_refreshes_total",
 		"cached-global refreshes performed by the update thread")
 	t.pushes = reg.Counter("seasgd_pushes_total",
-		"global-weight accumulations issued (T.A2-T.A3)")
+		"global-weight accumulations issued (T.A3)")
 	t.iterations = reg.Counter("seasgd_iterations_total",
 		"minibatch iterations completed across workers")
 	return t

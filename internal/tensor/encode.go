@@ -3,7 +3,6 @@ package tensor
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"unsafe"
 )
 
@@ -34,22 +33,55 @@ func Float32View(b []byte) (vals []float32, ok bool) {
 	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4), true
 }
 
+// AsBytes returns the memory of vals as a []byte aliasing it — no copy, no
+// allocation, on any host; the inverse view of Float32View. Writes through
+// it are writes to vals. On a little-endian host these bytes are exactly the
+// SMB wire encoding of vals, so a worker reads Wg into, and pushes ΔWx out
+// of, its float32 buffers through this view; SwapWireOrder makes the same
+// view correct on a big-endian host.
+func AsBytes(vals []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 4*len(vals))
+}
+
+// SwapWireOrder converts vals in place between host byte order and the
+// little-endian SMB wire order. It is its own inverse: a no-op on
+// little-endian hosts, a byte swap of every element on big-endian ones.
+func SwapWireOrder(vals []float32) { swapWireOrder(AsBytes(vals)) }
+
+// swapWireOrder is SwapWireOrder over encoded bytes, valid at any alignment
+// of b.
+func swapWireOrder(b []byte) {
+	if !nativeLittleEndian {
+		reverseWords(b)
+	}
+}
+
+// reverseWords reverses the bytes of every 4-byte word of b — the big-endian
+// arm of swapWireOrder, kept separate so tests on little-endian hosts can
+// exercise it.
+func reverseWords(b []byte) {
+	for i := 0; i+4 <= len(b); i += 4 {
+		b[i], b[i+1], b[i+2], b[i+3] = b[i+3], b[i+2], b[i+1], b[i]
+	}
+}
+
 // EncodeFloat32 serializes vals as little-endian float32 into dst, which must
 // have 4·len(vals) bytes. It returns the number of bytes written. The SMB
-// wire protocol and segment store move weight vectors in this encoding.
+// wire protocol and segment store move weight vectors in this encoding. dst
+// may have any alignment: only the float side is viewed.
 func EncodeFloat32(vals []float32, dst []byte) (int, error) {
 	need := 4 * len(vals)
 	if len(dst) < need {
 		return 0, fmt.Errorf("tensor: encode needs %d bytes, have %d", need, len(dst))
 	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
+	copy(dst, AsBytes(vals))
+	swapWireOrder(dst[:need])
 	return need, nil
 }
 
 // DecodeFloat32 deserializes little-endian float32 values from src into dst,
-// which must have len(src)/4 elements; len(src) must be a multiple of 4.
+// which must have len(src)/4 elements; len(src) must be a multiple of 4. src
+// may have any alignment: only the float side is viewed.
 func DecodeFloat32(src []byte, dst []float32) error {
 	if len(src)%4 != 0 {
 		return fmt.Errorf("tensor: decode length %d not a multiple of 4", len(src))
@@ -58,9 +90,8 @@ func DecodeFloat32(src []byte, dst []float32) error {
 	if len(dst) < n {
 		return fmt.Errorf("tensor: decode needs %d elements, have %d", n, len(dst))
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
+	copy(AsBytes(dst[:n]), src)
+	SwapWireOrder(dst[:n])
 	return nil
 }
 

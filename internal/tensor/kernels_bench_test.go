@@ -10,6 +10,9 @@ import (
 // cmd/benchtables -kernels runs the same bodies through testing.Benchmark
 // to emit BENCH_kernels.json.
 
+// wideElems is the parameter count of the wide benchmark model.
+const wideElems = 1_320_000
+
 func benchGemm(b *testing.B, m, n, k int, kernel func(m, n, k int, a, bb, c []float32)) {
 	a := make([]float32, m*k)
 	bb := make([]float32, k*n)
@@ -51,7 +54,7 @@ func BenchmarkGemmTransB(b *testing.B) {
 // (1.32M elements: w, g and v read, all three written) through the scalar
 // three-pass reference, the portable body and the dispatched kernel.
 func BenchmarkFusedMomentumStep(b *testing.B) {
-	const n = 1_320_000
+	const n = wideElems
 	w := make([]float32, n)
 	g := make([]float32, n)
 	v := make([]float32, n)
@@ -72,6 +75,36 @@ func BenchmarkFusedMomentumStep(b *testing.B) {
 				k.run()
 			}
 		})
+	}
+}
+
+// BenchmarkEncodeFloat32 and BenchmarkDecodeFloat32 move one wide-model
+// weight vector (1.32M elements, 5.3 MB) between float32 and wire bytes.
+func BenchmarkEncodeFloat32(b *testing.B) {
+	vals := make([]float32, wideElems)
+	fillPattern(vals, 5)
+	buf := make([]byte, 4*wideElems)
+	b.SetBytes(4 * wideElems)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeFloat32(vals, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeFloat32(b *testing.B) {
+	vals := make([]float32, wideElems)
+	fillPattern(vals, 6)
+	buf := Float32Bytes(vals)
+	b.SetBytes(4 * wideElems)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeFloat32(buf, vals); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

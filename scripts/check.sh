@@ -77,6 +77,14 @@ tier1() {
 		echo "fixed batch wait found in shmserve (see above)" >&2
 		return 1
 	fi
+	# Wg is read into, and ΔWx pushed out of, the float32 buffers' own memory:
+	# no staging buffer or codec pass comes back onto the exchange or the
+	# shmserve refresh.
+	if grep -nE 'wgBytes|dwBytes|StageIncrement|PushStaged|EncodeFloat32|DecodeFloat32' internal/core/*.go | grep -v '_test.go:' ||
+		grep -n 'DecodeFloat32' cmd/shmserve/main.go; then
+		echo "wire codec pass found on the exchange or the refresh (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
@@ -95,7 +103,7 @@ tier2() {
 	go test -run='^$' -fuzz='^FuzzFusedKernels$' -fuzztime=100x ./internal/tensor
 	echo "== tier 2: bench smoke (1 iteration per benchmark) =="
 	go test -run='^$' -bench=. -benchtime=1x -benchmem \
-		./internal/parallel ./internal/tensor ./internal/smb
+		./internal/parallel ./internal/tensor ./internal/smb ./internal/core
 	echo "== tier 2: allocation regression guard =="
 	# Pins the zero-alloc contract of the SMB hot path (Store and
 	# StreamClient Read/Write/Accumulate, the WriteAccumulate push, pooled
