@@ -21,6 +21,7 @@ type Conv2D struct {
 
 var _ Layer = (*Conv2D)(nil)
 var _ initializer = (*Conv2D)(nil)
+var _ paramGrader = (*Conv2D)(nil)
 
 // NewConv2D returns a convolution layer with outC filters of size
 // kernel×kernel over inC channels.
@@ -59,8 +60,7 @@ func (c *Conv2D) OutShape(in []int) ([]int, error) {
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
 func (c *Conv2D) initWeights(rng *tensor.RNG) {
-	fanIn := c.inC * c.geom.KernelH * c.geom.KernelW
-	rng.XavierInit(c.w.W, fanIn)
+	rng.XavierInit(c.w.W, c.kvol())
 	c.b.W.Zero()
 }
 
@@ -78,7 +78,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	oh, ow := c.geom.OutSize(h, w)
-	kvol := c.inC * c.geom.KernelH * c.geom.KernelW
+	kvol := c.kvol()
 
 	c.lastIn = x
 	c.inH, c.inW = h, w
@@ -112,42 +112,59 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if c.lastIn == nil {
-		return nil, fmt.Errorf("nn: conv %q backward before forward", c.name)
+	if err := c.paramGrad(grad); err != nil {
+		return nil, err
 	}
-	n := c.lastIn.Dim(0)
-	h, w := c.inH, c.inW
-	oh, ow := c.geom.OutSize(h, w)
-	kvol := c.inC * c.geom.KernelH * c.geom.KernelW
-	sampleIn := c.inC * h * w
-	sampleOut := c.outC * oh * ow
-	if grad.Len() != n*sampleOut {
-		return nil, fmt.Errorf("nn: conv %q grad %v: %w", c.name, grad.Shape(), ErrBadShape)
-	}
+	return c.inputGrad(grad)
+}
 
-	dx := tensor.New(n, c.inC, h, w)
-	dwTmp := tensor.New(c.outC, kvol)
+// paramGrad accumulates the filter and bias gradients sample by sample
+// (see paramGrader).
+func (c *Conv2D) paramGrad(grad *tensor.Tensor) error {
+	n, ohow, err := c.gradGeom(grad)
+	if err != nil {
+		return err
+	}
+	dwTmp := tensor.New(c.outC, c.kvol())
 	for i := 0; i < n; i++ {
-		g, err := tensor.FromSlice(grad.Data()[i*sampleOut:(i+1)*sampleOut], c.outC, oh*ow)
+		g, err := c.sampleGrad(grad, i, ohow)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// dW += g · colᵀ
 		if err := tensor.MatMulTransB(g, c.lastCols[i], dwTmp); err != nil {
-			return nil, err
+			return err
 		}
 		tensor.AxpySlice(1, dwTmp.Data(), c.w.Grad.Data())
 		// db += row sums of g
 		for oc := 0; oc < c.outC; oc++ {
-			row := g.Data()[oc*oh*ow : (oc+1)*oh*ow]
+			row := g.Data()[oc*ohow : (oc+1)*ohow]
 			var s float32
 			for _, v := range row {
 				s += v
 			}
 			c.b.Grad.Data()[oc] += s
 		}
-		// dcol = Wᵀ g ; dX via col2im
-		dcol := tensor.New(kvol, oh*ow)
+	}
+	return nil
+}
+
+// inputGrad returns dX: per sample dcol = Wᵀ g, scattered back by col2im.
+func (c *Conv2D) inputGrad(grad *tensor.Tensor) (*tensor.Tensor, error) {
+	n, ohow, err := c.gradGeom(grad)
+	if err != nil {
+		return nil, err
+	}
+	h, w := c.inH, c.inW
+	sampleIn := c.inC * h * w
+	dx := tensor.New(n, c.inC, h, w)
+	// One dcol for every sample: MatMulTransA overwrites it.
+	dcol := tensor.New(c.kvol(), ohow)
+	for i := 0; i < n; i++ {
+		g, err := c.sampleGrad(grad, i, ohow)
+		if err != nil {
+			return nil, err
+		}
 		if err := tensor.MatMulTransA(c.w.W, g, dcol); err != nil {
 			return nil, err
 		}
@@ -155,6 +172,29 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	return dx, nil
 }
+
+// gradGeom checks dL/doutput against the cached forward and returns the
+// batch size and the output plane size oh·ow.
+func (c *Conv2D) gradGeom(grad *tensor.Tensor) (n, ohow int, err error) {
+	if c.lastIn == nil {
+		return 0, 0, fmt.Errorf("nn: conv %q backward before forward", c.name)
+	}
+	n = c.lastIn.Dim(0)
+	oh, ow := c.geom.OutSize(c.inH, c.inW)
+	if grad.Len() != n*c.outC*oh*ow {
+		return 0, 0, fmt.Errorf("nn: conv %q grad %v: %w", c.name, grad.Shape(), ErrBadShape)
+	}
+	return n, oh * ow, nil
+}
+
+// sampleGrad views sample i of dL/doutput as the (outC × oh·ow) matrix.
+func (c *Conv2D) sampleGrad(grad *tensor.Tensor, i, ohow int) (*tensor.Tensor, error) {
+	size := c.outC * ohow
+	return tensor.FromSlice(grad.Data()[i*size:(i+1)*size], c.outC, ohow)
+}
+
+// kvol is the im2col row count: one per (input channel, kernel tap).
+func (c *Conv2D) kvol() int { return c.inC * c.geom.KernelH * c.geom.KernelW }
 
 // MaxPool2D is a max pooling layer over NCHW batches.
 type MaxPool2D struct {

@@ -17,6 +17,7 @@ type Dense struct {
 
 var _ Layer = (*Dense)(nil)
 var _ initializer = (*Dense)(nil)
+var _ paramGrader = (*Dense)(nil)
 
 // NewDense returns a fully connected layer mapping in features to out.
 func NewDense(name string, in, out int) *Dense {
@@ -78,32 +79,52 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if d.lastIn == nil {
-		return nil, fmt.Errorf("nn: dense %q backward before forward", d.name)
-	}
-	n := d.lastIn.Dim(0)
-	g, err := grad.Reshape(n, d.out)
-	if err != nil {
+	if err := d.paramGrad(grad); err != nil {
 		return nil, err
+	}
+	return d.inputGrad(grad)
+}
+
+// paramGrad accumulates the weight and bias gradients (see paramGrader).
+func (d *Dense) paramGrad(grad *tensor.Tensor) error {
+	g, err := d.gradRows(grad)
+	if err != nil {
+		return err
 	}
 	// dW += xᵀ g, accumulated straight into the gradient: no in×out
 	// temporary, no second pass to add it in.
 	if err := tensor.MatMulTransAAdd(d.lastIn, g, d.w.Grad); err != nil {
-		return nil, err
+		return err
 	}
 	// db += column sums of g
-	for i := 0; i < n; i++ {
+	for i := 0; i < g.Dim(0); i++ {
 		row := g.Data()[i*d.out : (i+1)*d.out]
 		for j, v := range row {
 			d.b.Grad.Data()[j] += v
 		}
 	}
-	// dX = g Wᵀ
-	dx := tensor.New(n, d.in)
+	return nil
+}
+
+// inputGrad returns dX = g Wᵀ.
+func (d *Dense) inputGrad(grad *tensor.Tensor) (*tensor.Tensor, error) {
+	g, err := d.gradRows(grad)
+	if err != nil {
+		return nil, err
+	}
+	dx := tensor.New(g.Dim(0), d.in)
 	if err := tensor.MatMulTransB(g, d.w.W, dx); err != nil {
 		return nil, err
 	}
 	return dx, nil
+}
+
+// gradRows views dL/doutput as the (N×out) matrix of the cached forward.
+func (d *Dense) gradRows(grad *tensor.Tensor) (*tensor.Tensor, error) {
+	if d.lastIn == nil {
+		return nil, fmt.Errorf("nn: dense %q backward before forward", d.name)
+	}
+	return grad.Reshape(d.lastIn.Dim(0), d.out)
 }
 
 // ReLU is a rectified linear activation.

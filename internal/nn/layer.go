@@ -67,6 +67,15 @@ type initializer interface {
 	initWeights(rng *tensor.RNG)
 }
 
+// paramGrader is implemented by layers whose Backward is a parameter half
+// followed by an input half: paramGrad accumulates the parameter gradients
+// exactly as Backward does, and returns no dL/dinput. TrainStep calls it
+// instead of Backward on the first layer, whose dL/dinput — the gradient
+// with respect to the data — nothing reads.
+type paramGrader interface {
+	paramGrad(grad *tensor.Tensor) error
+}
+
 func batchOf(x *tensor.Tensor) (n int, rest []int, err error) {
 	if x.Dims() < 2 {
 		return 0, nil, fmt.Errorf("nn: batch tensor must have >=2 dims, got %v: %w", x.Shape(), ErrBadShape)

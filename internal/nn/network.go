@@ -131,6 +131,7 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) 
 // parameter gradients into Grads — which must be clear on entry: an
 // SGDSolver keeps them so (ApplyUpdate consumes them), other callers
 // ZeroGrads first. It returns the mean loss and the probability tensor.
+// The first layer computes no dL/dinput when it can skip it (paramGrader).
 func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (float64, *tensor.Tensor, error) {
 	logits, err := n.Forward(x, true)
 	if err != nil {
@@ -145,7 +146,11 @@ func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (float64, *tensor.Te
 		return 0, nil, err
 	}
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		grad, err = n.layers[i].Backward(grad)
+		if pg, ok := n.layers[i].(paramGrader); ok && i == 0 {
+			err = pg.paramGrad(grad)
+		} else {
+			grad, err = n.layers[i].Backward(grad)
+		}
 		if err != nil {
 			return 0, nil, fmt.Errorf("network %q backward %q: %w", n.name, n.layers[i].Name(), err)
 		}

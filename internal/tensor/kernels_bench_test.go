@@ -45,9 +45,17 @@ func BenchmarkGemmTransA(b *testing.B) {
 	b.Run("parallel/256", func(b *testing.B) { benchGemm(b, 256, 256, 256, par) })
 }
 
+// BenchmarkGemmTransB times a×bᵀ: the serial-dot reference and the tiled
+// row partition at 256³, then the reference against the dispatched kernel
+// (MatMulTransB's choice of arm) at the model shapes m×n×k.
 func BenchmarkGemmTransB(b *testing.B) {
 	b.Run("scalar/256", func(b *testing.B) { benchGemm(b, 256, 256, 256, gemmTransBScalar) })
 	b.Run("parallel/256", func(b *testing.B) { benchGemm(b, 256, 256, 256, gemmTransBParallel) })
+	for _, s := range transBModelShapes {
+		shape := fmt.Sprintf("%dx%dx%d", s.m, s.n, s.k)
+		b.Run("scalar/"+shape, func(b *testing.B) { benchGemm(b, s.m, s.n, s.k, gemmTransBScalar) })
+		b.Run("dispatched/"+shape, func(b *testing.B) { benchGemm(b, s.m, s.n, s.k, gemmTransB) })
+	}
 }
 
 // BenchmarkFusedMomentumStep sweeps one wide-model-sized parameter vector

@@ -8,8 +8,9 @@ import (
 
 // The GEMM family below has two implementations each: a scalar reference
 // kernel (the seed's original loops, kept verbatim as the ground truth the
-// equivalence tests compare against) and a cache-blocked parallel kernel
-// that partitions output rows across the worker pool. Dispatch picks the
+// equivalence tests compare against; a×bᵀ's lives in transb_test.go, since
+// no production path runs it) and a cache-blocked parallel kernel that
+// partitions output rows across the worker pool. Dispatch picks the
 // parallel path only when the problem carries enough flops to amortise it.
 //
 // Determinism: the parallel kernels split C by rows; every C element is
@@ -40,10 +41,18 @@ const (
 	// avx2+fma at widths 1 and 4), but below that the per-range pack of
 	// the aᵀ strip costs more than the microkernel recovers.
 	gemmSimdPackFlops = 1 << 12
+	// transBPackRows is the A-row count from which a×bᵀ packs bᵀ for the
+	// SIMD gemm rows while the panel stays cache-resident (at most
+	// transBPackCached floats, 1 MiB); larger panels need
+	// transBPackRowsUncached rows (see useTransBPack).
+	transBPackRows         = 4
+	transBPackRowsUncached = 16
+	transBPackCached       = 1 << 18
 )
 
-// packFree recycles the scratch panels the transposed-A path packs into
-// (a Freelist so panels survive GC; see parallel.Freelist).
+// packFree recycles the scratch panels the transposed-A and packed
+// transposed-B paths pack into (a Freelist so panels survive GC; see
+// parallel.Freelist).
 var packFree = parallel.NewFreelist[[]float32](8)
 
 func getPack(n int) ([]float32, *[]float32) {
@@ -97,12 +106,36 @@ func useParallelTransA(flops int) bool {
 	return flops >= gemmParallelFlops && parallel.DefaultWidth() > 1
 }
 
-// useParallelTransB is useParallelGemm for the a×bᵀ path. Its range
-// kernel is the sequential-dot scalar loop (the horizontal reduction
-// cannot be vectorised without changing the accumulation order), so the
-// SIMD backend changes nothing here and the portable rule always applies.
+// useParallelTransB is useParallelGemm for the tiled a×bᵀ rows (what
+// useTransBPack leaves: few rows, or no SIMD microkernel). Its range kernel
+// is gemmTransBTiled, whose four-column register tile speeds up each row
+// but is the same pure-Go loop on every backend, so the portable rule
+// applies whatever the backend. The packed arm needs no rule of its own:
+// once bᵀ is packed it is a plain gemm and takes gemm's dispatch.
 func useParallelTransB(flops int) bool {
 	return flops >= gemmParallelFlops && parallel.DefaultWidth() > 1
+}
+
+// useTransBPack reports whether an m×n×k a×bᵀ transposes b once into a
+// pooled k×n panel and runs the SIMD gemm rows over it instead of the
+// tiled dot products. The transpose costs about as much per element as
+// three to four rows of tiled dot products, so with the microkernel live
+// the pack pays from four rows of A up while the panel is cache-resident
+// — 2–3x at the SmallCNN shapes 16×72×64, 8×27×256 and 16×256×64
+// (2-vCPU Xeon) — and below that the tiled kernel wins. A panel past the
+// cache transposes 3–4x slower per element (4×1024×1024: 1.4 ms tiled,
+// 3.8 ms packed), so it waits for sixteen rows (16×1024×1024: 7.5 → 5.8
+// ms). The portable backend never packs: its gemm rows are the unrolled
+// axpy, and packed lost to tiled at the shapes that carry the time (2.2x
+// at 16×72×64, 2.4x at 8×27×256).
+func useTransBPack(m, n, k int) bool {
+	if gemmInner4 == nil {
+		return false
+	}
+	if n*k > transBPackCached {
+		return m >= transBPackRowsUncached
+	}
+	return m >= transBPackRows
 }
 
 // gemm computes C = A×B with A (m×k), B (k×n), C (m×n), all row-major,
@@ -281,6 +314,15 @@ func gemmTransAScalar(m, n, k int, a, b, c []float32, acc bool) {
 }
 
 // MatMulTransB computes dst = a × bᵀ for a (m×k), b (n×k), dst (m×n).
+// Every element is the reference dot product: summed from +0 over l
+// ascending, one rounding per multiply and per add. Only the schedule
+// depends on the shape — four output columns per pass (gemmTransBTiled) or
+// a plain gemm over a packed bᵀ panel (gemmTransBPacked, see
+// useTransBPack) — so the result is bitwise the reference on every
+// backend, with the packed arm's one caveat: it inherits gemmRows'
+// zero-skip, so an exactly-zero a[i][l] against a non-finite b[j][l]
+// contributes nothing where the reference would produce NaN. For finite b
+// the skip is bitwise-neutral (DESIGN.md §14.3).
 func MatMulTransB(a, b, dst *Tensor) error {
 	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
 		return fmt.Errorf("tensor: matmulTransB requires 2-D operands: %w", ErrShapeMismatch)
@@ -290,16 +332,24 @@ func MatMulTransB(a, b, dst *Tensor) error {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		return fmt.Errorf("tensor: matmulTransB: %w", ErrShapeMismatch)
 	}
-	if !useParallelTransB(m * n * k) {
-		gemmTransBScalar(m, n, k, a.data, b.data, dst.data)
-		return nil
-	}
-	gemmTransBParallel(m, n, k, a.data, b.data, dst.data)
+	gemmTransB(m, n, k, a.data, b.data, dst.data)
 	return nil
 }
 
+// gemmTransB computes C = A×Bᵀ on raw slices, choosing the arm by shape.
+func gemmTransB(m, n, k int, a, b, c []float32) {
+	switch {
+	case useTransBPack(m, n, k):
+		gemmTransBPacked(m, n, k, a, b, c)
+	case useParallelTransB(m * n * k):
+		gemmTransBParallel(m, n, k, a, b, c)
+	default:
+		gemmTransBTiled(m, n, k, a, b, c)
+	}
+}
+
 // gemmTransBParallel partitions C rows; both operands already stream
-// row-contiguously, so the scalar kernel doubles as the range kernel.
+// row-contiguously, so the tiled kernel doubles as the range kernel.
 func gemmTransBParallel(m, n, k int, a, b, c []float32) {
 	g := transBRangerFree.Get()
 	*g = transBRanger{a: a, b: b, c: c, k: k, n: n}
@@ -308,21 +358,86 @@ func gemmTransBParallel(m, n, k int, a, b, c []float32) {
 	transBRangerFree.Put(g)
 }
 
-// gemmTransBScalar is the seed's original a×bᵀ kernel (reference). Both
-// operands stream row-contiguously, so it doubles as the per-range kernel
-// of the parallel path: each dot product c[i][j] is computed in one l-scan,
-// identical in FP order at any partition.
-func gemmTransBScalar(m, n, k int, a, b, c []float32) {
+// gemmTransBTiled computes C = A×Bᵀ for a (m×k), b (n×k), c (m×n), four
+// output columns per pass over a row of A, each in its own accumulator:
+// the four add chains are independent, so they overlap instead of one
+// chain running at add latency. Each accumulator still starts at +0 and
+// takes its products in ascending l, so every element is bitwise the
+// serial dot product — −0, subnormals, Inf and NaN included. Rows are
+// independent, so it doubles as the per-range kernel of the parallel path.
+func gemmTransBTiled(m, n, k int, a, b, c []float32) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		crow := c[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			// Reslicing to len(arow) lets the compiler drop the bounds
+			// checks in the l loop.
+			b0 := b[j*k:][:len(arow)]
+			b1 := b[(j+1)*k:][:len(arow)]
+			b2 := b[(j+2)*k:][:len(arow)]
+			b3 := b[(j+3)*k:][:len(arow)]
+			var s0, s1, s2, s3 float32
+			for l, av := range arow {
+				s0 += av * b0[l]
+				s1 += av * b1[l]
+				s2 += av * b2[l]
+				s3 += av * b3[l]
+			}
+			crow[j], crow[j+1], crow[j+2], crow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			bj := b[j*k:][:len(arow)]
 			var s float32
 			for l, av := range arow {
-				s += av * brow[l]
+				s += av * bj[l]
 			}
 			crow[j] = s
+		}
+	}
+}
+
+// gemmTransBPacked transposes b (n×k) once into a pooled k×n panel and
+// runs the plain gemm rows over it: C = A×(bᵀ). gemmRows sums each element
+// from +0 in ascending l with separate roundings, the reference's order.
+// Above gemmParallelFlops the rows fan out through gemmParallel, which
+// shares the one panel across its ranges instead of packing per range.
+func gemmTransBPacked(m, n, k int, a, b, c []float32) {
+	pack, ph := getPack(k * n)
+	transposeInto(pack, b, n, k)
+	if m*n*k >= gemmParallelFlops {
+		gemmParallel(m, n, k, a, pack, c)
+	} else {
+		gemmRows(a, pack, c, m, k, n, false)
+	}
+	putPack(ph)
+}
+
+// transposeInto writes the k×n transpose of the row-major n×k matrix b into
+// dst, eight rows of b at a time: each l then stores eight consecutive dst
+// elements (half a cache line) while the eight source rows stream
+// sequentially, rather than one element per row at a stride of n floats,
+// which on power-of-two n keeps landing in the same few cache sets.
+func transposeInto(dst, b []float32, n, k int) {
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		b0 := b[j*k:][:k]
+		b1 := b[(j+1)*k:][:k]
+		b2 := b[(j+2)*k:][:k]
+		b3 := b[(j+3)*k:][:k]
+		b4 := b[(j+4)*k:][:k]
+		b5 := b[(j+5)*k:][:k]
+		b6 := b[(j+6)*k:][:k]
+		b7 := b[(j+7)*k:][:k]
+		for l := range b0 {
+			d := dst[l*n+j:][:8]
+			d[0], d[1], d[2], d[3] = b0[l], b1[l], b2[l], b3[l]
+			d[4], d[5], d[6], d[7] = b4[l], b5[l], b6[l], b7[l]
+		}
+	}
+	for ; j < n; j++ {
+		for l, v := range b[j*k : (j+1)*k] {
+			dst[l*n+j] = v
 		}
 	}
 }

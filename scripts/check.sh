@@ -85,6 +85,12 @@ tier1() {
 		echo "wire codec pass found on the exchange or the refresh (see above)" >&2
 		return 1
 	fi
+	# a×bᵀ runs the tiled or packed schedule; the serial-dot kernel lives on
+	# only as the test reference.
+	if grep -n 'gemmTransBScalar' internal/tensor/*.go | grep -v '_test.go:'; then
+		echo "serial-dot a×bᵀ kernel found outside the tests (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
@@ -109,12 +115,13 @@ tier2() {
 	# StreamClient Read/Write/Accumulate, the WriteAccumulate push, pooled
 	# wire scratch), the fused worker exchange step, the pooled
 	# parallel.For/ForRanger dispatch, the byte budget of one wide-model
-	# solver Step (no parameter-sized temporaries), and shmserve's recycled
+	# solver Step (no parameter-sized temporaries) and of one batch-16
+	# SmallCNN Step (no per-sample conv scratch), and shmserve's recycled
 	# weight cuts (no weight-sized buffers per refresh).
 	go test -run='TestSteadyStateZeroAlloc|TestReadInt64Slots|TestSnapReadZeroAlloc' -count=1 ./internal/smb
 	go test -run='TestRecordingZeroAlloc|TestSpanZeroAlloc|TestEventRecordZeroAlloc' -count=1 ./internal/telemetry
 	go test -run='TestFusedStepAndPushZeroAlloc' -count=1 ./internal/core
-	go test -run='TestWideStepAllocBytes' -count=1 ./internal/nn
+	go test -run='TestWideStepAllocBytes|TestSmallCNNStepAllocBytes' -count=1 ./internal/nn
 	go test -run='TestForRangerZeroAlloc|TestForZeroAlloc|TestFreelist' -count=1 ./internal/parallel
 	go test -run='ZeroAllocAcrossGC|TestDispatchedKernelsZeroAlloc' -count=1 ./internal/tensor
 	go test -run='TestRefreshAllocBytes' -count=1 ./cmd/shmserve
