@@ -1,26 +1,22 @@
 // Command shmlint runs the project's static-analysis suite
 // (internal/lint) over module packages. It is part of the tier-1 gate
-// (scripts/check.sh): the analyzers machine-check the concurrency and
-// protocol conventions the SMB/SEASGD core depends on — mutex-guarded
-// field access, goroutine lifetime, %w error wrapping, opcode dispatch
-// exhaustiveness, deterministic numeric paths, and (through the
-// cross-package summary engine) lock acquisition order, hot-path
-// allocation freedom, atomic/plain access mixing, and wire-protocol
-// opcode parity.
+// (scripts/check.sh): the analyzers machine-check the concurrency
+// conventions the SMB/SEASGD core depends on — mutex-guarded field
+// access, goroutine lifetime, %w error wrapping, span and deadline
+// discipline, and (through the cross-package summary engine) lock
+// acquisition order, hot-path allocation freedom, and per-opcode latency
+// observation.
 //
 // Usage:
 //
-//	shmlint [-list] [-run name,name] [-baseline file] [-write-baseline]
-//	        [-sarif file] [packages...]
+//	shmlint [-list] [-run name,name] [packages...]
 //
 // Package patterns are module-relative ("./...", "./internal/smb", or
-// full import paths); the default is ./... . With -baseline, committed
-// findings are filtered out and only new ones fail the run; with
-// -write-baseline, the current findings are written to the baseline file
-// instead of failing. -sarif writes a SARIF 2.1.0 log of the (post-
-// baseline) findings to the given file, or stdout with "-".
+// full import paths); the default is ./... . An ignore directive that
+// suppresses nothing for an analyzer that ran, or that names no analyzer,
+// is reported like any other finding.
 //
-// Exit status: 0 clean, 1 new findings, 2 usage or load error.
+// Exit status: 0 clean, 1 findings, 2 usage or load error.
 package main
 
 import (
@@ -46,14 +42,7 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	baselinePath := fs.String("baseline", "", "baseline file: committed findings that do not fail the run")
-	writeBaseline := fs.Bool("write-baseline", false, "write current findings to -baseline instead of failing")
-	sarifPath := fs.String("sarif", "", "write SARIF 2.1.0 findings to this file (\"-\" for stdout)")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "shmlint: -write-baseline requires -baseline")
 		return 2
 	}
 
@@ -120,8 +109,7 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	}
 	diags = append(diags, ds...)
 
-	// Normalize to module-relative forward-slash paths: what the text
-	// output prints, what the baseline keys on, what SARIF embeds.
+	// Print module-relative forward-slash paths.
 	for i := range diags {
 		if rel, err := filepath.Rel(loader.ModuleDir(), diags[i].Pos.Filename); err == nil {
 			diags[i].Pos.Filename = filepath.ToSlash(rel)
@@ -137,72 +125,11 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-
-	if *writeBaseline {
-		f, err := os.Create(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "shmlint:", err)
-			return 2
-		}
-		werr := lint.NewBaseline(diags).Write(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(stderr, "shmlint:", werr)
-			return 2
-		}
-		fmt.Fprintf(stderr, "shmlint: baseline %s written with %d finding(s)\n", *baselinePath, len(diags))
-		return 0
-	}
-
-	if *baselinePath != "" {
-		base, err := lint.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "shmlint:", err)
-			return 2
-		}
-		diags = base.Filter(diags)
-	}
-
-	if *sarifPath != "" {
-		out := stdout
-		var f *os.File
-		if *sarifPath != "-" {
-			f, err = os.Create(*sarifPath)
-			if err != nil {
-				fmt.Fprintln(stderr, "shmlint:", err)
-				return 2
-			}
-			out = f
-		}
-		werr := lint.WriteSARIF(out, analyzers, diags)
-		if f != nil {
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-		}
-		if werr != nil {
-			fmt.Fprintln(stderr, "shmlint:", werr)
-			return 2
-		}
-	}
-
-	// With -sarif -, stdout carries the JSON log; keep it parseable by
-	// moving the text findings to stderr.
-	text := stdout
-	if *sarifPath == "-" {
-		text = stderr
-	}
 	for _, d := range diags {
-		fmt.Fprintln(text, d)
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		what := "finding(s)"
-		if *baselinePath != "" {
-			what = "new finding(s) not in baseline"
-		}
-		fmt.Fprintf(stderr, "shmlint: %d %s\n", len(diags), what)
+		fmt.Fprintf(stderr, "shmlint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -108,26 +107,32 @@ func F() error { return fmt.Errorf("context: %v", errX) }
 	}
 }
 
+// TestListFlag pins the analyzer inventory, in execution order.
 func TestListFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(".", []string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{
-		"guardedby", "goleak", "errwrap", "opcode", "determinism",
-		"lockorder", "hotalloc", "atomicmix", "wireproto",
-	} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list output missing %q:\n%s", name, stdout.String())
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := []string{
+		"guardedby", "goleak", "errwrap", "spanpair",
+		"netdeadline", "lockorder", "hotalloc", "wireproto",
+	}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("-list names = %v, want %v", names, want)
 	}
 }
 
-// findingModule has one errwrap finding, used by the baseline and SARIF
-// round-trip tests.
-func findingModule(t *testing.T) string {
-	t.Helper()
-	return writeModule(t, map[string]string{
+// TestStaleDirective: an ignore directive that suppresses nothing fails the
+// run at its own line, but only when its analyzer runs.
+func TestStaleDirective(t *testing.T) {
+	// Spelt in two pieces so a grep for the repository's own directives
+	// does not count this fixture's.
+	const ignore = "//lint:" + "ignore"
+	dir := writeModule(t, map[string]string{
 		"go.mod": "module tmpmod\n\ngo 1.22\n",
 		"a/a.go": `package a
 
@@ -138,168 +143,32 @@ import (
 
 var errX = errors.New("x")
 
-func F() error { return fmt.Errorf("context: %v", errX) }
+func F() error {
+	` + ignore + ` errwrap stale: the call below wraps
+	return fmt.Errorf("context: %w", errX)
+}
 `,
 	})
-}
-
-// TestBaselineRoundTrip: write a baseline from a dirty module, verify the
-// same module then passes against it, and that a new finding still fails.
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := findingModule(t)
-	base := filepath.Join(dir, "lint-baseline.json")
-
 	var stdout, stderr bytes.Buffer
-	if code := run(dir, []string{"-baseline", base, "-write-baseline", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("write-baseline: exit %d\nstderr: %s", code, stderr.String())
+	if code := run(dir, []string{"./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit code = %d, want 1; stdout: %s", code, stdout.String())
 	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "errwrap") || !strings.Contains(string(data), "a/a.go") {
-		t.Fatalf("baseline missing expected entry:\n%s", data)
-	}
-
-	// The accepted finding no longer fails the run.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(dir, []string{"-baseline", base, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run: exit %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-	}
-
-	// A new finding in another file is not absorbed.
-	extra := filepath.Join(dir, "a", "b.go")
-	if err := os.WriteFile(extra, []byte(`package a
-
-import "fmt"
-
-func G() error { return fmt.Errorf("again: %v", errX) }
-`), 0o644); err != nil {
-		t.Fatal(err)
+	if out := stdout.String(); !strings.Contains(out, "a/a.go:11:") || !strings.Contains(out, "suppresses no errwrap finding") {
+		t.Fatalf("stale directive not reported at a/a.go:11:\n%s", out)
 	}
 	stdout.Reset()
-	stderr.Reset()
-	if code := run(dir, []string{"-baseline", base, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("new finding vs baseline: exit %d, want 1\nstdout: %s", code, stdout.String())
-	}
-	if out := stdout.String(); !strings.Contains(out, "a/b.go") || strings.Contains(out, "a/a.go") {
-		t.Fatalf("baselined run must report only the new finding:\n%s", out)
-	}
-	if !strings.Contains(stderr.String(), "new finding(s) not in baseline") {
-		t.Fatalf("stderr should mention baseline:\n%s", stderr.String())
+	if code := run(dir, []string{"-run", "goleak", "./..."}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-run goleak: exit code = %d, want 0; stdout: %s", code, stdout.String())
 	}
 }
 
-// TestMissingBaselineFile: -baseline with a nonexistent file is an empty
-// baseline, so findings still fail (a deleted baseline cannot mask a dirty
-// tree).
-func TestMissingBaselineFile(t *testing.T) {
-	dir := findingModule(t)
-	var stdout, stderr bytes.Buffer
-	if code := run(dir, []string{"-baseline", filepath.Join(dir, "nope.json"), "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-}
-
-// TestSARIFOutput checks the SARIF log is valid JSON in the expected 2.1.0
-// shape, with module-relative forward-slash URIs.
-func TestSARIFOutput(t *testing.T) {
-	dir := findingModule(t)
-	sarifPath := filepath.Join(dir, "out.sarif")
-	var stdout, stderr bytes.Buffer
-	if code := run(dir, []string{"-sarif", sarifPath, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(sarifPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Message   struct{ Text string }
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &log); err != nil {
-		t.Fatalf("invalid SARIF JSON: %v\n%s", err, data)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("unexpected SARIF shape: version=%q runs=%d", log.Version, len(log.Runs))
-	}
-	run0 := log.Runs[0]
-	if run0.Tool.Driver.Name != "shmlint" || len(run0.Tool.Driver.Rules) == 0 {
-		t.Fatalf("bad driver metadata: %+v", run0.Tool.Driver)
-	}
-	found := false
-	for _, r := range run0.Results {
-		if r.RuleID != "errwrap" {
-			continue
+// TestRemovedFlagsAreUnknown: the baseline and SARIF outputs are gone; their
+// flags are usage errors, not silently ignored.
+func TestRemovedFlagsAreUnknown(t *testing.T) {
+	for _, flag := range []string{"-baseline=x.json", "-write-baseline", "-sarif=-"} {
+		var stdout, stderr bytes.Buffer
+		if code := run(".", []string{flag}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit code = %d, want 2", flag, code)
 		}
-		found = true
-		if len(r.Locations) != 1 {
-			t.Fatalf("result without location: %+v", r)
-		}
-		loc := r.Locations[0].PhysicalLocation
-		if loc.ArtifactLocation.URI != "a/a.go" {
-			t.Errorf("URI = %q, want module-relative a/a.go", loc.ArtifactLocation.URI)
-		}
-		if loc.Region.StartLine == 0 {
-			t.Error("missing startLine")
-		}
-	}
-	if !found {
-		t.Fatalf("no errwrap result in SARIF:\n%s", data)
-	}
-}
-
-// TestSARIFRespectsBaseline: baselined findings are excluded from the SARIF
-// log too — the two outputs must agree on what is new.
-func TestSARIFRespectsBaseline(t *testing.T) {
-	dir := findingModule(t)
-	base := filepath.Join(dir, "lint-baseline.json")
-	sarifPath := filepath.Join(dir, "out.sarif")
-	var stdout, stderr bytes.Buffer
-	if code := run(dir, []string{"-baseline", base, "-write-baseline", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("write-baseline: exit %d", code)
-	}
-	if code := run(dir, []string{"-baseline", base, "-sarif", sarifPath, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run: exit %d", code)
-	}
-	data, err := os.ReadFile(sarifPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), `"ruleId": "errwrap"`) {
-		t.Fatalf("SARIF contains baselined finding:\n%s", data)
-	}
-}
-
-// TestWriteBaselineRequiresPath pins the flag-validation exit code.
-func TestWriteBaselineRequiresPath(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run(".", []string{"-write-baseline"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
 	}
 }

@@ -89,7 +89,7 @@ func startTelemetry(out io.Writer, httpAddr, traceOut string, linger time.Durati
 
 	s.addr = ln.Addr().String()
 	s.srv = &http.Server{Handler: mux}
-	go s.srv.Serve(ln) //lint:ignore goleak joined by srv.Close in finish
+	go s.srv.Serve(ln)
 	fmt.Fprintf(out, "telemetry listening on http://%s (metrics at /metrics, flight recorder at /debug/events, trace at /debug/trace, pprof at /debug/pprof/)\n", s.addr)
 	return s, nil
 }

@@ -330,7 +330,7 @@ func KernelBench(quick bool) (*KernelReport, error) {
 			return nil, err
 		}
 		defer srv.Close()
-		go srv.Serve() //lint:ignore goleak joined by srv.Close via the server's WaitGroup
+		go srv.Serve()
 		client, err := smb.Dial(srv.Addr())
 		if err != nil {
 			return nil, err

@@ -88,7 +88,7 @@ func serveBenchChild(mode string) error {
 	if err != nil {
 		return err
 	}
-	go srv.Serve() //lint:ignore goleak joined by srv.Close via the server's WaitGroup
+	go srv.Serve()
 	if mode == "shm" {
 		dir, err = os.MkdirTemp("", "shmbench")
 		if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -150,16 +151,22 @@ func TestTerminationPolicies(t *testing.T) {
 	}
 }
 
+// TestTerminationValidateAndString walks the whole iota range, so a policy
+// constant missing from Validate's or String's switch fails here; the
+// values just outside the range must stay invalid, so a constant appended
+// after StopIndependently has to extend this range to validate at all.
 func TestTerminationValidateAndString(t *testing.T) {
-	for _, p := range []TerminationPolicy{StopOnMaster, StopOnFirst, StopOnAverage, StopIndependently} {
+	for p := StopOnMaster; p <= StopIndependently; p++ {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if p.String() == "" {
-			t.Fatal("empty String()")
+		if s := p.String(); s == fmt.Sprintf("TerminationPolicy(%d)", int(p)) {
+			t.Fatalf("policy %d has no String arm", int(p))
 		}
 	}
-	if err := TerminationPolicy(99).Validate(); !errors.Is(err, ErrConfig) {
-		t.Fatal("expected ErrConfig for unknown policy")
+	for _, p := range []TerminationPolicy{StopOnMaster - 1, StopIndependently + 1, 99} {
+		if err := p.Validate(); !errors.Is(err, ErrConfig) {
+			t.Fatalf("policy %d: expected ErrConfig, got %v", int(p), err)
+		}
 	}
 }

@@ -87,7 +87,7 @@ func (r *RestartableServer) start() error {
 	if n := r.crashes.Load(); n > 0 {
 		telemetry.RecordEvent(telemetry.EvChaosRestart, n, 0, 0)
 	}
-	go fe.Serve() //lint:ignore goleak Serve exits when Crash/Close closes the frontend
+	go fe.Serve()
 	return nil
 }
 

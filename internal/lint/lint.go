@@ -5,8 +5,8 @@
 // SEASGD main/update thread exclusion (paper Fig. 6) — depends on
 // invariants that ordinary tests exercise but cannot *prove*; the
 // analyzers here machine-check the conventions the code relies on
-// (mutex-guarded fields, goroutine lifetime, error wrapping, opcode
-// dispatch exhaustiveness, deterministic numeric paths).
+// (mutex-guarded fields, goroutine lifetime, error wrapping, span and
+// deadline discipline, lock order, hot-path allocation freedom).
 //
 // An Analyzer inspects one type-checked package at a time through a Pass
 // and reports Diagnostics. Findings can be suppressed with
@@ -17,7 +17,9 @@
 // directly above the offending statement, and to the whole function when
 // written in a function's doc comment (for code that is correct for
 // reasons outside the analyzer's model, e.g. pre-publication
-// initialisation).
+// initialisation). A directive that silences nothing for an analyzer that
+// ran, or that names no analyzer, is itself a finding: every suppression
+// in the tree stays live.
 package lint
 
 import (
@@ -53,13 +55,10 @@ var All = []*Analyzer{
 	GuardedBy,
 	GoLeak,
 	ErrWrap,
-	OpcodeExhaustive,
-	Determinism,
 	SpanPair,
 	NetDeadline,
 	LockOrder,
 	HotAlloc,
-	AtomicMix,
 	WireProto,
 }
 
@@ -123,10 +122,13 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Run applies the package analyzers to pkg and returns the surviving
-// diagnostics (ignore directives applied), sorted by position. Program
-// analyzers in the list are skipped; drive them through RunOnProgram.
+// diagnostics (ignore directives applied), sorted by position, plus one
+// finding per directive in pkg that names no analyzer or that silenced
+// nothing for a package analyzer that ran. Program analyzers in the list
+// are skipped; drive them through RunOnProgram.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	sup := collectSuppressions(pkg)
+	dirs := collectDirectives(pkg)
+	ran := make(map[string]bool)
 	var out []Diagnostic
 	for _, a := range analyzers {
 		if a.Run == nil {
@@ -142,12 +144,10 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
 		}
-		for _, d := range pass.diags {
-			if !sup.suppressed(a.Name, d.Pos) {
-				out = append(out, d)
-			}
-		}
+		ran[a.Name] = true
+		out = append(out, suppress(pass.diags, dirs)...)
 	}
+	out = append(out, unusedDirectives(dirs, ran, true)...)
 	sortDiagnostics(out)
 	return out, nil
 }
@@ -156,12 +156,14 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // load, not per package — and returns the surviving diagnostics, sorted.
 // Suppression directives from every package of the program apply, so a
 // //lint:ignore works wherever the diagnostic lands (a hot-path allocation
-// is reported in the callee's package, not the root's).
+// is reported in the callee's package, not the root's), and each one
+// that silenced nothing for a program analyzer that ran is reported.
 func RunOnProgram(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
-	sup := &suppressions{}
+	var dirs []*directive
 	for _, pkg := range prog.Pkgs {
-		sup.ranges = append(sup.ranges, collectSuppressions(pkg).ranges...)
+		dirs = append(dirs, collectDirectives(pkg)...)
 	}
+	ran := make(map[string]bool)
 	var out []Diagnostic
 	for _, a := range analyzers {
 		if a.RunProgram == nil {
@@ -171,12 +173,10 @@ func RunOnProgram(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if err := a.RunProgram(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
 		}
-		for _, d := range pass.diags {
-			if !sup.suppressed(a.Name, d.Pos) {
-				out = append(out, d)
-			}
-		}
+		ran[a.Name] = true
+		out = append(out, suppress(pass.diags, dirs)...)
 	}
+	out = append(out, unusedDirectives(dirs, ran, false)...)
 	sortDiagnostics(out)
 	return out, nil
 }
@@ -198,53 +198,31 @@ func sortDiagnostics(out []Diagnostic) {
 	})
 }
 
-// suppressRange silences one analyzer between two lines of a file.
-type suppressRange struct {
+// directive is one //lint:ignore comment: the analyzer it silences, the
+// lines of its file it covers, and whether it has silenced a finding.
+type directive struct {
 	analyzer string
-	file     string
+	pos      token.Position // the comment itself
 	from, to int
-}
-
-type suppressions struct{ ranges []suppressRange }
-
-func (s *suppressions) suppressed(analyzer string, pos token.Position) bool {
-	for _, r := range s.ranges {
-		if r.analyzer != analyzer && r.analyzer != "*" {
-			continue
-		}
-		if r.file == pos.Filename && r.from <= pos.Line && pos.Line <= r.to {
-			return true
-		}
-	}
-	return false
+	used     bool
 }
 
 const ignorePrefix = "//lint:ignore"
 
-// collectSuppressions gathers //lint:ignore directives from comments and
-// function doc comments.
-func collectSuppressions(pkg *Package) *suppressions {
-	sup := &suppressions{}
+// collectDirectives gathers pkg's //lint:ignore comments. A directive
+// covers its own line and the next, so it works both inline and on the
+// line above; one in a function's doc comment covers the whole function.
+func collectDirectives(pkg *Package) []*directive {
+	var out []*directive
 	for _, f := range pkg.Files {
-		// Function-doc directives suppress the whole function body.
+		funcEnd := make(map[*ast.Comment]int)
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				if name, ok := parseIgnore(c.Text); ok {
-					start := pkg.Fset.Position(fd.Pos())
-					end := pkg.Fset.Position(fd.End())
-					sup.ranges = append(sup.ranges, suppressRange{
-						analyzer: name, file: start.Filename,
-						from: start.Line, to: end.Line,
-					})
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
+				for _, c := range fd.Doc.List {
+					funcEnd[c] = pkg.Fset.Position(fd.End()).Line
 				}
 			}
 		}
-		// Free-standing / trailing directives cover their own line and the
-		// next (so the directive works both inline and on the line above).
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				name, ok := parseIgnore(c.Text)
@@ -252,24 +230,64 @@ func collectSuppressions(pkg *Package) *suppressions {
 					continue
 				}
 				p := pkg.Fset.Position(c.Pos())
-				sup.ranges = append(sup.ranges, suppressRange{
-					analyzer: name, file: p.Filename,
-					from: p.Line, to: p.Line + 1,
-				})
+				d := &directive{analyzer: name, pos: p, from: p.Line, to: p.Line + 1}
+				if end, ok := funcEnd[c]; ok {
+					d.to = end
+				}
+				out = append(out, d)
 			}
 		}
 	}
-	return sup
+	return out
 }
 
-// parseIgnore extracts the analyzer name from an ignore directive.
+// suppress returns the diagnostics no directive covers. A covered finding
+// marks only the first directive covering it as used, so a second,
+// redundant directive over the same finding is reported as unused.
+func suppress(diags []Diagnostic, dirs []*directive) []Diagnostic {
+	var out []Diagnostic
+next:
+	for _, d := range diags {
+		for _, dir := range dirs {
+			if dir.analyzer == d.Analyzer && dir.pos.Filename == d.Pos.Filename &&
+				dir.from <= d.Pos.Line && d.Pos.Line <= dir.to {
+				dir.used = true
+				continue next
+			}
+		}
+		out = append(out, d)
+	}
+	return out
+}
+
+// unusedDirectives reports each directive for an analyzer in ran that
+// silenced nothing and, with unknown set, each directive that names no
+// analyzer of All.
+func unusedDirectives(dirs []*directive, ran map[string]bool, unknown bool) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range dirs {
+		var msg string
+		switch {
+		case unknown && Lookup(d.analyzer) == nil:
+			msg = fmt.Sprintf("%s %q names no analyzer", ignorePrefix, d.analyzer)
+		case ran[d.analyzer] && !d.used:
+			msg = fmt.Sprintf("%s %s suppresses no %s finding; delete it", ignorePrefix, d.analyzer, d.analyzer)
+		default:
+			continue
+		}
+		out = append(out, Diagnostic{Pos: d.pos, Analyzer: "lint", Message: msg})
+	}
+	return out
+}
+
+// parseIgnore extracts the analyzer name from an ignore directive ("" when
+// the directive names none).
 func parseIgnore(text string) (analyzer string, ok bool) {
 	if !strings.HasPrefix(text, ignorePrefix) {
 		return "", false
 	}
-	fields := strings.Fields(strings.TrimPrefix(text, ignorePrefix))
-	if len(fields) == 0 {
-		return "", false
+	if fields := strings.Fields(strings.TrimPrefix(text, ignorePrefix)); len(fields) > 0 {
+		return fields[0], true
 	}
-	return fields[0], true
+	return "", true
 }

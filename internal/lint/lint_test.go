@@ -30,38 +30,27 @@ func testLoader(t *testing.T) *Loader {
 // wantRE extracts the quoted regexps of one `// want "..."` comment.
 var wantRE = regexp.MustCompile("// want (`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\")")
 
-// runGolden loads testdata/src/<name>, runs the analyzer, and compares the
-// diagnostics against the `// want` annotations, analysistest-style.
-func runGolden(t *testing.T, a *Analyzer, name string) {
+// runGolden loads testdata/src/<name>, runs the analyzers over it — the
+// package analyzers through Run, the summary-engine ones through
+// RunOnProgram on a one-target Program, suppressions included — and
+// compares the diagnostics against the `// want` annotations,
+// analysistest-style.
+func runGolden(t *testing.T, name string, analyzers ...*Analyzer) {
 	t.Helper()
 	l := testLoader(t)
 	pkg, err := l.LoadDir(filepath.Join("testdata", "src", name))
 	if err != nil {
 		t.Fatalf("load %s: %v", name, err)
 	}
-	diags, err := Run(pkg, []*Analyzer{a})
+	diags, err := Run(pkg, analyzers)
 	if err != nil {
-		t.Fatalf("run %s: %v", a.Name, err)
+		t.Fatalf("run %s: %v", name, err)
 	}
-	checkWants(t, pkg, diags)
-}
-
-// runGoldenProgram is runGolden for the summary-engine analyzers: the
-// fixture package becomes a one-target Program and the analyzer runs
-// through RunOnProgram, suppressions included.
-func runGoldenProgram(t *testing.T, a *Analyzer, name string) {
-	t.Helper()
-	l := testLoader(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", name))
+	progDiags, err := RunOnProgram(BuildProgram(l, []*Package{pkg}), analyzers)
 	if err != nil {
-		t.Fatalf("load %s: %v", name, err)
+		t.Fatalf("run %s: %v", name, err)
 	}
-	prog := BuildProgram(l, []*Package{pkg})
-	diags, err := RunOnProgram(prog, []*Analyzer{a})
-	if err != nil {
-		t.Fatalf("run %s: %v", a.Name, err)
-	}
-	checkWants(t, pkg, diags)
+	checkWants(t, pkg, append(diags, progDiags...))
 }
 
 // checkWants compares diagnostics against the fixture's `// want`
@@ -126,22 +115,21 @@ func checkWants(t *testing.T, pkg *Package, diags []Diagnostic) {
 	}
 }
 
-func TestGuardedByGolden(t *testing.T)  { runGolden(t, GuardedBy, "guardedby") }
-func TestGoLeakGolden(t *testing.T)     { runGolden(t, GoLeak, "goleak") }
-func TestErrWrapGolden(t *testing.T)    { runGolden(t, ErrWrap, "errwrap") }
-func TestExhaustiveGolden(t *testing.T) { runGolden(t, OpcodeExhaustive, "opcode") }
-func TestSpanPairGolden(t *testing.T)   { runGolden(t, SpanPair, "spanpair") }
-func TestNetDeadlineGolden(t *testing.T) {
-	runGolden(t, NetDeadline, "netdeadline")
-}
-func TestDeterminismGolden(t *testing.T) {
-	runGolden(t, determinismAnalyzer([]string{"testdata/src/determinism"}), "determinism")
-}
+func TestGuardedByGolden(t *testing.T)   { runGolden(t, "guardedby", GuardedBy) }
+func TestGoLeakGolden(t *testing.T)      { runGolden(t, "goleak", GoLeak) }
+func TestErrWrapGolden(t *testing.T)     { runGolden(t, "errwrap", ErrWrap) }
+func TestSpanPairGolden(t *testing.T)    { runGolden(t, "spanpair", SpanPair) }
+func TestNetDeadlineGolden(t *testing.T) { runGolden(t, "netdeadline", NetDeadline) }
+func TestLockOrderGolden(t *testing.T)   { runGolden(t, "lockorder", LockOrder) }
+func TestHotAllocGolden(t *testing.T)    { runGolden(t, "hotalloc", HotAlloc) }
+func TestWireProtoGolden(t *testing.T)   { runGolden(t, "wireproto", WireProto) }
 
-func TestLockOrderGolden(t *testing.T) { runGoldenProgram(t, LockOrder, "lockorder") }
-func TestHotAllocGolden(t *testing.T)  { runGoldenProgram(t, HotAlloc, "hotalloc") }
-func TestAtomicMixGolden(t *testing.T) { runGoldenProgram(t, AtomicMix, "atomicmix") }
-func TestWireProtoGolden(t *testing.T) { runGoldenProgram(t, WireProto, "wireproto") }
+// TestUnusedDirectiveGolden: a directive that silences nothing for an
+// analyzer that ran, or that names no analyzer, is a finding; one for an
+// analyzer that did not run is not judged.
+func TestUnusedDirectiveGolden(t *testing.T) {
+	runGolden(t, "ignore", ErrWrap, HotAlloc)
+}
 
 // TestAsmBackedSummaries: body-less (assembly-backed) declarations stay in
 // the program as AsmBacked leaves with empty fact sets, rather than being
@@ -172,23 +160,6 @@ func TestAsmBackedSummaries(t *testing.T) {
 	hot := found["hotAsmKernel"]
 	if hot == nil || !hot.Hot {
 		t.Fatalf("hotAsmKernel: want AsmBacked summary with Hot=true, got %+v", hot)
-	}
-}
-
-// TestDeterminismOutOfScope: the analyzer must stay silent outside its
-// configured packages even when the code uses global rand.
-func TestDeterminismOutOfScope(t *testing.T) {
-	l := testLoader(t)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "determinism"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := Run(pkg, []*Analyzer{determinismAnalyzer([]string{"internal/tensor"})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("out-of-scope package produced diagnostics: %v", diags)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // Program is the cross-package view the summary-engine analyzers consume:
 // the module-local import closure of the analysis targets, with one
-// Summary per function (locks acquired, allocations performed, atomic vs.
-// plain field accesses, opcode roles, static callees). Analyzers walk
+// Summary per function (locks acquired, allocations performed, dispatch
+// switches, static callees). Analyzers walk
 // summaries and the call graph instead of re-visiting ASTs, so an
 // interprocedural property — "everything Store.Accumulate transitively
 // calls is allocation-free" — is a graph traversal, not a type-checker

@@ -33,18 +33,8 @@ type Summary struct {
 	// engine's decisions stay inspectable.
 	Allocs []AllocSite
 
-	// Fields are accesses to atomic-capable struct fields and package
-	// vars, split into sync/atomic accesses and plain ones.
-	Fields []FieldUse
-
-	// Opcodes are uses of op*-named constants with the syntactic role the
-	// use plays in the wire protocol (encode argument, dispatch case,
-	// other).
-	Opcodes []OpcodeUse
-
-	// Switches are the switch statements over locally-declared constant
-	// types, with the exact values their cases cover and the positions of
-	// case labels that are not named constants.
+	// Switches are the switch statements over locally-declared named
+	// types, arm by arm.
 	Switches []ConstSwitch
 
 	// Calls are the function's statically-resolved callees (module and
@@ -94,40 +84,10 @@ type AllocSite struct {
 	Exempt string // non-empty: why the steady-state model excuses it
 }
 
-// FieldUse is one access to an atomic-capable field or package variable.
-type FieldUse struct {
-	Obj    *types.Var
-	Atomic bool
-	Write  bool // plain access on the left of an assignment / inc-dec
-	Pos    token.Pos
-}
-
-// Opcode use roles.
-const (
-	OpUseOther = iota
-	// OpUseEncode: the constant flows into a call argument — a client (or
-	// server reply path) putting the opcode on the wire.
-	OpUseEncode
-	// OpUseDispatch: the constant labels a case in a switch over its type
-	// — a server routing an inbound frame.
-	OpUseDispatch
-)
-
-// OpcodeUse is one reference to a constant of a locally-declared constant
-// type.
-type OpcodeUse struct {
-	Const *types.Const
-	Role  int
-	Pos   token.Pos
-}
-
-// ConstSwitch is one switch over a locally-declared constant type.
+// ConstSwitch is one switch over a locally-declared named type.
 type ConstSwitch struct {
 	TypeName *types.TypeName
-	Covered  []string    // exact constant values the cases cover
-	Raw      []token.Pos // case labels that are literals, not named consts
 	Arms     []SwitchArm // per-case facts, in source order
-	Pos      token.Pos
 }
 
 // SwitchArm is one case clause of a ConstSwitch: the constant values its
@@ -157,22 +117,18 @@ type summarizer struct {
 	stack []ast.Node // ancestors of the node being visited
 	// funcLit > 0 while inside a nested function literal: lock events are
 	// not recorded there (the literal runs at an unknown time), allocation
-	// and field facts still are.
+	// facts still are.
 	funcLit int
-	// atomicArgs marks expressions consumed as &x arguments of sync/atomic
-	// calls so the later visit of x does not record a plain access.
-	atomicArgs map[ast.Expr]bool
-	calls      map[*types.Func]bool
+	calls   map[*types.Func]bool
 }
 
 // summarize extracts fi's Summary.
 func summarize(fi *FuncInfo) *Summary {
 	s := &summarizer{
-		fi:         fi,
-		sum:        &Summary{},
-		info:       fi.Pkg.Info,
-		atomicArgs: make(map[ast.Expr]bool),
-		calls:      make(map[*types.Func]bool),
+		fi:    fi,
+		sum:   &Summary{},
+		info:  fi.Pkg.Info,
+		calls: make(map[*types.Func]bool),
 	}
 	if doc := fi.Decl.Doc; doc != nil {
 		for _, c := range doc.List {
@@ -225,16 +181,11 @@ func (s *summarizer) visit(n ast.Node) {
 		s.visitMapWrite(n.X)
 	case *ast.SwitchStmt:
 		s.visitSwitch(n)
-	case *ast.SelectorExpr:
-		s.visitFieldUse(n, n.Sel)
-	case *ast.Ident:
-		s.visitIdent(n)
 	}
 }
 
-// visitCall handles lock operations, sync/atomic calls, conversions,
-// interface boxing, known-allocating stdlib calls, builtins, and the call
-// graph.
+// visitCall handles lock operations, conversions, interface boxing,
+// known-allocating stdlib calls, builtins, and the call graph.
 func (s *summarizer) visitCall(call *ast.CallExpr) {
 	// Conversions: string ↔ []byte/[]rune copy their operand.
 	if tv, ok := s.info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
@@ -262,10 +213,6 @@ func (s *summarizer) visitCall(call *ast.CallExpr) {
 			kind = lockDeferRelease
 		}
 		s.lockOp(call, kind, full == "(*sync.RWMutex).RUnlock")
-		return
-	}
-	if strings.HasPrefix(full, "sync/atomic.") && len(call.Args) > 0 {
-		s.visitAtomic(call)
 		return
 	}
 	if what := knownAllocCall(full); what != "" {
@@ -444,161 +391,7 @@ func (s *summarizer) inDefer() bool {
 	return ok
 }
 
-// visitAtomic records a sync/atomic function-style access: the &x operands
-// become atomic field uses and are excluded from plain-use collection.
-func (s *summarizer) visitAtomic(call *ast.CallExpr) {
-	for _, arg := range call.Args {
-		un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-		if !ok || un.Op != token.AND {
-			continue
-		}
-		target := ast.Unparen(un.X)
-		obj := s.atomicCapableVar(target)
-		if obj == nil {
-			continue
-		}
-		s.atomicArgs[target] = true
-		s.sum.Fields = append(s.sum.Fields, FieldUse{Obj: obj, Atomic: true, Pos: un.Pos()})
-	}
-}
-
-// atomicCapableVar resolves expr to a struct field or package-level var of
-// a type the sync/atomic functions operate on, or nil.
-func (s *summarizer) atomicCapableVar(expr ast.Expr) *types.Var {
-	var obj *types.Var
-	switch e := expr.(type) {
-	case *ast.SelectorExpr:
-		if fsel := s.info.Selections[e]; fsel != nil && fsel.Kind() == types.FieldVal {
-			obj, _ = fsel.Obj().(*types.Var)
-		}
-	case *ast.Ident:
-		if v, ok := s.info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			obj = v
-		}
-	}
-	if obj == nil || !isAtomicCapable(obj.Type()) {
-		return nil
-	}
-	return obj
-}
-
-// isAtomicCapable reports whether sync/atomic's function-style API can
-// target a value of type t.
-func isAtomicCapable(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		switch u.Kind() {
-		case types.Int32, types.Int64, types.Uint32, types.Uint64, types.Uintptr, types.UnsafePointer:
-			return true
-		}
-	case *types.Pointer:
-		return true
-	}
-	return false
-}
-
-// visitFieldUse records a plain access to an atomic-capable struct field.
-func (s *summarizer) visitFieldUse(sel *ast.SelectorExpr, name *ast.Ident) {
-	if s.atomicArgs[sel] {
-		return
-	}
-	fsel := s.info.Selections[sel]
-	if fsel == nil || fsel.Kind() != types.FieldVal {
-		return
-	}
-	obj, _ := fsel.Obj().(*types.Var)
-	if obj == nil || !isAtomicCapable(obj.Type()) {
-		return
-	}
-	s.sum.Fields = append(s.sum.Fields, FieldUse{
-		Obj: obj, Write: s.isAssigned(sel), Pos: sel.Pos(),
-	})
-}
-
-// visitIdent records plain accesses to atomic-capable package-level vars
-// and opcode-constant uses.
-func (s *summarizer) visitIdent(id *ast.Ident) {
-	switch obj := s.info.Uses[id].(type) {
-	case *types.Var:
-		if s.atomicArgs[id] {
-			return
-		}
-		if obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() || !isAtomicCapable(obj.Type()) {
-			return
-		}
-		s.sum.Fields = append(s.sum.Fields, FieldUse{
-			Obj: obj, Write: s.isAssigned(id), Pos: id.Pos(),
-		})
-	case *types.Const:
-		named, ok := obj.Type().(*types.Named)
-		if !ok || named.Obj().Pkg() != s.fi.Pkg.Types {
-			return
-		}
-		s.sum.Opcodes = append(s.sum.Opcodes, OpcodeUse{
-			Const: obj, Role: s.constRole(id), Pos: id.Pos(),
-		})
-	}
-}
-
-// isAssigned reports whether expr is a direct assignment target (or
-// inc/dec operand) in its immediate parent.
-func (s *summarizer) isAssigned(expr ast.Expr) bool {
-	if len(s.stack) == 0 {
-		return false
-	}
-	switch p := s.stack[len(s.stack)-1].(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range p.Lhs {
-			if lhs == expr {
-				return true
-			}
-		}
-	case *ast.IncDecStmt:
-		return p.X == expr
-	case *ast.UnaryExpr:
-		return p.Op == token.AND // address taken: aliases into plain access
-	}
-	return false
-}
-
-// constRole classifies a constant reference: a case label is dispatch, a
-// call argument (looking through conversions like byte(opX) and struct
-// literals like call{op: opX}) is encode, anything else — comparisons,
-// assignments — is other.
-func (s *summarizer) constRole(id *ast.Ident) int {
-	pos := id.Pos()
-	for i := len(s.stack) - 1; i >= 0; i-- {
-		switch p := s.stack[i].(type) {
-		case *ast.CaseClause:
-			for _, e := range p.List {
-				if e.Pos() <= pos && pos <= e.End() {
-					return OpUseDispatch
-				}
-			}
-			return OpUseOther // inside the case body
-		case *ast.CallExpr:
-			inArg := false
-			for _, a := range p.Args {
-				if a.Pos() <= pos && pos <= a.End() {
-					inArg = true
-					break
-				}
-			}
-			if !inArg {
-				return OpUseOther // part of the Fun expression
-			}
-			if tv, ok := s.info.Types[p.Fun]; ok && tv.IsType() {
-				continue // conversion: keep looking for the real call
-			}
-			return OpUseEncode
-		case ast.Stmt:
-			return OpUseOther
-		}
-	}
-	return OpUseOther
-}
-
-// visitSwitch records switches over locally-declared constant types.
+// visitSwitch records switches over locally-declared named types.
 func (s *summarizer) visitSwitch(sw *ast.SwitchStmt) {
 	if sw.Tag == nil {
 		return
@@ -607,7 +400,7 @@ func (s *summarizer) visitSwitch(sw *ast.SwitchStmt) {
 	if !ok || named.Obj().Pkg() != s.fi.Pkg.Types {
 		return
 	}
-	cs := ConstSwitch{TypeName: named.Obj(), Pos: sw.Pos()}
+	cs := ConstSwitch{TypeName: named.Obj()}
 	for _, stmt := range sw.Body.List {
 		cc, ok := stmt.(*ast.CaseClause)
 		if !ok {
@@ -615,14 +408,8 @@ func (s *summarizer) visitSwitch(sw *ast.SwitchStmt) {
 		}
 		arm := SwitchArm{Pos: cc.Pos()}
 		for _, expr := range cc.List {
-			tv, ok := s.info.Types[expr]
-			if !ok || tv.Value == nil {
-				continue
-			}
-			cs.Covered = append(cs.Covered, tv.Value.ExactString())
-			arm.Values = append(arm.Values, tv.Value.ExactString())
-			if !isConstRef(s.info, expr) {
-				cs.Raw = append(cs.Raw, expr.Pos())
+			if tv, ok := s.info.Types[expr]; ok && tv.Value != nil {
+				arm.Values = append(arm.Values, tv.Value.ExactString())
 			}
 		}
 		seen := make(map[*types.Func]bool)
@@ -642,24 +429,6 @@ func (s *summarizer) visitSwitch(sw *ast.SwitchStmt) {
 		cs.Arms = append(cs.Arms, arm)
 	}
 	s.sum.Switches = append(s.sum.Switches, cs)
-}
-
-// isConstRef reports whether expr names a declared constant (possibly
-// through a conversion), as opposed to a raw literal.
-func isConstRef(info *types.Info, expr ast.Expr) bool {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		_, ok := info.Uses[e].(*types.Const)
-		return ok
-	case *ast.SelectorExpr:
-		_, ok := info.Uses[e.Sel].(*types.Const)
-		return ok
-	case *ast.CallExpr:
-		if tv, ok := info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
-			return isConstRef(info, e.Args[0])
-		}
-	}
-	return false
 }
 
 // visitComposite records allocating composite literals: slice and map
@@ -799,7 +568,7 @@ func (s *summarizer) visitBoxing(call *ast.CallExpr, callee *types.Func) {
 		if at == nil || boxFree(at) {
 			continue
 		}
-		s.allocAt(arg.Pos(), "interface boxing of "+types.TypeString(at, shortQualifier), arg)
+		s.alloc(arg.Pos(), "interface boxing of "+types.TypeString(at, shortQualifier))
 	}
 }
 
@@ -818,10 +587,6 @@ func boxFree(t types.Type) bool {
 // alloc records an allocation site at pos, applying the contextual
 // exemptions (error construction, cap-guarded growth, panic path).
 func (s *summarizer) alloc(pos token.Pos, what string) {
-	s.allocAt(pos, what, nil)
-}
-
-func (s *summarizer) allocAt(pos token.Pos, what string, node ast.Expr) {
 	s.sum.Allocs = append(s.sum.Allocs, AllocSite{
 		Pos: pos, What: what, Exempt: s.allocExemption(pos),
 	})

@@ -1,8 +1,7 @@
-// Package wireproto is the golden corpus for the wireproto analyzer: an
-// opcode space with one constant missing its server-dispatch arm (the
-// hand-maintenance failure the analyzer exists for), one never encoded,
-// one duplicating a wire value, a raw-literal case label, and dispatch
-// arms that do / do not record a latency observation.
+// Package wireproto is the golden corpus for the wireproto analyzer:
+// dispatch arms that do / do not record a latency observation, directly,
+// through callees or through a Span, and one control-plane arm whose
+// finding a directive suppresses.
 package wireproto
 
 type opcode byte
@@ -10,9 +9,7 @@ type opcode byte
 const (
 	opPing   opcode = 1
 	opStore  opcode = 2
-	opDrop   opcode = 3 // want `opcode opDrop \(value 3\) has no dispatch arm in any switch over opcode`
-	opStatus opcode = 4 // want `opcode opStatus is never encoded: no call puts it on the wire`
-	opAlias  opcode = 2 // want `opcode opAlias reuses wire value 2 of opStore`
+	opStatus opcode = 4
 	opFetch  opcode = 5
 	opFlush  opcode = 6
 	opHello  opcode = 7
@@ -61,28 +58,5 @@ func dispatch(op opcode, payload []byte) {
 	//lint:ignore wireproto hello is control-plane: one frame per session, no data-path latency
 	case opHello:
 		work()
-	case 9: // want `raw literal case in switch over opcode; use the named op\* constant`
-		lat.Observe(1)
 	}
-}
-
-func send(op opcode, payload []byte) {
-	_ = op
-	_ = payload
-}
-
-// call is the request-by-value shape: an opcode named as a field of a
-// struct literal passed to a call is encoded just like a bare argument.
-type call struct{ op opcode }
-
-func do(c call) { _ = c }
-
-func client() {
-	send(opPing, nil)
-	send(opStore, nil)
-	send(opDrop, nil)
-	send(opAlias, nil)
-	send(opFetch, nil)
-	do(call{op: opFlush})
-	do(call{op: opHello})
 }

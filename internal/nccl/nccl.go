@@ -360,7 +360,7 @@ func (g *Group) tryBroadcast(rank, root int, data []float32) error {
 		return err
 	}
 	if v.size > 1 && rank != root {
-		copy(data, g.bufs[root]) //lint:ignore guardedby enter's barrier publishes root's buffer before this read
+		copy(data, g.bufs[root])
 	}
 	return g.exit(rank, v.epoch)
 }

@@ -402,3 +402,18 @@ func TestZeroByteTransferIsLatencyOnly(t *testing.T) {
 		t.Fatalf("zero-byte transfer took %v, want 1ms", s.Now())
 	}
 }
+
+// TestUnknownYieldKindPanics: the scheduler's yield switch has no silent
+// fallthrough — a kind without an arm stops the simulation instead of
+// dropping the process.
+func TestUnknownYieldKindPanics(t *testing.T) {
+	s := New()
+	go func() { s.yield <- yieldMsg{kind: yieldSpawn + 1} }()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unknown yield kind did not panic")
+		}
+	}()
+	live := 1
+	s.handleYields(&live)
+}

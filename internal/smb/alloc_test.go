@@ -87,7 +87,7 @@ func TestSteadyStateZeroAllocStreamClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	go server.Serve() //lint:ignore goleak joined by server.Close via the server's WaitGroup
+	go server.Serve()
 
 	client, err := Dial(server.Addr())
 	if err != nil {
@@ -204,7 +204,7 @@ func TestSteadyStateZeroAllocWriteAccumulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	go server.Serve() //lint:ignore goleak joined by server.Close via the server's WaitGroup
+	go server.Serve()
 	client, err := Dial(server.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func TestStreamClientInstrumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	go server.Serve() //lint:ignore goleak joined by server.Close via the server's WaitGroup
+	go server.Serve()
 
 	reg := telemetry.NewRegistry()
 	client, err := Dial(server.Addr())

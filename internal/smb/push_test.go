@@ -161,7 +161,7 @@ var clientTable = []struct {
 	{"stream-pipe", func(t *testing.T) clientCase {
 		srv, tr := tracedServer(t)
 		near, far := net.Pipe()
-		go srv.ServeConn(far) //lint:ignore goleak joined by the server's Close in startServer's cleanup
+		go srv.ServeConn(far)
 		c := NewStreamClient(near)
 		t.Cleanup(func() { c.Close() })
 		if ok, err := c.NegotiateTrace(); err != nil || !ok {

@@ -146,7 +146,7 @@ func TestServerRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	go srv.Serve() //lint:ignore goleak joined by srv.Close via the server's WaitGroup
+	go srv.Serve()
 
 	gKey, err := store.Create("stress/wg", stressVals*4)
 	if err != nil {

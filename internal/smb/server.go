@@ -573,7 +573,7 @@ func (c *StreamClient) poisonLocked(err error) error {
 
 // NewStreamClient wraps an established connection of any transport.
 func NewStreamClient(rwc io.ReadWriteCloser) *StreamClient {
-	c := &StreamClient{conn: rwc} //lint:ignore hotalloc one allocation per established connection; hot paths reach this only through the cold redial recovery branch
+	c := &StreamClient{conn: rwc}
 	c.d = c
 	return c
 }
@@ -643,7 +643,6 @@ func (c *StreamClient) doLocked(cl call) (reply, error) {
 		stage += len(cl.body)
 	}
 	if cap(c.wire) < stage {
-		//lint:ignore hotalloc grow-only per-client staging, amortized to zero
 		c.wire = make([]byte, stage)
 	}
 	buf := c.wire[:stage]

@@ -46,7 +46,6 @@ func (vw *vecWriter) reset() { vw.vec = vw.vec[:0] }
 
 //shm:hotpath
 func (vw *vecWriter) add(b []byte) {
-	//lint:ignore hotalloc the iovec backing is registered per connection and grow-only
 	vw.vec = append(vw.vec, b)
 }
 
@@ -75,7 +74,6 @@ func writeFrameVec(w io.Writer, op byte, payload []byte, vw *vecWriter, scratch 
 		return ErrFrameTooLarge
 	}
 	if cap(*scratch) < 5 {
-		//lint:ignore hotalloc grow-only per-connection staging, amortized to zero
 		*scratch = make([]byte, 5)
 	}
 	buf := (*scratch)[:5]

@@ -308,7 +308,7 @@ func startCutShmServer(t *testing.T, plan *cutPlan) (*Store, string) {
 			if err != nil {
 				return
 			}
-			go srv.ServeConn(&cutConn{Conn: conn, plan: plan}) //lint:ignore goleak joined by srv.Close in the cleanup below
+			go srv.ServeConn(&cutConn{Conn: conn, plan: plan})
 		}
 	}()
 	t.Cleanup(func() { uln.Close(); uwg.Wait(); srv.Close() })

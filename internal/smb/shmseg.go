@@ -498,7 +498,6 @@ func (s *Store) ReapShmLease(lease uint32) int {
 		return 0 // 0 = no lease, 1 = the server itself
 	}
 	s.mu.Lock()
-	//lint:ignore hotalloc reap runs once per dead control connection, not on the data path
 	shs := make([]*shmShared, 0, len(s.segments))
 	for _, seg := range s.segments {
 		if seg.shm != nil {

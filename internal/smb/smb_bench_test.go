@@ -108,7 +108,7 @@ func BenchmarkStreamRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	go srv.Serve() //lint:ignore goleak joined by srv.Close via the server's WaitGroup
+	go srv.Serve()
 
 	client, err := Dial(srv.Addr())
 	if err != nil {

@@ -547,7 +547,6 @@ func (s *Store) WriteAccumulate(dst, src Handle, data []byte) error {
 		} else {
 			if dseg.key < sseg.key {
 				waitNs += dseg.lockStripe(ci, timed)
-				//lint:ignore lockorder second stripe of the same class is taken in segment-key order (dseg.key < sseg.key here, the mirror branch below), so concurrent pairs cannot cross
 				waitNs += sseg.lockStripe(ci, timed)
 			} else {
 				waitNs += sseg.lockStripe(ci, timed)

@@ -161,6 +161,37 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestEveryMetricKindExposes: each metric kind, kindCounter through
+// kindHistogram, has a constructor and an exposition arm. The sample switch
+// has no default, so a kind without an arm would register and then render
+// no sample at all.
+func TestEveryMetricKindExposes(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("c_total", "c")
+	reg.CounterFunc("cf_total", "cf", func() int64 { return 1 })
+	reg.Gauge("g", "g")
+	reg.GaugeFunc("gf", "gf", func() float64 { return 1 })
+	reg.Histogram("h_seconds", "h", []float64{1})
+	base := make(map[metricKind]string)
+	for _, m := range reg.metrics {
+		base[m.kind] = m.base
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for k := kindCounter; k <= kindHistogram; k++ {
+		name, ok := base[k]
+		if !ok {
+			t.Fatalf("metric kind %d has no constructor", k)
+		}
+		if !strings.Contains(out, "\n"+name+" ") && !strings.Contains(out, "\n"+name+"_count ") {
+			t.Errorf("metric kind %d (%s) renders no sample:\n%s", k, name, out)
+		}
+	}
+}
+
 // TestPhaseSeriesShareFamily: the per-phase histograms must render under
 // one HELP/TYPE header (same family, different label sets).
 func TestPhaseSeriesShareFamily(t *testing.T) {
