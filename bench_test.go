@@ -1,7 +1,8 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper, plus microbenchmarks of the load-bearing substrate operations.
-// Each exhibit benchmark regenerates its table through internal/bench and
-// reports the headline quantity as a custom metric, so
+// paper. Substrate microbenchmarks live beside the code they time, in the
+// owning package's go test -bench. Each exhibit benchmark regenerates its
+// table through internal/bench and reports the headline quantity as a
+// custom metric, so
 //
 //	go test -bench=. -benchmem
 //
@@ -11,20 +12,13 @@ package shmcaffe_test
 import (
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
-	"shmcaffe"
 	"shmcaffe/internal/bench"
-	"shmcaffe/internal/nccl"
 	"shmcaffe/internal/nn"
 	"shmcaffe/internal/perfmodel"
-	"shmcaffe/internal/smb"
-	"shmcaffe/internal/tensor"
 	"shmcaffe/internal/trace"
 )
-
-// ---- Exhibit benchmarks (one per table/figure) ----
 
 func BenchmarkFig7SMBBandwidth(b *testing.B) {
 	hw := perfmodel.DefaultHardware()
@@ -141,175 +135,6 @@ func BenchmarkAblationGroupSize(b *testing.B) {
 	hw := perfmodel.DefaultHardware()
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.AblationGroupSize(hw); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Substrate microbenchmarks ----
-
-// BenchmarkSMBAccumulate measures the server-side accumulate of a 1M-
-// element (4 MB) weight increment — the hot operation of SEASGD.
-func BenchmarkSMBAccumulate(b *testing.B) {
-	store := smb.NewStore()
-	const elems = 1 << 20
-	kw, err := store.Create("wg", elems*4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	kd, _ := store.Create("dw", elems*4)
-	hw, _ := store.Attach(kw)
-	hd, _ := store.Attach(kd)
-	vals := make([]float32, elems)
-	for i := range vals {
-		vals[i] = 1
-	}
-	if err := store.Write(hd, 0, tensor.Float32Bytes(vals)); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(elems * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := store.Accumulate(hw, hd); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSMBReadWrite measures the in-process segment copy path.
-func BenchmarkSMBReadWrite(b *testing.B) {
-	store := smb.NewStore()
-	const size = 4 << 20
-	key, _ := store.Create("seg", size)
-	h, _ := store.Attach(key)
-	buf := make([]byte, size)
-	b.SetBytes(2 * size)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := store.Write(h, 0, buf); err != nil {
-			b.Fatal(err)
-		}
-		if err := store.Read(h, 0, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRingAllReduce measures the NCCL-style ring over 4 goroutine
-// devices with 256k elements each.
-func BenchmarkRingAllReduce(b *testing.B) {
-	const devices = 4
-	const elems = 1 << 18
-	group, err := nccl.NewGroup(devices)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bufs := make([][]float32, devices)
-	for d := range bufs {
-		bufs[d] = make([]float32, elems)
-	}
-	b.SetBytes(int64(elems * 4 * devices))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for d := 0; d < devices; d++ {
-			d := d
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := group.AllReduce(d, bufs[d]); err != nil {
-					b.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-}
-
-// BenchmarkElasticExchange measures one Eq. (5)–(7) exchange over a 1M-
-// element weight vector.
-func BenchmarkElasticExchange(b *testing.B) {
-	const elems = 1 << 20
-	local := make([]float32, elems)
-	global := make([]float32, elems)
-	scratch := make([]float32, elems)
-	b.SetBytes(elems * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.AxpySlice(0, scratch, local) // keep slices warm
-		if err := exchange(local, global, scratch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func exchange(local, global, scratch []float32) error {
-	a := float32(0.2)
-	for i := range scratch {
-		scratch[i] = a * (local[i] - global[i])
-	}
-	for i := range local {
-		local[i] -= scratch[i]
-		global[i] += scratch[i]
-	}
-	return nil
-}
-
-// BenchmarkTrainStepMLP measures one forward+backward+update of the
-// functional MLP replica.
-func BenchmarkTrainStepMLP(b *testing.B) {
-	net, err := shmcaffe.MLP("bench", 8, 16, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.InitWeights(shmcaffe.NewRNG(1))
-	solver := nn.NewSGDSolver(net, shmcaffe.DefaultSolverConfig())
-	rng := tensor.NewRNG(2)
-	x := tensor.New(8, 8)
-	rng.FillNormal(x, 0, 1)
-	labels := []int{0, 1, 2, 3, 0, 1, 2, 3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solver.Step(x, labels); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTrainStepCNN measures one step of the convolutional replica
-// (im2col + GEMM path).
-func BenchmarkTrainStepCNN(b *testing.B) {
-	net, err := shmcaffe.SmallCNN("bench", 1, 8, 4, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.InitWeights(shmcaffe.NewRNG(1))
-	solver := nn.NewSGDSolver(net, shmcaffe.DefaultSolverConfig())
-	rng := tensor.NewRNG(2)
-	x := tensor.New(4, 1, 8, 8)
-	rng.FillNormal(x, 0, 1)
-	labels := []int{0, 1, 2, 3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := solver.Step(x, labels); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGEMM measures the matmul kernel at a conv-lowering-like shape.
-func BenchmarkGEMM(b *testing.B) {
-	const m, k, n = 64, 128, 256
-	a := tensor.New(m, k)
-	bb := tensor.New(k, n)
-	dst := tensor.New(m, n)
-	rng := tensor.NewRNG(1)
-	rng.FillNormal(a, 0, 1)
-	rng.FillNormal(bb, 0, 1)
-	b.SetBytes(int64(4 * (m*k + k*n + m*n)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tensor.MatMul(a, bb, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,9 +9,9 @@
 //	benchtables -csv                 # CSV instead of aligned text
 //	benchtables -trace trace.json    # phase breakdown of a shmtrain -trace-out file
 //
-// Exhibits: table1 table2 table3 table4 table5 table6 fig7 fig8 fig10
-// fig11 fig15 (fig9 is the chart form of table2; figs 12-14 are the chart
-// forms of tables 5-6).
+// The -exhibit help names every exhibit: tables 1-6, figs 7-11 and 15, and
+// eq8. fig9 projects time to accuracy from the functional runs and the
+// timing model; figs 12-14 are the chart forms of tables 5-6.
 package main
 
 import (
@@ -28,9 +28,6 @@ import (
 )
 
 func main() {
-	if bench.MaybeServeBenchChild() {
-		return // this invocation was a re-exec'd transport-bench server
-	}
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(1)
@@ -38,28 +35,50 @@ func main() {
 }
 
 func run(args []string, out io.Writer) error {
+	hw := perfmodel.DefaultHardware()
+	opts := bench.DefaultConvergenceOptions()
+	var workers int
+
+	type gen func() (*trace.Table, error)
+	exhibits := []struct {
+		name string
+		fn   gen
+	}{
+		{"table1", func() (*trace.Table, error) { return bench.Table1Hardware(), nil }},
+		{"fig7", func() (*trace.Table, error) { return bench.Fig7Bandwidth(hw) }},
+		{"fig8", func() (*trace.Table, error) { return bench.Fig8Convergence(workers, opts) }},
+		{"table2", func() (*trace.Table, error) { return bench.Table2TrainingTime(hw) }},
+		{"fig9", func() (*trace.Table, error) { return bench.Fig9TimeToAccuracy(workers, 0.9, opts, hw) }},
+		{"fig10", func() (*trace.Table, error) { return bench.Fig10CompComm(hw) }},
+		{"fig11", func() (*trace.Table, error) { return bench.Fig11AsyncVsHybrid([]int{1, 4, 8, 16}, opts) }},
+		{"table3", func() (*trace.Table, error) { return bench.Table3Configs(), nil }},
+		{"table4", func() (*trace.Table, error) { return bench.Table4Models(), nil }},
+		{"eq8", func() (*trace.Table, error) { return bench.Eq8Decomposition(hw), nil }},
+		{"table5", func() (*trace.Table, error) { return bench.Table5ShmCaffeA(hw) }},
+		{"table6", func() (*trace.Table, error) { return bench.Table6ShmCaffeH(hw) }},
+		{"fig15", func() (*trace.Table, error) { return bench.Fig15AvsH(hw) }},
+	}
+	names := make([]string, len(exhibits))
+	for i, e := range exhibits {
+		names[i] = e.name
+	}
+
 	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
 	var (
 		all       = fs.Bool("all", false, "regenerate every exhibit")
-		exhibit   = fs.String("exhibit", "", "one exhibit: table1..table6, fig7, fig8, fig10, fig11, fig15")
+		exhibit   = fs.String("exhibit", "", "one exhibit: "+strings.Join(names, ", "))
 		ablations = fs.Bool("ablations", false, "run the design-choice ablations")
 		charts    = fs.Bool("charts", false, "render the timing figures as bar charts")
 		csv       = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		outDir    = fs.String("out", "", "with -all: also write each exhibit to <dir>/<name>.txt and .csv")
-		workers   = fs.Int("workers", 8, "worker count for fig8")
 		epochs    = fs.Int("epochs", 0, "override epochs for the convergence exhibits")
 		perClass  = fs.Int("per-class", 0, "override per-class sample count for the convergence exhibits")
-		kernels   = fs.Bool("kernels", false, "run the kernel microbenchmarks (gemm, im2col, SMB) and emit JSON")
-		kernOut   = fs.String("kernels-out", "", "with -kernels: write the JSON report here instead of stdout")
-		kernQuick = fs.Bool("kernels-quick", false, "with -kernels/-serve: shorter size and sample lists for smoke runs")
-		serve     = fs.Bool("serve", false, "run the serving benchmark (read p50/p99 under an accumulate storm) and render the table")
 		traceFile = fs.String("trace", "", "print the per-phase breakdown of a Chrome trace written by shmtrain -trace-out")
 	)
+	fs.IntVar(&workers, "workers", 8, "worker count for fig8, fig9 and the fig13 chart")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	hw := perfmodel.DefaultHardware()
-	opts := bench.DefaultConvergenceOptions()
 	if *epochs > 0 {
 		opts.Epochs = *epochs
 	}
@@ -81,25 +100,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	type gen func() (*trace.Table, error)
-	exhibits := []struct {
-		name string
-		fn   gen
-	}{
-		{"table1", func() (*trace.Table, error) { return bench.Table1Hardware(), nil }},
-		{"fig7", func() (*trace.Table, error) { return bench.Fig7Bandwidth(hw) }},
-		{"fig8", func() (*trace.Table, error) { return bench.Fig8Convergence(*workers, opts) }},
-		{"table2", func() (*trace.Table, error) { return bench.Table2TrainingTime(hw) }},
-		{"fig9", func() (*trace.Table, error) { return bench.Fig9TimeToAccuracy(*workers, 0.9, opts, hw) }},
-		{"fig10", func() (*trace.Table, error) { return bench.Fig10CompComm(hw) }},
-		{"fig11", func() (*trace.Table, error) { return bench.Fig11AsyncVsHybrid([]int{1, 4, 8, 16}, opts) }},
-		{"table3", func() (*trace.Table, error) { return bench.Table3Configs(), nil }},
-		{"table4", func() (*trace.Table, error) { return bench.Table4Models(), nil }},
-		{"eq8", func() (*trace.Table, error) { return bench.Eq8Decomposition(hw), nil }},
-		{"table5", func() (*trace.Table, error) { return bench.Table5ShmCaffeA(hw) }},
-		{"table6", func() (*trace.Table, error) { return bench.Table6ShmCaffeH(hw) }},
-		{"fig15", func() (*trace.Table, error) { return bench.Fig15AvsH(hw) }},
-	}
 	ablationList := []gen{
 		func() (*trace.Table, error) { return bench.AblationOverlap(hw) },
 		func() (*trace.Table, error) { return bench.AblationHiddenRead(hw) },
@@ -117,43 +117,11 @@ func run(args []string, out io.Writer) error {
 	switch {
 	case *traceFile != "":
 		return traceReport(out, *traceFile, *csv)
-	case *serve:
-		rep := &bench.KernelReport{Speedups: map[string]float64{}}
-		if err := bench.ServeBench(rep, *kernQuick); err != nil {
-			return err
-		}
-		return emit(bench.ServeTable(rep))
-	case *kernels:
-		rep, err := bench.KernelBench(*kernQuick)
-		if err != nil {
-			return err
-		}
-		if rep.NumCPU != rep.GOMAXPROCS {
-			// A capped GOMAXPROCS (cgroup quota, taskset, explicit env) makes
-			// the parallel and transport rows measure a narrower machine than
-			// the hardware suggests — flag it so the provenance is read right.
-			fmt.Fprintf(os.Stderr,
-				"benchtables: warning: NumCPU=%d but GOMAXPROCS=%d disagree; "+
-					"parallel speedups reflect the GOMAXPROCS cap, not the hardware\n",
-				rep.NumCPU, rep.GOMAXPROCS)
-		}
-		if *kernOut == "" {
-			return rep.WriteJSON(out)
-		}
-		f, err := os.Create(*kernOut)
-		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
 	case *charts:
 		chartGens := []func() (*trace.Chart, error){
 			func() (*trace.Chart, error) { return bench.Fig7Chart(hw) },
 			func() (*trace.Chart, error) { return bench.Fig10Chart(hw) },
-			func() (*trace.Chart, error) { return bench.Fig13Chart(*workers, hw) },
+			func() (*trace.Chart, error) { return bench.Fig13Chart(workers, hw) },
 			func() (*trace.Chart, error) { return bench.Fig15Chart(hw) },
 		}
 		for _, fn := range chartGens {
@@ -180,7 +148,7 @@ func run(args []string, out io.Writer) error {
 				return emit(t)
 			}
 		}
-		return fmt.Errorf("unknown exhibit %q", *exhibit)
+		return fmt.Errorf("unknown exhibit %q (have %s)", *exhibit, strings.Join(names, ", "))
 	case *ablations:
 		for _, fn := range ablationList {
 			t, err := fn()
@@ -221,24 +189,21 @@ func run(args []string, out io.Writer) error {
 
 // writeExhibitFiles persists one exhibit as aligned text and CSV.
 func writeExhibitFiles(dir, name string, t *trace.Table) error {
-	txt, err := os.Create(filepath.Join(dir, name+".txt"))
-	if err != nil {
-		return err
+	for _, f := range []struct {
+		ext    string
+		render func(io.Writer) error
+	}{{".txt", t.Render}, {".csv", t.RenderCSV}} {
+		w, err := os.Create(filepath.Join(dir, name+f.ext))
+		if err != nil {
+			return err
+		}
+		if err := f.render(w); err != nil {
+			w.Close()
+			return err
+		}
+		if err := w.Close(); err != nil {
+			return err
+		}
 	}
-	if err := t.Render(txt); err != nil {
-		txt.Close()
-		return err
-	}
-	if err := txt.Close(); err != nil {
-		return err
-	}
-	csvF, err := os.Create(filepath.Join(dir, name+".csv"))
-	if err != nil {
-		return err
-	}
-	if err := t.RenderCSV(csvF); err != nil {
-		csvF.Close()
-		return err
-	}
-	return csvF.Close()
+	return nil
 }

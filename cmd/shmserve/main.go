@@ -512,7 +512,7 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 
 // runLoadgen hammers a running frontend with random feature vectors and
 // prints the client-observed latency distribution — the companion to the
-// server-side benchtables -serve rows.
+// server-side shmserve_infer_seconds histogram on /metrics.
 func runLoadgen(base string, features, conc int, duration time.Duration) error {
 	type result struct {
 		lat  []time.Duration

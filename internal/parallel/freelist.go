@@ -5,7 +5,7 @@ package parallel
 // GC-heavy workload: every GC cycle demotes the pool's contents to a
 // victim cache and then drops them, so a steady-state "zero-alloc" path
 // quietly re-allocates its pooled state after each collection (this was
-// the stray 8 B/op on gemm/parallel/256 in BENCH_kernels.json). A
+// the stray 8 B/op on tensor's BenchmarkGemm/parallel/256). A
 // buffered channel is invisible to the collector: entries stay live until
 // explicitly taken, so a warmed list never allocates again, at the cost
 // of pinning at most `capacity` small structs for the process lifetime —

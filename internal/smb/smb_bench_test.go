@@ -9,10 +9,10 @@ import (
 	"shmcaffe/internal/tensor"
 )
 
-// Benchmarks for the SMB hot path. cmd/benchtables -kernels runs these
-// in-process to build BENCH_kernels.json; scripts/check.sh tier 2 runs
-// them with -benchtime 1x as a smoke test. SetBytes is the logical bytes
-// moved per op so ns/op converts to throughput.
+// Benchmarks for the SMB hot path; scripts/check.sh tier 2 runs them with
+// -benchtime 1x as a smoke test. SetBytes is the logical bytes moved per
+// op so ns/op converts to throughput. Cross-process transport costs are
+// the repo benchmark's smb.{read,push,snap_cycle}_ms.* rows, not these.
 
 // benchVals spans several lock stripes so Accumulate exercises the
 // per-stripe locking protocol, not the single-stripe fast case.

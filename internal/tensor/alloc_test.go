@@ -13,7 +13,7 @@ import (
 // inside the measured loop are the regression this guards against: the
 // earlier sync.Pool-based dispatch stayed "zero-alloc" only between GCs,
 // and the benchmark harness's per-run collections surfaced that as a
-// stray 8 B/op on gemm/parallel/256 in BENCH_kernels.json.
+// stray 8 B/op on BenchmarkGemm/parallel/256.
 
 // gemmAllocSize is big enough that every layer of the dispatch runs
 // (multiple grain-8 row ranges, pack panels on the transA path) while

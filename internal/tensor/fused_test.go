@@ -35,6 +35,19 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
+// axpySliceScalar is the straight-line scalar reference for AxpySlice. The
+// equivalence tests and BenchmarkAxpySlice pin the dispatched kernels
+// against it.
+func axpySliceScalar(alpha float32, x, y []float32) {
+	n := len(x)
+	if len(y) < n {
+		n = len(y)
+	}
+	for i := 0; i < n; i++ {
+		y[i] += alpha * x[i]
+	}
+}
+
 // unaligned returns a view of data starting at an offset that is not a
 // multiple of the lane width, so the unrolled body runs over blocks whose
 // base address is not 32-byte aligned.
@@ -271,7 +284,7 @@ func TestFusedCopyAddMatchesScalar(t *testing.T) {
 			fusedCopyAddScalar(unaligned(x, off, n), unaligned(wantSrc, off, n), unaligned(wantDst, off, n))
 			fusedCopyAddUnrolled(unaligned(x, off, n), unaligned(fbSrc, off, n), unaligned(fbDst, off, n))
 			copy(unaligned(twoSrc, off, n), unaligned(x, off, n))
-			AxpySliceScalar(1, unaligned(twoSrc, off, n), unaligned(twoDst, off, n))
+			axpySliceScalar(1, unaligned(twoSrc, off, n), unaligned(twoDst, off, n))
 
 			if !bitsEqual(src, wantSrc) || !bitsEqual(dst, wantDst) {
 				t.Fatalf("FusedCopyAdd n=%d off=%d diverges from scalar", n, off)
@@ -322,7 +335,7 @@ func TestAxpySliceMatchesScalar(t *testing.T) {
 				want := cloneSlice(y)
 
 				AxpySlice(alpha, unaligned(x, off, n), unaligned(y, off, n))
-				AxpySliceScalar(alpha, unaligned(x, off, n), unaligned(want, off, n))
+				axpySliceScalar(alpha, unaligned(x, off, n), unaligned(want, off, n))
 
 				if !bitsEqual(y, want) {
 					t.Fatalf("AxpySlice n=%d alpha=%v off=%d diverges from scalar", n, alpha, off)
@@ -338,7 +351,7 @@ func TestAxpySliceAliased(t *testing.T) {
 		x := make([]float32, n)
 		fillPattern(x, 16)
 		want := cloneSlice(x)
-		AxpySliceScalar(0.5, want, want)
+		axpySliceScalar(0.5, want, want)
 		AxpySlice(0.5, x, x)
 		if !bitsEqual(x, want) {
 			t.Fatalf("AxpySlice y==x n=%d diverges from scalar", n)
@@ -511,7 +524,7 @@ func FuzzFusedKernels(f *testing.F) {
 
 		copy(fbLocal, local)
 		AxpySlice(alpha, delta[off:], local[off:])
-		AxpySliceScalar(alpha, wantDelta[off:], wantLocal[off:])
+		axpySliceScalar(alpha, wantDelta[off:], wantLocal[off:])
 		axpySliceUnrolled(alpha, wantDelta[off:], fbLocal[off:])
 		if !bitsEqual(local, wantLocal) {
 			t.Fatalf("AxpySlice n=%d off=%d alpha=%x diverges", n, off, alphaBits)

@@ -6,9 +6,11 @@ import (
 )
 
 // Kernel benchmarks: the gemm sizes the acceptance gate tracks (the hot
-// shapes of the zoo models are in this range), plus the conv lowering.
-// cmd/benchtables -kernels runs the same bodies through testing.Benchmark
-// to emit BENCH_kernels.json.
+// shapes of the zoo models are in this range), the streaming SEASGD
+// kernels, and the conv lowering. Each pins the scalar reference beside
+// the kernels that replace it, so a speedup is read off one run:
+//
+//	go test -run='^$' -bench=. ./internal/tensor
 
 // wideElems is the parameter count of the wide benchmark model.
 const wideElems = 1_320_000
@@ -83,6 +85,66 @@ func BenchmarkFusedMomentumStep(b *testing.B) {
 				k.run()
 			}
 		})
+	}
+}
+
+// BenchmarkAxpySlice times the Eq. 7 accumulate loop (y += x) through the
+// scalar reference and the dispatched kernel. 4 Ki elements sit in L1,
+// where the vector width shows; 1 Mi (4 MiB) falls out of L2 and is
+// bandwidth-bound.
+func BenchmarkAxpySlice(b *testing.B) {
+	for _, n := range []int{1 << 12, 1 << 16, 1 << 20} {
+		x := make([]float32, n)
+		y := make([]float32, n)
+		fillPattern(x, 8)
+		fillPattern(y, 9)
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{
+			{"scalar", func() { axpySliceScalar(1, x, y) }},
+			{"dispatched", func() { AxpySlice(1, x, y) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%d", k.name, n), func(b *testing.B) {
+				b.SetBytes(int64(3 * 4 * n)) // x and y read, y written
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.run()
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkFusedElasticStep times the worker half of the elastic exchange
+// (T2: delta = α·(local − global), local −= delta) through the scalar
+// reference, the portable body and the dispatched kernel. global == local
+// keeps the iterated update stationary: otherwise local contracts onto
+// global, the differences fall into subnormals and the benchmark times FP
+// assists instead of the kernels.
+func BenchmarkFusedElasticStep(b *testing.B) {
+	for _, n := range []int{1 << 16, 1 << 20} {
+		local := make([]float32, n)
+		global := make([]float32, n)
+		delta := make([]float32, n)
+		fillPattern(local, 6)
+		copy(global, local)
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{
+			{"scalar", func() { fusedElasticStepScalar(0.3, delta, local, global) }},
+			{"portable", func() { fusedElasticStepUnrolled(0.3, delta, local, global) }},
+			{"dispatched", func() { FusedElasticStep(0.3, delta, local, global) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%d", k.name, n), func(b *testing.B) {
+				b.SetBytes(int64(4 * 4 * n)) // local and global read, local and delta written
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.run()
+				}
+			})
+		}
 	}
 }
 

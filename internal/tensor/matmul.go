@@ -25,8 +25,8 @@ const (
 	// of the single-panel cache residency only pay for themselves from
 	// ~128³ (1<<21) flops upward on 2-4 lanes; 1<<20 keeps a safety margin
 	// for wider pools while never selecting parallel where the scalar
-	// kernel wins (the 64³ BENCH_kernels.json row that regressed under the
-	// old 1<<18 threshold now stays scalar).
+	// kernel wins (BenchmarkGemm's 64³ size, which regressed under the old
+	// 1<<18 threshold, now stays scalar).
 	gemmParallelFlops = 1 << 20
 	// gemmBlockK/gemmBlockJ are the cache-block edge lengths: a K-panel of
 	// B (gemmBlockK rows × gemmBlockJ columns ≈ 256 KiB at float32) stays
@@ -238,20 +238,10 @@ func gemmRows(aRows, b, cRows []float32, rows, k, n int, acc bool) {
 	}
 }
 
-// Raw-slice gemm entry points. Gemm dispatches exactly like MatMul;
-// GemmScalar and GemmParallel pin one implementation each so that
-// cmd/benchtables can measure the scalar-vs-parallel speedup without
-// reaching through the Tensor API.
-
 // Gemm computes C = A×B on flat row-major slices: a (m×k), b (k×n),
-// c (m×n). Slices must have exactly those lengths.
+// c (m×n). Slices must have exactly those lengths. It dispatches exactly
+// like MatMul; BenchmarkGemm pins the scalar and parallel kernels apart.
 func Gemm(m, n, k int, a, b, c []float32) { gemm(m, n, k, a, b, c) }
-
-// GemmScalar always runs the scalar reference kernel.
-func GemmScalar(m, n, k int, a, b, c []float32) { gemmScalar(m, n, k, a, b, c) }
-
-// GemmParallel always runs the cache-blocked parallel kernel.
-func GemmParallel(m, n, k int, a, b, c []float32) { gemmParallel(m, n, k, a, b, c) }
 
 // MatMulTransA computes dst = aᵀ × b for a (k×m), b (k×n), dst (m×n).
 func MatMulTransA(a, b, dst *Tensor) error { return matMulTransA(a, b, dst, false) }

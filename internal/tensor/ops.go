@@ -19,11 +19,12 @@ func Axpy(alpha float32, x, y *Tensor) error {
 // AxpySlice computes y += alpha*x elementwise over raw slices.
 // It is exported because the SMB accumulate path operates on byte-decoded
 // float32 slices, not tensors. It dispatches through the kernel pointers
-// in dispatch.go; element order matches AxpySliceScalar exactly, so y may
-// alias x (same backing array and offset) with identical results. The
-// alpha==1 case — the SMB accumulate loop — routes to the plain add
-// kernel, which is bitwise-identical (1*x == x exactly, including NaN
-// quieting) and skips the broadcast multiply.
+// in dispatch.go; element order matches the scalar reference (the tests'
+// axpySliceScalar) exactly, so y may alias x (same backing array and
+// offset) with identical results. The alpha==1 case — the SMB accumulate
+// loop — routes to the plain add kernel, which is bitwise-identical
+// (1*x == x exactly, including NaN quieting) and skips the broadcast
+// multiply.
 //shm:hotpath
 func AxpySlice(alpha float32, x, y []float32) {
 	if alpha == 1 {
@@ -80,18 +81,6 @@ func addSliceUnrolled(x, y []float32) {
 	}
 	for ; i < n; i++ {
 		y[i] += x[i]
-	}
-}
-
-// AxpySliceScalar is the straight-line scalar reference for AxpySlice. The
-// equivalence tests and kernel benchmarks pin the unrolled body against it.
-func AxpySliceScalar(alpha float32, x, y []float32) {
-	n := len(x)
-	if len(y) < n {
-		n = len(y)
-	}
-	for i := 0; i < n; i++ {
-		y[i] += alpha * x[i]
 	}
 }
 

@@ -5,7 +5,7 @@ import "shmcaffe/internal/parallel"
 // Recycled parallel.Ranger adapters for the row/channel-partitioned kernels.
 //
 // A closure that captures its operands allocates at every call site (the
-// capture block escapes through the pool's task channel — BENCH_kernels.json
+// capture block escapes through the pool's task channel — BenchmarkGemm
 // measured 96 B/op on the gemm dispatch). Packaging the operands in a
 // recycled struct whose pointer implements Range keeps the dispatch at zero
 // allocations: interface conversion from a pointer stores the pointer

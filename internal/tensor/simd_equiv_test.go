@@ -42,7 +42,7 @@ func TestSimdTailAndOffsetEquivalence(t *testing.T) {
 					ys := raw(2)
 					yd := make([]float32, n)
 					copy(yd, ys)
-					AxpySliceScalar(alpha, x, ys)
+					axpySliceScalar(alpha, x, ys)
 					AxpySlice(alpha, x, yd)
 					for i := range ys {
 						if !bitwiseEqual32(ys[i], yd[i]) {

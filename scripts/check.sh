@@ -98,6 +98,13 @@ tier1() {
 		echo "function-style sync/atomic call found; use a typed atomic (see above)" >&2
 		return 1
 	fi
+	# Kernel and transport costs have one instrument each: go test -bench in
+	# the owning package and the repo benchmark's per-layer rows. The second
+	# harness (benchtables -kernels/-serve and its re-exec'd server) stays out.
+	if grep -rnE 'SHMCAFFE_BENCH_SERVE|MaybeServeBenchChild|KernelBench|BENCH_kernels' --include='*.go' .; then
+		echo "second benchmark harness found (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
@@ -116,7 +123,7 @@ tier2() {
 	go test -run='^$' -fuzz='^FuzzFusedKernels$' -fuzztime=100x ./internal/tensor
 	echo "== tier 2: bench smoke (1 iteration per benchmark) =="
 	go test -run='^$' -bench=. -benchtime=1x -benchmem \
-		./internal/parallel ./internal/tensor ./internal/smb ./internal/core
+		./internal/parallel ./internal/tensor ./internal/smb ./internal/core ./internal/nccl
 	echo "== tier 2: allocation regression guard =="
 	# Pins the zero-alloc contract of the SMB hot path (Store and
 	# StreamClient Read/Write/Accumulate, the WriteAccumulate push, pooled
