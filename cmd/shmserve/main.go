@@ -1,6 +1,6 @@
 // Command shmserve is the batching inference frontend: it serves forward
 // passes of an internal/nn model whose weights live in a trainer's SMB Wg
-// segment, refreshed through consistent copy-on-write snapshots
+// segment, refreshed through consistent snapshots
 // (Snapshot/SnapRead) instead of the live Read that tears under a write
 // storm. Point it at the same server and -job as a running
 // `shmtrain multiprocess` fleet and it serves the model the trainer is
@@ -291,7 +291,8 @@ func (s *server) initMetrics() {
 // refreshOnce takes one consistent cut of the weight segment and publishes
 // it. The snapshot is released immediately after the copy: the frontend
 // pins the cut only for the SnapRead, not between refreshes, so the store
-// retires the COW pages instead of accumulating one pinned set per cycle.
+// gets its cut buffer back for the next refresh instead of pinning one
+// segment-sized copy per cycle.
 // The cut is read straight into the spare weight buffer's memory (the wire
 // encoding of a []float32 is its little-endian memory) and published; the
 // buffer it replaces becomes the next spare, so a steady refresh allocates

@@ -1,6 +1,7 @@
 package smb
 
 import (
+	"runtime"
 	"testing"
 
 	"shmcaffe/internal/telemetry"
@@ -239,6 +240,62 @@ func TestSteadyStateZeroAllocWriteAccumulate(t *testing.T) {
 		}
 	}); n > eps {
 		t.Errorf("StreamClient.WriteAccumulate allocates %.1f per op, want ~0", n)
+	}
+}
+
+// TestSnapshotCycleAllocBytes pins the recycled cut buffer: once warm, one
+// Snapshot + whole-segment SnapRead + SnapRelease of a 1 MiB segment
+// allocates bookkeeping only (the snapshot record and the ID table), never
+// a segment-sized buffer — on a heap segment and on an exported one.
+func TestSnapshotCycleAllocBytes(t *testing.T) {
+	const size, limit, cycles = 1 << 20, 64 << 10, 10
+	for _, exported := range []bool{false, true} {
+		name := "heap"
+		if exported {
+			name = "exported"
+		}
+		t.Run(name, func(t *testing.T) {
+			store := NewStore()
+			if exported {
+				if err := store.EnableShm(); err != nil {
+					t.Skip("shm transport not supported on this platform/build")
+				}
+			}
+			key, err := store.Create("cycle/wg", size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := store.Attach(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seg, _ := store.lookupHandle(h); exported && seg.shm == nil {
+				t.Skip("memfd allocation fell back to a heap segment")
+			}
+			dst := make([]byte, size)
+			cycle := func() {
+				info, err := store.Snapshot(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := store.SnapRead(info.ID, 0, dst); err != nil {
+					t.Fatal(err)
+				}
+				if err := store.SnapRelease(info.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cycle() // the first cut allocates the buffer every later one reuses
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < cycles; i++ {
+				cycle()
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= limit {
+				t.Fatalf("snapshot cycle allocates %d B/op for a %d-byte segment, want < %d", per, size, limit)
+			}
+		})
 	}
 }
 

@@ -72,22 +72,15 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 		"reads served through client mappings", func() int64 { return s.shmCtlSum(shmOffReads) })
 	reg.CounterFunc("smb_shm_bytes_accumulated_total",
 		"payload bytes accumulated through client mappings", func() int64 { return s.shmCtlSum(shmOffBytesAcc) })
-	// Snapshot tier (snapshot.go): consistency-cut health. The retries
-	// counter is expected to tick under write storms (seqlock collisions are
-	// normal); retries_exhausted staying at zero is the serving SLO — it
-	// means no snapshot read ever fell back to blocking on a stripe lock.
+	// Snapshot tier (snapshot.go). smb_snap_gate_timeouts_total staying at
+	// zero is the serving SLO: every cut of an exported segment drained its
+	// mapped writers, so no refresh failed for want of a cut.
 	reg.CounterFunc("smb_snapshots_total", "snapshots taken", s.snapc.taken.Load)
 	reg.GaugeFunc("smb_snapshots_live", "published snapshots not yet released",
 		func() float64 { return float64(s.snapc.live.Load()) })
 	reg.CounterFunc("smb_snap_reads_total", "SnapRead verbs served", s.snapc.reads.Load)
-	reg.CounterFunc("smb_snap_cow_pages_total",
-		"stripe pre-images copied because a write landed on a live snapshot", s.snapc.cowPages.Load)
-	reg.CounterFunc("smb_snap_read_retries_total",
-		"seqlock retries during snapshot reads (torn stripes re-read)", s.snapc.retries.Load)
-	reg.CounterFunc("smb_snap_retries_exhausted_total",
-		"snapshot stripe reads that exhausted lock-free retries and fell back to the stripe lock", s.snapc.exhausted.Load)
 	reg.CounterFunc("smb_snap_gate_timeouts_total",
-		"shared-memory snapshot gates that timed out draining mapped writers and degraded to per-stripe copy", s.snapc.gateFails.Load)
+		"shared-memory snapshots refused because mapped writers did not drain from the snapshot gate in time", s.snapc.gateFails.Load)
 	s.inst.Store(&storeInstruments{
 		readLatency: reg.Histogram("smb_read_seconds",
 			"server-side Read latency", telemetry.DefLatencyBuckets),

@@ -23,8 +23,8 @@ import (
 // beyond the occasional contended-futex wait, and never the session's lock.
 // A handle that could not be mapped (heap-backed segment, wrapped socket)
 // falls through to the session's wire verb. Snapshot cuts happen server-side
-// (the server owns the epoch/COW machinery and drains mapped writers
-// through the shared gate), so the three snapshot verbs always ride the wire.
+// (the server drains mapped writers through the shared gate and copies the
+// segment), so the three snapshot verbs always ride the wire.
 //
 // Mutual exclusion against the server's own kernels and against other
 // mapped workers comes from the shared per-stripe lock words mirrored into

@@ -95,7 +95,7 @@ const (
 // milliseconds), so a drain that needs the full second means a mapped
 // client died mid-op; its orphaned hold cannot be attributed to a lease
 // (the count is anonymous by design — one word, many readers), so the cut
-// degrades to per-stripe atomicity instead of blocking forever.
+// fails with an error instead of blocking forever.
 const shmSnapDrainNs = int64(1_000_000_000)
 
 // shmLockContended marks a lock word with at least one futex waiter; the
@@ -387,19 +387,10 @@ func (seg *segment) lockStripe(ci int, timed bool) int64 {
 	if seg.shm != nil {
 		seg.shm.lockStripe(ci, shmServerLease)
 	}
-	// Snapshot hooks (snapshot.go): preserve the stripe's pre-image for
-	// any live lazy snapshot, then flag the stripe unstable — the COW page
-	// must be published before the epoch goes odd so a seqlock reader that
-	// sees the disturbance is guaranteed to find it.
-	if sl := seg.snaps.Load(); sl != nil {
-		seg.cowStripe(ci, *sl)
-	}
-	seg.epochs[ci].Add(1)
 	return w
 }
 
 func (seg *segment) unlockStripe(ci int) {
-	seg.epochs[ci].Add(1) // even again: stripe stable
 	if seg.shm != nil {
 		seg.shm.unlockStripe(ci, shmServerLease)
 	}

@@ -8,9 +8,10 @@ import "fmt"
 //   - opSnapshot    takes a consistent cut of one segment and pins it
 //     server-side; the reply is the (id, version, size) triple.
 //   - opSnapRead    reads a byte range out of a pinned snapshot. This is
-//     the serving hot path: against a lazy (heap) snapshot the server's
-//     read is lock-free, so a storm of accumulates cannot convoy readers.
-//   - opSnapRelease unpins a snapshot and recycles its COW pages.
+//     the serving hot path: the server copies out of the cut it already
+//     holds, with no lock, so a storm of accumulates cannot convoy readers.
+//   - opSnapRelease unpins a snapshot and hands its cut buffer back for
+//     the next cut.
 //
 // Snapshots are connection-independent server state keyed by SnapID — any
 // connection to the same server may read or release an id another produced

@@ -104,18 +104,12 @@ type segment struct {
 
 	// gate is the whole-operation fence snapshots cut against
 	// (snapshot.go): every mutating op holds it in read mode for its full
-	// stripe sweep, Store.Snapshot takes it exclusively for the brief cut.
-	// Uncontended in steady state, so the write path stays wait-free.
+	// stripe sweep, Store.Snapshot takes it exclusively while it copies the
+	// cut. Uncontended in steady state, so the write path stays wait-free.
 	gate sync.RWMutex
-	// epochs are the per-stripe seqlock words: a stripe's epoch is odd
-	// while a writer holds it exclusively, bumped again (even) on release.
-	// Snapshot readers validate lock-free copies of pristine stripes
-	// against them.
-	epochs []atomic.Uint64
-	// snaps lists the live lazy snapshots writers must preserve
-	// pre-images for; nil when none (the steady-state load is one pointer
-	// check per stripe write).
-	snaps atomic.Pointer[[]*snapState]
+	// spare is the cut buffer of the last released snapshot: the next
+	// Snapshot copies into it instead of allocating a segment-sized buffer.
+	spare atomic.Pointer[[]byte]
 }
 
 // numChunks returns the stripe count for a segment of size bytes.
@@ -188,10 +182,9 @@ func (s *Store) Create(name string, size int) (SHMKey, error) {
 	s.nextKey++
 	key := s.nextKey
 	seg := &segment{
-		key:    key,
-		name:   name,
-		locks:  make([]sync.RWMutex, numChunks(size)),
-		epochs: make([]atomic.Uint64, numChunks(size)),
+		key:   key,
+		name:  name,
+		locks: make([]sync.RWMutex, numChunks(size)),
 	}
 	if s.shmOn.Load() {
 		sh, err := newShmShared(size)
@@ -301,10 +294,16 @@ func (s *Store) Version(h Handle) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return seg.loadVersion(), nil
+}
+
+// loadVersion returns the segment's version: the shared control-page word
+// for an exported segment, where mapped clients bump it too.
+func (seg *segment) loadVersion() uint64 {
 	if seg.shm != nil {
-		return seg.shm.version(), nil
+		return seg.shm.version()
 	}
-	return seg.version.Load(), nil
+	return seg.version.Load()
 }
 
 // Read copies len(dst) bytes from the segment at off into dst — the RDMA

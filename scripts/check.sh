@@ -105,6 +105,13 @@ tier1() {
 		echo "second benchmark harness found (see above)" >&2
 		return 1
 	fi
+	# A snapshot is one copy under the op gate for every segment: the lazy
+	# copy-on-write machinery (pre-image pages, per-stripe seqlock words, the
+	# optimistic stripe reader) stays out of the store.
+	if grep -nE 'cowStripe|snapPagePool|snapReadStripe|epochs' internal/smb/*.go | grep -v '_test.go:'; then
+		echo "lazy snapshot machinery found in internal/smb (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
@@ -114,7 +121,7 @@ tier2() {
 	go test -race ./internal/smb ./internal/ps ./internal/core ./internal/rds ./internal/telemetry ./cmd/shmserve
 	echo "== tier 2: fuzz smoke (100 execs per target) =="
 	# go test accepts exactly one -fuzz pattern per invocation.
-	for target in FuzzDispatch FuzzFrameRoundTrip FuzzReadFrame; do
+	for target in FuzzDispatch FuzzFrameRoundTrip FuzzReadFrame FuzzSnapVerbs; do
 		go test -run='^$' -fuzz="^${target}\$" -fuzztime=100x ./internal/smb
 	done
 	for target in FuzzParseNetSpec FuzzLoadCheckpoint; do
@@ -127,12 +134,13 @@ tier2() {
 	echo "== tier 2: allocation regression guard =="
 	# Pins the zero-alloc contract of the SMB hot path (Store and
 	# StreamClient Read/Write/Accumulate, the WriteAccumulate push, pooled
-	# wire scratch), the fused worker exchange step, the pooled
+	# wire scratch), the store's recycled snapshot cut buffers (no
+	# segment-sized buffer per cut), the fused worker exchange step, the pooled
 	# parallel.For/ForRanger dispatch, the byte budget of one wide-model
 	# solver Step (no parameter-sized temporaries) and of one batch-16
 	# SmallCNN Step (no per-sample conv scratch), and shmserve's recycled
 	# weight cuts (no weight-sized buffers per refresh).
-	go test -run='TestSteadyStateZeroAlloc|TestReadInt64Slots|TestSnapReadZeroAlloc' -count=1 ./internal/smb
+	go test -run='TestSteadyStateZeroAlloc|TestReadInt64Slots|TestSnapReadZeroAlloc|TestSnapshotCycleAllocBytes' -count=1 ./internal/smb
 	go test -run='TestRecordingZeroAlloc|TestSpanZeroAlloc|TestEventRecordZeroAlloc' -count=1 ./internal/telemetry
 	go test -run='TestFusedStepAndPushZeroAlloc' -count=1 ./internal/core
 	go test -run='TestWideStepAllocBytes|TestSmallCNNStepAllocBytes' -count=1 ./internal/nn
@@ -522,9 +530,9 @@ shm_smoke() {
 # into its Wg, and the shmserve frontend refreshing that Wg via snapshots
 # while the built-in load generator hammers /infer. Proves (a) the frontend
 # serves real inferences off consistent cuts while the segment is being
-# stormed (latency histogram + fresh snapshot-age gauge), and (b) no
-# snapshot read ever exhausted its seqlock retries and fell through
-# inconsistently (smb_snap_retries_exhausted_total stays 0 server-side).
+# stormed (latency histogram + fresh snapshot-age gauge), and (b) cuts were
+# taken and none timed out draining mapped writers (server-side
+# smb_snapshots_total >= 2 and smb_snap_gate_timeouts_total == 0).
 serve_smoke() {
 	tmpdir5="$(mktemp -d)"
 	trap 'clean_smoke' EXIT
@@ -606,8 +614,8 @@ serve_smoke() {
 		return 1
 	fi
 
-	# (b) Server-side snapshot counters: cuts were taken and served, and no
-	# snapshot read ever exhausted its retries (the consistency SLO).
+	# (b) Server-side snapshot counters: cuts were taken, and none timed out
+	# on a gate drain (the consistency SLO).
 	curl -fsS "http://$http/metrics" >"$tmpdir5/smb-metrics.txt" 2>/dev/null || {
 		echo "serve smoke: server /metrics scrape failed" >&2
 		kill "$serve_pid" "$train_pid" "$server_pid" 2>/dev/null || true
@@ -621,13 +629,13 @@ serve_smoke() {
 		grep 'smb_snap' "$tmpdir5/smb-metrics.txt" >&2 || true
 		return 1
 	fi
-	exhausted="$(sed -n 's/^smb_snap_retries_exhausted_total \([0-9]*\).*/\1/p' "$tmpdir5/smb-metrics.txt" | head -1)"
-	if [ "${exhausted:-missing}" != "0" ]; then
-		echo "serve smoke: smb_snap_retries_exhausted_total = '${exhausted:-missing}', want 0" >&2
+	timeouts="$(sed -n 's/^smb_snap_gate_timeouts_total \([0-9]*\).*/\1/p' "$tmpdir5/smb-metrics.txt" | head -1)"
+	if [ "${timeouts:-missing}" != "0" ]; then
+		echo "serve smoke: smb_snap_gate_timeouts_total = '${timeouts:-missing}', want 0" >&2
 		grep 'smb_snap' "$tmpdir5/smb-metrics.txt" >&2 || true
 		return 1
 	fi
-	echo "serve smoke: OK ($infers inferences off $snaps snapshots, age ${age}s, 0 exhausted retries; $(cat "$tmpdir5/loadgen.log"))"
+	echo "serve smoke: OK ($infers inferences off $snaps snapshots, age ${age}s, 0 gate timeouts; $(cat "$tmpdir5/loadgen.log"))"
 }
 
 case "$tier" in
