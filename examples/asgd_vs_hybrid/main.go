@@ -79,10 +79,6 @@ func finalLoss(hideRead bool) (float64, error) {
 		return 0, err
 	}
 	store := shmcaffe.NewStore()
-	world, err := shmcaffe.NewWorld(workers)
-	if err != nil {
-		return 0, err
-	}
 	solver := shmcaffe.DefaultSolverConfig()
 	solver.BaseLR = 0.05
 
@@ -108,13 +104,8 @@ func finalLoss(hideRead bool) (float64, error) {
 				if err != nil {
 					return err
 				}
-				comm, err := world.Comm(r)
-				if err != nil {
-					return err
-				}
 				w, err := shmcaffe.NewWorker(shmcaffe.WorkerConfig{
 					Job:            fmt.Sprintf("ablation-%v", hideRead),
-					Comm:           comm,
 					Client:         shmcaffe.NewLocalClient(store),
 					Net:            net,
 					Solver:         solver,
@@ -123,7 +114,7 @@ func finalLoss(hideRead bool) (float64, error) {
 					MaxIterations:  iters,
 					Loader:         loader,
 					HideGlobalRead: hideRead,
-				})
+				}, r, workers)
 				if err != nil {
 					return err
 				}

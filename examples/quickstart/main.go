@@ -48,19 +48,13 @@ func run() error {
 	//    for DialSMB("host:7700") to use a remote one (cmd/smbserver).
 	store := shmcaffe.NewStore()
 
-	// 3. An MPI world: rank 0 is the master worker that creates the
-	//    shared Wg buffer and broadcasts its SHM key (paper Fig. 2).
-	world, err := shmcaffe.NewWorld(workers)
-	if err != nil {
-		return err
-	}
-
 	solver := shmcaffe.DefaultSolverConfig()
 	solver.BaseLR = 0.05
 	itersPerEpoch := train.Len() / (batch * workers)
 
-	// 4. One goroutine per worker: build a replica, shard the data,
-	//    run SEASGD.
+	// 3. One goroutine per worker: build a replica, shard the data,
+	//    run SEASGD. Rank 0 is the master worker that creates the shared
+	//    Wg buffer; the others find it by name on the server (Fig. 2).
 	var wg sync.WaitGroup
 	stats := make([]*shmcaffe.RunStats, workers)
 	errs := make([]error, workers)
@@ -83,13 +77,8 @@ func run() error {
 				if err != nil {
 					return err
 				}
-				comm, err := world.Comm(r)
-				if err != nil {
-					return err
-				}
 				worker, err := shmcaffe.NewWorker(shmcaffe.WorkerConfig{
 					Job:           "quickstart",
-					Comm:          comm,
 					Client:        shmcaffe.NewLocalClient(store),
 					Net:           net,
 					Solver:        solver,
@@ -97,7 +86,7 @@ func run() error {
 					Termination:   shmcaffe.StopOnMaster,
 					MaxIterations: itersPerEpoch * epochs,
 					Loader:        loader,
-				})
+				}, r, workers)
 				if err != nil {
 					return err
 				}
@@ -113,7 +102,7 @@ func run() error {
 		}
 	}
 
-	// 5. The trained model is the *global* weight Wg on the SMB server.
+	// 4. The trained model is the *global* weight Wg on the SMB server.
 	client := shmcaffe.NewLocalClient(store)
 	names := shmcaffe.SegmentNames{Job: "quickstart"}
 	key, err := client.Lookup(names.Global())

@@ -29,10 +29,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := shmcaffe.NewStore()
-	world, err := shmcaffe.NewWorld(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
 	solver := shmcaffe.DefaultSolverConfig()
 	solver.BaseLR = 0.05
 
@@ -57,13 +53,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				comm, err := world.Comm(r)
-				if err != nil {
-					return err
-				}
 				w, err := shmcaffe.NewWorker(shmcaffe.WorkerConfig{
 					Job:           "facade",
-					Comm:          comm,
 					Client:        shmcaffe.NewLocalClient(store),
 					Net:           net,
 					Solver:        solver,
@@ -71,7 +62,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 					Termination:   shmcaffe.StopOnMaster,
 					MaxIterations: 40,
 					Loader:        loader,
-				})
+				}, r, workers)
 				if err != nil {
 					return err
 				}

@@ -6,7 +6,6 @@ import (
 
 	"shmcaffe/internal/core"
 	"shmcaffe/internal/dataset"
-	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/nn"
 	"shmcaffe/internal/ps"
 	"shmcaffe/internal/smb"
@@ -135,10 +134,6 @@ func RelatedWorkDisciplines(workers int, o ConvergenceOptions) (*trace.Table, er
 
 	// SEASGD through the SMB buffer.
 	store := smb.NewStore()
-	world, err := mpi.NewWorld(workers)
-	if err != nil {
-		return nil, err
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for r := 0; r < workers; r++ {
@@ -151,18 +146,13 @@ func RelatedWorkDisciplines(workers int, o ConvergenceOptions) (*trace.Table, er
 				errs[r] = err
 				return
 			}
-			comm, err := world.Comm(r)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			w, err := core.NewWorker(core.WorkerConfig{
-				Job: "rw", Comm: comm, Client: smb.NewLocalClient(store),
+			w, err := core.NewWorkerPolling(core.WorkerConfig{
+				Job: "rw", Client: smb.NewLocalClient(store),
 				Net: net, Solver: solver,
 				Elastic:       core.DefaultElasticConfig(),
 				Termination:   core.StopIndependently,
 				MaxIterations: iters, Loader: loader,
-			})
+			}, r, workers, core.BootstrapOptions{})
 			if err != nil {
 				errs[r] = err
 				return

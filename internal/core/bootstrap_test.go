@@ -10,11 +10,10 @@ import (
 	"shmcaffe/internal/telemetry"
 )
 
-// TestPollingBootstrapTrains forms a 3-worker job with no MPI at all —
-// only the SMB store for rendezvous — and verifies training proceeds
-// exactly as with the MPI bootstrap.
+// TestPollingBootstrapTrains forms a 3-worker job with nothing but the SMB
+// store for rendezvous and verifies every rank trains and pushes.
 func TestPollingBootstrapTrains(t *testing.T) {
-	job := newTestJob(t, 3, 51) // world only used for data sharding here
+	job := newTestJob(t, 3, 51)
 	opts := BootstrapOptions{PollInterval: time.Millisecond, Timeout: 10 * time.Second}
 
 	stats := make([]*RunStats, 3)
@@ -26,7 +25,6 @@ func TestPollingBootstrapTrains(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			cfg := job.workerConfig(t, r, "pjob")
-			cfg.Comm = nil // the polling path forbids a communicator
 			cfg.MaxIterations = 30
 			w, err := NewWorkerPolling(cfg, r, 3, opts)
 			if err != nil {
@@ -57,13 +55,11 @@ func TestPollingBootstrapTrains(t *testing.T) {
 func TestPollingBootstrapValidation(t *testing.T) {
 	job := newTestJob(t, 1, 52)
 	cfg := job.workerConfig(t, 0, "v")
-	cfg.Comm = nil
 	if _, err := NewWorkerPolling(cfg, 0, 0, BootstrapOptions{}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("want ErrConfig for world 0, got %v", err)
 	}
-	cfgWithComm := job.workerConfig(t, 0, "v2")
-	if _, err := NewWorkerPolling(cfgWithComm, 0, 1, BootstrapOptions{}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("want ErrConfig when comm set, got %v", err)
+	if _, err := NewWorkerPolling(cfg, 2, 2, BootstrapOptions{}); !errors.Is(err, ErrConfig) {
+		t.Fatalf("want ErrConfig for rank 2 of 2, got %v", err)
 	}
 }
 
@@ -79,50 +75,35 @@ type tracingClient struct {
 func (c *tracingClient) SetTraceContext(tc smb.TraceContext) { c.sets++; c.last = tc }
 func (c *tracingClient) ClearTraceContext()                  { c.clears++ }
 
-// TestBootstrapCapturesCarrier: both bootstraps build their JobBuffers
-// through one constructor, and a traced push through either hands its
-// context to the client. The polling bootstrap once had its own copy that
-// dropped the trace surface, so every multi-process worker (they all
-// bootstrap by polling) ran untraced and the merged fleet trace had zero
-// cross-node chains.
+// TestBootstrapCapturesCarrier: the bootstrap builds its JobBuffers around
+// the caller's client, and a traced push hands its context to that client.
+// The polling bootstrap once had its own copy that dropped the trace
+// surface, so every multi-process worker ran untraced and the merged fleet
+// trace had zero cross-node chains.
 func TestBootstrapCapturesCarrier(t *testing.T) {
 	job := newTestJob(t, 1, 54)
 	elems := job.nets[0].NumParams()
 	weights := make([]float32, elems)
-	comm, err := job.world.Comm(0)
+	tel := telemetry.NewTrainer(telemetry.NewRegistry(), 64)
+	client := &tracingClient{Client: smb.NewLocalClient(job.store)}
+	opts := BootstrapOptions{PollInterval: time.Millisecond, Timeout: 10 * time.Second}
+	bufs, err := SetupBuffersPolling(client, "carrier", 0, 1, elems, weights, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bootstraps := map[string]func(c smb.Client, job string) (*JobBuffers, error){
-		"mpi": func(c smb.Client, job string) (*JobBuffers, error) {
-			return SetupBuffers(comm, c, job, elems, weights)
-		},
-		"polling": func(c smb.Client, job string) (*JobBuffers, error) {
-			opts := BootstrapOptions{PollInterval: time.Millisecond, Timeout: 10 * time.Second}
-			return SetupBuffersPolling(c, job, 0, 1, elems, weights, opts)
-		},
+	if err := bufs.pushTraced(tel, 1, 7, weights); err != nil {
+		t.Fatal(err)
 	}
-	tel := telemetry.NewTrainer(telemetry.NewRegistry(), 64)
-	for name, setup := range bootstraps {
-		client := &tracingClient{Client: smb.NewLocalClient(job.store)}
-		bufs, err := setup(client, name+"/carrier")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bufs.pushTraced(tel, 1, 7, weights); err != nil {
-			t.Fatal(err)
-		}
-		if client.sets != 1 || client.clears != 1 || client.last.TraceID == 0 || client.last.Iter != 7 {
-			t.Errorf("%s bootstrap: traced push made %d sets / %d clears with context %+v, want one stamped push",
-				name, client.sets, client.clears, client.last)
-		}
-		// Telemetry off: the client is never asked to stamp.
-		if err := bufs.pushTraced(nil, 1, 8, weights); err != nil {
-			t.Fatal(err)
-		}
-		if client.sets != 1 {
-			t.Errorf("%s bootstrap: an untraced push stamped a context", name)
-		}
+	if client.sets != 1 || client.clears != 1 || client.last.TraceID == 0 || client.last.Iter != 7 {
+		t.Errorf("traced push made %d sets / %d clears with context %+v, want one stamped push",
+			client.sets, client.clears, client.last)
+	}
+	// Telemetry off: the client is never asked to stamp.
+	if err := bufs.pushTraced(nil, 1, 8, weights); err != nil {
+		t.Fatal(err)
+	}
+	if client.sets != 1 {
+		t.Error("an untraced push stamped a context")
 	}
 }
 
@@ -131,7 +112,6 @@ func TestBootstrapCapturesCarrier(t *testing.T) {
 func TestPollingBootstrapTimesOutWithoutMaster(t *testing.T) {
 	job := newTestJob(t, 2, 53)
 	cfg := job.workerConfig(t, 1, "orphan")
-	cfg.Comm = nil
 	opts := BootstrapOptions{PollInterval: time.Millisecond, Timeout: 50 * time.Millisecond}
 	if _, err := NewWorkerPolling(cfg, 1, 2, opts); !errors.Is(err, ErrConfig) {
 		t.Fatalf("want timeout error, got %v", err)

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/smb"
 	"shmcaffe/internal/telemetry"
 	"shmcaffe/internal/tensor"
@@ -46,109 +44,6 @@ const deadTombstone int64 = -1
 // diagnostics that read the control segment from outside the worker
 // (fleet aggregators, tests).
 const DeadTombstone = deadTombstone
-
-// SetupBuffers performs the Fig. 2 bootstrap. The master (rank 0) creates
-// the Wg and control segments and seeds Wg with initWeights; every rank
-// creates its own increment segment; the master broadcasts the Wg SHM key
-// over MPI and everyone attaches. The call is collective: all ranks of
-// comm's world must invoke it.
-func SetupBuffers(comm *mpi.Comm, client smb.Client, job string, elems int, initWeights []float32) (*JobBuffers, error) {
-	if elems <= 0 {
-		return nil, fmt.Errorf("setup %q with %d elements: %w", job, elems, ErrConfig)
-	}
-	names := smb.SegmentNames{Job: job}
-	n := comm.Size()
-	rank := comm.Rank()
-
-	var globalKey smb.SHMKey
-	if rank == 0 {
-		key, err := createJob(client, names, n, elems, initWeights)
-		if err != nil {
-			return nil, err
-		}
-		globalKey = key
-	}
-
-	// Broadcast the SHM key (Fig. 2 "Broadcast SHM key").
-	var keyBuf [8]byte
-	binary.LittleEndian.PutUint64(keyBuf[:], uint64(globalKey))
-	out, err := comm.Bcast(0, keyBuf[:])
-	if err != nil {
-		return nil, fmt.Errorf("broadcast shm key: %w", err)
-	}
-	globalKey = smb.SHMKey(binary.LittleEndian.Uint64(out))
-
-	b, err := attachJob(client, names, rank, n, elems, globalKey)
-	if err != nil {
-		return nil, err
-	}
-	// All ranks attached before anyone starts writing.
-	comm.Barrier()
-	return b, nil
-}
-
-// createJob is the master's half of both rendezvous flavours: create Wg and
-// the control segment, and seed Wg with initWeights so all replicas start
-// from the same point (master worker "initializes parameter", Sec. III-A).
-func createJob(client smb.Client, names smb.SegmentNames, n, elems int, initWeights []float32) (smb.SHMKey, error) {
-	if len(initWeights) != elems {
-		return 0, fmt.Errorf("setup %q: %d init weights for %d elements: %w",
-			names.Job, len(initWeights), elems, ErrConfig)
-	}
-	key, err := client.Create(names.Global(), elems*4)
-	if err != nil {
-		return 0, fmt.Errorf("create global: %w", err)
-	}
-	if _, err := client.Create(names.Control(), controlSize(n)); err != nil {
-		return 0, fmt.Errorf("create control: %w", err)
-	}
-	h, err := client.Attach(key)
-	if err != nil {
-		return 0, fmt.Errorf("attach global for init: %w", err)
-	}
-	if err := client.Write(h, 0, tensor.Float32Bytes(initWeights)); err != nil {
-		return 0, fmt.Errorf("seed global: %w", err)
-	}
-	if err := client.Detach(h); err != nil {
-		return 0, fmt.Errorf("detach init handle: %w", err)
-	}
-	return key, nil
-}
-
-// attachJob is the bootstrap tail both rendezvous flavours share: attach
-// Wg, create and attach this rank's ΔWx, attach the control segment, and
-// build the JobBuffers around them.
-func attachJob(client smb.Client, names smb.SegmentNames, rank, n, elems int, globalKey smb.SHMKey) (*JobBuffers, error) {
-	global, err := client.Attach(globalKey)
-	if err != nil {
-		return nil, fmt.Errorf("attach global: %w", err)
-	}
-	incrKey, err := client.Create(names.Increment(rank), elems*4)
-	if err != nil {
-		return nil, fmt.Errorf("create increment: %w", err)
-	}
-	incr, err := client.Attach(incrKey)
-	if err != nil {
-		return nil, fmt.Errorf("attach increment: %w", err)
-	}
-	ctlKey, err := client.Lookup(names.Control())
-	if err != nil {
-		return nil, fmt.Errorf("lookup control: %w", err)
-	}
-	control, err := client.Attach(ctlKey)
-	if err != nil {
-		return nil, fmt.Errorf("attach control: %w", err)
-	}
-	return &JobBuffers{
-		client:  client,
-		rank:    rank,
-		n:       n,
-		elems:   elems,
-		global:  global,
-		incr:    incr,
-		control: control,
-	}, nil
-}
 
 // ReadGlobal fetches Wg into dst (len elems) — the T1 step. The segment's
 // bytes land straight in dst's memory (the SMB wire encoding of a []float32

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/smb"
 )
 
@@ -13,10 +12,6 @@ import (
 func setupPair(t *testing.T, job string) (store *smb.Store, bufs []*JobBuffers) {
 	t.Helper()
 	store = smb.NewStore()
-	world, err := mpi.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bufs = make([]*JobBuffers, 2)
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
@@ -25,11 +20,6 @@ func setupPair(t *testing.T, job string) (store *smb.Store, bufs []*JobBuffers) 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			comm, err := world.Comm(r)
-			if err != nil {
-				errs[r] = err
-				return
-			}
 			var seed []float32
 			if r == 0 {
 				seed = make([]float32, 8)
@@ -37,7 +27,7 @@ func setupPair(t *testing.T, job string) (store *smb.Store, bufs []*JobBuffers) 
 					seed[i] = float32(i)
 				}
 			}
-			bufs[r], errs[r] = SetupBuffers(comm, smb.NewLocalClient(store), job, 8, seed)
+			bufs[r], errs[r] = SetupBuffersPolling(smb.NewLocalClient(store), job, r, 2, 8, seed, BootstrapOptions{})
 		}()
 	}
 	wg.Wait()
@@ -134,13 +124,11 @@ func TestJobBuffersClose(t *testing.T) {
 }
 
 func TestSetupBuffersValidation(t *testing.T) {
-	world, _ := mpi.NewWorld(1)
-	comm, _ := world.Comm(0)
 	client := smb.NewLocalClient(smb.NewStore())
-	if _, err := SetupBuffers(comm, client, "x", 0, nil); !errors.Is(err, ErrConfig) {
+	if _, err := SetupBuffersPolling(client, "x", 0, 1, 0, nil, BootstrapOptions{}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("want ErrConfig for 0 elems, got %v", err)
 	}
-	if _, err := SetupBuffers(comm, client, "x", 8, []float32{1}); !errors.Is(err, ErrConfig) {
+	if _, err := SetupBuffersPolling(client, "x", 0, 1, 8, []float32{1}, BootstrapOptions{}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("want ErrConfig for short seed, got %v", err)
 	}
 }

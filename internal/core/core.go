@@ -8,8 +8,8 @@
 //     by the functional runtime and the baselines.
 //   - A functional distributed runtime (worker.go, hybrid.go): workers
 //     with the Fig. 6 main-thread/update-thread overlap, SMB buffer layout
-//     of Fig. 5, the Fig. 2 key-exchange bootstrap over MPI, and the
-//     Sec. III-E termination-alignment protocol.
+//     of Fig. 5, the Fig. 2 key-exchange bootstrap on the SMB server
+//     (bootstrap.go), and the Sec. III-E termination-alignment protocol.
 package core
 
 import (

@@ -26,7 +26,7 @@ type exchange struct {
 	tel           *telemetry.Trainer
 	mainTID       int32
 	updateTID     int32
-	// Worker-only ablations, set by newWorkerFromBuffers before start (a
+	// Worker-only ablations, set by NewWorkerPolling before start (a
 	// group leaves them zero): push inline on the caller's track; serve T2
 	// from cachedGlobal, refreshed in T.A4.
 	disableOverlap bool

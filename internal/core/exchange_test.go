@@ -83,9 +83,10 @@ var exchangeDrivers = []struct {
 	run  func(t *testing.T, client smb.Client, policy TerminationPolicy, liveness time.Duration) exchangeOutcome
 }{
 	{"worker", func(t *testing.T, client smb.Client, policy TerminationPolicy, liveness time.Duration) exchangeOutcome {
-		cfg := newTestJob(t, 1, 5).workerConfig(t, 0, "job")
+		job := newTestJob(t, 1, 5)
+		cfg := job.workerConfig(t, 0, "job")
 		cfg.Client, cfg.Termination, cfg.LivenessTimeout = client, policy, liveness
-		w, err := NewWorker(cfg)
+		w, err := job.newWorker(cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ var exchangeDrivers = []struct {
 		configs, _, _ := buildHybridJob(t, 1, 1, 5)
 		cfg := configs[0]
 		cfg.Client, cfg.Termination, cfg.LivenessTimeout = client, policy, liveness
-		g, err := NewHybridGroup(cfg)
+		g, err := NewHybridGroup(cfg, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,9 +193,10 @@ func TestExchangeContract(t *testing.T) {
 // driver last polled asyncErr clean. The next steps must hand the failure
 // back rather than park on a wake nobody will take.
 func TestExchangeStepAfterThreadDeath(t *testing.T) {
-	cfg := newTestJob(t, 1, 5).workerConfig(t, 0, "job")
+	job := newTestJob(t, 1, 5)
+	cfg := job.workerConfig(t, 0, "job")
 	cfg.Client = &probeClient{Client: smb.NewLocalClient(smb.NewStore()), failAt: 1}
-	w, err := NewWorker(cfg)
+	w, err := job.newWorker(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,10 +248,10 @@ func TestFlagStopSeesTombstone(t *testing.T) {
 			if r == 0 {
 				cfg.Termination = StopOnMaster
 				cfg.LivenessTimeout = time.Minute
-				w, errs[r] = NewWorker(cfg)
+				w, errs[r] = job.newWorker(cfg, r)
 				return
 			}
-			bufs[r], errs[r] = SetupBuffers(cfg.Comm, cfg.Client, cfg.Job, cfg.Net.NumParams(), nil)
+			bufs[r], errs[r] = SetupBuffersPolling(cfg.Client, cfg.Job, r, 3, cfg.Net.NumParams(), nil, BootstrapOptions{})
 		}()
 	}
 	wg.Wait()

@@ -20,7 +20,7 @@ import (
 // to fail: it returns per-rank stats and errors instead of failing the test.
 func runWorkersAllowFail(t *testing.T, job *testJob, mutate func(rank int, cfg *WorkerConfig)) ([]*RunStats, []error) {
 	t.Helper()
-	n := job.world.Size()
+	n := len(job.nets)
 	stats := make([]*RunStats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -33,7 +33,7 @@ func runWorkersAllowFail(t *testing.T, job *testJob, mutate func(rank int, cfg *
 			if mutate != nil {
 				mutate(r, &cfg)
 			}
-			w, err := NewWorker(cfg)
+			w, err := job.newWorker(cfg, r)
 			if err != nil {
 				errs[r] = err
 				return
@@ -215,10 +215,12 @@ func TestMasterCrashSurvivorsReElect(t *testing.T) {
 func TestAverageExcludesDeadWorker(t *testing.T) {
 	const target = 30
 	job := newTestJob(t, 4, 23)
+	hold := holdUntilDead(3)
 	stats, errs := runWorkersAllowFail(t, job, func(rank int, cfg *WorkerConfig) {
 		cfg.Termination = StopOnAverage
 		cfg.MaxIterations = target
 		cfg.LivenessTimeout = 10 * time.Second
+		cfg.Hook = hold
 		if rank == 3 {
 			cfg.Hook = func(w *Worker, iter int) error {
 				if iter >= 3 {
@@ -289,7 +291,7 @@ func TestHybridGroupShrinksPastFailedMember(t *testing.T) {
 	}
 	configs[0].Loaders[2] = loader
 
-	g, err := NewHybridGroup(configs[0])
+	g, err := NewHybridGroup(configs[0], 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,15 +359,20 @@ func TestFaultyTrainingRunAcceptance(t *testing.T) {
 	}
 
 	job := newTestJob(t, n, 41)
+	hold := holdUntilDead(3)
 	var restartOnce sync.Once
 	stats, errs := runWorkersAllowFail(t, job, func(rank int, cfg *WorkerConfig) {
 		cfg.Client = clients[rank]
 		cfg.Termination = StopOnAverage
 		cfg.MaxIterations = target
 		cfg.LivenessTimeout = 10 * time.Second
+		cfg.Hook = hold
 		switch rank {
 		case 0:
 			cfg.Hook = func(w *Worker, iter int) error {
+				if err := hold(w, iter); err != nil {
+					return err
+				}
 				if iter == 8 {
 					restartOnce.Do(func() {
 						if err := rs.Crash(); err != nil {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"shmcaffe/internal/dataset"
-	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/nccl"
 	"shmcaffe/internal/nn"
 	"shmcaffe/internal/smb"
@@ -22,9 +21,6 @@ import (
 type HybridGroupConfig struct {
 	// Job names the SMB segment family (shared across groups).
 	Job string
-	// Comm is the root's MPI endpoint. The SMB world has one rank per
-	// group; rank 0's group is the Master Worker Group of Fig. 4.
-	Comm *mpi.Comm
 	// Client connects to the SMB server (used by the root only).
 	Client smb.Client
 	// Nets holds one model replica per group member; Nets[0] is the root.
@@ -56,8 +52,8 @@ type HybridGroupConfig struct {
 
 // Validate checks the configuration.
 func (c *HybridGroupConfig) Validate() error {
-	if c.Comm == nil || c.Client == nil {
-		return fmt.Errorf("hybrid group needs comm and client: %w", ErrConfig)
+	if c.Client == nil {
+		return fmt.Errorf("hybrid group needs a client: %w", ErrConfig)
 	}
 	if len(c.Nets) == 0 || len(c.Nets) != len(c.Loaders) {
 		return fmt.Errorf("hybrid group has %d nets and %d loaders: %w",
@@ -88,8 +84,9 @@ type GroupStats struct {
 	DeadPeers []int
 }
 
-// HybridGroup runs HSGD for one worker group. All groups of a job must be
-// constructed concurrently (the bootstrap is collective over Comm's world).
+// HybridGroup runs HSGD for one worker group. Every group of a job must be
+// constructed, concurrently or from separate processes: the bootstrap's
+// ready barrier waits for every group root.
 // The root member drives the group's exchange engine — the same Fig. 6
 // procedure and termination protocol a Worker runs; the group owns the
 // member goroutines, the all-reduce, the broadcast and the shrink past a
@@ -102,8 +99,10 @@ type HybridGroup struct {
 }
 
 // NewHybridGroup validates cfg, initializes the intra-node NCCL group, and
-// performs the collective SMB bootstrap with the other group roots.
-func NewHybridGroup(cfg HybridGroupConfig) (*HybridGroup, error) {
+// bootstraps the root as rank of a world-rank SMB job (SetupBuffersPolling):
+// the SMB world has one rank per group, and rank 0's group is the Master
+// Worker Group of Fig. 4.
+func NewHybridGroup(cfg HybridGroupConfig, rank, world int) (*HybridGroup, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -119,14 +118,14 @@ func NewHybridGroup(cfg HybridGroupConfig) (*HybridGroup, error) {
 		return nil, err
 	}
 	var seed []float32
-	if cfg.Comm.Rank() == 0 {
+	if rank == 0 {
 		seed = cfg.Nets[0].FlatWeights(nil)
 	}
-	buffers, err := SetupBuffers(cfg.Comm, cfg.Client, cfg.Job, elems, seed)
+	buffers, err := SetupBuffersPolling(cfg.Client, cfg.Job, rank, world, elems, seed, BootstrapOptions{})
 	if err != nil {
-		return nil, fmt.Errorf("group %d setup: %w", cfg.Comm.Rank(), err)
+		return nil, fmt.Errorf("group %d setup: %w", rank, err)
 	}
-	cfg.Telemetry.NameWorker(cfg.Comm.Rank())
+	cfg.Telemetry.NameWorker(rank)
 	return &HybridGroup{
 		cfg:     cfg,
 		buffers: buffers,
@@ -161,7 +160,7 @@ func (g *HybridGroup) Run() (stats *GroupStats, err error) {
 		}
 	}
 
-	stats = &GroupStats{GroupRank: cfg.Comm.Rank()}
+	stats = &GroupStats{GroupRank: g.buffers.Rank()}
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 
@@ -211,7 +210,7 @@ func (g *HybridGroup) Run() (stats *GroupStats, err error) {
 		}
 	}
 	if stats.Pushes, stats.DeadPeers, err = g.ex.finish(); err != nil {
-		return nil, fmt.Errorf("group %d %w", cfg.Comm.Rank(), err)
+		return nil, fmt.Errorf("group %d %w", g.buffers.Rank(), err)
 	}
 	if stats.StoppedBy == "" {
 		stats.StoppedBy = "budget"
@@ -232,7 +231,8 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int, stats 
 	if isRoot {
 		tel = cfg.Telemetry
 	}
-	mainTID := telemetry.MainTID(cfg.Comm.Rank())
+	rank := g.buffers.Rank()
+	mainTID := telemetry.MainTID(rank)
 
 	var global []float32 // T1's landing buffer: the root exchanges, members only receive
 	if isRoot {
@@ -249,7 +249,7 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int, stats 
 		loss, _, err := net.TrainStep(batch.X, batch.Labels)
 		if err != nil {
 			spT45.End()
-			return fmt.Errorf("group %d member %d iter %d: %w", cfg.Comm.Rank(), m, iter, err)
+			return fmt.Errorf("group %d member %d iter %d: %w", rank, m, iter, err)
 		}
 		err = g.group.AllReduceMean(m, net.Grads())
 		spT45.End()
@@ -278,13 +278,13 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int, stats 
 
 		if isRoot {
 			if err := g.ex.asyncErr(); err != nil {
-				return fmt.Errorf("group %d %w", cfg.Comm.Rank(), err)
+				return fmt.Errorf("group %d %w", rank, err)
 			}
 		}
 
 		if isRoot && cfg.Hook != nil {
 			if err := cfg.Hook(g, iter); err != nil {
-				return fmt.Errorf("group %d hook: %w", cfg.Comm.Rank(), err)
+				return fmt.Errorf("group %d hook: %w", rank, err)
 			}
 		}
 

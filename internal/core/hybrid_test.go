@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"shmcaffe/internal/dataset"
-	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/nn"
 	"shmcaffe/internal/smb"
 	"shmcaffe/internal/tensor"
@@ -18,12 +17,8 @@ import (
 // buildHybridJob creates nGroups groups of groupSize members each.
 func buildHybridJob(t *testing.T, nGroups, groupSize int, seed uint64) (configs []HybridGroupConfig, store *smb.Store, ds *dataset.InMemory) {
 	t.Helper()
-	world, err := mpi.NewWorld(nGroups)
-	if err != nil {
-		t.Fatal(err)
-	}
 	store = smb.NewStore()
-	ds, err = dataset.NewGaussian(dataset.GaussianConfig{
+	ds, err := dataset.NewGaussian(dataset.GaussianConfig{
 		Classes: 4, PerClass: 40, Shape: []int{8}, Noise: 0.25, Seed: seed,
 	})
 	if err != nil {
@@ -33,13 +28,8 @@ func buildHybridJob(t *testing.T, nGroups, groupSize int, seed uint64) (configs 
 	solver.BaseLR = 0.05
 	total := nGroups * groupSize
 	for gi := 0; gi < nGroups; gi++ {
-		comm, err := world.Comm(gi)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := HybridGroupConfig{
 			Job:           "hjob",
-			Comm:          comm,
 			Client:        smb.NewLocalClient(store),
 			Solver:        solver,
 			Elastic:       DefaultElasticConfig(),
@@ -78,7 +68,7 @@ func runHybrid(t *testing.T, configs []HybridGroupConfig) []*GroupStats {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g, err := NewHybridGroup(configs[i])
+			g, err := NewHybridGroup(configs[i], i, len(configs))
 			if err != nil {
 				errs[i] = err
 				return
@@ -252,7 +242,7 @@ func TestHybridHookErrorDoesNotDeadlock(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		g, err := NewHybridGroup(configs[0])
+		g, err := NewHybridGroup(configs[0], 0, 1)
 		if err != nil {
 			done <- err
 			return
@@ -267,5 +257,73 @@ func TestHybridHookErrorDoesNotDeadlock(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("hybrid group deadlocked on member failure")
+	}
+}
+
+// TestHybridGroupsBootstrapOverServer: two groups share nothing but an SMB
+// server. Each root dials it over TCP with its own supervised client and
+// bootstraps by polling, the shape of one group per process. The master
+// group runs its whole budget, the other stops through the aligned
+// StopOnMaster stop, and every root push lands exactly once.
+func TestHybridGroupsBootstrapOverServer(t *testing.T) {
+	store := smb.NewStore()
+	srv, err := smb.NewServer(store, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Serve()
+	}()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+	configs, _, _ := buildHybridJob(t, 2, 2, 13)
+	for gi := range configs {
+		client := smb.NewSupervisedClient(smb.SupervisedConfig{Addr: srv.Addr(), ClientID: uint64(gi + 1)})
+		defer client.Close()
+		configs[gi].Client = client
+		configs[gi].Termination = StopOnMaster
+	}
+	for _, rank := range []int{-1, 2} {
+		if _, err := NewHybridGroup(configs[0], rank, 2); !errors.Is(err, ErrConfig) {
+			t.Fatalf("rank %d of 2: want ErrConfig, got %v", rank, err)
+		}
+	}
+
+	stats := make([]*GroupStats, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for gi := range configs {
+		gi := gi
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := NewHybridGroup(configs[gi], gi, 2)
+			if err != nil {
+				errs[gi] = err
+				return
+			}
+			stats[gi], errs[gi] = g.Run()
+		}()
+	}
+	wg.Wait()
+	var pushes int64
+	for gi, err := range errs {
+		if err != nil {
+			t.Fatalf("group %d: %v", gi, err)
+		}
+		if stats[gi].StoppedBy == "budget" {
+			t.Fatalf("group %d stopped by %q, want the master's aligned stop", gi, stats[gi].StoppedBy)
+		}
+		pushes += int64(stats[gi].Pushes)
+	}
+	if got, want := stats[0].Iterations, configs[0].MaxIterations; got != want {
+		t.Fatalf("master group ran %d iterations, want its budget %d", got, want)
+	}
+	if acc := store.Stats().Accumulates; acc != pushes {
+		t.Fatalf("server accumulates = %d, root pushes = %d", acc, pushes)
 	}
 }

@@ -70,12 +70,23 @@ func TestProgressCountersVisibleAcrossWorkers(t *testing.T) {
 		cfg.Hook = func(w *Worker, iter int) error {
 			if iter == 20 {
 				once.Do(func() {
-					p, err := w.Buffers().Progress()
-					if err != nil {
-						t.Error(err)
-						return
+					// The ranks start at one instant, but on a loaded
+					// host either may run its whole job before the other
+					// gets a CPU; hold the master here until the peer
+					// has published a count, or give up after 10 s.
+					deadline := time.Now().Add(10 * time.Second)
+					for {
+						p, err := w.Buffers().Progress()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if p[1] != 0 || time.Now().After(deadline) {
+							observed = append(observed, p...)
+							return
+						}
+						time.Sleep(time.Millisecond)
 					}
-					observed = append(observed, p...)
 				})
 			}
 			return nil
@@ -87,9 +98,8 @@ func TestProgressCountersVisibleAcrossWorkers(t *testing.T) {
 	if observed[0] < 20 {
 		t.Fatalf("own progress %d < 20", observed[0])
 	}
-	// The other worker must have published some progress by then (both
-	// yield per iteration, so it cannot still be at zero... unless it
-	// finished instantly, in which case it reported its final count).
+	// The other worker, running concurrently, must have published some
+	// progress while the master waited.
 	if observed[1] == 0 && stats[1].Iterations > 0 {
 		t.Fatalf("peer progress invisible: %v (peer ran %d)", observed, stats[1].Iterations)
 	}

@@ -6,19 +6,16 @@ import (
 	"time"
 
 	"shmcaffe/internal/dataset"
-	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/nn"
 	"shmcaffe/internal/smb"
 	"shmcaffe/internal/telemetry"
 )
 
 // WorkerConfig configures one SEASGD worker (one "deep learning worker" of
-// the paper: an MPI process training a model replica).
+// the paper, training a model replica).
 type WorkerConfig struct {
 	// Job names the SMB segment family shared by all workers of this run.
 	Job string
-	// Comm is this worker's MPI endpoint; rank 0 is the master worker.
-	Comm *mpi.Comm
 	// Client is the connection to the SMB server.
 	Client smb.Client
 	// Net is this worker's model replica.
@@ -61,14 +58,6 @@ type WorkerConfig struct {
 
 // Validate checks the configuration.
 func (c *WorkerConfig) Validate() error {
-	if c.Comm == nil {
-		return fmt.Errorf("worker needs an MPI comm (or use NewWorkerPolling): %w", ErrConfig)
-	}
-	return c.validateCommon()
-}
-
-// validateCommon checks everything except the communicator.
-func (c *WorkerConfig) validateCommon() error {
 	if c.Client == nil || c.Net == nil || c.Loader == nil {
 		return fmt.Errorf("worker needs client, net and loader: %w", ErrConfig)
 	}
@@ -118,51 +107,43 @@ type RunStats struct {
 	DeadPeers []int
 }
 
-// Worker runs SEASGD training for one rank. Create with NewWorker, then
+// Worker runs SEASGD training for one rank. Create with NewWorkerPolling, then
 // call Run once. The Fig. 6 exchange and the termination protocol live in
 // its exchange engine; the worker owns the local solver, the timing split
 // and the Hook.
 type Worker struct {
 	cfg     WorkerConfig
-	rank    int
 	buffers *JobBuffers
 	solver  *nn.SGDSolver
 	ex      *exchange
 }
 
-// NewWorker validates cfg and performs the collective buffer bootstrap
-// (Fig. 2). All ranks of the communicator must call NewWorker concurrently.
-func NewWorker(cfg WorkerConfig) (*Worker, error) {
+// NewWorkerPolling validates cfg and bootstraps rank of a world-rank job
+// on the SMB server (SetupBuffersPolling, Fig. 2). Every rank of the job
+// must call it, concurrently or from separate processes; rank 0's current
+// replica weights seed Wg.
+func NewWorkerPolling(cfg WorkerConfig, rank, world int, opts BootstrapOptions) (*Worker, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	elems := cfg.Net.NumParams()
-	// Rank 0's current replica weights seed Wg.
 	var seed []float32
-	if cfg.Comm.Rank() == 0 {
+	if rank == 0 {
 		seed = cfg.Net.FlatWeights(nil)
 	}
-	buffers, err := SetupBuffers(cfg.Comm, cfg.Client, cfg.Job, elems, seed)
+	buffers, err := SetupBuffersPolling(cfg.Client, cfg.Job, rank, world, cfg.Net.NumParams(), seed, opts)
 	if err != nil {
-		return nil, fmt.Errorf("rank %d setup: %w", cfg.Comm.Rank(), err)
+		return nil, fmt.Errorf("rank %d setup: %w", rank, err)
 	}
-	return newWorkerFromBuffers(cfg, cfg.Comm.Rank(), buffers), nil
-}
-
-// newWorkerFromBuffers finishes construction once the buffer bootstrap
-// (MPI-collective or polling) has produced the JobBuffers.
-func newWorkerFromBuffers(cfg WorkerConfig, rank int, buffers *JobBuffers) *Worker {
 	cfg.Telemetry.NameWorker(rank)
 	ex := newExchange(buffers, cfg.Elastic, cfg.Termination, cfg.MaxIterations,
 		cfg.LivenessTimeout, cfg.Telemetry)
 	ex.disableOverlap, ex.hideGlobalRead = cfg.DisableOverlap, cfg.HideGlobalRead
 	return &Worker{
 		cfg:     cfg,
-		rank:    rank,
 		buffers: buffers,
 		solver:  nn.NewSGDSolver(cfg.Net, cfg.Solver),
 		ex:      ex,
-	}
+	}, nil
 }
 
 // Buffers exposes the worker's SMB view (used by tests and diagnostics).
@@ -172,7 +153,7 @@ func (w *Worker) Buffers() *JobBuffers { return w.buffers }
 // criterion fires. It must be called exactly once.
 func (w *Worker) Run() (stats *RunStats, err error) {
 	cfg := &w.cfg
-	rank := w.rank
+	rank := w.buffers.Rank()
 	ex := w.ex
 	stats = &RunStats{Rank: rank}
 	tel := cfg.Telemetry

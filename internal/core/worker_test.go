@@ -3,11 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"shmcaffe/internal/dataset"
-	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/nn"
 	"shmcaffe/internal/smb"
 	"shmcaffe/internal/tensor"
@@ -16,7 +14,6 @@ import (
 // testJob builds the shared fixtures for an n-worker SEASGD run over the
 // Gaussian corpus with small MLP replicas.
 type testJob struct {
-	world  *mpi.World
 	store  *smb.Store
 	ds     *dataset.InMemory
 	nets   []*nn.Network
@@ -25,17 +22,13 @@ type testJob struct {
 
 func newTestJob(t *testing.T, n int, seed uint64) *testJob {
 	t.Helper()
-	world, err := mpi.NewWorld(n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ds, err := dataset.NewGaussian(dataset.GaussianConfig{
 		Classes: 4, PerClass: 40, Shape: []int{8}, Noise: 0.25, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := &testJob{world: world, store: smb.NewStore(), ds: ds}
+	job := &testJob{store: smb.NewStore(), ds: ds}
 	for r := 0; r < n; r++ {
 		net, err := nn.MLP(fmt.Sprintf("w%d", r), 8, 16, 4)
 		if err != nil {
@@ -58,15 +51,10 @@ func newTestJob(t *testing.T, n int, seed uint64) *testJob {
 
 func (j *testJob) workerConfig(t *testing.T, rank int, jobName string) WorkerConfig {
 	t.Helper()
-	comm, err := j.world.Comm(rank)
-	if err != nil {
-		t.Fatal(err)
-	}
 	solver := nn.DefaultSolverConfig()
 	solver.BaseLR = 0.05
 	return WorkerConfig{
 		Job:           jobName,
-		Comm:          comm,
 		Client:        smb.NewLocalClient(j.store),
 		Net:           j.nets[rank],
 		Solver:        solver,
@@ -77,31 +65,15 @@ func (j *testJob) workerConfig(t *testing.T, rank int, jobName string) WorkerCon
 	}
 }
 
+// newWorker bootstraps rank of the job's world on its store.
+func (j *testJob) newWorker(cfg WorkerConfig, rank int) (*Worker, error) {
+	return NewWorkerPolling(cfg, rank, len(j.nets), BootstrapOptions{})
+}
+
 // runWorkers constructs and runs all workers concurrently.
 func runWorkers(t *testing.T, job *testJob, mutate func(rank int, cfg *WorkerConfig)) []*RunStats {
 	t.Helper()
-	n := job.world.Size()
-	stats := make([]*RunStats, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := job.workerConfig(t, r, "job")
-			if mutate != nil {
-				mutate(r, &cfg)
-			}
-			w, err := NewWorker(cfg)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			stats[r], errs[r] = w.Run()
-		}()
-	}
-	wg.Wait()
+	stats, errs := runWorkersAllowFail(t, job, mutate)
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -337,7 +309,7 @@ func TestWorkerHookErrorAborts(t *testing.T) {
 		}
 		return nil
 	}
-	w, err := NewWorker(cfg)
+	w, err := job.newWorker(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

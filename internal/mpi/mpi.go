@@ -1,10 +1,9 @@
-// Package mpi is a minimal message-passing runtime for goroutine ranks.
-// ShmCaffe uses MPI only for process bootstrap and small control messages
-// (broadcasting SHM keys, Fig. 2); the MPI-based baselines (Caffe-MPI,
-// MPICaffe) additionally use gather/scatter and allreduce collectives for
-// gradients. This package provides those semantics: a World of n ranks with
-// ordered point-to-point channels plus Barrier / Bcast / Gather / Scatter /
-// AllreduceSum collectives.
+// Package mpi is a minimal in-process message-passing runtime for the
+// MPI-based baselines the paper compares against: Caffe-MPI gathers
+// gradients at the master and broadcasts the updated weights, MPICaffe
+// all-reduces gradients. A World of n goroutine ranks provides exactly
+// those collectives — Gather, Bcast and AllreduceSum. ShmCaffe itself needs
+// no MPI runtime: its workers rendezvous on the SMB server (internal/core).
 package mpi
 
 import (
@@ -16,17 +15,9 @@ import (
 // ErrRank is returned for out-of-range rank arguments.
 var ErrRank = errors.New("mpi: rank out of range")
 
-// message is one point-to-point payload.
-type message struct {
-	tag  int
-	data []byte
-}
-
 // World is one communicator instance shared by n ranks.
 type World struct {
 	n int
-	// p2p[src][dst] carries ordered messages from src to dst.
-	p2p [][]chan message
 
 	// Collective state: a cyclic barrier with an attached float64
 	// accumulator generation used by AllreduceSum.
@@ -49,18 +40,8 @@ func NewWorld(n int) (*World, error) {
 	}
 	w := &World{n: n}
 	w.cond = sync.NewCond(&w.mu)
-	w.p2p = make([][]chan message, n)
-	for i := range w.p2p {
-		w.p2p[i] = make([]chan message, n)
-		for j := range w.p2p[i] {
-			w.p2p[i][j] = make(chan message, 1)
-		}
-	}
 	return w, nil
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.n }
 
 // Comm returns the per-rank handle used by worker goroutines.
 func (w *World) Comm(rank int) (*Comm, error) {
@@ -74,38 +55,6 @@ func (w *World) Comm(rank int) (*Comm, error) {
 type Comm struct {
 	world *World
 	rank  int
-}
-
-// Rank returns this endpoint's rank.
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.n }
-
-// Send delivers data to rank dst. It blocks until the destination has
-// started receiving the previous in-flight message (channel capacity 1),
-// preserving MPI's per-pair ordering.
-func (c *Comm) Send(dst, tag int, data []byte) error {
-	if dst < 0 || dst >= c.world.n {
-		return fmt.Errorf("send to %d: %w", dst, ErrRank)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.world.p2p[c.rank][dst] <- message{tag: tag, data: cp}
-	return nil
-}
-
-// Recv receives the next message from rank src, which must carry the given
-// tag (mismatch is a protocol error).
-func (c *Comm) Recv(src, tag int) ([]byte, error) {
-	if src < 0 || src >= c.world.n {
-		return nil, fmt.Errorf("recv from %d: %w", src, ErrRank)
-	}
-	m := <-c.world.p2p[src][c.rank]
-	if m.tag != tag {
-		return nil, fmt.Errorf("mpi: recv from %d got tag %d, want %d", src, m.tag, tag)
-	}
-	return m.data, nil
 }
 
 // barrierLocked blocks until all n ranks arrive; the last arrival runs
@@ -125,14 +74,6 @@ func (w *World) barrierLocked(onLast func()) {
 	for w.gen == gen {
 		w.cond.Wait()
 	}
-}
-
-// Barrier blocks until every rank has called it.
-func (c *Comm) Barrier() {
-	w := c.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.barrierLocked(nil)
 }
 
 // Bcast broadcasts root's buf to every rank: on non-root ranks the returned

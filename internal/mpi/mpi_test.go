@@ -7,20 +7,21 @@ import (
 	"testing"
 )
 
-// runRanks runs fn on every rank concurrently and waits for completion.
-func runRanks(t *testing.T, w *World, fn func(c *Comm)) {
+// runRanks runs fn on each of the world's n ranks concurrently and waits
+// for completion.
+func runRanks(t *testing.T, w *World, n int, fn func(r int, c *Comm)) {
 	t.Helper()
 	var wg sync.WaitGroup
-	for r := 0; r < w.Size(); r++ {
+	for r := 0; r < n; r++ {
 		c, err := w.Comm(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(c *Comm) {
+		go func(r int, c *Comm) {
 			defer wg.Done()
-			fn(c)
-		}(c)
+			fn(r, c)
+		}(r, c)
 	}
 	wg.Wait()
 }
@@ -33,101 +34,11 @@ func TestNewWorldValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 3 {
-		t.Fatalf("Size = %d", w.Size())
+	if _, err := w.Comm(2); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := w.Comm(3); !errors.Is(err, ErrRank) {
 		t.Fatalf("want ErrRank, got %v", err)
-	}
-}
-
-func TestSendRecvOrdering(t *testing.T) {
-	w, _ := NewWorld(2)
-	runRanks(t, w, func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < 5; i++ {
-				if err := c.Send(1, 7, []byte{byte(i)}); err != nil {
-					t.Error(err)
-				}
-			}
-		} else {
-			for i := 0; i < 5; i++ {
-				data, err := c.Recv(0, 7)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if data[0] != byte(i) {
-					t.Errorf("message %d out of order: %v", i, data)
-				}
-			}
-		}
-	})
-}
-
-func TestSendCopiesData(t *testing.T) {
-	w, _ := NewWorld(2)
-	runRanks(t, w, func(c *Comm) {
-		if c.Rank() == 0 {
-			buf := []byte{1}
-			c.Send(1, 0, buf)
-			buf[0] = 99 // mutation after send must not be observed
-		} else {
-			data, err := c.Recv(0, 0)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if data[0] != 1 {
-				t.Errorf("received mutated buffer: %v", data)
-			}
-		}
-	})
-}
-
-func TestRecvTagMismatch(t *testing.T) {
-	w, _ := NewWorld(2)
-	runRanks(t, w, func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 1, []byte{0})
-		} else {
-			if _, err := c.Recv(0, 2); err == nil {
-				t.Error("expected tag mismatch error")
-			}
-		}
-	})
-}
-
-func TestSendRecvRankErrors(t *testing.T) {
-	w, _ := NewWorld(2)
-	c, _ := w.Comm(0)
-	if err := c.Send(5, 0, nil); !errors.Is(err, ErrRank) {
-		t.Fatalf("want ErrRank, got %v", err)
-	}
-	if _, err := c.Recv(-1, 0); !errors.Is(err, ErrRank) {
-		t.Fatalf("want ErrRank, got %v", err)
-	}
-}
-
-func TestBarrierSynchronizes(t *testing.T) {
-	w, _ := NewWorld(4)
-	var mu sync.Mutex
-	before := 0
-	after := 0
-	runRanks(t, w, func(c *Comm) {
-		mu.Lock()
-		before++
-		mu.Unlock()
-		c.Barrier()
-		mu.Lock()
-		if before != 4 {
-			t.Errorf("rank passed barrier with only %d arrivals", before)
-		}
-		after++
-		mu.Unlock()
-	})
-	if after != 4 {
-		t.Fatalf("after = %d", after)
 	}
 }
 
@@ -135,9 +46,9 @@ func TestBcast(t *testing.T) {
 	w, _ := NewWorld(4)
 	var mu sync.Mutex
 	results := make(map[int][]byte)
-	runRanks(t, w, func(c *Comm) {
+	runRanks(t, w, 4, func(r int, c *Comm) {
 		var buf []byte
-		if c.Rank() == 2 {
+		if r == 2 {
 			buf = []byte("shm-key-42")
 		}
 		out, err := c.Bcast(2, buf)
@@ -146,7 +57,7 @@ func TestBcast(t *testing.T) {
 			return
 		}
 		mu.Lock()
-		results[c.Rank()] = out
+		results[r] = out
 		mu.Unlock()
 	})
 	for r, out := range results {
@@ -167,16 +78,16 @@ func TestBcastRootError(t *testing.T) {
 func TestGather(t *testing.T) {
 	w, _ := NewWorld(3)
 	var rootGot [][]byte
-	runRanks(t, w, func(c *Comm) {
-		out, err := c.Gather(0, []byte{byte(c.Rank() * 10)})
+	runRanks(t, w, 3, func(r int, c *Comm) {
+		out, err := c.Gather(0, []byte{byte(r * 10)})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if c.Rank() == 0 {
+		if r == 0 {
 			rootGot = out
 		} else if out != nil {
-			t.Errorf("non-root rank %d received gather data", c.Rank())
+			t.Errorf("non-root rank %d received gather data", r)
 		}
 	})
 	if len(rootGot) != 3 {
@@ -193,14 +104,14 @@ func TestAllreduceSum(t *testing.T) {
 	w, _ := NewWorld(4)
 	var mu sync.Mutex
 	results := make(map[int][]float32)
-	runRanks(t, w, func(c *Comm) {
-		data := []float32{float32(c.Rank()), 1, float32(c.Rank() * c.Rank())}
+	runRanks(t, w, 4, func(r int, c *Comm) {
+		data := []float32{float32(r), 1, float32(r * r)}
 		if err := c.AllreduceSum(data); err != nil {
 			t.Error(err)
 			return
 		}
 		mu.Lock()
-		results[c.Rank()] = data
+		results[r] = data
 		mu.Unlock()
 	})
 	want := []float32{0 + 1 + 2 + 3, 4, 0 + 1 + 4 + 9}
@@ -217,7 +128,7 @@ func TestAllreduceSum(t *testing.T) {
 // round is independent.
 func TestAllreduceRepeated(t *testing.T) {
 	w, _ := NewWorld(3)
-	runRanks(t, w, func(c *Comm) {
+	runRanks(t, w, 3, func(r int, c *Comm) {
 		for round := 1; round <= 5; round++ {
 			data := []float32{float32(round)}
 			if err := c.AllreduceSum(data); err != nil {
@@ -227,7 +138,6 @@ func TestAllreduceRepeated(t *testing.T) {
 			if data[0] != float32(3*round) {
 				t.Errorf("round %d: got %v, want %d", round, data[0], 3*round)
 			}
-			c.Barrier()
 		}
 	})
 }
@@ -239,8 +149,8 @@ func TestAllreduceBitIdentical(t *testing.T) {
 	w, _ := NewWorld(8)
 	var mu sync.Mutex
 	var results [][]float32
-	runRanks(t, w, func(c *Comm) {
-		data := []float32{0.1 * float32(c.Rank()), -0.3, 1e-7}
+	runRanks(t, w, 8, func(r int, c *Comm) {
+		data := []float32{0.1 * float32(r), -0.3, 1e-7}
 		if err := c.AllreduceSum(data); err != nil {
 			t.Error(err)
 			return

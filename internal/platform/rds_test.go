@@ -56,9 +56,9 @@ func TestUnknownSMBTransport(t *testing.T) {
 	}
 }
 
-// TestShmCaffeAUnreachableRDS: a bad address must fail before any MPI
-// collective starts, on the rds session as on the tcp one — not strand the
-// other ranks in a broadcast rank 0 never joins. An unreachable server is a
+// TestShmCaffeAUnreachableRDS: a bad address must fail before any rank
+// bootstraps, on the rds session as on the tcp one — not leave the other
+// ranks polling for a job rank 0 never creates. An unreachable server is a
 // transport fault, not a configuration error. Slow by construction: the
 // supervised session spends its ten dial attempts, 2 s of handshake each.
 func TestShmCaffeAUnreachableRDS(t *testing.T) {

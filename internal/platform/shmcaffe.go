@@ -8,7 +8,6 @@ import (
 
 	"shmcaffe/internal/core"
 	"shmcaffe/internal/dataset"
-	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/smb"
 	"shmcaffe/internal/tensor"
 )
@@ -29,10 +28,6 @@ func (ShmCaffeA) Train(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	eval, err := newEvaluator(&cfg, "shma-eval")
-	if err != nil {
-		return nil, err
-	}
-	world, err := mpi.NewWorld(cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -65,14 +60,8 @@ func (ShmCaffeA) Train(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			comm, err := world.Comm(r)
-			if err != nil {
-				errs[r] = err
-				return
-			}
 			wcfg := core.WorkerConfig{
 				Job:             job,
-				Comm:            comm,
 				Client:          clients[r],
 				Net:             set.nets[r],
 				Solver:          cfg.Solver,
@@ -86,7 +75,7 @@ func (ShmCaffeA) Train(cfg Config) (*Result, error) {
 			if r == 0 {
 				wcfg.Hook = hook
 			}
-			w, err := core.NewWorker(wcfg)
+			w, err := core.NewWorkerPolling(wcfg, r, cfg.Workers, core.BootstrapOptions{})
 			if err != nil {
 				errs[r] = err
 				return
@@ -131,10 +120,6 @@ func (ShmCaffeH) Train(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	world, err := mpi.NewWorld(nGroups)
-	if err != nil {
-		return nil, err
-	}
 	clients, closeClients, err := smbClients(&cfg, nGroups)
 	if err != nil {
 		return nil, err
@@ -161,13 +146,8 @@ func (ShmCaffeH) Train(cfg Config) (*Result, error) {
 
 	configs := make([]core.HybridGroupConfig, nGroups)
 	for gi := 0; gi < nGroups; gi++ {
-		comm, err := world.Comm(gi)
-		if err != nil {
-			return nil, err
-		}
 		gcfg := core.HybridGroupConfig{
 			Job:             job,
-			Comm:            comm,
 			Client:          clients[gi],
 			Solver:          cfg.Solver,
 			Elastic:         cfg.Elastic,
@@ -208,7 +188,7 @@ func (ShmCaffeH) Train(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g, err := core.NewHybridGroup(configs[gi])
+			g, err := core.NewHybridGroup(configs[gi], gi, nGroups)
 			if err != nil {
 				errs[gi] = err
 				return
@@ -282,10 +262,10 @@ func smbClients(cfg *Config, n int) (clients []smb.Client, closeAll func(), err 
 		clients[i] = c
 		if i == 0 {
 			// One bounded probe verifies the server is reachable before
-			// any MPI collective starts. Supervised sessions connect
-			// lazily, so without this a misconfigured address would fail
-			// inside rank 0's bootstrap and strand the other ranks in a
-			// broadcast it never joins.
+			// any rank bootstraps. Supervised sessions connect lazily, so
+			// without this a misconfigured address would fail inside rank
+			// 0's bootstrap and leave the other ranks polling for a job
+			// that never appears until the rendezvous timeout.
 			if _, err := c.Lookup("\x00reachability-probe"); err != nil && !errors.Is(err, smb.ErrUnknownSegment) {
 				return fail(1, fmt.Errorf("dial SMB server: %w", err))
 			}

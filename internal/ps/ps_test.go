@@ -9,7 +9,6 @@ import (
 
 	"shmcaffe/internal/core"
 	"shmcaffe/internal/dataset"
-	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/nn"
 	"shmcaffe/internal/smb"
 	"shmcaffe/internal/tensor"
@@ -227,14 +226,8 @@ func TestSEASGDMatchesEASGDSingleWorker(t *testing.T) {
 
 	// Path B: SEASGD against an SMB store.
 	netB, loaderB := buildNetAndLoader()
-	world, err := mpi.NewWorld(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comm, _ := world.Comm(0)
-	worker, err := core.NewWorker(core.WorkerConfig{
+	worker, err := core.NewWorkerPolling(core.WorkerConfig{
 		Job:    "equiv",
-		Comm:   comm,
 		Client: smb.NewLocalClient(smb.NewStore()),
 		Net:    netB,
 		Solver: solver,
@@ -246,7 +239,7 @@ func TestSEASGDMatchesEASGDSingleWorker(t *testing.T) {
 		Loader:        loaderB,
 		// Inline pushes keep the single worker fully deterministic.
 		DisableOverlap: true,
-	})
+	}, 0, 1, core.BootstrapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

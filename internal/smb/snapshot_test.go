@@ -308,10 +308,10 @@ func TestShmSnapshotMappedWriterStorm(t *testing.T) {
 	}
 }
 
-// TestSnapReadZeroAlloc pins the serving hot path: once a snapshot's COW
-// pages exist, SnapRead on an instrumented store takes no locks on the
-// steady path and performs zero heap allocations per op (check.sh tier 2
-// runs this by name).
+// TestSnapReadZeroAlloc pins the serving hot path: once a snapshot is cut,
+// SnapRead on an instrumented store is a bounds check and one copy out of
+// the cut buffer, with no locks and zero heap allocations per op (check.sh
+// tier 2 runs this by name).
 func TestSnapReadZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -326,8 +326,8 @@ func TestSnapReadZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Force the COW path: a post-cut write publishes pre-image pages, so
-	// the timed loop below reads pages, live bytes, and the boundary.
+	// Write after the cut: the eager cut already holds the pre-write bytes,
+	// so the timed loop below reads the cut, never the live segment.
 	fillWords(buf, 8)
 	if err := store.Write(hg, 0, buf[:len(buf)/2]); err != nil {
 		t.Fatal(err)

@@ -112,6 +112,14 @@ tier1() {
 		echo "lazy snapshot machinery found in internal/smb (see above)" >&2
 		return 1
 	fi
+	# One job bootstrap: every SEASGD driver rendezvouses on the SMB server.
+	# core needs no MPI runtime, and no MPI-collective twin of the polling
+	# bootstrap (or the communicator field it took) comes back.
+	if grep -n 'shmcaffe/internal/mpi"' internal/core/*.go ||
+		grep -nE 'func (SetupBuffers|NewWorker)\(|^[[:space:]]+Comm[[:space:]]' internal/core/*.go | grep -v '_test.go:'; then
+		echo "second bootstrap or MPI dependency found in internal/core (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {

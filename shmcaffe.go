@@ -20,8 +20,8 @@
 // Quick start (see examples/quickstart for the runnable version):
 //
 //	store := shmcaffe.NewStore()
-//	world, _ := shmcaffe.NewWorld(4)
-//	// one goroutine per worker: NewWorker(...) then Run()
+//	// one goroutine (or process) per rank r of n, each with its own
+//	// client on store: NewWorker(cfg, r, n) then Run()
 //
 // or at the platform level:
 //
@@ -33,7 +33,6 @@ import (
 
 	"shmcaffe/internal/core"
 	"shmcaffe/internal/dataset"
-	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/nn"
 	"shmcaffe/internal/perfmodel"
 	"shmcaffe/internal/platform"
@@ -52,7 +51,7 @@ type (
 	// SMBClient is the SMB API: segment lifecycle, Read/Write, Accumulate,
 	// and the WriteAccumulate push built from the last two.
 	SMBClient = smb.Client
-	// SHMKey identifies a segment for attachment (broadcast by the master).
+	// SHMKey identifies a segment for attachment (looked up by name).
 	SHMKey = smb.SHMKey
 	// Handle is an attached client's access key (the RDMA rkey analogue).
 	Handle = smb.Handle
@@ -110,28 +109,19 @@ const (
 	StopIndependently = core.StopIndependently
 )
 
-// NewWorker bootstraps one SEASGD worker (collective across the MPI world).
-func NewWorker(cfg WorkerConfig) (*Worker, error) { return core.NewWorker(cfg) }
+// NewWorker bootstraps rank of a world-rank SEASGD job on the SMB server
+// (Fig. 2); every rank must call it.
+func NewWorker(cfg WorkerConfig, rank, world int) (*Worker, error) {
+	return core.NewWorkerPolling(cfg, rank, world, core.BootstrapOptions{})
+}
 
-// NewHybridGroup bootstraps one HSGD worker group.
-func NewHybridGroup(cfg HybridGroupConfig) (*HybridGroup, error) {
-	return core.NewHybridGroup(cfg)
+// NewHybridGroup bootstraps one HSGD worker group as rank of world groups.
+func NewHybridGroup(cfg HybridGroupConfig, rank, world int) (*HybridGroup, error) {
+	return core.NewHybridGroup(cfg, rank, world)
 }
 
 // DefaultElasticConfig returns the paper's hyper-parameters (α=0.2, k=1).
 func DefaultElasticConfig() ElasticConfig { return core.DefaultElasticConfig() }
-
-// ---- MPI runtime ----
-
-type (
-	// World is an in-process MPI communicator.
-	World = mpi.World
-	// Comm is one rank's endpoint.
-	Comm = mpi.Comm
-)
-
-// NewWorld creates an n-rank communicator.
-func NewWorld(n int) (*World, error) { return mpi.NewWorld(n) }
 
 // ---- Platforms (paper Sec. IV-C) ----
 
