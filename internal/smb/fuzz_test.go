@@ -4,14 +4,26 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"testing"
 )
 
-// FuzzDispatch feeds arbitrary request payloads to every opcode: the
-// server must return an error or a response, never panic — malformed
-// frames from a buggy or hostile client cannot take the memory server
-// down.
+// fuzzSegBytes sizes the one segment FuzzDispatch's server holds: two
+// stripes and a tail, so streamed bodies and replies cross stripe bounds.
+const fuzzSegBytes = 2*chunkBytes + 40
+
+// FuzzDispatch feeds an arbitrary request frame through a server
+// connection, followed by a probe frame (a Hello asking for no feature,
+// whose answer no earlier frame can change) — once over a connection with deadlines, where bulk bodies and
+// replies stream, and once over one without, where they are staged. The
+// server must never panic — malformed frames from a buggy or
+// hostile client cannot take the memory server down — and a frame it
+// answers, even with an error, must leave the connection in frame: the
+// probe is served too. Only a trace-flagged frame too short for its header
+// may drop the connection. The same frame cut one byte short (the peer
+// dying mid-frame) must drop the connection without a reply and without
+// counting a Write.
 func FuzzDispatch(f *testing.F) {
 	f.Add(byte(opCreate), []byte{})
 	f.Add(byte(opRead), []byte{1, 2, 3})
@@ -26,7 +38,7 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(byte(12), bytes.Repeat([]byte{0}, 16))         // end without chunks
 	f.Add(byte(opHello), []byte{1, 0, 0, 0, 0, 0, 0, 0}) // feature negotiation
 	f.Add(byte(opHello), []byte{})                       // truncated hello
-	f.Add(byte(opAccumulate)|traceFlagBit, []byte{1})    // flagged op leaks to dispatch
+	f.Add(byte(opAccumulate)|traceFlagBit, []byte{1})    // truncated trace header
 	f.Add(byte(99), []byte{1})
 	// Every table row's zero-argument frame, whole and one word short.
 	for op := range opTable {
@@ -36,21 +48,111 @@ func FuzzDispatch(f *testing.F) {
 			f.Add(byte(op), full[:max(0, len(full)-8)])
 		}
 	}
+	// Write bodies of at least sgMinPayload stream into the stripes: across
+	// the stripe bound, past the segment end, at an offset whose end
+	// overflows, for an unknown handle, and behind a trace header. Bulk
+	// replies stream out of the stripes and the cut.
+	body := bytes.Repeat([]byte{0x3f}, chunkBytes+sgMinPayload)
+	f.Add(byte(opWrite), append(u64s(1, chunkBytes-8), body...))
+	f.Add(byte(opWrite), append(u64s(1, fuzzSegBytes-sgMinPayload+8), body[:sgMinPayload]...))
+	f.Add(byte(opWrite), append(u64s(1, math.MaxInt64-16), body[:sgMinPayload]...))
+	f.Add(byte(opWrite), append(u64s(1, math.MaxInt64-16), body[:32]...))
+	f.Add(byte(opWrite), append(u64s(77, 0), body[:sgMinPayload]...))
+	f.Add(byte(opWrite)|traceFlagBit, append(append(make([]byte, traceHeaderLen), u64s(1, 0)...), body[:sgMinPayload]...))
+	f.Add(byte(opRead), u64s(1, 8, fuzzSegBytes-8))
+	f.Add(byte(opRead), u64s(1, math.MaxInt64-16, 32))
+	f.Add(byte(opSnapRead), u64s(1, 0, fuzzSegBytes))
+	f.Add(byte(opSnapRead), u64s(1, math.MaxInt64-16, sgMinPayload))
 	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
-		srv := &Server{store: NewStore()}
-		// Prepare one real segment so handle-bearing ops can hit both
-		// the found and not-found paths.
-		key, _ := srv.store.Create("seed", 16)
-		srv.store.Attach(key)
-		_, err := srv.dispatch(opcode(op), payload, &connState{})
-		if retiredOpcodes[op] && err == nil {
-			t.Fatalf("retired opcode %d was served", op)
+		for _, streams := range []bool{true, false} {
+			fuzzDispatchOnce(t, op, payload, streams)
 		}
 	})
 }
 
-// FuzzFrameRoundTrip: any frame written by writeFrame is read back intact
-// by readFrame.
+// fuzzDispatchOnce is one FuzzDispatch case over a connection that streams
+// bulk transfers or stages them.
+func fuzzDispatchOnce(t *testing.T, op byte, payload []byte, streams bool) {
+	srv := &Server{store: NewStore()}
+	// One real segment (handle 1) and one live snapshot of it (id 1),
+	// so handle- and snapshot-bearing frames hit both the found and
+	// the not-found paths.
+	key, _ := srv.store.Create("seed", fuzzSegBytes)
+	h, _ := srv.store.Attach(key)
+	srv.store.Snapshot(h)
+	frame := appendFrame(nil, op, payload)
+	probe := appendFrame(nil, byte(opHello), u64s(0))
+
+	replies := serveBytes(srv, append(frame, probe...), streams)
+	if op&traceFlagBit != 0 && len(payload) < traceHeaderLen {
+		if len(replies) != 0 || srv.ConnErrors() != 1 {
+			t.Fatalf("truncated trace header: %d replies, %d connection errors; want the connection dropped", len(replies), srv.ConnErrors())
+		}
+	} else {
+		if len(replies) != 2 {
+			t.Fatalf("opcode %#x: %d replies to the frame and the probe, want 2", op, len(replies))
+		}
+		if retiredOpcodes[op&^traceFlagBit] && replies[0].status == statusOK {
+			t.Fatalf("retired opcode %d was served", op)
+		}
+		if p := replies[1]; p.status != statusOK || !bytes.Equal(p.payload, u64s(0)) {
+			t.Fatalf("opcode %#x left the connection out of frame: probe answered %d %q", op, p.status, p.payload)
+		}
+	}
+
+	writes, errs := srv.store.Stats().Writes, srv.ConnErrors()
+	if replies := serveBytes(srv, frame[:len(frame)-1], streams); len(replies) != 0 {
+		t.Fatalf("opcode %#x cut short was answered", op)
+	}
+	if srv.ConnErrors() != errs+1 || srv.store.Stats().Writes != writes {
+		t.Fatalf("opcode %#x cut short: %d connection errors, %d writes counted; want 1 and 0",
+			op, srv.ConnErrors()-errs, srv.store.Stats().Writes-writes)
+	}
+}
+
+// u64s encodes words little-endian, the wire's integer layout.
+func u64s(w ...uint64) []byte {
+	b := make([]byte, 8*len(w))
+	for i, v := range w {
+		binary.LittleEndian.PutUint64(b[8*i:], v)
+	}
+	return b
+}
+
+// appendFrame appends one [length][op][payload] frame to b.
+func appendFrame(b []byte, op byte, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(1+len(payload)))
+	return append(append(b, op), payload...)
+}
+
+// serveBytes runs srv's request loop over an in-memory connection that
+// delivers in and then EOF — with deadlines when streams is set — and
+// returns the reply frames it wrote.
+func serveBytes(srv *Server, in []byte, streams bool) []rawFrame {
+	var out bytes.Buffer
+	var conn io.ReadWriteCloser = memConn{Reader: bytes.NewReader(in), Writer: &out}
+	if streams {
+		conn = memStreamConn{conn.(memConn)}
+	}
+	srv.handle(conn, &connState{})
+	var replies []rawFrame
+	for {
+		status, payload, err := readFrame(&out)
+		if err != nil {
+			return replies
+		}
+		replies = append(replies, rawFrame{status, payload})
+	}
+}
+
+// rawFrame is one frame as a raw peer reads it.
+type rawFrame struct {
+	status  byte
+	payload []byte
+}
+
+// FuzzFrameRoundTrip: any frame written by writeFrameInto is read back
+// intact by readFrame.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(byte(1), []byte("payload"))
 	f.Add(byte(0), []byte{})
@@ -59,7 +161,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			payload = payload[:1<<16]
 		}
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, op, payload); err != nil {
+		var scratch []byte
+		if err := writeFrameInto(&buf, op, payload, &scratch); err != nil {
 			t.Skip()
 		}
 		gotOp, gotPayload, err := readFrame(&buf)
@@ -221,7 +324,11 @@ func leFloats(vals []float32) []byte {
 	return b
 }
 
-// FuzzReadFrame: arbitrary bytes must never panic the frame reader.
+// FuzzReadFrame: arbitrary bytes must never panic the server's request
+// reader, and a request it accepts keeps its bounds: a head of at most
+// maxHead, and a body left on the connection only for a bulk row, on a
+// connection with deadlines. Without them, a bulk row's body is read whole
+// with its head and nothing stays on the connection.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 0, 0, 1, 2, 3, 4, 5})
@@ -231,12 +338,28 @@ func FuzzReadFrame(f *testing.F) {
 		bytes.Repeat([]byte{0xab}, 24)...))
 	// Flagged frame whose body is shorter than the trace header.
 	f.Add([]byte{3, 0, 0, 0, byte(opWrite) | traceFlagBit, 1, 2})
+	// A Write whose body streams, and one whose frame is cut mid-body.
+	write := appendFrame(nil, byte(opWrite), append(u64s(1, 0), make([]byte, sgMinPayload)...))
+	f.Add(write)
+	f.Add(write[:100])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		op, payload, err := readFrame(bytes.NewReader(data))
-		if err != nil || op&traceFlagBit == 0 {
-			return
+		for _, streams := range []bool{true, false} {
+			conn := memConn{Reader: bytes.NewReader(data), Writer: io.Discard}
+			cs := &connState{conn: conn}
+			if streams {
+				cs.sc = memStreamConn{conn}
+			}
+			op, err := cs.readRequest()
+			if err != nil {
+				continue
+			}
+			bulk := int(op) < len(opTable) && opTable[op].bulk
+			if len(cs.head) > maxHead && (streams || !bulk) {
+				t.Fatalf("head of %d bytes, more than maxHead", len(cs.head))
+			}
+			if cs.body > 0 && (!streams || !bulk) {
+				t.Fatalf("opcode %d left a %d-byte body on the connection (streams %v)", op, cs.body, streams)
+			}
 		}
-		// Flagged frames must split cleanly or be rejected — never panic.
-		_, _, _ = parseTraceExt(payload)
 	})
 }

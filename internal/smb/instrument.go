@@ -83,16 +83,19 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 		"shared-memory snapshots refused because mapped writers did not drain from the snapshot gate in time", s.snapc.gateFails.Load)
 	s.inst.Store(&storeInstruments{
 		readLatency: reg.Histogram("smb_read_seconds",
-			"server-side Read latency", telemetry.DefLatencyBuckets),
+			"server-side Read latency; a TCP or unix reply of 4 KiB or more streams from the stripes, so its send time is included",
+			telemetry.DefLatencyBuckets),
 		writeLatency: reg.Histogram("smb_write_seconds",
-			"server-side Write latency", telemetry.DefLatencyBuckets),
+			"server-side Write latency; a TCP or unix body of 4 KiB or more streams into the stripes, so its receive time is included",
+			telemetry.DefLatencyBuckets),
 		accLatency: reg.Histogram("smb_accumulate_seconds",
 			"server-side Accumulate latency (the T.A3 cost)", telemetry.DefLatencyBuckets),
 		stripeWait: reg.Histogram("smb_accumulate_stripe_wait_seconds",
 			"total time one Accumulate spent blocked on stripe locks — contention between workers colliding on the same 64 KiB of Wg",
 			telemetry.DefLatencyBuckets),
 		snapReadLatency: reg.Histogram("smb_snap_read_seconds",
-			"server-side snapshot read latency (the serving hot path)", telemetry.DefLatencyBuckets),
+			"server-side snapshot read latency (the serving hot path); a TCP or unix reply of 4 KiB or more streams from the cut, so its send time is included",
+			telemetry.DefLatencyBuckets),
 	})
 }
 
@@ -146,7 +149,7 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		"sequence-stamped accumulates acknowledged as already-applied duplicates",
 		s.store.stats.seqDups.Load)
 	s.dispatchLat.Store(reg.Histogram("smb_server_dispatch_seconds",
-		"per-frame dispatch latency, read-to-reply (the srv.dispatch span); recorded only with a tracer installed",
+		"per-frame dispatch latency, from the request head read until the reply is ready, including a streamed Write body's receive and a streamed Read/SnapRead reply's send (the srv.dispatch span); recorded only with a tracer installed",
 		telemetry.DefLatencyBuckets))
 }
 

@@ -89,12 +89,14 @@ type call struct {
 	into []byte
 }
 
-// reply is one OK reply, by value. bulk is server-side only: the rbulk
-// payload, aliasing connection scratch (the client's landed in call.into).
+// reply is one OK reply, by value. bulk and sent are server-side only:
+// bulk is a small rbulk payload aliasing connection scratch (the client's
+// landed in call.into); sent says the arm streamed the reply itself.
 type reply struct {
 	w    [4]uint64
 	str  string
 	bulk []byte
+	sent bool
 }
 
 // decodeCall parses a request payload by op's table row. Bytes past the
@@ -130,16 +132,12 @@ const maxFrame = 1 << 30
 // ErrFrameTooLarge reports a frame exceeding maxFrame.
 var ErrFrameTooLarge = errors.New("smb: frame exceeds size limit")
 
-func writeFrame(w io.Writer, op byte, payload []byte) error {
-	var scratch []byte
-	return writeFrameInto(w, op, payload, &scratch)
-}
-
-// writeFrameInto is writeFrame with a caller-owned, grow-only scratch: the
-// header and payload are staged into one buffer and sent with a single
-// Write. Local byte arrays escape when passed through the io.Writer
-// interface, so the reusable scratch is what keeps the steady-state wire
-// path allocation-free (and it halves the syscalls per frame).
+// writeFrameInto writes one frame — every server reply but a streamed bulk
+// one — through a caller-owned, grow-only scratch: header and payload are
+// staged into one buffer and sent with a single Write. Local byte arrays
+// escape when passed through the io.Writer interface, so the reusable
+// scratch is what keeps the steady-state wire path allocation-free (and
+// it halves the syscalls per frame).
 //
 //shm:hotpath
 func writeFrameInto(w io.Writer, op byte, payload []byte, scratch *[]byte) error {
@@ -156,42 +154,6 @@ func writeFrameInto(w io.Writer, op byte, payload []byte, scratch *[]byte) error
 	copy(buf[5:], payload)
 	_, err := w.Write(buf)
 	return err
-}
-
-func readFrame(r io.Reader) (op byte, payload []byte, err error) {
-	var scratch []byte
-	return readFrameInto(r, &scratch)
-}
-
-// readFrameInto is readFrame with a caller-owned, grow-only scratch buffer:
-// the returned payload aliases *scratch and is valid until the next call
-// with the same scratch. The server's connection loop and the stream
-// client reuse one scratch per connection, so steady-state frame reads do
-// not allocate.
-//
-//shm:hotpath
-func readFrameInto(r io.Reader, scratch *[]byte) (op byte, payload []byte, err error) {
-	// The length header is read into the scratch too: a local [4]byte array
-	// would escape through the io.Reader interface and allocate per frame.
-	if cap(*scratch) < 4 {
-		*scratch = make([]byte, 64)
-	}
-	hdr := (*scratch)[:4]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if n < 1 || n > maxFrame {
-		return 0, nil, fmt.Errorf("frame length %d: %w", n, ErrFrameTooLarge)
-	}
-	if uint32(cap(*scratch)) < n {
-		*scratch = make([]byte, n)
-	}
-	body := (*scratch)[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
-	}
-	return body[0], body[1:], nil
 }
 
 // scratchPool recycles transient byte buffers across the package: frame

@@ -2,6 +2,7 @@ package smb
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -119,6 +120,21 @@ func TestTCPErrorsCrossWire(t *testing.T) {
 	h, _ := c.Attach(key)
 	if err := c.Read(h, 5, make([]byte, 8)); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("want ErrOutOfRange, got %v", err)
+	}
+	// An offset whose end overflows int must be refused, not wrap past the
+	// range check into a stripe index that panics the server — whether the
+	// body is read whole or streamed, the reply staged or streamed.
+	const near = math.MaxInt64 - 16
+	for _, n := range []int{32, sgMinPayload} {
+		if err := c.Read(h, near, make([]byte, n)); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("%d-byte read at MaxInt64-16: want ErrOutOfRange, got %v", n, err)
+		}
+		if err := c.Write(h, near, make([]byte, n)); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("%d-byte write at MaxInt64-16: want ErrOutOfRange, got %v", n, err)
+		}
+	}
+	if err := c.Write(h, 0, make([]byte, 8)); err != nil {
+		t.Fatalf("connection unusable after the refused ranges: %v", err)
 	}
 }
 

@@ -12,7 +12,10 @@ import (
 // caller's buffer — chosen per frame from what the code observes: a
 // connection with real writev support and a payload of at least
 // sgMinPayload. Inbound, a Read reply lands directly in the caller's
-// destination buffer on every connection. The iovec list is registered per
+// destination buffer on every connection. The server mirrors both halves
+// on a connection with deadlines (server.go): a Write body of at least
+// sgMinPayload is received straight into the segment's stripes, and a bulk
+// reply leaves from the stripes (or a snapshot's cut) in vectored writes. The iovec list is registered per
 // connection and grow-only, so the steady state allocates nothing.
 
 // sgMinPayload is the payload size below which vectoring is not worth it:
@@ -62,27 +65,6 @@ func (vw *vecWriter) writeTo(w io.Writer) error {
 	}
 	vw.vec = vw.vec[:0]
 	return err
-}
-
-// writeFrameVec writes one frame as [header][payload] in a single vectored
-// write, skipping writeFrameInto's staging copy of the payload. The
-// server's bulk-reply path: protocol bytes are identical either way.
-//
-//shm:hotpath
-func writeFrameVec(w io.Writer, op byte, payload []byte, vw *vecWriter, scratch *[]byte) error {
-	if len(payload)+1 > maxFrame {
-		return ErrFrameTooLarge
-	}
-	if cap(*scratch) < 5 {
-		*scratch = make([]byte, 5)
-	}
-	buf := (*scratch)[:5]
-	binary.LittleEndian.PutUint32(buf[:4], uint32(1+len(payload)))
-	buf[4] = op
-	vw.reset()
-	vw.add(buf)
-	vw.add(payload)
-	return vw.writeTo(w)
 }
 
 // sgStampHdr fills a frame header slab entry: length, opcode (trace-flagged

@@ -243,7 +243,7 @@ func (c *ShmClient) Read(h Handle, off int, dst []byte) error {
 	}
 	defer c.mu.Unlock()
 	sh := m.sh
-	if off < 0 || off+len(dst) > len(sh.dat) {
+	if size := len(sh.dat); off < 0 || off > size || len(dst) > size-off {
 		return fmt.Errorf("smb shm read [%d,%d) of %d-byte segment: %w",
 			off, off+len(dst), len(sh.dat), ErrOutOfRange)
 	}
@@ -275,7 +275,7 @@ func (c *ShmClient) Write(h Handle, off int, src []byte) error {
 	}
 	defer c.mu.Unlock()
 	sh := m.sh
-	if off < 0 || off+len(src) > len(sh.dat) {
+	if size := len(sh.dat); off < 0 || off > size || len(src) > size-off {
 		return fmt.Errorf("smb shm write [%d,%d) of %d-byte segment: %w",
 			off, off+len(src), len(sh.dat), ErrOutOfRange)
 	}

@@ -32,11 +32,7 @@ func (s *Server) serveSnap(q call, cs *connState) (reply, error) {
 		info, err := s.store.Snapshot(Handle(q.w[0]))
 		return words(uint64(info.ID), info.Version, uint64(info.Size)), err
 	case opSnapRead:
-		dst, err := cs.bulkOut(q.w[2])
-		if err == nil {
-			err = s.store.SnapRead(SnapID(q.w[0]), int(q.w[1]), dst)
-		}
-		return reply{bulk: dst}, err
+		return s.serveBulk(q, cs)
 	//lint:ignore wireproto control-plane verb: one frame per retired snapshot, not a data-path latency
 	case opSnapRelease:
 		return reply{}, s.store.SnapRelease(SnapID(q.w[0]))

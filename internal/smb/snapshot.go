@@ -135,6 +135,16 @@ func (s *Store) Snapshot(h Handle) (SnapInfo, error) {
 //
 //shm:hotpath
 func (s *Store) SnapRead(id SnapID, off int, dst []byte) error {
+	x := stripeIO{buf: dst}
+	return s.snapRead(id, off, len(dst), &x)
+}
+
+// snapRead hands bytes [off, off+n) of snapshot id's cut to x: the
+// caller's buffer, or the connection a wire SnapRead reply leaves by
+// straight from the cut (server.go).
+//
+//shm:hotpath
+func (s *Store) snapRead(id SnapID, off, n int, x *stripeIO) error {
 	var sn *snapState
 	if t := s.snapTable.Load(); t != nil {
 		sn = (*t)[id]
@@ -142,18 +152,25 @@ func (s *Store) SnapRead(id SnapID, off int, dst []byte) error {
 	if sn == nil {
 		return fmt.Errorf("snap read %d: %w", uint64(id), ErrUnknownSnapshot)
 	}
-	if size := len(sn.buf); off < 0 || off > size || len(dst) > size-off {
+	if size := len(sn.buf); off < 0 || n < 0 || off > size || n > size-off {
 		return fmt.Errorf("snap read [%d,%d) of %d-byte snapshot %d: %w",
-			off, off+len(dst), size, id, ErrOutOfRange)
+			off, off+n, size, id, ErrOutOfRange)
 	}
 	ins := s.inst.Load()
 	var t0 time.Time
 	if ins != nil {
 		t0 = time.Now()
 	}
-	copy(dst, sn.buf[off:])
+	// A Read reply's group per move (one vectored write when streamed), so
+	// a streamed reply's deadline bounds progress, not the whole transfer.
+	const span = replyStripes * chunkBytes
+	for lo, end := off, off+n; lo < end; lo += span {
+		if err := x.move(sn.buf[lo:min(lo+span, end)], false); err != nil {
+			return err
+		}
+	}
 	s.snapc.reads.Add(1)
-	s.stats.bytesRead.Add(int64(len(dst)))
+	s.stats.bytesRead.Add(int64(n))
 	if ins != nil {
 		ins.snapReadLatency.ObserveSeconds(time.Since(t0).Nanoseconds())
 	}

@@ -315,37 +315,8 @@ func (seg *segment) loadVersion() uint64 {
 //
 //shm:hotpath
 func (s *Store) Read(h Handle, off int, dst []byte) error {
-	seg, err := s.lookupHandle(h)
-	if err != nil {
-		return err
-	}
-	if off < 0 || off+len(dst) > len(seg.data) {
-		return fmt.Errorf("read [%d,%d) of %d-byte segment %q: %w",
-			off, off+len(dst), len(seg.data), seg.name, ErrOutOfRange)
-	}
-	ins := s.inst.Load()
-	var t0 time.Time
-	if ins != nil {
-		t0 = time.Now()
-	}
-	for covered := 0; covered < len(dst); {
-		start := off + covered
-		ci := start / chunkBytes
-		_, hi := seg.chunkRange(ci)
-		if end := off + len(dst); hi > end {
-			hi = end
-		}
-		seg.rlockStripe(ci)
-		copy(dst[covered:covered+(hi-start)], seg.data[start:hi])
-		seg.runlockStripe(ci)
-		covered += hi - start
-	}
-	s.stats.reads.Add(1)
-	s.stats.bytesRead.Add(int64(len(dst)))
-	if ins != nil {
-		ins.readLatency.ObserveSeconds(time.Since(t0).Nanoseconds())
-	}
-	return nil
+	x := stripeIO{buf: dst}
+	return s.walk(h, off, len(dst), false, 1, &x)
 }
 
 // Write copies src into the segment at off — the RDMA Write verb. Like
@@ -353,38 +324,127 @@ func (s *Store) Read(h Handle, off int, dst []byte) error {
 //
 //shm:hotpath
 func (s *Store) Write(h Handle, off int, src []byte) error {
+	x := stripeIO{buf: src}
+	return s.walk(h, off, len(src), true, 1, &x)
+}
+
+// stripeIO is the far side of one stripe walk: the caller's buffer
+// (Store.Read, Store.Write), or the server connection a wire Write body
+// arrives on or a bulk reply leaves by (server.go), so wire bytes move
+// straight between the socket and the stripes with no staging copy.
+type stripeIO struct {
+	buf   []byte     // buffered: the bytes to store, or the room to fill
+	conn  streamConn // streamed: the connection; buf is unused
+	vw    *vecWriter // streamed reply: pending iovecs, the frame header first
+	moved int        // bytes moved so far
+	fault error      // the transport failure that cut a streamed transfer
+}
+
+// move transfers one locked span: into it for a write, out of it for a
+// read. A streamed move first re-arms the connection's deadline, so a
+// peer that moves no span for streamTimeout loses its connection — and
+// with it the locks the span is under.
+//
+//shm:hotpath
+func (x *stripeIO) move(span []byte, write bool) error {
+	var err error
+	switch {
+	case x.conn == nil && write:
+		copy(span, x.buf[x.moved:])
+	case x.conn == nil:
+		copy(x.buf[x.moved:], span)
+	case write:
+		x.conn.SetReadDeadline(time.Now().Add(streamTimeout))
+		err = readFull(x.conn, span)
+	default:
+		x.conn.SetWriteDeadline(time.Now().Add(streamTimeout))
+		x.vw.add(span)
+		err = x.vw.writeTo(x.conn)
+	}
+	if err != nil {
+		x.fault = err
+		return err
+	}
+	x.moved += len(span)
+	return nil
+}
+
+// walk is every Read and Write of the store, buffered or streamed: the
+// handle lookup, the overflow-safe range check (off and n may come
+// straight off the wire), the op gate of a write, the stripe locks in
+// ascending order — shared for a read, exclusive for a write — the version
+// bump and the stats. It visits [off, off+n) up to group stripes at a
+// time, handing each locked span to x.
+//
+// A write whose transfer fails part-way (a streamed body cut by its
+// connection) has the RDMA WRITE failure semantics: the version is bumped,
+// the range's bytes are undefined, and no Write is counted.
+//
+//shm:hotpath
+func (s *Store) walk(h Handle, off, n int, write bool, group int, x *stripeIO) error {
 	seg, err := s.lookupHandle(h)
 	if err != nil {
 		return err
 	}
-	if off < 0 || off+len(src) > len(seg.data) {
-		return fmt.Errorf("write [%d,%d) of %d-byte segment %q: %w",
-			off, off+len(src), len(seg.data), seg.name, ErrOutOfRange)
+	if size := len(seg.data); off < 0 || n < 0 || off > size || n > size-off {
+		verb := "read"
+		if write {
+			verb = "write"
+		}
+		return fmt.Errorf("%s [%d,%d) of %d-byte segment %q: %w",
+			verb, off, off+n, size, seg.name, ErrOutOfRange)
 	}
 	ins := s.inst.Load()
 	var t0 time.Time
 	if ins != nil {
 		t0 = time.Now()
 	}
-	seg.gate.RLock() // snapshot fence: the whole op is one cut-atomic unit
-	for covered := 0; covered < len(src); {
-		start := off + covered
-		ci := start / chunkBytes
-		_, hi := seg.chunkRange(ci)
-		if end := off + len(src); hi > end {
-			hi = end
-		}
-		seg.lockStripe(ci, false)
-		copy(seg.data[start:hi], src[covered:covered+(hi-start)])
-		seg.unlockStripe(ci)
-		covered += hi - start
+	if write {
+		seg.gate.RLock() // snapshot fence: the whole op is one cut-atomic unit
 	}
-	seg.bumpVersion()
-	seg.gate.RUnlock()
-	s.stats.writes.Add(1)
-	s.stats.bytesWrite.Add(int64(len(src)))
+	end := off + n
+	for lo := off; lo < end && err == nil; {
+		first := lo / chunkBytes
+		last := min(first+group, (end-1)/chunkBytes+1) // one past
+		hi := min(last*chunkBytes, end)
+		for ci := first; ci < last; ci++ {
+			if write {
+				seg.lockStripe(ci, false)
+			} else {
+				//lint:ignore lockorder stripe locks nest in one order only: a group's stripes by ascending index here, the two segments' stripes of one index by segment key in Accumulate and WriteAccumulate, so no two holders can cross
+				seg.rlockStripe(ci)
+			}
+		}
+		err = x.move(seg.data[lo:hi], write)
+		for ci := first; ci < last; ci++ {
+			if write {
+				seg.unlockStripe(ci)
+			} else {
+				seg.runlockStripe(ci)
+			}
+		}
+		lo = hi
+	}
+	if write {
+		seg.bumpVersion()
+		seg.gate.RUnlock()
+	}
+	if err != nil {
+		return err
+	}
+	if write {
+		s.stats.writes.Add(1)
+		s.stats.bytesWrite.Add(int64(n))
+	} else {
+		s.stats.reads.Add(1)
+		s.stats.bytesRead.Add(int64(n))
+	}
 	if ins != nil {
-		ins.writeLatency.ObserveSeconds(time.Since(t0).Nanoseconds())
+		lat := ins.readLatency
+		if write {
+			lat = ins.writeLatency
+		}
+		lat.ObserveSeconds(time.Since(t0).Nanoseconds())
 	}
 	return nil
 }
@@ -460,7 +520,6 @@ func (s *Store) Accumulate(dst, src Handle) error {
 		}
 		if dseg.key < sseg.key {
 			waitNs += dseg.lockStripe(ci, timed)
-			//lint:ignore lockorder second stripe of the same class is taken in segment-key order (dseg.key < sseg.key here, the mirror branch below), so concurrent pairs cannot cross
 			sseg.rlockStripe(ci)
 		} else {
 			sseg.rlockStripe(ci)

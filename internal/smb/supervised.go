@@ -153,6 +153,10 @@ func NewSupervisedClient(cfg SupervisedConfig) *SupervisedClient {
 	return c
 }
 
+// defaultOpTimeout is a supervised client's per-op budget when its config
+// names none, and the server's bound on one streamed transfer.
+const defaultOpTimeout = 10 * time.Second
+
 // opTimeoutOrDefault resolves a configured per-op budget: 0 → 10s, < 0 → no
 // deadline. Every dial path shares it, so DialAuto's negotiation probe can
 // never hang forever where the client it negotiates for would have timed
@@ -160,7 +164,7 @@ func NewSupervisedClient(cfg SupervisedConfig) *SupervisedClient {
 func opTimeoutOrDefault(d time.Duration) time.Duration {
 	switch {
 	case d == 0:
-		return 10 * time.Second
+		return defaultOpTimeout
 	case d < 0:
 		return 0
 	}

@@ -227,30 +227,23 @@ func legacyServe(t *testing.T, ln net.Listener, store *Store) {
 			return
 		}
 		defer conn.Close()
-		cs := &connState{}
-		var wire []byte
+		cs := &connState{conn: conn}
 		for {
-			op, payload, err := readFrameInto(conn, &cs.in)
+			op, payload, err := readFrame(conn)
 			if err != nil {
 				return
 			}
-			var resp []byte
-			var derr error
 			if opcode(op) == opHello || op&traceFlagBit != 0 {
-				derr = fmt.Errorf("smb: unknown opcode %d", op)
-			} else {
 				cs.fw.buf = cs.fw.buf[:0]
-				resp, derr = srv.dispatchOp(opcode(op), payload, cs)
-			}
-			if derr != nil {
-				cs.fw.buf = cs.fw.buf[:0]
-				cs.fw.str(derr.Error())
-				if writeFrameInto(conn, statusErr, cs.fw.buf, &wire) != nil {
+				cs.fw.str(fmt.Sprintf("smb: unknown opcode %d", op))
+				if writeFrameInto(conn, statusErr, cs.fw.buf, &cs.wire) != nil {
 					return
 				}
 				continue
 			}
-			if writeFrameInto(conn, statusOK, resp, &wire) != nil {
+			cs.head = payload
+			status, resp, _, err := srv.dispatchOp(opcode(op), cs)
+			if err != nil || writeFrameInto(conn, status, resp, &cs.wire) != nil {
 				return
 			}
 		}

@@ -120,6 +120,13 @@ tier1() {
 		echo "second bootstrap or MPI dependency found in internal/core (see above)" >&2
 		return 1
 	fi
+	# Bulk bytes cross the SMB server unstaged: Write bodies land in the
+	# segment's stripes and bulk replies leave from them or the cut, so
+	# neither the bulk-reply scratch nor a whole-frame request read comes back.
+	if grep -nE 'bulkOut|cs\.out\b|readFrameInto' internal/smb/*.go | grep -v '_test.go:'; then
+		echo "server-side bulk staging found in internal/smb (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
