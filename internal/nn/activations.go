@@ -9,8 +9,8 @@ import (
 
 // Sigmoid is the logistic activation.
 type Sigmoid struct {
-	name string
-	out  *tensor.Tensor
+	name    string
+	out, dx *tensor.Tensor // layer-owned (see Layer)
 }
 
 var _ Layer = (*Sigmoid)(nil)
@@ -29,12 +29,12 @@ func (s *Sigmoid) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (s *Sigmoid) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
-	y := x.Clone()
-	for i, v := range y.Data() {
-		y.Data()[i] = float32(1 / (1 + math.Exp(-float64(v))))
+	s.out = reuse(s.out, x.Shape()...)
+	y := s.out.Data()
+	for i, v := range x.Data() {
+		y[i] = float32(1 / (1 + math.Exp(-float64(v))))
 	}
-	s.out = y
-	return y, nil
+	return s.out, nil
 }
 
 // Backward implements Layer.
@@ -45,18 +45,19 @@ func (s *Sigmoid) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if grad.Len() != s.out.Len() {
 		return nil, fmt.Errorf("nn: sigmoid %q grad size: %w", s.name, ErrBadShape)
 	}
-	dx := grad.Clone()
-	for i, g := range dx.Data() {
+	s.dx = reuse(s.dx, grad.Shape()...)
+	dx := s.dx.Data()
+	for i, g := range grad.Data() {
 		y := s.out.Data()[i]
-		dx.Data()[i] = g * y * (1 - y)
+		dx[i] = g * y * (1 - y)
 	}
-	return dx, nil
+	return s.dx, nil
 }
 
 // Tanh is the hyperbolic tangent activation.
 type Tanh struct {
-	name string
-	out  *tensor.Tensor
+	name    string
+	out, dx *tensor.Tensor // layer-owned (see Layer)
 }
 
 var _ Layer = (*Tanh)(nil)
@@ -75,12 +76,12 @@ func (t *Tanh) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
-	y := x.Clone()
-	for i, v := range y.Data() {
-		y.Data()[i] = float32(math.Tanh(float64(v)))
+	t.out = reuse(t.out, x.Shape()...)
+	y := t.out.Data()
+	for i, v := range x.Data() {
+		y[i] = float32(math.Tanh(float64(v)))
 	}
-	t.out = y
-	return y, nil
+	return t.out, nil
 }
 
 // Backward implements Layer.
@@ -91,10 +92,11 @@ func (t *Tanh) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if grad.Len() != t.out.Len() {
 		return nil, fmt.Errorf("nn: tanh %q grad size: %w", t.name, ErrBadShape)
 	}
-	dx := grad.Clone()
-	for i, g := range dx.Data() {
+	t.dx = reuse(t.dx, grad.Shape()...)
+	dx := t.dx.Data()
+	for i, g := range grad.Data() {
 		y := t.out.Data()[i]
-		dx.Data()[i] = g * (1 - y*y)
+		dx[i] = g * (1 - y*y)
 	}
-	return dx, nil
+	return t.dx, nil
 }

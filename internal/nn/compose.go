@@ -17,6 +17,11 @@ type Parallel struct {
 	outChans []int // channels per branch
 	outH     int
 	outW     int
+
+	// Layer-owned scratch (see Layer).
+	outs    []*tensor.Tensor // the branches' outputs of the last Forward
+	gslices []*tensor.Tensor // per-branch slices of dL/doutput
+	out, dx *tensor.Tensor
 }
 
 var _ Layer = (*Parallel)(nil)
@@ -85,9 +90,14 @@ func (p *Parallel) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 	if len(rest) != 3 {
 		return nil, fmt.Errorf("nn: parallel %q input %v: %w", p.name, x.Shape(), ErrBadShape)
 	}
-	p.inShape = append([]int{n}, rest...)
-	outs := make([]*tensor.Tensor, len(p.branches))
-	p.outChans = make([]int, len(p.branches))
+	p.inShape = append(p.inShape[:0], n)
+	p.inShape = append(p.inShape, rest...)
+	if len(p.outs) != len(p.branches) {
+		p.outs = make([]*tensor.Tensor, len(p.branches))
+		p.outChans = make([]int, len(p.branches))
+		p.gslices = make([]*tensor.Tensor, len(p.branches))
+	}
+	outs := p.outs
 	totalC := 0
 	for i, b := range p.branches {
 		out, err := b.Forward(x, train)
@@ -101,7 +111,8 @@ func (p *Parallel) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 	h, w := outs[0].Dim(2), outs[0].Dim(3)
 	p.outH, p.outW = h, w
 	plane := h * w
-	y := tensor.New(n, totalC, h, w)
+	p.out = reuse(p.out, n, totalC, h, w)
+	y := p.out
 	// Concatenate per sample along channels.
 	for s := 0; s < n; s++ {
 		dstOff := s * totalC * plane
@@ -129,11 +140,15 @@ func (p *Parallel) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if grad.Len() != n*totalC*plane {
 		return nil, fmt.Errorf("nn: parallel %q grad %v: %w", p.name, grad.Shape(), ErrBadShape)
 	}
-	dx := tensor.New(p.inShape...)
+	// The branches' dL/dinput sum into dx from a clean slate.
+	p.dx = reuse(p.dx, p.inShape...)
+	dx := p.dx
+	clear(dx.Data())
 	chanOff := 0
 	for i, b := range p.branches {
 		chunk := p.outChans[i] * plane
-		gslice := tensor.New(n, p.outChans[i], p.outH, p.outW)
+		p.gslices[i] = reuse(p.gslices[i], n, p.outChans[i], p.outH, p.outW)
+		gslice := p.gslices[i]
 		for s := 0; s < n; s++ {
 			srcOff := s*totalC*plane + chanOff*plane
 			copy(gslice.Data()[s*chunk:(s+1)*chunk], grad.Data()[srcOff:srcOff+chunk])
@@ -151,8 +166,9 @@ func (p *Parallel) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 // Residual computes y = x + F(x), the identity-shortcut residual block of
 // ResNet. The inner stack F must preserve the input shape.
 type Residual struct {
-	name  string
-	inner Layer
+	name    string
+	inner   Layer
+	out, dx *tensor.Tensor // layer-owned (see Layer)
 }
 
 var _ Layer = (*Residual)(nil)
@@ -198,9 +214,9 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
 		return nil, fmt.Errorf("nn: residual %q inner changed volume: %w", r.name, ErrBadShape)
 	}
 	// One fused pass y = F(x) + x instead of clone-then-add.
-	y := tensor.New(fx.Shape()...)
-	tensor.FusedAxpyCopy(1, x.Data(), fx.Data(), y.Data())
-	return y, nil
+	r.out = reuse(r.out, fx.Shape()...)
+	tensor.FusedAxpyCopy(1, x.Data(), fx.Data(), r.out.Data())
+	return r.out, nil
 }
 
 // Backward implements Layer.
@@ -210,9 +226,9 @@ func (r *Residual) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("residual %q backward: %w", r.name, err)
 	}
 	// Shortcut gradient: dx = dF + grad in one fused pass.
-	dx := tensor.New(dInner.Shape()...)
-	tensor.FusedAxpyCopy(1, grad.Data(), dInner.Data(), dx.Data())
-	return dx, nil
+	r.dx = reuse(r.dx, dInner.Shape()...)
+	tensor.FusedAxpyCopy(1, grad.Data(), dInner.Data(), r.dx.Data())
+	return r.dx, nil
 }
 
 // Stack composes layers sequentially as one Layer, so Parallel branches and

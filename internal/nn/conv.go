@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"shmcaffe/internal/tensor"
 )
@@ -15,8 +16,14 @@ type Conv2D struct {
 	geom     tensor.ConvParams
 	w, b     *Param
 	lastIn   *tensor.Tensor
-	lastCols []*tensor.Tensor // per-sample im2col buffers kept for backward
 	inH, inW int
+
+	// Layer-owned scratch (see Layer), reused while the batch shape holds.
+	cols  *tensor.Tensor // (n, kvol, oh·ow): the batch's im2col columns, kept for backward
+	out   *tensor.Tensor
+	dx    *tensor.Tensor
+	dcol  *tensor.Tensor // (kvol, oh·ow): one sample's Wᵀ·g
+	dwTmp *tensor.Tensor // (outC, kvol): one sample's g·colᵀ
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -82,26 +89,23 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 
 	c.lastIn = x
 	c.inH, c.inW = h, w
-	c.lastCols = make([]*tensor.Tensor, n)
+	c.cols = reuse(c.cols, n, kvol, oh*ow)
+	c.out = reuse(c.out, n, c.outC, oh, ow)
+	out := c.out
 
-	out := tensor.New(n, c.outC, oh, ow)
 	sampleIn := h * w * c.inC
+	sampleCol := kvol * oh * ow
 	sampleOut := c.outC * oh * ow
 	for i := 0; i < n; i++ {
-		col := tensor.New(kvol, oh*ow)
-		tensor.Im2Col(x.Data()[i*sampleIn:(i+1)*sampleIn], c.inC, h, w, c.geom, col.Data())
-		c.lastCols[i] = col
-		y, err := tensor.FromSlice(out.Data()[i*sampleOut:(i+1)*sampleOut], c.outC, oh*ow)
-		if err != nil {
-			return nil, err
-		}
-		if err := tensor.MatMul(c.w.W, col, y); err != nil {
-			return nil, err
-		}
+		col := c.cols.Data()[i*sampleCol : (i+1)*sampleCol]
+		tensor.Im2Col(x.Data()[i*sampleIn:(i+1)*sampleIn], c.inC, h, w, c.geom, col)
+		// y = W · col, (outC × kvol)(kvol × oh·ow).
+		y := out.Data()[i*sampleOut : (i+1)*sampleOut]
+		tensor.Gemm(c.outC, oh*ow, kvol, c.w.W.Data(), col, y)
 		// Bias per output channel.
 		for oc := 0; oc < c.outC; oc++ {
 			bias := c.b.W.Data()[oc]
-			row := y.Data()[oc*oh*ow : (oc+1)*oh*ow]
+			row := y[oc*oh*ow : (oc+1)*oh*ow]
 			for j := range row {
 				row[j] += bias
 			}
@@ -125,14 +129,19 @@ func (c *Conv2D) paramGrad(grad *tensor.Tensor) error {
 	if err != nil {
 		return err
 	}
-	dwTmp := tensor.New(c.outC, c.kvol())
+	c.dwTmp = reuse(c.dwTmp, c.outC, c.kvol())
+	dwTmp := c.dwTmp
 	for i := 0; i < n; i++ {
 		g, err := c.sampleGrad(grad, i, ohow)
 		if err != nil {
 			return err
 		}
+		col, err := c.sampleCols(i)
+		if err != nil {
+			return err
+		}
 		// dW += g · colᵀ
-		if err := tensor.MatMulTransB(g, c.lastCols[i], dwTmp); err != nil {
+		if err := tensor.MatMulTransB(g, col, dwTmp); err != nil {
 			return err
 		}
 		tensor.AxpySlice(1, dwTmp.Data(), c.w.Grad.Data())
@@ -157,9 +166,13 @@ func (c *Conv2D) inputGrad(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	h, w := c.inH, c.inW
 	sampleIn := c.inC * h * w
-	dx := tensor.New(n, c.inC, h, w)
-	// One dcol for every sample: MatMulTransA overwrites it.
-	dcol := tensor.New(c.kvol(), ohow)
+	// col2im accumulates, so dx starts cleared; MatMulTransA overwrites
+	// dcol for every sample.
+	c.dx = reuse(c.dx, n, c.inC, h, w)
+	dx := c.dx
+	clear(dx.Data())
+	c.dcol = reuse(c.dcol, c.kvol(), ohow)
+	dcol := c.dcol
 	for i := 0; i < n; i++ {
 		g, err := c.sampleGrad(grad, i, ohow)
 		if err != nil {
@@ -193,6 +206,13 @@ func (c *Conv2D) sampleGrad(grad *tensor.Tensor, i, ohow int) (*tensor.Tensor, e
 	return tensor.FromSlice(grad.Data()[i*size:(i+1)*size], c.outC, ohow)
 }
 
+// sampleCols views sample i's im2col columns as the (kvol × oh·ow) matrix.
+func (c *Conv2D) sampleCols(i int) (*tensor.Tensor, error) {
+	kvol, ohow := c.cols.Dim(1), c.cols.Dim(2)
+	size := kvol * ohow
+	return tensor.FromSlice(c.cols.Data()[i*size:(i+1)*size], kvol, ohow)
+}
+
 // kvol is the im2col row count: one per (input channel, kernel tap).
 func (c *Conv2D) kvol() int { return c.inC * c.geom.KernelH * c.geom.KernelW }
 
@@ -200,11 +220,13 @@ func (c *Conv2D) kvol() int { return c.inC * c.geom.KernelH * c.geom.KernelW }
 type MaxPool2D struct {
 	name   string
 	geom   tensor.ConvParams
-	argmax []int // flat input index chosen for each output element
+	argmax []int32 // flat input index chosen for each output element
 	inN    int
 	inC    int
 	inH    int
 	inW    int
+
+	out, dx *tensor.Tensor // layer-owned (see Layer)
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -238,7 +260,9 @@ func (m *MaxPool2D) OutShape(in []int) ([]int, error) {
 // Params implements Layer.
 func (m *MaxPool2D) Params() []*Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer. Each window, clipped to the image, is folded
+// row by row through maxStep starting from its top-left element, which is
+// always inside (there is no padding), so every output has an argmax.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	n, rest, err := batchOf(x)
 	if err != nil {
@@ -248,45 +272,65 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("nn: maxpool %q input %v: %w", m.name, x.Shape(), ErrBadShape)
 	}
 	ch, h, w := rest[0], rest[1], rest[2]
+	if err := m.geom.Validate(h, w); err != nil {
+		return nil, err
+	}
+	if x.Len() > math.MaxInt32 {
+		return nil, fmt.Errorf("nn: maxpool %q input of %d elements overflows its int32 argmax: %w", m.name, x.Len(), ErrBadShape)
+	}
 	oh, ow := m.geom.OutSize(h, w)
 	m.inN, m.inC, m.inH, m.inW = n, ch, h, w
 
-	out := tensor.New(n, ch, oh, ow)
-	m.argmax = make([]int, out.Len())
+	m.out = reuse(m.out, n, ch, oh, ow)
+	out := m.out.Data()
+	if len(m.argmax) != len(out) {
+		m.argmax = make([]int32, len(out))
+	}
+	kh, kw, sh, sw := m.geom.KernelH, m.geom.KernelW, m.geom.StrideH, m.geom.StrideW
+	src := x.Data()
+	argmax := m.argmax
 	outIdx := 0
-	for i := 0; i < n; i++ {
-		for cc := 0; cc < ch; cc++ {
-			plane := x.Data()[(i*ch+cc)*h*w : (i*ch+cc+1)*h*w]
-			planeBase := (i*ch + cc) * h * w
-			for y := 0; y < oh; y++ {
-				for xx := 0; xx < ow; xx++ {
-					bestVal := float32(0)
-					bestIdx := -1
-					for ky := 0; ky < m.geom.KernelH; ky++ {
-						iy := y*m.geom.StrideH + ky
-						if iy >= h {
-							continue
-						}
-						for kx := 0; kx < m.geom.KernelW; kx++ {
-							ix := xx*m.geom.StrideW + kx
-							if ix >= w {
-								continue
-							}
-							v := plane[iy*w+ix]
-							if bestIdx < 0 || v > bestVal {
-								bestVal = v
-								bestIdx = planeBase + iy*w + ix
-							}
-						}
+	for p := 0; p < n*ch; p++ {
+		planeBase := p * h * w
+		for y := 0; y < oh; y++ {
+			y0 := y * sh
+			rows := min(kh, h-y0)
+			orow := out[outIdx : outIdx+ow]
+			arow := argmax[outIdx : outIdx+ow]
+			outIdx += ow
+			for xx := range orow {
+				first := planeBase + y0*w + xx*sw
+				cols := min(kw, w-xx*sw)
+				best, bestIdx := src[first], int32(first)
+				for ky := 0; ky < rows; ky++ {
+					rowStart := first + ky*w
+					for kx, v := range src[rowStart : rowStart+cols] {
+						best, bestIdx = maxStep(best, bestIdx, v, int32(rowStart+kx))
 					}
-					out.Data()[outIdx] = bestVal
-					m.argmax[outIdx] = bestIdx
-					outIdx++
 				}
+				orow[xx] = best
+				arow[xx] = bestIdx
 			}
 		}
 	}
-	return out, nil
+	return m.out, nil
+}
+
+// maxStep folds candidate v at input index vi into a window's running
+// maximum: v replaces it only when v > best, so ties and NaNs keep the
+// earlier element. Both candidates are at hand before the compare, so the
+// two selects compile to conditional moves on the float bits instead of a
+// branch on the data.
+func maxStep(best float32, bestIdx int32, v float32, vi int32) (float32, int32) {
+	gt := v > best
+	b, vb := math.Float32bits(best), math.Float32bits(v)
+	if gt {
+		b = vb
+	}
+	if gt {
+		bestIdx = vi
+	}
+	return math.Float32frombits(b), bestIdx
 }
 
 // Backward implements Layer.
@@ -297,13 +341,14 @@ func (m *MaxPool2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if grad.Len() != len(m.argmax) {
 		return nil, fmt.Errorf("nn: maxpool %q grad %v: %w", m.name, grad.Shape(), ErrBadShape)
 	}
-	dx := tensor.New(m.inN, m.inC, m.inH, m.inW)
+	m.dx = reuse(m.dx, m.inN, m.inC, m.inH, m.inW)
+	dx := m.dx.Data()
+	clear(dx)
+	g := grad.Data()[:len(m.argmax)]
 	for i, src := range m.argmax {
-		if src >= 0 {
-			dx.Data()[src] += grad.Data()[i]
-		}
+		dx[src] += g[i]
 	}
-	return dx, nil
+	return m.dx, nil
 }
 
 // AvgPool2D performs global average pooling over each channel plane,
@@ -314,6 +359,8 @@ type AvgPool2D struct {
 	inC  int
 	inH  int
 	inW  int
+
+	out, dx *tensor.Tensor // layer-owned (see Layer)
 }
 
 var _ Layer = (*AvgPool2D)(nil)
@@ -346,7 +393,8 @@ func (a *AvgPool2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	}
 	ch, h, w := rest[0], rest[1], rest[2]
 	a.inN, a.inC, a.inH, a.inW = n, ch, h, w
-	out := tensor.New(n, ch, 1, 1)
+	a.out = reuse(a.out, n, ch, 1, 1)
+	out := a.out
 	inv := 1 / float32(h*w)
 	for i := 0; i < n*ch; i++ {
 		plane := x.Data()[i*h*w : (i+1)*h*w]
@@ -367,7 +415,8 @@ func (a *AvgPool2D) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if grad.Len() != a.inN*a.inC {
 		return nil, fmt.Errorf("nn: avgpool %q grad %v: %w", a.name, grad.Shape(), ErrBadShape)
 	}
-	dx := tensor.New(a.inN, a.inC, a.inH, a.inW)
+	a.dx = reuse(a.dx, a.inN, a.inC, a.inH, a.inW)
+	dx := a.dx
 	inv := 1 / float32(a.inH*a.inW)
 	for i := 0; i < a.inN*a.inC; i++ {
 		g := grad.Data()[i] * inv

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"shmcaffe/internal/tensor"
 )
@@ -13,6 +14,7 @@ type Dense struct {
 	w, b    *Param
 
 	lastIn *tensor.Tensor // cached forward input for backward
+	y, dx  *tensor.Tensor // layer-owned (see Layer)
 }
 
 var _ Layer = (*Dense)(nil)
@@ -63,7 +65,8 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	d.lastIn = x2
-	y := tensor.New(n, d.out)
+	d.y = reuse(d.y, n, d.out)
+	y := d.y
 	if err := tensor.MatMul(x2, d.w.W, y); err != nil {
 		return nil, err
 	}
@@ -112,7 +115,8 @@ func (d *Dense) inputGrad(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	dx := tensor.New(g.Dim(0), d.in)
+	d.dx = reuse(d.dx, g.Dim(0), d.in)
+	dx := d.dx
 	if err := tensor.MatMulTransB(g, d.w.W, dx); err != nil {
 		return nil, err
 	}
@@ -129,8 +133,8 @@ func (d *Dense) gradRows(grad *tensor.Tensor) (*tensor.Tensor, error) {
 
 // ReLU is a rectified linear activation.
 type ReLU struct {
-	name string
-	mask []bool
+	name    string
+	out, dx *tensor.Tensor // layer-owned (see Layer); Backward masks by out
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -147,36 +151,45 @@ func (r *ReLU) OutShape(in []int) ([]int, error) { return in, nil }
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
-	y := x.Clone()
-	if cap(r.mask) < y.Len() {
-		r.mask = make([]bool, y.Len())
-	}
-	r.mask = r.mask[:y.Len()]
-	for i, v := range y.Data() {
-		if v > 0 {
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
-			y.Data()[i] = 0
-		}
-	}
-	return y, nil
+// posMask is all ones when the float32 with these bits is > 0 — positive,
+// non-zero and not NaN, +Inf included — and zero otherwise. bits−1 is
+// below 0x7f800000 exactly for bits 1 … 0x7f800000 (the least positive
+// subnormal through +Inf): +0 wraps to 0xffffffff, and every negative
+// value and every positive NaN lands at or above 0x7f800000. The sign of
+// the widened difference is the mask, so there is no branch on the data.
+func posMask(bits uint32) uint32 {
+	return uint32((int64(bits-1) - 0x7f800000) >> 63)
 }
 
-// Backward implements Layer.
+// Forward implements Layer: y = bits(x) & posMask(bits(x)), which is x
+// where x > 0 and +0 everywhere else (NaN and -0 included) — what a
+// `v > 0` branch produces, without its mispredictions on random signs.
+func (r *ReLU) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
+	r.out = reuse(r.out, x.Shape()...)
+	src := x.Data()
+	dst := r.out.Data()[:len(src)]
+	for i, v := range src {
+		b := math.Float32bits(v)
+		dst[i] = math.Float32frombits(b & posMask(b))
+	}
+	return r.out, nil
+}
+
+// Backward implements Layer: dx = g where the layer's own output is > 0
+// and +0 elsewhere. The output is > 0 exactly where the input was, so it
+// is the mask.
 func (r *ReLU) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(r.mask) != grad.Len() {
+	if r.out == nil || r.out.Len() != grad.Len() {
 		return nil, fmt.Errorf("nn: relu %q backward before forward: %w", r.name, ErrBadShape)
 	}
-	dx := grad.Clone()
-	for i := range dx.Data() {
-		if !r.mask[i] {
-			dx.Data()[i] = 0
-		}
+	r.dx = reuse(r.dx, grad.Shape()...)
+	g := grad.Data()
+	y := r.out.Data()[:len(g)]
+	dst := r.dx.Data()[:len(g)]
+	for i, v := range g {
+		dst[i] = math.Float32frombits(math.Float32bits(v) & posMask(math.Float32bits(y[i])))
 	}
-	return dx, nil
+	return r.dx, nil
 }
 
 // Flatten reshapes (N, ...) into (N, volume).
@@ -222,10 +235,11 @@ func (f *Flatten) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 // Dropout zeroes activations with probability p at train time and scales the
 // survivors by 1/(1-p) (inverted dropout), passing through untouched at eval.
 type Dropout struct {
-	name string
-	p    float64
-	rng  *tensor.RNG
-	keep []bool
+	name    string
+	p       float64
+	rng     *tensor.RNG
+	keep    []bool
+	out, dx *tensor.Tensor // layer-owned at train time (see Layer)
 }
 
 var _ Layer = (*Dropout)(nil)
@@ -250,22 +264,23 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) 
 		d.keep = nil
 		return x, nil
 	}
-	y := x.Clone()
-	if cap(d.keep) < y.Len() {
-		d.keep = make([]bool, y.Len())
+	d.out = reuse(d.out, x.Shape()...)
+	y := d.out.Data()
+	if cap(d.keep) < len(y) {
+		d.keep = make([]bool, len(y))
 	}
-	d.keep = d.keep[:y.Len()]
+	d.keep = d.keep[:len(y)]
 	scale := float32(1 / (1 - d.p))
-	for i := range y.Data() {
+	for i, v := range x.Data() {
 		if d.rng.Float64() < d.p {
 			d.keep[i] = false
-			y.Data()[i] = 0
+			y[i] = 0
 		} else {
 			d.keep[i] = true
-			y.Data()[i] *= scale
+			y[i] = v * scale
 		}
 	}
-	return y, nil
+	return d.out, nil
 }
 
 // Backward implements Layer.
@@ -276,14 +291,15 @@ func (d *Dropout) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if len(d.keep) != grad.Len() {
 		return nil, fmt.Errorf("nn: dropout %q grad size mismatch: %w", d.name, ErrBadShape)
 	}
-	dx := grad.Clone()
+	d.dx = reuse(d.dx, grad.Shape()...)
+	dx := d.dx.Data()
 	scale := float32(1 / (1 - d.p))
-	for i := range dx.Data() {
+	for i, g := range grad.Data() {
 		if d.keep[i] {
-			dx.Data()[i] *= scale
+			dx[i] = g * scale
 		} else {
-			dx.Data()[i] = 0
+			dx[i] = 0
 		}
 	}
-	return dx, nil
+	return d.dx, nil
 }

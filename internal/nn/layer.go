@@ -45,7 +45,16 @@ func newParam(name string, shape ...int) *Param {
 // batch-first activation tensor and returns the layer output; Backward
 // receives dL/d(output) and returns dL/d(input), accumulating parameter
 // gradients into Params. Layers are stateful (they cache forward inputs),
-// so each worker must own its own replica.
+// so each worker must own its own replica, and a network lists each layer
+// instance once.
+//
+// A layer owns the tensors it returns. An output stays valid until that
+// layer's next Forward and a returned dL/d(input) until its next Backward;
+// after that the layer writes its next result into the same storage while
+// the batch shape holds (and allocates afresh when it changes). A caller
+// that keeps a result past that point copies it. A layer reads its cached
+// input during Backward, so a caller must not change a tensor it passed to
+// Forward before the matching Backward.
 type Layer interface {
 	// Name identifies the layer for diagnostics and parameter naming.
 	Name() string
@@ -74,6 +83,23 @@ type initializer interface {
 // with respect to the data — nothing reads.
 type paramGrader interface {
 	paramGrad(grad *tensor.Tensor) error
+}
+
+// reuse returns t when it already has the given shape and a new zeroed
+// tensor of that shape otherwise: the one sizing rule behind every
+// layer-owned output, dL/d(input) and backward temporary. A reused tensor
+// holds whatever the previous pass left in it, so the caller overwrites
+// every element or clears it first.
+func reuse(t *tensor.Tensor, shape ...int) *tensor.Tensor {
+	if t == nil || t.Dims() != len(shape) {
+		return tensor.New(shape...)
+	}
+	for i, d := range shape {
+		if t.Dim(i) != d {
+			return tensor.New(shape...)
+		}
+	}
+	return t
 }
 
 func batchOf(x *tensor.Tensor) (n int, rest []int, err error) {

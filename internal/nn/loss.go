@@ -12,12 +12,14 @@ import (
 // every classification network in this repository.
 type SoftmaxLoss struct {
 	probs  *tensor.Tensor
+	grad   *tensor.Tensor
 	labels []int
 }
 
 // Forward computes class probabilities and the mean cross-entropy loss for
 // logits (N×C) against labels (len N). The probabilities are retained for
-// Backward.
+// Backward. Like a Layer's output, the returned probabilities belong to s
+// and are overwritten by its next Forward.
 func (s *SoftmaxLoss) Forward(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor, error) {
 	n, rest, err := batchOf(logits)
 	if err != nil {
@@ -31,7 +33,13 @@ func (s *SoftmaxLoss) Forward(logits *tensor.Tensor, labels []int) (float64, *te
 	if err != nil {
 		return 0, nil, err
 	}
-	probs := tensor.New(n, classes)
+	for _, lbl := range labels {
+		if lbl < 0 || lbl >= classes {
+			return 0, nil, fmt.Errorf("nn: softmax label %d out of range [0,%d)", lbl, classes)
+		}
+	}
+	s.probs = reuse(s.probs, n, classes)
+	probs := s.probs
 	var loss float64
 	for i := 0; i < n; i++ {
 		row := flat.Data()[i*classes : (i+1)*classes]
@@ -52,29 +60,27 @@ func (s *SoftmaxLoss) Forward(logits *tensor.Tensor, labels []int) (float64, *te
 		for j := range out {
 			out[j] *= invSum
 		}
-		lbl := labels[i]
-		if lbl < 0 || lbl >= classes {
-			return 0, nil, fmt.Errorf("nn: softmax label %d out of range [0,%d)", lbl, classes)
-		}
-		p := float64(out[lbl])
+		p := float64(out[labels[i]])
 		if p < 1e-12 {
 			p = 1e-12
 		}
 		loss -= math.Log(p)
 	}
-	s.probs = probs
 	s.labels = labels
 	return loss / float64(n), probs, nil
 }
 
-// Backward returns dL/dlogits = (probs - onehot)/N.
+// Backward returns dL/dlogits = (probs - onehot)/N, valid until s's next
+// Backward.
 func (s *SoftmaxLoss) Backward() (*tensor.Tensor, error) {
 	if s.probs == nil {
 		return nil, fmt.Errorf("nn: softmax backward before forward")
 	}
 	n := s.probs.Dim(0)
 	classes := s.probs.Dim(1)
-	grad := s.probs.Clone()
+	s.grad = reuse(s.grad, n, classes)
+	grad := s.grad
+	copy(grad.Data(), s.probs.Data())
 	inv := float32(1.0 / float64(n))
 	for i := 0; i < n; i++ {
 		row := grad.Data()[i*classes : (i+1)*classes]

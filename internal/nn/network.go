@@ -29,10 +29,16 @@ type Network struct {
 // parameter's weights and gradients into the network's two slabs (current
 // weights are kept; gradients start cleared). A parameter may belong to one
 // network only, once: a Param that appears twice, or that an earlier
-// NewNetwork already packed, is an error.
+// NewNetwork already packed, is an error. So is a layer instance listed
+// twice anywhere in the tree, inside a Stack, Parallel or Residual too: its
+// second use would overwrite the output and the backward caches of the
+// first (see Layer).
 func NewNetwork(name string, inShape []int, layers ...Layer) (*Network, error) {
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("nn: network %q has no layers", name)
+	}
+	if err := checkLayersOnce(name, layers); err != nil {
+		return nil, err
 	}
 	shape := append([]int(nil), inShape...)
 	var params []*Param
@@ -82,6 +88,41 @@ func NewNetwork(name string, inShape []int, layers ...Layer) (*Network, error) {
 	return n, nil
 }
 
+// checkLayersOnce walks the layer tree and fails on the first layer
+// instance it meets twice (every Layer is a pointer type, so equal keys
+// are one instance).
+func checkLayersOnce(name string, layers []Layer) error {
+	seen := make(map[Layer]bool)
+	var walk func([]Layer) error
+	walk = func(ls []Layer) error {
+		for _, l := range ls {
+			if seen[l] {
+				return fmt.Errorf("nn: network %q lists layer %q twice", name, l.Name())
+			}
+			seen[l] = true
+			if err := walk(subLayers(l)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return walk(layers)
+}
+
+// subLayers returns a container layer's direct children: a Stack's layers,
+// a Parallel's branches, a Residual's inner stack.
+func subLayers(l Layer) []Layer {
+	switch c := l.(type) {
+	case *Stack:
+		return c.layers
+	case *Parallel:
+		return c.branches
+	case *Residual:
+		return []Layer{c.inner}
+	}
+	return nil
+}
+
 // slabView returns slab[off:end] as a tensor of the given shape, capped so
 // no append through it can spill into a neighbouring parameter.
 func slabView(slab []float32, off, end int, shape []int) *tensor.Tensor {
@@ -115,6 +156,8 @@ func (n *Network) InitWeights(rng *tensor.RNG) {
 }
 
 // Forward runs the network on batch x (batch-first) and returns the logits.
+// The logits are the last layer's output (see Layer): valid until the
+// network's next Forward or TrainStep, so a caller that keeps them copies.
 func (n *Network) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	cur := x
 	for _, l := range n.layers {
@@ -130,7 +173,8 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) 
 // TrainStep runs forward + loss + backward for one minibatch, accumulating
 // parameter gradients into Grads — which must be clear on entry: an
 // SGDSolver keeps them so (ApplyUpdate consumes them), other callers
-// ZeroGrads first. It returns the mean loss and the probability tensor.
+// ZeroGrads first. It returns the mean loss and the probability tensor,
+// which the network's loss head owns until the next TrainStep or Evaluate.
 // The first layer computes no dL/dinput when it can skip it (paramGrader).
 func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (float64, *tensor.Tensor, error) {
 	logits, err := n.Forward(x, true)
@@ -165,8 +209,7 @@ func (n *Network) Evaluate(x *tensor.Tensor, labels []int, topK int) (loss, acc 
 	if err != nil {
 		return 0, 0, err
 	}
-	var head SoftmaxLoss
-	loss, probs, err := head.Forward(logits, labels)
+	loss, probs, err := n.loss.Forward(logits, labels)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -30,6 +30,8 @@ type BatchNorm struct {
 	inN    int
 	inH    int
 	inW    int
+
+	out, dx *tensor.Tensor // layer-owned (see Layer)
 }
 
 var _ Layer = (*BatchNorm)(nil)
@@ -93,10 +95,13 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 	plane := h * w
 	count := n * plane
 
-	y := tensor.New(n, b.channels, h, w)
+	b.out = reuse(b.out, n, b.channels, h, w)
+	y := b.out
 	if train {
-		b.xhat = tensor.New(n, b.channels, h, w)
-		b.std = make([]float32, b.channels)
+		b.xhat = reuse(b.xhat, n, b.channels, h, w)
+		if len(b.std) != b.channels {
+			b.std = make([]float32, b.channels)
+		}
 		b.counts = count
 	}
 	for c := 0; c < b.channels; c++ {
@@ -158,7 +163,8 @@ func (b *BatchNorm) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	n, h, w := b.inN, b.inH, b.inW
 	plane := h * w
 	m := float32(b.counts)
-	dx := tensor.New(n, b.channels, h, w)
+	b.dx = reuse(b.dx, n, b.channels, h, w)
+	dx := b.dx
 	for c := 0; c < b.channels; c++ {
 		// Accumulate dgamma, dbeta and the two correction sums.
 		var dg, db, sumDxhat, sumDxhatXhat float64
@@ -212,12 +218,13 @@ type LRN struct {
 	beta  float32
 	k     float32
 
-	lastIn *tensor.Tensor
-	scale  *tensor.Tensor // (k + α/size·Σx²) per element
-	inN    int
-	inC    int
-	inH    int
-	inW    int
+	lastIn  *tensor.Tensor
+	scale   *tensor.Tensor // (k + α/size·Σx²) per element
+	inN     int
+	inC     int
+	inH     int
+	inW     int
+	out, dx *tensor.Tensor // layer-owned (see Layer)
 }
 
 var _ Layer = (*LRN)(nil)
@@ -256,8 +263,9 @@ func (l *LRN) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	half := l.size / 2
 
 	l.lastIn = x
-	l.scale = tensor.New(n, c, h, w)
-	y := tensor.New(n, c, h, w)
+	l.scale = reuse(l.scale, n, c, h, w)
+	l.out = reuse(l.out, n, c, h, w)
+	y := l.out
 	coef := l.alpha / float32(l.size)
 	for i := 0; i < n; i++ {
 		for ch := 0; ch < c; ch++ {
@@ -297,7 +305,8 @@ func (l *LRN) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	plane := h * w
 	half := l.size / 2
 	coef := l.alpha / float32(l.size)
-	dx := tensor.New(n, c, h, w)
+	l.dx = reuse(l.dx, n, c, h, w)
+	dx := l.dx
 	// dy_q/dx_p = δ(p==q)·s_q^(−β) − 2β·coef·x_p·x_q·s_q^(−β−1) for p in
 	// q's window; accumulate over all q whose window contains p.
 	for i := 0; i < n; i++ {

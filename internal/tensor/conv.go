@@ -59,28 +59,64 @@ func Im2Col(img []float32, c, h, w int, p ConvParams, col []float32) {
 	im2ColChannels(img, 0, c, h, w, oh, ow, p, col)
 }
 
-// im2ColChannels is the scalar reference kernel over channels [lo, hi).
+// im2ColChannels lowers channels [lo, hi) row by row. Each (channel,
+// kernel tap, output row) row of col reads one input row: its in-image span
+// is one copy at stride 1, or one loop with the bounds hoisted out of it at
+// any other stride, and the padding margins on either side are cleared.
+// Every element gets the value the element-wise Caffe walk gives it, so
+// the result is bitwise that walk's (TestIm2ColMatchesReference).
 func im2ColChannels(img []float32, lo, hi, h, w, oh, ow int, p ConvParams, col []float32) {
 	colIdx := lo * p.KernelH * p.KernelW * oh * ow
+	s := p.StrideW
 	for ch := lo; ch < hi; ch++ {
-		base := ch * h * w
+		plane := img[ch*h*w : (ch+1)*h*w]
 		for kh := 0; kh < p.KernelH; kh++ {
 			for kw := 0; kw < p.KernelW; kw++ {
+				xlo, xhi := rowSpan(ow, w, s, p.PadW, kw)
+				off := kw - p.PadW
 				for y := 0; y < oh; y++ {
+					row := col[colIdx : colIdx+ow]
+					colIdx += ow
 					iy := y*p.StrideH - p.PadH + kh
-					for x := 0; x < ow; x++ {
-						ix := x*p.StrideW - p.PadW + kw
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							col[colIdx] = img[base+iy*w+ix]
-						} else {
-							col[colIdx] = 0
+					if iy < 0 || iy >= h || xlo == xhi {
+						clear(row)
+						continue
+					}
+					// The margins are zero to a few elements: stores in
+					// place cost less than a clear call each.
+					src := plane[iy*w : (iy+1)*w]
+					for x := 0; x < xlo; x++ {
+						row[x] = 0
+					}
+					if s == 1 {
+						copy(row[xlo:xhi], src[xlo+off:xhi+off])
+					} else {
+						for x := xlo; x < xhi; x++ {
+							row[x] = src[x*s+off]
 						}
-						colIdx++
+					}
+					for x := xhi; x < ow; x++ {
+						row[x] = 0
 					}
 				}
 			}
 		}
 	}
+}
+
+// rowSpan returns the output columns [xlo, xhi) of a lowering row at
+// kernel column kw whose input column x·stride + kw − pad lies inside
+// [0, w). The columns outside the span read padding.
+func rowSpan(ow, w, stride, pad, kw int) (xlo, xhi int) {
+	off := kw - pad
+	if off < 0 {
+		xlo = (-off + stride - 1) / stride
+	}
+	if lim := w - off; lim > 0 {
+		xhi = (lim-1)/stride + 1
+	}
+	xlo = min(xlo, ow)
+	return xlo, min(max(xhi, xlo), ow)
 }
 
 // Col2Im scatters columns back into an image gradient (accumulating), the
@@ -103,21 +139,41 @@ func Col2Im(col []float32, c, h, w int, p ConvParams, img []float32) {
 	col2ImChannels(col, 0, c, h, w, oh, ow, p, img)
 }
 
-// col2ImChannels is the scalar reference kernel over channels [lo, hi).
+// col2ImChannels scatters channels [lo, hi) back row by row, the adjoint
+// of im2ColChannels: each row of col adds its in-image span into one input
+// row (an element-wise add at stride 1, a hoisted-bounds loop otherwise)
+// and drops its padding margins. For a fixed (channel, kh, kw) distinct
+// output positions hit distinct image elements, so every image element
+// folds its contributions in the same (kh, kw, y) order as the
+// element-wise walk and the result is bitwise that walk's
+// (TestCol2ImMatchesReference).
 func col2ImChannels(col []float32, lo, hi, h, w, oh, ow int, p ConvParams, img []float32) {
 	colIdx := lo * p.KernelH * p.KernelW * oh * ow
+	s := p.StrideW
 	for ch := lo; ch < hi; ch++ {
-		base := ch * h * w
+		plane := img[ch*h*w : (ch+1)*h*w]
 		for kh := 0; kh < p.KernelH; kh++ {
 			for kw := 0; kw < p.KernelW; kw++ {
+				xlo, xhi := rowSpan(ow, w, s, p.PadW, kw)
+				off := kw - p.PadW
 				for y := 0; y < oh; y++ {
+					row := col[colIdx : colIdx+ow]
+					colIdx += ow
 					iy := y*p.StrideH - p.PadH + kh
-					for x := 0; x < ow; x++ {
-						ix := x*p.StrideW - p.PadW + kw
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							img[base+iy*w+ix] += col[colIdx]
+					if iy < 0 || iy >= h || xlo == xhi {
+						continue
+					}
+					dst := plane[iy*w : (iy+1)*w]
+					if s == 1 {
+						span := row[xlo:xhi]
+						d := dst[xlo+off:][:len(span)]
+						for i, v := range span {
+							d[i] += v
 						}
-						colIdx++
+					} else {
+						for x := xlo; x < xhi; x++ {
+							dst[x*s+off] += row[x]
+						}
 					}
 				}
 			}

@@ -226,12 +226,12 @@ func TestIm2ColParallelMatchesScalar(t *testing.T) {
 		fillPattern(img, 9)
 		ref := make([]float32, s.c*s.p.KernelH*s.p.KernelW*oh*ow)
 		got := make([]float32, len(ref))
-		im2ColChannels(img, 0, s.c, s.h, s.w, oh, ow, s.p, ref)
+		im2ColRef(img, 0, s.c, s.h, s.w, oh, ow, s.p, ref)
 		// Force the partitioned path regardless of the size threshold.
 		parallel.For(s.c, 1, func(lo, hi int) {
 			im2ColChannels(img, lo, hi, s.h, s.w, oh, ow, s.p, got)
 		})
-		assertULP(t, "im2col", got, ref)
+		assertBitwise(t, "im2col", got, ref)
 	}
 }
 
@@ -242,11 +242,11 @@ func TestCol2ImParallelMatchesScalar(t *testing.T) {
 		fillPattern(col, 10)
 		ref := make([]float32, s.c*s.h*s.w)
 		got := make([]float32, len(ref))
-		col2ImChannels(col, 0, s.c, s.h, s.w, oh, ow, s.p, ref)
+		col2ImRef(col, 0, s.c, s.h, s.w, oh, ow, s.p, ref)
 		parallel.For(s.c, 1, func(lo, hi int) {
 			col2ImChannels(col, lo, hi, s.h, s.w, oh, ow, s.p, got)
 		})
-		assertULP(t, "col2im", got, ref)
+		assertBitwise(t, "col2im", got, ref)
 	}
 }
 

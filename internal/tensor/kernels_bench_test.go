@@ -178,32 +178,59 @@ func BenchmarkDecodeFloat32(b *testing.B) {
 	}
 }
 
-func BenchmarkIm2Col(b *testing.B) {
-	const c, h, w = 64, 32, 32
-	p := ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	oh, ow := p.OutSize(h, w)
-	img := make([]float32, c*h*w)
-	col := make([]float32, c*p.KernelH*p.KernelW*oh*ow)
-	fillPattern(img, 3)
-	b.SetBytes(int64(len(col) * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2Col(img, c, h, w, p, col)
-	}
+// loweringBenchShapes are SmallCNN's two convolutions at one sample (conv1:
+// 3×16×16, conv2: 8×8×8, both 3×3 stride 1 pad 1) and a 64×32×32 layer
+// large enough to take the parallel path.
+var loweringBenchShapes = []struct {
+	name    string
+	c, h, w int
+}{
+	{"conv1", 3, 16, 16},
+	{"conv2", 8, 8, 8},
+	{"c64_32x32", 64, 32, 32},
 }
 
+// BenchmarkIm2Col times the row-copy lowering against the element-wise
+// reference walk (ref, serial) at each loweringBenchShapes geometry.
+func BenchmarkIm2Col(b *testing.B) {
+	benchLowering(b, func(img, col []float32, s convGeom, oh, ow int) (ref, rows func()) {
+		return func() { im2ColRef(img, 0, s.c, s.h, s.w, oh, ow, s.p, col) },
+			func() { Im2Col(img, s.c, s.h, s.w, s.p, col) }
+	})
+}
+
+// BenchmarkCol2Im is BenchmarkIm2Col for the scatter back.
 func BenchmarkCol2Im(b *testing.B) {
-	const c, h, w = 64, 32, 32
+	benchLowering(b, func(img, col []float32, s convGeom, oh, ow int) (ref, rows func()) {
+		return func() { col2ImRef(col, 0, s.c, s.h, s.w, oh, ow, s.p, img) },
+			func() { Col2Im(col, s.c, s.h, s.w, s.p, img) }
+	})
+}
+
+// benchLowering times, at each loweringBenchShapes geometry (3×3, stride 1,
+// pad 1), the two closures kernels builds over patterned image and column
+// buffers: ref, the element-wise walk, and rows, the dispatched lowering.
+func benchLowering(b *testing.B, kernels func(img, col []float32, s convGeom, oh, ow int) (ref, rows func())) {
 	p := ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	oh, ow := p.OutSize(h, w)
-	img := make([]float32, c*h*w)
-	col := make([]float32, c*p.KernelH*p.KernelW*oh*ow)
-	fillPattern(col, 4)
-	b.SetBytes(int64(len(col) * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Col2Im(col, c, h, w, p, img)
+	for _, shape := range loweringBenchShapes {
+		s := convGeom{shape.c, shape.h, shape.w, p}
+		oh, ow := p.OutSize(s.h, s.w)
+		img := make([]float32, s.c*s.h*s.w)
+		col := make([]float32, s.c*p.KernelH*p.KernelW*oh*ow)
+		fillPattern(img, 3)
+		fillPattern(col, 4)
+		ref, rows := kernels(img, col, s, oh, ow)
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{{"ref", ref}, {"rows", rows}} {
+			b.Run(k.name+"/"+shape.name, func(b *testing.B) {
+				b.SetBytes(int64(len(col) * 4))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.run()
+				}
+			})
+		}
 	}
 }
