@@ -43,8 +43,11 @@ func ApplyIncrementLocal(local, delta []float32) error {
 // ApplyIncrementLocal (the tensor package pins the fused kernel against
 // that two-pass reference), but reads local and global once instead of
 // twice — this is the T2 critical-path update, so the saved sweep is
-// exposed time on every exchange. delta may be the worker's pendingDelta
-// directly, eliminating the former T.A1 handoff copy.
+// exposed time on every exchange. delta may alias global exactly, and the
+// exchange runs it that way: T1 lands Wg in pendingDelta and T2 overwrites
+// it with the increment in place, two streamed arrays instead of three.
+// delta must not alias local.
+//
 //shm:hotpath
 func FusedWeightStep(delta, local, global []float32, alpha float64) error {
 	if len(delta) != len(local) || len(local) != len(global) {

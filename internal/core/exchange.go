@@ -32,9 +32,15 @@ type exchange struct {
 	disableOverlap bool
 	hideGlobalRead bool
 
-	// mu is the Fig. 6 lock making T1+T2 and T.A1–T.A4 mutually exclusive.
-	mu           sync.Mutex
-	pendingDelta []float32 // guarded by mu
+	// mu is the Fig. 6 lock making T1+T2 and T.A1–T.A4 mutually exclusive;
+	// pushed is signalled under it when a push ends, for a T.A5 waiting on
+	// queued.
+	mu     sync.Mutex
+	pushed sync.Cond
+	// queued: T3 handed pendingDelta to the update thread, whose push of it
+	// has not ended. T.A5 waits it out: T1 lands Wg in pendingDelta.
+	queued       bool      // guarded by mu
+	pendingDelta []float32 // T1's landing buffer, then T2's ΔWx; guarded by mu
 	cachedGlobal []float32 // hideGlobalRead only: last Wg seen; guarded by mu
 	pushErr      error     // first push failure; guarded by mu
 	pushes       int       // guarded by mu
@@ -46,8 +52,8 @@ type exchange struct {
 	lastProgress []int64
 	liveness     *livenessTracker // nil unless livenessTimeout > 0
 
-	// wake carries one pending push; capacity 1 so a second wake while a
-	// push is in flight blocks the caller — the T.A5 back-pressure.
+	// wake carries the one queued push (T3); T.A5's wait on queued keeps
+	// it to one, so the send into capacity 1 never blocks.
 	wake     chan struct{}
 	stop     chan struct{}
 	done     chan struct{}
@@ -79,28 +85,30 @@ func newExchange(buffers *JobBuffers, elastic ElasticConfig, termination Termina
 		stop:          make(chan struct{}),
 		done:          make(chan struct{}),
 	}
+	e.pushed.L = &e.mu
 	if livenessTimeout > 0 {
 		e.liveness = newLivenessTracker(e.rank, n, livenessTimeout, nil)
 	}
 	return e
 }
 
-// start spawns the update thread and reads the job's initial Wg into global
-// — every replica begins at the weights the master seeded, and so does the
-// hidden-read cache. The caller must already have deferred shutdown, which
-// joins the thread whatever start returns.
-func (e *exchange) start(global []float32) error {
+// start spawns the update thread and reads the job's initial Wg straight into
+// weights, the replica's parameter slab — every replica begins at the
+// weights the master seeded, and so does the hidden-read cache. The caller
+// must already have deferred shutdown, which joins the thread whatever start
+// returns.
+func (e *exchange) start(weights []float32) error {
 	if e.disableOverlap {
 		close(e.done)
 	} else {
 		go e.updateThread()
 	}
-	if err := e.buffers.ReadGlobal(global); err != nil {
+	if err := e.buffers.ReadGlobal(weights); err != nil {
 		return err
 	}
 	if e.hideGlobalRead {
 		e.mu.Lock()
-		e.cachedGlobal = append([]float32(nil), global...)
+		e.cachedGlobal = append([]float32(nil), weights...)
 		e.mu.Unlock()
 	}
 	return nil
@@ -123,29 +131,39 @@ func (e *exchange) shutdown(runErr error) {
 func (e *exchange) due(iter int) bool { return iter%e.elastic.UpdateInterval == 0 }
 
 // step is one exchange on the caller's thread: T.A5 wait for the previous
-// push, T1 read Wg into global, T2 fold it into weights — the replica's own
-// parameter slab (nn.Network.Weights), updated in place — in one sweep that
-// also writes the increment straight into pendingDelta (Eqs. 5+6), T3 hand
-// the increment to the update thread. blocked is the T.A5 stall; exposed is
-// T1+T2, plus the push itself when it runs inline.
+// push to end, T1 read Wg into pendingDelta, T2 fold it into weights — the
+// replica's own parameter slab (nn.Network.Weights), updated in place — in
+// one sweep that overwrites each Wg element with its increment (Eqs. 5+6), T3
+// hand the increment to the update thread. blocked is the T.A5 stall; exposed
+// is T1+T2, plus the push itself when it runs inline.
 //
 //shm:hotpath
-func (e *exchange) step(weights, global []float32) (blocked, exposed time.Duration, err error) {
+func (e *exchange) step(weights []float32) (blocked, exposed time.Duration, err error) {
 	tel := e.tel
 	t0 := time.Now()
 	spA5 := tel.Begin(e.mainTID, telemetry.PhaseTA5)
 	e.mu.Lock()
+	// The lock alone is not enough: the update thread may not have taken it
+	// for the push T3 queued last time, and T1 is about to overwrite that
+	// increment.
+	for e.queued && e.pushErr == nil {
+		e.pushed.Wait()
+	}
 	spA5.End()
+	if e.pushErr != nil {
+		e.mu.Unlock()
+		return 0, 0, e.asyncErr()
+	}
 	tLocked := time.Now()
 	// Hidden-read mode serves T2 straight from cachedGlobal (we hold mu; the
-	// fused step only reads it), so even the staging copy is gone.
+	// fused step only reads it).
 	spT1 := tel.Begin(e.mainTID, telemetry.PhaseT1)
-	wg := global
+	wg := e.pendingDelta
 	if e.hideGlobalRead {
 		wg = e.cachedGlobal
 		tel.HiddenHit()
 	} else {
-		err = e.buffers.ReadGlobal(global)
+		err = e.buffers.ReadGlobal(wg)
 	}
 	e.observeStaleness()
 	spT1.End()
@@ -154,23 +172,20 @@ func (e *exchange) step(weights, global []float32) (blocked, exposed time.Durati
 		err = FusedWeightStep(e.pendingDelta, weights, wg, e.elastic.MovingRate)
 		spT2.End()
 	}
-	e.mu.Unlock()
 	if err != nil {
+		e.mu.Unlock()
 		return 0, 0, err
 	}
+	e.queued = !e.disableOverlap
+	e.mu.Unlock()
 	tFolded := time.Now()
 	blocked, exposed = tLocked.Sub(t0), tFolded.Sub(tLocked)
 
 	if !e.disableOverlap {
-		// A failed push ends the update thread, possibly after asyncErr was
-		// last polled clean: without the done arm a full wake channel would
-		// park the caller forever.
-		select {
-		case e.wake <- struct{}{}:
-			return blocked, exposed, nil
-		case <-e.done:
-			return 0, 0, e.asyncErr()
-		}
+		// Never blocks: queued was clear with no push failure latched, so the
+		// live update thread has taken the previous wake.
+		e.wake <- struct{}{}
+		return blocked, exposed, nil
 	}
 	// The ablation pushes inline, so its spans land on the main track —
 	// rendering the lost overlap visibly in the trace.
@@ -228,6 +243,8 @@ func (e *exchange) push(tid int32) error {
 	if err != nil && e.pushErr == nil {
 		e.pushErr = err
 	}
+	e.queued = false
+	e.pushed.Signal()
 	e.mu.Unlock()
 	return err
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"shmcaffe/internal/nn"
 	"shmcaffe/internal/smb"
 )
 
@@ -201,21 +204,20 @@ func TestExchangeStepAfterThreadDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := w.ex
-	global := make([]float32, w.Buffers().Elems())
 	defer ex.shutdown(nil)
-	if err := ex.start(global); err != nil {
+	if err := ex.start(cfg.Net.Weights()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ex.step(cfg.Net.Weights(), global); err != nil {
+	if _, _, err := ex.step(cfg.Net.Weights()); err != nil {
 		t.Fatal(err)
 	}
 	<-ex.done // the first push failed and took the thread with it
 	stepped := make(chan error, 1)
 	go func() {
 		// The first of these may still find room in wake; the second cannot.
-		_, _, err := ex.step(cfg.Net.Weights(), global)
+		_, _, err := ex.step(cfg.Net.Weights())
 		if err == nil {
-			_, _, err = ex.step(cfg.Net.Weights(), global)
+			_, _, err = ex.step(cfg.Net.Weights())
 		}
 		stepped <- err
 	}()
@@ -226,6 +228,163 @@ func TestExchangeStepAfterThreadDeath(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("step parked on a dead update thread")
+	}
+}
+
+var errInjectedRead = errors.New("injected Wg read failure")
+
+// pushLogClient wraps a client, keeps every push it saw land, in order, and
+// fails the failWgReadAt-th read of wgBytes bytes (1-based; 0 = never) after
+// landing the first half of it. Only the update thread pushes, and the log
+// is read after shutdown joined it.
+type pushLogClient struct {
+	smb.Client
+	wgBytes, failWgReadAt, wgReads int
+	pushes                         [][]float32
+}
+
+func (c *pushLogClient) Read(h smb.Handle, off int, dst []byte) error {
+	if c.wgBytes == 0 || len(dst) != c.wgBytes {
+		return c.Client.Read(h, off, dst)
+	}
+	if c.wgReads++; c.wgReads == c.failWgReadAt {
+		if err := c.Client.Read(h, off, dst[:len(dst)/2]); err != nil {
+			return err
+		}
+		return errInjectedRead
+	}
+	return c.Client.Read(h, off, dst)
+}
+
+func (c *pushLogClient) WriteAccumulate(dst, src smb.Handle, data []byte) error {
+	err := c.Client.WriteAccumulate(dst, src, data)
+	if err == nil {
+		delta := make([]float32, len(data)/4)
+		for i := range delta {
+			delta[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		c.pushes = append(c.pushes, delta)
+	}
+	return err
+}
+
+// exchangeEngines build a one-rank driver of each kind over client, moving
+// rate alpha, its replica's weights (and so Wg's seed) set to small
+// integers, and hand back the driver's exchange engine and the replica slab
+// it steps.
+var exchangeEngines = []struct {
+	name  string
+	build func(t *testing.T, client smb.Client, alpha float64) (*exchange, []float32)
+}{
+	{"worker", func(t *testing.T, client smb.Client, alpha float64) (*exchange, []float32) {
+		job := newTestJob(t, 1, 5)
+		cfg := job.workerConfig(t, 0, "job")
+		cfg.Client, cfg.Elastic.MovingRate = client, alpha
+		setIntegerWeights(t, cfg.Net)
+		w, err := job.newWorker(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.ex, cfg.Net.Weights()
+	}},
+	{"hybrid", func(t *testing.T, client smb.Client, alpha float64) (*exchange, []float32) {
+		configs, _, _ := buildHybridJob(t, 1, 1, 5)
+		cfg := configs[0]
+		cfg.Client, cfg.Elastic.MovingRate = client, alpha
+		setIntegerWeights(t, cfg.Nets[0])
+		g, err := NewHybridGroup(cfg, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.ex, cfg.Nets[0].Weights()
+	}},
+}
+
+func setIntegerWeights(t *testing.T, net *nn.Network) {
+	t.Helper()
+	w := make([]float32, net.NumParams())
+	for i := range w {
+		w[i] = float32(i%7 - 3)
+	}
+	if err := net.SetFlatWeights(w); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExchangePushesEachIncrementOnce pins T.A5 to the push it guards. Steps
+// run back to back on one P, so the update thread has not taken the lock for
+// the previous push when the next T.A5 asks for it; T.A5 must wait for that
+// push to end, or T1 and T2 overwrite an increment nobody pushed. Values are
+// small dyadic rationals, so every sum is exact and the model below is the
+// only correct outcome, bit for bit: each step computes its increment from
+// a Wg holding every earlier push, and the server receives each increment
+// exactly once. In the failing-T1 case the third step's read lands half of
+// Wg in the increment buffer and fails; none of those bytes may be pushed.
+func TestExchangePushesEachIncrementOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const alpha = 0.25
+	for _, e := range exchangeEngines {
+		for _, failT1 := range []bool{false, true} {
+			name, steps := e.name+"/back-to-back", 2
+			if failT1 {
+				name, steps = e.name+"/failing-T1", 3
+			}
+			t.Run(name, func(t *testing.T) {
+				client := &pushLogClient{Client: smb.NewLocalClient(smb.NewStore())}
+				ex, weights := e.build(t, client, alpha)
+				client.wgBytes = 4 * len(weights)
+				if failT1 {
+					client.failWgReadAt = 1 + steps // start reads Wg once
+				}
+				if err := ex.start(weights); err != nil {
+					t.Fatal(err)
+				}
+				wg := append([]float32(nil), weights...) // the seed
+				for i := range weights {
+					weights[i] = float32(3 * (i % 5)) // T4+T5 moved the replica
+				}
+				w := append([]float32(nil), weights...)
+
+				var want [][]float32
+				var runErr error
+				for k := 1; k <= steps; k++ {
+					if _, _, runErr = ex.step(weights); runErr != nil {
+						break
+					}
+					d := make([]float32, len(w))
+					for i := range w {
+						d[i] = alpha * (w[i] - wg[i])
+						w[i] -= d[i]
+						wg[i] += d[i]
+					}
+					want = append(want, d)
+				}
+				ex.shutdown(runErr)
+				if failT1 && !errors.Is(runErr, errInjectedRead) || !failT1 && runErr != nil {
+					t.Fatalf("steps ended with %v (failing T1: %v)", runErr, failT1)
+				}
+
+				if len(client.pushes) != len(want) {
+					t.Fatalf("%d pushes landed, want %d (one per completed step)", len(client.pushes), len(want))
+				}
+				for k := range want {
+					if i := sameBits(client.pushes[k], want[k]); i >= 0 {
+						t.Fatalf("push %d [%d] = %v, want step %d's increment %v",
+							k+1, i, client.pushes[k][i], k+1, want[k][i])
+					}
+				}
+				got := make([]float32, len(wg))
+				if err := ex.buffers.ReadGlobal(got); err != nil {
+					t.Fatal(err)
+				}
+				if i := sameBits(got, wg); i >= 0 {
+					t.Fatalf("Wg[%d] = %v, want seed + Σ acknowledged pushes = %v", i, got[i], wg[i])
+				}
+				if i := sameBits(weights, w); i >= 0 {
+					t.Fatalf("replica[%d] = %v, want %v", i, weights[i], w[i])
+				}
+			})
+		}
 	}
 }
 

@@ -157,17 +157,16 @@ func TestFusedStepAndPushZeroAlloc(t *testing.T) {
 	ex.disableOverlap = true
 	defer ex.shutdown(nil)
 	weights := fusedVec(bufs[0].Elems(), 10)
-	wg := make([]float32, bufs[0].Elems())
-	if err := ex.start(wg); err != nil {
+	if err := ex.start(weights); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ { // warm pools
-		if _, _, err := ex.step(weights, wg); err != nil {
+		if _, _, err := ex.step(weights); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if a := testing.AllocsPerRun(100, func() {
-		if _, _, err := ex.step(weights, wg); err != nil {
+		if _, _, err := ex.step(weights); err != nil {
 			t.Fatal(err)
 		}
 	}); a != 0 {

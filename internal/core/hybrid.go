@@ -148,14 +148,15 @@ func (g *HybridGroup) Run() (stats *GroupStats, err error) {
 	cfg := &g.cfg
 	n := len(cfg.Nets)
 
-	// All replicas start from the shared initial weights.
-	initWeights := make([]float32, g.buffers.Elems())
+	// All replicas start from the shared initial weights, which the root
+	// reads straight into its slab.
 	defer func() { g.ex.shutdown(err) }()
-	if err := g.ex.start(initWeights); err != nil {
+	root := cfg.Nets[0].Weights()
+	if err := g.ex.start(root); err != nil {
 		return nil, err
 	}
-	for _, net := range cfg.Nets {
-		if err := net.SetFlatWeights(initWeights); err != nil {
+	for _, net := range cfg.Nets[1:] {
+		if err := net.SetFlatWeights(root); err != nil {
 			return nil, err
 		}
 	}
@@ -234,10 +235,6 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int, stats 
 	rank := g.buffers.Rank()
 	mainTID := telemetry.MainTID(rank)
 
-	var global []float32 // T1's landing buffer: the root exchanges, members only receive
-	if isRoot {
-		global = make([]float32, g.buffers.Elems())
-	}
 	flag := make([]float32, 1) // broadcast each check round: 1 = stop
 
 	for iter := 0; iter < hardCap; iter++ {
@@ -264,7 +261,7 @@ func (g *HybridGroup) runMember(m int, solver *nn.SGDSolver, hardCap int, stats 
 
 		// (2) Root's inter-group SEASGD exchange every update_interval.
 		if isRoot && g.ex.due(iter) {
-			if _, _, err := g.ex.step(net.Weights(), global); err != nil {
+			if _, _, err := g.ex.step(net.Weights()); err != nil {
 				return err
 			}
 		}

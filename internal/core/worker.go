@@ -159,13 +159,8 @@ func (w *Worker) Run() (stats *RunStats, err error) {
 	tel := cfg.Telemetry
 	mainTID := telemetry.MainTID(rank)
 
-	global := make([]float32, w.buffers.Elems())
-
 	defer func() { ex.shutdown(err) }()
-	if err := ex.start(global); err != nil {
-		return nil, err
-	}
-	if err := cfg.Net.SetFlatWeights(global); err != nil {
+	if err := ex.start(cfg.Net.Weights()); err != nil {
 		return nil, err
 	}
 
@@ -174,7 +169,7 @@ func (w *Worker) Run() (stats *RunStats, err error) {
 	iter := 0
 	for iter < hardCap {
 		if ex.due(iter) {
-			blocked, exposed, err := ex.step(cfg.Net.Weights(), global)
+			blocked, exposed, err := ex.step(cfg.Net.Weights())
 			if err != nil {
 				return nil, fmt.Errorf("rank %d iter %d: %w", rank, iter, err)
 			}

@@ -42,12 +42,16 @@ func minLen3(a, b, c int) int {
 //	delta[i] = alpha * (local[i] - global[i])
 //	local[i] -= delta[i]
 //
-// delta must not alias local or global; local and global must not alias
+// delta may alias global exactly — the in-place form, which overwrites each
+// global element with its increment: every element's global value is read
+// before its delta is stored, so the result is the same bits as on disjoint
+// operands. delta must not alias local, and local and global must not alias
 // each other. Each element is fully computed and stored before the next, so
 // the result is bitwise-identical to running WeightIncrement followed by
 // ApplyIncrementLocal on disjoint operands — on both the portable and the
 // SIMD backend (the AVX2 kernel evaluates the identical expression tree
 // per element; see internal/tensor/simd).
+//
 //shm:hotpath
 func FusedElasticStep(alpha float32, delta, local, global []float32) {
 	fusedElasticStepImpl(alpha, delta, local, global)
@@ -119,6 +123,7 @@ func fusedElasticStepScalar(alpha float32, delta, local, global []float32) {
 // delta, local and global must be pairwise non-aliasing. This is the fused
 // form of core.ElasticExchange, used by the in-process parameter server
 // where the global vector lives in the same address space.
+//
 //shm:hotpath
 func FusedElasticExchange(alpha float32, delta, local, global []float32) {
 	fusedElasticExchangeImpl(alpha, delta, local, global)
@@ -204,6 +209,7 @@ func fusedElasticExchangeScalar(alpha float32, delta, local, global []float32) {
 // which covers every current production call site (compose/dense use
 // alpha=1). Runs needing cross-backend bitwise reproducibility at other
 // alphas set SHMCAFFE_NOSIMD. See DESIGN.md §14.
+//
 //shm:hotpath
 func FusedAxpyCopy(alpha float32, x, y, dst []float32) {
 	fusedAxpyCopyImpl(alpha, x, y, dst)
@@ -251,6 +257,7 @@ func fusedAxpyCopyScalar(alpha float32, x, y, dst []float32) {
 // Pure adds, no contraction, element order identical to copy-then-add — so
 // the SIMD and portable backends are bitwise-identical and the fusion is
 // invisible to readers. src and dst must not alias x or each other.
+//
 //shm:hotpath
 func FusedCopyAdd(x, src, dst []float32) {
 	fusedCopyAddImpl(x, src, dst)

@@ -148,6 +148,54 @@ func TestFusedElasticStepMatchesTwoPass(t *testing.T) {
 	}
 }
 
+// TestFusedElasticStepAliased pins the in-place form the exchange's T2 runs,
+// delta == global (Wg landed in the increment buffer): the dispatched and
+// the portable kernel must leave in global exactly the delta the scalar
+// reference computes on disjoint operands, and the same local. Every length
+// residue of the 16- and 8-wide blocks, at unaligned offsets.
+func TestFusedElasticStepAliased(t *testing.T) {
+	sizes := append([]int(nil), fusedSizes...)
+	for n := 0; n < 48; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		for _, alpha := range fusedAlphas {
+			for _, off := range []int{0, 1, 3, 5} {
+				local := make([]float32, off+n)
+				global := make([]float32, off+n)
+				fillPattern(local, 1)
+				fillPattern(global, 2)
+				checkElasticStepAliased(t, alpha, unaligned(local, off, n), unaligned(global, off, n))
+			}
+		}
+	}
+}
+
+// checkElasticStepAliased runs FusedElasticStep(alpha, global, local,
+// global) through the dispatcher and the portable body on copies of (local,
+// global) and fails unless both match the scalar reference run on disjoint
+// operands bit for bit.
+func checkElasticStepAliased(t *testing.T, alpha float32, local, global []float32) {
+	t.Helper()
+	wantLocal := cloneSlice(local)
+	wantDelta := make([]float32, len(local))
+	fusedElasticStepScalar(alpha, wantDelta, wantLocal, global)
+	for _, k := range []struct {
+		name string
+		run  func(alpha float32, delta, local, global []float32)
+	}{
+		{"dispatched", FusedElasticStep},
+		{"portable", fusedElasticStepUnrolled},
+	} {
+		l, g := cloneSlice(local), cloneSlice(global)
+		k.run(alpha, g, l, g)
+		if !bitsEqual(g, wantDelta) || !bitsEqual(l, wantLocal) {
+			t.Fatalf("%s FusedElasticStep delta==global n=%d alpha=%v diverges from scalar on disjoint operands",
+				k.name, len(local), alpha)
+		}
+	}
+}
+
 func TestFusedElasticExchangeMatchesScalar(t *testing.T) {
 	for _, n := range fusedSizes {
 		for _, alpha := range fusedAlphas {
@@ -378,6 +426,7 @@ func TestFusedKernelsSpecialValues(t *testing.T) {
 	delta := make([]float32, n)
 	wantLocal := cloneSlice(local)
 	wantDelta := make([]float32, n)
+	checkElasticStepAliased(t, 0.9, local, global)
 	FusedElasticStep(0.9, delta, local, global)
 	fusedElasticStepScalar(0.9, wantDelta, wantLocal, global)
 	if !bitsEqual(delta, wantDelta) || !bitsEqual(local, wantLocal) {
@@ -476,6 +525,7 @@ func FuzzFusedKernels(f *testing.F) {
 		fbGlobal := cloneSlice(global)
 		fbDelta := cloneSlice(delta)
 
+		checkElasticStepAliased(t, alpha, local[off:], global[off:])
 		FusedElasticStep(alpha, delta[off:], local[off:], global[off:])
 		fusedElasticStepScalar(alpha, wantDelta[off:], wantLocal[off:], wantGlobal[off:])
 		fusedElasticStepUnrolled(alpha, fbDelta[off:], fbLocal[off:], fbGlobal[off:])

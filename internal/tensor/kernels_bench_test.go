@@ -118,10 +118,13 @@ func BenchmarkAxpySlice(b *testing.B) {
 
 // BenchmarkFusedElasticStep times the worker half of the elastic exchange
 // (T2: delta = α·(local − global), local −= delta) through the scalar
-// reference, the portable body and the dispatched kernel. global == local
-// keeps the iterated update stationary: otherwise local contracts onto
-// global, the differences fall into subnormals and the benchmark times FP
-// assists instead of the kernels.
+// reference, the portable body and the dispatched kernel on three arrays,
+// and through the dispatched kernel in place (inplace: delta == global, the
+// exchange's form), which streams two. global == local keeps the iterated
+// update stationary: otherwise local contracts onto global, the differences
+// fall into subnormals and the benchmark times FP assists instead of the
+// kernels. In place, α = 2/3 on (x, −2x) is the kernel's period-2 orbit
+// (each call negates both arrays) for the same reason.
 func BenchmarkFusedElasticStep(b *testing.B) {
 	for _, n := range []int{1 << 16, 1 << 20} {
 		local := make([]float32, n)
@@ -129,6 +132,11 @@ func BenchmarkFusedElasticStep(b *testing.B) {
 		delta := make([]float32, n)
 		fillPattern(local, 6)
 		copy(global, local)
+		inLocal := cloneSlice(local)
+		inGlobal := make([]float32, n)
+		for i, x := range inLocal {
+			inGlobal[i] = -2 * x
+		}
 		for _, k := range []struct {
 			name string
 			run  func()
@@ -136,6 +144,7 @@ func BenchmarkFusedElasticStep(b *testing.B) {
 			{"scalar", func() { fusedElasticStepScalar(0.3, delta, local, global) }},
 			{"portable", func() { fusedElasticStepUnrolled(0.3, delta, local, global) }},
 			{"dispatched", func() { FusedElasticStep(0.3, delta, local, global) }},
+			{"inplace", func() { FusedElasticStep(2.0/3, inGlobal, inLocal, inGlobal) }},
 		} {
 			b.Run(fmt.Sprintf("%s/%d", k.name, n), func(b *testing.B) {
 				b.SetBytes(int64(4 * 4 * n)) // local and global read, local and delta written

@@ -32,8 +32,9 @@ func Add(x, y []float32)
 //
 //	d := alpha * (local[i] - global[i]); local[i] -= d; delta[i] = d
 //
-// delta must not alias local or global; local and global must not alias
-// each other (the vector block stores local before delta).
+// delta may alias global exactly (each block loads global before it stores
+// delta) but not local (the vector block stores local before delta); local
+// and global must not alias each other.
 //
 //go:noescape
 func FusedElasticStep(alpha float32, delta, local, global []float32)

@@ -164,9 +164,10 @@ add_done:
 // func FusedElasticStep(alpha float32, delta, local, global []float32)
 //
 // d := alpha*(local[i]-global[i]); local[i] -= d; delta[i] = d.
-// 16 elements per main iteration on two independent chains. delta must
-// not alias local/global (local stores land before delta stores within
-// a block); local and global must not alias each other.
+// 16 elements per main iteration on two independent chains. delta may
+// alias global exactly (every block loads global before it stores delta)
+// but not local (local stores land before delta stores within a block);
+// local and global must not alias each other.
 TEXT ·FusedElasticStep(SB), NOSPLIT, $0-80
 	MOVQ delta_len+16(FP), CX
 	MOVQ local_len+40(FP), DX

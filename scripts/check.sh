@@ -127,6 +127,14 @@ tier1() {
 		echo "server-side bulk staging found in internal/smb (see above)" >&2
 		return 1
 	fi
+	# T1 lands Wg in pendingDelta, which T2 overwrites in place: no separate
+	# Wg landing vector (a second parameter-sized float32 slice, or a step or
+	# start that takes one) comes back onto the exchange or its drivers.
+	if grep -nE 'make\(\[\]float32, [[:alnum:]_.]*(Elems|NumParams)\(\)\)|func \(e \*exchange\) (start|step)\([^)]*,' \
+		internal/core/exchange.go internal/core/worker.go internal/core/hybrid.go | grep -v 'pendingDelta:'; then
+		echo "Wg landing vector beside pendingDelta found in internal/core (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
