@@ -2,23 +2,20 @@ package faults
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"time"
 )
 
-// Conn wraps a stream connection and injects the owner's fault mix into
-// every Read and Write: delays stall the op, drops kill the connection with
+// Conn wraps a net.Conn and injects the owner's fault mix into every Read
+// and Write: delays stall the op, drops kill the connection with
 // ErrInjected, and partial writes push a prefix of the buffer into the
 // transport before killing it — the truncated-frame case a length-prefixed
-// protocol must treat as poison.
-//
-// Deadlines pass through to the underlying connection when it supports
-// them, so smb.StreamClient's per-op deadlines keep working through the
-// wrapper.
+// protocol must treat as poison. Everything else — Close, addresses and
+// deadlines, so smb.StreamClient's per-op deadlines — is the wrapped
+// connection's own.
 type Conn struct {
-	inner io.ReadWriteCloser
-	inj   *Injector
+	net.Conn
+	inj *Injector
 
 	// dead latches the first injected drop: once a connection drops, every
 	// later op fails the same way, matching a real broken socket. Reads
@@ -31,8 +28,8 @@ type Conn struct {
 
 // WrapConn returns conn with i's fault mix injected. A nil injector (or a
 // config that injects nothing) still wraps, costing one PRNG draw per op.
-func (i *Injector) WrapConn(conn io.ReadWriteCloser) *Conn {
-	return &Conn{inner: conn, inj: i}
+func (i *Injector) WrapConn(conn net.Conn) *Conn {
+	return &Conn{Conn: conn, inj: i}
 }
 
 // enter applies the shared pre-op faults (delay, drop). It reports whether
@@ -46,70 +43,39 @@ func (c *Conn) enter(op string) error {
 	}
 	if c.inj.drawDrop() {
 		c.dead = true
-		c.inner.Close()
+		c.Conn.Close()
 		return fmt.Errorf("faults: %s dropped: %w", op, ErrInjected)
 	}
 	return nil
 }
 
 // Read implements io.Reader with fault injection.
+//
+//lint:ignore netdeadline a pass-through: deadlines set on the wrapper are the wrapped connection's own, armed by its caller
 func (c *Conn) Read(p []byte) (int, error) {
 	if err := c.enter("read"); err != nil {
 		return 0, err
 	}
-	return c.inner.Read(p)
+	return c.Conn.Read(p)
 }
 
 // Write implements io.Writer with fault injection.
+//
+//lint:ignore netdeadline a pass-through: deadlines set on the wrapper are the wrapped connection's own, armed by its caller
 func (c *Conn) Write(p []byte) (int, error) {
 	if err := c.enter("write"); err != nil {
 		return 0, err
 	}
 	if keep, ok := c.inj.drawPartial(len(p)); ok {
-		n, err := c.inner.Write(p[:keep])
+		n, err := c.Conn.Write(p[:keep])
 		c.dead = true
-		c.inner.Close()
+		c.Conn.Close()
 		if err != nil {
 			return n, err
 		}
 		return n, fmt.Errorf("faults: write truncated after %d/%d bytes: %w", n, len(p), ErrInjected)
 	}
-	return c.inner.Write(p)
-}
-
-// Close implements io.Closer.
-func (c *Conn) Close() error { return c.inner.Close() }
-
-// deadliner is the deadline surface of net.Conn; the wrapper forwards it
-// when the wrapped transport has one.
-type deadliner interface {
-	SetDeadline(t time.Time) error
-	SetReadDeadline(t time.Time) error
-	SetWriteDeadline(t time.Time) error
-}
-
-// SetDeadline forwards to the underlying connection when supported.
-func (c *Conn) SetDeadline(t time.Time) error {
-	if d, ok := c.inner.(deadliner); ok {
-		return d.SetDeadline(t)
-	}
-	return nil
-}
-
-// SetReadDeadline forwards to the underlying connection when supported.
-func (c *Conn) SetReadDeadline(t time.Time) error {
-	if d, ok := c.inner.(deadliner); ok {
-		return d.SetReadDeadline(t)
-	}
-	return nil
-}
-
-// SetWriteDeadline forwards to the underlying connection when supported.
-func (c *Conn) SetWriteDeadline(t time.Time) error {
-	if d, ok := c.inner.(deadliner); ok {
-		return d.SetWriteDeadline(t)
-	}
-	return nil
+	return c.Conn.Write(p)
 }
 
 // Listener wraps accepted connections of a net.Listener with an injector —
@@ -124,22 +90,11 @@ func (i *Injector) WrapListener(ln net.Listener) *Listener {
 	return &Listener{Listener: ln, inj: i}
 }
 
-// Accept wraps the accepted connection. The result still satisfies
-// net.Conn's deadline surface via the embedded forwarding methods.
+// Accept fault-wraps the accepted connection.
 func (l *Listener) Accept() (net.Conn, error) {
 	conn, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err
 	}
-	return &listenerConn{Conn: conn, faulty: l.inj.WrapConn(conn)}, nil
+	return l.inj.WrapConn(conn), nil
 }
-
-// listenerConn is a net.Conn whose Read/Write go through the fault wrapper
-// while everything else (addresses, deadlines) hits the real connection.
-type listenerConn struct {
-	net.Conn
-	faulty *Conn
-}
-
-func (c *listenerConn) Read(p []byte) (int, error)  { return c.faulty.Read(p) }
-func (c *listenerConn) Write(p []byte) (int, error) { return c.faulty.Write(p) }

@@ -9,7 +9,7 @@
 //
 // Three integration surfaces:
 //
-//   - Conn wraps any io.ReadWriteCloser (wire transports; see conn.go),
+//   - Conn wraps any net.Conn (wire transports; see conn.go),
 //   - RestartableServer crash/restarts a serving frontend over a persistent
 //     backend (the SMB test servers and cmd/smbserver chaos mode; restart.go),
 //   - Injector.Transfer injects the same fault mix into simnet virtual-time

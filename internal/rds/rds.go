@@ -12,6 +12,12 @@
 // best-effort FIN. Endpoints multiplex any number of peer connections over
 // one datagram socket, like RDS sockets over one HCA.
 //
+// Like the kernel module's reliable connection layer, a connection bounds
+// a stalled transfer and declares a dead peer dead: reads and writes take
+// deadlines (os.ErrDeadlineExceeded, as on a net.Conn), and a peer that
+// acknowledges nothing for deadPeerAfter while data is outstanding is torn
+// down, so no waiter blocks on a vanished process forever.
+//
 // The wire is abstracted behind PacketIO, so tests drive the state machine
 // through a lossy in-memory network, and production uses UDP (udp.go).
 package rds
@@ -21,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"time"
 )
@@ -52,6 +59,15 @@ const (
 	handshakeRTO   = 50 * time.Millisecond
 	handshakeTries = 40
 )
+
+// deadPeerAfter is the dead-peer verdict's budget: a connection with data
+// outstanding that receives no advancing ACK for this long — that many
+// retransmitRTO rounds — is torn down, waking its blocked writers with
+// ErrClosed and its readers with EOF. The receiver acknowledges whatever
+// arrives whether or not its application reads, so only a vanished or
+// partitioned peer is silent that long. A variable only so tests can
+// shorten it; a connection fixes its round count when it is made.
+var deadPeerAfter = 10 * time.Second
 
 // PacketIO is one datagram socket: unreliable, unordered delivery of
 // packets to string-addressed peers.
@@ -149,6 +165,7 @@ func (e *Endpoint) dispatch(from string, typ byte, seq uint64, payload []byte) {
 		conn = newConn(e, from)
 		e.conns[from] = conn
 		e.mu.Unlock()
+		go conn.retransmitLoop()
 		// Acknowledge the handshake and surface the connection.
 		e.send(from, encodePacket(pktSYNACK, 0, nil))
 		select {
@@ -156,7 +173,7 @@ func (e *Endpoint) dispatch(from string, typ byte, seq uint64, payload []byte) {
 		default:
 			// Accept queue full: drop the connection.
 			conn.teardown()
-			e.removeConn(from)
+			e.removeConn(conn)
 		}
 		return
 	}
@@ -177,9 +194,13 @@ func (e *Endpoint) send(addr string, pkt []byte) {
 	_ = e.io.WriteTo(pkt, addr)
 }
 
-func (e *Endpoint) removeConn(addr string) {
+// removeConn drops c from the connection table, unless a newer connection
+// to the same peer has already taken its slot.
+func (e *Endpoint) removeConn(c *Conn) {
 	e.mu.Lock()
-	delete(e.conns, addr)
+	if e.conns[c.peer] == c {
+		delete(e.conns, c.peer)
+	}
 	e.mu.Unlock()
 }
 
@@ -198,6 +219,7 @@ func (e *Endpoint) Dial(addr string) (*Conn, error) {
 	conn := newConn(e, addr)
 	e.conns[addr] = conn
 	e.mu.Unlock()
+	go conn.retransmitLoop()
 
 	syn := encodePacket(pktSYN, 0, nil)
 	for try := 0; try < handshakeTries; try++ {
@@ -206,13 +228,13 @@ func (e *Endpoint) Dial(addr string) (*Conn, error) {
 		case <-conn.established:
 			return conn, nil
 		case <-conn.dead:
-			e.removeConn(addr)
+			e.removeConn(conn)
 			return nil, ErrClosed
 		case <-time.After(handshakeRTO):
 		}
 	}
 	conn.teardown()
-	e.removeConn(addr)
+	e.removeConn(conn)
 	return nil, fmt.Errorf("dial %s: %w", addr, ErrTimeout)
 }
 
@@ -248,10 +270,13 @@ func (e *Endpoint) Close() error {
 }
 
 // Conn is one reliable, ordered byte stream to a peer. It implements
-// io.ReadWriteCloser, so the SMB wire protocol runs over it unchanged.
+// io.ReadWriteCloser with read and write deadlines, so the SMB wire
+// protocol runs over it unchanged.
 type Conn struct {
 	ep   *Endpoint
 	peer string
+	// deadRounds is deadPeerAfter in retransmitRTO rounds (the verdict).
+	deadRounds int
 
 	established chan struct{}
 	estOnce     sync.Once
@@ -265,6 +290,8 @@ type Conn struct {
 	sndUna  uint64            // oldest unacknowledged; guarded by sndMu
 	pending map[uint64][]byte // encoded packets awaiting ack; guarded by sndMu
 	lastAck time.Time         // guarded by sndMu
+	silent  int               // rounds with data outstanding and no ACK advance; guarded by sndMu
+	wdl     deadline          // write deadline; guarded by sndMu
 
 	// Receiver state.
 	rcvMu   sync.Mutex
@@ -273,26 +300,26 @@ type Conn struct {
 	stash   map[uint64][]byte // out-of-order payloads; guarded by rcvMu
 	rcvBuf  []byte            // in-order bytes ready for Read; guarded by rcvMu
 	rcvEOF  bool              // guarded by rcvMu
-
-	stopRetransmit chan struct{}
+	rdl     deadline          // read deadline; guarded by rcvMu
 }
 
 var _ io.ReadWriteCloser = (*Conn)(nil)
 
+// newConn makes a connection to peer on e. Its maker registers it and then
+// starts its retransmitLoop outside e.mu, which the loop's verdict takes.
 func newConn(e *Endpoint, peer string) *Conn {
 	c := &Conn{
-		ep:             e,
-		peer:           peer,
-		established:    make(chan struct{}),
-		dead:           make(chan struct{}),
-		pending:        make(map[uint64][]byte),
-		stash:          make(map[uint64][]byte),
-		stopRetransmit: make(chan struct{}),
-		lastAck:        time.Now(),
+		ep:          e,
+		peer:        peer,
+		deadRounds:  max(1, int(deadPeerAfter/retransmitRTO)),
+		established: make(chan struct{}),
+		dead:        make(chan struct{}),
+		pending:     make(map[uint64][]byte),
+		stash:       make(map[uint64][]byte),
+		lastAck:     time.Now(),
 	}
 	c.sndCond = sync.NewCond(&c.sndMu)
 	c.rcvCond = sync.NewCond(&c.rcvMu)
-	go c.retransmitLoop()
 	return c
 }
 
@@ -301,15 +328,17 @@ func (c *Conn) Peer() string { return c.peer }
 
 func (c *Conn) markEstablished() { c.estOnce.Do(func() { close(c.established) }) }
 
-// teardown marks the connection dead and wakes all waiters.
+// teardown marks the connection dead, wakes all waiters and stops the
+// deadline timers.
 func (c *Conn) teardown() {
 	c.deadOnce.Do(func() {
 		close(c.dead)
-		close(c.stopRetransmit)
 		c.sndMu.Lock()
+		c.wdl.set(time.Time{}, c.sndCond)
 		c.sndCond.Broadcast()
 		c.sndMu.Unlock()
 		c.rcvMu.Lock()
+		c.rdl.set(time.Time{}, c.rcvCond)
 		c.rcvEOF = true
 		c.rcvCond.Broadcast()
 		c.rcvMu.Unlock()
@@ -340,7 +369,7 @@ func (c *Conn) handlePacket(typ byte, seq uint64, payload []byte) {
 		c.onAck(seq)
 	case pktFIN:
 		c.teardown()
-		c.ep.removeConn(c.peer)
+		c.ep.removeConn(c)
 	}
 }
 
@@ -385,13 +414,16 @@ func (c *Conn) onAck(cum uint64) {
 		}
 		c.sndUna = cum
 		c.lastAck = time.Now()
+		c.silent = 0
 		c.sndCond.Broadcast()
 	}
 	c.sndMu.Unlock()
 }
 
 // retransmitLoop resends all unacknowledged packets when the oldest has
-// been outstanding past the RTO (go-back-N).
+// been outstanding past the RTO (go-back-N), and delivers the dead-peer
+// verdict: deadRounds rounds in a row with data outstanding and no ACK
+// advancing tear the connection down. It exits with the connection.
 func (c *Conn) retransmitLoop() {
 	ticker := time.NewTicker(retransmitRTO)
 	defer ticker.Stop()
@@ -399,6 +431,17 @@ func (c *Conn) retransmitLoop() {
 		select {
 		case <-ticker.C:
 			c.sndMu.Lock()
+			if len(c.pending) == 0 {
+				c.silent = 0
+			} else {
+				c.silent++
+			}
+			if c.silent >= c.deadRounds {
+				c.sndMu.Unlock()
+				c.teardown()
+				c.ep.removeConn(c)
+				return
+			}
 			var resend [][]byte
 			if len(c.pending) > 0 && time.Since(c.lastAck) >= retransmitRTO {
 				for seq := c.sndUna; seq < c.sndNext; seq++ {
@@ -412,30 +455,33 @@ func (c *Conn) retransmitLoop() {
 			for _, pkt := range resend {
 				c.ep.send(c.peer, pkt)
 			}
-		case <-c.stopRetransmit:
+		case <-c.dead:
 			return
 		}
 	}
 }
 
-// Write implements io.Writer: packetize and send under the window.
+// Write implements io.Writer: packetize and send under the window. A
+// write deadline that passes before every chunk has entered the window
+// fails it with os.ErrDeadlineExceeded; the chunks already sent stay sent.
 func (c *Conn) Write(p []byte) (int, error) {
 	total := 0
 	for len(p) > 0 {
-		if c.isDead() {
-			return total, ErrClosed
-		}
 		chunk := p
 		if len(chunk) > MaxPayload {
 			chunk = chunk[:MaxPayload]
 		}
 		c.sndMu.Lock()
-		for c.sndNext-c.sndUna >= windowPackets && !c.isDead() {
+		for c.sndNext-c.sndUna >= windowPackets && !c.isDead() && !c.wdl.passed() {
 			c.sndCond.Wait()
 		}
 		if c.isDead() {
 			c.sndMu.Unlock()
 			return total, ErrClosed
+		}
+		if c.wdl.passed() {
+			c.sndMu.Unlock()
+			return total, fmt.Errorf("rds: write to %s: %w", c.peer, os.ErrDeadlineExceeded)
 		}
 		seq := c.sndNext
 		c.sndNext++
@@ -450,11 +496,19 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// Read implements io.Reader: in-order delivered bytes.
+// Read implements io.Reader: in-order delivered bytes. Once the read
+// deadline has passed it fails with os.ErrDeadlineExceeded, delivered
+// bytes or not, as a net.Conn does.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.rcvMu.Lock()
 	defer c.rcvMu.Unlock()
-	for len(c.rcvBuf) == 0 {
+	for {
+		if c.rdl.passed() {
+			return 0, fmt.Errorf("rds: read from %s: %w", c.peer, os.ErrDeadlineExceeded)
+		}
+		if len(c.rcvBuf) > 0 {
+			break
+		}
 		if c.rcvEOF {
 			return 0, io.EOF
 		}
@@ -471,6 +525,56 @@ func (c *Conn) Close() error {
 		c.ep.send(c.peer, encodePacket(pktFIN, 0, nil))
 	}
 	c.teardown()
-	c.ep.removeConn(c.peer)
+	c.ep.removeConn(c)
 	return nil
 }
+
+// SetReadDeadline bounds every Read, pending or future, to t; the zero time
+// disarms it. Re-arming allocates nothing.
+func (c *Conn) SetReadDeadline(t time.Time) error {
+	c.rcvMu.Lock()
+	c.rdl.set(t, c.rcvCond)
+	c.rcvMu.Unlock()
+	return nil
+}
+
+// SetWriteDeadline bounds every Write, pending or future, to t; the zero
+// time disarms it. Re-arming allocates nothing.
+func (c *Conn) SetWriteDeadline(t time.Time) error {
+	c.sndMu.Lock()
+	c.wdl.set(t, c.sndCond)
+	c.sndMu.Unlock()
+	return nil
+}
+
+// deadline is one direction's deadline, guarded by that direction's mutex
+// (the lock of its sync.Cond). Its timer only wakes the direction's
+// waiters; each waiter decides by passed, so a wake-up left over from an
+// earlier arming is harmless.
+type deadline struct {
+	at    time.Time // zero = none
+	timer *time.Timer
+}
+
+// set arms d for t, or disarms it for the zero time. The timer is made on
+// the first arming and re-armed with Reset after that.
+func (d *deadline) set(t time.Time, cond *sync.Cond) {
+	d.at = t
+	switch {
+	case t.IsZero():
+		if d.timer != nil {
+			d.timer.Stop()
+		}
+	case d.timer == nil:
+		d.timer = time.AfterFunc(time.Until(t), func() {
+			cond.L.Lock()
+			cond.Broadcast()
+			cond.L.Unlock()
+		})
+	default:
+		d.timer.Reset(time.Until(t))
+	}
+}
+
+// passed reports whether the deadline is armed and has passed.
+func (d *deadline) passed() bool { return !d.at.IsZero() && !time.Now().Before(d.at) }

@@ -5,8 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"shmcaffe/internal/tensor"
 )
@@ -358,5 +362,151 @@ func TestUDPIntegration(t *testing.T) {
 		if !bytes.Equal(buf, payload) {
 			t.Fatal("UDP transfer corrupted")
 		}
+	}
+}
+
+// connected dials a client connection to the server endpoint of a fresh
+// pair over net and returns both ends.
+func connected(t *testing.T, net *memNet) (client, server *Conn, cep, sep *Endpoint) {
+	t.Helper()
+	cep, sep = pair(t, net)
+	accepted := make(chan *Conn, 1)
+	go func() {
+		if c, err := sep.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	client, err := cep.Dial("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client, <-accepted, cep, sep
+}
+
+// vanish makes net drop every packet from now on: the peer is gone, and
+// not even its FIN arrives.
+func (n *memNet) vanish() {
+	n.mu.Lock()
+	n.lossEvery = 1
+	n.mu.Unlock()
+}
+
+// TestReadDeadline: a Read with nothing delivered fails at its deadline
+// with os.ErrDeadlineExceeded.
+func TestReadDeadline(t *testing.T) {
+	client, _, _, _ := connected(t, newMemNet(8))
+	const d = 100 * time.Millisecond
+	t0 := time.Now()
+	client.SetReadDeadline(t0.Add(d))
+	_, err := client.Read(make([]byte, 1))
+	if el := time.Since(t0); !errors.Is(err, os.ErrDeadlineExceeded) || el < d || el > d+2*time.Second {
+		t.Fatalf("read with nothing delivered: %v after %v, want os.ErrDeadlineExceeded at %v", err, el, d)
+	}
+}
+
+// TestWriteDeadline: a Write blocked on a full window to a vanished peer
+// fails at its deadline, having sent exactly the window.
+func TestWriteDeadline(t *testing.T) {
+	net := newMemNet(9)
+	client, _, _, _ := connected(t, net)
+	net.vanish()
+	const d = 100 * time.Millisecond
+	t0 := time.Now()
+	client.SetWriteDeadline(t0.Add(d))
+	n, err := client.Write(make([]byte, windowPackets*MaxPayload+1))
+	if el := time.Since(t0); !errors.Is(err, os.ErrDeadlineExceeded) || el < d || el > d+2*time.Second {
+		t.Fatalf("write past the window: %v after %v, want os.ErrDeadlineExceeded at %v", err, el, d)
+	}
+	if n != windowPackets*MaxPayload {
+		t.Fatalf("write sent %d bytes before its deadline, want the window's %d", n, windowPackets*MaxPayload)
+	}
+}
+
+// TestDeadlineZeroAndPast: a deadline already past fails Read and Write at
+// once; the zero time disarms one, so a Read outlives the time it was set
+// for and returns the bytes that arrive later.
+func TestDeadlineZeroAndPast(t *testing.T) {
+	client, server, _, _ := connected(t, newMemNet(10))
+	past := time.Now().Add(-time.Second)
+	client.SetReadDeadline(past)
+	client.SetWriteDeadline(past)
+	if _, err := client.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read past its deadline: %v", err)
+	}
+	if n, err := client.Write([]byte("x")); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("write past its deadline: %d, %v", n, err)
+	}
+
+	client.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	client.SetReadDeadline(time.Time{})
+	client.SetWriteDeadline(time.Time{})
+	got := make(chan error, 1)
+	go func() {
+		buf := make([]byte, 2)
+		_, err := io.ReadFull(client, buf)
+		if err == nil && string(buf) != "ok" {
+			err = fmt.Errorf("read %q", buf)
+		}
+		got <- err
+	}()
+	time.Sleep(100 * time.Millisecond)
+	if _, err := server.Write([]byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-got; err != nil {
+		t.Fatalf("read after its deadline was disarmed: %v", err)
+	}
+	if _, err := client.Write([]byte("x")); err != nil {
+		t.Fatalf("write after its deadline was disarmed: %v", err)
+	}
+}
+
+// TestDeadlineRearmAllocs: re-arming a deadline, as the SMB server does for
+// every streamed span, allocates nothing.
+func TestDeadlineRearmAllocs(t *testing.T) {
+	client, _, _, _ := connected(t, newMemNet(11))
+	client.SetReadDeadline(time.Now().Add(time.Hour))
+	client.SetWriteDeadline(time.Now().Add(time.Hour))
+	allocs := testing.AllocsPerRun(100, func() {
+		client.SetReadDeadline(time.Now().Add(time.Hour))
+		client.SetWriteDeadline(time.Now().Add(time.Hour))
+		client.SetReadDeadline(time.Time{})
+	})
+	if allocs != 0 {
+		t.Fatalf("re-arming deadlines allocates %.1f times", allocs)
+	}
+}
+
+// TestDeadPeerVerdict: with no deadline set, a Write blocked on a vanished
+// peer ends with ErrClosed once the verdict budget passes; the connection
+// leaves its endpoint and its retransmit goroutine exits.
+func TestDeadPeerVerdict(t *testing.T) {
+	const budget = 200 * time.Millisecond
+	old := deadPeerAfter
+	deadPeerAfter = budget
+	t.Cleanup(func() { deadPeerAfter = old })
+
+	net := newMemNet(12)
+	client, _, cep, sep := connected(t, net)
+	net.vanish()
+	sep.Close() // its FIN is lost with everything else
+	t0 := time.Now()
+	_, err := client.Write(make([]byte, 2*windowPackets*MaxPayload))
+	if el := time.Since(t0); !errors.Is(err, ErrClosed) || el < budget/2 {
+		t.Fatalf("write to a vanished peer: %v after %v, want ErrClosed at the %v verdict", err, el, budget)
+	}
+	buf := make([]byte, 1<<20)
+	for {
+		cep.mu.Lock()
+		left := len(cep.conns)
+		cep.mu.Unlock()
+		looping := strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*Conn).retransmitLoop")
+		if left == 0 && !looping {
+			break
+		}
+		if time.Since(t0) > budget+2*time.Second {
+			t.Fatalf("after the verdict: %d connections still on the endpoint, retransmit goroutine running %v", left, looping)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -3,7 +3,6 @@ package smb
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"runtime"
@@ -188,15 +187,17 @@ func (l *cutListener) Accept() (net.Conn, error) {
 	return &cutConn{Conn: conn, plan: l.plan}, nil
 }
 
-// netRDS gives an rds connection the net.Conn surface cutConn wraps; the
-// server only ever calls Read, Write and Close.
+// netRDS gives an rds connection the rest of the net.Conn surface cutConn
+// wraps; its deadlines are the connection's own.
 type netRDS struct{ *rds.Conn }
 
-func (netRDS) LocalAddr() net.Addr              { return nil }
-func (netRDS) RemoteAddr() net.Addr             { return nil }
-func (netRDS) SetDeadline(time.Time) error      { return nil }
-func (netRDS) SetReadDeadline(time.Time) error  { return nil }
-func (netRDS) SetWriteDeadline(time.Time) error { return nil }
+func (netRDS) LocalAddr() net.Addr  { return nil }
+func (netRDS) RemoteAddr() net.Addr { return nil }
+
+func (c netRDS) SetDeadline(t time.Time) error {
+	c.SetReadDeadline(t)
+	return c.SetWriteDeadline(t)
+}
 
 // TestLostReplyContract pins what a caller sees when the connection dies
 // after the server applied a verb but before its reply arrived — once, over
@@ -229,7 +230,7 @@ func TestLostReplyContract(t *testing.T) {
 		"rds": func(t *testing.T) session {
 			plan := &cutPlan{replies: -1, lostAck: true}
 			srv := startServer(t)
-			addr := serveRDS(t, srv, func(c *rds.Conn) io.ReadWriteCloser {
+			addr := serveRDS(t, srv, func(c *rds.Conn) Conn {
 				return &cutConn{Conn: netRDS{c}, plan: plan}
 			})
 			c, err := DialTransport("rds", DialOptions{Addr: addr, ClientID: 79})

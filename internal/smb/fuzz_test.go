@@ -15,9 +15,7 @@ const fuzzSegBytes = 2*chunkBytes + 40
 
 // FuzzDispatch feeds an arbitrary request frame through a server
 // connection, followed by a probe frame (a Hello asking for no feature,
-// whose answer no earlier frame can change) — once over a connection with deadlines, where bulk bodies and
-// replies stream, and once over one without, where they are staged. The
-// server must never panic — malformed frames from a buggy or
+// whose answer no earlier frame can change). The server must never panic — malformed frames from a buggy or
 // hostile client cannot take the memory server down — and a frame it
 // answers, even with an error, must leave the connection in frame: the
 // probe is served too. Only a trace-flagged frame too short for its header
@@ -63,16 +61,11 @@ func FuzzDispatch(f *testing.F) {
 	f.Add(byte(opRead), u64s(1, math.MaxInt64-16, 32))
 	f.Add(byte(opSnapRead), u64s(1, 0, fuzzSegBytes))
 	f.Add(byte(opSnapRead), u64s(1, math.MaxInt64-16, sgMinPayload))
-	f.Fuzz(func(t *testing.T, op byte, payload []byte) {
-		for _, streams := range []bool{true, false} {
-			fuzzDispatchOnce(t, op, payload, streams)
-		}
-	})
+	f.Fuzz(fuzzDispatchOnce)
 }
 
-// fuzzDispatchOnce is one FuzzDispatch case over a connection that streams
-// bulk transfers or stages them.
-func fuzzDispatchOnce(t *testing.T, op byte, payload []byte, streams bool) {
+// fuzzDispatchOnce runs one FuzzDispatch input.
+func fuzzDispatchOnce(t *testing.T, op byte, payload []byte) {
 	srv := &Server{store: NewStore()}
 	// One real segment (handle 1) and one live snapshot of it (id 1),
 	// so handle- and snapshot-bearing frames hit both the found and
@@ -83,7 +76,7 @@ func fuzzDispatchOnce(t *testing.T, op byte, payload []byte, streams bool) {
 	frame := appendFrame(nil, op, payload)
 	probe := appendFrame(nil, byte(opHello), u64s(0))
 
-	replies := serveBytes(srv, append(frame, probe...), streams)
+	replies := serveBytes(srv, append(frame, probe...))
 	if op&traceFlagBit != 0 && len(payload) < traceHeaderLen {
 		if len(replies) != 0 || srv.ConnErrors() != 1 {
 			t.Fatalf("truncated trace header: %d replies, %d connection errors; want the connection dropped", len(replies), srv.ConnErrors())
@@ -101,7 +94,7 @@ func fuzzDispatchOnce(t *testing.T, op byte, payload []byte, streams bool) {
 	}
 
 	writes, errs := srv.store.Stats().Writes, srv.ConnErrors()
-	if replies := serveBytes(srv, frame[:len(frame)-1], streams); len(replies) != 0 {
+	if replies := serveBytes(srv, frame[:len(frame)-1]); len(replies) != 0 {
 		t.Fatalf("opcode %#x cut short was answered", op)
 	}
 	if srv.ConnErrors() != errs+1 || srv.store.Stats().Writes != writes {
@@ -126,15 +119,10 @@ func appendFrame(b []byte, op byte, payload []byte) []byte {
 }
 
 // serveBytes runs srv's request loop over an in-memory connection that
-// delivers in and then EOF — with deadlines when streams is set — and
-// returns the reply frames it wrote.
-func serveBytes(srv *Server, in []byte, streams bool) []rawFrame {
+// delivers in and then EOF, and returns the reply frames it wrote.
+func serveBytes(srv *Server, in []byte) []rawFrame {
 	var out bytes.Buffer
-	var conn io.ReadWriteCloser = memConn{Reader: bytes.NewReader(in), Writer: &out}
-	if streams {
-		conn = memStreamConn{conn.(memConn)}
-	}
-	srv.handle(conn, &connState{})
+	srv.handle(memConn{Reader: bytes.NewReader(in), Writer: &out}, &connState{})
 	var replies []rawFrame
 	for {
 		status, payload, err := readFrame(&out)
@@ -326,9 +314,7 @@ func leFloats(vals []float32) []byte {
 
 // FuzzReadFrame: arbitrary bytes must never panic the server's request
 // reader, and a request it accepts keeps its bounds: a head of at most
-// maxHead, and a body left on the connection only for a bulk row, on a
-// connection with deadlines. Without them, a bulk row's body is read whole
-// with its head and nothing stays on the connection.
+// maxHead, and a body left on the connection only for a bulk row.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 0, 0, 1, 2, 3, 4, 5})
@@ -343,23 +329,16 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(write)
 	f.Add(write[:100])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, streams := range []bool{true, false} {
-			conn := memConn{Reader: bytes.NewReader(data), Writer: io.Discard}
-			cs := &connState{conn: conn}
-			if streams {
-				cs.sc = memStreamConn{conn}
-			}
-			op, err := cs.readRequest()
-			if err != nil {
-				continue
-			}
-			bulk := int(op) < len(opTable) && opTable[op].bulk
-			if len(cs.head) > maxHead && (streams || !bulk) {
-				t.Fatalf("head of %d bytes, more than maxHead", len(cs.head))
-			}
-			if cs.body > 0 && (!streams || !bulk) {
-				t.Fatalf("opcode %d left a %d-byte body on the connection (streams %v)", op, cs.body, streams)
-			}
+		cs := &connState{conn: memConn{Reader: bytes.NewReader(data), Writer: io.Discard}}
+		op, err := cs.readRequest()
+		if err != nil {
+			return
+		}
+		if len(cs.head) > maxHead {
+			t.Fatalf("head of %d bytes, more than maxHead", len(cs.head))
+		}
+		if cs.body > 0 && (int(op) >= len(opTable) || !opTable[op].bulk) {
+			t.Fatalf("opcode %d left a %d-byte body on the connection", op, cs.body)
 		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"sync"
@@ -124,7 +123,7 @@ func tracedServer(t *testing.T) (*Server, *telemetry.Tracer) {
 // serveRDS serves srv on a fresh rds endpoint — the smbserver -rds wiring —
 // passing each accepted connection through wrap, and returns the endpoint's
 // address.
-func serveRDS(t *testing.T, srv *Server, wrap func(*rds.Conn) io.ReadWriteCloser) string {
+func serveRDS(t testing.TB, srv *Server, wrap func(*rds.Conn) Conn) string {
 	t.Helper()
 	ep, err := rds.ListenUDP("127.0.0.1:0")
 	if err != nil {
@@ -177,7 +176,7 @@ var clientTable = []struct {
 	}},
 	{"rds", func(t *testing.T) clientCase {
 		srv, tr := tracedServer(t)
-		addr := serveRDS(t, srv, func(c *rds.Conn) io.ReadWriteCloser { return c })
+		addr := serveRDS(t, srv, func(c *rds.Conn) Conn { return c })
 		c, err := DialTransport("rds", DialOptions{Addr: addr, Trace: true})
 		if err != nil {
 			t.Fatal(err)

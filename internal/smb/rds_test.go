@@ -1,8 +1,11 @@
 package smb_test
 
 import (
+	"errors"
+	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"shmcaffe/internal/rds"
 	"shmcaffe/internal/smb"
@@ -103,4 +106,78 @@ func TestSMBOverRDS(t *testing.T) {
 	if store.Stats().Accumulates != 1 {
 		t.Fatalf("server stats %+v", store.Stats())
 	}
+}
+
+// TestOpTimeoutOverRDS: a client's op timeout holds over rds as it does
+// over TCP. Against an rds peer that accepts and never answers, a
+// StreamClient with a 200 ms op timeout fails a Lookup within a second,
+// with an error matching both ErrTransport and os.ErrDeadlineExceeded, and
+// the rds transport's supervised session reports failure instead of
+// hanging.
+func TestOpTimeoutOverRDS(t *testing.T) {
+	const op = 200 * time.Millisecond
+	peer, err := rds.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	go func() {
+		for {
+			// Accepted connections stay open on the endpoint, unread.
+			if _, err := peer.Accept(); err != nil {
+				return
+			}
+		}
+	}()
+
+	// lookup runs c.Lookup, failing the test if it is still blocked after
+	// limit, and returns how long it took and its error.
+	lookup := func(t *testing.T, c smb.Client, limit time.Duration) (time.Duration, error) {
+		t.Helper()
+		t0 := time.Now()
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Lookup("wg")
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return time.Since(t0), err
+		case <-time.After(limit):
+			t.Fatalf("lookup against a silent peer still blocked after %v", limit)
+			return 0, nil
+		}
+	}
+
+	t.Run("stream", func(t *testing.T) {
+		ep, err := rds.ListenUDP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close() // closes the client's connection too
+		conn, err := ep.Dial(peer.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := smb.NewStreamClient(conn)
+		c.SetTimeouts(op)
+		took, err := lookup(t, c, 5*time.Second)
+		if !errors.Is(err, smb.ErrTransport) || !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("lookup against a silent peer: %v, want ErrTransport and os.ErrDeadlineExceeded", err)
+		}
+		if took > time.Second {
+			t.Fatalf("lookup failed after %v, want about the %v op timeout", took, op)
+		}
+	})
+	t.Run("supervised", func(t *testing.T) {
+		c, err := smb.DialTransport("rds", smb.DialOptions{Addr: peer.Addr(), OpTimeout: op})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Ten attempts of one op timeout each, plus the reconnect backoff.
+		if _, err := lookup(t, c, 30*time.Second); !errors.Is(err, smb.ErrTransport) {
+			t.Fatalf("supervised lookup against a silent peer: %v, want ErrTransport", err)
+		}
+		c.Close() // not deferred: a still-blocked lookup would hold its lock
+	})
 }

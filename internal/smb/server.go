@@ -133,24 +133,35 @@ func (s *Server) Serve() error {
 	}
 }
 
-// ServeConn serves the SMB protocol on one already-established stream
-// connection of any transport (TCP, in-process pipe, the RDS-like
-// datagram transport in internal/rds...). It blocks until the connection
-// fails or the server closes, and closes rwc on return.
-func (s *Server) ServeConn(rwc io.ReadWriteCloser) {
+// Conn is the connection contract of every SMB transport: a reliable,
+// ordered byte stream with read and write deadlines. TCP and unix sockets,
+// in-process pipes and internal/rds connections all meet it, so the server
+// streams bulk bytes and the client enforces its op timeout the same way
+// on each.
+type Conn interface {
+	io.ReadWriteCloser
+	SetReadDeadline(t time.Time) error
+	SetWriteDeadline(t time.Time) error
+}
+
+// ServeConn serves the SMB protocol on one already-established connection
+// of any transport (TCP, in-process pipe, the RDS-like datagram transport
+// in internal/rds...). It blocks until the connection fails or the server
+// closes, and closes conn on return.
+func (s *Server) ServeConn(conn Conn) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		rwc.Close()
+		conn.Close()
 		return
 	}
-	s.conns[rwc] = struct{}{}
+	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
 	s.wg.Add(1)
 	defer s.wg.Done()
-	s.handleConn(rwc)
+	s.handleConn(conn)
 	s.mu.Lock()
-	delete(s.conns, rwc)
+	delete(s.conns, conn)
 	s.mu.Unlock()
 }
 
@@ -176,16 +187,14 @@ func (s *Server) Close() error {
 // connState is the per-connection scratch a handler loop reuses frame to
 // frame: the inbound request head, the outbound payload builder, and the
 // streamed transfer's state. Pooled so steady-state Read/Write/Accumulate
-// service allocates nothing per op. On a connection with deadlines (TCP,
-// unix) no bulk byte is staged here: a Write body of at least sgMinPayload
-// is received straight into the segment's stripes and a bulk reply is sent
-// straight from them (or from a snapshot's cut), so in never grows past
-// the largest request head plus one stripe (a discarded body goes through
-// it a stripe at a time). A connection without deadlines (RDS) stages
-// whole bodies and replies, so a peer that stalls there holds no lock.
+// service allocates nothing per op. No bulk byte is staged here: a Write
+// body of at least sgMinPayload is received straight into the segment's
+// stripes and a bulk reply is sent straight from them (or from a
+// snapshot's cut), so in never grows past the largest request head plus
+// one stripe (a discarded body goes through it a stripe at a time).
 type connState struct {
 	in   []byte      // inbound scratch: frame header, trace extension, request head
-	head []byte      // the current request's head (and staged Write body), aliasing in
+	head []byte      // the current request's head (and small Write body), aliasing in
 	body int         // bytes of the current Write body still on the connection
 	fw   frameWriter // outbound payload builder, reset per frame
 	wire []byte      // outbound frame staging (writeFrameInto), or a streamed reply's header
@@ -202,11 +211,8 @@ type connState struct {
 	tid int32
 
 	// conn is the live connection, visible to dispatch arms that care about
-	// the transport's capabilities (fd passing needs a unix socket). sc is
-	// the same connection when it has deadlines, else nil: bulk transfers
-	// stream only where streamTimeout can bound a stall.
-	conn io.ReadWriteCloser
-	sc   streamConn
+	// the transport's capabilities (fd passing needs a unix socket).
+	conn Conn
 	// lease is the shm lease granted by opShmHello (0 = none). A connection
 	// dying with a lease gets its shared stripe-lock words reaped.
 	lease uint32
@@ -239,14 +245,7 @@ const maxHead = 2 + 0xffff + 8*len(call{}.w)
 // it.
 var streamTimeout = defaultOpTimeout
 
-// streamConn is a connection a bulk transfer may stream over: one whose
-// deadlines bound a stalled peer.
-type streamConn interface {
-	io.ReadWriter
-	deadlineConn
-}
-
-func (s *Server) handleConn(conn io.ReadWriteCloser) {
+func (s *Server) handleConn(conn Conn) {
 	cs := connStatePool.Get().(*connState)
 	s.handle(conn, cs)
 	connStatePool.Put(cs)
@@ -254,7 +253,7 @@ func (s *Server) handleConn(conn io.ReadWriteCloser) {
 
 // handle runs one connection's request loop on cs until the connection
 // fails or closes.
-func (s *Server) handle(conn io.ReadWriteCloser, cs *connState) {
+func (s *Server) handle(conn Conn, cs *connState) {
 	defer conn.Close()
 	s.active.Add(1)
 	defer s.active.Add(-1)
@@ -262,11 +261,10 @@ func (s *Server) handle(conn io.ReadWriteCloser, cs *connState) {
 	cs.cur = telemetry.TraceContext{}
 	cs.tid = 0
 	cs.conn = conn
-	cs.sc, _ = conn.(streamConn)
 	cs.lease = 0
 	cs.passFD = -1
 	clear(cs.shmMaps)
-	defer func() { cs.conn, cs.sc = nil, nil }()
+	defer func() { cs.conn = nil }()
 	for {
 		var status byte
 		var resp []byte
@@ -302,12 +300,12 @@ func (cs *connState) scratch(n int) []byte {
 
 // readRequest reads the next request frame up to its body: the 5-byte
 // header, the trace extension when the opcode is flagged, and the head
-// the opcode's table row describes, into cs.head. On a streamConn a Write
-// body of at least sgMinPayload stays on the connection (cs.body counts
-// it) for the arm to receive straight into the segment; elsewhere it is
-// read whole with its head. Any other payload is read whole — so a
-// fault-cut frame never applies a torn control slot — up to maxHead, past
-// which it is read off and discarded. Every error is connection-fatal.
+// the opcode's table row describes, into cs.head. A Write body of at least
+// sgMinPayload stays on the connection (cs.body counts it) for the arm to
+// receive straight into the segment. Any other payload is read whole — so
+// a fault-cut frame never applies a torn control slot — up to maxHead,
+// past which it is read off and discarded. Every error is
+// connection-fatal.
 //
 //shm:hotpath
 func (cs *connState) readRequest() (opcode, error) {
@@ -331,11 +329,7 @@ func (cs *connState) readRequest() (opcode, error) {
 	}
 	head, streamed := min(rest, maxHead), false
 	if int(op) < len(opTable) && opTable[op].bulk && rest >= 8*opTable[op].words+sgMinPayload {
-		if cs.sc != nil {
-			head, streamed = 8*opTable[op].words, true
-		} else {
-			head = rest
-		}
+		head, streamed = 8*opTable[op].words, true
 	}
 	buf := cs.scratch(ext + head)
 	if err := readFull(cs.conn, buf); err != nil {
@@ -525,10 +519,10 @@ func words(w ...uint64) (r reply) {
 	return r
 }
 
-// stream returns the stripeIO of one streamed transfer over cs.sc, which
+// stream returns the stripeIO of one streamed transfer over cs.conn, which
 // re-arms the connection's deadline for each span it moves (stripeIO.move).
 func (cs *connState) stream() *stripeIO {
-	cs.sio = stripeIO{conn: cs.sc, vw: &cs.vw}
+	cs.sio = stripeIO{conn: cs.conn, vw: &cs.vw}
 	return &cs.sio
 }
 
@@ -538,27 +532,26 @@ func (cs *connState) stream() *stripeIO {
 // reads it.
 func (cs *connState) unstream(in bool) int {
 	if in {
-		cs.sc.SetReadDeadline(time.Time{})
+		cs.conn.SetReadDeadline(time.Time{})
 	} else {
-		cs.sc.SetWriteDeadline(time.Time{})
+		cs.conn.SetWriteDeadline(time.Time{})
 	}
 	cs.vw.reset() // drops a header no span followed (the read was refused)
 	return cs.sio.moved
 }
 
-// serveBulk answers opRead and opSnapRead. A reply under sgMinPayload, or
-// any reply on a connection without deadlines, is read into the payload
-// builder and sent like any other; a larger one on a streamConn leaves
-// straight from the segment's stripes — replyStripes at a time, each group
-// read-locked only while the kernel takes its bytes — or from the
-// snapshot's pinned cut, the 5-byte frame header riding in the first
+// serveBulk answers opRead and opSnapRead. A reply under sgMinPayload is
+// read into the payload builder and sent like any other; a larger one
+// leaves straight from the segment's stripes — replyStripes at a time,
+// each group read-locked only while the kernel takes its bytes — or from
+// the snapshot's pinned cut, the 5-byte frame header riding in the first
 // vectored write.
 func (s *Server) serveBulk(q call, cs *connState) (reply, error) {
 	if q.w[2] > maxFrame-1 {
 		return reply{}, ErrFrameTooLarge
 	}
 	n, off := int(q.w[2]), int(q.w[1])
-	if n < sgMinPayload || cs.sc == nil {
+	if n < sgMinPayload {
 		if cap(cs.fw.buf) < n {
 			cs.fw.buf = make([]byte, n)
 		}
@@ -662,18 +655,17 @@ func (s *Server) serve(q call, cs *connState) (reply, error) {
 	}
 }
 
-// StreamClient speaks the SMB wire protocol over one stream connection of
-// any transport (TCP via Dial, or anything implementing
-// io.ReadWriteCloser via NewStreamClient). It is safe for concurrent use;
-// requests serialize on the connection, matching one RDMA queue pair's
-// ordering. Request building and response parsing run inside the
-// connection lock against per-client grow-only scratch buffers, so
-// steady-state verbs allocate nothing.
+// StreamClient speaks the SMB wire protocol over one connection of any
+// transport (TCP via Dial, or any Conn via NewStreamClient). It is safe
+// for concurrent use; requests serialize on the connection, matching one
+// RDMA queue pair's ordering. Request building and response parsing run
+// inside the connection lock against per-client grow-only scratch
+// buffers, so steady-state verbs allocate nothing.
 type StreamClient struct {
 	verbs // the Client verb set, encoded through do
 
 	mu   sync.Mutex
-	conn io.ReadWriteCloser
+	conn Conn
 	in   []byte // reply payload scratch, guarded by mu
 	wire []byte // request staging, then reply header; guarded by mu
 	// rtt times the round trips of the opcodes Instrument installed a
@@ -732,13 +724,6 @@ func (c *StreamClient) SetTimeouts(op time.Duration) {
 	c.mu.Unlock()
 }
 
-// deadlineConn is the deadline surface of net.Conn. Transports without one
-// (in-process pipes, RDS) silently ignore configured timeouts.
-type deadlineConn interface {
-	SetReadDeadline(t time.Time) error
-	SetWriteDeadline(t time.Time) error
-}
-
 // poisonLocked latches the first transport failure and kills the
 // connection. Caller holds c.mu.
 func (c *StreamClient) poisonLocked(err error) error {
@@ -750,8 +735,8 @@ func (c *StreamClient) poisonLocked(err error) error {
 }
 
 // NewStreamClient wraps an established connection of any transport.
-func NewStreamClient(rwc io.ReadWriteCloser) *StreamClient {
-	c := &StreamClient{conn: rwc}
+func NewStreamClient(conn Conn) *StreamClient {
+	c := &StreamClient{conn: conn}
 	c.d = c
 	return c
 }
@@ -834,10 +819,9 @@ func (c *StreamClient) doLocked(cl call) (reply, error) {
 		b += 8
 	}
 
-	dc, deadlines := c.conn.(deadlineConn)
-	deadlines = deadlines && c.opTimeout > 0
+	deadlines := c.opTimeout > 0
 	if deadlines {
-		dc.SetWriteDeadline(time.Now().Add(c.opTimeout))
+		c.conn.SetWriteDeadline(time.Now().Add(c.opTimeout))
 	}
 	if vectored {
 		c.vw.reset()
@@ -852,8 +836,8 @@ func (c *StreamClient) doLocked(cl call) (reply, error) {
 		return reply{}, c.poisonLocked(fmt.Errorf("smb request: %w: %w", ErrTransport, err))
 	}
 	if deadlines {
-		dc.SetWriteDeadline(time.Time{})
-		dc.SetReadDeadline(time.Now().Add(c.opTimeout))
+		c.conn.SetWriteDeadline(time.Time{})
+		c.conn.SetReadDeadline(time.Now().Add(c.opTimeout))
 	}
 
 	// The reply header lands in the wire scratch (free again once the
@@ -883,7 +867,7 @@ func (c *StreamClient) doLocked(cl call) (reply, error) {
 		return reply{}, c.poisonLocked(fmt.Errorf("smb response: %w: %w", ErrTransport, err))
 	}
 	if deadlines {
-		dc.SetReadDeadline(time.Time{})
+		c.conn.SetReadDeadline(time.Time{})
 	}
 
 	fr := frameReader{buf: payload}

@@ -10,7 +10,7 @@ import (
 )
 
 // startServer launches a server on a random port and registers cleanup.
-func startServer(t *testing.T) *Server {
+func startServer(t testing.TB) *Server {
 	t.Helper()
 	srv, err := NewServer(NewStore(), "127.0.0.1:0")
 	if err != nil {

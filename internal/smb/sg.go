@@ -13,10 +13,11 @@ import (
 // connection with real writev support and a payload of at least
 // sgMinPayload. Inbound, a Read reply lands directly in the caller's
 // destination buffer on every connection. The server mirrors both halves
-// on a connection with deadlines (server.go): a Write body of at least
-// sgMinPayload is received straight into the segment's stripes, and a bulk
-// reply leaves from the stripes (or a snapshot's cut) in vectored writes. The iovec list is registered per
-// connection and grow-only, so the steady state allocates nothing.
+// on every connection (server.go): a Write body of at least sgMinPayload
+// is received straight into the segment's stripes, and a bulk reply
+// leaves from the stripes (or a snapshot's cut) in vectored writes. The
+// iovec list is registered per connection and grow-only, so the steady
+// state allocates nothing.
 
 // sgMinPayload is the payload size below which vectoring is not worth it:
 // tiny frames are cheaper staged into one contiguous write than described

@@ -158,9 +158,9 @@ func (c *StreamClient) shmMap(h Handle) (*shmShared, shmGeometry, error) {
 	}
 	// The fd's carrier byte is the next thing on the stream; a failure here
 	// desyncs the framing, so it poisons like any transport error.
-	if dc, ok := c.conn.(deadlineConn); ok && c.opTimeout > 0 {
-		dc.SetReadDeadline(time.Now().Add(c.opTimeout))
-		defer dc.SetReadDeadline(time.Time{})
+	if c.opTimeout > 0 {
+		c.conn.SetReadDeadline(time.Now().Add(c.opTimeout))
+		defer c.conn.SetReadDeadline(time.Time{})
 	}
 	fd, err := recvConnFD(c.conn)
 	if err != nil {

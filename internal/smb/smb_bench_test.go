@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"shmcaffe/internal/rds"
 	"shmcaffe/internal/tensor"
 )
 
@@ -101,34 +102,66 @@ func BenchmarkStoreAccumulate(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamRoundTrip times one verb's round trip to an in-process
+// server: a 16 KiB Write over TCP, and a Write and a Read of 64 KiB and of
+// one wide-model Wg (5.3 MB) over loopback rds, where bodies and replies
+// past sgMinPayload stream through the stripes as on every transport.
 func BenchmarkStreamRoundTrip(b *testing.B) {
-	store := NewStore()
-	srv, err := NewServer(store, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
+	b.Run("tcp/write/16KiB", func(b *testing.B) {
+		c, err := Dial(startServer(b).Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		benchRoundTrip(b, c, 16<<10, false)
+	})
+	for _, size := range []struct {
+		name  string
+		bytes int
+	}{{"64KiB", 64 << 10}, {"5.3MB", 4 * 1_320_000}} {
+		for _, read := range []bool{false, true} {
+			verb := "write"
+			if read {
+				verb = "read"
+			}
+			b.Run("rds/"+verb+"/"+size.name, func(b *testing.B) {
+				addr := serveRDS(b, startServer(b), func(c *rds.Conn) Conn { return c })
+				ep, err := rds.ListenUDP("127.0.0.1:0")
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer ep.Close()
+				conn, err := ep.Dial(addr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchRoundTrip(b, NewStreamClient(conn), size.bytes, read)
+			})
+		}
 	}
-	defer srv.Close()
-	go srv.Serve()
+}
 
-	client, err := Dial(srv.Addr())
+// benchRoundTrip times c's Read (read) or Write of a whole n-byte segment.
+func benchRoundTrip(b *testing.B, c *StreamClient, n int, read bool) {
+	key, err := c.Create("bench/rt", n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer client.Close()
-	key, err := client.Create("bench/rt", 4096*4)
+	h, err := c.Attach(key)
 	if err != nil {
 		b.Fatal(err)
 	}
-	h, err := client.Attach(key)
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := tensor.Float32Bytes(onesVec(4096))
-	b.SetBytes(4096 * 4)
+	buf := tensor.Float32Bytes(onesVec(n / 4))
+	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := client.Write(h, 0, buf); err != nil {
+		if read {
+			err = c.Read(h, 0, buf)
+		} else {
+			err = c.Write(h, 0, buf)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -334,7 +334,7 @@ func (s *Store) Write(h Handle, off int, src []byte) error {
 // straight between the socket and the stripes with no staging copy.
 type stripeIO struct {
 	buf   []byte     // buffered: the bytes to store, or the room to fill
-	conn  streamConn // streamed: the connection; buf is unused
+	conn  Conn       // streamed: the connection; buf is unused
 	vw    *vecWriter // streamed reply: pending iovecs, the frame header first
 	moved int        // bytes moved so far
 	fault error      // the transport failure that cut a streamed transfer

@@ -17,26 +17,19 @@ import (
 
 // Tests of the server's streamed data path: Write bodies received straight
 // into the segment's stripes, bulk replies sent straight from them or from
-// a snapshot's cut, the deadline that bounds how long a peer can hold the
-// locks either one takes, and the staging that takes its place on a
-// connection without deadlines.
+// a snapshot's cut, and the deadline that bounds how long a peer can hold
+// the locks either one takes, on every transport.
 
-// memConn is an in-memory connection without deadlines: the server reads
-// requests from Reader, writes replies to Writer, and stages bulk
-// transfers, as it does over RDS.
+// memConn is an in-memory connection with inert deadlines: the server reads
+// requests from Reader and writes replies to Writer.
 type memConn struct {
 	io.Reader
 	io.Writer
 }
 
-func (memConn) Close() error { return nil }
-
-// memStreamConn is a memConn with inert deadlines: the server streams bulk
-// transfers over it, as it does over TCP.
-type memStreamConn struct{ memConn }
-
-func (memStreamConn) SetReadDeadline(time.Time) error  { return nil }
-func (memStreamConn) SetWriteDeadline(time.Time) error { return nil }
+func (memConn) Close() error                     { return nil }
+func (memConn) SetReadDeadline(time.Time) error  { return nil }
+func (memConn) SetWriteDeadline(time.Time) error { return nil }
 
 // writeFrame and readFrame move whole frames for tests that play a raw
 // peer; the server reads requests with connState.readRequest and the
@@ -72,14 +65,20 @@ func shortenStreamTimeout(t *testing.T, d time.Duration) {
 	t.Cleanup(func() { streamTimeout = old })
 }
 
+// stallTransports are the transports the stall tests run over: a raw TCP
+// peer stops moving bytes, an rds peer's process vanishes.
+var stallTransports = []string{"tcp", "rds"}
+
 // stallFixture is a server with a weight segment wg and an increment
 // segment dw of size bytes each, attached by a wire client, and (after
-// dialRaw) a raw TCP peer to misbehave on.
+// dialPeer) a raw peer to misbehave on.
 type stallFixture struct {
-	srv    *Server
-	c      *StreamClient
-	wg, dw Handle
-	raw    net.Conn
+	srv     *Server
+	c       *StreamClient
+	wg, dw  Handle
+	raw     Conn
+	pio     *vanishIO // the rds peer's socket; nil over tcp
+	stalled time.Time // when the peer stopped
 }
 
 func newStallFixture(t *testing.T, size int) *stallFixture {
@@ -104,21 +103,49 @@ func newStallFixture(t *testing.T, size int) *stallFixture {
 	return fx
 }
 
-// dialRaw connects the fixture's raw TCP peer.
-func (fx *stallFixture) dialRaw(t *testing.T) {
+// dialPeer connects the fixture's raw peer over transport: a TCP
+// connection, or an rds connection from an endpoint over a vanishIO socket
+// to the server's rds endpoint.
+func (fx *stallFixture) dialPeer(t *testing.T, transport string) {
 	t.Helper()
-	raw, err := net.DialTimeout("tcp", fx.srv.Addr(), dialTimeout)
+	if transport == "tcp" {
+		raw, err := net.DialTimeout("tcp", fx.srv.Addr(), dialTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { raw.Close() })
+		fx.raw = raw
+		return
+	}
+	addr := serveRDS(t, fx.srv, func(c *rds.Conn) Conn { return c })
+	udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { raw.Close() })
-	fx.raw = raw
+	fx.pio = &vanishIO{conn: udp}
+	ep := rds.NewEndpoint(fx.pio)
+	t.Cleanup(func() { ep.Close() })
+	peer, err := ep.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx.raw = peer
+}
+
+// stall stops the peer mid-transfer: a TCP peer already moves no more
+// bytes; an rds peer's process vanishes, and its FIN never arrives.
+func (fx *stallFixture) stall() {
+	fx.stalled = time.Now()
+	if fx.pio != nil {
+		fx.pio.gone.Store(true)
+	}
 }
 
 // contend runs an Accumulate into wg and a Snapshot of it from two more
-// clients while a peer stalls, and requires both to complete: the stalled
-// transfer holds no lock past the deadline (TCP), or none at all (RDS).
-// Their op timeout fails an op still blocked long after that.
+// clients while a peer stalls, and requires both to complete once the
+// stalled transfer's deadline releases its locks — not before, since a
+// streamed transfer holds them. Their op timeout fails an op still blocked
+// long after that.
 func (fx *stallFixture) contend(t *testing.T) {
 	t.Helper()
 	errs := make(chan error, 2)
@@ -138,6 +165,9 @@ func (fx *stallFixture) contend(t *testing.T) {
 			t.Fatalf("contending op failed behind the stalled peer: %v", err)
 		}
 	}
+	if el := time.Since(fx.stalled); el < streamTimeout/2 || el > streamTimeout+5*time.Second {
+		t.Fatalf("contending ops finished %v after the stall, want about the %v stream deadline", el, streamTimeout)
+	}
 }
 
 // dropped requires the raw peer's connection closed by the server, with
@@ -148,10 +178,12 @@ func (fx *stallFixture) dropped(t *testing.T) {
 	for fx.srv.ConnErrors() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	// The peer is dropped: its connection reads EOF.
-	fx.raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.Copy(io.Discard, fx.raw); err != nil {
-		t.Fatalf("stalled peer's connection not closed by the server: %v", err)
+	if fx.pio == nil {
+		// The TCP peer is dropped: its connection reads EOF.
+		fx.raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, fx.raw); err != nil {
+			t.Fatalf("stalled peer's connection not closed by the server: %v", err)
+		}
 	}
 	if n := fx.srv.ConnErrors(); n != 1 {
 		t.Fatalf("server counted %d connection errors, want 1 (the stalled peer)", n)
@@ -159,52 +191,66 @@ func (fx *stallFixture) dropped(t *testing.T) {
 }
 
 // TestStalledBodyReleasesLocks: a peer that sends a Write head and half of
-// a 1 MiB body, then stops, holds a stripe's write lock and the op gate
-// only until the stream deadline fires. The dropped Write has RDMA WRITE
-// semantics: the version moves, no Write is counted.
+// a 1 MiB body, then stops — or, over rds, vanishes — holds a stripe's
+// write lock and the op gate only until the stream deadline fires. The
+// dropped Write has RDMA WRITE semantics: the version moves, no Write is
+// counted.
 func TestStalledBodyReleasesLocks(t *testing.T) {
 	shortenStreamTimeout(t, 300*time.Millisecond)
 	const size = 1 << 20
-	fx := newStallFixture(t, size)
-	fx.dialRaw(t)
-	v0, err := fx.srv.Store().Version(fx.wg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writes := fx.srv.Store().Stats().Writes
+	for _, transport := range stallTransports {
+		t.Run(transport, func(t *testing.T) {
+			fx := newStallFixture(t, size)
+			fx.dialPeer(t, transport)
+			v0, err := fx.srv.Store().Version(fx.wg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writes := fx.srv.Store().Stats().Writes
 
-	head := appendFrame(nil, byte(opWrite), u64s(uint64(fx.wg), 0))
-	binary.LittleEndian.PutUint32(head, uint32(1+16+size)) // the body the frame announces
-	if _, err := fx.raw.Write(append(head, make([]byte, size/2)...)); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond) // let the server start receiving the body
-	fx.contend(t)
-	fx.dropped(t)
+			head := appendFrame(nil, byte(opWrite), u64s(uint64(fx.wg), 0))
+			binary.LittleEndian.PutUint32(head, uint32(1+16+size)) // the body the frame announces
+			if _, err := fx.raw.Write(append(head, make([]byte, size/2)...)); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(50 * time.Millisecond) // let the server start receiving the body
+			fx.stall()
+			fx.contend(t)
+			fx.dropped(t)
 
-	if v, _ := fx.srv.Store().Version(fx.wg); v < v0+1 {
-		t.Fatalf("version %d after a cut Write, want at least %d", v, v0+1)
-	}
-	if got := fx.srv.Store().Stats().Writes; got != writes {
-		t.Fatalf("a cut Write was counted: %d writes, want %d", got, writes)
+			if v, _ := fx.srv.Store().Version(fx.wg); v < v0+1 {
+				t.Fatalf("version %d after a cut Write, want at least %d", v, v0+1)
+			}
+			if got := fx.srv.Store().Stats().Writes; got != writes {
+				t.Fatalf("a cut Write was counted: %d writes, want %d", got, writes)
+			}
+		})
 	}
 }
 
 // TestStalledReplyReleasesLocks: a peer that asks for a multi-MB Read and
-// never reads the reply holds a group of stripes' read locks only until
+// never reads the reply — or, over rds, vanishes while it goes out, past
+// the 1 MiB send window — holds a group of stripes' read locks only until
 // the stream deadline fires.
 func TestStalledReplyReleasesLocks(t *testing.T) {
 	shortenStreamTimeout(t, 300*time.Millisecond)
 	const size = 8 << 20 // past the send buffer and the peer's small window
-	fx := newStallFixture(t, size)
-	fx.dialRaw(t)
-	fx.raw.(*net.TCPConn).SetReadBuffer(16 << 10)
-	if err := writeFrame(fx.raw, byte(opRead), u64s(uint64(fx.wg), 0, size)); err != nil {
-		t.Fatal(err)
+	for _, transport := range stallTransports {
+		t.Run(transport, func(t *testing.T) {
+			fx := newStallFixture(t, size)
+			fx.dialPeer(t, transport)
+			if tcp, ok := fx.raw.(*net.TCPConn); ok {
+				tcp.SetReadBuffer(16 << 10)
+			}
+			if err := writeFrame(fx.raw, byte(opRead), u64s(uint64(fx.wg), 0, size)); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(50 * time.Millisecond) // let the server fill the socket
+			fx.stall()
+			fx.contend(t)
+			fx.dropped(t)
+		})
 	}
-	time.Sleep(50 * time.Millisecond) // let the server fill the socket
-	fx.contend(t)
-	fx.dropped(t)
 }
 
 // TestSlowPeerNotCutOff: the stream deadline bounds progress, not the
@@ -218,7 +264,7 @@ func TestSlowPeerNotCutOff(t *testing.T) {
 	t.Run("write-body", func(t *testing.T) {
 		const size = 1 << 20
 		fx := newStallFixture(t, size)
-		fx.dialRaw(t)
+		fx.dialPeer(t, "tcp")
 		head := appendFrame(nil, byte(opWrite), u64s(uint64(fx.wg), 0))
 		binary.LittleEndian.PutUint32(head, uint32(1+16+size))
 		if _, err := fx.raw.Write(head); err != nil {
@@ -242,7 +288,7 @@ func TestSlowPeerNotCutOff(t *testing.T) {
 	t.Run("read-reply", func(t *testing.T) {
 		const size, piece = 16 << 20, 256 << 10
 		fx := newStallFixture(t, size)
-		fx.dialRaw(t)
+		fx.dialPeer(t, "tcp")
 		// Above loopback's MSS, so the window reopens as the peer reads.
 		fx.raw.(*net.TCPConn).SetReadBuffer(piece)
 		if err := writeFrame(fx.raw, byte(opRead), u64s(uint64(fx.wg), 0, size)); err != nil {
@@ -265,55 +311,6 @@ func TestSlowPeerNotCutOff(t *testing.T) {
 			t.Fatalf("server dropped %d connections", n)
 		}
 	})
-}
-
-// TestRDSVanishedPeerHoldsNoLock: RDS has no deadlines, so nothing bounds
-// a peer that dies mid-transfer without its FIN arriving — the server
-// stages bulk bytes there instead of streaming them. A peer that vanishes
-// halfway through a 1 MiB Write body, or while an 8 MiB Read reply (past
-// the 1 MiB send window) is going out to it, leaves its handler blocked
-// holding no lock: an Accumulate into the segment and a Snapshot of it
-// still complete, and the vanished peer's connection is still open.
-func TestRDSVanishedPeerHoldsNoLock(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		size  int
-		frame func(wg Handle, size int) []byte
-	}{
-		{"write-body", 1 << 20, func(wg Handle, size int) []byte {
-			head := appendFrame(nil, byte(opWrite), u64s(uint64(wg), 0))
-			binary.LittleEndian.PutUint32(head, uint32(1+16+size)) // the body the frame announces
-			return append(head, make([]byte, size/2)...)
-		}},
-		{"read-reply", 8 << 20, func(wg Handle, size int) []byte {
-			return appendFrame(nil, byte(opRead), u64s(uint64(wg), 0, uint64(size)))
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fx := newStallFixture(t, tc.size)
-			addr := serveRDS(t, fx.srv, func(c *rds.Conn) io.ReadWriteCloser { return c })
-			udp, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pio := &vanishIO{conn: udp}
-			ep := rds.NewEndpoint(pio)
-			t.Cleanup(func() { ep.Close() })
-			peer, err := ep.Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := peer.Write(tc.frame(fx.wg, tc.size)); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(50 * time.Millisecond) // let the server start on the transfer
-			pio.gone.Store(true)
-			fx.contend(t)
-			if n := fx.srv.ConnErrors(); n != 0 {
-				t.Fatalf("server counted %d connection errors; the vanished peer's is still open", n)
-			}
-		})
-	}
 }
 
 // vanishIO is an RDS datagram socket whose process can vanish: after gone
@@ -380,30 +377,27 @@ func TestStreamedWriteRefusedStaysInFrame(t *testing.T) {
 	}
 }
 
-// TestServerScratchBounded pins the no-staging contract: after multi-MB
-// Write, Read and SnapRead frames on one connection — and a multi-MB body
-// the server refused and discarded — the connection's scratch is no larger
-// than one stripe plus the largest request head.
+// TestServerScratchBounded pins the no-staging contract on every transport:
+// after multi-MB Write, Read and SnapRead frames on one connection — and a
+// multi-MB body the server refused and discarded — the connection's
+// scratch is no larger than one stripe plus the largest request head.
 func TestServerScratchBounded(t *testing.T) {
+	for _, transport := range stallTransports {
+		t.Run(transport, func(t *testing.T) { testServerScratchBounded(t, transport) })
+	}
+}
+
+func testServerScratchBounded(t *testing.T, transport string) {
 	const size = 6 << 20
 	srv := &Server{store: NewStore(), done: make(chan struct{})}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	server, client := connPair(t, transport)
 	cs := &connState{}
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		if conn, err := ln.Accept(); err == nil {
-			srv.handle(conn, cs)
-		}
+		srv.handle(server, cs)
 	}()
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewStreamClient(client)
 	key, err := c.Create("wg", size)
 	if err != nil {
 		t.Fatal(err)
@@ -438,6 +432,48 @@ func TestServerScratchBounded(t *testing.T) {
 	if got := cap(cs.in) + cap(cs.fw.buf) + cap(cs.wire); got > bound {
 		t.Fatalf("connection scratch grew to %d bytes after %d-byte transfers, want at most %d", got, size, bound)
 	}
+}
+
+// connPair returns the two ends of one fresh connection over transport
+// ("tcp" or "rds").
+func connPair(t *testing.T, transport string) (server, client Conn) {
+	t.Helper()
+	accepted := make(chan Conn, 1)
+	if transport == "tcp" {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			if conn, err := ln.Accept(); err == nil {
+				accepted <- conn
+			}
+		}()
+		if client, err = net.DialTimeout("tcp", ln.Addr().String(), dialTimeout); err != nil {
+			t.Fatal(err)
+		}
+		return <-accepted, client
+	}
+	sep, err := rds.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sep.Close() })
+	cep, err := rds.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cep.Close() })
+	go func() {
+		if conn, err := sep.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	if client, err = cep.Dial(sep.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	return <-accepted, client
 }
 
 // TestStreamedRaceStress runs streamed Write bodies, streamed Read and

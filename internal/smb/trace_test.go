@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"shmcaffe/internal/telemetry"
 )
@@ -21,8 +22,10 @@ type scriptConn struct {
 	replies      *bytes.Reader // replies to serve
 }
 
-func (c *scriptConn) Read(p []byte) (int, error) { return c.replies.Read(p) }
-func (c *scriptConn) Close() error               { return nil }
+func (c *scriptConn) Read(p []byte) (int, error)       { return c.replies.Read(p) }
+func (c *scriptConn) Close() error                     { return nil }
+func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
 func TestTraceFrameRoundTrip(t *testing.T) {
 	tc := TraceContext{TraceID: 0xdeadbeef, SpanID: 0x1122334455667788, Rank: 3, Iter: 41}

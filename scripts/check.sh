@@ -127,6 +127,13 @@ tier1() {
 		echo "server-side bulk staging found in internal/smb (see above)" >&2
 		return 1
 	fi
+	# One connection contract: every transport's smb.Conn has deadlines, so
+	# neither a deadline probe nor a second server data path for connections
+	# without them comes back.
+	if grep -nE 'deadlineConn|streamConn|cs\.sc\b|deadliner|listenerConn' internal/smb/*.go internal/faults/*.go | grep -v '_test.go:'; then
+		echo "connection-capability probe found in internal/smb or internal/faults (see above)" >&2
+		return 1
+	fi
 	# T1 lands Wg in pendingDelta, which T2 overwrites in place: no separate
 	# Wg landing vector (a second parameter-sized float32 slice, or a step or
 	# start that takes one) comes back onto the exchange or its drivers.

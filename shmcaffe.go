@@ -51,6 +51,10 @@ type (
 	// SMBClient is the SMB API: segment lifecycle, Read/Write, Accumulate,
 	// and the WriteAccumulate push built from the last two.
 	SMBClient = smb.Client
+	// SMBConn is the connection contract every SMB transport meets: a
+	// reliable ordered byte stream with read and write deadlines (a
+	// net.Conn, an RDSConn).
+	SMBConn = smb.Conn
 	// SHMKey identifies a segment for attachment (looked up by name).
 	SHMKey = smb.SHMKey
 	// Handle is an attached client's access key (the RDMA rkey analogue).
@@ -244,16 +248,17 @@ type (
 	// RDSEndpoint multiplexes reliable datagram connections over one UDP
 	// socket.
 	RDSEndpoint = rds.Endpoint
-	// RDSConn is one reliable ordered stream (io.ReadWriteCloser).
+	// RDSConn is one reliable ordered stream with read and write
+	// deadlines and a dead-peer verdict; it is an SMBConn.
 	RDSConn = rds.Conn
 )
 
 // ListenRDS binds a reliable-datagram endpoint on a UDP address.
 func ListenRDS(addr string) (*RDSEndpoint, error) { return rds.ListenUDP(addr) }
 
-// NewSMBStreamClient wraps any established stream connection (e.g. an
-// RDSConn) as an SMB client.
-func NewSMBStreamClient(rwc io.ReadWriteCloser) SMBClient { return smb.NewStreamClient(rwc) }
+// NewSMBStreamClient wraps any established connection (e.g. an RDSConn)
+// as an SMB client.
+func NewSMBStreamClient(conn SMBConn) SMBClient { return smb.NewStreamClient(conn) }
 
 // ---- Performance models (paper Sec. IV timing exhibits) ----
 
