@@ -12,7 +12,7 @@ import (
 // *classes* (a class is one mutex field or package variable; all stripes of
 // segment.locks are one class). A cycle among classes means two goroutines
 // can acquire the same pair in opposite orders and deadlock. The key-ordered
-// dual-stripe acquisition in Store.Accumulate shows up as a self-edge —
+// dual-stripe acquisition in segment.accumulate shows up as a self-edge —
 // correct only because of the key ordering, which is outside the model, so
 // the code carries a //lint:ignore with that reason.
 var LockOrder = &Analyzer{
@@ -64,13 +64,17 @@ func runLockOrder(pass *ProgramPass) error {
 		trans[fi.Obj] = make(map[string]bool)
 		netRelease[fi.Obj] = make(map[string]bool)
 	}
+	streams := make(map[*types.Func][]LockEvent, len(funcs))
+	for _, fi := range funcs {
+		streams[fi.Obj] = atReturn(fi.Sum.Locks)
+	}
 	for iter := 0; iter <= len(funcs)+1; iter++ {
 		changed := false
 		for _, fi := range funcs {
 			fn := fi.Obj
 			pl, tr, nr := paramLocks[fn], trans[fn], netRelease[fn]
 			var held, deferred []heldLock
-			for _, ev := range fi.Sum.Locks {
+			for _, ev := range streams[fn] {
 				switch ev.Kind {
 				case lockAcquire:
 					if ev.Param >= 0 && !pl[ev.Param] {
@@ -159,7 +163,7 @@ func runLockOrder(pass *ProgramPass) error {
 	for _, fi := range funcs {
 		name := funcDisplayName(fi.Obj)
 		var held []heldLock
-		for _, ev := range fi.Sum.Locks {
+		for _, ev := range streams[fi.Obj] {
 			switch ev.Kind {
 			case lockAcquire:
 				for _, h := range held {
@@ -226,6 +230,27 @@ func runLockOrder(pass *ProgramPass) error {
 			e.fn, prog.shortName(k.to), prog.shortName(k.from))
 	}
 	return nil
+}
+
+// atReturn is a function's lock events in the order they run: each
+// deferred call moves to the end of the body, the last deferred first, so
+// a deferred release wrapper drops its lock at return rather than at the
+// defer statement (deferred direct releases are lockDeferRelease events,
+// already handled at return by both passes).
+func atReturn(evs []LockEvent) []LockEvent {
+	out := make([]LockEvent, 0, len(evs))
+	var deferred []LockEvent
+	for _, ev := range evs {
+		if ev.Kind == lockCall && ev.Deferred {
+			deferred = append(deferred, ev)
+			continue
+		}
+		out = append(out, ev)
+	}
+	for i := len(deferred) - 1; i >= 0; i-- {
+		out = append(out, deferred[i])
+	}
+	return out
 }
 
 // popHeld removes every held instance of the released class (or parameter,

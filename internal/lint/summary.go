@@ -65,6 +65,10 @@ type LockEvent struct {
 	RLock  bool
 	Pos    token.Pos
 	Callee *types.Func // Kind == lockCall
+	// Deferred marks a lockCall written as `defer f(...)`: it runs at
+	// return, so a release wrapper deferred right after an acquire keeps
+	// the lock held for the rest of the body.
+	Deferred bool
 	// ArgLocks records mutex-pointer arguments of the call so a callee's
 	// parameter locks resolve to caller-side classes.
 	ArgLocks []ArgLock
@@ -224,7 +228,7 @@ func (s *summarizer) visitCall(call *ast.CallExpr) {
 		s.sum.Calls = append(s.sum.Calls, CallSite{Callee: callee, Pos: call.Pos()})
 	}
 	if s.funcLit == 0 {
-		ev := LockEvent{Kind: lockCall, Param: -1, Pos: call.Pos(), Callee: callee}
+		ev := LockEvent{Kind: lockCall, Param: -1, Pos: call.Pos(), Callee: callee, Deferred: s.inDefer()}
 		sig, _ := callee.Type().(*types.Signature)
 		if sig != nil {
 			for i, arg := range call.Args {

@@ -1,8 +1,10 @@
 // Package lockorder is the golden corpus for the lockorder analyzer: a
 // seeded two-lock deadlock cycle (direct and through a callee), a
 // self-edge through a lock-and-return-held helper like smb's lockWait, a
-// consistently-ordered pair that must stay silent, and a suppressed
-// self-edge proving //lint:ignore flows through the program engine.
+// self-edge between two gates taken and deferred-released through wrapper
+// methods, a consistently-ordered pair that must stay silent, and a
+// suppressed self-edge proving //lint:ignore flows through the program
+// engine.
 package lockorder
 
 import "sync"
@@ -87,4 +89,19 @@ func (r *ring) advance() {
 	r.slots[1].Lock()
 	r.slots[1].Unlock()
 	r.slots[0].Unlock()
+}
+
+type gated struct{ gate sync.RWMutex }
+
+func (g *gated) rlock()   { g.gate.RLock() }
+func (g *gated) runlock() { g.gate.RUnlock() }
+
+// pairGates holds two gates of one class, each released by a deferred
+// wrapper call that runs only at return: the second acquisition happens
+// while the first gate is still held, so the self-edge must be seen.
+func pairGates(a, b *gated) {
+	a.rlock()
+	defer a.runlock()
+	b.rlock() // want `pairGates acquires lockorder\.gated\.gate while already holding it`
+	defer b.runlock()
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"shmcaffe/internal/rds"
 	"shmcaffe/internal/telemetry"
@@ -423,6 +424,9 @@ func TestTraceRestampAfterReconnect(t *testing.T) {
 // TestWriteAccumulateErrors exercises the failure surface: bad handles,
 // payloads that do not cover the segment, mismatched and misaligned
 // segments — and checks a wire connection stays usable after a failed push.
+// The mismatched and misaligned pairs run on every client, for Accumulate
+// and WriteAccumulate alike: each fails with the sentinel and leaves dst's
+// bytes and version as they were.
 func TestWriteAccumulateErrors(t *testing.T) {
 	store := NewStore()
 	dst, src := setupPair(t, store, "job", 256)
@@ -478,6 +482,74 @@ func TestWriteAccumulateErrors(t *testing.T) {
 	}
 	if got := readF32(t, c, hg, 256); got[0] != 1 {
 		t.Fatalf("post-recovery push wrote %v, want 1", got[0])
+	}
+
+	// odd spans two stripes, so a fold that started before noticing the
+	// ragged tail would already have changed the first one.
+	const odd = chunkBytes + 2
+	for _, tc := range clientTable {
+		t.Run(tc.name, func(t *testing.T) {
+			cc := tc.dial(t)
+			c := cc.c
+			handles := make(map[string]Handle)
+			for _, seg := range []struct {
+				name string
+				size int
+			}{{"err/wg", 256 * 4}, {"err/small", 128 * 4}, {"err/odd-wg", odd}, {"err/odd-dw", odd}} {
+				key, err := c.Create(seg.name, seg.size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, err := c.Attach(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fill := append(tensor.Float32Bytes(patternVec(seg.size/4, len(seg.name))), 0x3f, 0x3f)
+				if err := c.Write(h, 0, fill[:seg.size]); err != nil {
+					t.Fatal(err)
+				}
+				handles[seg.name] = h
+			}
+			for _, k := range []struct {
+				dst, src string
+				want     error
+			}{{"err/wg", "err/small", ErrSizeMismatch}, {"err/odd-wg", "err/odd-dw", ErrNotFloatAligned}} {
+				for _, fused := range []bool{false, true} {
+					dst, src := handles[k.dst], handles[k.src]
+					size := 256 * 4
+					if k.dst == "err/odd-wg" {
+						size = odd
+					}
+					before, after := make([]byte, size), make([]byte, size)
+					if err := c.Read(dst, 0, before); err != nil {
+						t.Fatal(err)
+					}
+					v0 := segVersion(t, cc.store, k.dst)
+					var err error
+					if fused {
+						payload := make([]byte, size)
+						if k.want == ErrSizeMismatch {
+							payload = payload[:128*4] // covers src, not dst
+						}
+						err = c.WriteAccumulate(dst, src, payload)
+					} else {
+						err = c.Accumulate(dst, src)
+					}
+					if !errors.Is(err, k.want) {
+						t.Errorf("%s += %s (fused %v): got %v, want %v", k.dst, k.src, fused, err, k.want)
+					}
+					if err := c.Read(dst, 0, after); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(before, after) {
+						t.Errorf("%s += %s (fused %v): the failed op changed dst's bytes", k.dst, k.src, fused)
+					}
+					if v := segVersion(t, cc.store, k.dst); v != v0 {
+						t.Errorf("%s += %s (fused %v): the failed op moved dst's version %d -> %d", k.dst, k.src, fused, v0, v)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -602,27 +674,51 @@ func TestCrossedPushes(t *testing.T) {
 	}
 }
 
-// TestWriteAccumulateSelf pins the degenerate dst==src push: the payload
-// lands and is immediately doubled, under a single stripe lock.
+// TestWriteAccumulateSelf pins the degenerate dst==src push and
+// accumulate on every client, through two handles of one segment: the
+// payload lands and is immediately doubled, under a single stripe lock per
+// stripe (a mapped client maps each handle separately, and must still see
+// one segment, not two whose lock words it would take twice).
 func TestWriteAccumulateSelf(t *testing.T) {
-	store := NewStore()
-	key, err := store.Create("self", 64*4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := store.Attach(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := patternVec(64, 7)
-	c := NewLocalClient(store)
-	if err := c.WriteAccumulate(h, h, tensor.Float32Bytes(vals)); err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range readF32(t, c, h, 64) {
-		want := vals[i] + vals[i]
-		if math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("self push element %d = %v, want %v", i, got, want)
-		}
+	const n = chunkBytes/4 + 64 // two stripes
+	vals := patternVec(n, 7)
+	for _, tc := range clientTable {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.dial(t).c
+			key, err := c.Create("self", n*4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := c.Attach(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h2, err := c.Attach(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				if err := c.WriteAccumulate(h, h2, tensor.Float32Bytes(vals)); err != nil {
+					done <- err
+					return
+				}
+				done <- c.Accumulate(h2, h)
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("self-target push and accumulate did not complete (deadlock)")
+			}
+			for i, got := range readF32(t, c, h, n) {
+				want := 4 * vals[i] // pushed, doubled by the push, doubled again
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("self push element %d = %v, want %v", i, got, want)
+				}
+			}
+		})
 	}
 }

@@ -14,7 +14,7 @@ import (
 // frame protocol plus a unix-domain control socket for the fd-pass
 // handshake, with the socket path advertised for auto-negotiation. Skips
 // where the build has the transport compiled out.
-func startShmServer(t *testing.T) (*Server, string) {
+func startShmServer(t testing.TB) (*Server, string) {
 	t.Helper()
 	if !ShmSupported() {
 		t.Skip("shm transport not supported on this platform/build")
@@ -602,7 +602,7 @@ func TestShmLeaseReapOnConnClose(t *testing.T) {
 	// Simulate a crash mid-accumulate: take the stripe word, then die
 	// without unlocking (Close unmaps but never touches lock words — and
 	// the mapping object keeps the word reachable for the assertion).
-	m.sh.lockStripe(0, lease)
+	m.shm.lockStripe(0, lease)
 	c.Close()
 
 	store := srv.Store()

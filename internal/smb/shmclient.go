@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"shmcaffe/internal/faults"
 	"shmcaffe/internal/telemetry"
 )
 
@@ -19,8 +18,9 @@ import (
 // seq) dedup, snapshot verbs and trace context are its methods, unchanged.
 // What this type adds is the mapping: Attach receives the segment's memfd
 // over the session's connection, and the data verbs on a mapped handle run
-// directly against the mmapped stripes — no serialization, no syscalls
-// beyond the occasional contended-futex wait, and never the session's lock.
+// the Store's own segment code directly against the mmapped stripes — no
+// serialization, no syscalls beyond the occasional contended-futex wait,
+// and never the session's lock.
 // A handle that could not be mapped (heap-backed segment, wrapped socket)
 // falls through to the session's wire verb. Snapshot cuts happen server-side
 // (the server drains mapped writers through the shared gate and copies the
@@ -28,8 +28,9 @@ import (
 //
 // Mutual exclusion against the server's own kernels and against other
 // mapped workers comes from the shared per-stripe lock words mirrored into
-// each segment's control page; this client stamps its acquisitions with
-// the lease granted at hello time, so a crash mid-accumulate leaves words
+// each segment's control page, taken in the one order every process
+// follows (shmseg.go); this client stamps its acquisitions with the lease
+// granted at hello time, so a crash mid-accumulate leaves words
 // the server can attribute and reap when the control connection dies.
 // Mappings are fd-backed and survive a control-socket redial — the memfd is
 // this process's reference, not the socket's.
@@ -43,21 +44,13 @@ type ShmClient struct {
 	// mu serializes the mapped verbs against Detach/Close, so a mapping is
 	// never unmapped under a running kernel.
 	mu   sync.Mutex
-	maps map[Handle]*shmMapped // guarded by mu; public handle → mapping, nil once closed
+	maps map[Handle]*segment // guarded by mu; public handle → mapping, nil once closed
 
 	mappedSegs atomic.Int64 // live mappings
 	mappedOps  atomic.Int64 // data verbs served from mapped stripes
 	ctlOps     atomic.Int64 // data verbs that fell back to the wire
 
 	pushBytes *telemetry.Histogram // immutable after construction; nil = uninstrumented
-}
-
-// shmMapped is one mapped segment plus the key its stripe locks order by
-// (two mapped clients accumulating A+=B and B+=A lock stripes in the same
-// key order the server uses, so crossed pushes cannot deadlock).
-type shmMapped struct {
-	sh  *shmShared
-	key SHMKey
 }
 
 // ShmConfig configures DialShmConfig.
@@ -99,7 +92,7 @@ func DialShmConfig(cfg ShmConfig) (*ShmClient, error) {
 	if !ShmSupported() {
 		return nil, ErrShmUnsupported
 	}
-	c := &ShmClient{maps: make(map[Handle]*shmMapped)}
+	c := &ShmClient{maps: make(map[Handle]*segment)}
 	c.SupervisedClient = NewSupervisedClient(SupervisedConfig{
 		Addr:        cfg.Path,
 		OpTimeout:   cfg.OpTimeout,
@@ -143,11 +136,15 @@ func (c *ShmClient) Attach(key SHMKey) (Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	var m *shmMapped
+	var m *segment
 	err = c.withHandle("shm-map", h, func(sc *StreamClient, rh Handle) error {
 		sh, g, err := sc.shmMap(rh)
 		if err == nil {
-			m = &shmMapped{sh: sh, key: g.key}
+			// This process's view of the segment is the Store's own type,
+			// so every verb runs the same stripe code in the same lock
+			// order; the key orders its stripe pairs and names it in errors.
+			m = &segment{key: g.key, name: fmt.Sprintf("shm key %d", g.key),
+				locks: make([]sync.RWMutex, sh.stripes), data: sh.dat, shm: sh}
 			return nil
 		}
 		if errors.Is(err, ErrTransport) {
@@ -165,7 +162,7 @@ func (c *ShmClient) Attach(key SHMKey) (Handle, error) {
 	c.mu.Lock()
 	if c.maps == nil { // Close won the race: nobody is left to unmap m
 		c.mu.Unlock()
-		m.sh.close()
+		m.shm.close()
 		return 0, errClientClosed
 	}
 	c.maps[h] = m
@@ -186,7 +183,7 @@ func (c *ShmClient) Detach(h Handle) error {
 		return c.SupervisedClient.Detach(h)
 	}
 	c.mappedSegs.Add(-1)
-	m.sh.close()
+	m.shm.close()
 	return c.detach(h, func(sc *StreamClient, rh Handle) error { return sc.ShmUnmap(rh) })
 }
 
@@ -194,7 +191,7 @@ func (c *ShmClient) Detach(h Handle) error {
 func (c *ShmClient) Close() error {
 	c.mu.Lock()
 	for _, m := range c.maps {
-		m.sh.close()
+		m.shm.close()
 	}
 	c.maps = nil
 	c.mappedSegs.Store(0)
@@ -213,101 +210,60 @@ func (c *ShmClient) Mapped(h Handle) bool {
 	return c.maps[h] != nil
 }
 
-// stripeSpan clamps stripe ci of a mapped segment to [off, end).
-func stripeSpan(sh *shmShared, ci, off, end int) (lo, hi int) {
-	lo = ci * chunkBytes
-	hi = lo + chunkBytes
-	if hi > len(sh.dat) {
-		hi = len(sh.dat)
-	}
-	if lo < off {
-		lo = off
-	}
-	if hi > end {
-		hi = end
-	}
-	return lo, hi
-}
-
-// Read implements Client. Mapped segments copy straight out of the shared
-// stripes under their lock words — per-stripe atomic, like the server.
+// Read implements Client. A mapped segment is read straight out of the
+// shared stripes by segment.walk — per-stripe atomic, like the server.
 //
 //shm:hotpath
 func (c *ShmClient) Read(h Handle, off int, dst []byte) error {
 	c.mu.Lock()
-	m := c.maps[h]
-	if m == nil {
+	seg := c.maps[h]
+	if seg == nil {
 		c.mu.Unlock()
 		c.ctlOps.Add(1)
 		return c.SupervisedClient.Read(h, off, dst)
 	}
 	defer c.mu.Unlock()
-	sh := m.sh
-	if size := len(sh.dat); off < 0 || off > size || len(dst) > size-off {
-		return fmt.Errorf("smb shm read [%d,%d) of %d-byte segment: %w",
-			off, off+len(dst), len(sh.dat), ErrOutOfRange)
+	x := stripeIO{buf: dst}
+	if err := seg.walk(off, len(dst), false, 1, &x, c.lease.Load()); err != nil {
+		return err
 	}
-	lease := c.lease.Load()
-	for covered := 0; covered < len(dst); {
-		ci := (off + covered) / chunkBytes
-		lo, hi := stripeSpan(sh, ci, off+covered, off+len(dst))
-		sh.lockStripe(ci, lease)
-		copy(dst[covered:covered+(hi-lo)], sh.dat[lo:hi])
-		sh.unlockStripe(ci, lease)
-		covered += hi - lo
-	}
-	sh.addOp(shmOffReads, 1)
+	seg.shm.addOp(shmOffReads, 1)
 	c.mappedOps.Add(1)
 	return nil
 }
 
-// Write implements Client. Mapped segments copy straight into the shared
-// stripes and bump the shared version.
+// Write implements Client. A mapped segment is written straight into the
+// shared stripes by segment.walk, which bumps the shared version.
 //
 //shm:hotpath
 func (c *ShmClient) Write(h Handle, off int, src []byte) error {
 	c.mu.Lock()
-	m := c.maps[h]
-	if m == nil {
+	seg := c.maps[h]
+	if seg == nil {
 		c.mu.Unlock()
 		c.ctlOps.Add(1)
 		return c.SupervisedClient.Write(h, off, src)
 	}
 	defer c.mu.Unlock()
-	sh := m.sh
-	if size := len(sh.dat); off < 0 || off > size || len(src) > size-off {
-		return fmt.Errorf("smb shm write [%d,%d) of %d-byte segment: %w",
-			off, off+len(src), len(sh.dat), ErrOutOfRange)
+	x := stripeIO{buf: src}
+	if err := seg.walk(off, len(src), true, 1, &x, c.lease.Load()); err != nil {
+		return err
 	}
-	lease := c.lease.Load()
-	// Hold the shared snapshot gate in read mode across the whole op so a
-	// server-side Snapshot cannot cut between stripes of one mapped write.
-	sh.snapGateRLock()
-	for covered := 0; covered < len(src); {
-		ci := (off + covered) / chunkBytes
-		lo, hi := stripeSpan(sh, ci, off+covered, off+len(src))
-		sh.lockStripe(ci, lease)
-		copy(sh.dat[lo:hi], src[covered:covered+(hi-lo)])
-		sh.unlockStripe(ci, lease)
-		covered += hi - lo
-	}
-	sh.addOp(shmOffWrites, 1)
-	sh.bumpVersion()
-	sh.snapGateRUnlock()
+	seg.shm.addOp(shmOffWrites, 1)
 	c.mappedOps.Add(1)
 	return nil
 }
 
-// Accumulate implements Client: dst[i] += src[i] float32-wise, stripe by
-// stripe under both segments' shared lock words, taken in key order — the
-// same order the server and every other mapped client use, so crossed
+// Accumulate implements Client: dst[i] += src[i] float32-wise by
+// segment.accumulate against the mapped stripes, under the same key-ordered
+// lock pairs the server and every other mapped client use, so crossed
 // accumulates cannot deadlock.
 //
 //shm:hotpath
 func (c *ShmClient) Accumulate(dst, src Handle) error {
 	c.mu.Lock()
-	dm, sm := c.maps[dst], c.maps[src]
-	if dm == nil || sm == nil {
+	dseg, sseg := c.maps[dst], c.maps[src]
+	if dseg == nil || sseg == nil {
 		// One side rides the wire → the whole op does: the server is the
 		// only place that can see both segments.
 		c.mu.Unlock()
@@ -315,149 +271,36 @@ func (c *ShmClient) Accumulate(dst, src Handle) error {
 		return c.SupervisedClient.Accumulate(dst, src)
 	}
 	defer c.mu.Unlock()
-	dsh, ssh := dm.sh, sm.sh
-	if len(dsh.dat) != len(ssh.dat) {
-		return fmt.Errorf("smb shm accumulate: size mismatch %d vs %d: %w",
-			len(dsh.dat), len(ssh.dat), ErrSizeMismatch)
+	if _, err := dseg.accumulate(sseg, c.lease.Load(), false); err != nil {
+		return err
 	}
-	lease := c.lease.Load()
-	// Gate the destination only: src is read, not mutated, so a snapshot of
-	// src cannot be torn by this op, and single-gate acquisition keeps the
-	// mapped accumulate deadlock-free against cross-segment gate holders.
-	dsh.snapGateRLock()
-	for ci := 0; ci < dsh.stripes; ci++ {
-		lo, hi := stripeSpan(dsh, ci, 0, len(dsh.dat))
-		lockStripePair(dsh, dm.key, ssh, sm.key, ci, lease)
-		err := accumulateChunk(dsh.dat[lo:hi], ssh.dat[lo:hi])
-		unlockStripePair(dsh, dm.key, ssh, sm.key, ci, lease)
-		if err != nil {
-			dsh.snapGateRUnlock()
-			return err
-		}
-	}
-	dsh.addOp(shmOffAccumulates, 1)
-	dsh.addOp(shmOffBytesAcc, uint64(len(dsh.dat)))
-	dsh.bumpVersion()
-	dsh.snapGateRUnlock()
+	dseg.shm.addOp(shmOffAccumulates, 1)
+	dseg.shm.addOp(shmOffBytesAcc, uint64(len(dseg.data)))
 	c.mappedOps.Add(1)
 	return nil
 }
 
-// lockStripePair takes stripe ci's shared words of two distinct segments
-// in key order (self-accumulate takes the word once).
-//
-//shm:hotpath
-func lockStripePair(a *shmShared, ak SHMKey, b *shmShared, bk SHMKey, ci int, lease uint32) {
-	switch {
-	case a == b:
-		a.lockStripe(ci, lease)
-	case ak < bk:
-		a.lockStripe(ci, lease)
-		b.lockStripe(ci, lease)
-	default:
-		b.lockStripe(ci, lease)
-		a.lockStripe(ci, lease)
-	}
-}
-
-// snapGateRLockPair takes two segments' shared snapshot gates in read mode,
-// in key order. Ordering matters even for shared acquisition: a pending
-// snapshot writer blocks new readers, so two fused ops acquiring opposite
-// orders while snapshots pend on both gates would otherwise cycle.
-func snapGateRLockPair(a *shmShared, ak SHMKey, b *shmShared, bk SHMKey) {
-	switch {
-	case a == b:
-		a.snapGateRLock()
-	case ak < bk:
-		a.snapGateRLock()
-		b.snapGateRLock()
-	default:
-		b.snapGateRLock()
-		a.snapGateRLock()
-	}
-}
-
-func snapGateRUnlockPair(a, b *shmShared) {
-	if a == b {
-		a.snapGateRUnlock()
-		return
-	}
-	a.snapGateRUnlock()
-	b.snapGateRUnlock()
-}
-
-//shm:hotpath
-func unlockStripePair(a *shmShared, ak SHMKey, b *shmShared, bk SHMKey, ci int, lease uint32) {
-	switch {
-	case a == b:
-		a.unlockStripe(ci, lease)
-	case ak < bk:
-		b.unlockStripe(ci, lease)
-		a.unlockStripe(ci, lease)
-	default:
-		a.unlockStripe(ci, lease)
-		b.unlockStripe(ci, lease)
-	}
-}
-
-// WriteAccumulate implements Client fused against the mapped stripes: per
-// stripe, copy the pushed bytes into src and add the same range into dst,
-// under both lock words. One pass over the data, zero protocol bytes — this
-// is the transport's headline verb (ΔWx push).
+// WriteAccumulate implements Client by segment.writeAccumulate against the
+// mapped stripes: per stripe, the pushed bytes land in src and fold into
+// dst in one pass, under both lock words. Zero protocol bytes — this is
+// the transport's headline verb (ΔWx push).
 //
 //shm:hotpath
 func (c *ShmClient) WriteAccumulate(dst, src Handle, data []byte) error {
 	c.mu.Lock()
-	dm, sm := c.maps[dst], c.maps[src]
-	if dm == nil || sm == nil {
+	dseg, sseg := c.maps[dst], c.maps[src]
+	if dseg == nil || sseg == nil {
 		c.mu.Unlock()
 		c.ctlOps.Add(1)
 		return c.SupervisedClient.WriteAccumulate(dst, src, data)
 	}
 	defer c.mu.Unlock()
-	dsh, ssh := dm.sh, sm.sh
-	if len(dsh.dat) != len(ssh.dat) || len(data) != len(ssh.dat) {
-		return fmt.Errorf("smb shm write+accumulate %d bytes: %d += %d bytes: %w",
-			len(data), len(dsh.dat), len(ssh.dat), ErrSizeMismatch)
+	if _, err := dseg.writeAccumulate(sseg, data, c.lease.Load(), false); err != nil {
+		return err
 	}
-	if len(data)%4 != 0 {
-		return fmt.Errorf("smb shm write+accumulate: %d bytes: %w", len(data), ErrNotFloatAligned)
-	}
-	lease := c.lease.Load()
-	// Both segments are mutated, so both snapshot gates are held for the
-	// whole fused op — in key order, matching every other multi-gate
-	// acquisition (Store.WriteAccumulate, snapshot cuts), so gates cannot
-	// deadlock across processes.
-	snapGateRLockPair(dsh, dm.key, ssh, sm.key)
-	defer snapGateRUnlockPair(dsh, ssh)
-	for covered := 0; covered < len(data); {
-		ci := covered / chunkBytes
-		lo, hi := stripeSpan(ssh, ci, covered, len(data))
-		lockStripePair(dsh, dm.key, ssh, sm.key, ci, lease)
-		// Fault-injection hook: a helper armed with shm-mid-accumulate dies
-		// right here, stripe locks held — the scenario the server's
-		// dead-lease reap exists for.
-		faults.CrashPoint("shm-mid-accumulate")
-		var err error
-		if dsh == ssh {
-			// Self-target: the write lands and is doubled in place, exactly
-			// like the server's self-target branch.
-			copy(ssh.dat[lo:hi], data[lo:hi])
-			err = accumulateChunk(dsh.dat[lo:hi], ssh.dat[lo:hi])
-		} else {
-			err = copyAccumulateChunk(dsh.dat[lo:hi], ssh.dat[lo:hi], data[lo:hi])
-		}
-		unlockStripePair(dsh, dm.key, ssh, sm.key, ci, lease)
-		if err != nil {
-			return err
-		}
-		covered += hi - lo
-	}
-	ssh.addOp(shmOffWrites, 1)
-	ssh.bumpVersion()
-	dsh.addOp(shmOffAccumulates, 1)
-	dsh.addOp(shmOffBytesAcc, uint64(len(data)))
-	dsh.bumpVersion()
+	sseg.shm.addOp(shmOffWrites, 1)
+	dseg.shm.addOp(shmOffAccumulates, 1)
+	dseg.shm.addOp(shmOffBytesAcc, uint64(len(data)))
 	c.mappedOps.Add(1)
 	if c.pushBytes != nil {
 		c.pushBytes.Observe(float64(len(data)))

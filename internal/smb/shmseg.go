@@ -30,15 +30,15 @@ import (
 //	off 48  u64  writes applied through mappings
 //	off 56  u64  reads served through mappings
 //	off 64  u32  reserved
-//	off 72  u32  snapshot gate: mapped clients hold it in read mode for
+//	off 72  u32  snapshot gate: every process holds it in read mode for
 //	             each whole mutating op, the server takes it exclusively
 //	             to cut a consistent snapshot (layout v3; snapshot.go)
 //	off 128 [stripes] × { u32 lock word, u32 reserved }
 //
-// The per-stripe lock words mirror the server's 64 KiB stripe locks into
-// memory both sides can see: the server takes its in-process stripe lock
-// first and then the shared word (lease 1); clients take only the shared
-// word (lease ≥ 2, one lease per control connection). A lock word is
+// The per-stripe lock words mirror the 64 KiB stripe locks into memory
+// every process can see: each process takes its own in-process stripe lock
+// first and then the shared word, the server under lease 1 and each mapped
+// client under its lease (≥ 2, one per control connection). A lock word is
 // owner-lease | contended-bit, futex-waited when contended, and the server
 // reaps every word still holding a dead client's lease when that client's
 // control connection dies — crash-safety for locks held mid-accumulate.
@@ -74,14 +74,14 @@ const (
 	shmOffWrites      = 48
 	shmOffReads       = 56
 	// shmOffSnapGate is the cross-process snapshot gate (snapshot.go): a
-	// reader-count word mapped clients hold in read mode around each whole
+	// reader-count word every process holds in read mode around each whole
 	// mutating op, write-locked by the serving process to drain them before
 	// copying a consistent cut. It sits in the second cache line, off the
 	// op counters every mapped verb bumps.
 	shmOffSnapGate = 72
 )
 
-// Snapshot-gate word layout: low 30 bits count mapped ops in flight,
+// Snapshot-gate word layout: low 30 bits count mutating ops in flight,
 // shmSnapGatePending announces a cut (blocking new ops so a storm cannot
 // starve the drain), shmSnapGateWriter marks the cut in progress.
 const (
@@ -289,7 +289,7 @@ func (sh *shmShared) bumpVersion() { sh.word64(shmOffVersion).Add(1) }
 //shm:hotpath
 func (sh *shmShared) addOp(off int, n uint64) { sh.word64(off).Add(n) }
 
-// snapGateRLock registers one mapped mutating op in flight. Fast path is
+// snapGateRLock registers one mutating op in flight. Fast path is
 // one CAS; while a cut is pending or in progress the op parks until the
 // gate reopens. Held for the whole op (all stripes plus the version
 // bump), paired with snapGateRUnlock.
@@ -314,7 +314,7 @@ func (sh *shmShared) snapGateRLock() {
 	}
 }
 
-// snapGateRUnlock deregisters a mapped op; the last op out wakes a cut
+// snapGateRUnlock deregisters an op; the last op out wakes a cut
 // parked on the drain.
 //
 //shm:hotpath
@@ -376,39 +376,72 @@ func (sh *shmShared) snapGateUnlock() {
 	futexWakeAll(w)
 }
 
-// Dual stripe locking: the server wraps every stripe access of an exported
-// segment in both its in-process lock and the shared word (always local
-// first, shared second; released shared first). In-process readers of an
-// exported segment serialize on the shared word — the price of giving
-// mapped clients real mutual exclusion against the server's own kernels.
+// Stripe and gate locking, one order for every process. A segment is this
+// process's view of one region — heap, exported or mapped — and every verb
+// reaches its stripes through these methods: per stripe, the in-process
+// lock first and then, for a memfd-backed segment, the shared word under the
+// caller's lease (shmServerLease in the serving process, the hello lease in
+// a mapped client); released in reverse. Goroutines of one process so queue
+// on the RWMutex and only one of them contends on the shared word. In-process
+// readers of a memfd-backed segment serialize on the word — the price of
+// mutual exclusion against the other processes' kernels.
 
-func (seg *segment) lockStripe(ci int, timed bool) int64 {
+// lockStripe takes stripe ci exclusively, returning nanoseconds spent
+// blocked on the in-process lock when timed.
+//
+//shm:hotpath
+func (seg *segment) lockStripe(ci int, lease uint32, timed bool) int64 {
 	w := lockWait(&seg.locks[ci], timed)
 	if seg.shm != nil {
-		seg.shm.lockStripe(ci, shmServerLease)
+		seg.shm.lockStripe(ci, lease)
 	}
 	return w
 }
 
-func (seg *segment) unlockStripe(ci int) {
+//shm:hotpath
+func (seg *segment) unlockStripe(ci int, lease uint32) {
 	if seg.shm != nil {
-		seg.shm.unlockStripe(ci, shmServerLease)
+		seg.shm.unlockStripe(ci, lease)
 	}
 	seg.locks[ci].Unlock()
 }
 
-func (seg *segment) rlockStripe(ci int) {
+//shm:hotpath
+func (seg *segment) rlockStripe(ci int, lease uint32) {
 	seg.locks[ci].RLock()
 	if seg.shm != nil {
-		seg.shm.lockStripe(ci, shmServerLease)
+		seg.shm.lockStripe(ci, lease)
 	}
 }
 
-func (seg *segment) runlockStripe(ci int) {
+//shm:hotpath
+func (seg *segment) runlockStripe(ci int, lease uint32) {
 	if seg.shm != nil {
-		seg.shm.unlockStripe(ci, shmServerLease)
+		seg.shm.unlockStripe(ci, lease)
 	}
 	seg.locks[ci].RUnlock()
+}
+
+// rlockGate holds the segment's snapshot fence in read mode for one whole
+// mutating op: the in-process op gate, then the shared snap gate of a
+// memfd-backed segment. Store.Snapshot takes the in-process gate
+// exclusively before it drains the shared one, so the serving process's
+// own ops never sit in the drain; only other processes' mapped ops do.
+//
+//shm:hotpath
+func (seg *segment) rlockGate() {
+	seg.gate.RLock()
+	if seg.shm != nil {
+		seg.shm.snapGateRLock()
+	}
+}
+
+//shm:hotpath
+func (seg *segment) runlockGate() {
+	if seg.shm != nil {
+		seg.shm.snapGateRUnlock()
+	}
+	seg.gate.RUnlock()
 }
 
 // shmCounters are the Store's always-on shared-memory transport counters.

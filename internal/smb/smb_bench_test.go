@@ -22,54 +22,92 @@ const benchVals = 1 << 18 // 1 MiB of float32 per segment
 func setupBenchStore(b *testing.B, workers int) (*Store, Handle, []Handle) {
 	b.Helper()
 	store := NewStore()
-	gKey, err := store.Create("bench/wg", benchVals*4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hg, err := store.Attach(gKey)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ones := tensor.Float32Bytes(onesVec(benchVals))
-	deltas := make([]Handle, workers)
-	for w := range deltas {
-		dKey, err := store.Create(fmt.Sprintf("bench/dw%d", w), benchVals*4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hd, err := store.Attach(dKey)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := store.Write(hd, 0, ones); err != nil {
-			b.Fatal(err)
-		}
-		deltas[w] = hd
-	}
+	hg, deltas := setupBenchSegments(b, NewLocalClient(store), workers)
 	return store, hg, deltas
 }
 
-func BenchmarkStoreWrite(b *testing.B) {
-	store, hg, _ := setupBenchStore(b, 1)
-	buf := tensor.Float32Bytes(onesVec(benchVals))
-	b.SetBytes(benchVals * 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := store.Write(hg, 0, buf); err != nil {
+// setupBenchSegments creates, through c, one Wg segment and workers ΔWx
+// segments of benchVals float32s each, the ΔWx ones filled with ones.
+func setupBenchSegments(b *testing.B, c Client, workers int) (Handle, []Handle) {
+	b.Helper()
+	attach := func(name string) Handle {
+		key, err := c.Create(name, benchVals*4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := c.Attach(key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return h
+	}
+	hg := attach("bench/wg")
+	ones := tensor.Float32Bytes(onesVec(benchVals))
+	deltas := make([]Handle, workers)
+	for w := range deltas {
+		deltas[w] = attach(fmt.Sprintf("bench/dw%d", w))
+		if err := c.Write(deltas[w], 0, ones); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return hg, deltas
+}
+
+// benchClients runs fn on a Wg/ΔWx pair behind each client that runs the
+// store's stripe code in its own process: local (the in-process Store) and
+// shm-mapped (a ShmClient whose verbs run against the server's memfd
+// segments, mapped into this process).
+func benchClients(b *testing.B, fn func(b *testing.B, c Client, hg, hd Handle)) {
+	b.Run("local", func(b *testing.B) {
+		c := NewLocalClient(NewStore())
+		hg, deltas := setupBenchSegments(b, c, 1)
+		fn(b, c, hg, deltas[0])
+	})
+	b.Run("shm-mapped", func(b *testing.B) {
+		_, path := startShmServer(b)
+		c, err := DialShm(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		hg, deltas := setupBenchSegments(b, c, 1)
+		if !c.Mapped(hg) || !c.Mapped(deltas[0]) {
+			b.Fatal("bench segments did not map")
+		}
+		fn(b, c, hg, deltas[0])
+	})
+}
+
+func BenchmarkStoreWrite(b *testing.B) {
+	benchClients(b, func(b *testing.B, c Client, hg, _ Handle) {
+		buf := tensor.Float32Bytes(onesVec(benchVals))
+		benchLoop(b, func() error { return c.Write(hg, 0, buf) })
+	})
 }
 
 func BenchmarkStoreRead(b *testing.B) {
-	store, hg, _ := setupBenchStore(b, 1)
-	buf := make([]byte, benchVals*4)
+	benchClients(b, func(b *testing.B, c Client, hg, _ Handle) {
+		buf := make([]byte, benchVals*4)
+		benchLoop(b, func() error { return c.Read(hg, 0, buf) })
+	})
+}
+
+// BenchmarkStoreWriteAccumulate times the fused push (ΔWx lands in its
+// segment and folds into Wg in one sweep) of one benchVals increment.
+func BenchmarkStoreWriteAccumulate(b *testing.B) {
+	benchClients(b, func(b *testing.B, c Client, hg, hd Handle) {
+		data := tensor.Float32Bytes(onesVec(benchVals))
+		benchLoop(b, func() error { return c.WriteAccumulate(hg, hd, data) })
+	})
+}
+
+// benchLoop times b.N calls of op, each moving one benchVals segment.
+func benchLoop(b *testing.B, op func() error) {
 	b.SetBytes(benchVals * 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := store.Read(hg, 0, buf); err != nil {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,15 +1,17 @@
 // Package smb implements the Soft Memory Box: the remote-shared-memory
 // framework underneath ShmCaffe (paper Sec. III-B). A memory server owns
-// byte segments; clients obtain an SHM key at creation time, exchange it
-// out of band (the master broadcasts it over MPI, Fig. 2), attach to get an
-// access key (the stand-in for the Infiniband rkey), and then issue
-// Read / Write / Accumulate operations. Accumulate is the server-side
-// float32 "dst += src" between segments that lets SEASGD run without a
-// parameter server (Eq. 7).
+// byte segments; clients create a segment under a name to get its SHM key,
+// find a peer's segment by name with Lookup (every worker rendezvouses on
+// the server, Fig. 2), attach to get an access key (the stand-in for the
+// Infiniband rkey), and then issue Read / Write / Accumulate operations.
+// Accumulate is the server-side float32 "dst += src" between segments that
+// lets SEASGD run without a parameter server (Eq. 7).
 //
-// Two transports are provided: a zero-copy in-process client for
-// goroutine-per-worker deployments, and a TCP client/server pair with a
-// binary protocol standing in for RDMA verbs.
+// Every client implements one Client interface: the in-process
+// LocalClient, the frame protocol over TCP, unix sockets or the RDS-like
+// datagram transport (StreamClient, SupervisedClient; transport.go), and
+// ShmClient, which maps a co-located server's memfd segments and runs the
+// Store's own stripe code against them (DESIGN.md §16).
 package smb
 
 import (
@@ -19,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"shmcaffe/internal/faults"
 	"shmcaffe/internal/tensor"
 )
 
@@ -81,21 +84,23 @@ type statCounters struct {
 // control slots never straddle a stripe.
 const chunkBytes = 64 << 10
 
-// segment is one shared memory region. The data slice header and the locks
-// table are immutable after Create; the *contents* of data are protected
+// segment is one shared memory region as this process sees it: a Store's
+// heap or exported segment, or a ShmClient's mapping of an exported one.
+// The data slice header and the locks table are immutable after Create (or
+// the mapping's Attach); the *contents* of data are protected
 // per chunkBytes stripe by the corresponding entry of locks (stripe i
 // covers bytes [i*chunkBytes, (i+1)*chunkBytes)). An operation touching a
 // byte range must hold every overlapped stripe lock, one stripe at a time
 // — which makes whole-segment operations atomic per stripe, not per
-// segment (see Accumulate).
+// segment (see segment.accumulate).
 type segment struct {
 	key   SHMKey
 	name  string
 	locks []sync.RWMutex
 	data  []byte
-	// shm is the memfd backing when the segment is exported for
-	// cross-process mapping (shmseg.go); nil for heap segments. Immutable
-	// after Create, like data — data aliases shm's data region when set.
+	// shm is the memfd backing of an exported or mapped segment
+	// (shmseg.go); nil for heap segments. Immutable, like data — data
+	// aliases shm's data region when set.
 	shm *shmShared
 	// version counts the whole operations that mutated a heap segment — what
 	// SnapInfo.Version reports. Exported segments count in their shared
@@ -370,15 +375,8 @@ func (x *stripeIO) move(span []byte, write bool) error {
 }
 
 // walk is every Read and Write of the store, buffered or streamed: the
-// handle lookup, the overflow-safe range check (off and n may come
-// straight off the wire), the op gate of a write, the stripe locks in
-// ascending order — shared for a read, exclusive for a write — the version
-// bump and the stats. It visits [off, off+n) up to group stripes at a
-// time, handing each locked span to x.
-//
-// A write whose transfer fails part-way (a streamed body cut by its
-// connection) has the RDMA WRITE failure semantics: the version is bumped,
-// the range's bytes are undefined, and no Write is counted.
+// handle lookup, the segment's stripe walk, then the stats and the latency
+// row of a walk that succeeded.
 //
 //shm:hotpath
 func (s *Store) walk(h Handle, off, n int, write bool, group int, x *stripeIO) error {
@@ -386,50 +384,8 @@ func (s *Store) walk(h Handle, off, n int, write bool, group int, x *stripeIO) e
 	if err != nil {
 		return err
 	}
-	if size := len(seg.data); off < 0 || n < 0 || off > size || n > size-off {
-		verb := "read"
-		if write {
-			verb = "write"
-		}
-		return fmt.Errorf("%s [%d,%d) of %d-byte segment %q: %w",
-			verb, off, off+n, size, seg.name, ErrOutOfRange)
-	}
-	ins := s.inst.Load()
-	var t0 time.Time
-	if ins != nil {
-		t0 = time.Now()
-	}
-	if write {
-		seg.gate.RLock() // snapshot fence: the whole op is one cut-atomic unit
-	}
-	end := off + n
-	for lo := off; lo < end && err == nil; {
-		first := lo / chunkBytes
-		last := min(first+group, (end-1)/chunkBytes+1) // one past
-		hi := min(last*chunkBytes, end)
-		for ci := first; ci < last; ci++ {
-			if write {
-				seg.lockStripe(ci, false)
-			} else {
-				//lint:ignore lockorder stripe locks nest in one order only: a group's stripes by ascending index here, the two segments' stripes of one index by segment key in Accumulate and WriteAccumulate, so no two holders can cross
-				seg.rlockStripe(ci)
-			}
-		}
-		err = x.move(seg.data[lo:hi], write)
-		for ci := first; ci < last; ci++ {
-			if write {
-				seg.unlockStripe(ci)
-			} else {
-				seg.runlockStripe(ci)
-			}
-		}
-		lo = hi
-	}
-	if write {
-		seg.bumpVersion()
-		seg.gate.RUnlock()
-	}
-	if err != nil {
+	ins, t0 := s.startTimer()
+	if err := seg.walk(off, n, write, group, x, shmServerLease); err != nil {
 		return err
 	}
 	if write {
@@ -449,189 +405,272 @@ func (s *Store) walk(h Handle, off, n int, write bool, group int, x *stripeIO) e
 	return nil
 }
 
+// walk is every Read and Write of a segment, in any process: the
+// overflow-safe range check (off and n may come straight off the wire),
+// the op gate of a write, the stripe locks in ascending order — shared for
+// a read, exclusive for a write — and the version bump. It visits
+// [off, off+n) up to group stripes at a time, handing each locked span to x.
+//
+// A write whose transfer fails part-way (a streamed body cut by its
+// connection) has the RDMA WRITE failure semantics: the version is bumped
+// and the range's bytes are undefined.
+//
+//shm:hotpath
+func (seg *segment) walk(off, n int, write bool, group int, x *stripeIO, lease uint32) error {
+	if size := len(seg.data); off < 0 || n < 0 || off > size || n > size-off {
+		verb := "read"
+		if write {
+			verb = "write"
+		}
+		return fmt.Errorf("%s [%d,%d) of %d-byte segment %q: %w",
+			verb, off, off+n, size, seg.name, ErrOutOfRange)
+	}
+	if write {
+		seg.rlockGate() // snapshot fence: the whole op is one cut-atomic unit
+	}
+	var err error
+	end := off + n
+	for lo := off; lo < end && err == nil; {
+		first := lo / chunkBytes
+		last := min(first+group, (end-1)/chunkBytes+1) // one past
+		hi := min(last*chunkBytes, end)
+		for ci := first; ci < last; ci++ {
+			if write {
+				seg.lockStripe(ci, lease, false)
+			} else {
+				//lint:ignore lockorder stripe locks nest in one order only: a group's stripes by ascending index here, the two segments' stripes of one index by segment key in accumulate and writeAccumulate, so no two holders can cross
+				seg.rlockStripe(ci, lease)
+			}
+		}
+		err = x.move(seg.data[lo:hi], write)
+		for ci := first; ci < last; ci++ {
+			if write {
+				seg.unlockStripe(ci, lease)
+			} else {
+				seg.runlockStripe(ci, lease)
+			}
+		}
+		lo = hi
+	}
+	if write {
+		seg.bumpVersion()
+		seg.runlockGate()
+	}
+	return err
+}
+
 // accScratchPool recycles the decode buffers of the non-little-endian /
 // misaligned Accumulate fallback; the fast path never touches it.
 var accScratchPool = sync.Pool{New: func() any { return new([]float32) }}
 
 // Accumulate performs dst[i] += src[i] over the segments interpreted as
-// float32 vectors.
-//
-// The seed serialized every Accumulate behind one global accMu and
-// decoded/re-encoded the full segment per call. This version works
-// stripe-by-stripe on zero-copy float32 views of the segment bytes
-// (tensor.Float32View): for each chunk it takes the destination stripe's
-// write lock and the source stripe's read lock, runs the add in place, and
-// releases — so concurrent workers accumulating into the same global
-// weight segment proceed in parallel on different stripes and only
-// serialize when they collide on the same 64 KiB.
-//
-// The paper's no-lost-increments guarantee (Fig. 6 T.A3) still holds
-// exactly: every element update happens under its stripe's exclusive lock,
-// so updates to any given element are linearized and none are dropped —
-// the race-stress suite asserts the exact sum. What changes is atomicity
-// granularity: a concurrent Read may observe some stripes before and some
-// after a given Accumulate (same relaxed staleness the SEASGD algorithm
-// already absorbs).
-//
-// Lock ordering: for each stripe the two locks are taken in segment-key
-// order, so crossed accumulates (A: X+=Y, B: Y+=X) cannot deadlock.
+// float32 vectors (segment.accumulate), counting and timing the op.
 //
 //shm:hotpath
 func (s *Store) Accumulate(dst, src Handle) error {
-	dseg, err := s.lookupHandle(dst)
+	dseg, sseg, err := s.lookupPair(dst, src)
 	if err != nil {
 		return err
 	}
-	sseg, err := s.lookupHandle(src)
+	ins, t0 := s.startTimer()
+	waitNs, err := dseg.accumulate(sseg, shmServerLease, ins != nil)
 	if err != nil {
 		return err
 	}
-	if len(dseg.data) != len(sseg.data) {
-		return fmt.Errorf("accumulate %q (%d B) += %q (%d B): %w",
-			dseg.name, len(dseg.data), sseg.name, len(sseg.data), ErrSizeMismatch)
-	}
-	if len(dseg.data)%4 != 0 {
-		return fmt.Errorf("accumulate %q: %w", dseg.name, ErrNotFloatAligned)
-	}
-	ins := s.inst.Load()
-	timed := ins != nil
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	var waitNs int64
-
-	// Snapshot fence on the destination only — the op mutates dst and
-	// merely reads src, so a cut of src is unaffected by it. Single gate,
-	// no ordering concern.
-	dseg.gate.RLock()
-	defer dseg.gate.RUnlock()
-	for ci := range dseg.locks {
-		lo, hi := dseg.chunkRange(ci)
-		if dseg == sseg {
-			// Self-accumulate: one lock, double in place.
-			waitNs += dseg.lockStripe(ci, timed)
-			if err := accumulateChunk(dseg.data[lo:hi], dseg.data[lo:hi]); err != nil {
-				dseg.unlockStripe(ci)
-				return err
-			}
-			dseg.unlockStripe(ci)
-			continue
-		}
-		if dseg.key < sseg.key {
-			waitNs += dseg.lockStripe(ci, timed)
-			sseg.rlockStripe(ci)
-		} else {
-			sseg.rlockStripe(ci)
-			waitNs += dseg.lockStripe(ci, timed)
-		}
-		err := accumulateChunk(dseg.data[lo:hi], sseg.data[lo:hi])
-		sseg.runlockStripe(ci)
-		dseg.unlockStripe(ci)
-		if err != nil {
-			return err
-		}
-	}
-	dseg.bumpVersion()
 	s.stats.accumulates.Add(1)
 	s.stats.bytesWrite.Add(int64(len(dseg.data)))
-	if timed {
-		ins.accLatency.ObserveSeconds(time.Since(t0).Nanoseconds())
-		ins.stripeWait.ObserveSeconds(waitNs)
-	}
+	ins.observeAccumulate(t0, waitNs)
 	return nil
 }
 
-// WriteAccumulate is the fused push of the in-process transport: data
-// lands in src and the same values fold into dst (float32-wise) in one
-// sweep, stripe by stripe. data must cover the whole src segment, so the
-// result equals Write(src, 0, data) then Accumulate(dst, src): both
-// versions bump once and the counters advance by one Write plus one
-// Accumulate. Each stripe is processed under the exclusive locks of both
-// segments, taken in segment-key order like Accumulate, so crossed pushes
-// (A: X ⇐ Y, B: Y ⇐ X) cannot deadlock and no increment is lost.
+// WriteAccumulate is the fused push of the in-process transport
+// (segment.writeAccumulate): the result equals Write(src, 0, data) then
+// Accumulate(dst, src), and the counters advance by one Write plus one
+// Accumulate.
 //
 //shm:hotpath
 func (s *Store) WriteAccumulate(dst, src Handle, data []byte) error {
-	dseg, err := s.lookupHandle(dst)
+	dseg, sseg, err := s.lookupPair(dst, src)
 	if err != nil {
 		return err
 	}
-	sseg, err := s.lookupHandle(src)
+	ins, t0 := s.startTimer()
+	waitNs, err := dseg.writeAccumulate(sseg, data, shmServerLease, ins != nil)
 	if err != nil {
 		return err
-	}
-	if len(dseg.data) != len(sseg.data) || len(data) != len(sseg.data) {
-		return fmt.Errorf("write-accumulate %d bytes: %q (%d B) += %q (%d B): %w",
-			len(data), dseg.name, len(dseg.data), sseg.name, len(sseg.data), ErrSizeMismatch)
-	}
-	if len(data)%4 != 0 {
-		return fmt.Errorf("write-accumulate %q: %w", dseg.name, ErrNotFloatAligned)
-	}
-	ins := s.inst.Load()
-	timed := ins != nil
-	var t0 time.Time
-	if timed {
-		t0 = time.Now()
-	}
-	var waitNs int64
-
-	// Snapshot fence: the push mutates both segments, so it is one
-	// cut-atomic unit against snapshots of either. Both gates in
-	// segment-key order — the same discipline as the stripe locks.
-	if dseg == sseg {
-		dseg.gate.RLock()
-		defer dseg.gate.RUnlock()
-	} else if dseg.key < sseg.key {
-		//lint:ignore lockorder the two gates of this class are taken in segment-key order (this branch and its mirror below), so concurrent pushes cannot cross
-		dseg.gate.RLock()
-		defer dseg.gate.RUnlock()
-		sseg.gate.RLock()
-		defer sseg.gate.RUnlock()
-	} else {
-		sseg.gate.RLock()
-		defer sseg.gate.RUnlock()
-		dseg.gate.RLock()
-		defer dseg.gate.RUnlock()
-	}
-	for ci := range sseg.locks {
-		lo, hi := sseg.chunkRange(ci)
-		if dseg == sseg {
-			// Self-target: one lock; the write lands and is doubled in place.
-			waitNs += dseg.lockStripe(ci, timed)
-			copy(sseg.data[lo:hi], data[lo:hi])
-			err = accumulateChunk(dseg.data[lo:hi], dseg.data[lo:hi])
-			dseg.unlockStripe(ci)
-		} else {
-			if dseg.key < sseg.key {
-				waitNs += dseg.lockStripe(ci, timed)
-				waitNs += sseg.lockStripe(ci, timed)
-			} else {
-				waitNs += sseg.lockStripe(ci, timed)
-				waitNs += dseg.lockStripe(ci, timed)
-			}
-			err = copyAccumulateChunk(dseg.data[lo:hi], sseg.data[lo:hi], data[lo:hi])
-			sseg.unlockStripe(ci)
-			dseg.unlockStripe(ci)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	sseg.bumpVersion()
-	if dseg != sseg {
-		dseg.bumpVersion()
 	}
 	s.stats.writes.Add(1)
 	s.stats.accumulates.Add(1)
 	// len(data) bytes into src plus len(data) accumulated bytes into dst —
 	// the accounting of the Write + Accumulate pair.
 	s.stats.bytesWrite.Add(int64(2 * len(data)))
-	if timed {
-		ins.accLatency.ObserveSeconds(time.Since(t0).Nanoseconds())
-		ins.stripeWait.ObserveSeconds(waitNs)
-	}
+	ins.observeAccumulate(t0, waitNs)
 	return nil
+}
+
+func (s *Store) lookupPair(dst, src Handle) (*segment, *segment, error) {
+	dseg, err := s.lookupHandle(dst)
+	if err != nil {
+		return nil, nil, err
+	}
+	sseg, err := s.lookupHandle(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dseg, sseg, nil
+}
+
+// startTimer returns the installed instruments and, when there are any,
+// the op's start time.
+func (s *Store) startTimer() (*storeInstruments, time.Time) {
+	ins := s.inst.Load()
+	if ins == nil {
+		return nil, time.Time{}
+	}
+	return ins, time.Now()
+}
+
+// observeAccumulate records one Accumulate or fused push's latency and
+// stripe wait; a nil ins (uninstrumented store) records nothing.
+func (ins *storeInstruments) observeAccumulate(t0 time.Time, waitNs int64) {
+	if ins == nil {
+		return
+	}
+	ins.accLatency.ObserveSeconds(time.Since(t0).Nanoseconds())
+	ins.stripeWait.ObserveSeconds(waitNs)
+}
+
+// accumulate performs seg[i] += src[i] over the segments interpreted as
+// float32 vectors, stripe by stripe on zero-copy float32 views of the
+// segment bytes (tensor.Float32View): for each chunk it takes seg's stripe
+// exclusively and src's stripe shared, runs the add in place, and releases
+// — so concurrent workers accumulating into the same global weight segment
+// proceed in parallel on different stripes and only serialize when they
+// collide on the same 64 KiB. It returns the nanoseconds spent blocked on
+// seg's in-process stripe locks when timed.
+//
+// The paper's no-lost-increments guarantee (Fig. 6 T.A3) holds exactly:
+// every element update happens under its stripe's exclusive lock, so
+// updates to any given element are linearized and none are dropped — the
+// race-stress suite asserts the exact sum. Atomicity is per stripe: a
+// concurrent Read may observe some stripes before and some after a given
+// Accumulate (the relaxed staleness the SEASGD algorithm already absorbs).
+//
+// Lock ordering: for each stripe the two segments' locks are taken in
+// segment-key order, so crossed accumulates (A: X+=Y, B: Y+=X) cannot
+// deadlock, in one process or across several.
+//
+//shm:hotpath
+func (seg *segment) accumulate(src *segment, lease uint32, timed bool) (int64, error) {
+	if len(seg.data) != len(src.data) {
+		return 0, fmt.Errorf("accumulate %q (%d B) += %q (%d B): %w",
+			seg.name, len(seg.data), src.name, len(src.data), ErrSizeMismatch)
+	}
+	if len(seg.data)%4 != 0 {
+		return 0, fmt.Errorf("accumulate %q: %w", seg.name, ErrNotFloatAligned)
+	}
+	// Snapshot fence on the destination only — the op mutates seg and
+	// merely reads src, so a cut of src is unaffected by it. Single gate,
+	// no ordering concern.
+	seg.rlockGate()
+	defer seg.runlockGate()
+	var waitNs int64
+	for ci := range seg.locks {
+		lo, hi := seg.chunkRange(ci)
+		if seg.key == src.key {
+			// Self-accumulate: one lock, double in place. Decided by key,
+			// not pointer: two handles a client mapped separately are two
+			// views of one segment and must not take its words twice.
+			waitNs += seg.lockStripe(ci, lease, timed)
+			err := accumulateChunk(seg.data[lo:hi], seg.data[lo:hi])
+			seg.unlockStripe(ci, lease)
+			if err != nil {
+				return waitNs, err
+			}
+			continue
+		}
+		if seg.key < src.key {
+			waitNs += seg.lockStripe(ci, lease, timed)
+			src.rlockStripe(ci, lease)
+		} else {
+			src.rlockStripe(ci, lease)
+			waitNs += seg.lockStripe(ci, lease, timed)
+		}
+		err := accumulateChunk(seg.data[lo:hi], src.data[lo:hi])
+		src.runlockStripe(ci, lease)
+		seg.unlockStripe(ci, lease)
+		if err != nil {
+			return waitNs, err
+		}
+	}
+	seg.bumpVersion()
+	return waitNs, nil
+}
+
+// writeAccumulate is the fused push (ΔWx): data lands in src and the same
+// values fold into seg (float32-wise) in one sweep, stripe by stripe. data
+// must cover the whole src segment, so the result equals a write of data
+// into src then seg.accumulate(src), and both versions bump once. Each
+// stripe is processed under the exclusive locks of both segments, taken in
+// segment-key order like accumulate, so crossed pushes (A: X ⇐ Y, B: Y ⇐ X)
+// cannot deadlock and no increment is lost. It returns the nanoseconds
+// spent blocked on in-process stripe locks when timed.
+//
+//shm:hotpath
+func (seg *segment) writeAccumulate(src *segment, data []byte, lease uint32, timed bool) (int64, error) {
+	if len(seg.data) != len(src.data) || len(data) != len(src.data) {
+		return 0, fmt.Errorf("write-accumulate %d bytes: %q (%d B) += %q (%d B): %w",
+			len(data), seg.name, len(seg.data), src.name, len(src.data), ErrSizeMismatch)
+	}
+	if len(data)%4 != 0 {
+		return 0, fmt.Errorf("write-accumulate %q: %w", seg.name, ErrNotFloatAligned)
+	}
+	// Snapshot fence: the push mutates both segments, so it is one
+	// cut-atomic unit against snapshots of either. Both gates, like both
+	// stripes below, in segment-key order: first, then second.
+	self := seg.key == src.key // by key, as in accumulate
+	first, second := seg, src
+	if src.key < seg.key {
+		first, second = src, seg
+	}
+	first.rlockGate()
+	defer first.runlockGate()
+	if !self {
+		//lint:ignore lockorder the two gates of this class are taken in segment-key order (first, then second), so concurrent pushes cannot cross
+		second.rlockGate()
+		defer second.runlockGate()
+	}
+	var waitNs int64
+	for ci := range src.locks {
+		lo, hi := src.chunkRange(ci)
+		var err error
+		if self {
+			// Self-target: one lock; the write lands and is doubled in place.
+			waitNs += seg.lockStripe(ci, lease, timed)
+			// Fault-injection hook: a mapped client armed with
+			// shm-mid-accumulate dies here, stripe locks held — the
+			// scenario the server's dead-lease reap exists for.
+			faults.CrashPoint("shm-mid-accumulate")
+			copy(seg.data[lo:hi], data[lo:hi])
+			err = accumulateChunk(seg.data[lo:hi], seg.data[lo:hi])
+			seg.unlockStripe(ci, lease)
+		} else {
+			waitNs += first.lockStripe(ci, lease, timed)
+			waitNs += second.lockStripe(ci, lease, timed)
+			faults.CrashPoint("shm-mid-accumulate")
+			err = copyAccumulateChunk(seg.data[lo:hi], src.data[lo:hi], data[lo:hi])
+			second.unlockStripe(ci, lease)
+			first.unlockStripe(ci, lease)
+		}
+		if err != nil {
+			return waitNs, err
+		}
+	}
+	src.bumpVersion()
+	if !self {
+		seg.bumpVersion()
+	}
+	return waitNs, nil
 }
 
 // accumulateChunk adds src's float32 contents into dst in place. On
@@ -671,8 +710,8 @@ func accumulateChunk(dst, src []byte) error {
 // stripe: data lands in src (the WRITE half) and folds into dst (the
 // ACCUMULATE half) in a single sweep, without the separate copy pass
 // re-reading src. On the SIMD backend the src stores are non-temporal —
-// the fold is the entire operation for both callers (Store.WriteAccumulate
-// and the mapped ShmClient.WriteAccumulate), so skipping the
+// the fold is the entire operation for its one caller
+// (segment.writeAccumulate, in-process and mapped alike), so skipping the
 // read-for-ownership stream a cached store would add is the right trade.
 // Falls back to copy + accumulateChunk when any buffer is not
 // float32-viewable (misaligned or big-endian). dst and src must not alias

@@ -142,6 +142,14 @@ tier1() {
 		echo "Wg landing vector beside pendingDelta found in internal/core (see above)" >&2
 		return 1
 	fi
+	# The stripe protocol is written once: a mapped ShmClient runs the
+	# segment's own walk, accumulate and fused push, so no second copy of the
+	# cross-process lock order (its stripe-pair and gate-pair helpers, or the
+	# mapping type they worked on) comes back.
+	if grep -nE 'shmMapped|stripeSpan|lockStripePair|unlockStripePair|snapGateRLockPair|snapGateRUnlockPair' internal/smb/*.go | grep -v '_test.go:'; then
+		echo "second copy of the stripe protocol found in internal/smb (see above)" >&2
+		return 1
+	fi
 }
 
 tier2() {
