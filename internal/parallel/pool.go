@@ -143,6 +143,7 @@ func (p *Pool) For(n, grain int, fn func(lo, hi int)) {
 // r.Range(lo, hi) once per partition range with the identical deterministic
 // partition. Kernels on zero-alloc paths hand in a pooled operand struct so
 // the whole dispatch — partition, queueing, join — allocates nothing.
+//
 //shm:hotpath
 func (p *Pool) ForRanger(n, grain int, r Ranger) {
 	if n <= 0 {

@@ -69,13 +69,14 @@ func TestGemmTransBParallelZeroAllocAcrossGC(t *testing.T) {
 	fillPattern(a, 5)
 	fillPattern(b, 6)
 	assertZeroAllocAcrossGC(t, "gemmTransBParallel", func() { gemmTransBParallel(s, s, s, a, b, c) })
-	// The packed arm: the bᵀ panel comes from packFree. At s³ the rows run
-	// inline; twice the rows crosses gemmParallelFlops and fans them out.
-	assertZeroAllocAcrossGC(t, "gemmTransBPacked", func() { gemmTransBPacked(s, s, s, a, b, c) })
+	// The dispatched a×bᵀ (the microkernel on the SIMD backend): at s³ the
+	// rows run inline; twice the rows crosses gemmParallelFlops and fans
+	// them out, with the kernel as the range kernel.
+	assertZeroAllocAcrossGC(t, "gemmTransB", func() { gemmTransB(s, s, s, a, b, c) })
 	a2 := make([]float32, 2*s*s)
 	c2 := make([]float32, 2*s*s)
 	fillPattern(a2, 7)
-	assertZeroAllocAcrossGC(t, "gemmTransBPacked(parallel)", func() { gemmTransBPacked(2*s, s, s, a2, b, c2) })
+	assertZeroAllocAcrossGC(t, "gemmTransB(parallel)", func() { gemmTransB(2*s, s, s, a2, b, c2) })
 }
 
 // TestDispatchedKernelsZeroAlloc pins the streaming kernels behind the

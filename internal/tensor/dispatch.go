@@ -27,6 +27,11 @@ var (
 	// gemmInner4 is the quad-row gemm microkernel; nil means the blocked
 	// kernel runs its pure-Go inner loop (see gemmRows).
 	gemmInner4 func(a, b *float32, ldb int, c *float32, n int)
+
+	// gemmTransB4x8 and gemmTransB1x8 are the a×bᵀ microkernel's 4-row and
+	// one-row forms; nil means gemmTransBRows runs the tiled Go loop.
+	gemmTransB4x8 func(a, b *float32, ld, k int, c *float32, ldc int)
+	gemmTransB1x8 func(a, b *float32, ld, k int, c *float32)
 )
 
 func init() {
@@ -41,6 +46,8 @@ func init() {
 	fusedCopyAddImpl = simd.FusedCopyAdd
 	fusedMomentumStepImpl = simd.FusedMomentumStep
 	gemmInner4 = simd.GemmInner4
+	gemmTransB4x8 = simd.GemmTransB4x8
+	gemmTransB1x8 = simd.GemmTransB1x8
 }
 
 // SimdBackend names the kernel backend the dispatcher selected at init:

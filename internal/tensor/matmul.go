@@ -41,17 +41,10 @@ const (
 	// avx2+fma at widths 1 and 4), but below that the per-range pack of
 	// the aᵀ strip costs more than the microkernel recovers.
 	gemmSimdPackFlops = 1 << 12
-	// transBPackRows is the A-row count from which a×bᵀ packs bᵀ for the
-	// SIMD gemm rows while the panel stays cache-resident (at most
-	// transBPackCached floats, 1 MiB); larger panels need
-	// transBPackRowsUncached rows (see useTransBPack).
-	transBPackRows         = 4
-	transBPackRowsUncached = 16
-	transBPackCached       = 1 << 18
 )
 
-// packFree recycles the scratch panels the transposed-A and packed
-// transposed-B paths pack into (a Freelist so panels survive GC; see
+// packFree recycles the scratch panels the transposed-A path packs its
+// strips of aᵀ into (a Freelist so panels survive GC; see
 // parallel.Freelist).
 var packFree = parallel.NewFreelist[[]float32](8)
 
@@ -106,36 +99,12 @@ func useParallelTransA(flops int) bool {
 	return flops >= gemmParallelFlops && parallel.DefaultWidth() > 1
 }
 
-// useParallelTransB is useParallelGemm for the tiled a×bᵀ rows (what
-// useTransBPack leaves: few rows, or no SIMD microkernel). Its range kernel
-// is gemmTransBTiled, whose four-column register tile speeds up each row
-// but is the same pure-Go loop on every backend, so the portable rule
-// applies whatever the backend. The packed arm needs no rule of its own:
-// once bᵀ is packed it is a plain gemm and takes gemm's dispatch.
+// useParallelTransB is useParallelGemm for a×bᵀ, whose range kernel is
+// gemmTransBRows. The portable rule applies on every backend: the model
+// shapes stay below it or are a single row (the batch-1 dX), so only the
+// large shapes of the tests and benchmarks fan out.
 func useParallelTransB(flops int) bool {
 	return flops >= gemmParallelFlops && parallel.DefaultWidth() > 1
-}
-
-// useTransBPack reports whether an m×n×k a×bᵀ transposes b once into a
-// pooled k×n panel and runs the SIMD gemm rows over it instead of the
-// tiled dot products. The transpose costs about as much per element as
-// three to four rows of tiled dot products, so with the microkernel live
-// the pack pays from four rows of A up while the panel is cache-resident
-// — 2–3x at the SmallCNN shapes 16×72×64, 8×27×256 and 16×256×64
-// (2-vCPU Xeon) — and below that the tiled kernel wins. A panel past the
-// cache transposes 3–4x slower per element (4×1024×1024: 1.4 ms tiled,
-// 3.8 ms packed), so it waits for sixteen rows (16×1024×1024: 7.5 → 5.8
-// ms). The portable backend never packs: its gemm rows are the unrolled
-// axpy, and packed lost to tiled at the shapes that carry the time (2.2x
-// at 16×72×64, 2.4x at 8×27×256).
-func useTransBPack(m, n, k int) bool {
-	if gemmInner4 == nil {
-		return false
-	}
-	if n*k > transBPackCached {
-		return m >= transBPackRowsUncached
-	}
-	return m >= transBPackRows
 }
 
 // gemm computes C = A×B with A (m×k), B (k×n), C (m×n), all row-major,
@@ -305,14 +274,9 @@ func gemmTransAScalar(m, n, k int, a, b, c []float32, acc bool) {
 
 // MatMulTransB computes dst = a × bᵀ for a (m×k), b (n×k), dst (m×n).
 // Every element is the reference dot product: summed from +0 over l
-// ascending, one rounding per multiply and per add. Only the schedule
-// depends on the shape — four output columns per pass (gemmTransBTiled) or
-// a plain gemm over a packed bᵀ panel (gemmTransBPacked, see
-// useTransBPack) — so the result is bitwise the reference on every
-// backend, with the packed arm's one caveat: it inherits gemmRows'
-// zero-skip, so an exactly-zero a[i][l] against a non-finite b[j][l]
-// contributes nothing where the reference would produce NaN. For finite b
-// the skip is bitwise-neutral (DESIGN.md §14.3).
+// ascending, one rounding per multiply and per add, so the result is
+// bitwise the reference on every backend — −0, subnormals, Inf and NaN
+// included (DESIGN.md §14.3).
 func MatMulTransB(a, b, dst *Tensor) error {
 	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
 		return fmt.Errorf("tensor: matmulTransB requires 2-D operands: %w", ErrShapeMismatch)
@@ -326,20 +290,18 @@ func MatMulTransB(a, b, dst *Tensor) error {
 	return nil
 }
 
-// gemmTransB computes C = A×Bᵀ on raw slices, choosing the arm by shape.
+// gemmTransB computes C = A×Bᵀ on raw slices, fanning rows out over the
+// pool when the problem is large enough.
 func gemmTransB(m, n, k int, a, b, c []float32) {
-	switch {
-	case useTransBPack(m, n, k):
-		gemmTransBPacked(m, n, k, a, b, c)
-	case useParallelTransB(m * n * k):
+	if useParallelTransB(m * n * k) {
 		gemmTransBParallel(m, n, k, a, b, c)
-	default:
-		gemmTransBTiled(m, n, k, a, b, c)
+		return
 	}
+	gemmTransBRows(m, n, k, a, b, c)
 }
 
 // gemmTransBParallel partitions C rows; both operands already stream
-// row-contiguously, so the tiled kernel doubles as the range kernel.
+// row-contiguously, so gemmTransBRows doubles as the range kernel.
 func gemmTransBParallel(m, n, k int, a, b, c []float32) {
 	g := transBRangerFree.Get()
 	*g = transBRanger{a: a, b: b, c: c, k: k, n: n}
@@ -348,13 +310,70 @@ func gemmTransBParallel(m, n, k int, a, b, c []float32) {
 	transBRangerFree.Put(g)
 }
 
+// gemmTransBRows computes C = A×Bᵀ for a (m×k), b (n×k), c (m×n) with the
+// SIMD microkernel when it is live and the shape fills its 4×8 tile's
+// columns and one 4-step of l, and with gemmTransBTiled otherwise.
+//
+// The kernel transposes bᵀ in registers, so nothing is packed. Tiles walk
+// j outer, so one 8-row block of b stays in L1 while every row of A passes
+// over it. The last tile of each dimension overlaps its neighbour (j =
+// n−8, i = m−4): a recomputed element is the same dot product in the same
+// order, so it is stored with the same bits. Rows that no 4-row tile
+// covers (m < 4) take the one-row form. The kernel sums l < k&^3; the
+// k%4 remaining products are added here, per element in ascending l,
+// which continues each serial sum exactly where the kernel left it.
+func gemmTransBRows(m, n, k int, a, b, c []float32) {
+	if gemmTransB4x8 == nil || n < 8 || k < 4 {
+		gemmTransBTiled(m, n, k, a, b, c)
+		return
+	}
+	a, b, c = a[:m*k], b[:n*k], c[:m*n] // the kernel reads and writes inside these
+	k4 := k &^ 3
+	for j := 0; ; j += 8 {
+		j = min(j, n-8)
+		bj := &b[j*k]
+		if m < 4 {
+			for i := 0; i < m; i++ {
+				gemmTransB1x8(&a[i*k], bj, k, k4, &c[i*n+j])
+			}
+		} else {
+			for i := 0; ; i += 4 {
+				i = min(i, m-4)
+				gemmTransB4x8(&a[i*k], bj, k, k4, &c[i*n+j], n)
+				if i == m-4 {
+					break
+				}
+			}
+		}
+		if j == n-8 {
+			break
+		}
+	}
+	if k4 == k {
+		return
+	}
+	for i := 0; i < m; i++ {
+		arow := a[i*k+k4 : (i+1)*k]
+		crow := c[i*n : (i+1)*n]
+		for j := range crow {
+			bj := b[j*k+k4:][:len(arow)]
+			s := crow[j]
+			for l, av := range arow {
+				s += av * bj[l]
+			}
+			crow[j] = s
+		}
+	}
+}
+
 // gemmTransBTiled computes C = A×Bᵀ for a (m×k), b (n×k), c (m×n), four
 // output columns per pass over a row of A, each in its own accumulator:
 // the four add chains are independent, so they overlap instead of one
 // chain running at add latency. Each accumulator still starts at +0 and
 // takes its products in ascending l, so every element is bitwise the
-// serial dot product — −0, subnormals, Inf and NaN included. Rows are
-// independent, so it doubles as the per-range kernel of the parallel path.
+// serial dot product — −0, subnormals, Inf and NaN included. It is the
+// portable backend's a×bᵀ and the SIMD backend's fallback for shapes
+// narrower than the microkernel's tile.
 func gemmTransBTiled(m, n, k int, a, b, c []float32) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
@@ -383,51 +402,6 @@ func gemmTransBTiled(m, n, k int, a, b, c []float32) {
 				s += av * bj[l]
 			}
 			crow[j] = s
-		}
-	}
-}
-
-// gemmTransBPacked transposes b (n×k) once into a pooled k×n panel and
-// runs the plain gemm rows over it: C = A×(bᵀ). gemmRows sums each element
-// from +0 in ascending l with separate roundings, the reference's order.
-// Above gemmParallelFlops the rows fan out through gemmParallel, which
-// shares the one panel across its ranges instead of packing per range.
-func gemmTransBPacked(m, n, k int, a, b, c []float32) {
-	pack, ph := getPack(k * n)
-	transposeInto(pack, b, n, k)
-	if m*n*k >= gemmParallelFlops {
-		gemmParallel(m, n, k, a, pack, c)
-	} else {
-		gemmRows(a, pack, c, m, k, n, false)
-	}
-	putPack(ph)
-}
-
-// transposeInto writes the k×n transpose of the row-major n×k matrix b into
-// dst, eight rows of b at a time: each l then stores eight consecutive dst
-// elements (half a cache line) while the eight source rows stream
-// sequentially, rather than one element per row at a stride of n floats,
-// which on power-of-two n keeps landing in the same few cache sets.
-func transposeInto(dst, b []float32, n, k int) {
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		b0 := b[j*k:][:k]
-		b1 := b[(j+1)*k:][:k]
-		b2 := b[(j+2)*k:][:k]
-		b3 := b[(j+3)*k:][:k]
-		b4 := b[(j+4)*k:][:k]
-		b5 := b[(j+5)*k:][:k]
-		b6 := b[(j+6)*k:][:k]
-		b7 := b[(j+7)*k:][:k]
-		for l := range b0 {
-			d := dst[l*n+j:][:8]
-			d[0], d[1], d[2], d[3] = b0[l], b1[l], b2[l], b3[l]
-			d[4], d[5], d[6], d[7] = b4[l], b5[l], b6[l], b7[l]
-		}
-	}
-	for ; j < n; j++ {
-		for l, v := range b[j*k : (j+1)*k] {
-			dst[l*n+j] = v
 		}
 	}
 }

@@ -25,6 +25,7 @@ func Axpy(alpha float32, x, y *Tensor) error {
 // loop — routes to the plain add kernel, which is bitwise-identical
 // (1*x == x exactly, including NaN quieting) and skips the broadcast
 // multiply.
+//
 //shm:hotpath
 func AxpySlice(alpha float32, x, y []float32) {
 	if alpha == 1 {

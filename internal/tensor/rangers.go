@@ -56,7 +56,7 @@ type transBRanger struct {
 }
 
 func (g *transBRanger) Range(lo, hi int) {
-	gemmTransBTiled(hi-lo, g.n, g.k, g.a[lo*g.k:hi*g.k], g.b, g.c[lo*g.n:hi*g.n])
+	gemmTransBRows(hi-lo, g.n, g.k, g.a[lo*g.k:hi*g.k], g.b, g.c[lo*g.n:hi*g.n])
 }
 
 var transBRangerFree = parallel.NewFreelist[transBRanger](8)

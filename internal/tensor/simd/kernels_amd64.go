@@ -99,3 +99,24 @@ func FusedMomentumStep(lr, mom, wd, clip float32, nesterov bool, w, g, v []float
 //
 //go:noescape
 func GemmInner4(a *float32, b *float32, ldb int, c *float32, n int)
+
+// GemmTransB4x8 is the a×bᵀ microkernel: with a at row i of a 4-row
+// block and b at row j of an 8-row block, both rows ld floats apart, it
+// computes the 4×8 tile
+//
+//	c[i*ldc+j] = Σ_{l<k} a[i*ld+l] * b[j*ld+l]
+//
+// for k a positive multiple of 4, each element summed from +0 over
+// ascending l with a rounding per multiply and per add — bitwise the
+// serial dot product, no FMA. bᵀ is transposed in registers, four l at a
+// time, so nothing is packed. c is overwritten, not accumulated into, and
+// must not overlap a or b.
+//
+//go:noescape
+func GemmTransB4x8(a, b *float32, ld, k int, c *float32, ldc int)
+
+// GemmTransB1x8 is GemmTransB4x8 for one row of a: c[j] = Σ_{l<k}
+// a[l]*b[j*ld+l] for j < 8, in the same order.
+//
+//go:noescape
+func GemmTransB1x8(a, b *float32, ld, k int, c *float32)

@@ -761,3 +761,181 @@ fms_nag_tail_loop:
 fms_done:
 	VZEROUPPER
 	RET
+
+// TRANSB_COLS loads four l of the eight b rows at DI (row 0), R11 (row 3)
+// and R12 (row 6), DX bytes apart — rows j and j+4 into the low and high
+// lanes of one register — and transposes them in-lane into the column
+// vectors Y4–Y7: Y(4+c) = b[0..7][l+c]. Clobbers Y8–Y11.
+#define TRANSB_COLS \
+	VMOVUPS     (DI), X4; \
+	VINSERTF128 $1, (DI)(DX*4), Y4, Y4; \
+	VMOVUPS     (DI)(DX*1), X5; \
+	VINSERTF128 $1, (R11)(DX*2), Y5, Y5; \
+	VMOVUPS     (DI)(DX*2), X6; \
+	VINSERTF128 $1, (R12), Y6, Y6; \
+	VMOVUPS     (R11), X7; \
+	VINSERTF128 $1, (R11)(DX*4), Y7, Y7; \
+	VUNPCKLPS   Y5, Y4, Y8; \
+	VUNPCKHPS   Y5, Y4, Y9; \
+	VUNPCKLPS   Y7, Y6, Y10; \
+	VUNPCKHPS   Y7, Y6, Y11; \
+	VSHUFPS     $0x44, Y10, Y8, Y4; \
+	VSHUFPS     $0xEE, Y10, Y8, Y5; \
+	VSHUFPS     $0x44, Y11, Y9, Y6; \
+	VSHUFPS     $0xEE, Y11, Y9, Y7
+
+// func GemmTransB4x8(a, b *float32, ld, k int, c *float32, ldc int)
+//
+// The a×bᵀ microkernel: c[i*ldc+j] = Σ_{l<k} a[i*ld+l]*b[j*ld+l] for
+// i < 4, j < 8, with k a positive multiple of 4. Per 4-step of l, rows
+// j and j+4 of b share a register (xmm load + VINSERTF128 into the high
+// lane), and a 4×4 in-lane transpose (VUNPCKLPS/VUNPCKHPS, then VSHUFPS
+// 0x44/0xEE) turns the four registers into the column vectors
+// col_c = b[j..j+7][l+c]. Row i's accumulator then takes
+// bcast(a[i][l+c])·col_c for c ascending, as a VMULPS with a as its first
+// source and a VADDPS with the accumulator as its first source: every
+// lane is the serial dot product s += a[l]*b[l] from +0 over ascending l,
+// the reference's operand order and roundings, no FMA. Each accumulator
+// is one add chain; the four rows are the four independent chains.
+//
+// Registers: SI/R10 a rows 0 and 3 (rows 1, 2 at SI+ld, SI+2ld), DI/R11/
+// R12 b rows 0, 3 and 6 (the others at +ld, +2ld, +4ld of those), DX ld
+// in bytes, CX the 4-steps left; Y0–Y3 the row accumulators.
+TEXT ·GemmTransB4x8(SB), NOSPLIT, $0-48
+	MOVQ   a+0(FP), SI
+	MOVQ   b+8(FP), DI
+	MOVQ   ld+16(FP), DX
+	MOVQ   k+24(FP), CX
+	SHLQ   $2, DX
+	SHRQ   $2, CX
+	LEAQ   (SI)(DX*2), R10
+	ADDQ   DX, R10
+	LEAQ   (DI)(DX*2), R11
+	ADDQ   DX, R11
+	LEAQ   (R11)(DX*2), R12
+	ADDQ   DX, R12
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+tb48_loop:
+	TRANSB_COLS
+
+	VBROADCASTSS (SI), Y8
+	VMULPS       Y4, Y8, Y8
+	VADDPS       Y8, Y0, Y0
+	VBROADCASTSS (SI)(DX*1), Y9
+	VMULPS       Y4, Y9, Y9
+	VADDPS       Y9, Y1, Y1
+	VBROADCASTSS (SI)(DX*2), Y10
+	VMULPS       Y4, Y10, Y10
+	VADDPS       Y10, Y2, Y2
+	VBROADCASTSS (R10), Y11
+	VMULPS       Y4, Y11, Y11
+	VADDPS       Y11, Y3, Y3
+
+	VBROADCASTSS 4(SI), Y8
+	VMULPS       Y5, Y8, Y8
+	VADDPS       Y8, Y0, Y0
+	VBROADCASTSS 4(SI)(DX*1), Y9
+	VMULPS       Y5, Y9, Y9
+	VADDPS       Y9, Y1, Y1
+	VBROADCASTSS 4(SI)(DX*2), Y10
+	VMULPS       Y5, Y10, Y10
+	VADDPS       Y10, Y2, Y2
+	VBROADCASTSS 4(R10), Y11
+	VMULPS       Y5, Y11, Y11
+	VADDPS       Y11, Y3, Y3
+
+	VBROADCASTSS 8(SI), Y8
+	VMULPS       Y6, Y8, Y8
+	VADDPS       Y8, Y0, Y0
+	VBROADCASTSS 8(SI)(DX*1), Y9
+	VMULPS       Y6, Y9, Y9
+	VADDPS       Y9, Y1, Y1
+	VBROADCASTSS 8(SI)(DX*2), Y10
+	VMULPS       Y6, Y10, Y10
+	VADDPS       Y10, Y2, Y2
+	VBROADCASTSS 8(R10), Y11
+	VMULPS       Y6, Y11, Y11
+	VADDPS       Y11, Y3, Y3
+
+	VBROADCASTSS 12(SI), Y8
+	VMULPS       Y7, Y8, Y8
+	VADDPS       Y8, Y0, Y0
+	VBROADCASTSS 12(SI)(DX*1), Y9
+	VMULPS       Y7, Y9, Y9
+	VADDPS       Y9, Y1, Y1
+	VBROADCASTSS 12(SI)(DX*2), Y10
+	VMULPS       Y7, Y10, Y10
+	VADDPS       Y10, Y2, Y2
+	VBROADCASTSS 12(R10), Y11
+	VMULPS       Y7, Y11, Y11
+	VADDPS       Y11, Y3, Y3
+
+	ADDQ $16, SI
+	ADDQ $16, R10
+	ADDQ $16, DI
+	ADDQ $16, R11
+	ADDQ $16, R12
+	DECQ CX
+	JNZ  tb48_loop
+
+	MOVQ    c+32(FP), DI
+	MOVQ    ldc+40(FP), DX
+	SHLQ    $2, DX
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(DX*1)
+	VMOVUPS Y2, (DI)(DX*2)
+	LEAQ    (DI)(DX*2), DI
+	VMOVUPS Y3, (DI)(DX*1)
+	VZEROUPPER
+	RET
+
+// func GemmTransB1x8(a, b *float32, ld, k int, c *float32)
+//
+// GemmTransB4x8 for one row of a: c[j] = Σ_{l<k} a[l]*b[j*ld+l] for
+// j < 8, k a positive multiple of 4, the same transpose and the same
+// per-lane order. With one add chain it runs at add latency; it serves
+// the rows a 4-row tile cannot cover (m < 4, the batch-1 dX).
+TEXT ·GemmTransB1x8(SB), NOSPLIT, $0-40
+	MOVQ   a+0(FP), SI
+	MOVQ   b+8(FP), DI
+	MOVQ   ld+16(FP), DX
+	MOVQ   k+24(FP), CX
+	SHLQ   $2, DX
+	SHRQ   $2, CX
+	LEAQ   (DI)(DX*2), R11
+	ADDQ   DX, R11
+	LEAQ   (R11)(DX*2), R12
+	ADDQ   DX, R12
+	VXORPS Y0, Y0, Y0
+
+tb18_loop:
+	TRANSB_COLS
+
+	VBROADCASTSS (SI), Y8
+	VMULPS       Y4, Y8, Y8
+	VADDPS       Y8, Y0, Y0
+	VBROADCASTSS 4(SI), Y9
+	VMULPS       Y5, Y9, Y9
+	VADDPS       Y9, Y0, Y0
+	VBROADCASTSS 8(SI), Y10
+	VMULPS       Y6, Y10, Y10
+	VADDPS       Y10, Y0, Y0
+	VBROADCASTSS 12(SI), Y11
+	VMULPS       Y7, Y11, Y11
+	VADDPS       Y11, Y0, Y0
+
+	ADDQ $16, SI
+	ADDQ $16, DI
+	ADDQ $16, R11
+	ADDQ $16, R12
+	DECQ CX
+	JNZ  tb18_loop
+
+	MOVQ    c+32(FP), DI
+	VMOVUPS Y0, (DI)
+	VZEROUPPER
+	RET

@@ -36,3 +36,9 @@ func FusedMomentumStep(lr, mom, wd, clip float32, nesterov bool, w, g, v []float
 
 // GemmInner4 panics; the portable build has no assembly backend.
 func GemmInner4(a *float32, b *float32, ldb int, c *float32, n int) { unreachable() }
+
+// GemmTransB4x8 panics; the portable build has no assembly backend.
+func GemmTransB4x8(a, b *float32, ld, k int, c *float32, ldc int) { unreachable() }
+
+// GemmTransB1x8 panics; the portable build has no assembly backend.
+func GemmTransB1x8(a, b *float32, ld, k int, c *float32) { unreachable() }

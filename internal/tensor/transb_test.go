@@ -8,8 +8,8 @@ import (
 
 // gemmTransBScalar is the seed's original a×bᵀ kernel, kept as the
 // reference: each c[i][j] is one serial dot product, summed from +0 over
-// l ascending with a rounding per multiply and per add. Both production
-// arms of MatMulTransB must reproduce it bit for bit.
+// l ascending with a rounding per multiply and per add. MatMulTransB must
+// reproduce it bit for bit on every backend.
 func gemmTransBScalar(m, n, k int, a, b, c []float32) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
@@ -37,16 +37,19 @@ var transBModelShapes = []struct{ m, n, k int }{
 }
 
 // transBShapes is every shape TestMatMulTransBBitwise drives: gemmShapes,
-// the model shapes, a panel past transBPackCached on either side of
-// transBPackRowsUncached, and a sweep of m = 1…9 around transBPackRows
-// with short k and n off the four-column tile.
+// the model shapes, one shape that fans rows out through the pool with
+// both overlapped tails and a k%4 remainder, and a sweep of m = 1…9 over
+// the microkernel's edges — n around its 8-column tile (n < 8 falls back
+// to the tiled loop, n%8 ≠ 0 overlaps the last tile), k around its 4-step
+// of l (k < 4 falls back, k%4 ≠ 0 leaves a remainder), m across its
+// one-row form (m < 4) and its overlapped last 4-row tile.
 func transBShapes() []struct{ m, n, k int } {
 	shapes := append([]struct{ m, n, k int }(nil), gemmShapes...)
 	shapes = append(shapes, transBModelShapes...)
-	shapes = append(shapes, struct{ m, n, k int }{8, 601, 500}, struct{ m, n, k int }{17, 601, 500})
+	shapes = append(shapes, struct{ m, n, k int }{19, 263, 301})
 	for m := 1; m <= 9; m++ {
-		for _, k := range []int{1, 3, 4, 5} {
-			for _, n := range []int{1, 2, 3, 5, 6, 7, 9, 11} {
+		for _, k := range []int{3, 4, 5, 7, 8} {
+			for _, n := range []int{7, 8, 9, 15, 16, 17, 27} {
 				shapes = append(shapes, struct{ m, n, k int }{m, n, k})
 			}
 		}
@@ -64,10 +67,10 @@ func assertBitwise(t *testing.T, tag string, got, want []float32) {
 	}
 }
 
-// TestMatMulTransBBitwise: both schedules of a×bᵀ — the register-tiled
-// dot products and the plain gemm over a packed bᵀ — and the dispatched
-// MatMulTransB are bitwise the serial reference on every shape, whichever
-// arm the dispatch picks on this backend.
+// TestMatMulTransBBitwise: the dispatched MatMulTransB (the microkernel
+// on the SIMD backend, the tiled loop on the portable one and for the
+// shapes narrower than the kernel's tile) and the tiled loop itself are
+// bitwise the serial reference on every shape.
 func TestMatMulTransBBitwise(t *testing.T) {
 	for _, s := range transBShapes() {
 		tag := fmt.Sprintf("%dx%dx%d", s.m, s.n, s.k)
@@ -89,24 +92,28 @@ func TestMatMulTransBBitwise(t *testing.T) {
 		fillPattern(c, 8)
 		gemmTransBTiled(s.m, s.n, s.k, a.Data(), b.Data(), c)
 		assertBitwise(t, "tiled "+tag, c, want)
-
-		fillPattern(c, 9)
-		gemmTransBPacked(s.m, s.n, s.k, a.Data(), b.Data(), c)
-		assertBitwise(t, "packed "+tag, c, want)
 	}
 }
 
-// TestGemmTransBTiledSpecialValues: the tiled arm skips nothing, so it is
-// bitwise the reference on non-finite and signed-zero data too — −0
-// operands (the sum still starts at +0), subnormal products, and sums that
-// overflow to ±Inf or meet Inf·0 = NaN.
+// TestGemmTransBTiledSpecialValues: neither the tiled loop nor the
+// microkernel skips anything, so both are bitwise the reference on
+// non-finite and signed-zero data too — −0 operands (the sum still starts
+// at +0), subnormal products, and sums that overflow to ±Inf or meet
+// Inf·0 = NaN. Two NaN results count as equal whatever their payloads.
+// The shapes cover the tiled loop (n < 8, k < 4) and, on the SIMD
+// backend, the kernel's one-row form, its 4-row tile, both overlapped
+// tails and its k%4 remainder.
 func TestGemmTransBTiledSpecialValues(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	sub := math.Float32frombits(0x00000003) // a subnormal
 	huge := float32(3e38)
 	inf := float32(math.Inf(1))
 	pool := []float32{negZero, 0, sub, -sub, 1e-30, -1e-30, huge, -huge, 2, -0.5, inf, -inf}
-	for _, s := range []struct{ m, n, k int }{{1, 9, 7}, {2, 13, 5}, {3, 4, 1}, {1, 5, 16}} {
+	shapes := []struct{ m, n, k int }{
+		{1, 9, 7}, {2, 13, 5}, {3, 4, 1}, {1, 5, 16},
+		{1, 8, 4}, {3, 17, 12}, {4, 8, 8}, {5, 9, 7}, {7, 27, 13}, {9, 16, 6},
+	}
+	for _, s := range shapes {
 		a := make([]float32, s.m*s.k)
 		b := make([]float32, s.n*s.k)
 		for i := range a {
@@ -121,15 +128,15 @@ func TestGemmTransBTiledSpecialValues(t *testing.T) {
 			a[l] = negZero
 		}
 		want := make([]float32, s.m*s.n)
-		got := make([]float32, s.m*s.n)
 		gemmTransBScalar(s.m, s.n, s.k, a, b, want)
-		gemmTransBTiled(s.m, s.n, s.k, a, b, got)
-		for i := range want {
-			w, g := want[i], got[i]
-			if math.Float32bits(w) != math.Float32bits(g) &&
-				!(math.IsNaN(float64(w)) && math.IsNaN(float64(g))) {
-				t.Fatalf("%dx%dx%d element %d: got %v (%#08x), want %v (%#08x)", s.m, s.n, s.k, i,
-					g, math.Float32bits(g), w, math.Float32bits(w))
+		for name, got := range transBArms(s.m, s.n, s.k, a, b) {
+			for i := range want {
+				w, g := want[i], got[i]
+				if math.Float32bits(w) != math.Float32bits(g) &&
+					!(math.IsNaN(float64(w)) && math.IsNaN(float64(g))) {
+					t.Fatalf("%s %dx%dx%d element %d: got %v (%#08x), want %v (%#08x)", name,
+						s.m, s.n, s.k, i, g, math.Float32bits(g), w, math.Float32bits(w))
+				}
 			}
 		}
 		// Subnormal-only operands: products underflow, sums stay subnormal.
@@ -140,7 +147,20 @@ func TestGemmTransBTiledSpecialValues(t *testing.T) {
 			b[i] = float32(i%5) - 2
 		}
 		gemmTransBScalar(s.m, s.n, s.k, a, b, want)
-		gemmTransBTiled(s.m, s.n, s.k, a, b, got)
-		assertBitwise(t, fmt.Sprintf("subnormal %dx%dx%d", s.m, s.n, s.k), got, want)
+		for name, got := range transBArms(s.m, s.n, s.k, a, b) {
+			assertBitwise(t, fmt.Sprintf("subnormal %s %dx%dx%d", name, s.m, s.n, s.k), got, want)
+		}
 	}
+}
+
+// transBArms runs C = A×Bᵀ through the tiled loop and through the
+// dispatched MatMulTransB.
+func transBArms(m, n, k int, a, b []float32) map[string][]float32 {
+	tiled := make([]float32, m*n)
+	gemmTransBTiled(m, n, k, a, b, tiled)
+	dst := New(m, n)
+	if err := MatMulTransB(MustFromSlice(a, m, k), MustFromSlice(b, n, k), dst); err != nil {
+		panic(err)
+	}
+	return map[string][]float32{"tiled": tiled, "MatMulTransB": dst.Data()}
 }

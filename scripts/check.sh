@@ -43,6 +43,13 @@ tier1() {
 	# that breaks what the benchmark binds to must fail here, not in the
 	# driver's run.
 	(cd benchmark && go test ./...)
+	echo "== tier 1: gofmt =="
+	unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+	if [ -n "$unformatted" ]; then
+		echo "$unformatted"
+		echo "gofmt -l lists the files above" >&2
+		return 1
+	fi
 	echo "== tier 1: shmlint =="
 	go run ./cmd/shmlint ./...
 	echo "== tier 1: no capability probing of smb clients =="
@@ -85,10 +92,16 @@ tier1() {
 		echo "wire codec pass found on the exchange or the refresh (see above)" >&2
 		return 1
 	fi
-	# a×bᵀ runs the tiled or packed schedule; the serial-dot kernel lives on
-	# only as the test reference.
+	# a×bᵀ runs the tiled loop or the SIMD microkernel; the serial-dot kernel
+	# lives on only as the test reference.
 	if grep -n 'gemmTransBScalar' internal/tensor/*.go | grep -v '_test.go:'; then
 		echo "serial-dot a×bᵀ kernel found outside the tests (see above)" >&2
+		return 1
+	fi
+	# The microkernel transposes bᵀ in registers: no packed bᵀ panel, no
+	# transpose pass, no shape rule choosing one.
+	if grep -nE 'gemmTransBPacked|transposeInto|useTransBPack|transBPack' internal/tensor/*.go | grep -v '_test.go:'; then
+		echo "packed a×bᵀ arm found (see above)" >&2
 		return 1
 	fi
 	# Atomics are typed (atomic.Int64, the shm control page's word32/word64),
