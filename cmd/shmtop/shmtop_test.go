@@ -15,9 +15,11 @@ import (
 	"shmcaffe/internal/telemetry"
 )
 
-// fakeNode serves a canned observability surface for scrape tests.
+// fakeNode serves a canned observability surface for scrape tests. metrics
+// renders the exposition per /metrics request, so a wallclock gauge reads
+// the clock at scrape time.
 type fakeNode struct {
-	metrics string
+	metrics func() string
 	healthy bool
 	events  string
 	trace   string
@@ -27,7 +29,7 @@ func (f *fakeNode) start(t *testing.T) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, f.metrics)
+		fmt.Fprint(w, f.metrics())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if !f.healthy {
@@ -50,10 +52,12 @@ func (f *fakeNode) start(t *testing.T) *httptest.Server {
 // hostport strips the http:// scheme from an httptest URL.
 func hostport(u string) string { return strings.TrimPrefix(u, "http://") }
 
-// serverMetrics renders a minimal SMB-server exposition whose wallclock is
-// skewed by skew relative to the test's own clock.
-func serverMetrics(skew time.Duration) string {
-	return fmt.Sprintf(`# TYPE smb_segments gauge
+// serverMetrics returns a renderer of a minimal SMB-server exposition whose
+// wallclock, read when the exposition is served, is skewed by skew relative
+// to the test's own clock.
+func serverMetrics(skew time.Duration) func() string {
+	return func() string {
+		return fmt.Sprintf(`# TYPE smb_segments gauge
 smb_segments 2
 # TYPE smb_server_connections gauge
 smb_server_connections 3
@@ -70,15 +74,19 @@ smb_accumulate_seconds_count 120
 # TYPE shm_wallclock_unix_nano gauge
 shm_wallclock_unix_nano %g
 `, float64(time.Now().Add(skew).UnixNano()))
+	}
 }
 
-const workerMetrics = `# TYPE seasgd_iterations_total counter
+// workerMetrics renders a worker exposition, which has no wallclock gauge.
+func workerMetrics() string {
+	return `# TYPE seasgd_iterations_total counter
 seasgd_iterations_total 200
 # TYPE seasgd_pushes_total counter
 seasgd_pushes_total 40
 # TYPE smb_supervised_reconnects_total counter
 smb_supervised_reconnects_total 2
 `
+}
 
 const eventsJSON = `[
   {"time": "2026-08-08T00:00:00Z", "kind": "reconnect", "args": {"client": 1, "attempt": 1}},

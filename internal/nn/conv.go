@@ -260,9 +260,7 @@ func (m *MaxPool2D) OutShape(in []int) ([]int, error) {
 // Params implements Layer.
 func (m *MaxPool2D) Params() []*Param { return nil }
 
-// Forward implements Layer. Each window, clipped to the image, is folded
-// row by row through maxStep starting from its top-left element, which is
-// always inside (there is no padding), so every output has an argmax.
+// Forward implements Layer: one maxPoolRow sweep per output row.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	n, rest, err := batchOf(x)
 	if err != nil {
@@ -286,34 +284,52 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	if len(m.argmax) != len(out) {
 		m.argmax = make([]int32, len(out))
 	}
-	kh, kw, sh, sw := m.geom.KernelH, m.geom.KernelW, m.geom.StrideH, m.geom.StrideW
+	g := m.geom
 	src := x.Data()
-	argmax := m.argmax
 	outIdx := 0
 	for p := 0; p < n*ch; p++ {
-		planeBase := p * h * w
 		for y := 0; y < oh; y++ {
-			y0 := y * sh
-			rows := min(kh, h-y0)
-			orow := out[outIdx : outIdx+ow]
-			arow := argmax[outIdx : outIdx+ow]
+			first := p*h*w + y*g.StrideH*w
+			maxPoolRow(src, first, min(g.KernelH, h-y*g.StrideH), w, g.KernelW, g.StrideW,
+				out[outIdx:outIdx+ow], m.argmax[outIdx:outIdx+ow])
 			outIdx += ow
-			for xx := range orow {
-				first := planeBase + y0*w + xx*sw
-				cols := min(kw, w-xx*sw)
-				best, bestIdx := src[first], int32(first)
-				for ky := 0; ky < rows; ky++ {
-					rowStart := first + ky*w
-					for kx, v := range src[rowStart : rowStart+cols] {
-						best, bestIdx = maxStep(best, bestIdx, v, int32(rowStart+kx))
-					}
-				}
-				orow[xx] = best
-				arow[xx] = bestIdx
-			}
 		}
 	}
 	return m.out, nil
+}
+
+// maxPoolRow folds the row of windows whose top-left elements are
+// src[first + x·sw] into out and argmax, sweeping the whole row once per
+// kernel tap. The top-left elements, always inside the image (there is no
+// padding), seed the row, so every output has an argmax. Then each further
+// tap (ky, kx) for ky < rows, ky outer and kx inner, folds across the row
+// through maxStep, over the windows it reaches inside the image:
+// x < ⌈(w−kx)/sw⌉. Every window folds its elements in the order of a
+// per-window walk, so ties and NaNs keep the same element.
+func maxPoolRow(src []float32, first, rows, w, kw, sw int, out []float32, argmax []int32) {
+	for x := range out {
+		i := first + x*sw
+		out[x], argmax[x] = src[i], int32(i)
+	}
+	for ky := 0; ky < rows; ky++ {
+		for kx := 0; kx < kw; kx++ {
+			if ky == 0 && kx == 0 {
+				continue // the seed
+			}
+			// ⌈(w−kx)/sw⌉ ≥ len(out) for every tap unless the kernel is
+			// wider than the image, where only the last window overhangs.
+			cols := len(out)
+			if (cols-1)*sw+kx >= w {
+				cols--
+			}
+			o, a := out[:cols], argmax[:cols]
+			i := first + ky*w + kx
+			for x := range o {
+				o[x], a[x] = maxStep(o[x], a[x], src[i], int32(i))
+				i += sw
+			}
+		}
+	}
 }
 
 // maxStep folds candidate v at input index vi into a window's running

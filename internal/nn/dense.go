@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"shmcaffe/internal/tensor"
 )
@@ -151,27 +150,14 @@ func (r *ReLU) OutShape(in []int) ([]int, error) { return in, nil }
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 
-// posMask is all ones when the float32 with these bits is > 0 — positive,
-// non-zero and not NaN, +Inf included — and zero otherwise. bits−1 is
-// below 0x7f800000 exactly for bits 1 … 0x7f800000 (the least positive
-// subnormal through +Inf): +0 wraps to 0xffffffff, and every negative
-// value and every positive NaN lands at or above 0x7f800000. The sign of
-// the widened difference is the mask, so there is no branch on the data.
-func posMask(bits uint32) uint32 {
-	return uint32((int64(bits-1) - 0x7f800000) >> 63)
-}
-
-// Forward implements Layer: y = bits(x) & posMask(bits(x)), which is x
-// where x > 0 and +0 everywhere else (NaN and -0 included) — what a
-// `v > 0` branch produces, without its mispredictions on random signs.
+// Forward implements Layer: y = x where x > 0 and +0 everywhere else (NaN
+// and -0 included) — what a `v > 0` branch produces, without its
+// mispredictions on random signs (tensor.MaskPositive with x as both the
+// values and the mask).
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	r.out = reuse(r.out, x.Shape()...)
 	src := x.Data()
-	dst := r.out.Data()[:len(src)]
-	for i, v := range src {
-		b := math.Float32bits(v)
-		dst[i] = math.Float32frombits(b & posMask(b))
-	}
+	tensor.MaskPositive(r.out.Data()[:len(src)], src, src)
 	return r.out, nil
 }
 
@@ -184,11 +170,7 @@ func (r *ReLU) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	r.dx = reuse(r.dx, grad.Shape()...)
 	g := grad.Data()
-	y := r.out.Data()[:len(g)]
-	dst := r.dx.Data()[:len(g)]
-	for i, v := range g {
-		dst[i] = math.Float32frombits(math.Float32bits(v) & posMask(math.Float32bits(y[i])))
-	}
+	tensor.MaskPositive(r.dx.Data()[:len(g)], g, r.out.Data()[:len(g)])
 	return r.dx, nil
 }
 

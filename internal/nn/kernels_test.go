@@ -191,6 +191,48 @@ func TestMaxPoolEdgeValuesMatchBranch(t *testing.T) {
 	}
 }
 
+// TestMaxPoolGeometrySweepMatchesBranch: over every image of 1–7 × 1–7, window
+// 1–4 and stride 1–3 that Validate accepts — windows that tile, overlap,
+// skip elements, and kernels taller or wider than the image, where windows
+// overhang the edge — the forward picks the branchy walk's value and argmax.
+func TestMaxPoolGeometrySweepMatchesBranch(t *testing.T) {
+	geometries := 0
+	for h := 1; h <= 7; h++ {
+		for w := 1; w <= 7; w++ {
+			for window := 1; window <= 4; window++ {
+				for stride := 1; stride <= 3; stride++ {
+					m := NewMaxPool2D("pool", window, stride)
+					if m.geom.Validate(h, w) != nil {
+						continue
+					}
+					geometries++
+					const planes = 3
+					x := make([]float32, planes*h*w)
+					for i := range x {
+						x[i] = edgeValues[(i*11+h*w+window)%len(edgeValues)]
+					}
+					oh, ow := m.geom.OutSize(h, w)
+					wantOut, wantArg := make([]float32, planes*oh*ow), make([]int, planes*oh*ow)
+					maxPoolRef(x, planes, h, w, m.geom, wantOut, wantArg)
+					y, err := m.Forward(tensor.MustFromSlice(x, 1, planes, h, w), true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertBitsEqual(t, "out", y.Data(), wantOut)
+					for i, a := range m.argmax {
+						if int(a) != wantArg[i] {
+							t.Fatalf("%dx%d window %d stride %d: argmax[%d] = %d, want %d", h, w, window, stride, i, a, wantArg[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	if geometries < 468 {
+		t.Fatalf("sweep covered %d geometries", geometries)
+	}
+}
+
 // reluBenchInput is SmallCNN's conv1 activation at batch 16 (16×8×16×16),
 // normal with random signs: the input a `v > 0` branch mispredicts on.
 func reluBenchInput() (x, g *tensor.Tensor) {
@@ -231,26 +273,40 @@ func BenchmarkReLU(b *testing.B) {
 	}
 }
 
-// BenchmarkMaxPool2D times the select max-pool forward against the branchy
-// reference at SmallCNN's pool1 (16×8×16×16, 2×2 stride 2).
+// BenchmarkMaxPool2D times the max-pool forward sweep against the branchy
+// reference at SmallCNN's pool1 (16×8×16×16, 2×2 stride 2) and pool2
+// (16×16×8×8, 2×2 stride 2), and at MiniInception's pool branch (batch 16
+// of inc1's 8×8×8 input, 3×3 stride 1: overlapping windows, overhanging
+// the edge).
 func BenchmarkMaxPool2D(b *testing.B) {
-	x, _ := reluBenchInput()
-	m := NewMaxPool2D("pool", 2, 2)
-	out, argmax := make([]float32, x.Len()/4), make([]int, x.Len()/4)
-	b.Run("ref", func(b *testing.B) {
-		b.SetBytes(int64(4 * x.Len()))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			maxPoolRef(x.Data(), 16*8, 16, 16, m.geom, out, argmax)
-		}
-	})
-	b.Run("select", func(b *testing.B) {
-		b.SetBytes(int64(4 * x.Len()))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Forward(x, true); err != nil {
-				b.Fatal(err)
+	for _, s := range []struct {
+		name                    string
+		n, c, h, window, stride int
+	}{
+		{"pool1", 16, 8, 16, 2, 2},
+		{"pool2", 16, 16, 8, 2, 2},
+		{"inc_pool", 16, 8, 8, 3, 1},
+	} {
+		x := tensor.New(s.n, s.c, s.h, s.h)
+		tensor.NewRNG(5).FillNormal(x, 0, 1)
+		m := NewMaxPool2D("pool", s.window, s.stride)
+		oh, ow := m.geom.OutSize(s.h, s.h)
+		out, argmax := make([]float32, s.n*s.c*oh*ow), make([]int, s.n*s.c*oh*ow)
+		b.Run("ref/"+s.name, func(b *testing.B) {
+			b.SetBytes(int64(4 * x.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				maxPoolRef(x.Data(), s.n*s.c, s.h, s.h, m.geom, out, argmax)
 			}
-		}
-	})
+		})
+		b.Run("select/"+s.name, func(b *testing.B) {
+			b.SetBytes(int64(4 * x.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Forward(x, true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

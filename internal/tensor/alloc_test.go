@@ -95,4 +95,5 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 	assertZeroAllocAcrossGC(t, "FusedElasticExchange", func() { FusedElasticExchange(0.3, d, x, y) })
 	assertZeroAllocAcrossGC(t, "FusedAxpyCopy", func() { FusedAxpyCopy(0.3, x, y, d) })
 	assertZeroAllocAcrossGC(t, "FusedMomentumStep", func() { FusedMomentumStep(0.01, 0.9, 1e-4, 5, true, x, y, d) })
+	assertZeroAllocAcrossGC(t, "MaskPositive", func() { MaskPositive(d, x, y) })
 }

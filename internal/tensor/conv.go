@@ -59,44 +59,69 @@ func Im2Col(img []float32, c, h, w int, p ConvParams, col []float32) {
 	im2ColChannels(img, 0, c, h, w, oh, ow, p, col)
 }
 
-// im2ColChannels lowers channels [lo, hi) row by row. Each (channel,
-// kernel tap, output row) row of col reads one input row: its in-image span
-// is one copy at stride 1, or one loop with the bounds hoisted out of it at
-// any other stride, and the padding margins on either side are cleared.
+// im2ColChannels lowers channels [lo, hi) one kernel tap at a time. A
+// tap's rows whose input row lies outside the image are cleared as one
+// block above and one below. Its in-image rows go in runs: at stride 1
+// with ow == w they are contiguous in both col and the plane, so one run
+// is the whole span from (ylo, xlo) to (yhi−1, xhi) and one copy moves it;
+// any other geometry runs one row at a time, its in-image span one copy at
+// stride 1 or one loop with the bounds hoisted out of it otherwise. Then
+// the padding margins of the run's rows are cleared, which also undoes
+// what a whole-tap copy carried over from the neighbouring rows' edges.
 // Every element gets the value the element-wise Caffe walk gives it, so
 // the result is bitwise that walk's (TestIm2ColMatchesReference).
 func im2ColChannels(img []float32, lo, hi, h, w, oh, ow int, p ConvParams, col []float32) {
-	colIdx := lo * p.KernelH * p.KernelW * oh * ow
+	tapLen := oh * ow
+	colIdx := lo * p.KernelH * p.KernelW * tapLen
 	s := p.StrideW
+	wholeTap := p.StrideH == 1 && s == 1 && ow == w
 	for ch := lo; ch < hi; ch++ {
 		plane := img[ch*h*w : (ch+1)*h*w]
 		for kh := 0; kh < p.KernelH; kh++ {
+			ylo, yhi := rowSpan(oh, h, p.StrideH, p.PadH, kh)
 			for kw := 0; kw < p.KernelW; kw++ {
+				tap := col[colIdx : colIdx+tapLen]
+				colIdx += tapLen
 				xlo, xhi := rowSpan(ow, w, s, p.PadW, kw)
+				if xlo == xhi {
+					clear(tap)
+					continue
+				}
+				clear(tap[:ylo*ow])
+				clear(tap[yhi*ow:])
+				run := 1
+				if wholeTap {
+					run = yhi - ylo
+				}
 				off := kw - p.PadW
-				for y := 0; y < oh; y++ {
-					row := col[colIdx : colIdx+ow]
-					colIdx += ow
-					iy := y*p.StrideH - p.PadH + kh
-					if iy < 0 || iy >= h || xlo == xhi {
-						clear(row)
-						continue
-					}
-					// The margins are zero to a few elements: stores in
-					// place cost less than a clear call each.
-					src := plane[iy*w : (iy+1)*w]
-					for x := 0; x < xlo; x++ {
-						row[x] = 0
-					}
+				for y := ylo; y < yhi; y += run {
+					// base+x·s is the input element under output column x.
+					base := (y*p.StrideH-p.PadH+kh)*w + off
 					if s == 1 {
-						copy(row[xlo:xhi], src[xlo+off:xhi+off])
+						copy(tap[y*ow+xlo:(y+run-1)*ow+xhi], plane[base+xlo:])
 					} else {
+						row := tap[y*ow : (y+1)*ow]
 						for x := xlo; x < xhi; x++ {
-							row[x] = src[x*s+off]
+							row[x] = plane[base+x*s]
 						}
 					}
-					for x := xhi; x < ow; x++ {
-						row[x] = 0
+					if xlo == 0 && xhi == ow {
+						continue // no margins
+					}
+					// Clear the margins: the gap before each row's span,
+					// from the previous span's end (or the run's first
+					// element), and the gap after the last. They are zero to
+					// a few elements: stores in place cost less than a clear
+					// call each.
+					from, end := y*ow, (y+run)*ow
+					for next := from + xlo; next < end; next += ow {
+						for i := from; i < next; i++ {
+							tap[i] = 0
+						}
+						from = next + xhi - xlo
+					}
+					for i := from; i < end; i++ {
+						tap[i] = 0
 					}
 				}
 			}
@@ -104,16 +129,19 @@ func im2ColChannels(img []float32, lo, hi, h, w, oh, ow int, p ConvParams, col [
 	}
 }
 
-// rowSpan returns the output columns [xlo, xhi) of a lowering row at
-// kernel column kw whose input column x·stride + kw − pad lies inside
-// [0, w). The columns outside the span read padding.
+// rowSpan returns, along one axis, the output positions [xlo, xhi) at
+// kernel offset kw whose input position x·stride + kw − pad lies inside
+// [0, w): the columns of a lowering row, or the rows of a kernel tap. The
+// positions outside the span read padding. At stride 1 the span is the
+// unit-stride one as it stands, without the two integer divisions.
 func rowSpan(ow, w, stride, pad, kw int) (xlo, xhi int) {
 	off := kw - pad
-	if off < 0 {
-		xlo = (-off + stride - 1) / stride
-	}
-	if lim := w - off; lim > 0 {
-		xhi = (lim-1)/stride + 1
+	xlo, xhi = max(-off, 0), max(w-off, 0)
+	if stride > 1 {
+		xlo = (xlo + stride - 1) / stride
+		if xhi > 0 {
+			xhi = (xhi-1)/stride + 1
+		}
 	}
 	xlo = min(xlo, ow)
 	return xlo, min(max(xhi, xlo), ow)

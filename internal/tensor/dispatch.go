@@ -3,10 +3,10 @@ package tensor
 import "shmcaffe/internal/tensor/simd"
 
 // Kernel dispatch. The exported hot kernels (AxpySlice, FusedElasticStep,
-// FusedElasticExchange, FusedAxpyCopy, FusedCopyAdd, FusedMomentumStep) and
-// the blocked gemm call through the indirect function pointers below. The
-// pointers default to the portable scalar-unrolled bodies and are swapped
-// exactly once, at package init, to the AVX2/FMA assembly in
+// FusedElasticExchange, FusedAxpyCopy, FusedCopyAdd, FusedMomentumStep,
+// MaskPositive) and the blocked gemm call through the indirect function
+// pointers below. The pointers default to the portable bodies and are
+// swapped exactly once, at package init, to the AVX2/FMA assembly in
 // internal/tensor/simd when its CPUID probe passes — so steady state pays
 // one indirect call and zero branches per kernel invocation, and a build
 // with `-tags noasm` (or a run with SHMCAFFE_NOSIMD set) never leaves the
@@ -23,6 +23,7 @@ var (
 	fusedAxpyCopyImpl        = fusedAxpyCopyUnrolled
 	fusedCopyAddImpl         = fusedCopyAddUnrolled
 	fusedMomentumStepImpl    = fusedMomentumStepUnrolled
+	maskPositiveImpl         = maskPositiveBits
 
 	// gemmInner4 is the quad-row gemm microkernel; nil means the blocked
 	// kernel runs its pure-Go inner loop (see gemmRows).
@@ -45,6 +46,7 @@ func init() {
 	fusedAxpyCopyImpl = simd.FusedAxpyCopy
 	fusedCopyAddImpl = simd.FusedCopyAdd
 	fusedMomentumStepImpl = simd.FusedMomentumStep
+	maskPositiveImpl = simd.MaskPositive
 	gemmInner4 = simd.GemmInner4
 	gemmTransB4x8 = simd.GemmTransB4x8
 	gemmTransB1x8 = simd.GemmTransB1x8

@@ -187,19 +187,24 @@ func BenchmarkDecodeFloat32(b *testing.B) {
 	}
 }
 
+// conv3x3 is SmallCNN's convolution geometry: 3×3, stride 1, pad 1.
+var conv3x3 = ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+
 // loweringBenchShapes are SmallCNN's two convolutions at one sample (conv1:
-// 3×16×16, conv2: 8×8×8, both 3×3 stride 1 pad 1) and a 64×32×32 layer
-// large enough to take the parallel path.
+// 3×16×16, conv2: 8×8×8, both 3×3 stride 1 pad 1), a 64×32×32 layer large
+// enough to take the parallel path, and MiniInception's pool-branch 1×1
+// pad-1 convolution on 8×8×8 (ow = w+2, so each row is its own run).
 var loweringBenchShapes = []struct {
-	name    string
-	c, h, w int
+	name string
+	convGeom
 }{
-	{"conv1", 3, 16, 16},
-	{"conv2", 8, 8, 8},
-	{"c64_32x32", 64, 32, 32},
+	{"conv1", convGeom{3, 16, 16, conv3x3}},
+	{"conv2", convGeom{8, 8, 8, conv3x3}},
+	{"c64_32x32", convGeom{64, 32, 32, conv3x3}},
+	{"inc_1x1_pad1", convGeom{8, 8, 8, ConvParams{KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}}},
 }
 
-// BenchmarkIm2Col times the row-copy lowering against the element-wise
+// BenchmarkIm2Col times the dispatched lowering against the element-wise
 // reference walk (ref, serial) at each loweringBenchShapes geometry.
 func BenchmarkIm2Col(b *testing.B) {
 	benchLowering(b, func(img, col []float32, s convGeom, oh, ow int) (ref, rows func()) {
@@ -216,13 +221,12 @@ func BenchmarkCol2Im(b *testing.B) {
 	})
 }
 
-// benchLowering times, at each loweringBenchShapes geometry (3×3, stride 1,
-// pad 1), the two closures kernels builds over patterned image and column
-// buffers: ref, the element-wise walk, and rows, the dispatched lowering.
+// benchLowering times, at each loweringBenchShapes geometry, the two
+// closures kernels builds over patterned image and column buffers: ref,
+// the element-wise walk, and rows, the dispatched lowering.
 func benchLowering(b *testing.B, kernels func(img, col []float32, s convGeom, oh, ow int) (ref, rows func())) {
-	p := ConvParams{KernelH: 3, KernelW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	for _, shape := range loweringBenchShapes {
-		s := convGeom{shape.c, shape.h, shape.w, p}
+		s, p := shape.convGeom, shape.p
 		oh, ow := p.OutSize(s.h, s.w)
 		img := make([]float32, s.c*s.h*s.w)
 		col := make([]float32, s.c*p.KernelH*p.KernelW*oh*ow)

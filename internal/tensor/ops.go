@@ -85,6 +85,39 @@ func addSliceUnrolled(x, y []float32) {
 	}
 }
 
+// MaskPositive computes dst[i] = x[i] where m[i] > 0 and +0 elsewhere, for
+// i < min(len(dst), len(x), len(m)): the ReLU kernel in both directions
+// (forward with x = m = the input, backward with x = the gradient and m =
+// the layer's output). "> 0" is the ordered compare: false for ±0 and every
+// NaN, true for positive subnormals and +Inf. dst may alias x or m exactly;
+// each element is read before it is written. Both backends give the same
+// bits (the AVX2 body is VCMPPS GT_OQ against zero, then VANDPS).
+//
+//shm:hotpath
+func MaskPositive(dst, x, m []float32) {
+	maskPositiveImpl(dst, x, m)
+}
+
+// maskPositiveBits is the portable MaskPositive kernel and the dispatch
+// default: x's bits under posMask of m's, with no branch on the data.
+func maskPositiveBits(dst, x, m []float32) {
+	n := minLen3(len(dst), len(x), len(m))
+	dst, x, m = dst[:n], x[:n], m[:n]
+	for i := range dst {
+		dst[i] = math.Float32frombits(math.Float32bits(x[i]) & posMask(math.Float32bits(m[i])))
+	}
+}
+
+// posMask is all ones when the float32 with these bits is > 0 — positive,
+// non-zero and not NaN, +Inf included — and zero otherwise. bits−1 is
+// below 0x7f800000 exactly for bits 1 … 0x7f800000 (the least positive
+// subnormal through +Inf): +0 wraps to 0xffffffff, and every negative
+// value and every positive NaN lands at or above 0x7f800000. The sign of
+// the widened difference is the mask.
+func posMask(bits uint32) uint32 {
+	return uint32((int64(bits-1) - 0x7f800000) >> 63)
+}
+
 // Scale multiplies every element of t by alpha.
 func Scale(alpha float32, t *Tensor) {
 	for i := range t.data {

@@ -120,3 +120,12 @@ func GemmTransB4x8(a, b *float32, ld, k int, c *float32, ldc int)
 //
 //go:noescape
 func GemmTransB1x8(a, b *float32, ld, k int, c *float32)
+
+// MaskPositive computes dst[i] = x[i] where m[i] > 0 and +0 elsewhere,
+// for i < min(len(dst), len(x), len(m)): VCMPPS GT_OQ against zero, then
+// VANDPS. The ordered compare is false for ±0 and every NaN and true for
+// positive subnormals and +Inf, so the mask is the portable body's. dst
+// may alias x or m exactly.
+//
+//go:noescape
+func MaskPositive(dst, x, m []float32)

@@ -939,3 +939,62 @@ tb18_loop:
 	VMOVUPS Y0, (DI)
 	VZEROUPPER
 	RET
+
+// func MaskPositive(dst, x, m []float32)
+//
+// dst[i] = x[i] where m[i] > 0, else +0: VCMPPS with predicate GT_OQ
+// (0x1e) against zero gives all ones exactly where m[i] > 0 — false for
+// ±0 and every NaN, true for positive subnormals (DAZ is off) and +Inf —
+// and VANDPS keeps x's bits under that mask. No arithmetic, so the result
+// is bitwise the portable posMask body. dst may alias x or m exactly
+// (every load of an element precedes the store to it).
+TEXT ·MaskPositive(SB), NOSPLIT, $0-72
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_len+32(FP), DX
+	CMPQ DX, CX
+	JGE  mp_min1
+	MOVQ DX, CX
+
+mp_min1:
+	MOVQ m_len+56(FP), DX
+	CMPQ DX, CX
+	JGE  mp_min2
+	MOVQ DX, CX
+
+mp_min2:
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   x_base+24(FP), SI
+	MOVQ   m_base+48(FP), R8
+	VXORPS Y0, Y0, Y0
+	XORQ   BX, BX
+	MOVQ   CX, DX
+	ANDQ   $-8, DX
+	CMPQ   BX, DX
+	JGE    mp_tail
+
+mp_loop8:
+	VMOVUPS (R8)(BX*4), Y1
+	VCMPPS  $0x1e, Y0, Y1, Y1
+	VANDPS  (SI)(BX*4), Y1, Y1
+	VMOVUPS Y1, (DI)(BX*4)
+	ADDQ    $8, BX
+	CMPQ    BX, DX
+	JLT     mp_loop8
+
+mp_tail:
+	CMPQ BX, CX
+	JGE  mp_done
+
+mp_tail_loop:
+	VMOVSS (R8)(BX*4), X1
+	VCMPSS $0x1e, X0, X1, X1
+	VMOVSS (SI)(BX*4), X2
+	VANDPS X2, X1, X1
+	VMOVSS X1, (DI)(BX*4)
+	INCQ   BX
+	CMPQ   BX, CX
+	JLT    mp_tail_loop
+
+mp_done:
+	VZEROUPPER
+	RET

@@ -1,10 +1,10 @@
 // Package simd is the hand-written vector backend under the tensor hot
 // kernels: AVX2/FMA assembly for the float32 streaming loops (axpy, the
 // SMB accumulate add, the fused SEASGD elastic sweeps, the momentum-SGD
-// solver sweep, the gemm quad-row microkernel and the a×bᵀ 4×8 tile
-// microkernel), selected once at process start by a CPUID feature probe
-// and exposed to internal/tensor as plain functions the dispatcher stores
-// in indirect function pointers.
+// solver sweep, the ReLU mask, the gemm quad-row microkernel and the a×bᵀ
+// 4×8 tile microkernel), selected once at process start by a CPUID
+// feature probe and exposed to internal/tensor as plain functions the
+// dispatcher stores in indirect function pointers.
 //
 // Selection policy, in order:
 //

@@ -42,3 +42,6 @@ func GemmTransB4x8(a, b *float32, ld, k int, c *float32, ldc int) { unreachable(
 
 // GemmTransB1x8 panics; the portable build has no assembly backend.
 func GemmTransB1x8(a, b *float32, ld, k int, c *float32) { unreachable() }
+
+// MaskPositive panics; the portable build has no assembly backend.
+func MaskPositive(dst, x, m []float32) { unreachable() }

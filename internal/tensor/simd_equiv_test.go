@@ -130,6 +130,75 @@ func TestSimdAliasedDstTails(t *testing.T) {
 	}
 }
 
+// maskEdgeValues are the float32s where a masked kernel could part from a
+// `> 0` compare (the same set as internal/nn's edgeValues): NaNs of both
+// signs and with payloads, ±0, ±Inf, the extreme subnormals and normals,
+// and ordinary values of both signs.
+var maskEdgeValues = []float32{
+	float32(math.NaN()),
+	math.Float32frombits(0xffc00000), // -NaN
+	math.Float32frombits(0x7f800001), // +NaN, smallest payload
+	math.Float32frombits(0xffffffff), // -NaN, largest payload
+	0,
+	float32(math.Copysign(0, -1)),
+	float32(math.Inf(1)),
+	float32(math.Inf(-1)),
+	math.Float32frombits(1),          // least positive subnormal
+	math.Float32frombits(0x80000001), // least negative subnormal
+	math.Float32frombits(0x007fffff), // largest subnormal
+	math.Float32frombits(0x807fffff),
+	math.Float32frombits(0x00800000), // least normal
+	math.MaxFloat32,
+	-math.MaxFloat32,
+	1, -1, 0.5, -2.5,
+}
+
+// maskPositiveBranch is the `m[i] > 0` branch MaskPositive must match.
+func maskPositiveBranch(dst, x, m []float32) {
+	for i := range dst {
+		if m[i] > 0 {
+			dst[i] = x[i]
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// TestSimdMaskPositiveEdgeValues runs MaskPositive at every length 0–33
+// (empty, the VEX-scalar tail alone, and one to four 8-wide blocks with
+// every tail) over the edge values rotated through every lane, in ReLU's
+// two call shapes: forward (dst = x = m) and backward (dst, x and m
+// distinct). The dispatched kernel, the portable body and the branch agree
+// bit for bit.
+func TestSimdMaskPositiveEdgeValues(t *testing.T) {
+	t.Logf("simd backend: %s enabled=%v", simd.Backend(), simd.Enabled())
+	e := len(maskEdgeValues)
+	for n := 0; n <= 33; n++ {
+		for r := 0; r < e; r++ {
+			x, m := make([]float32, n), make([]float32, n)
+			for i := range x {
+				x[i] = maskEdgeValues[(i*7+r)%e]
+				m[i] = maskEdgeValues[(i+r)%e]
+			}
+			want := make([]float32, n)
+			maskPositiveBranch(want, x, m)
+			portable := make([]float32, n)
+			maskPositiveBits(portable, x, m)
+			assertBitwiseSlices(t, "MaskPositive portable/backward", n, r, 0, portable, want, nil, nil)
+			dst := make([]float32, n)
+			fillPattern(dst, r)
+			MaskPositive(dst, x, m)
+			assertBitwiseSlices(t, "MaskPositive backward", n, r, 0, dst, want, nil, nil)
+
+			maskPositiveBranch(want, m, m)
+			maskPositiveBits(portable, m, m)
+			assertBitwiseSlices(t, "MaskPositive portable/forward", n, r, 0, portable, want, nil, nil)
+			MaskPositive(m, m, m)
+			assertBitwiseSlices(t, "MaskPositive forward", n, r, 0, m, want, nil, nil)
+		}
+	}
+}
+
 func assertBitwiseSlices(t *testing.T, tag string, n, off int, alpha float32, got, want, got2, want2 []float32) {
 	t.Helper()
 	for i := range want {

@@ -104,6 +104,12 @@ tier1() {
 		echo "packed a×bᵀ arm found (see above)" >&2
 		return 1
 	fi
+	# ReLU masks through tensor.MaskPositive in both directions; its
+	# predicate lives in internal/tensor, not beside a per-element loop in nn.
+	if grep -n 'func posMask' internal/nn/*.go | grep -v '_test.go:'; then
+		echo "per-element ReLU mask found in internal/nn (see above)" >&2
+		return 1
+	fi
 	# Atomics are typed (atomic.Int64, the shm control page's word32/word64),
 	# so no word is reachable both atomically and by a plain read — a race
 	# -race only reports when a test happens to exercise both sides.
