@@ -103,12 +103,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 		y := out.Data()[i*sampleOut : (i+1)*sampleOut]
 		tensor.Gemm(c.outC, oh*ow, kvol, c.w.W.Data(), col, y)
 		// Bias per output channel.
-		for oc := 0; oc < c.outC; oc++ {
-			bias := c.b.W.Data()[oc]
-			row := y[oc*oh*ow : (oc+1)*oh*ow]
-			for j := range row {
-				row[j] += bias
-			}
+		for oc, bias := range c.b.W.Data() {
+			tensor.AddConst(y[oc*oh*ow:(oc+1)*oh*ow], bias)
 		}
 	}
 	return out, nil
@@ -145,17 +141,41 @@ func (c *Conv2D) paramGrad(grad *tensor.Tensor) error {
 			return err
 		}
 		tensor.AxpySlice(1, dwTmp.Data(), c.w.Grad.Data())
-		// db += row sums of g
-		for oc := 0; oc < c.outC; oc++ {
-			row := g.Data()[oc*ohow : (oc+1)*ohow]
-			var s float32
-			for _, v := range row {
-				s += v
-			}
-			c.b.Grad.Data()[oc] += s
-		}
+		rowSums(g.Data(), ohow, c.b.Grad.Data())
 	}
 	return nil
+}
+
+// rowSums adds to db[r] the sum of row r of the (len(db) × w) matrix g
+// (db += row sums of g). Each row is one serial sum from +0 in ascending
+// order, as a plain loop takes it; four rows run at a time, so their four
+// add chains overlap instead of each waiting on its own add latency.
+func rowSums(g []float32, w int, db []float32) {
+	r := 0
+	for ; r+4 <= len(db); r += 4 {
+		g0 := g[r*w:][:w]
+		g1 := g[(r+1)*w:][:w]
+		g2 := g[(r+2)*w:][:w]
+		g3 := g[(r+3)*w:][:w]
+		var s0, s1, s2, s3 float32
+		for j, v := range g0 {
+			s0 += v
+			s1 += g1[j]
+			s2 += g2[j]
+			s3 += g3[j]
+		}
+		db[r] += s0
+		db[r+1] += s1
+		db[r+2] += s2
+		db[r+3] += s3
+	}
+	for ; r < len(db); r++ {
+		var s float32
+		for _, v := range g[r*w:][:w] {
+			s += v
+		}
+		db[r] += s
+	}
 }
 
 // inputGrad returns dX: per sample dcol = Wᵀ g, scattered back by col2im.

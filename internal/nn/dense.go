@@ -69,12 +69,9 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) (*tensor.Tensor, error) {
 	if err := tensor.MatMul(x2, d.w.W, y); err != nil {
 		return nil, err
 	}
-	// Add bias per row.
+	// Add bias per row: row[j] += b[j], the dispatched add.
 	for i := 0; i < n; i++ {
-		row := y.Data()[i*d.out : (i+1)*d.out]
-		for j := range row {
-			row[j] += d.b.W.Data()[j]
-		}
+		tensor.AxpySlice(1, d.b.W.Data(), y.Data()[i*d.out:(i+1)*d.out])
 	}
 	return y, nil
 }
@@ -98,12 +95,9 @@ func (d *Dense) paramGrad(grad *tensor.Tensor) error {
 	if err := tensor.MatMulTransAAdd(d.lastIn, g, d.w.Grad); err != nil {
 		return err
 	}
-	// db += column sums of g
+	// db += column sums of g: db[j] += row[j], a row at a time.
 	for i := 0; i < g.Dim(0); i++ {
-		row := g.Data()[i*d.out : (i+1)*d.out]
-		for j, v := range row {
-			d.b.Grad.Data()[j] += v
-		}
+		tensor.AxpySlice(1, g.Data()[i*d.out:(i+1)*d.out], d.b.Grad.Data())
 	}
 	return nil
 }

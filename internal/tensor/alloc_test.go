@@ -6,8 +6,8 @@ import (
 )
 
 // Allocation regression guard for the gemm dispatch paths (scripts/check.sh
-// tier 2 runs these by name). The dispatch state — ranger structs, transA
-// pack panels, and the pool's join WaitGroups — recycles through
+// tier 2 runs these by name). The dispatch state — ranger structs and the
+// pool's join WaitGroups — recycles through
 // parallel.Freelist, so a warmed steady state performs zero heap
 // allocations per call EVEN ACROSS GC CYCLES. The forced collections
 // inside the measured loop are the regression this guards against: the
@@ -16,8 +16,8 @@ import (
 // stray 8 B/op on BenchmarkGemm/parallel/256.
 
 // gemmAllocSize is big enough that every layer of the dispatch runs
-// (multiple grain-8 row ranges, pack panels on the transA path) while
-// keeping the guard fast.
+// (multiple grain-8 row ranges, each over the tile kernel) while keeping
+// the guard fast.
 const gemmAllocSize = 96
 
 func assertZeroAllocAcrossGC(t *testing.T, tag string, fn func()) {
@@ -96,4 +96,5 @@ func TestDispatchedKernelsZeroAlloc(t *testing.T) {
 	assertZeroAllocAcrossGC(t, "FusedAxpyCopy", func() { FusedAxpyCopy(0.3, x, y, d) })
 	assertZeroAllocAcrossGC(t, "FusedMomentumStep", func() { FusedMomentumStep(0.01, 0.9, 1e-4, 5, true, x, y, d) })
 	assertZeroAllocAcrossGC(t, "MaskPositive", func() { MaskPositive(d, x, y) })
+	assertZeroAllocAcrossGC(t, "AddConst", func() { AddConst(d, 0.5) })
 }

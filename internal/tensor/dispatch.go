@@ -4,9 +4,9 @@ import "shmcaffe/internal/tensor/simd"
 
 // Kernel dispatch. The exported hot kernels (AxpySlice, FusedElasticStep,
 // FusedElasticExchange, FusedAxpyCopy, FusedCopyAdd, FusedMomentumStep,
-// MaskPositive) and the blocked gemm call through the indirect function
-// pointers below. The pointers default to the portable bodies and are
-// swapped exactly once, at package init, to the AVX2/FMA assembly in
+// MaskPositive, AddConst) and the blocked gemm call through the indirect
+// function pointers below. The pointers default to the portable bodies and
+// are swapped exactly once, at package init, to the AVX2/FMA assembly in
 // internal/tensor/simd when its CPUID probe passes — so steady state pays
 // one indirect call and zero branches per kernel invocation, and a build
 // with `-tags noasm` (or a run with SHMCAFFE_NOSIMD set) never leaves the
@@ -24,10 +24,15 @@ var (
 	fusedCopyAddImpl         = fusedCopyAddUnrolled
 	fusedMomentumStepImpl    = fusedMomentumStepUnrolled
 	maskPositiveImpl         = maskPositiveBits
+	addConstImpl             = addConstLoop
 
-	// gemmInner4 is the quad-row gemm microkernel; nil means the blocked
-	// kernel runs its pure-Go inner loop (see gemmRows).
-	gemmInner4 func(a, b *float32, ldb int, c *float32, n int)
+	// gemmInner4 is the row kernel's quad-row microkernel; nil means
+	// gemmRows runs the dispatched axpy for every k-step.
+	gemmInner4 func(a *float32, sl int, b *float32, ldb int, c *float32, n int)
+
+	// gemmTile4x16 is the a×b register-tile microkernel; nil means
+	// gemmTiles hands all of C to the row kernel.
+	gemmTile4x16 func(a *float32, sa, sl int, b *float32, ldb, k int, c *float32, ldc int)
 
 	// gemmTransB4x8 and gemmTransB1x8 are the a×bᵀ microkernel's 4-row and
 	// one-row forms; nil means gemmTransBRows runs the tiled Go loop.
@@ -47,7 +52,9 @@ func init() {
 	fusedCopyAddImpl = simd.FusedCopyAdd
 	fusedMomentumStepImpl = simd.FusedMomentumStep
 	maskPositiveImpl = simd.MaskPositive
+	addConstImpl = simd.AddConst
 	gemmInner4 = simd.GemmInner4
+	gemmTile4x16 = simd.GemmTile4x16
 	gemmTransB4x8 = simd.GemmTransB4x8
 	gemmTransB1x8 = simd.GemmTransB1x8
 }

@@ -29,6 +29,20 @@ func benchGemm(b *testing.B, m, n, k int, kernel func(m, n, k int, a, bb, c []fl
 	}
 }
 
+// gemmWideShapes are the a×b rows past the model shapes: a 4-row tile
+// and more over a 4 MiB B (the k-block edge decides these), and the
+// batch-1 wide gemvs, which stay on the row kernel (m < 4).
+var gemmWideShapes = []struct{ m, n, k int }{
+	{4, 1024, 1024},
+	{8, 1024, 1024},
+	{64, 1024, 1024},
+	{1, 1024, 1024},
+	{1, 1024, 256},
+}
+
+// BenchmarkGemm times a×b: the scalar reference against the forced row
+// fan-out on cubes, then the dispatched kernel (Gemm's choice of path) at
+// the model shapes m×n×k and gemmWideShapes.
 func BenchmarkGemm(b *testing.B) {
 	for _, size := range []int{64, 128, 256, 384} {
 		b.Run(fmt.Sprintf("scalar/%d", size), func(b *testing.B) {
@@ -38,13 +52,31 @@ func BenchmarkGemm(b *testing.B) {
 			benchGemm(b, size, size, size, gemmParallel)
 		})
 	}
+	for _, s := range gemmModelShapes {
+		b.Run(fmt.Sprintf("dispatched/%dx%dx%d", s.m, s.n, s.k), func(b *testing.B) { benchGemm(b, s.m, s.n, s.k, Gemm) })
+	}
+	for _, s := range gemmWideShapes {
+		b.Run(fmt.Sprintf("dispatched/%dx%dx%d", s.m, s.n, s.k), func(b *testing.B) { benchGemm(b, s.m, s.n, s.k, Gemm) })
+	}
 }
 
+// BenchmarkGemmTransA times aᵀ×b: the scalar reference against the forced
+// row fan-out at 256³, then the dispatched kernel at the model shapes —
+// the conv2 dX overwriting, the fc1 dW accumulating, as the layers call
+// them — and at 256×1024×1, the batch-1 wide dW (k < 4: the row kernel).
 func BenchmarkGemmTransA(b *testing.B) {
 	scalar := func(m, n, k int, a, bb, c []float32) { gemmTransAScalar(m, n, k, a, bb, c, false) }
 	par := func(m, n, k int, a, bb, c []float32) { gemmTransAParallel(m, n, k, a, bb, c, false) }
 	b.Run("scalar/256", func(b *testing.B) { benchGemm(b, 256, 256, 256, scalar) })
 	b.Run("parallel/256", func(b *testing.B) { benchGemm(b, 256, 256, 256, par) })
+	shapes := append(transAModelShapes[:len(transAModelShapes):len(transAModelShapes)], struct {
+		m, n, k int
+		acc     bool
+	}{256, 1024, 1, true})
+	for _, s := range shapes {
+		run := func(m, n, k int, a, bb, c []float32) { gemmAB(m, n, k, a, 1, m, bb, c, s.acc) }
+		b.Run(fmt.Sprintf("dispatched/%dx%dx%d", s.m, s.n, s.k), func(b *testing.B) { benchGemm(b, s.m, s.n, s.k, run) })
+	}
 }
 
 // BenchmarkGemmTransB times a×bᵀ: the serial-dot reference and the tiled

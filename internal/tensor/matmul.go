@@ -6,12 +6,11 @@ import (
 	"shmcaffe/internal/parallel"
 )
 
-// The GEMM family below has two implementations each: a scalar reference
-// kernel (the seed's original loops, kept verbatim as the ground truth the
-// equivalence tests compare against; a×bᵀ's lives in transb_test.go, since
-// no production path runs it) and a cache-blocked parallel kernel that
-// partitions output rows across the worker pool. Dispatch picks the
-// parallel path only when the problem carries enough flops to amortise it.
+// The GEMM family below is one blocked kernel per form that fans output
+// rows out across the worker pool when the problem is large enough. Each
+// form's scalar reference — the seed's original loops, kept verbatim as
+// the ground truth the equivalence tests compare against — lives in the
+// test files, since no production path runs it.
 //
 // Determinism: the parallel kernels split C by rows; every C element is
 // produced entirely inside one range, and the k loop always runs 0..k-1 in
@@ -19,44 +18,30 @@ import (
 // is identical to the scalar kernel regardless of pool width or schedule.
 
 const (
-	// gemmParallelFlops is the m·n·k threshold below which the scalar
-	// kernel wins. Re-measured after the zero-alloc Ranger dispatch: even
-	// with allocation-free fan-out, partition + join overhead and the loss
-	// of the single-panel cache residency only pay for themselves from
-	// ~128³ (1<<21) flops upward on 2-4 lanes; 1<<20 keeps a safety margin
-	// for wider pools while never selecting parallel where the scalar
-	// kernel wins (BenchmarkGemm's 64³ size, which regressed under the old
-	// 1<<18 threshold, now stays scalar).
+	// gemmParallelFlops is the m·n·k threshold below which the rows run
+	// inline. Re-measured after the zero-alloc Ranger dispatch: even with
+	// allocation-free fan-out, partition + join overhead and the loss of
+	// the single-panel cache residency only pay for themselves from ~128³
+	// (1<<21) flops upward on 2-4 lanes; 1<<20 keeps a safety margin for
+	// wider pools. Every model shape sits below it.
 	gemmParallelFlops = 1 << 20
-	// gemmBlockK/gemmBlockJ are the cache-block edge lengths: a K-panel of
-	// B (gemmBlockK rows × gemmBlockJ columns ≈ 256 KiB at float32) stays
-	// resident while a range of C rows streams over it.
+	// gemmBlockK/gemmBlockJ are the row kernel's cache-block edge lengths:
+	// a K-panel of B (gemmBlockK rows × gemmBlockJ columns ≈ 256 KiB at
+	// float32) stays resident while a range of C rows streams over it.
 	gemmBlockK = 256
 	gemmBlockJ = 256
+	// gemmTileK is the tile path's k-block edge: a 16-column strip of B
+	// over 64 rows is 4 KiB, so it stays in L1 while every 4-row tile of
+	// the block passes over it. Unblocked, the strip is read at B's row
+	// stride and the tile loses to the row kernel once B leaves L2. Swept
+	// at 32, 64, 128, 256 and unblocked on a 2-vCPU Xeon (avx2+fma, -cpu
+	// 1): 8×1024×1024 ran 563 µs at 64, 859 at 128, 1,103 unblocked and
+	// 775 on the row kernel; 64×1024×1024 3.7 ms at 64, 4.5 at 32, 4.2 at
+	// 256, 9.1 unblocked. On the model shapes every edge is within noise.
+	gemmTileK = 64
 	// gemmRowGrain is the minimum C-row count per parallel range.
 	gemmRowGrain = 8
-	// gemmSimdPackFlops is the m·n·k threshold for the transposed-A path
-	// when the SIMD microkernel is live: the blocked kernel then beats the
-	// scalar reference from ~16³ up at every pool width (measured on
-	// avx2+fma at widths 1 and 4), but below that the per-range pack of
-	// the aᵀ strip costs more than the microkernel recovers.
-	gemmSimdPackFlops = 1 << 12
 )
-
-// packFree recycles the scratch panels the transposed-A path packs its
-// strips of aᵀ into (a Freelist so panels survive GC; see
-// parallel.Freelist).
-var packFree = parallel.NewFreelist[[]float32](8)
-
-func getPack(n int) ([]float32, *[]float32) {
-	p := packFree.Get()
-	if cap(*p) < n {
-		*p = make([]float32, n)
-	}
-	return (*p)[:n], p
-}
-
-func putPack(p *[]float32) { packFree.Put(p) }
 
 // MatMul computes dst = a × b for 2-D tensors: a is (m×k), b is (k×n),
 // dst is (m×n). dst must be preallocated; it is overwritten.
@@ -74,132 +59,120 @@ func MatMul(a, b, dst *Tensor) error {
 	return nil
 }
 
-// useParallelGemm reports whether the blocked parallel kernel should run
-// for a plain gemm. With the SIMD microkernel live the blocked kernel
-// wins at every measured size and pool width — 2.6–7.5x from 8³ to 128³
-// at widths 1 and 4 — so it is unconditional; tiny problems stay a single
-// inline range anyway (gemmRowGrain caps the partition). On the portable
-// backend the old rule holds: enough flops to amortise dispatch, and a
-// pool that actually has more than one lane (on a single-core machine the
-// portable blocked kernel can only lose to the scalar reference).
+// useParallelGemm is the one fan-out rule of a×b, aᵀ×b and a×bᵀ: enough
+// flops to amortise the dispatch, and a pool that actually has more than
+// one lane. Below it the rows run inline; on two workers sharing two
+// cores a fanned-out model-size gemm only adds the join.
 func useParallelGemm(flops int) bool {
-	if gemmInner4 != nil {
-		return true
-	}
 	return flops >= gemmParallelFlops && parallel.DefaultWidth() > 1
 }
 
-// useParallelTransA is useParallelGemm for the aᵀ×b path, which pays an
-// extra per-range pack of the A strip: with SIMD the crossover sits near
-// 16³ flops instead of zero.
-func useParallelTransA(flops int) bool {
-	if gemmInner4 != nil {
-		return flops >= gemmSimdPackFlops
-	}
-	return flops >= gemmParallelFlops && parallel.DefaultWidth() > 1
-}
+// gemm computes C = A×B with A (m×k), B (k×n), C (m×n), all row-major.
+func gemm(m, n, k int, a, b, c []float32) { gemmAB(m, n, k, a, k, 1, b, c, false) }
 
-// useParallelTransB is useParallelGemm for a×bᵀ, whose range kernel is
-// gemmTransBRows. The portable rule applies on every backend: the model
-// shapes stay below it or are a single row (the batch-1 dX), so only the
-// large shapes of the tests and benchmarks fan out.
-func useParallelTransB(flops int) bool {
-	return flops >= gemmParallelFlops && parallel.DefaultWidth() > 1
-}
-
-// gemm computes C = A×B with A (m×k), B (k×n), C (m×n), all row-major,
-// choosing between the scalar reference and the blocked parallel kernel.
-func gemm(m, n, k int, a, b, c []float32) {
-	if !useParallelGemm(m * n * k) {
-		gemmScalar(m, n, k, a, b, c)
+// gemmAB computes C = A×B, or C += A×B with acc, for b (k×n) and c (m×n)
+// row-major and A (m×k) read through two strides: A(i,l) = a[i*sa+l*sl].
+// (sa, sl) = (k, 1) is a row-major A; (1, m) reads a k×m A as its
+// transpose in place. Rows fan out over the pool under useParallelGemm.
+func gemmAB(m, n, k int, a []float32, sa, sl int, b, c []float32, acc bool) {
+	if useParallelGemm(m * n * k) {
+		gemmABParallel(m, n, k, a, sa, sl, b, c, acc)
 		return
 	}
-	gemmParallel(m, n, k, a, b, c)
+	gemmTiles(m, n, k, a, sa, sl, b, c, acc)
 }
 
-// gemmParallel always takes the blocked parallel path (exported to the
-// equivalence tests through the package boundary of a _test file). The
-// operands travel in a pooled Ranger struct so the dispatch allocates
-// nothing (see rangers.go).
-func gemmParallel(m, n, k int, a, b, c []float32) {
+// gemmABParallel always partitions C rows over the pool, gemmTiles being
+// the range kernel. The operands travel in a pooled Ranger struct so the
+// dispatch allocates nothing (see rangers.go).
+func gemmABParallel(m, n, k int, a []float32, sa, sl int, b, c []float32, acc bool) {
 	g := gemmRangerFree.Get()
-	*g = gemmRanger{a: a, b: b, c: c, k: k, n: n}
+	*g = gemmRanger{a: a, b: b, c: c, sa: sa, sl: sl, k: k, n: n, acc: acc}
 	parallel.ForRanger(m, gemmRowGrain, g)
 	*g = gemmRanger{}
 	gemmRangerFree.Put(g)
 }
 
-// gemmScalar is the seed's original kernel: k-outer with a row-broadcast
-// inner loop, which keeps accesses sequential. It is the reference the
-// blocked kernels must match.
-func gemmScalar(m, n, k int, a, b, c []float32) {
-	for i := range c {
-		c[i] = 0
+// gemmTiles is the a×b driver (see gemmAB for the operands). With the
+// SIMD tile kernel live it walks k-blocks of gemmTileK outermost, then
+// 16-column strips, then 4-row tiles, and hands each tile to the kernel,
+// which holds it in registers across the block. What no tile covers runs
+// on the row kernel: the columns from n&^15 on, the rows from m&^3 on
+// (every row when m < 4: a gemv gains nothing from a tile), and all of
+// C when k < 4.
+//
+// Every element lands in exactly one region, and both kernels add its
+// products to what C holds in ascending l with a rounding per multiply
+// and per add — the blocks are walked in ascending order and the tile
+// kernel accumulates — so the result is bitwise gemmScalar's for finite
+// B. The tile does not skip a zero A value: it adds ±0, which leaves a C
+// that is not −0 unchanged, and C is never −0 (it starts at +0 or holds
+// no −0 on entry, and x + y is −0 only for two −0 operands).
+func gemmTiles(m, n, k int, a []float32, sa, sl int, b, c []float32, acc bool) {
+	c = c[:m*n]
+	if !acc {
+		clear(c)
 	}
-	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		crow := c[i*n : (i+1)*n]
-		for l := 0; l < k; l++ {
-			av := arow[l]
-			if av == 0 {
-				continue
-			}
-			brow := b[l*n : (l+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
+	m4, n16 := m&^3, n&^15
+	if gemmTile4x16 == nil || k < 4 || m4 == 0 || n16 == 0 {
+		gemmRows(m, n, k, a, sa, sl, b, c, n)
+		return
+	}
+	// The kernel indexes a and b unchecked: pin their last elements.
+	_, _ = a[(m-1)*sa+(k-1)*sl], b[k*n-1]
+	for kb := 0; kb < k; kb += gemmTileK {
+		kl := min(gemmTileK, k-kb)
+		for j := 0; j < n16; j += 16 {
+			for i := 0; i < m4; i += 4 {
+				gemmTile4x16(&a[i*sa+kb*sl], sa, sl, &b[kb*n+j], n, kl, &c[i*n+j], n)
 			}
 		}
+	}
+	if n16 < n {
+		gemmRows(m4, n-n16, k, a, sa, sl, b[n16:], c[n16:], n)
+	}
+	if m4 < m {
+		gemmRows(m-m4, n, k, a[m4*sa:], sa, sl, b, c[m4*n:], n)
 	}
 }
 
-// gemmRows computes rows of C for a row-major A panel (rows×k), full B
-// (k×n) and C panel (rows×n), cache-blocked over k and j. For every (i, j)
-// the k index still increases monotonically across blocks, so the
-// accumulation order matches gemmScalar exactly. With acc set the panel is
-// not cleared first: C += A×B, the products folding into what C holds in
-// the same l-order.
-func gemmRows(aRows, b, cRows []float32, rows, k, n int, acc bool) {
-	if !acc {
-		clear(cRows)
-	}
+// gemmRows is the row kernel: c[i*ld+j] += Σ_l A(i,l)·b[l*ld+j] for
+// i < rows, j < w, A(i,l) = a[i*sa+l*sl], cache-blocked over k and j. For
+// every (i, j) the k index still increases monotonically across blocks,
+// so the accumulation order matches gemmScalar exactly. C is not cleared:
+// the products fold into what it holds.
+func gemmRows(rows, w, k int, a []float32, sa, sl int, b, c []float32, ld int) {
 	for kb := 0; kb < k; kb += gemmBlockK {
-		kend := kb + gemmBlockK
-		if kend > k {
-			kend = k
-		}
-		for jb := 0; jb < n; jb += gemmBlockJ {
-			jend := jb + gemmBlockJ
-			if jend > n {
-				jend = n
-			}
+		kend := min(kb+gemmBlockK, k)
+		for jb := 0; jb < w; jb += gemmBlockJ {
+			jend := min(jb+gemmBlockJ, w)
 			for i := 0; i < rows; i++ {
-				arow := aRows[i*k+kb : i*k+kend]
-				crow := cRows[i*n+jb : i*n+jend]
-				l := 0
+				ai := a[i*sa:]
+				crow := c[i*ld+jb : i*ld+jend]
+				l := kb
 				if gemmInner4 != nil {
-					// SIMD quad path: four k-steps per call. The microkernel
-					// accumulates the four products per element in l-order
-					// with separate mul+add roundings, so the result stays
-					// bitwise-equal to the scalar kernel for finite B. A
-					// zero A lane contributes ±0 instead of being skipped,
-					// which is also bitwise-neutral on finite data (c is
-					// never -0 mid-accumulation, nor on entry when acc
-					// folds into a cleared gradient); all-zero quads are
-					// skipped outright for the sparse case.
-					for ; l+4 <= len(arow); l += 4 {
-						if arow[l] == 0 && arow[l+1] == 0 && arow[l+2] == 0 && arow[l+3] == 0 {
+					// SIMD quad path: four k-steps per call, A's quad read
+					// through its stride. The microkernel accumulates the
+					// four products per element in l-order with separate
+					// mul+add roundings, so the result stays bitwise-equal
+					// to the scalar kernel for finite B. A zero A lane
+					// contributes ±0 instead of being skipped, which is
+					// also bitwise-neutral (see gemmTiles); all-zero quads
+					// are skipped outright for the sparse case.
+					for ; l+4 <= kend; l += 4 {
+						if ai[l*sl] == 0 && ai[(l+1)*sl] == 0 && ai[(l+2)*sl] == 0 && ai[(l+3)*sl] == 0 {
 							continue
 						}
-						gemmInner4(&arow[l], &b[(kb+l)*n+jb], n, &crow[0], len(crow))
+						gemmInner4(&ai[l*sl], sl, &b[l*ld+jb], ld, &crow[0], len(crow))
 					}
 				}
 				// Leftover k-steps (all of them at k < 4 — a batch-1 weight
 				// gradient is one): each is crow += av·brow, the dispatched
 				// axpy, whose per-element c + a·b with two roundings is the
 				// scalar kernel's expression.
-				for ; l < len(arow); l++ {
-					if av := arow[l]; av != 0 {
-						axpyImpl(av, b[(kb+l)*n+jb:(kb+l)*n+jend], crow)
+				for ; l < kend; l++ {
+					if av := ai[l*sl]; av != 0 {
+						axpyImpl(av, b[l*ld+jb:l*ld+jend], crow)
 					}
 				}
 			}
@@ -209,7 +182,7 @@ func gemmRows(aRows, b, cRows []float32, rows, k, n int, acc bool) {
 
 // Gemm computes C = A×B on flat row-major slices: a (m×k), b (k×n),
 // c (m×n). Slices must have exactly those lengths. It dispatches exactly
-// like MatMul; BenchmarkGemm pins the scalar and parallel kernels apart.
+// like MatMul.
 func Gemm(m, n, k int, a, b, c []float32) { gemm(m, n, k, a, b, c) }
 
 // MatMulTransA computes dst = aᵀ × b for a (k×m), b (k×n), dst (m×n).
@@ -222,6 +195,8 @@ func MatMulTransA(a, b, dst *Tensor) error { return matMulTransA(a, b, dst, fals
 // that is zero on entry the two are bitwise-equal.
 func MatMulTransAAdd(a, b, dst *Tensor) error { return matMulTransA(a, b, dst, true) }
 
+// matMulTransA runs aᵀ×b as a×b with A read in place through the strides
+// (1, m): nothing is packed.
 func matMulTransA(a, b, dst *Tensor, acc bool) error {
 	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
 		return fmt.Errorf("tensor: matmulTransA requires 2-D operands: %w", ErrShapeMismatch)
@@ -231,45 +206,8 @@ func matMulTransA(a, b, dst *Tensor, acc bool) error {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		return fmt.Errorf("tensor: matmulTransA: %w", ErrShapeMismatch)
 	}
-	if !useParallelTransA(m * n * k) {
-		gemmTransAScalar(m, n, k, a.data, b.data, dst.data, acc)
-		return nil
-	}
-	gemmTransAParallel(m, n, k, a.data, b.data, dst.data, acc)
+	gemmAB(m, n, k, a.data, 1, m, b.data, dst.data, acc)
 	return nil
-}
-
-// gemmTransAParallel partitions C rows; each range packs its strip of aᵀ
-// (rows lo..hi of the logical m×k matrix, read column-wise from a) into a
-// contiguous pooled panel so the row kernel streams it like plain gemm.
-// acc keeps C's contents and adds into them (see gemmRows).
-func gemmTransAParallel(m, n, k int, a, b, c []float32, acc bool) {
-	g := transARangerFree.Get()
-	*g = transARanger{a: a, b: b, c: c, m: m, k: k, n: n, acc: acc}
-	parallel.ForRanger(m, gemmRowGrain, g)
-	*g = transARanger{}
-	transARangerFree.Put(g)
-}
-
-// gemmTransAScalar is the seed's original aᵀ×b kernel (reference); acc
-// skips the clear, accumulating into C.
-func gemmTransAScalar(m, n, k int, a, b, c []float32, acc bool) {
-	if !acc {
-		clear(c)
-	}
-	for l := 0; l < k; l++ {
-		arow := a[l*m : (l+1)*m]
-		brow := b[l*n : (l+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			crow := c[i*n : (i+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
 }
 
 // MatMulTransB computes dst = a × bᵀ for a (m×k), b (n×k), dst (m×n).
@@ -293,7 +231,7 @@ func MatMulTransB(a, b, dst *Tensor) error {
 // gemmTransB computes C = A×Bᵀ on raw slices, fanning rows out over the
 // pool when the problem is large enough.
 func gemmTransB(m, n, k int, a, b, c []float32) {
-	if useParallelTransB(m * n * k) {
+	if useParallelGemm(m * n * k) {
 		gemmTransBParallel(m, n, k, a, b, c)
 		return
 	}

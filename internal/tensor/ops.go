@@ -85,6 +85,23 @@ func addSliceUnrolled(x, y []float32) {
 	}
 }
 
+// AddConst computes y[i] += v for every element: the per-channel bias add
+// of a convolution. Both backends evaluate y[i] + v per element (the AVX2
+// body broadcasts v once, then VADDPS with y as the first source), so the
+// result is the loop's bit for bit.
+//
+//shm:hotpath
+func AddConst(y []float32, v float32) {
+	addConstImpl(y, v)
+}
+
+// addConstLoop is the portable AddConst kernel and the dispatch default.
+func addConstLoop(y []float32, v float32) {
+	for i := range y {
+		y[i] += v
+	}
+}
+
 // MaskPositive computes dst[i] = x[i] where m[i] > 0 and +0 elsewhere, for
 // i < min(len(dst), len(x), len(m)): the ReLU kernel in both directions
 // (forward with x = m = the input, backward with x = the gradient and m =

@@ -14,40 +14,19 @@ import "shmcaffe/internal/parallel"
 // across GC cycles). Each adapter zeroes its slice fields before Put so
 // recycled entries never pin caller arrays.
 
-// gemmRanger partitions C rows of a plain gemm across the pool.
+// gemmRanger partitions C rows of an a×b or aᵀ×b gemm across the pool
+// (see gemmAB for the strided A).
 type gemmRanger struct {
-	a, b, c []float32
-	k, n    int
+	a, b, c      []float32
+	sa, sl, k, n int
+	acc          bool // accumulate into c instead of overwriting it
 }
 
 func (g *gemmRanger) Range(lo, hi int) {
-	gemmRows(g.a[lo*g.k:hi*g.k], g.b, g.c[lo*g.n:hi*g.n], hi-lo, g.k, g.n, false)
+	gemmTiles(hi-lo, g.n, g.k, g.a[lo*g.sa:], g.sa, g.sl, g.b, g.c[lo*g.n:hi*g.n], g.acc)
 }
 
 var gemmRangerFree = parallel.NewFreelist[gemmRanger](8)
-
-// transARanger partitions C rows of the aᵀ×b kernel; each range packs its
-// strip of aᵀ into a pooled panel (see gemmTransAParallel).
-type transARanger struct {
-	a, b, c []float32
-	m, k, n int
-	acc     bool // accumulate into c instead of overwriting it
-}
-
-func (g *transARanger) Range(lo, hi int) {
-	rows := hi - lo
-	pack, ph := getPack(rows * g.k)
-	for l := 0; l < g.k; l++ {
-		src := g.a[l*g.m+lo : l*g.m+hi]
-		for i, v := range src {
-			pack[i*g.k+l] = v
-		}
-	}
-	gemmRows(pack, g.b, g.c[lo*g.n:hi*g.n], rows, g.k, g.n, g.acc)
-	putPack(ph)
-}
-
-var transARangerFree = parallel.NewFreelist[transARanger](8)
 
 // transBRanger partitions C rows of the a×bᵀ kernel.
 type transBRanger struct {

@@ -87,9 +87,10 @@ func FusedCopyAdd(x, src, dst []float32)
 //go:noescape
 func FusedMomentumStep(lr, mom, wd, clip float32, nesterov bool, w, g, v []float32)
 
-// GemmInner4 is the quad-row gemm microkernel: with a pointing at four
-// consecutive A values a0..a3 and b at the first of four B rows spaced
-// ldb floats apart, it computes for j < n:
+// GemmInner4 is the quad-row gemm microkernel: with a pointing at A
+// value a0 and a1..a3 following it sl floats apart (sl = 1 for a row of
+// A, m for a column of a k×m A read in place), and b at the first of four
+// B rows spaced ldb floats apart, it computes for j < n:
 //
 //	c[j] += a0*b0[j]; c[j] += a1*b1[j]; c[j] += a2*b2[j]; c[j] += a3*b3[j]
 //
@@ -98,7 +99,22 @@ func FusedMomentumStep(lr, mom, wd, clip float32, nesterov bool, w, g, v []float
 // equality preserved, no FMA. c must not overlap a or the b rows.
 //
 //go:noescape
-func GemmInner4(a *float32, b *float32, ldb int, c *float32, n int)
+func GemmInner4(a *float32, sl int, b *float32, ldb int, c *float32, n int)
+
+// GemmTile4x16 is the a×b register-tile microkernel: for i < 4, j < 16
+// it computes
+//
+//	c[i*ldc+j] += Σ_{l<k} a[i*sa+l*sl] * b[l*ldb+j]
+//
+// with the 4×16 tile of C held in registers across the whole k range. A
+// is read through two strides, so (sa, sl) = (k, 1) is a row-major A and
+// (1, m) the columns of a k×m A read in place (aᵀ×b, no pack). Each
+// element starts from what c holds and takes its products in ascending
+// l, a separate VMULPS and VADDPS per term: the quad-row kernel's
+// per-element sum, bitwise, no FMA. c must not overlap a or b.
+//
+//go:noescape
+func GemmTile4x16(a *float32, sa, sl int, b *float32, ldb, k int, c *float32, ldc int)
 
 // GemmTransB4x8 is the a×bᵀ microkernel: with a at row i of a 4-row
 // block and b at row j of an 8-row block, both rows ld floats apart, it
@@ -120,6 +136,13 @@ func GemmTransB4x8(a, b *float32, ld, k int, c *float32, ldc int)
 //
 //go:noescape
 func GemmTransB1x8(a, b *float32, ld, k int, c *float32)
+
+// AddConst computes y[i] += v for i < len(y): VBROADCASTSS, then VADDPS
+// with y as the first source and a VEX-scalar tail, bitwise the portable
+// loop.
+//
+//go:noescape
+func AddConst(y []float32, v float32)
 
 // MaskPositive computes dst[i] = x[i] where m[i] > 0 and +0 elsewhere,
 // for i < min(len(dst), len(x), len(m)): VCMPPS GT_OQ against zero, then

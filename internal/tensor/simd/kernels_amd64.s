@@ -543,23 +543,28 @@ fca_done:
 	VZEROUPPER
 	RET
 
-// func GemmInner4(a *float32, b *float32, ldb int, c *float32, n int)
+// func GemmInner4(a *float32, sl int, b *float32, ldb int, c *float32, n int)
 //
 // Quad-row gemm microkernel: c[j] accumulates a0*b0[j], a1*b1[j],
 // a2*b2[j], a3*b3[j] as four separate mul+add terms IN THAT ORDER per
 // element — the exact accumulation order of the scalar blocked kernel,
-// so no FMA here. Successive j-blocks are independent chains, which is
-// what lets out-of-order execution overlap the four serial adds.
-TEXT ·GemmInner4(SB), NOSPLIT, $0-40
+// so no FMA here. a0..a3 are sl floats apart (1 for a row of A, m for a
+// column of a k×m A read in place). Successive j-blocks are independent
+// chains, which is what lets out-of-order execution overlap the four
+// serial adds.
+TEXT ·GemmInner4(SB), NOSPLIT, $0-48
 	MOVQ         a+0(FP), AX
-	MOVQ         b+8(FP), SI
-	MOVQ         ldb+16(FP), DX
-	MOVQ         c+24(FP), DI
-	MOVQ         n+32(FP), CX
+	MOVQ         sl+8(FP), R11
+	MOVQ         b+16(FP), SI
+	MOVQ         ldb+24(FP), DX
+	MOVQ         c+32(FP), DI
+	MOVQ         n+40(FP), CX
+	SHLQ         $2, R11
 	VBROADCASTSS (AX), Y0
-	VBROADCASTSS 4(AX), Y1
-	VBROADCASTSS 8(AX), Y2
-	VBROADCASTSS 12(AX), Y3
+	VBROADCASTSS (AX)(R11*1), Y1
+	VBROADCASTSS (AX)(R11*2), Y2
+	LEAQ         (AX)(R11*2), AX
+	VBROADCASTSS (AX)(R11*1), Y3
 	LEAQ         (SI)(DX*4), R8
 	LEAQ         (R8)(DX*4), R9
 	LEAQ         (R9)(DX*4), R10
@@ -612,6 +617,157 @@ gi4_tail_loop:
 	JLT    gi4_tail_loop
 
 gi4_done:
+	VZEROUPPER
+	RET
+
+// func GemmTile4x16(a *float32, sa, sl int, b *float32, ldb, k int, c *float32, ldc int)
+//
+// The a×b tile microkernel: c[i*ldc+j] += Σ_{l<k} A(i,l)·b[l*ldb+j] for
+// i < 4, j < 16, with A(i,l) = a[i*sa+l*sl] — (sa, sl) = (k, 1) reads a
+// row-major A, (1, m) reads the columns of a k×m A in place, so aᵀ×b
+// packs nothing. The tile lives in Y0–Y7 (row i in Y(2i), Y(2i+1)) for
+// the whole k range: C is loaded once and stored once. Per l: the two B
+// loads, then for each row a VBROADCASTSS of A(i,l) and, per half, a
+// VMULPS with the broadcast A as its first source and a VADDPS with the
+// accumulator as its first source — every lane is c += a·b from what C
+// held, over ascending l, a rounding per multiply and per add: the row
+// kernel's per-element sum, no FMA. The eight accumulators are eight
+// independent add chains.
+//
+// Registers: SI/R10 A rows 0 and 2 (rows 1, 3 at +DX), DX sa and R8 sl in
+// bytes, DI the B row and R9 ldb in bytes, CX the l left, R11/R13 C rows
+// 0 and 2 (rows 1, 3 at +R12), R12 ldc in bytes.
+TEXT ·GemmTile4x16(SB), NOSPLIT, $0-64
+	MOVQ    a+0(FP), SI
+	MOVQ    sa+8(FP), DX
+	MOVQ    sl+16(FP), R8
+	MOVQ    b+24(FP), DI
+	MOVQ    ldb+32(FP), R9
+	MOVQ    k+40(FP), CX
+	MOVQ    c+48(FP), R11
+	MOVQ    ldc+56(FP), R12
+	SHLQ    $2, DX
+	SHLQ    $2, R8
+	SHLQ    $2, R9
+	SHLQ    $2, R12
+	LEAQ    (SI)(DX*2), R10
+	LEAQ    (R11)(R12*2), R13
+	VMOVUPS (R11), Y0
+	VMOVUPS 32(R11), Y1
+	VMOVUPS (R11)(R12*1), Y2
+	VMOVUPS 32(R11)(R12*1), Y3
+	VMOVUPS (R13), Y4
+	VMOVUPS 32(R13), Y5
+	VMOVUPS (R13)(R12*1), Y6
+	VMOVUPS 32(R13)(R12*1), Y7
+	TESTQ   CX, CX
+	JLE     gt416_store
+
+gt416_loop:
+	VMOVUPS (DI), Y8
+	VMOVUPS 32(DI), Y9
+
+	VBROADCASTSS (SI), Y10
+	VMULPS       Y8, Y10, Y11
+	VADDPS       Y11, Y0, Y0
+	VMULPS       Y9, Y10, Y12
+	VADDPS       Y12, Y1, Y1
+
+	VBROADCASTSS (SI)(DX*1), Y13
+	VMULPS       Y8, Y13, Y14
+	VADDPS       Y14, Y2, Y2
+	VMULPS       Y9, Y13, Y11
+	VADDPS       Y11, Y3, Y3
+
+	VBROADCASTSS (R10), Y10
+	VMULPS       Y8, Y10, Y12
+	VADDPS       Y12, Y4, Y4
+	VMULPS       Y9, Y10, Y14
+	VADDPS       Y14, Y5, Y5
+
+	VBROADCASTSS (R10)(DX*1), Y13
+	VMULPS       Y8, Y13, Y11
+	VADDPS       Y11, Y6, Y6
+	VMULPS       Y9, Y13, Y12
+	VADDPS       Y12, Y7, Y7
+
+	ADDQ R8, SI
+	ADDQ R8, R10
+	ADDQ R9, DI
+	DECQ CX
+	JNZ  gt416_loop
+
+gt416_store:
+	VMOVUPS Y0, (R11)
+	VMOVUPS Y1, 32(R11)
+	VMOVUPS Y2, (R11)(R12*1)
+	VMOVUPS Y3, 32(R11)(R12*1)
+	VMOVUPS Y4, (R13)
+	VMOVUPS Y5, 32(R13)
+	VMOVUPS Y6, (R13)(R12*1)
+	VMOVUPS Y7, 32(R13)(R12*1)
+	VZEROUPPER
+	RET
+
+// func AddConst(y []float32, v float32)
+//
+// y[i] += v — the per-channel bias add. v is broadcast once; the vector
+// body and the VEX-scalar tail both add with y as the first source, the
+// portable loop's y[i] + v.
+TEXT ·AddConst(SB), NOSPLIT, $0-28
+	MOVQ         y_base+0(FP), DI
+	MOVQ         y_len+8(FP), CX
+	VBROADCASTSS v+24(FP), Y0
+	XORQ         BX, BX
+	MOVQ         CX, DX
+	ANDQ         $-32, DX
+	CMPQ         BX, DX
+	JGE          ac_blk8
+
+ac_loop32:
+	VMOVUPS (DI)(BX*4), Y1
+	VMOVUPS 32(DI)(BX*4), Y2
+	VMOVUPS 64(DI)(BX*4), Y3
+	VMOVUPS 96(DI)(BX*4), Y4
+	VADDPS  Y0, Y1, Y1
+	VADDPS  Y0, Y2, Y2
+	VADDPS  Y0, Y3, Y3
+	VADDPS  Y0, Y4, Y4
+	VMOVUPS Y1, (DI)(BX*4)
+	VMOVUPS Y2, 32(DI)(BX*4)
+	VMOVUPS Y3, 64(DI)(BX*4)
+	VMOVUPS Y4, 96(DI)(BX*4)
+	ADDQ    $32, BX
+	CMPQ    BX, DX
+	JLT     ac_loop32
+
+ac_blk8:
+	MOVQ CX, DX
+	ANDQ $-8, DX
+	CMPQ BX, DX
+	JGE  ac_tail
+
+ac_loop8:
+	VMOVUPS (DI)(BX*4), Y1
+	VADDPS  Y0, Y1, Y1
+	VMOVUPS Y1, (DI)(BX*4)
+	ADDQ    $8, BX
+	CMPQ    BX, DX
+	JLT     ac_loop8
+
+ac_tail:
+	CMPQ BX, CX
+	JGE  ac_done
+
+ac_tail_loop:
+	VMOVSS (DI)(BX*4), X1
+	VADDSS X0, X1, X1
+	VMOVSS X1, (DI)(BX*4)
+	INCQ   BX
+	CMPQ   BX, CX
+	JLT    ac_tail_loop
+
+ac_done:
 	VZEROUPPER
 	RET
 

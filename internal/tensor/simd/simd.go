@@ -1,8 +1,9 @@
 // Package simd is the hand-written vector backend under the tensor hot
 // kernels: AVX2/FMA assembly for the float32 streaming loops (axpy, the
 // SMB accumulate add, the fused SEASGD elastic sweeps, the momentum-SGD
-// solver sweep, the ReLU mask, the gemm quad-row microkernel and the a×bᵀ
-// 4×8 tile microkernel), selected once at process start by a CPUID
+// solver sweep, the ReLU mask, the broadcast bias add, the gemm quad-row
+// microkernel, the a×b 4×16 tile microkernel and the a×bᵀ 4×8 tile
+// microkernel), selected once at process start by a CPUID
 // feature probe and exposed to internal/tensor as plain functions the
 // dispatcher stores in indirect function pointers.
 //

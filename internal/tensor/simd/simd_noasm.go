@@ -35,13 +35,21 @@ func FusedMomentumStep(lr, mom, wd, clip float32, nesterov bool, w, g, v []float
 }
 
 // GemmInner4 panics; the portable build has no assembly backend.
-func GemmInner4(a *float32, b *float32, ldb int, c *float32, n int) { unreachable() }
+func GemmInner4(a *float32, sl int, b *float32, ldb int, c *float32, n int) { unreachable() }
+
+// GemmTile4x16 panics; the portable build has no assembly backend.
+func GemmTile4x16(a *float32, sa, sl int, b *float32, ldb, k int, c *float32, ldc int) {
+	unreachable()
+}
 
 // GemmTransB4x8 panics; the portable build has no assembly backend.
 func GemmTransB4x8(a, b *float32, ld, k int, c *float32, ldc int) { unreachable() }
 
 // GemmTransB1x8 panics; the portable build has no assembly backend.
 func GemmTransB1x8(a, b *float32, ld, k int, c *float32) { unreachable() }
+
+// AddConst panics; the portable build has no assembly backend.
+func AddConst(y []float32, v float32) { unreachable() }
 
 // MaskPositive panics; the portable build has no assembly backend.
 func MaskPositive(dst, x, m []float32) { unreachable() }

@@ -199,6 +199,33 @@ func TestSimdMaskPositiveEdgeValues(t *testing.T) {
 	}
 }
 
+// TestSimdAddConstEdgeValues runs AddConst at every length 0–33 (empty,
+// the VEX-scalar tail alone, and one to four 8-wide blocks with every
+// tail) over the edge values rotated through every lane, with every edge
+// value as the constant: the dispatched kernel and the portable loop agree
+// bit for bit with y[i] + v, NaN payloads included.
+func TestSimdAddConstEdgeValues(t *testing.T) {
+	t.Logf("simd backend: %s enabled=%v", simd.Backend(), simd.Enabled())
+	e := len(maskEdgeValues)
+	for n := 0; n <= 33; n++ {
+		for r := 0; r < e; r++ {
+			for _, v := range maskEdgeValues {
+				y := make([]float32, n)
+				want := make([]float32, n)
+				for i := range y {
+					y[i] = maskEdgeValues[(i+r)%e]
+					want[i] = y[i] + v
+				}
+				portable := append([]float32(nil), y...)
+				addConstLoop(portable, v)
+				assertBitwiseSlices(t, "AddConst portable", n, r, v, portable, want, nil, nil)
+				AddConst(y, v)
+				assertBitwiseSlices(t, "AddConst", n, r, v, y, want, nil, nil)
+			}
+		}
+	}
+}
+
 func assertBitwiseSlices(t *testing.T, tag string, n, off int, alpha float32, got, want, got2, want2 []float32) {
 	t.Helper()
 	for i := range want {

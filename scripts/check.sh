@@ -104,6 +104,12 @@ tier1() {
 		echo "packed a×bᵀ arm found (see above)" >&2
 		return 1
 	fi
+	# a×b and aᵀ×b share one driver that reads A through two strides: no
+	# packed aᵀ panel, and one fan-out rule for every gemm form.
+	if grep -nE 'getPack|putPack|packFree|gemmSimdPackFlops|useParallelTransA' internal/tensor/*.go | grep -v '_test.go:'; then
+		echo "packed aᵀ×b path or a second gemm fan-out rule found (see above)" >&2
+		return 1
+	fi
 	# ReLU masks through tensor.MaskPositive in both directions; its
 	# predicate lives in internal/tensor, not beside a per-element loop in nn.
 	if grep -n 'func posMask' internal/nn/*.go | grep -v '_test.go:'; then
