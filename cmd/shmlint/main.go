@@ -1,11 +1,11 @@
 // Command shmlint runs the project's static-analysis suite
 // (internal/lint) over module packages. It is part of the tier-1 gate
-// (scripts/check.sh): the analyzers machine-check the concurrency
-// conventions the SMB/SEASGD core depends on — mutex-guarded field
-// access, goroutine lifetime, %w error wrapping, span and deadline
-// discipline, and (through the cross-package summary engine) lock
-// acquisition order, hot-path allocation freedom, and per-opcode latency
-// observation.
+// (TestModuleLintClean runs it over this module under go test ./...):
+// the analyzers machine-check the concurrency conventions the SMB/SEASGD
+// core depends on — mutex-guarded field access, goroutine lifetime, %w
+// error wrapping, span and deadline discipline, and (through the
+// cross-package summary engine) lock acquisition order, hot-path
+// allocation freedom, and per-opcode latency observation.
 //
 // Usage:
 //

@@ -82,6 +82,15 @@ func F() error { return fmt.Errorf("context: %w", errX) }
 	}
 }
 
+// TestModuleLintClean runs every analyzer over this module: any finding,
+// a stale //lint:ignore included, fails the suite.
+func TestModuleLintClean(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run("../..", []string{"./..."}, &stdout, &stderr); code != 0 {
+		t.Fatalf("shmlint ./... exit code = %d, want 0\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
+	}
+}
+
 func TestRunSelection(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module tmpmod\n\ngo 1.22\n",

@@ -675,10 +675,11 @@ func TestShmWriteAccumulateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShmCloseUnderTraffic detaches a handle and then closes the client
-// while other goroutines run mapped kernels and control verbs on it: every
-// call must return (cleanly or with an error), and no kernel may touch a
-// mapping after its munmap — that would fault the whole test binary.
+// TestShmCloseUnderTraffic detaches a handle, redials the control socket
+// (a fresh lease) and then closes the client while other goroutines run
+// mapped kernels and control verbs on it: every call must return (cleanly
+// or with an error), and no kernel may touch a mapping after its munmap —
+// that would fault the whole test binary.
 func TestShmCloseUnderTraffic(t *testing.T) {
 	_, path := startShmServer(t)
 	c := dialShmT(t, path)
@@ -739,6 +740,16 @@ func TestShmCloseUnderTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	traffic()
+	c.SupervisedClient.mu.Lock()
+	c.conn.conn.Close() // the snapshot goroutine's next verb redials
+	c.SupervisedClient.mu.Unlock()
+	for deadline := time.Now().Add(10 * time.Second); c.Stats().Reconnects == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("control socket never redialed under traffic")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	traffic()
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -746,5 +757,65 @@ func TestShmCloseUnderTraffic(t *testing.T) {
 	workers.Wait()
 	if err := c.WriteAccumulate(wg, dw, data); err == nil {
 		t.Fatal("push on a closed client succeeded")
+	}
+}
+
+// TestShmMappedVerbsDoNotQueue parks a mapped push on a stripe word the
+// serving Store holds, then reads another mapped segment through the same
+// client: the read waits only for its own segment's locks, never for the
+// client's other verbs.
+func TestShmMappedVerbsDoNotQueue(t *testing.T) {
+	srv, path := startShmServer(t)
+	c := dialShmT(t, path)
+	var keys [3]SHMKey
+	var hs [3]Handle
+	for i, name := range []string{"wg", "dw", "other"} {
+		var err error
+		if keys[i], err = c.Create(name, 64); err != nil {
+			t.Fatal(err)
+		}
+		if hs[i], err = c.Attach(keys[i]); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Mapped(hs[i]) {
+			t.Fatalf("%s did not map", name)
+		}
+	}
+	store := srv.Store()
+	store.mu.Lock()
+	held := store.segments[keys[0]]
+	store.mu.Unlock()
+	held.lockStripe(0, shmServerLease, false)
+	locked := true
+	release := func() {
+		if locked {
+			locked = false
+			held.unlockStripe(0, shmServerLease)
+		}
+	}
+	defer release()
+
+	pushed := make(chan error, 1)
+	go func() { pushed <- c.WriteAccumulate(hs[0], hs[1], make([]byte, 64)) }()
+	// The push is parked once it has marked the held word contended.
+	for deadline := time.Now().Add(10 * time.Second); held.shm.lockWord(0).Load()&shmLockContended == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("mapped push never waited on the held stripe word")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	read := make(chan error, 1)
+	go func() { read <- c.Read(hs[2], 0, make([]byte, 64)) }()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("mapped read of another segment queued behind the client's parked push")
+	}
+	release()
+	if err := <-pushed; err != nil {
+		t.Fatal(err)
 	}
 }

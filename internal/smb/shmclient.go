@@ -41,9 +41,12 @@ type ShmClient struct {
 	// session's dial hook on every (re)connection.
 	lease atomic.Uint32
 
-	// mu serializes the mapped verbs against Detach/Close, so a mapping is
-	// never unmapped under a running kernel.
-	mu   sync.Mutex
+	// mu keeps a mapping from being unmapped under a running kernel: the
+	// mapped verbs hold it shared for the whole op; Attach's insert, Detach
+	// and Close hold it exclusively. Two verbs so meet only on the stripe
+	// and gate locks of a segment both touch, where this process's
+	// goroutines queue on segment's in-process lock before the shared word.
+	mu   sync.RWMutex
 	maps map[Handle]*segment // guarded by mu; public handle → mapping, nil once closed
 
 	mappedSegs atomic.Int64 // live mappings
@@ -205,8 +208,8 @@ func (c *ShmClient) Lease() uint32 { return c.lease.Load() }
 
 // Mapped reports whether h's data verbs run against mapped stripes.
 func (c *ShmClient) Mapped(h Handle) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.maps[h] != nil
 }
 
@@ -215,14 +218,14 @@ func (c *ShmClient) Mapped(h Handle) bool {
 //
 //shm:hotpath
 func (c *ShmClient) Read(h Handle, off int, dst []byte) error {
-	c.mu.Lock()
+	c.mu.RLock()
 	seg := c.maps[h]
 	if seg == nil {
-		c.mu.Unlock()
+		c.mu.RUnlock()
 		c.ctlOps.Add(1)
 		return c.SupervisedClient.Read(h, off, dst)
 	}
-	defer c.mu.Unlock()
+	defer c.mu.RUnlock()
 	x := stripeIO{buf: dst}
 	if err := seg.walk(off, len(dst), false, 1, &x, c.lease.Load()); err != nil {
 		return err
@@ -237,14 +240,14 @@ func (c *ShmClient) Read(h Handle, off int, dst []byte) error {
 //
 //shm:hotpath
 func (c *ShmClient) Write(h Handle, off int, src []byte) error {
-	c.mu.Lock()
+	c.mu.RLock()
 	seg := c.maps[h]
 	if seg == nil {
-		c.mu.Unlock()
+		c.mu.RUnlock()
 		c.ctlOps.Add(1)
 		return c.SupervisedClient.Write(h, off, src)
 	}
-	defer c.mu.Unlock()
+	defer c.mu.RUnlock()
 	x := stripeIO{buf: src}
 	if err := seg.walk(off, len(src), true, 1, &x, c.lease.Load()); err != nil {
 		return err
@@ -261,16 +264,16 @@ func (c *ShmClient) Write(h Handle, off int, src []byte) error {
 //
 //shm:hotpath
 func (c *ShmClient) Accumulate(dst, src Handle) error {
-	c.mu.Lock()
+	c.mu.RLock()
 	dseg, sseg := c.maps[dst], c.maps[src]
 	if dseg == nil || sseg == nil {
 		// One side rides the wire → the whole op does: the server is the
 		// only place that can see both segments.
-		c.mu.Unlock()
+		c.mu.RUnlock()
 		c.ctlOps.Add(1)
 		return c.SupervisedClient.Accumulate(dst, src)
 	}
-	defer c.mu.Unlock()
+	defer c.mu.RUnlock()
 	if _, err := dseg.accumulate(sseg, c.lease.Load(), false); err != nil {
 		return err
 	}
@@ -287,14 +290,14 @@ func (c *ShmClient) Accumulate(dst, src Handle) error {
 //
 //shm:hotpath
 func (c *ShmClient) WriteAccumulate(dst, src Handle, data []byte) error {
-	c.mu.Lock()
+	c.mu.RLock()
 	dseg, sseg := c.maps[dst], c.maps[src]
 	if dseg == nil || sseg == nil {
-		c.mu.Unlock()
+		c.mu.RUnlock()
 		c.ctlOps.Add(1)
 		return c.SupervisedClient.WriteAccumulate(dst, src, data)
 	}
-	defer c.mu.Unlock()
+	defer c.mu.RUnlock()
 	if _, err := dseg.writeAccumulate(sseg, data, c.lease.Load(), false); err != nil {
 		return err
 	}

@@ -1,10 +1,14 @@
 #!/bin/sh
 # check.sh — the repo's verification gate, in two tiers.
 #
-#   Tier 1 (correctness): build + full test suite + shmlint (any finding,
-#   including a stale //lint:ignore, fails) + the structural greps. Must
-#   always pass; CI and the growth driver treat a tier-1 failure as a
-#   broken tree.
+#   Tier 1 (correctness): build + full test suite, then again with the
+#   assembly backend and the shm transport compiled out, plus the
+#   benchmark module's tests. go test ./... runs the rest of the gate:
+#   gofmt (TestGofmt), shmlint (cmd/shmlint TestModuleLintClean: any
+#   finding, a stale //lint:ignore included, fails) and the deleted
+#   structures that must stay deleted (TestRemovedPathsStayRemoved in
+#   removed_paths_test.go, one row per deletion). Must always pass; CI
+#   treats a tier-1 failure as a broken tree.
 #
 #   Tier 2 (analysis): go vet, the -race stress suite over the
 #   concurrency core, and a short deterministic smoke run of every fuzz
@@ -43,138 +47,6 @@ tier1() {
 	# that breaks what the benchmark binds to must fail here, not in the
 	# driver's run.
 	(cd benchmark && go test ./...)
-	echo "== tier 1: gofmt =="
-	unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
-	if [ -n "$unformatted" ]; then
-		echo "$unformatted"
-		echo "gofmt -l lists the files above" >&2
-		return 1
-	fi
-	echo "== tier 1: shmlint =="
-	go run ./cmd/shmlint ./...
-	echo "== tier 1: no capability probing of smb clients =="
-	# smb.Client is the whole verb set: callers type-assert neither to an smb
-	# type nor to an anonymous interface to find out what a client can do.
-	if grep -rnE '\.\((smb\.|interface ?\{)' --include='*.go' cmd internal/core internal/platform | grep -v _test.go; then
-		echo "capability probe found (see above)" >&2
-		return 1
-	fi
-	# Every remote transport is dialed through smb's registry: nothing above
-	# it forks on a transport's package.
-	if grep -rn 'internal/rds"' --include='*.go' cmd/shmtrain internal/platform | grep -v _test.go; then
-		echo "out-of-registry rds dial found (see above)" >&2
-		return 1
-	fi
-	# The Fig. 6 exchange and the termination check are spelled once, in
-	# core's exchange engine: neither driver grows its own copy back.
-	if grep -nE 'func \((w \*Worker|g \*HybridGroup)\) (checkTermination|pushPending|updateThread|observeStaleness)\(' internal/core/*.go; then
-		echo "second spelling of the exchange procedure found (see above)" >&2
-		return 1
-	fi
-	# The solver update is one fused sweep per parameter and the dense
-	# weight gradient accumulates in place: neither the scalar clip and
-	# momentum loops nor the in×out dW temporary grows back.
-	if grep -nE 'ClipInPlace|for j := range v' internal/nn/solver.go ||
-		grep -n 'tensor.New(d.in, d.out)' internal/nn/dense.go; then
-		echo "scalar solver sweep or dense dW temporary found (see above)" >&2
-		return 1
-	fi
-	# shmserve's batcher is work-conserving: no fixed batch wait comes back.
-	if grep -nE 'time\.NewTimer|batch-delay' cmd/shmserve/main.go; then
-		echo "fixed batch wait found in shmserve (see above)" >&2
-		return 1
-	fi
-	# Wg is read into, and ΔWx pushed out of, the float32 buffers' own memory:
-	# no staging buffer or codec pass comes back onto the exchange or the
-	# shmserve refresh.
-	if grep -nE 'wgBytes|dwBytes|StageIncrement|PushStaged|EncodeFloat32|DecodeFloat32' internal/core/*.go | grep -v '_test.go:' ||
-		grep -n 'DecodeFloat32' cmd/shmserve/main.go; then
-		echo "wire codec pass found on the exchange or the refresh (see above)" >&2
-		return 1
-	fi
-	# a×bᵀ runs the tiled loop or the SIMD microkernel; the serial-dot kernel
-	# lives on only as the test reference.
-	if grep -n 'gemmTransBScalar' internal/tensor/*.go | grep -v '_test.go:'; then
-		echo "serial-dot a×bᵀ kernel found outside the tests (see above)" >&2
-		return 1
-	fi
-	# The microkernel transposes bᵀ in registers: no packed bᵀ panel, no
-	# transpose pass, no shape rule choosing one.
-	if grep -nE 'gemmTransBPacked|transposeInto|useTransBPack|transBPack' internal/tensor/*.go | grep -v '_test.go:'; then
-		echo "packed a×bᵀ arm found (see above)" >&2
-		return 1
-	fi
-	# a×b and aᵀ×b share one driver that reads A through two strides: no
-	# packed aᵀ panel, and one fan-out rule for every gemm form.
-	if grep -nE 'getPack|putPack|packFree|gemmSimdPackFlops|useParallelTransA' internal/tensor/*.go | grep -v '_test.go:'; then
-		echo "packed aᵀ×b path or a second gemm fan-out rule found (see above)" >&2
-		return 1
-	fi
-	# ReLU masks through tensor.MaskPositive in both directions; its
-	# predicate lives in internal/tensor, not beside a per-element loop in nn.
-	if grep -n 'func posMask' internal/nn/*.go | grep -v '_test.go:'; then
-		echo "per-element ReLU mask found in internal/nn (see above)" >&2
-		return 1
-	fi
-	# Atomics are typed (atomic.Int64, the shm control page's word32/word64),
-	# so no word is reachable both atomically and by a plain read — a race
-	# -race only reports when a test happens to exercise both sides.
-	if grep -rnE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)\(' --include='*.go' . | grep -v '_test.go:'; then
-		echo "function-style sync/atomic call found; use a typed atomic (see above)" >&2
-		return 1
-	fi
-	# Kernel and transport costs have one instrument each: go test -bench in
-	# the owning package and the repo benchmark's per-layer rows. The second
-	# harness (benchtables -kernels/-serve and its re-exec'd server) stays out.
-	if grep -rnE 'SHMCAFFE_BENCH_SERVE|MaybeServeBenchChild|KernelBench|BENCH_kernels' --include='*.go' .; then
-		echo "second benchmark harness found (see above)" >&2
-		return 1
-	fi
-	# A snapshot is one copy under the op gate for every segment: the lazy
-	# copy-on-write machinery (pre-image pages, per-stripe seqlock words, the
-	# optimistic stripe reader) stays out of the store.
-	if grep -nE 'cowStripe|snapPagePool|snapReadStripe|epochs' internal/smb/*.go | grep -v '_test.go:'; then
-		echo "lazy snapshot machinery found in internal/smb (see above)" >&2
-		return 1
-	fi
-	# One job bootstrap: every SEASGD driver rendezvouses on the SMB server.
-	# core needs no MPI runtime, and no MPI-collective twin of the polling
-	# bootstrap (or the communicator field it took) comes back.
-	if grep -n 'shmcaffe/internal/mpi"' internal/core/*.go ||
-		grep -nE 'func (SetupBuffers|NewWorker)\(|^[[:space:]]+Comm[[:space:]]' internal/core/*.go | grep -v '_test.go:'; then
-		echo "second bootstrap or MPI dependency found in internal/core (see above)" >&2
-		return 1
-	fi
-	# Bulk bytes cross the SMB server unstaged: Write bodies land in the
-	# segment's stripes and bulk replies leave from them or the cut, so
-	# neither the bulk-reply scratch nor a whole-frame request read comes back.
-	if grep -nE 'bulkOut|cs\.out\b|readFrameInto' internal/smb/*.go | grep -v '_test.go:'; then
-		echo "server-side bulk staging found in internal/smb (see above)" >&2
-		return 1
-	fi
-	# One connection contract: every transport's smb.Conn has deadlines, so
-	# neither a deadline probe nor a second server data path for connections
-	# without them comes back.
-	if grep -nE 'deadlineConn|streamConn|cs\.sc\b|deadliner|listenerConn' internal/smb/*.go internal/faults/*.go | grep -v '_test.go:'; then
-		echo "connection-capability probe found in internal/smb or internal/faults (see above)" >&2
-		return 1
-	fi
-	# T1 lands Wg in pendingDelta, which T2 overwrites in place: no separate
-	# Wg landing vector (a second parameter-sized float32 slice, or a step or
-	# start that takes one) comes back onto the exchange or its drivers.
-	if grep -nE 'make\(\[\]float32, [[:alnum:]_.]*(Elems|NumParams)\(\)\)|func \(e \*exchange\) (start|step)\([^)]*,' \
-		internal/core/exchange.go internal/core/worker.go internal/core/hybrid.go | grep -v 'pendingDelta:'; then
-		echo "Wg landing vector beside pendingDelta found in internal/core (see above)" >&2
-		return 1
-	fi
-	# The stripe protocol is written once: a mapped ShmClient runs the
-	# segment's own walk, accumulate and fused push, so no second copy of the
-	# cross-process lock order (its stripe-pair and gate-pair helpers, or the
-	# mapping type they worked on) comes back.
-	if grep -nE 'shmMapped|stripeSpan|lockStripePair|unlockStripePair|snapGateRLockPair|snapGateRUnlockPair' internal/smb/*.go | grep -v '_test.go:'; then
-		echo "second copy of the stripe protocol found in internal/smb (see above)" >&2
-		return 1
-	fi
 }
 
 tier2() {
