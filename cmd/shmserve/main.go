@@ -261,6 +261,7 @@ func newServer(sc smb.Client, h smb.Handle, net *nn.Network, features, classes i
 
 func (s *server) initMetrics() {
 	s.reg = telemetry.NewRegistry()
+	telemetry.RegisterProcessCPU(s.reg)
 	s.reg.GaugeFunc("shmserve_snapshot_age_seconds",
 		"age of the weight snapshot currently being served",
 		func() float64 {

@@ -44,6 +44,7 @@ func startTelemetry(out io.Writer, httpAddr, traceOut string, linger time.Durati
 	reg.GaugeFunc("shm_wallclock_unix_nano",
 		"this process's wall clock at scrape time (UnixNano)",
 		func() float64 { return float64(time.Now().UnixNano()) })
+	telemetry.RegisterProcessCPU(reg)
 	s := &telemetrySink{
 		Trainer:  telemetry.NewTrainer(reg, 0),
 		reg:      reg,

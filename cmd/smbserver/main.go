@@ -46,7 +46,7 @@ func run() error {
 		addr     = flag.String("addr", "127.0.0.1:7700", "TCP listen address")
 		rdsAddr  = flag.String("rds", "", "additionally serve the RDS datagram transport on this UDP address")
 		shmPath  = flag.String("shm", "", "offer the zero-copy shared-memory transport on this unix control socket (co-located clients only)")
-		httpAddr = flag.String("http", "", "serve Prometheus metrics on this HTTP address (GET /metrics; JSON at /metrics.json; liveness at /healthz)")
+		httpAddr = flag.String("http", "", "serve Prometheus metrics on this HTTP address (GET /metrics; JSON at /metrics.json; liveness at /healthz; pprof at /debug/pprof/)")
 		statsSec = flag.Int("stats", 10, "seconds between traffic stat lines (0 disables)")
 
 		chaosDrop    = flag.Float64("chaos-drop", 0, "chaos: per-op probability an accepted connection's read/write is killed")

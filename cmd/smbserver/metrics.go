@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strings"
 	"time"
 
@@ -71,6 +72,7 @@ func startMetricsHTTP(store *smb.Store, srv *smb.Server, tracer *telemetry.Trace
 	reg.GaugeFunc("shm_wallclock_unix_nano",
 		"this process's wall clock at scrape time (UnixNano)",
 		func() float64 { return float64(time.Now().UnixNano()) })
+	telemetry.RegisterProcessCPU(reg)
 
 	writeJSON := func(w http.ResponseWriter) {
 		s := store.Stats()
@@ -128,6 +130,13 @@ func startMetricsHTTP(store *smb.Store, srv *smb.Server, tracer *telemetry.Trace
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		_ = tracer.WriteChromeTrace(w)
 	})
+	// The standard pprof handlers, as shmtrain -telemetry serves them;
+	// Index serves the /debug/pprof/<profile> family itself.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	ms := &metricsServer{
 		Addr: ln.Addr().String(),

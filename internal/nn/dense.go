@@ -116,6 +116,29 @@ func (d *Dense) inputGrad(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	return dx, nil
 }
 
+// sweep is Backward fused with the solver's momentum update of W and b
+// (tensor.FusedDenseStep): one pass over the rows of W forms dL/dinput
+// from the pre-update weights and each row's gradient in a register, and
+// applies u to the row at once. The gradient views are neither read nor
+// written.
+// With wantDX false (the first layer) it returns nil and forms no
+// dL/dinput.
+func (d *Dense) sweep(grad *tensor.Tensor, u *momentum, vw, vb *tensor.Tensor, wantDX bool) (*tensor.Tensor, error) {
+	g, err := d.gradRows(grad)
+	if err != nil {
+		return nil, err
+	}
+	var dx *tensor.Tensor
+	if wantDX {
+		d.dx = reuse(d.dx, g.Dim(0), d.in)
+		dx = d.dx
+	}
+	if err := tensor.FusedDenseStep(u.lr, u.mom, u.wd, u.clip, u.nesterov, d.lastIn, g, d.w.W, vw, d.b.W, vb, dx); err != nil {
+		return nil, err
+	}
+	return dx, nil
+}
+
 // gradRows views dL/doutput as the (N×out) matrix of the cached forward.
 func (d *Dense) gradRows(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	if d.lastIn == nil {

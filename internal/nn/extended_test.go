@@ -366,17 +366,6 @@ func TestMiniModelsTrain(t *testing.T) {
 	}
 }
 
-func TestMiniModelByName(t *testing.T) {
-	for _, profile := range []string{"inception_v1", "resnet_50", "inception_resnet_v2", "vgg16"} {
-		if _, err := MiniModelByName(profile, "m", 1, 8, 3); err != nil {
-			t.Fatalf("%s: %v", profile, err)
-		}
-	}
-	if _, err := MiniModelByName("alexnet", "m", 1, 8, 3); err == nil {
-		t.Fatal("expected error for unknown profile")
-	}
-}
-
 func TestLRPolicies(t *testing.T) {
 	base := SolverConfig{BaseLR: 1, Gamma: 0.5, Power: 2, StepSize: 10, MaxIteration: 100}
 	tests := []struct {

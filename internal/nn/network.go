@@ -78,9 +78,10 @@ func NewNetwork(name string, inShape []int, layers ...Layer) (*Network, error) {
 		end := off + p.W.Len()
 		copy(n.weights[off:end], p.W.Data())
 		p.W = slabView(n.weights, off, end, p.W.Shape())
-		// Gradients start cleared and the slab stays untouched until the
-		// first backward pass, so a network that only runs Forward (a
-		// serving replica) never makes its gradient pages resident.
+		// Gradients start cleared and the slab stays untouched until a
+		// backward pass writes it, so a network that only runs Forward (a
+		// serving replica) never makes its gradient pages resident, nor
+		// does a solver's Step make those of the Dense layers it sweeps.
 		p.Grad = slabView(n.grads, off, end, p.Grad.Shape())
 		p.owner = n
 		off = end
@@ -177,6 +178,12 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) 
 // which the network's loss head owns until the next TrainStep or Evaluate.
 // The first layer computes no dL/dinput when it can skip it (paramGrader).
 func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (float64, *tensor.Tensor, error) {
+	return n.trainStep(x, labels, nil)
+}
+
+// trainStep is TrainStep; with a solver s, every layer s sweeps takes s's
+// update in its backward (Dense.sweep) instead of accumulating gradients.
+func (n *Network) trainStep(x *tensor.Tensor, labels []int, s *SGDSolver) (float64, *tensor.Tensor, error) {
 	logits, err := n.Forward(x, true)
 	if err != nil {
 		return 0, nil, err
@@ -190,9 +197,14 @@ func (n *Network) TrainStep(x *tensor.Tensor, labels []int) (float64, *tensor.Te
 		return 0, nil, err
 	}
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		if pg, ok := n.layers[i].(paramGrader); ok && i == 0 {
+		pg, ok := n.layers[i].(paramGrader)
+		switch {
+		case s != nil && s.dense[i].swept():
+			ds := s.dense[i]
+			grad, err = ds.d.sweep(grad, &s.rule, ds.vw, ds.vb, i > 0)
+		case ok && i == 0:
 			err = pg.paramGrad(grad)
-		} else {
+		default:
 			grad, err = n.layers[i].Backward(grad)
 		}
 		if err != nil {

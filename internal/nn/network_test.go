@@ -328,16 +328,26 @@ func TestProfiles(t *testing.T) {
 		ResNet50.ParamBytes > InceptionV1.ParamBytes) {
 		t.Fatal("model size ordering violated")
 	}
-	p, err := ProfileByName("vgg16")
-	if err != nil || p.Name != "vgg16" {
-		t.Fatalf("ProfileByName: %v %v", p, err)
-	}
-	if _, err := ProfileByName("alexnet"); err == nil {
-		t.Fatal("expected error for unknown profile")
-	}
 	if InceptionResNetV2.ParamMB() != 214 {
 		t.Fatalf("InceptionResNetV2 = %v MB, want 214 (paper Sec. IV-E)", InceptionResNetV2.ParamMB())
 	}
+}
+
+// TinyConvNet builds the smallest useful CNN (one conv block), for tests
+// that need fast real forward/backward passes.
+func TinyConvNet(name string, channels, size, classes int) (*Network, error) {
+	if size%2 != 0 {
+		return nil, fmt.Errorf("nn: TinyConvNet input size %d must be even", size)
+	}
+	half := size / 2
+	layers := []Layer{
+		NewConv2D(name+"/conv", channels, 4, 3, 1, 1),
+		NewReLU(name + "/relu"),
+		NewMaxPool2D(name+"/pool", 2, 2),
+		NewFlatten(name + "/flat"),
+		NewDense(name+"/fc", 4*half*half, classes),
+	}
+	return NewNetwork(name, []int{channels, size, size}, layers...)
 }
 
 // Property: SetFlatWeights(FlatWeights()) is the identity for any weight

@@ -71,16 +71,6 @@ func PaperModels() []Profile {
 	return []Profile{InceptionV1, ResNet50, InceptionResNetV2, VGG16}
 }
 
-// ProfileByName returns the named paper model profile.
-func ProfileByName(name string) (Profile, error) {
-	for _, p := range PaperModels() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("nn: unknown model profile %q", name)
-}
-
 // ParamMB returns the parameter volume in megabytes (10^6 bytes).
 func (p Profile) ParamMB() float64 { return float64(p.ParamBytes) / 1e6 }
 

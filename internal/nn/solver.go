@@ -103,19 +103,60 @@ type SGDSolver struct {
 	cfg      SolverConfig
 	net      *Network
 	velocity []*tensor.Tensor
+	dense    []*denseSlot // per top-level layer of net: its Dense slot, or nil
+	owner    []*denseSlot // per param of net: the Dense slot it belongs to, or nil
+	rule     momentum     // the rule of the update in progress
 	iter     int
 }
 
-// NewSGDSolver returns a solver bound to net. It clears net's gradients
-// once; from then on ApplyUpdate leaves them cleared, so Step never pays a
-// separate zeroing sweep.
+// momentum is one update's rule (Eq. 2) as the kernels take it.
+type momentum struct {
+	lr, mom, wd, clip float32
+	nesterov          bool
+}
+
+// denseSlot is a top-level Dense layer of the solver's network with the
+// velocities of its weight and bias.
+type denseSlot struct {
+	d      *Dense
+	vw, vb *tensor.Tensor
+}
+
+// swept reports whether Step folds the layer's update into its backward
+// sweep: a Dense layer whose two params are both trainable. Every other
+// layer — conv, batch-norm, a Dense inside a container or with a frozen
+// param — accumulates into its gradient views and is updated after the
+// backward, as ApplyUpdate does.
+func (ds *denseSlot) swept() bool { return ds != nil && !ds.d.w.Frozen && !ds.d.b.Frozen }
+
+// NewSGDSolver returns a solver bound to net. It clears the gradients its
+// update consumes once; from then on the update leaves them cleared, so
+// Step never pays a separate zeroing sweep. The gradient views of the
+// Dense layers Step sweeps are neither cleared nor ever touched by Step,
+// so their pages stay as NewNetwork left them: cleared and, until a
+// TrainStep writes them, not resident.
 func NewSGDSolver(net *Network, cfg SolverConfig) *SGDSolver {
-	vel := make([]*tensor.Tensor, len(net.Params()))
-	for i, p := range net.Params() {
-		vel[i] = tensor.New(p.W.Shape()...)
+	params := net.Params()
+	s := &SGDSolver{
+		cfg:      cfg,
+		net:      net,
+		velocity: make([]*tensor.Tensor, len(params)),
+		dense:    make([]*denseSlot, len(net.layers)),
+		owner:    make([]*denseSlot, len(params)),
 	}
-	net.ZeroGrads()
-	return &SGDSolver{cfg: cfg, net: net, velocity: vel}
+	for i, p := range params {
+		s.velocity[i] = tensor.New(p.W.Shape()...)
+	}
+	k := 0 // NewNetwork packs each layer's params in order, layer by layer
+	for i, l := range net.layers {
+		if d, ok := l.(*Dense); ok {
+			ds := &denseSlot{d: d, vw: s.velocity[k], vb: s.velocity[k+1]}
+			s.dense[i], s.owner[k], s.owner[k+1] = ds, ds, ds
+		}
+		k += len(l.Params())
+	}
+	s.clearGrads()
+	return s
 }
 
 // Iter returns the number of Step calls so far.
@@ -124,17 +165,24 @@ func (s *SGDSolver) Iter() int { return s.iter }
 // Config returns the solver configuration.
 func (s *SGDSolver) Config() SolverConfig { return s.cfg }
 
-// Step trains one minibatch: forward/backward into the (already clear)
-// gradients, then the momentum update, which consumes them. It returns the
-// minibatch loss. A failed forward/backward clears the gradients it may
-// have half-accumulated, so the next Step starts clean either way.
+// Step trains one minibatch and returns its loss. Forward and loss run as
+// in TrainStep; the backward hands each swept Dense layer the momentum
+// update, which it applies row by row as it forms the row's gradient
+// (tensor.FusedDenseStep), so that gradient is never written. Every other
+// parameter accumulates into its (already clear) gradient and is updated
+// after the backward, which consumes the gradient. Each weight gets the
+// same bits ApplyUpdate would give it after TrainStep. A failed forward
+// or backward clears the gradients it may have half-accumulated, so the
+// next Step starts clean either way; a backward failure after a swept
+// layer leaves that layer updated.
 func (s *SGDSolver) Step(x *tensor.Tensor, labels []int) (float64, error) {
-	loss, _, err := s.net.TrainStep(x, labels)
+	s.rule = s.momentumRule()
+	loss, _, err := s.net.trainStep(x, labels, s)
 	if err != nil {
-		s.net.ZeroGrads()
+		s.clearGrads()
 		return 0, err
 	}
-	s.ApplyUpdate()
+	s.update(true)
 	return loss, nil
 }
 
@@ -142,23 +190,51 @@ func (s *SGDSolver) Step(x *tensor.Tensor, labels []int) (float64, error) {
 // stored in the network, and consumes them: every gradient is +0 when it
 // returns (frozen parameters' included), ready for the next backward pass.
 // Split out from Step so distributed solvers can aggregate gradients
-// (allreduce) between backward and update. With Nesterov enabled it applies
-// the NAG form w −= (1+μ)v_new − μ·v_old. Each parameter is one
+// (allreduce) between a TrainStep and the update. With Nesterov enabled it
+// applies the NAG form w −= (1+μ)v_new − μ·v_old. Each parameter is one
 // tensor.FusedMomentumStep sweep (clip, weight decay, momentum, weight
 // write, gradient clear).
 func (s *SGDSolver) ApplyUpdate() {
-	lr := float32(s.cfg.LearningRate(s.iter))
-	mom := float32(s.cfg.Momentum)
-	wd := float32(s.cfg.WeightDecay)
-	clip := float32(s.cfg.GradClip)
+	s.rule = s.momentumRule()
+	s.update(false)
+}
+
+// momentumRule is the rule at the current iteration.
+func (s *SGDSolver) momentumRule() momentum {
+	return momentum{
+		lr:       float32(s.cfg.LearningRate(s.iter)),
+		mom:      float32(s.cfg.Momentum),
+		wd:       float32(s.cfg.WeightDecay),
+		clip:     float32(s.cfg.GradClip),
+		nesterov: s.cfg.Nesterov,
+	}
+}
+
+// update applies s.rule to every parameter from its gradient, except, when
+// swept is set, the params of the Dense layers the backward already
+// updated. A frozen parameter's gradient is only cleared.
+func (s *SGDSolver) update(swept bool) {
+	u := &s.rule
 	for i, p := range s.net.Params() {
-		if p.Frozen {
+		switch {
+		case swept && s.owner[i].swept():
+		case p.Frozen:
 			p.Grad.Zero()
-			continue
+		default:
+			tensor.FusedMomentumStep(u.lr, u.mom, u.wd, u.clip, u.nesterov, p.W.Data(), p.Grad.Data(), s.velocity[i].Data())
 		}
-		tensor.FusedMomentumStep(lr, mom, wd, clip, s.cfg.Nesterov, p.W.Data(), p.Grad.Data(), s.velocity[i].Data())
 	}
 	s.iter++
+}
+
+// clearGrads clears every gradient Step's update consumes: all but those
+// of the swept Dense layers.
+func (s *SGDSolver) clearGrads() {
+	for i, p := range s.net.Params() {
+		if !s.owner[i].swept() {
+			p.Grad.Zero()
+		}
+	}
 }
 
 // ResetMomentum clears the velocity buffers; the elastic-averaging update

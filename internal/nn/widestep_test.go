@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
+	"shmcaffe/internal/dataset"
 	"shmcaffe/internal/tensor"
 )
 
@@ -42,9 +44,89 @@ func TestWideStepAllocBytes(t *testing.T) {
 }
 
 // BenchmarkWideSolverStep times one batch-1 Step of the wide model: forward,
-// backward, and the fused solver sweep over all ≈1.32M parameters.
+// the backward that sweeps every Dense layer's update (all ≈1.32M
+// parameters). normal repeats one N(0,1) sample, whose loss underflows to
+// 0 within five steps while the gradients stay normal or zero. subnormal
+// starts each timed Step from one state inside the subnormal cliff (see
+// wideSubnormalState).
 func BenchmarkWideSolverStep(b *testing.B) {
-	benchSolverStep(b, wideSolver)
+	b.Run("normal", func(b *testing.B) { benchSolverStep(b, wideSolver) })
+	b.Run("subnormal", func(b *testing.B) {
+		solver, x, labels, share := wideSubnormalState(b)
+		weights := append([]float32(nil), solver.net.Weights()...)
+		velocity := make([][]float32, len(solver.velocity))
+		for i, v := range solver.velocity {
+			velocity[i] = append([]float32(nil), v.Data()...)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			copy(solver.net.Weights(), weights)
+			for j, v := range solver.velocity {
+				copy(v.Data(), velocity[j])
+			}
+			b.StartTimer()
+			if _, err := solver.Step(x, labels); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(share, "subnormal-dW-share")
+	})
+}
+
+// wideSubnormalState steps the wide model on one repeated sample of the
+// benchmark workload's data (Gaussian clusters, noise 0.5, seed 2) for 20
+// steps. The loss reads 0 from the fourth step on; from about the 16th to
+// the 34th the class probabilities pass through the subnormal range, so
+// the softmax gradient, dX and dW do too, and a step runs ≈ 10× slower on
+// subnormal arithmetic. It also returns the share of dW elements that are
+// subnormal at that state, read from a two-phase twin's gradients.
+func wideSubnormalState(b *testing.B) (*SGDSolver, *tensor.Tensor, []int, float64) {
+	b.Helper()
+	const seed = 2
+	build := func() *Network {
+		net, err := MLP("wide", wideFeatures, wideHidden, wideClasses)
+		if err != nil {
+			b.Fatal(err)
+		}
+		net.InitWeights(tensor.NewRNG(seed))
+		return net
+	}
+	data, err := dataset.NewGaussian(dataset.GaussianConfig{Classes: wideClasses, PerClass: 200, Shape: []int{wideFeatures}, Noise: 0.5, Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	loader, err := dataset.NewLoader(data, 1, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := loader.Next()
+	cfg := DefaultSolverConfig()
+	cfg.BaseLR = 0.01
+	solver := NewSGDSolver(build(), cfg)
+	for i := 0; i < 20; i++ {
+		if _, err := solver.Step(batch.X, batch.Labels); err != nil {
+			b.Fatal(err)
+		}
+	}
+	twin := build()
+	copy(twin.Weights(), solver.net.Weights())
+	if _, _, err := twin.TrainStep(batch.X, batch.Labels); err != nil {
+		b.Fatal(err)
+	}
+	var sub, dw int
+	for _, l := range twin.layers {
+		if d, ok := l.(*Dense); ok {
+			for _, v := range d.w.Grad.Data() {
+				if v != 0 && math.Abs(float64(v)) < 0x1p-126 {
+					sub++
+				}
+			}
+			dw += d.w.Grad.Len()
+		}
+	}
+	return solver, batch.X, batch.Labels, float64(sub) / float64(dw)
 }
 
 // The conv model: the benchmark's compute-bound SmallCNN(3, 16, 4) at batch

@@ -45,20 +45,3 @@ func MLP(name string, features, hidden, classes int) (*Network, error) {
 	}
 	return NewNetwork(name, []int{features}, layers...)
 }
-
-// TinyConvNet builds the smallest useful CNN (one conv block); used by
-// tests that need fast real forward/backward passes.
-func TinyConvNet(name string, channels, size, classes int) (*Network, error) {
-	if size%2 != 0 {
-		return nil, fmt.Errorf("nn: TinyConvNet input size %d must be even", size)
-	}
-	half := size / 2
-	layers := []Layer{
-		NewConv2D(name+"/conv", channels, 4, 3, 1, 1),
-		NewReLU(name + "/relu"),
-		NewMaxPool2D(name+"/pool", 2, 2),
-		NewFlatten(name + "/flat"),
-		NewDense(name+"/fc", 4*half*half, classes),
-	}
-	return NewNetwork(name, []int{channels, size, size}, layers...)
-}

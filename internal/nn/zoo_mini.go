@@ -109,20 +109,3 @@ func MiniVGG(name string, channels, size, classes int) (*Network, error) {
 	}
 	return NewNetwork(name, []int{channels, size, size}, layers...)
 }
-
-// MiniModelByName builds the miniature matching a paper model profile name.
-func MiniModelByName(profile, name string, channels, size, classes int) (*Network, error) {
-	switch profile {
-	case "inception_v1", "inception_resnet_v2":
-		// The IRv2 miniature reuses the inception miniature; its
-		// distinguishing property (huge parameter volume, large inputs)
-		// matters only to the timing model.
-		return MiniInception(name, channels, size, classes)
-	case "resnet_50":
-		return MiniResNet(name, channels, size, classes)
-	case "vgg16":
-		return MiniVGG(name, channels, size, classes)
-	default:
-		return nil, fmt.Errorf("nn: no miniature for profile %q", profile)
-	}
-}

@@ -219,6 +219,7 @@ type metricKind uint8
 const (
 	kindCounter metricKind = iota
 	kindCounterFunc
+	kindFloatCounterFunc
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
@@ -235,6 +236,7 @@ type metric struct {
 
 	counter *Counter
 	cfn     func() int64
+	ffn     func() float64 // kindFloatCounterFunc
 	gauge   *Gauge
 	gfn     func() float64
 	hist    *Histogram
@@ -395,6 +397,16 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	m.cfn = fn
 }
 
+// FloatCounterFunc is CounterFunc for a counter with a fractional value,
+// such as CPU seconds, read at scrape time.
+func (r *Registry) FloatCounterFunc(name, help string, fn func() float64) {
+	if r == nil {
+		return
+	}
+	m := r.register(name, help, kindFloatCounterFunc)
+	m.ffn = fn
+}
+
 // Gauge registers and returns a gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
@@ -500,6 +512,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "%s %d\n", series, m.counter.Value())
 			case kindCounterFunc:
 				fmt.Fprintf(&b, "%s %d\n", series, m.cfn())
+			case kindFloatCounterFunc:
+				fmt.Fprintf(&b, "%s %s\n", series, fnum(m.ffn()))
 			case kindGauge:
 				fmt.Fprintf(&b, "%s %s\n", series, fnum(m.gauge.Value()))
 			case kindGaugeFunc:

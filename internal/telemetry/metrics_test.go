@@ -169,6 +169,7 @@ func TestEveryMetricKindExposes(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("c_total", "c")
 	reg.CounterFunc("cf_total", "cf", func() int64 { return 1 })
+	reg.FloatCounterFunc("fcf_seconds_total", "fcf", func() float64 { return 1.5 })
 	reg.Gauge("g", "g")
 	reg.GaugeFunc("gf", "gf", func() float64 { return 1 })
 	reg.Histogram("h_seconds", "h", []float64{1})

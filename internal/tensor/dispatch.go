@@ -4,8 +4,8 @@ import "shmcaffe/internal/tensor/simd"
 
 // Kernel dispatch. The exported hot kernels (AxpySlice, FusedElasticStep,
 // FusedElasticExchange, FusedAxpyCopy, FusedCopyAdd, FusedMomentumStep,
-// MaskPositive, AddConst) and the blocked gemm call through the indirect
-// function pointers below. The pointers default to the portable bodies and
+// MaskPositive, AddConst, FusedDenseStep's row kernel) and the blocked
+// gemm call through the indirect function pointers below. The pointers default to the portable bodies and
 // are swapped exactly once, at package init, to the AVX2/FMA assembly in
 // internal/tensor/simd when its CPUID probe passes — so steady state pays
 // one indirect call and zero branches per kernel invocation, and a build
@@ -23,6 +23,7 @@ var (
 	fusedAxpyCopyImpl        = fusedAxpyCopyUnrolled
 	fusedCopyAddImpl         = fusedCopyAddUnrolled
 	fusedMomentumStepImpl    = fusedMomentumStepUnrolled
+	denseRowStepImpl         = denseRowStepStrips
 	maskPositiveImpl         = maskPositiveBits
 	addConstImpl             = addConstLoop
 
@@ -51,6 +52,7 @@ func init() {
 	fusedAxpyCopyImpl = simd.FusedAxpyCopy
 	fusedCopyAddImpl = simd.FusedCopyAdd
 	fusedMomentumStepImpl = simd.FusedMomentumStep
+	denseRowStepImpl = simd.DenseRowStep
 	maskPositiveImpl = simd.MaskPositive
 	addConstImpl = simd.AddConst
 	gemmInner4 = simd.GemmInner4
@@ -63,7 +65,3 @@ func init() {
 // "avx2+fma" or "portable". Surfaced in the benchmark reports so
 // committed numbers say what they measured.
 func SimdBackend() string { return simd.Backend() }
-
-// SimdEnabled reports whether the assembly backend is live; tests use it
-// to pick the equivalence policy for the FMA-contracted kernel.
-func SimdEnabled() bool { return simd.Enabled() }

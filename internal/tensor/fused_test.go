@@ -3,6 +3,8 @@ package tensor
 import (
 	"math"
 	"testing"
+
+	"shmcaffe/internal/tensor/simd"
 )
 
 // fusedSizes exercises the unrolled kernels around the lane-width
@@ -243,7 +245,7 @@ func TestFusedAxpyCopyMatchesScalar(t *testing.T) {
 				if !bitsEqual(fallback, want) {
 					t.Fatalf("fusedAxpyCopyUnrolled n=%d alpha=%v off=%d diverges from scalar", n, alpha, off)
 				}
-				if SimdEnabled() {
+				if simd.Enabled() {
 					ref := fmaRef64(alpha, unaligned(x, off, n), unaligned(y, off, n))
 					assertWithin1ULP(t, "FusedAxpyCopy(fma)", unaligned(dst, off, n), ref)
 				} else if !bitsEqual(dst, want) {
@@ -270,7 +272,7 @@ func TestFusedAxpyCopyAliased(t *testing.T) {
 		want := cloneSlice(y)
 		fusedAxpyCopyScalar(alpha, x, want, want)
 		FusedAxpyCopy(alpha, x, y, y)
-		if SimdEnabled() {
+		if simd.Enabled() {
 			assertWithin1ULP(t, "FusedAxpyCopy(fma) dst==y", y, ref)
 		} else if !bitsEqual(y, want) {
 			t.Fatalf("FusedAxpyCopy dst==y n=%d diverges from scalar", n)
@@ -285,7 +287,7 @@ func TestFusedAxpyCopyAliased(t *testing.T) {
 		want2 := cloneSlice(x2)
 		fusedAxpyCopyScalar(alpha, want2, y2, want2)
 		FusedAxpyCopy(alpha, x2, y2, x2)
-		if SimdEnabled() {
+		if simd.Enabled() {
 			assertWithin1ULP(t, "FusedAxpyCopy(fma) dst==x", x2, ref2)
 		} else if !bitsEqual(x2, want2) {
 			t.Fatalf("FusedAxpyCopy dst==x n=%d diverges from scalar", n)
@@ -553,7 +555,7 @@ func FuzzFusedKernels(f *testing.F) {
 		if !bitsEqual(fbDelta, wantDelta) {
 			t.Fatalf("fusedAxpyCopyUnrolled n=%d off=%d alpha=%x diverges", n, off, alphaBits)
 		}
-		if SimdEnabled() {
+		if simd.Enabled() {
 			assertWithin1ULP(t, "FusedAxpyCopy(fma)", delta[off:], ref)
 			// Resync: the contracted delta may sit 1 ULP off the scalar
 			// one, and delta feeds the next kernel as an input.

@@ -9,11 +9,11 @@ import (
 // aᵀ×b whatever the size, for the equivalence, allocation and benchmark
 // rows that pin the parallel path.
 func gemmParallel(m, n, k int, a, b, c []float32) {
-	gemmABParallel(m, n, k, a, k, 1, b, c, false)
+	gemmABParallel(m, n, k, a, k, 1, b, c, false, true)
 }
 
 func gemmTransAParallel(m, n, k int, a, b, c []float32, acc bool) {
-	gemmABParallel(m, n, k, a, 1, m, b, c, acc)
+	gemmABParallel(m, n, k, a, 1, m, b, c, acc, allFinite(b))
 }
 
 // gemmScalar is the seed's original kernel: k-outer with a row-broadcast
@@ -159,7 +159,7 @@ func TestGemmTilesBitwise(t *testing.T) {
 		Gemm(m, n, k, a, b, got)
 		assertBitwise(t, "Gemm "+tag, got, want)
 		copy(got, c0)
-		gemmAB(m, n, k, a, k, 1, b, got, true)
+		gemmAB(m, n, k, a, k, 1, b, got, true, true)
 		assertBitwise(t, "a×b acc "+tag, got, wantAcc)
 
 		fillPattern(got, 9)

@@ -74,7 +74,7 @@ func BenchmarkGemmTransA(b *testing.B) {
 		acc     bool
 	}{256, 1024, 1, true})
 	for _, s := range shapes {
-		run := func(m, n, k int, a, bb, c []float32) { gemmAB(m, n, k, a, 1, m, bb, c, s.acc) }
+		run := func(m, n, k int, a, bb, c []float32) { gemmAB(m, n, k, a, 1, m, bb, c, s.acc, allFinite(bb)) }
 		b.Run(fmt.Sprintf("dispatched/%dx%dx%d", s.m, s.n, s.k), func(b *testing.B) { benchGemm(b, s.m, s.n, s.k, run) })
 	}
 }

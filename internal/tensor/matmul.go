@@ -68,26 +68,28 @@ func useParallelGemm(flops int) bool {
 }
 
 // gemm computes C = A×B with A (m×k), B (k×n), C (m×n), all row-major.
-func gemm(m, n, k int, a, b, c []float32) { gemmAB(m, n, k, a, k, 1, b, c, false) }
+func gemm(m, n, k int, a, b, c []float32) { gemmAB(m, n, k, a, k, 1, b, c, false, true) }
 
 // gemmAB computes C = A×B, or C += A×B with acc, for b (k×n) and c (m×n)
 // row-major and A (m×k) read through two strides: A(i,l) = a[i*sa+l*sl].
 // (sa, sl) = (k, 1) is a row-major A; (1, m) reads a k×m A as its
 // transpose in place. Rows fan out over the pool under useParallelGemm.
-func gemmAB(m, n, k int, a []float32, sa, sl int, b, c []float32, acc bool) {
+// skip lets the row kernel skip zero A values (see gemmTiles): a×b always
+// sets it, aᵀ×b only for a finite B.
+func gemmAB(m, n, k int, a []float32, sa, sl int, b, c []float32, acc, skip bool) {
 	if useParallelGemm(m * n * k) {
-		gemmABParallel(m, n, k, a, sa, sl, b, c, acc)
+		gemmABParallel(m, n, k, a, sa, sl, b, c, acc, skip)
 		return
 	}
-	gemmTiles(m, n, k, a, sa, sl, b, c, acc)
+	gemmTiles(m, n, k, a, sa, sl, b, c, acc, skip)
 }
 
 // gemmABParallel always partitions C rows over the pool, gemmTiles being
 // the range kernel. The operands travel in a pooled Ranger struct so the
 // dispatch allocates nothing (see rangers.go).
-func gemmABParallel(m, n, k int, a []float32, sa, sl int, b, c []float32, acc bool) {
+func gemmABParallel(m, n, k int, a []float32, sa, sl int, b, c []float32, acc, skip bool) {
 	g := gemmRangerFree.Get()
-	*g = gemmRanger{a: a, b: b, c: c, sa: sa, sl: sl, k: k, n: n, acc: acc}
+	*g = gemmRanger{a: a, b: b, c: c, sa: sa, sl: sl, k: k, n: n, acc: acc, skip: skip}
 	parallel.ForRanger(m, gemmRowGrain, g)
 	*g = gemmRanger{}
 	gemmRangerFree.Put(g)
@@ -104,18 +106,22 @@ func gemmABParallel(m, n, k int, a []float32, sa, sl int, b, c []float32, acc bo
 // Every element lands in exactly one region, and both kernels add its
 // products to what C holds in ascending l with a rounding per multiply
 // and per add — the blocks are walked in ascending order and the tile
-// kernel accumulates — so the result is bitwise gemmScalar's for finite
-// B. The tile does not skip a zero A value: it adds ±0, which leaves a C
-// that is not −0 unchanged, and C is never −0 (it starts at +0 or holds
-// no −0 on entry, and x + y is −0 only for two −0 operands).
-func gemmTiles(m, n, k int, a []float32, sa, sl int, b, c []float32, acc bool) {
+// kernel accumulates. With skip the row kernel skips zero A values and the
+// tile adds their ±0, which leaves a C that is not −0 unchanged: C is
+// never −0 (it starts at +0 or holds no −0 on entry, and x + y is −0 only
+// for two −0 operands). So the result is bitwise gemmScalar's for finite
+// B. aᵀ×b clears skip when B is not finite: then both kernels add every
+// product, and the sum is the IEEE one on every shape and backend — 0·Inf
+// and 0·NaN are NaN everywhere, as in the dense step that forms the same
+// weight gradient in registers.
+func gemmTiles(m, n, k int, a []float32, sa, sl int, b, c []float32, acc, skip bool) {
 	c = c[:m*n]
 	if !acc {
 		clear(c)
 	}
 	m4, n16 := m&^3, n&^15
 	if gemmTile4x16 == nil || k < 4 || m4 == 0 || n16 == 0 {
-		gemmRows(m, n, k, a, sa, sl, b, c, n)
+		gemmRows(m, n, k, a, sa, sl, b, c, n, skip)
 		return
 	}
 	// The kernel indexes a and b unchecked: pin their last elements.
@@ -129,19 +135,23 @@ func gemmTiles(m, n, k int, a []float32, sa, sl int, b, c []float32, acc bool) {
 		}
 	}
 	if n16 < n {
-		gemmRows(m4, n-n16, k, a, sa, sl, b[n16:], c[n16:], n)
+		gemmRows(m4, n-n16, k, a, sa, sl, b[n16:], c[n16:], n, skip)
 	}
 	if m4 < m {
-		gemmRows(m-m4, n, k, a[m4*sa:], sa, sl, b, c[m4*n:], n)
+		gemmRows(m-m4, n, k, a[m4*sa:], sa, sl, b, c[m4*n:], n, skip)
 	}
 }
 
 // gemmRows is the row kernel: c[i*ld+j] += Σ_l A(i,l)·b[l*ld+j] for
 // i < rows, j < w, A(i,l) = a[i*sa+l*sl], cache-blocked over k and j. For
 // every (i, j) the k index still increases monotonically across blocks,
-// so the accumulation order matches gemmScalar exactly. C is not cleared:
+// so the accumulation order is the tile kernel's. C is not cleared:
 // the products fold into what it holds.
-func gemmRows(rows, w, k int, a []float32, sa, sl int, b, c []float32, ld int) {
+//
+// With skip, zero A values are skipped (all-zero quads outright), so the
+// ReLU zeros of a batch-1 activation row cost nothing. Without it every
+// product is added, as the tile kernel adds it.
+func gemmRows(rows, w, k int, a []float32, sa, sl int, b, c []float32, ld int, skip bool) {
 	for kb := 0; kb < k; kb += gemmBlockK {
 		kend := min(kb+gemmBlockK, k)
 		for jb := 0; jb < w; jb += gemmBlockJ {
@@ -154,13 +164,9 @@ func gemmRows(rows, w, k int, a []float32, sa, sl int, b, c []float32, ld int) {
 					// SIMD quad path: four k-steps per call, A's quad read
 					// through its stride. The microkernel accumulates the
 					// four products per element in l-order with separate
-					// mul+add roundings, so the result stays bitwise-equal
-					// to the scalar kernel for finite B. A zero A lane
-					// contributes ±0 instead of being skipped, which is
-					// also bitwise-neutral (see gemmTiles); all-zero quads
-					// are skipped outright for the sparse case.
+					// mul+add roundings, the tile kernel's sum.
 					for ; l+4 <= kend; l += 4 {
-						if ai[l*sl] == 0 && ai[(l+1)*sl] == 0 && ai[(l+2)*sl] == 0 && ai[(l+3)*sl] == 0 {
+						if skip && ai[l*sl] == 0 && ai[(l+1)*sl] == 0 && ai[(l+2)*sl] == 0 && ai[(l+3)*sl] == 0 {
 							continue
 						}
 						gemmInner4(&ai[l*sl], sl, &b[l*ld+jb], ld, &crow[0], len(crow))
@@ -169,9 +175,9 @@ func gemmRows(rows, w, k int, a []float32, sa, sl int, b, c []float32, ld int) {
 				// Leftover k-steps (all of them at k < 4 — a batch-1 weight
 				// gradient is one): each is crow += av·brow, the dispatched
 				// axpy, whose per-element c + a·b with two roundings is the
-				// scalar kernel's expression.
+				// tile kernel's expression.
 				for ; l < kend; l++ {
-					if av := ai[l*sl]; av != 0 {
+					if av := ai[l*sl]; av != 0 || !skip {
 						axpyImpl(av, b[l*ld+jb:l*ld+jend], crow)
 					}
 				}
@@ -196,7 +202,10 @@ func MatMulTransA(a, b, dst *Tensor) error { return matMulTransA(a, b, dst, fals
 func MatMulTransAAdd(a, b, dst *Tensor) error { return matMulTransA(a, b, dst, true) }
 
 // matMulTransA runs aᵀ×b as a×b with A read in place through the strides
-// (1, m): nothing is packed.
+// (1, m): nothing is packed. A zero a value's product is skipped only for
+// a finite b, where it is ±0 and changes no bit of a dst without −0; with
+// a non-finite b every product is added, so 0·Inf and 0·NaN are NaN on
+// every shape and backend, as in FusedDenseStep.
 func matMulTransA(a, b, dst *Tensor, acc bool) error {
 	if a.Dims() != 2 || b.Dims() != 2 || dst.Dims() != 2 {
 		return fmt.Errorf("tensor: matmulTransA requires 2-D operands: %w", ErrShapeMismatch)
@@ -206,7 +215,7 @@ func matMulTransA(a, b, dst *Tensor, acc bool) error {
 	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
 		return fmt.Errorf("tensor: matmulTransA: %w", ErrShapeMismatch)
 	}
-	gemmAB(m, n, k, a.data, 1, m, b.data, dst.data, acc)
+	gemmAB(m, n, k, a.data, 1, m, b.data, dst.data, acc, allFinite(b.data[:k*n]))
 	return nil
 }
 
@@ -250,41 +259,48 @@ func gemmTransBParallel(m, n, k int, a, b, c []float32) {
 
 // gemmTransBRows computes C = A×Bᵀ for a (m×k), b (n×k), c (m×n) with the
 // SIMD microkernel when it is live and the shape fills its 4×8 tile's
-// columns and one 4-step of l, and with gemmTransBTiled otherwise.
-//
-// The kernel transposes bᵀ in registers, so nothing is packed. Tiles walk
-// j outer, so one 8-row block of b stays in L1 while every row of A passes
-// over it. The last tile of each dimension overlaps its neighbour (j =
-// n−8, i = m−4): a recomputed element is the same dot product in the same
-// order, so it is stored with the same bits. Rows that no 4-row tile
-// covers (m < 4) take the one-row form. The kernel sums l < k&^3; the
-// k%4 remaining products are added here, per element in ascending l,
-// which continues each serial sum exactly where the kernel left it.
+// columns and one 4-step of l, and with gemmTransBTiled otherwise. Column
+// blocks walk j outer, so one 8-row block of b stays in L1 while every row
+// of A passes over it. The last block overlaps its neighbour (j = n−8): a
+// recomputed element is the same dot product in the same order, so it is
+// stored with the same bits.
 func gemmTransBRows(m, n, k int, a, b, c []float32) {
 	if gemmTransB4x8 == nil || n < 8 || k < 4 {
 		gemmTransBTiled(m, n, k, a, b, c)
 		return
 	}
-	a, b, c = a[:m*k], b[:n*k], c[:m*n] // the kernel reads and writes inside these
-	k4 := k &^ 3
 	for j := 0; ; j += 8 {
 		j = min(j, n-8)
-		bj := &b[j*k]
-		if m < 4 {
-			for i := 0; i < m; i++ {
-				gemmTransB1x8(&a[i*k], bj, k, k4, &c[i*n+j])
-			}
-		} else {
-			for i := 0; ; i += 4 {
-				i = min(i, m-4)
-				gemmTransB4x8(&a[i*k], bj, k, k4, &c[i*n+j], n)
-				if i == m-4 {
-					break
-				}
-			}
-		}
+		gemmTransBCols8(m, n, k, a, b, c, j)
 		if j == n-8 {
 			break
+		}
+	}
+}
+
+// gemmTransBCols8 computes columns j…j+7 of C = A×Bᵀ (a m×k, b n×k, c m×n;
+// n ≥ 8, k ≥ 4, j ≤ n−8) on the microkernel, which transposes bᵀ in
+// registers, so nothing is packed. The last 4-row tile overlaps its
+// neighbour (i = m−4), with the same bits; rows that no 4-row tile covers
+// (m < 4) take the one-row form. The kernel overwrites c with the sum over
+// l < k&^3; the k%4 remaining products are added here, per element in
+// ascending l, which continues each serial sum exactly where the kernel
+// left it.
+func gemmTransBCols8(m, n, k int, a, b, c []float32, j int) {
+	a, b, c = a[:m*k], b[:n*k], c[:m*n] // the kernel reads and writes inside these
+	k4 := k &^ 3
+	bj := &b[j*k]
+	if m < 4 {
+		for i := 0; i < m; i++ {
+			gemmTransB1x8(&a[i*k], bj, k, k4, &c[i*n+j])
+		}
+	} else {
+		for i := 0; ; i += 4 {
+			i = min(i, m-4)
+			gemmTransB4x8(&a[i*k], bj, k, k4, &c[i*n+j], n)
+			if i == m-4 {
+				break
+			}
 		}
 	}
 	if k4 == k {
@@ -292,14 +308,14 @@ func gemmTransBRows(m, n, k int, a, b, c []float32) {
 	}
 	for i := 0; i < m; i++ {
 		arow := a[i*k+k4 : (i+1)*k]
-		crow := c[i*n : (i+1)*n]
-		for j := range crow {
-			bj := b[j*k+k4:][:len(arow)]
-			s := crow[j]
+		crow := c[i*n+j : i*n+j+8]
+		for jj := range crow {
+			bjj := b[(j+jj)*k+k4:][:len(arow)]
+			s := crow[jj]
 			for l, av := range arow {
-				s += av * bj[l]
+				s += av * bjj[l]
 			}
-			crow[j] = s
+			crow[jj] = s
 		}
 	}
 }
@@ -342,4 +358,15 @@ func gemmTransBTiled(m, n, k int, a, b, c []float32) {
 			crow[j] = s
 		}
 	}
+}
+
+// allFinite reports whether no element of g is ±Inf or NaN: v − v is +0
+// exactly for finite v and NaN otherwise.
+func allFinite(g []float32) bool {
+	for _, v := range g {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
 }

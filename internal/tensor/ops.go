@@ -135,13 +135,6 @@ func posMask(bits uint32) uint32 {
 	return uint32((int64(bits-1) - 0x7f800000) >> 63)
 }
 
-// Scale multiplies every element of t by alpha.
-func Scale(alpha float32, t *Tensor) {
-	for i := range t.data {
-		t.data[i] *= alpha
-	}
-}
-
 // Add computes dst = a + b elementwise.
 func Add(a, b, dst *Tensor) error {
 	if len(a.data) != len(b.data) || len(a.data) != len(dst.data) {
@@ -164,29 +157,6 @@ func Sub(a, b, dst *Tensor) error {
 	return nil
 }
 
-// Mul computes dst = a * b elementwise (Hadamard product).
-func Mul(a, b, dst *Tensor) error {
-	if len(a.data) != len(b.data) || len(a.data) != len(dst.data) {
-		return fmt.Errorf("tensor: mul: %w", ErrShapeMismatch)
-	}
-	for i := range dst.data {
-		dst.data[i] = a.data[i] * b.data[i]
-	}
-	return nil
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b *Tensor) (float32, error) {
-	if len(a.data) != len(b.data) {
-		return 0, fmt.Errorf("tensor: dot: %w", ErrShapeMismatch)
-	}
-	var s float32
-	for i := range a.data {
-		s += a.data[i] * b.data[i]
-	}
-	return s, nil
-}
-
 // Sum returns the sum of all elements.
 func Sum(t *Tensor) float32 {
 	var s float32
@@ -194,24 +164,4 @@ func Sum(t *Tensor) float32 {
 		s += v
 	}
 	return s
-}
-
-// MaxIndex returns the index of the largest element in the flat data.
-func MaxIndex(t *Tensor) int {
-	best := 0
-	for i, v := range t.data {
-		if v > t.data[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// L2Norm returns the Euclidean norm of the tensor.
-func L2Norm(t *Tensor) float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }

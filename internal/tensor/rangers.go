@@ -20,10 +20,11 @@ type gemmRanger struct {
 	a, b, c      []float32
 	sa, sl, k, n int
 	acc          bool // accumulate into c instead of overwriting it
+	skip         bool // the row kernel may skip zero A values (skipZeroA)
 }
 
 func (g *gemmRanger) Range(lo, hi int) {
-	gemmTiles(hi-lo, g.n, g.k, g.a[lo*g.sa:], g.sa, g.sl, g.b, g.c[lo*g.n:hi*g.n], g.acc)
+	gemmTiles(hi-lo, g.n, g.k, g.a[lo*g.sa:], g.sa, g.sl, g.b, g.c[lo*g.n:hi*g.n], g.acc, g.skip)
 }
 
 var gemmRangerFree = parallel.NewFreelist[gemmRanger](8)

@@ -27,32 +27,26 @@ const (
 // package disabled and the tensor dispatcher on the portable kernels.
 func init() {
 	if os.Getenv("SHMCAFFE_NOSIMD") != "" {
-		reason = "disabled by SHMCAFFE_NOSIMD"
 		return
 	}
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		reason = "cpuid leaf 7 unavailable"
 		return
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const need1 = cpuid1FMA | cpuid1OSXSAVE | cpuid1AVX
 	if ecx1&need1 != need1 {
-		reason = "cpu lacks AVX/FMA/OSXSAVE"
 		return
 	}
 	// OSXSAVE only says XGETBV works; XCR0 says whether the kernel
 	// actually saves YMM state. Executing VEX-256 without it faults.
 	if lo, _ := xgetbv(); lo&xcr0YMM != xcr0YMM {
-		reason = "OS does not save YMM state"
 		return
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	if ebx7&cpuid7AVX2 == 0 {
-		reason = "cpu lacks AVX2"
 		return
 	}
 	enabled = true
 	backend = "avx2+fma"
-	reason = ""
 }

@@ -116,6 +116,21 @@ func GemmInner4(a *float32, sl int, b *float32, ldb int, c *float32, n int)
 //go:noescape
 func GemmTile4x16(a *float32, sa, sl int, b *float32, ldb, k int, c *float32, ldc int)
 
+// DenseRowStep is one parameter row of the dense step: for o < min(len(w),
+// len(v)) it forms the row's weight gradient
+//
+//	s := +0; s = x[n*ldx]*gr[n*ldg+o] + s   for n < batch, ascending
+//
+// in a register — axpy's multiply and add, operand for operand — and
+// applies FusedMomentumStep's update to w[o] and v[o] from it, so the
+// gradient is never stored. No FMA: bitwise the portable body. batch must
+// be ≥ 1, clip > 0 or +Inf; x and gr are read unchecked past their first
+// element (the caller bounds them), and w and v must not overlap them or
+// each other.
+//
+//go:noescape
+func DenseRowStep(lr, mom, wd, clip float32, nesterov bool, x []float32, ldx int, gr []float32, ldg, batch int, w, v []float32)
+
 // GemmTransB4x8 is the a×bᵀ microkernel: with a at row i of a 4-row
 // block and b at row j of an 8-row block, both rows ld floats apart, it
 // computes the 4×8 tile

@@ -918,6 +918,313 @@ fms_done:
 	VZEROUPPER
 	RET
 
+// DRS_MOM8_PLAIN and DRS_MOM8_NAG apply FusedMomentumStep's update to the
+// eight columns at DI (w) and DX (v) from the gradient in Y6, instruction
+// for instruction, with Y0 lr, Y1 mom, Y2 wd, Y3 clip, Y4 −clip and Y5
+// 1+mom. DRS_MOM1_* are the one-column tail forms.
+#define DRS_MOM8_PLAIN \
+	VMAXPS  Y6, Y4, Y6; \
+	VMINPS  Y6, Y3, Y6; \
+	VMOVUPS (DI), Y7; \
+	VMULPS  Y7, Y2, Y8; \
+	VADDPS  Y8, Y6, Y8; \
+	VMULPS  Y8, Y0, Y8; \
+	VMOVUPS (DX), Y9; \
+	VMULPS  Y9, Y1, Y9; \
+	VADDPS  Y8, Y9, Y9; \
+	VSUBPS  Y9, Y7, Y7; \
+	VMOVUPS Y7, (DI); \
+	VMOVUPS Y9, (DX)
+
+#define DRS_MOM8_NAG \
+	VMAXPS  Y6, Y4, Y6; \
+	VMINPS  Y6, Y3, Y6; \
+	VMOVUPS (DI), Y7; \
+	VMULPS  Y7, Y2, Y8; \
+	VADDPS  Y8, Y6, Y8; \
+	VMULPS  Y8, Y0, Y8; \
+	VMOVUPS (DX), Y9; \
+	VMULPS  Y9, Y1, Y9; \
+	VADDPS  Y8, Y9, Y10; \
+	VMULPS  Y10, Y5, Y11; \
+	VSUBPS  Y9, Y11, Y11; \
+	VSUBPS  Y11, Y7, Y7; \
+	VMOVUPS Y7, (DI); \
+	VMOVUPS Y10, (DX)
+
+#define DRS_MOM1_PLAIN \
+	VMAXSS X6, X4, X6; \
+	VMINSS X6, X3, X6; \
+	VMOVSS (DI), X7; \
+	VMULSS X7, X2, X8; \
+	VADDSS X8, X6, X8; \
+	VMULSS X8, X0, X8; \
+	VMOVSS (DX), X9; \
+	VMULSS X9, X1, X9; \
+	VADDSS X8, X9, X9; \
+	VSUBSS X9, X7, X7; \
+	VMOVSS X7, (DI); \
+	VMOVSS X9, (DX)
+
+#define DRS_MOM1_NAG \
+	VMAXSS X6, X4, X6; \
+	VMINSS X6, X3, X6; \
+	VMOVSS (DI), X7; \
+	VMULSS X7, X2, X8; \
+	VADDSS X8, X6, X8; \
+	VMULSS X8, X0, X8; \
+	VMOVSS (DX), X9; \
+	VMULSS X9, X1, X9; \
+	VADDSS X8, X9, X10; \
+	VMULSS X10, X5, X11; \
+	VSUBSS X9, X11, X11; \
+	VSUBSS X11, X7, X7; \
+	VMOVSS X7, (DI); \
+	VMOVSS X10, (DX)
+
+// DRS_NEXT(n) steps w, v and gr n bytes on.
+#define DRS_NEXT(n) \
+	ADDQ $n, DI; \
+	ADDQ $n, DX; \
+	ADDQ $n, SI
+
+// func DenseRowStep(lr, mom, wd, clip float32, nesterov bool, x []float32, ldx int, gr []float32, ldg, batch int, w, v []float32)
+//
+// One parameter row of the dense step: for o < min(len(w), len(v)),
+//
+//	s := +0; s = x[n*ldx]*gr[n*ldg+o] + s for n < batch, ascending
+//	w[o], v[o] updated from s          FusedMomentumStep's expression
+//
+// The row's gradient s lives in Y6 (X6 in the tail) from its first
+// product to the update that consumes it: it is never stored. The sum is
+// axpy's, operand for operand — a VMULPS with x as its first source, then
+// a VADDPS with the product as its first source — and the update is
+// FusedMomentumStep's with s in the place of the loaded gradient. No FMA;
+// bitwise the portable body. batch must be ≥ 1. At batch 1 x stays
+// broadcast in Y13 for the whole row and the sum is one multiply and one
+// add of +0 (Y12), which turns a −0 product into the +0 the two-phase sum
+// holds. Other batches walk their rows per chunk, 32 columns at a time in
+// four accumulators (Y6, Y12–Y14) while they last, so the four sums'
+// add chains overlap; then 8 columns, then one.
+//
+// Registers: DI w, DX v and SI gr step one chunk (8 columns, or 1 in the
+// tail) at a time; R8 x, R9 ldx and R11 ldg in bytes, R12 batch; AX/R13
+// walk the gr rows and x values of one chunk and BX counts them; R10 the
+// 8-column chunks left, CX the tail. Y0 lr, Y1 mom, Y2 wd, Y3 clip, Y4
+// −clip, Y5 1+mom; Y6 the sum the update consumes, Y7–Y11 scratch.
+TEXT ·DenseRowStep(SB), NOSPLIT, $0-144
+	MOVQ w_len+104(FP), CX
+	MOVQ v_len+128(FP), AX
+	CMPQ AX, CX
+	JGE  drs_min
+	MOVQ AX, CX
+
+drs_min:
+	MOVQ         w_base+96(FP), DI
+	MOVQ         v_base+120(FP), DX
+	MOVQ         gr_base+56(FP), SI
+	MOVQ         x_base+24(FP), R8
+	MOVQ         ldx+48(FP), R9
+	SHLQ         $2, R9
+	MOVQ         ldg+80(FP), R11
+	SHLQ         $2, R11
+	MOVQ         batch+88(FP), R12
+	MOVQ         CX, R10
+	SHRQ         $3, R10
+	ANDQ         $7, CX
+	VBROADCASTSS lr+0(FP), Y0
+	VBROADCASTSS mom+4(FP), Y1
+	VBROADCASTSS wd+8(FP), Y2
+	VBROADCASTSS clip+12(FP), Y3
+	MOVL         $0x80000000, AX
+	VMOVD        AX, X4
+	VBROADCASTSS X4, Y4
+	VXORPS       Y3, Y4, Y4           // -clip
+	MOVL         $0x3f800000, AX
+	VMOVD        AX, X5
+	VADDSS       mom+4(FP), X5, X5    // 1 + mom
+	VBROADCASTSS X5, Y5
+	CMPQ         R12, $1
+	JNE          drs_batch
+	VBROADCASTSS (R8), Y13
+	VXORPS       Y12, Y12, Y12
+	CMPB         nesterov+16(FP), $0
+	JNE          drs_b1_nag
+	TESTQ        R10, R10
+	JZ           drs_b1_tail
+
+drs_b1_loop8:
+	VMULPS (SI), Y13, Y6
+	VADDPS Y12, Y6, Y6
+	DRS_MOM8_PLAIN
+	DRS_NEXT(32)
+	DECQ   R10
+	JNZ    drs_b1_loop8
+
+drs_b1_tail:
+	TESTQ CX, CX
+	JZ    drs_done
+
+drs_b1_loop1:
+	VMULSS (SI), X13, X6
+	VADDSS X12, X6, X6
+	DRS_MOM1_PLAIN
+	DRS_NEXT(4)
+	DECQ   CX
+	JNZ    drs_b1_loop1
+	JMP    drs_done
+
+drs_b1_nag:
+	TESTQ R10, R10
+	JZ    drs_b1_nag_tail
+
+drs_b1_nag_loop8:
+	VMULPS (SI), Y13, Y6
+	VADDPS Y12, Y6, Y6
+	DRS_MOM8_NAG
+	DRS_NEXT(32)
+	DECQ   R10
+	JNZ    drs_b1_nag_loop8
+
+drs_b1_nag_tail:
+	TESTQ CX, CX
+	JZ    drs_done
+
+drs_b1_nag_loop1:
+	VMULSS (SI), X13, X6
+	VADDSS X12, X6, X6
+	DRS_MOM1_NAG
+	DRS_NEXT(4)
+	DECQ   CX
+	JNZ    drs_b1_nag_loop1
+	JMP    drs_done
+
+drs_batch:
+	CMPQ R10, $4
+	JLT  drs_batch8
+
+drs_loop32:
+	VXORPS Y6, Y6, Y6
+	VXORPS Y12, Y12, Y12
+	VXORPS Y13, Y13, Y13
+	VXORPS Y14, Y14, Y14
+	MOVQ   SI, AX
+	MOVQ   R8, R13
+	MOVQ   R12, BX
+
+drs_sum32:
+	VBROADCASTSS (R13), Y15
+	VMULPS       (AX), Y15, Y7
+	VADDPS       Y6, Y7, Y6
+	VMULPS       32(AX), Y15, Y7
+	VADDPS       Y12, Y7, Y12
+	VMULPS       64(AX), Y15, Y7
+	VADDPS       Y13, Y7, Y13
+	VMULPS       96(AX), Y15, Y7
+	VADDPS       Y14, Y7, Y14
+	ADDQ         R9, R13
+	ADDQ         R11, AX
+	DECQ         BX
+	JNZ          drs_sum32
+	CMPB         nesterov+16(FP), $0
+	JNE          drs_nag32
+	DRS_MOM8_PLAIN
+	DRS_NEXT(32)
+	VMOVAPS      Y12, Y6
+	DRS_MOM8_PLAIN
+	DRS_NEXT(32)
+	VMOVAPS      Y13, Y6
+	DRS_MOM8_PLAIN
+	DRS_NEXT(32)
+	VMOVAPS      Y14, Y6
+	DRS_MOM8_PLAIN
+	DRS_NEXT(32)
+	JMP          drs_next32
+
+drs_nag32:
+	DRS_MOM8_NAG
+	DRS_NEXT(32)
+	VMOVAPS Y12, Y6
+	DRS_MOM8_NAG
+	DRS_NEXT(32)
+	VMOVAPS Y13, Y6
+	DRS_MOM8_NAG
+	DRS_NEXT(32)
+	VMOVAPS Y14, Y6
+	DRS_MOM8_NAG
+	DRS_NEXT(32)
+
+drs_next32:
+	SUBQ $4, R10
+	CMPQ R10, $4
+	JGE  drs_loop32
+
+drs_batch8:
+	TESTQ R10, R10
+	JZ    drs_tail
+
+drs_loop8:
+	VXORPS Y6, Y6, Y6
+	MOVQ   SI, AX
+	MOVQ   R8, R13
+	MOVQ   R12, BX
+
+drs_sum8:
+	VBROADCASTSS (R13), Y7
+	VMULPS       (AX), Y7, Y7
+	VADDPS       Y6, Y7, Y6
+	ADDQ         R9, R13
+	ADDQ         R11, AX
+	DECQ         BX
+	JNZ          drs_sum8
+	CMPB         nesterov+16(FP), $0
+	JNE          drs_nag8
+	DRS_MOM8_PLAIN
+	JMP          drs_next8
+
+drs_nag8:
+	DRS_MOM8_NAG
+
+drs_next8:
+	DRS_NEXT(32)
+	DECQ R10
+	JNZ  drs_loop8
+
+drs_tail:
+	TESTQ CX, CX
+	JZ    drs_done
+
+drs_loop1:
+	VXORPS X6, X6, X6
+	MOVQ   SI, AX
+	MOVQ   R8, R13
+	MOVQ   R12, BX
+
+drs_sum1:
+	VMOVSS (R13), X7
+	VMULSS (AX), X7, X7
+	VADDSS X6, X7, X6
+	ADDQ   R9, R13
+	ADDQ   R11, AX
+	DECQ   BX
+	JNZ    drs_sum1
+	CMPB   nesterov+16(FP), $0
+	JNE    drs_nag1
+	DRS_MOM1_PLAIN
+	JMP    drs_next1
+
+drs_nag1:
+	DRS_MOM1_NAG
+
+drs_next1:
+	DRS_NEXT(4)
+	DECQ CX
+	JNZ  drs_loop1
+
+drs_done:
+	VZEROUPPER
+	RET
+
 // TRANSB_COLS loads four l of the eight b rows at DI (row 0), R11 (row 3)
 // and R12 (row 6), DX bytes apart — rows j and j+4 into the low and high
 // lanes of one register — and transposes them in-lane into the column

@@ -1,9 +1,9 @@
 // Package simd is the hand-written vector backend under the tensor hot
 // kernels: AVX2/FMA assembly for the float32 streaming loops (axpy, the
 // SMB accumulate add, the fused SEASGD elastic sweeps, the momentum-SGD
-// solver sweep, the ReLU mask, the broadcast bias add, the gemm quad-row
-// microkernel, the a×b 4×16 tile microkernel and the a×bᵀ 4×8 tile
-// microkernel), selected once at process start by a CPUID
+// solver sweep, the dense step's row kernel, the ReLU mask, the broadcast
+// bias add, the gemm quad-row microkernel, the a×b 4×16 tile microkernel
+// and the a×bᵀ 4×8 tile microkernel), selected once at process start by a CPUID
 // feature probe and exposed to internal/tensor as plain functions the
 // dispatcher stores in indirect function pointers.
 //
@@ -35,14 +35,13 @@
 // allow the same exact-aliasing patterns the portable kernels document.
 package simd
 
-// enabled, backend and reason are decided once, at package init, by the
+// enabled and backend are decided once, at package init, by the
 // per-architecture probe (cpu_amd64.go) or the stub build
 // (simd_noasm.go). Nothing mutates them afterwards, so callers may cache
 // the answers.
 var (
 	enabled bool
 	backend = "portable"
-	reason  = "no SIMD backend in this build"
 )
 
 // Enabled reports whether the assembly backend passed the feature probe
@@ -54,13 +53,3 @@ func Enabled() bool { return enabled }
 // Backend names the active implementation: "avx2+fma" when the assembly
 // is live, "portable" otherwise.
 func Backend() string { return backend }
-
-// Reason explains why the backend is disabled ("" when Enabled).
-func Reason() string { return reason }
-
-// FMAContracted reports whether FusedAxpyCopy fuses its multiply-add
-// into a single rounding. True exactly when the AVX2 backend is live;
-// consumers and tests switch their equivalence policy on this (bitwise
-// against the portable kernels when false, ≤1 ULP against the float64
-// reference when true).
-func FMAContracted() bool { return enabled }

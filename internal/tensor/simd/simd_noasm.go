@@ -34,6 +34,11 @@ func FusedMomentumStep(lr, mom, wd, clip float32, nesterov bool, w, g, v []float
 	unreachable()
 }
 
+// DenseRowStep panics; the portable build has no assembly backend.
+func DenseRowStep(lr, mom, wd, clip float32, nesterov bool, x []float32, ldx int, gr []float32, ldg, batch int, w, v []float32) {
+	unreachable()
+}
+
 // GemmInner4 panics; the portable build has no assembly backend.
 func GemmInner4(a *float32, sl int, b *float32, ldb int, c *float32, n int) { unreachable() }
 

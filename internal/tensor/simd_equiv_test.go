@@ -75,7 +75,7 @@ func TestSimdTailAndOffsetEquivalence(t *testing.T) {
 					want := make([]float32, n)
 					fusedAxpyCopyScalar(alpha, x, ys, want)
 					FusedAxpyCopy(alpha, x, ys, dst)
-					if SimdEnabled() {
+					if simd.Enabled() {
 						assertWithin1ULP(t, "FusedAxpyCopy", dst, ref)
 					} else {
 						assertBitwiseSlices(t, "FusedAxpyCopy", n, off, alpha, dst, want, nil, nil)
@@ -122,7 +122,7 @@ func TestSimdAliasedDstTails(t *testing.T) {
 		want := make([]float32, n)
 		fusedAxpyCopyScalar(0.7, x, y, want)
 		FusedAxpyCopy(0.7, x, y, y) // dst aliases y
-		if SimdEnabled() {
+		if simd.Enabled() {
 			assertWithin1ULP(t, "FusedAxpyCopy aliased", y, ref)
 		} else {
 			assertBitwiseSlices(t, "FusedAxpyCopy aliased", n, 0, 0.7, y, want, nil, nil)

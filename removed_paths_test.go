@@ -105,6 +105,13 @@ var removedPaths = []removedPath{
 	{"second-stripe-protocol", "The stripe protocol written once",
 		"a mapped ShmClient runs the segment's own walk, accumulate and fused push, so no second copy of the cross-process lock order (its stripe-pair and gate-pair helpers, or the mapping type they worked on) comes back",
 		[]scan{{scope: []string{"internal/smb"}, re: `shmMapped|stripeSpan|lockStripePair|unlockStripePair|snapGateRLockPair|snapGateRUnlockPair`}}},
+	{"unused-tensor-nn-exports", "The dense step in one sweep",
+		"exported helpers nothing outside their tests called are gone from tensor, simd and nn (tests ask simd.Enabled; TinyConvNet is test code): they do not come back as API",
+		[]scan{
+			{scope: []string{"internal/tensor"}, re: `^func (Scale|Mul|Dot|MaxIndex|L2Norm|SimdEnabled|Reason|FMAContracted)\(`},
+			{scope: []string{"internal/nn"}, re: `^func (MiniModelByName|ProfileByName|TinyConvNet)\(`},
+			{scope: []string{"."}, tests: true, re: `SimdEnabled\(|simd\.(Reason|FMAContracted)\(`},
+		}},
 }
 
 // TestRemovedPathsStayRemoved runs every row of removedPaths over the

@@ -32,10 +32,11 @@ tier1() {
 	# Second pass with the assembly backend compiled out: the portable
 	# unrolled kernels must pass the same suite bitwise (DESIGN.md §14).
 	go test -tags noasm ./...
-	echo "== tier 1: solver trajectory + momentum kernel (SHMCAFFE_NOSIMD — portable at runtime) =="
+	echo "== tier 1: solver trajectory + momentum and dense-step kernels (SHMCAFFE_NOSIMD — portable at runtime) =="
 	# Same binary, assembly vetoed by the environment: the golden trajectory
-	# hashes and the kernel contract hold on the runtime opt-out too.
-	SHMCAFFE_NOSIMD=1 go test -run 'Trajectory|FusedMomentum' ./internal/nn ./internal/tensor
+	# hashes, the dense sweep's equivalence to TrainStep + ApplyUpdate and
+	# the kernel contracts hold on the runtime opt-out too.
+	SHMCAFFE_NOSIMD=1 go test -run 'Trajectory|FusedMomentum|FusedDense' ./internal/nn ./internal/tensor
 	echo "== tier 1: build (noshm) =="
 	go build -tags noshm ./...
 	echo "== tier 1: tests (noshm — shared-memory transport compiled out) =="
