@@ -151,6 +151,36 @@ func TestTerminationPolicies(t *testing.T) {
 	}
 }
 
+// TestOutrunsMaster: only a StopOnMaster participant more than a whole
+// budget ahead of the live reference is paced.
+func TestOutrunsMaster(t *testing.T) {
+	deadMaster := []bool{false, true, true}
+	tests := []struct {
+		name      string
+		policy    TerminationPolicy
+		completed int64
+		progress  []int64
+		alive     []bool
+		want      bool
+	}{
+		{"a budget ahead", StopOnMaster, 50, []int64{10, 50, 7}, nil, false},
+		{"past a budget ahead", StopOnMaster, 51, []int64{10, 51, 7}, nil, true},
+		{"the master itself", StopOnMaster, 51, []int64{51, 0, 0}, nil, false},
+		{"re-elected reference", StopOnMaster, 51, []int64{0, 10, 51}, deadMaster, true},
+		{"within a budget of the re-elected reference", StopOnMaster, 50, []int64{0, 10, 50}, deadMaster, false},
+		{"nobody alive", StopOnMaster, 51, []int64{0, 0}, []bool{false, false}, false},
+		{"first never paces", StopOnFirst, 51, []int64{0, 51, 0}, nil, false},
+		{"average never paces", StopOnAverage, 51, []int64{0, 51, 0}, nil, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := tt.policy.outrunsMaster(tt.completed, tt.progress, tt.alive, 40); got != tt.want {
+				t.Fatalf("outrunsMaster = %v, want %v", got, tt.want)
+			}
+		})
+	}
+}
+
 // TestTerminationValidateAndString walks the whole iota range, so a policy
 // constant missing from Validate's or String's switch fails here; the
 // values just outside the range must stay invalid, so a constant appended

@@ -321,6 +321,9 @@ func (e *exchange) finishIteration(completed int64) (stop bool, by string, err e
 		return true, "flag", nil
 	}
 	if !e.termination.ShouldStopAlive(progress, alive, e.maxIterations) {
+		if e.termination.outrunsMaster(completed, progress, alive, e.maxIterations) {
+			time.Sleep(leadPause)
+		}
 		return false, "", nil
 	}
 	// Raise the flag so stragglers stop at their next check even if their
@@ -330,6 +333,18 @@ func (e *exchange) finishIteration(completed int64) (stop bool, by string, err e
 	}
 	return true, e.stoppedBy, nil
 }
+
+// leadPause is how long a StopOnMaster participant that outruns its
+// reference (TerminationPolicy.outrunsMaster) sleeps before its next
+// iteration. Merely yielding does not hold it back: the leader is
+// rescheduled at once, so while the reference sits descheduled for
+// milliseconds (an oversubscribed host, a thread the OS preempted) it can
+// run hundreds of iterations at a small model's pace. The sleep frees the
+// processor for the reference and caps the leader at one iteration per
+// pause. It is a pace, not a barrier: the leader keeps iterating and
+// beating, so a reference that died without a tombstone still ends at the
+// hard cap instead of hanging its peers.
+const leadPause = time.Millisecond
 
 // finish joins the update thread (including any queued final push, so the
 // count is exact) and reports the run's push count and the ranks considered

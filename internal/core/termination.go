@@ -77,12 +77,8 @@ func (p TerminationPolicy) ShouldStopAlive(progress []int64, alive []bool, targe
 	}
 	switch p {
 	case StopOnMaster:
-		for i, v := range progress {
-			if aliveAt(alive, i) {
-				return v >= target
-			}
-		}
-		return true // nobody alive: nothing left to wait for
+		ref := masterRef(progress, alive)
+		return ref < 0 || progress[ref] >= target // nobody alive: nothing left to wait for
 	case StopOnFirst:
 		for _, v := range progress {
 			if v >= target {
@@ -106,6 +102,29 @@ func (p TerminationPolicy) ShouldStopAlive(progress []int64, alive []bool, targe
 	default:
 		return false
 	}
+}
+
+// outrunsMaster reports whether a StopOnMaster participant that has
+// completed iterations leads the progress reference by more than a whole
+// budget (target); the exchange paces the ones that do (leadPause). No
+// other policy paces.
+func (p TerminationPolicy) outrunsMaster(completed int64, progress []int64, alive []bool, target int64) bool {
+	if p != StopOnMaster {
+		return false
+	}
+	ref := masterRef(progress, alive)
+	return ref >= 0 && completed-progress[ref] > target
+}
+
+// masterRef is the StopOnMaster progress reference: the lowest-ranked live
+// participant, or -1 when nobody is alive.
+func masterRef(progress []int64, alive []bool) int {
+	for i := range progress {
+		if aliveAt(alive, i) {
+			return i
+		}
+	}
+	return -1
 }
 
 // aliveAt reads a liveness view that may be nil or short: everyone it does

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"shmcaffe/internal/dataset"
 	"shmcaffe/internal/nn"
@@ -246,6 +247,27 @@ func TestStopOnMasterAlignsWorkers(t *testing.T) {
 		if s.Iterations > 200 {
 			t.Fatalf("rank %d ran away: %d iterations", s.Rank, s.Iterations)
 		}
+	}
+}
+
+// TestLeaderPausesPastAWholeBudget: a StopOnMaster check that finds its
+// participant more than a budget ahead of a silent master sleeps leadPause
+// and keeps going; the master's own check does not stop it either.
+func TestLeaderPausesPastAWholeBudget(t *testing.T) {
+	_, bufs := setupPair(t, "lead/pause")
+	const budget = 2
+	leader := newExchange(bufs[1], DefaultElasticConfig(), StopOnMaster, budget, 0, nil)
+	t0 := time.Now()
+	stop, _, err := leader.finishIteration(budget + 1)
+	if err != nil || stop {
+		t.Fatalf("leader check = stop %v, err %v; want keep going", stop, err)
+	}
+	if d := time.Since(t0); d < leadPause {
+		t.Fatalf("leader check returned after %v, want a pause of at least %v", d, leadPause)
+	}
+	master := newExchange(bufs[0], DefaultElasticConfig(), StopOnMaster, budget, 0, nil)
+	if stop, by, err := master.finishIteration(budget); err != nil || !stop || by != "master" {
+		t.Fatalf("master check = stop %v by %q, err %v; want the master's stop", stop, by, err)
 	}
 }
 

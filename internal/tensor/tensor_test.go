@@ -139,6 +139,21 @@ func TestElementwiseOps(t *testing.T) {
 	}
 }
 
+// TestScaleSumNorm: Sum over signed elements, before and after the vector is
+// doubled in place by Axpy (x += 1·x, the aliasing AxpySlice allows).
+func TestScaleSumNorm(t *testing.T) {
+	x := MustFromSlice([]float32{3, -4}, 2)
+	if Sum(x) != -1 {
+		t.Fatalf("Sum = %v, want -1", Sum(x))
+	}
+	if err := Axpy(1, x, x); err != nil {
+		t.Fatal(err)
+	}
+	if Sum(x) != -2 {
+		t.Fatalf("Sum after scale = %v, want -2", Sum(x))
+	}
+}
+
 func TestMatMulSmall(t *testing.T) {
 	a := MustFromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := MustFromSlice([]float32{7, 8, 9, 10, 11, 12}, 3, 2)
