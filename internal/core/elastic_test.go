@@ -10,6 +10,62 @@ import (
 	"shmcaffe/internal/tensor"
 )
 
+// The one-equation-per-pass forms of Eqs. (5)–(7) and the elastic
+// distance: the references the fused sweeps are pinned against.
+
+// WeightIncrement computes Eq. (5): delta[i] = α · (local[i] − global[i]).
+// delta, local and global must have equal length.
+func WeightIncrement(delta, local, global []float32, alpha float64) error {
+	if len(delta) != len(local) || len(local) != len(global) {
+		return fmt.Errorf("weight increment lengths %d/%d/%d: %w",
+			len(delta), len(local), len(global), ErrConfig)
+	}
+	a := float32(alpha)
+	for i := range delta {
+		delta[i] = a * (local[i] - global[i])
+	}
+	return nil
+}
+
+// ApplyIncrementLocal computes Eq. (6): local[i] −= delta[i]. The worker
+// pulls its replica toward the global weight.
+func ApplyIncrementLocal(local, delta []float32) error {
+	if len(local) != len(delta) {
+		return fmt.Errorf("apply increment lengths %d/%d: %w", len(local), len(delta), ErrConfig)
+	}
+	for i := range local {
+		local[i] -= delta[i]
+	}
+	return nil
+}
+
+// ApplyIncrementGlobal computes Eq. (7): global[i] += delta[i]. In ShmCaffe
+// this runs on the SMB server as an Accumulate.
+func ApplyIncrementGlobal(global, delta []float32) error {
+	if len(global) != len(delta) {
+		return fmt.Errorf("apply global lengths %d/%d: %w", len(global), len(delta), ErrConfig)
+	}
+	for i := range global {
+		global[i] += delta[i]
+	}
+	return nil
+}
+
+// CenterDistance returns the squared L2 distance between a replica and the
+// global weight — the quantity the elastic penalty ρ/2·‖x−x̃‖² controls,
+// which tests use to verify replicas stay tethered.
+func CenterDistance(local, global []float32) (float64, error) {
+	if len(local) != len(global) {
+		return 0, fmt.Errorf("center distance lengths %d/%d: %w", len(local), len(global), ErrConfig)
+	}
+	var s float64
+	for i := range local {
+		d := float64(local[i] - global[i])
+		s += d * d
+	}
+	return s, nil
+}
+
 func TestWeightIncrementKnown(t *testing.T) {
 	local := []float32{2, 4, 6}
 	global := []float32{1, 2, 3}

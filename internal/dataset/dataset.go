@@ -1,8 +1,7 @@
 // Package dataset provides the training-data substrate: deterministic
 // synthetic classification corpora (the stand-in for the ILSVRC-2012 LMDB
-// store the paper uses), worker sharding without duplication, minibatch
-// sampling, and a prefetching loader mirroring ShmCaffe's 10-deep minibatch
-// prefetch.
+// store the paper uses), worker sharding without duplication, and
+// minibatch sampling.
 package dataset
 
 import (

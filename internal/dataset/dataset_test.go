@@ -250,33 +250,3 @@ func TestLoaderErrors(t *testing.T) {
 		t.Fatalf("want ErrEmpty, got %v", err)
 	}
 }
-
-func TestPrefetcher(t *testing.T) {
-	ds, _ := NewGaussian(gaussCfg(9))
-	l, _ := NewLoader(ds, 10, 1)
-	p, err := NewPrefetcher(l, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	for i := 0; i < 25; i++ {
-		b := p.Next()
-		if b.X.Dim(0) != 10 {
-			t.Fatalf("batch %d shape %v", i, b.X.Shape())
-		}
-	}
-}
-
-func TestPrefetcherCloseIsClean(t *testing.T) {
-	ds, _ := NewGaussian(gaussCfg(10))
-	l, _ := NewLoader(ds, 10, 1)
-	p, err := NewPrefetcher(l, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Next()
-	p.Close() // must not deadlock even with batches in flight
-	if _, err := NewPrefetcher(l, 0); err == nil {
-		t.Fatal("expected error for depth 0")
-	}
-}

@@ -78,45 +78,3 @@ func (l *Loader) Next() Batch {
 	}
 	return Batch{X: x, Labels: labels}
 }
-
-// Prefetcher wraps a Loader with a background goroutine keeping depth
-// batches ready, mirroring ShmCaffe's 10-deep minibatch prefetch
-// (Sec. IV-C). Close must be called to release the goroutine.
-type Prefetcher struct {
-	batches chan Batch
-	stop    chan struct{}
-	done    chan struct{}
-}
-
-// NewPrefetcher starts prefetching from loader. depth must be >= 1.
-func NewPrefetcher(loader *Loader, depth int) (*Prefetcher, error) {
-	if depth < 1 {
-		return nil, fmt.Errorf("dataset: prefetch depth %d < 1", depth)
-	}
-	p := &Prefetcher{
-		batches: make(chan Batch, depth),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	go func() {
-		defer close(p.done)
-		for {
-			b := loader.Next()
-			select {
-			case p.batches <- b:
-			case <-p.stop:
-				return
-			}
-		}
-	}()
-	return p, nil
-}
-
-// Next returns the next prefetched minibatch.
-func (p *Prefetcher) Next() Batch { return <-p.batches }
-
-// Close stops the prefetch goroutine and waits for it to exit.
-func (p *Prefetcher) Close() {
-	close(p.stop)
-	<-p.done
-}

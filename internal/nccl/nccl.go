@@ -1,10 +1,12 @@
-// Package nccl implements ring allreduce and broadcast over an intra-node
-// device group — the stand-in for NVIDIA NCCL, which BVLC Caffe uses for
-// multi-GPU SSGD and ShmCaffe-H uses inside each worker group (paper
-// Sec. III-D). The algorithm is the genuine two-phase ring
-// (reduce-scatter + allgather) executed by the participating goroutines
-// with per-step barriers, not a shortcut through a shared accumulator, so
-// its communication structure matches what the timing model charges for.
+// Package nccl implements ring allreduce, rooted reduce and broadcast over
+// an intra-node device group — the stand-in for NVIDIA NCCL, which BVLC
+// Caffe uses for multi-GPU SSGD and ShmCaffe-H uses inside each worker group
+// (paper Sec. III-D), and the collective runtime of the MPI baselines
+// (MPI_Allreduce for MPICaffe, the master's gather-and-sum for Caffe-MPI).
+// The allreduce is the genuine two-phase ring (reduce-scatter + allgather)
+// executed by the participating goroutines with per-step barriers, not a
+// shortcut through a shared accumulator, so its communication structure
+// matches what the timing model charges for.
 //
 // The group is shrinkable: Leave(rank) removes a failed member, and
 // collectives in flight restart over the survivors instead of deadlocking
@@ -49,9 +51,10 @@ type Group struct {
 	active  []bool      // guarded by mu
 	live    int         // guarded by mu
 
-	// scratch[r] snapshots rank r's AllReduce contribution so a collective
-	// restarted by a shrink can restore the half-reduced buffer. Each rank
-	// touches only its own slot, so no lock is needed around the copies.
+	// scratch[r] snapshots rank r's contribution to an allreduce or, at the
+	// root, a reduce, so a collective restarted by a shrink can start over
+	// from it. Each rank touches only its own slot, so no lock is needed
+	// around the copies.
 	scratch [][]float32
 }
 
@@ -247,18 +250,11 @@ func chunkBounds(length, n, idx int) (lo, hi int) {
 	return lo, lo + size
 }
 
-// AllReduce sums data elementwise across all live devices in the group,
-// leaving the full sum in every device's buffer. It must be called by every
-// live device concurrently. Single-device collectives return immediately
-// (matching NCCL).
-func (g *Group) AllReduce(rank int, data []float32) error {
-	_, err := g.allReduce(rank, data)
-	return err
-}
-
-// allReduce runs the retry loop and reports the size of the collective that
-// finally completed — the divisor AllReduceMean needs (dividing by the
-// static group size would deflate the mean once a member has left).
+// allReduce sums data elementwise across all live devices in the group,
+// leaving the full sum in every device's buffer, and reports the size of
+// the collective that finally completed — the divisor AllReduceMean needs
+// (dividing by the static group size would deflate the mean once a member
+// has left). Single-device collectives return immediately (matching NCCL).
 func (g *Group) allReduce(rank int, data []float32) (int, error) {
 	if rank < 0 || rank >= g.n {
 		return 0, fmt.Errorf("nccl: rank %d of %d: %w", rank, g.n, ErrGroup)
@@ -267,13 +263,8 @@ func (g *Group) allReduce(rank int, data []float32) (int, error) {
 		return 1, nil
 	}
 	// Snapshot the contribution before the ring mutates it, so a shrink
-	// mid-collective can rewind and re-reduce over the survivors. The
-	// scratch slot is grow-only and per-rank.
-	if cap(g.scratch[rank]) < len(data) {
-		g.scratch[rank] = make([]float32, len(data))
-	}
-	snap := g.scratch[rank][:len(data)]
-	copy(snap, data)
+	// mid-collective can rewind and re-reduce over the survivors.
+	snap := g.snapshot(rank, data)
 	for {
 		size, err := g.tryAllReduce(rank, data)
 		if !errors.Is(err, errShrunk) {
@@ -281,6 +272,17 @@ func (g *Group) allReduce(rank int, data []float32) (int, error) {
 		}
 		copy(data, snap)
 	}
+}
+
+// snapshot copies data into rank's scratch slot, which is grow-only, and
+// returns the copy.
+func (g *Group) snapshot(rank int, data []float32) []float32 {
+	if cap(g.scratch[rank]) < len(data) {
+		g.scratch[rank] = make([]float32, len(data))
+	}
+	snap := g.scratch[rank][:len(data)]
+	copy(snap, data)
+	return snap
 }
 
 // tryAllReduce executes one ring attempt over the current membership.
@@ -349,23 +351,84 @@ func (g *Group) Broadcast(rank, root int, data []float32) error {
 }
 
 func (g *Group) tryBroadcast(rank, root int, data []float32) error {
-	g.mu.Lock()
-	rootLive := root < len(g.active) && g.active[root]
-	g.mu.Unlock()
-	if !rootLive {
-		return fmt.Errorf("nccl: broadcast root %d has left the group: %w", root, ErrGroup)
+	if err := g.rootLive("broadcast", root); err != nil {
+		return err
 	}
 	v, err := g.enter(rank, data)
 	if err != nil {
 		return err
 	}
 	if v.size > 1 && rank != root {
-		copy(data, g.bufs[root])
+		copy(data, g.bufs[root]) //lint:ignore guardedby the entry barrier orders this read after root published its buffer
 	}
 	return g.exit(rank, v.epoch)
 }
 
-// AllReduceMean is AllReduce followed by division by the size of the
+// rootLive reports a permanent error if root has left the group: a rooted
+// collective has no source or destination without it.
+func (g *Group) rootLive(verb string, root int) error {
+	g.mu.Lock()
+	live := g.active[root]
+	g.mu.Unlock()
+	if !live {
+		return fmt.Errorf("nccl: %s root %d has left the group: %w", verb, root, ErrGroup)
+	}
+	return nil
+}
+
+// Reduce sums data elementwise across all live devices into root's buffer,
+// in rank order starting from +0 — the master's gather-and-sum of
+// Caffe-MPI, whose bits therefore do not depend on arrival order. The other
+// devices' buffers are left as they were. Must be called by every live
+// device concurrently. A root that has left the group is a permanent error
+// — there is nowhere to sum to.
+func (g *Group) Reduce(rank, root int, data []float32) error {
+	if rank < 0 || rank >= g.n {
+		return fmt.Errorf("nccl: rank %d of %d: %w", rank, g.n, ErrGroup)
+	}
+	if root < 0 || root >= g.n {
+		return fmt.Errorf("nccl: root %d of %d: %w", root, g.n, ErrGroup)
+	}
+	// The root sums into its own buffer, so every attempt starts over from
+	// a snapshot of its contribution.
+	var own []float32
+	if rank == root {
+		own = g.snapshot(rank, data)
+	}
+	for {
+		err := g.tryReduce(rank, root, data, own)
+		if !errors.Is(err, errShrunk) {
+			return err
+		}
+	}
+}
+
+// tryReduce executes one reduce attempt over the current membership. A rank
+// outside the collective has no published buffer and adds nothing.
+func (g *Group) tryReduce(rank, root int, data, own []float32) error {
+	if err := g.rootLive("reduce", root); err != nil {
+		return err
+	}
+	v, err := g.enter(rank, data)
+	if err != nil {
+		return err
+	}
+	if rank == root {
+		clear(data)
+		for r := 0; r < g.n; r++ {
+			src := own
+			if r != root {
+				src = g.bufs[r] //lint:ignore guardedby the entry barrier orders this read after rank r published its buffer
+			}
+			for i, x := range src {
+				data[i] += x
+			}
+		}
+	}
+	return g.exit(rank, v.epoch)
+}
+
+// AllReduceMean is allReduce followed by division by the size of the
 // collective that completed — the gradient averaging step of SSGD. After a
 // shrink the divisor is the survivor count, so the mean stays a mean.
 func (g *Group) AllReduceMean(rank int, data []float32) error {

@@ -27,7 +27,7 @@ func BenchmarkRingAllReduce(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := group.AllReduce(d, bufs[d]); err != nil {
+				if err := group.allReduceSum(d, bufs[d]); err != nil {
 					b.Error(err)
 				}
 			}()

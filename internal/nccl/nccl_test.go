@@ -26,6 +26,13 @@ func runGroup(t *testing.T, g *Group, fn func(rank int)) {
 	wg.Wait()
 }
 
+// allReduceSum is the ring without AllReduceMean's division, so tests can
+// check exact sums.
+func (g *Group) allReduceSum(rank int, data []float32) error {
+	_, err := g.allReduce(rank, data)
+	return err
+}
+
 func TestNewGroupValidation(t *testing.T) {
 	if _, err := NewGroup(0); !errors.Is(err, ErrGroup) {
 		t.Fatalf("want ErrGroup, got %v", err)
@@ -77,7 +84,7 @@ func TestAllReduceSumsAcrossDevices(t *testing.T) {
 			}
 		}
 		runGroup(t, g, func(rank int) {
-			if err := g.AllReduce(rank, bufs[rank]); err != nil {
+			if err := g.allReduceSum(rank, bufs[rank]); err != nil {
 				t.Error(err)
 			}
 		})
@@ -134,13 +141,13 @@ func TestBroadcastRootError(t *testing.T) {
 func TestSingleDeviceShortCircuit(t *testing.T) {
 	g, _ := NewGroup(1)
 	data := []float32{1, 2}
-	if err := g.AllReduce(0, data); err != nil {
+	if err := g.allReduceSum(0, data); err != nil {
 		t.Fatal(err)
 	}
 	if data[0] != 1 || data[1] != 2 {
 		t.Fatalf("single-device allreduce changed data: %v", data)
 	}
-	if err := g.AllReduce(1, data); !errors.Is(err, ErrGroup) {
+	if err := g.allReduceSum(1, data); !errors.Is(err, ErrGroup) {
 		t.Fatalf("want ErrGroup for bad rank, got %v", err)
 	}
 }
@@ -153,7 +160,7 @@ func TestAllReduceRepeatedRounds(t *testing.T) {
 	runGroup(t, g, func(rank int) {
 		for round := 1; round <= 10; round++ {
 			data := []float32{float32(round)}
-			if err := g.AllReduce(rank, data); err != nil {
+			if err := g.allReduceSum(rank, data); err != nil {
 				t.Error(err)
 				return
 			}
@@ -196,7 +203,7 @@ func TestAllReduceMatchesDirectSumProperty(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errs[r] = g.AllReduce(r, bufs[r])
+				errs[r] = g.allReduceSum(r, bufs[r])
 			}()
 		}
 		wg.Wait()
@@ -225,7 +232,7 @@ func TestAbortUnblocksWaiters(t *testing.T) {
 	g, _ := NewGroup(2)
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- g.AllReduce(0, []float32{1, 2}) // waits forever for rank 1
+		errCh <- g.allReduceSum(0, []float32{1, 2}) // waits forever for rank 1
 	}()
 	g.Abort()
 	select {
@@ -244,32 +251,105 @@ func TestAbortUnblocksWaiters(t *testing.T) {
 
 func timeAfter() <-chan time.Time { return time.After(2 * time.Second) }
 
-// TestLengthMismatchAbortsGroup: a bad buffer poisons the collective but
-// every member returns an error instead of hanging.
+// TestLengthMismatchAbortsGroup: a bad buffer poisons the collective, the
+// ring allreduce or the reduce alike: every member returns an error instead
+// of hanging, and later collectives fail at once.
 func TestLengthMismatchAbortsGroup(t *testing.T) {
+	for name, collective := range map[string]func(g *Group, rank int, data []float32) error{
+		"allreduce": (*Group).allReduceSum,
+		"reduce":    func(g *Group, rank int, data []float32) error { return g.Reduce(rank, 0, data) },
+	} {
+		g, _ := NewGroup(3)
+		errs := make([]error, 3)
+		lens := []int{4, 4, 5}
+		runGroup(t, g, func(rank int) {
+			errs[rank] = collective(g, rank, make([]float32, lens[rank]))
+		})
+		sawGroup := false
+		for r, err := range errs {
+			if err == nil {
+				t.Fatalf("%s: rank %d: mismatched collective returned nil", name, r)
+			}
+			sawGroup = sawGroup || errors.Is(err, ErrGroup)
+		}
+		if !sawGroup {
+			t.Fatalf("%s: no member reported the root cause: %v", name, errs)
+		}
+		if err := g.Broadcast(0, 0, []float32{1}); !errors.Is(err, ErrAborted) {
+			t.Fatalf("%s: later broadcast: want ErrAborted, got %v", name, err)
+		}
+	}
+}
+
+// reduceInputs returns n buffers of mixed-sign values spanning eleven
+// decades, so the sum's bits depend on its order, and element 0 −0 on every
+// rank.
+func reduceInputs(n, length int, seed uint64) [][]float32 {
+	rng := tensor.NewRNG(seed)
+	negZero := float32(math.Copysign(0, -1))
+	bufs := make([][]float32, n)
+	for r := range bufs {
+		bufs[r] = make([]float32, length)
+		for i := range bufs[r] {
+			bufs[r][i] = float32(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-3)))
+		}
+		bufs[r][0] = negZero
+	}
+	return bufs
+}
+
+// TestReduceRankOrderBits: the root ends with the serial rank-order sum
+// from +0, bit for bit, and every other buffer is untouched.
+func TestReduceRankOrderBits(t *testing.T) {
+	const length = 37
+	for n := 1; n <= 5; n++ {
+		for _, root := range []int{0, n - 1} {
+			bufs := reduceInputs(n, length, uint64(10*n+root))
+			want := make([]float32, length)
+			for r := 0; r < n; r++ {
+				for i, x := range bufs[r] {
+					want[i] += x
+				}
+			}
+			orig := make([][]float32, n)
+			for r := range bufs {
+				orig[r] = append([]float32(nil), bufs[r]...)
+			}
+			g, err := NewGroup(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runGroup(t, g, func(rank int) {
+				if err := g.Reduce(rank, root, bufs[rank]); err != nil {
+					t.Error(err)
+				}
+			})
+			for r := 0; r < n; r++ {
+				exp := orig[r]
+				if r == root {
+					exp = want
+				}
+				for i := range exp {
+					if math.Float32bits(bufs[r][i]) != math.Float32bits(exp[i]) {
+						t.Fatalf("n=%d root %d: rank %d elem %d = %v (%#x), want %v (%#x)",
+							n, root, r, i, bufs[r][i], math.Float32bits(bufs[r][i]), exp[i], math.Float32bits(exp[i]))
+					}
+				}
+			}
+			if math.Signbit(float64(bufs[root][0])) {
+				t.Fatalf("n=%d root %d: a sum of −0s is −0, want +0 (the sum starts at +0)", n, root)
+			}
+		}
+	}
+}
+
+// TestReduceArgumentErrors: an out-of-range rank or root is ErrGroup before
+// anything is published.
+func TestReduceArgumentErrors(t *testing.T) {
 	g, _ := NewGroup(2)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	lens := []int{4, 5}
-	for r := 0; r < 2; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[r] = g.AllReduce(r, make([]float32, lens[r]))
-		}()
-	}
-	wg.Wait()
-	sawGroup := false
-	for _, err := range errs {
-		if err == nil {
-			t.Fatal("mismatched collective returned nil")
+	for _, tc := range []struct{ rank, root int }{{-1, 0}, {2, 0}, {0, -1}, {0, 2}} {
+		if err := g.Reduce(tc.rank, tc.root, []float32{1}); !errors.Is(err, ErrGroup) {
+			t.Fatalf("Reduce(%d, %d): want ErrGroup, got %v", tc.rank, tc.root, err)
 		}
-		if errors.Is(err, ErrGroup) {
-			sawGroup = true
-		}
-	}
-	if !sawGroup {
-		t.Fatalf("no member reported the root cause: %v", errs)
 	}
 }

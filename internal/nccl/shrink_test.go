@@ -71,7 +71,7 @@ func TestLeaveUnblocksInFlightCollective(t *testing.T) {
 	var mu sync.Mutex
 	for _, r := range []int{0, 1} {
 		go func(r int) {
-			err := g.AllReduce(r, bufs[r])
+			err := g.allReduceSum(r, bufs[r])
 			mu.Lock()
 			errs[r] = err
 			mu.Unlock()
@@ -162,5 +162,72 @@ func TestLeaveIdempotent(t *testing.T) {
 	g.Leave(7)
 	if g.Live() != 2 {
 		t.Fatalf("live = %d, want 2", g.Live())
+	}
+}
+
+// TestReduceRestartsAfterLeave: a root and a member parked in a reduce that
+// waits for a member that will never arrive restart over the survivors when
+// Leave fires; the root gets the survivors' rank-order sum and the member's
+// buffer is untouched.
+func TestReduceRestartsAfterLeave(t *testing.T) {
+	g, err := NewGroup(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := map[int][]float32{
+		0: {1, -2, 3, 0.5},
+		2: {10, 20, -30, 0.25},
+	}
+	done := make(chan error, 2)
+	for _, r := range []int{0, 2} {
+		go func(r int) { done <- g.Reduce(r, 0, bufs[r]) }(r)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("a rank returned (%v) before the failed member was reaped", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	g.Leave(1)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("survivors still blocked after Leave")
+		}
+	}
+	for r, want := range map[int][]float32{0: {11, 18, -27, 0.75}, 2: {10, 20, -30, 0.25}} {
+		for i, w := range want {
+			if bufs[r][i] != w {
+				t.Fatalf("rank %d elem %d = %v, want %v", r, i, bufs[r][i], w)
+			}
+		}
+	}
+}
+
+// TestReduceDepartedRoot: reducing into a member that left is a permanent
+// error, not a hang.
+func TestReduceDepartedRoot(t *testing.T) {
+	g, err := NewGroup(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Leave(0)
+	errs := make([]error, 3)
+	var wg sync.WaitGroup
+	for _, r := range []int{1, 2} {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = g.Reduce(r, 0, []float32{1})
+		}(r)
+	}
+	wg.Wait()
+	for _, r := range []int{1, 2} {
+		if !errors.Is(errs[r], ErrGroup) {
+			t.Fatalf("rank %d: got %v, want ErrGroup", r, errs[r])
+		}
 	}
 }

@@ -474,3 +474,63 @@ func TestCheckpointErrors(t *testing.T) {
 		t.Fatal("expected error for garbage input")
 	}
 }
+
+// trainSteps drives n solver steps on deterministic data.
+func trainSteps(t *testing.T, solver *SGDSolver, rng *tensor.RNG, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		x := tensor.New(4, 4)
+		rng.FillNormal(x, 0, 1)
+		labels := []int{0, 1, 0, 1}
+		if _, err := solver.Step(x, labels); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWeightOnlyCheckpointIsNotEnough: a checkpoint holds the weights only,
+// so a run restored from one (cold momentum, reset iteration and LR
+// schedule) diverges from the uninterrupted run.
+func TestWeightOnlyCheckpointIsNotEnough(t *testing.T) {
+	build := func() (*Network, *SGDSolver) {
+		net, _ := MLP("wo", 4, 8, 2)
+		net.InitWeights(tensor.NewRNG(1))
+		cfg := DefaultSolverConfig()
+		cfg.BaseLR = 0.05
+		cfg.StepSize = 12
+		cfg.Gamma = 0.5
+		return net, NewSGDSolver(net, cfg)
+	}
+	netA, solverA := build()
+	rngA := tensor.NewRNG(7)
+	trainSteps(t, solverA, rngA, 10)
+	var weightsOnly bytes.Buffer
+	if err := SaveCheckpoint(&weightsOnly, netA); err != nil {
+		t.Fatal(err)
+	}
+	trainSteps(t, solverA, rngA, 10)
+	want := netA.FlatWeights(nil)
+
+	netB, solverB := build()
+	if _, err := LoadCheckpoint(bytes.NewReader(weightsOnly.Bytes()), netB); err != nil {
+		t.Fatal(err)
+	}
+	rngB := tensor.NewRNG(7)
+	for i := 0; i < 10; i++ {
+		x := tensor.New(4, 4)
+		rngB.FillNormal(x, 0, 1)
+	}
+	trainSteps(t, solverB, rngB, 10)
+	got := netB.FlatWeights(nil)
+
+	same := true
+	for i := range want {
+		if want[i] != got[i] {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Fatal("weight-only restore unexpectedly matched the full-state run")
+	}
+}

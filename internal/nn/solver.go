@@ -237,15 +237,6 @@ func (s *SGDSolver) clearGrads() {
 	}
 }
 
-// ResetMomentum clears the velocity buffers; the elastic-averaging update
-// (Eq. 3/6) replaces weights outside the momentum path, after which stale
-// velocity can destabilize training at high worker counts.
-func (s *SGDSolver) ResetMomentum() {
-	for _, v := range s.velocity {
-		v.Zero()
-	}
-}
-
 // Validate checks the configuration for obviously unusable values. A
 // non-finite rate, momentum, decay or clip is rejected outright: each would
 // silently turn every weight into NaN (or, for GradClip, disable the clamp)

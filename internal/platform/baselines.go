@@ -1,11 +1,11 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"shmcaffe/internal/dataset"
-	"shmcaffe/internal/mpi"
 	"shmcaffe/internal/nccl"
 	"shmcaffe/internal/nn"
 	"shmcaffe/internal/tensor"
@@ -97,6 +97,11 @@ func (r *curveRecorder) result(name string, workers, iters int) *Result {
 	return res
 }
 
+// The three synchronous SGD (SSGD) baselines of the paper's Sec. IV do the
+// same math and differ only in their gradient collective, so they run one
+// loop (trainSSGD) over one nccl.Group. The timing model (perfmodel) is what
+// tells their communication costs apart.
+
 // Caffe is BVLC Caffe: single-node SSGD over the node's GPUs with NCCL
 // allreduce (paper: "If a multi-GPU setting is used, SSGD is implemented
 // using NCCL Allreduce").
@@ -108,12 +113,85 @@ var _ Trainer = Caffe{}
 func (Caffe) Name() string { return "Caffe" }
 
 // Train implements Trainer.
-func (Caffe) Train(cfg Config) (*Result, error) {
-	set, err := buildWorkers(&cfg, "caffe")
+func (c Caffe) Train(cfg Config) (*Result, error) {
+	return trainSSGD(cfg, c.Name(), "caffe", allReduceStep)
+}
+
+// CaffeMPI is Inspur Caffe-MPI: star topology. The master gathers gradients
+// from all slaves (MPI_Send/MPI_Recv in the original; a rank-order Reduce
+// here), takes the average, updates the master weights, and distributes
+// them back.
+type CaffeMPI struct{}
+
+var _ Trainer = CaffeMPI{}
+
+// Name implements Trainer.
+func (CaffeMPI) Name() string { return "Caffe-MPI" }
+
+// Train implements Trainer.
+func (c CaffeMPI) Train(cfg Config) (*Result, error) {
+	return trainSSGD(cfg, c.Name(), "caffempi", masterStep)
+}
+
+// MPICaffe is the authors' comparison baseline: SSGD where every worker
+// aggregates gradients with MPI_Allreduce and applies the same update. The
+// allreduce is the ring Caffe runs, so the two train bit for bit alike.
+type MPICaffe struct{}
+
+var _ Trainer = MPICaffe{}
+
+// Name implements Trainer.
+func (MPICaffe) Name() string { return "MPICaffe" }
+
+// Train implements Trainer.
+func (m MPICaffe) Train(cfg Config) (*Result, error) {
+	return trainSSGD(cfg, m.Name(), "mpicaffe", allReduceStep)
+}
+
+// An ssgdStep is rank r's collective and update after its TrainStep left
+// the minibatch's gradients in the slab. Every rank leaves it holding the
+// same weights and a clear gradient slab.
+type ssgdStep func(g *nccl.Group, r int, net *nn.Network, solver *nn.SGDSolver) error
+
+// allReduceStep averages the gradients over the ring on every rank, in
+// place, and applies the same update everywhere.
+func allReduceStep(g *nccl.Group, r int, net *nn.Network, solver *nn.SGDSolver) error {
+	if err := g.AllReduceMean(r, net.Grads()); err != nil {
+		return err
+	}
+	solver.ApplyUpdate()
+	return nil
+}
+
+// masterStep sums every rank's gradients into the master (rank 0) in rank
+// order, which averages them and updates its weights; the slaves drop
+// theirs, and the master broadcasts its weights to them.
+func masterStep(g *nccl.Group, r int, net *nn.Network, solver *nn.SGDSolver) error {
+	grads := net.Grads()
+	if err := g.Reduce(r, 0, grads); err != nil {
+		return err
+	}
+	if r == 0 {
+		inv := 1 / float32(g.Size())
+		for i := range grads {
+			grads[i] *= inv
+		}
+		solver.ApplyUpdate()
+	} else {
+		net.ZeroGrads()
+	}
+	return g.Broadcast(r, 0, net.Weights())
+}
+
+// trainSSGD runs one SSGD baseline: each rank trains a minibatch into its
+// gradient slab and runs step; rank 0 records the curve. A failed rank
+// aborts the group, so the others return instead of waiting for it.
+func trainSSGD(cfg Config, name, label string, step ssgdStep) (*Result, error) {
+	set, err := buildWorkers(&cfg, label)
 	if err != nil {
 		return nil, err
 	}
-	eval, err := newEvaluator(&cfg, "caffe-eval")
+	eval, err := newEvaluator(&cfg, label+"-eval")
 	if err != nil {
 		return nil, err
 	}
@@ -130,235 +208,35 @@ func (Caffe) Train(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			net := set.nets[r]
-			grads := make([]float32, net.NumParams())
-			weights := make([]float32, net.NumParams())
-			for iter := 0; iter < set.iters; iter++ {
-				b := set.loaders[r].Next()
-				net.ZeroGrads()
-				loss, _, err := net.TrainStep(b.X, b.Labels)
-				if err != nil {
-					errs[r] = err
-					return
-				}
-				net.FlatGrads(grads)
-				if err := group.AllReduceMean(r, grads); err != nil {
-					errs[r] = err
-					return
-				}
-				if err := net.SetFlatGrads(grads); err != nil {
-					errs[r] = err
-					return
-				}
-				set.solvers[r].ApplyUpdate()
-				if r == 0 {
-					net.FlatWeights(weights)
-					if err := rec.record(iter, loss, weights); err != nil {
-						errs[r] = err
-						return
-					}
-				}
+			if errs[r] = ssgdRank(set, group, r, rec, step); errs[r] != nil {
+				group.Abort()
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
-	return rec.result("Caffe", cfg.Workers, set.iters), nil
+	return rec.result(name, cfg.Workers, set.iters), nil
 }
 
-// CaffeMPI is Inspur Caffe-MPI: star topology. The master gathers gradients
-// from all slaves (MPI_Send/MPI_Recv in the original; Gather here), takes
-// the average, updates the master weights, and distributes them back.
-type CaffeMPI struct{}
-
-var _ Trainer = CaffeMPI{}
-
-// Name implements Trainer.
-func (CaffeMPI) Name() string { return "Caffe-MPI" }
-
-// Train implements Trainer.
-func (CaffeMPI) Train(cfg Config) (*Result, error) {
-	set, err := buildWorkers(&cfg, "caffempi")
-	if err != nil {
-		return nil, err
-	}
-	eval, err := newEvaluator(&cfg, "caffempi-eval")
-	if err != nil {
-		return nil, err
-	}
-	world, err := mpi.NewWorld(cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	rec := &curveRecorder{eval: eval, perEp: set.perEp}
-
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Workers)
-	for r := 0; r < cfg.Workers; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[r] = caffeMPIWorker(&cfg, set, world, r, rec)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rec.result("Caffe-MPI", cfg.Workers, set.iters), nil
-}
-
-func caffeMPIWorker(cfg *Config, set *workerSet, world *mpi.World, r int, rec *curveRecorder) error {
-	comm, err := world.Comm(r)
-	if err != nil {
-		return err
-	}
+// ssgdRank is rank r's training loop.
+func ssgdRank(set *workerSet, group *nccl.Group, r int, rec *curveRecorder, step ssgdStep) error {
 	net := set.nets[r]
-	elems := net.NumParams()
-	grads := make([]float32, elems)
 	for iter := 0; iter < set.iters; iter++ {
 		b := set.loaders[r].Next()
-		net.ZeroGrads()
 		loss, _, err := net.TrainStep(b.X, b.Labels)
 		if err != nil {
 			return err
 		}
-		net.FlatGrads(grads)
-		// Slaves send gradients to the master; the master averages,
-		// updates its weights, and broadcasts them.
-		gathered, err := comm.Gather(0, tensor.Float32Bytes(grads))
-		if err != nil {
+		if err := step(group, r, net, set.solvers[r]); err != nil {
 			return err
 		}
 		if r == 0 {
-			avg := make([]float32, elems)
-			tmp := make([]float32, elems)
-			for _, buf := range gathered {
-				if err := tensor.DecodeFloat32(buf, tmp); err != nil {
-					return err
-				}
-				tensor.AxpySlice(1, tmp, avg)
-			}
-			inv := 1 / float32(cfg.Workers)
-			for i := range avg {
-				avg[i] *= inv
-			}
-			if err := net.SetFlatGrads(avg); err != nil {
-				return err
-			}
-			set.solvers[0].ApplyUpdate()
-		}
-		// Master distributes the updated master weights to the slaves.
-		var wbuf []byte
-		if r == 0 {
-			wbuf = tensor.Float32Bytes(net.FlatWeights(nil))
-		}
-		out, err := comm.Bcast(0, wbuf)
-		if err != nil {
-			return err
-		}
-		if r != 0 {
-			w := make([]float32, elems)
-			if err := tensor.DecodeFloat32(out, w); err != nil {
-				return err
-			}
-			if err := net.SetFlatWeights(w); err != nil {
-				return err
-			}
-		}
-		if r == 0 {
-			if err := rec.record(iter, loss, net.FlatWeights(nil)); err != nil {
+			if err := rec.record(iter, loss, net.Weights()); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// MPICaffe is the authors' comparison baseline: SSGD where every worker
-// aggregates gradients with MPI_Allreduce and applies the same update.
-type MPICaffe struct{}
-
-var _ Trainer = MPICaffe{}
-
-// Name implements Trainer.
-func (MPICaffe) Name() string { return "MPICaffe" }
-
-// Train implements Trainer.
-func (MPICaffe) Train(cfg Config) (*Result, error) {
-	set, err := buildWorkers(&cfg, "mpicaffe")
-	if err != nil {
-		return nil, err
-	}
-	eval, err := newEvaluator(&cfg, "mpicaffe-eval")
-	if err != nil {
-		return nil, err
-	}
-	world, err := mpi.NewWorld(cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	rec := &curveRecorder{eval: eval, perEp: set.perEp}
-
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Workers)
-	for r := 0; r < cfg.Workers; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			comm, err := world.Comm(r)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			net := set.nets[r]
-			grads := make([]float32, net.NumParams())
-			weights := make([]float32, net.NumParams())
-			inv := 1 / float32(cfg.Workers)
-			for iter := 0; iter < set.iters; iter++ {
-				b := set.loaders[r].Next()
-				net.ZeroGrads()
-				loss, _, err := net.TrainStep(b.X, b.Labels)
-				if err != nil {
-					errs[r] = err
-					return
-				}
-				net.FlatGrads(grads)
-				if err := comm.AllreduceSum(grads); err != nil {
-					errs[r] = err
-					return
-				}
-				for i := range grads {
-					grads[i] *= inv
-				}
-				if err := net.SetFlatGrads(grads); err != nil {
-					errs[r] = err
-					return
-				}
-				set.solvers[r].ApplyUpdate()
-				if r == 0 {
-					net.FlatWeights(weights)
-					if err := rec.record(iter, loss, weights); err != nil {
-						errs[r] = err
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rec.result("MPICaffe", cfg.Workers, set.iters), nil
 }

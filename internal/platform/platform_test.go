@@ -1,6 +1,9 @@
 package platform
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -112,33 +115,73 @@ func TestCaffeSingleGPU(t *testing.T) {
 	assertLearned(t, res, 0.7)
 }
 
-// TestSynchronousBaselinesAgree: Caffe (NCCL allreduce), Caffe-MPI (star
-// gather/scatter) and MPICaffe (MPI allreduce) implement the same math, so
-// with identical seeds their epoch curves must be very close. This is the
-// cross-validation of the three independent communication paths.
+// TestSynchronousBaselinesAgree: the two communication paths of the SSGD
+// loop — the ring allreduce (Caffe, MPICaffe) and the master's rank-order
+// reduce and broadcast (Caffe-MPI) — average the same gradients in
+// different orders, so with identical seeds their epoch curves must be very
+// close. This is the cross-validation of the two paths.
 func TestSynchronousBaselinesAgree(t *testing.T) {
-	cfgA := testConfig(t, 2, 11)
-	resA, err := Caffe{}.Train(cfgA)
+	resA, err := Caffe{}.Train(testConfig(t, 2, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgB := testConfig(t, 2, 11)
-	resB, err := MPICaffe{}.Train(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgC := testConfig(t, 2, 11)
-	resC, err := CaffeMPI{}.Train(cfgC)
+	resC, err := CaffeMPI{}.Train(testConfig(t, 2, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range resA.Curve {
-		a, b, c := resA.Curve[i].ValLoss, resB.Curve[i].ValLoss, resC.Curve[i].ValLoss
-		if math.Abs(a-b) > 0.05*(1+math.Abs(a)) {
-			t.Fatalf("epoch %d: Caffe %.4f vs MPICaffe %.4f", i+1, a, b)
-		}
+		a, c := resA.Curve[i].ValLoss, resC.Curve[i].ValLoss
 		if math.Abs(a-c) > 0.05*(1+math.Abs(a)) {
 			t.Fatalf("epoch %d: Caffe %.4f vs Caffe-MPI %.4f", i+1, a, c)
+		}
+	}
+}
+
+// resultDigest is the sha256 of a run's FinalWeights and Curve bits.
+func resultDigest(res *Result) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, w := range res.FinalWeights {
+		binary.LittleEndian.PutUint32(b[:4], math.Float32bits(w))
+		h.Write(b[:4])
+	}
+	for _, p := range res.Curve {
+		for _, v := range []uint64{uint64(p.Epoch), math.Float64bits(p.TrainLoss), math.Float64bits(p.ValLoss), math.Float64bits(p.Accuracy)} {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSSGDBaselineBits pins the SSGD loop's bits. The digests of the
+// 3-worker Caffe-MPI and Caffe runs are those of the implementation that
+// gathered Caffe-MPI's gradients as bytes and summed them at the master in
+// rank order, so a change to the reduce's order moves them. MPICaffe runs
+// Caffe's ring and must match it bit for bit.
+func TestSSGDBaselineBits(t *testing.T) {
+	train := func(tr Trainer, workers int) string {
+		t.Helper()
+		res, err := tr.Train(testConfig(t, workers, 11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultDigest(res)
+	}
+	for _, tc := range []struct {
+		tr   Trainer
+		want string
+	}{
+		{CaffeMPI{}, "592dac46b0021c0d32bdbd74228428f0dc65ab976cd9791223d5656f140ba1a8"},
+		{Caffe{}, "ac8984b9b514f2fd994917e448254ff3d7b21fb0d2248e2e72614e0d36c4075b"},
+	} {
+		if got := train(tc.tr, 3); got != tc.want {
+			t.Errorf("%s at 3 workers: digest %s, want %s", tc.tr.Name(), got, tc.want)
+		}
+	}
+	for _, w := range []int{3, 4} {
+		if a, m := train(Caffe{}, w), train(MPICaffe{}, w); a != m {
+			t.Errorf("%d workers: MPICaffe digest %s != Caffe %s", w, m, a)
 		}
 	}
 }

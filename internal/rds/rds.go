@@ -323,9 +323,6 @@ func newConn(e *Endpoint, peer string) *Conn {
 	return c
 }
 
-// Peer returns the remote address.
-func (c *Conn) Peer() string { return c.peer }
-
 func (c *Conn) markEstablished() { c.estOnce.Do(func() { close(c.established) }) }
 
 // teardown marks the connection dead, wakes all waiters and stops the

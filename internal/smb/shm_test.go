@@ -75,7 +75,7 @@ func readF32(t *testing.T, c Client, h Handle, n int) []float32 {
 
 func dialShmT(t *testing.T, path string) *ShmClient {
 	t.Helper()
-	c, err := DialShm(path)
+	c, err := DialShmConfig(ShmConfig{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}

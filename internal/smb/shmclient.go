@@ -81,12 +81,6 @@ type ShmConfig struct {
 // unix socket stays dead, it is dead).
 const shmCtlAttempts = 3
 
-// DialShm connects the zero-copy client to a server's unix-domain control
-// socket with default timeouts.
-func DialShm(path string) (*ShmClient, error) {
-	return DialShmConfig(ShmConfig{Path: path})
-}
-
 // DialShmConfig dials cfg.Path, performs the shm hello, and returns a
 // leased client. Fails fast when the build has the transport compiled out,
 // when the socket is unreachable, or when the server is not exporting

@@ -139,7 +139,7 @@ type shmGeometry struct {
 
 // ShmHello requests a lease on this control connection. The server must be
 // exporting segments; against a non-shm or old server the remote error
-// surfaces directly (DialShm treats it as "not offered").
+// surfaces directly (DialShmConfig treats it as "not offered").
 func (c *StreamClient) ShmHello() (uint32, error) {
 	r, err := c.do(call{op: opShmHello})
 	return uint32(r.w[0]), err

@@ -65,7 +65,7 @@ func benchClients(b *testing.B, fn func(b *testing.B, c Client, hg, hd Handle)) 
 	})
 	b.Run("shm-mapped", func(b *testing.B) {
 		_, path := startShmServer(b)
-		c, err := DialShm(path)
+		c, err := DialShmConfig(ShmConfig{Path: path})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -539,20 +538,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Series returns the full names of all registered metrics, sorted — a
-// diagnostic helper for tests asserting presence of key series.
-func (r *Registry) Series() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.index))
-	for name := range r.index {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

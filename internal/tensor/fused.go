@@ -47,8 +47,8 @@ func minLen3(a, b, c int) int {
 // before its delta is stored, so the result is the same bits as on disjoint
 // operands. delta must not alias local, and local and global must not alias
 // each other. Each element is fully computed and stored before the next, so
-// the result is bitwise-identical to running WeightIncrement followed by
-// ApplyIncrementLocal on disjoint operands — on both the portable and the
+// the result is bitwise-identical to running Eq. 5 and then Eq. 6 as two
+// passes on disjoint operands — on both the portable and the
 // SIMD backend (the AVX2 kernel evaluates the identical expression tree
 // per element; see internal/tensor/simd).
 //

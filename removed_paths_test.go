@@ -112,6 +112,18 @@ var removedPaths = []removedPath{
 			{scope: []string{"internal/nn"}, re: `^func (MiniModelByName|ProfileByName|TinyConvNet)\(`},
 			{scope: []string{"."}, tests: true, re: `SimdEnabled\(|simd\.(Reason|FMAContracted)\(`},
 		}},
+	{"mpi-and-unused-exports", "One SSGD loop over one collective runtime",
+		"the three SSGD baselines run one loop over internal/nccl, so no second collective runtime comes back; exported API nothing outside its tests called stays out, and core's Eq. 5–7 and elastic-distance oracles stay test code",
+		[]scan{
+			{scope: []string{"."}, tests: true, re: `shmcaffe/internal/mpi"`},
+			{scope: []string{"internal/dataset"}, re: `^func NewPrefetcher\(|^type Prefetcher\b`},
+			{scope: []string{"internal/nn"}, re: `^func \([^)]*SGDSolver\) (SaveState|RestoreState|ResetMomentum)\(`},
+			{scope: []string{"internal/rds"}, re: `^func \([^)]*Conn\) Peer\(`},
+			{scope: []string{"internal/telemetry"}, re: `^func \([^)]*Registry\) Series\(`},
+			{scope: []string{"internal/smb"}, re: `^func DialShm\(`},
+			{scope: []string{"internal/nccl"}, re: `^func \([^)]*Group\) AllReduce\(`},
+			{scope: []string{"internal/core"}, re: `^func (WeightIncrement|ApplyIncrementLocal|ApplyIncrementGlobal|CenterDistance)\(`},
+		}},
 }
 
 // TestRemovedPathsStayRemoved runs every row of removedPaths over the
