@@ -19,13 +19,13 @@ func AblationOverlap(hw perfmodel.Hardware) (*trace.Table, error) {
 	t := trace.New("Ablation: overlapped vs blocking global-weight push (Inception-v1)",
 		"Workers", "Overlap iter (ms)", "Blocking iter (ms)", "Overlap saves")
 	for _, w := range []int{1, 4, 8, 16} {
-		over, err := perfmodel.SimulateSEASGDOpts(nn.InceptionV1, w, simIters, hw,
-			perfmodel.SEASGDOptions{UpdateInterval: 1})
+		over, err := perfmodel.SimulateSEASGD(nn.InceptionV1, w, simIters, hw,
+			perfmodel.SEASGDOptions{})
 		if err != nil {
 			return nil, err
 		}
-		block, err := perfmodel.SimulateSEASGDOpts(nn.InceptionV1, w, simIters, hw,
-			perfmodel.SEASGDOptions{UpdateInterval: 1, DisableOverlap: true})
+		block, err := perfmodel.SimulateSEASGD(nn.InceptionV1, w, simIters, hw,
+			perfmodel.SEASGDOptions{DisableOverlap: true})
 		if err != nil {
 			return nil, err
 		}
@@ -43,13 +43,13 @@ func AblationHiddenRead(hw perfmodel.Hardware) (*trace.Table, error) {
 	t := trace.New("Ablation: exposed vs hidden global-weight read (Inception-v1)",
 		"Workers", "Exposed iter (ms)", "Hidden iter (ms)", "Hidden saves")
 	for _, w := range []int{1, 4, 8, 16} {
-		exposed, err := perfmodel.SimulateSEASGDOpts(nn.InceptionV1, w, simIters, hw,
-			perfmodel.SEASGDOptions{UpdateInterval: 1})
+		exposed, err := perfmodel.SimulateSEASGD(nn.InceptionV1, w, simIters, hw,
+			perfmodel.SEASGDOptions{})
 		if err != nil {
 			return nil, err
 		}
-		hidden, err := perfmodel.SimulateSEASGDOpts(nn.InceptionV1, w, simIters, hw,
-			perfmodel.SEASGDOptions{UpdateInterval: 1, HideGlobalRead: true})
+		hidden, err := perfmodel.SimulateSEASGD(nn.InceptionV1, w, simIters, hw,
+			perfmodel.SEASGDOptions{HideGlobalRead: true})
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +65,7 @@ func AblationUpdateInterval(hw perfmodel.Hardware) (*trace.Table, error) {
 	t := trace.New("Ablation: update_interval sweep (Inception-ResNet-v2, 16 workers)",
 		"update_interval", "Iter (ms)", "Comm (ms)", "Comm ratio")
 	for _, k := range []int{1, 2, 4, 8} {
-		b, err := perfmodel.SimulateSEASGDOpts(nn.InceptionResNetV2, 16, simIters, hw,
+		b, err := perfmodel.SimulateSEASGD(nn.InceptionResNetV2, 16, simIters, hw,
 			perfmodel.SEASGDOptions{UpdateInterval: k})
 		if err != nil {
 			return nil, err
@@ -82,13 +82,13 @@ func AblationAccumulate(hw perfmodel.Hardware) (*trace.Table, error) {
 	t := trace.New("Ablation: server-side Accumulate vs client-side RMW (ResNet-50)",
 		"Workers", "Accumulate iter (ms)", "RMW iter (ms)", "Accumulate saves")
 	for _, w := range []int{2, 4, 8, 16} {
-		acc, err := perfmodel.SimulateSEASGDOpts(nn.ResNet50, w, simIters, hw,
-			perfmodel.SEASGDOptions{UpdateInterval: 1})
+		acc, err := perfmodel.SimulateSEASGD(nn.ResNet50, w, simIters, hw,
+			perfmodel.SEASGDOptions{})
 		if err != nil {
 			return nil, err
 		}
-		rmw, err := perfmodel.SimulateSEASGDOpts(nn.ResNet50, w, simIters, hw,
-			perfmodel.SEASGDOptions{UpdateInterval: 1, ClientSideRMW: true})
+		rmw, err := perfmodel.SimulateSEASGD(nn.ResNet50, w, simIters, hw,
+			perfmodel.SEASGDOptions{ClientSideRMW: true})
 		if err != nil {
 			return nil, err
 		}

@@ -37,31 +37,15 @@ func Fig10Chart(hw perfmodel.Hardware) (*trace.Chart, error) {
 	c := trace.NewChart("Fig. 10: one Inception-v1 iteration at 16 GPUs", "ms")
 	c.Legend = compCommLegend
 	p := nn.InceptionV1
-	add := func(name string, b perfmodel.IterBreakdown) {
-		c.Add(name,
+	for _, pl := range fourPlatforms {
+		b, err := pl.sim(p, 16, hw)
+		if err != nil {
+			return nil, err
+		}
+		c.Add(pl.name,
 			trace.Segment{Glyph: glyphComp, Value: float64(b.Comp.Microseconds()) / 1000},
 			trace.Segment{Glyph: glyphComm, Value: float64(b.Comm.Microseconds()) / 1000})
 	}
-	caffe, err := perfmodel.SimulateCaffe(p, 16, simIters, hw)
-	if err != nil {
-		return nil, err
-	}
-	cmpi, err := perfmodel.SimulateCaffeMPI(p, 16, simIters, hw)
-	if err != nil {
-		return nil, err
-	}
-	mpic, err := perfmodel.SimulateMPICaffe(p, 16, simIters, hw)
-	if err != nil {
-		return nil, err
-	}
-	shm, err := perfmodel.SimulateHSGD(p, hsgdGroups(16, hw.GPUsPerNode), simIters, hw)
-	if err != nil {
-		return nil, err
-	}
-	add("Caffe", caffe)
-	add("Caffe-MPI", cmpi)
-	add("MPICaffe", mpic)
-	add("ShmCaffe", shm)
 	return c, nil
 }
 
@@ -72,7 +56,7 @@ func Fig13Chart(workers int, hw perfmodel.Hardware) (*trace.Chart, error) {
 		fmt.Sprintf("Figs. 12-13: ShmCaffe-A per-model iteration at %d workers", workers), "ms")
 	c.Legend = compCommLegend
 	for _, p := range nn.PaperModels() {
-		b, err := perfmodel.SimulateSEASGD(p, workers, simIters, hw)
+		b, err := perfmodel.SimulateSEASGD(p, workers, simIters, hw, perfmodel.SEASGDOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +72,7 @@ func Fig15Chart(hw perfmodel.Hardware) (*trace.Chart, error) {
 	c := trace.NewChart("Fig. 15: ShmCaffe-A vs -H one-iteration time at 16 GPUs", "ms")
 	c.Legend = compCommLegend
 	for _, p := range nn.PaperModels() {
-		a, err := perfmodel.SimulateSEASGD(p, 16, simIters, hw)
+		a, err := perfmodel.SimulateSEASGD(p, 16, simIters, hw, perfmodel.SEASGDOptions{})
 		if err != nil {
 			return nil, err
 		}

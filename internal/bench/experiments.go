@@ -12,6 +12,7 @@ import (
 
 	"shmcaffe/internal/nn"
 	"shmcaffe/internal/perfmodel"
+	"shmcaffe/internal/platform"
 	"shmcaffe/internal/trace"
 )
 
@@ -48,6 +49,31 @@ func Fig7Bandwidth(hw perfmodel.Hardware) (*trace.Table, error) {
 	return t, nil
 }
 
+// timedPlatform is one of the four platforms Table II and Figs. 9–10
+// compare: its functional trainer and its simulated iteration on `workers`
+// GPUs.
+type timedPlatform struct {
+	name string
+	tr   platform.Trainer
+	sim  func(p nn.Profile, workers int, hw perfmodel.Hardware) (perfmodel.IterBreakdown, error)
+}
+
+// fourPlatforms lists the compared platforms in the paper's order.
+var fourPlatforms = []timedPlatform{
+	{"Caffe", platform.Caffe{}, func(p nn.Profile, workers int, hw perfmodel.Hardware) (perfmodel.IterBreakdown, error) {
+		return perfmodel.SimulateCaffe(p, workers, simIters, hw)
+	}},
+	{"Caffe-MPI", platform.CaffeMPI{}, func(p nn.Profile, workers int, hw perfmodel.Hardware) (perfmodel.IterBreakdown, error) {
+		return perfmodel.SimulateCaffeMPI(p, workers, simIters, hw)
+	}},
+	{"MPICaffe", platform.MPICaffe{}, func(p nn.Profile, workers int, hw perfmodel.Hardware) (perfmodel.IterBreakdown, error) {
+		return perfmodel.SimulateMPICaffe(p, workers, simIters, hw, perfmodel.SSGDOptions{})
+	}},
+	{"ShmCaffe", platform.ShmCaffeH{}, func(p nn.Profile, workers int, hw perfmodel.Hardware) (perfmodel.IterBreakdown, error) {
+		return perfmodel.SimulateHSGD(p, hsgdGroups(workers, hw.GPUsPerNode), simIters, hw)
+	}},
+}
+
 // Table2TrainingTime reproduces Table II / Fig. 9: Inception-v1 15-epoch
 // training time and scalability for the four platforms at 1/8/16 GPUs.
 // Scalability is relative to Caffe on 1 GPU, as in the paper.
@@ -57,42 +83,27 @@ func Table2TrainingTime(hw perfmodel.Hardware) (*trace.Table, error) {
 		time  time.Duration
 		valid bool
 	}
-	platforms := []string{"Caffe", "Caffe-MPI", "MPICaffe", "ShmCaffe"}
 	gpuCounts := []int{1, 8, 16}
 	grid := make(map[string]map[int]cell)
-	for _, name := range platforms {
-		grid[name] = make(map[int]cell)
-	}
-	for _, gpus := range gpuCounts {
-		caffe, err := perfmodel.SimulateCaffe(p, gpus, simIters, hw)
-		if err != nil {
-			return nil, err
+	for _, pl := range fourPlatforms {
+		grid[pl.name] = make(map[int]cell)
+		for _, gpus := range gpuCounts {
+			if gpus == 1 && pl.name != "Caffe" {
+				continue // the distributed platforms start at 8 GPUs
+			}
+			b, err := pl.sim(p, gpus, hw)
+			if err != nil {
+				return nil, err
+			}
+			grid[pl.name][gpus] = cell{perfmodel.TrainingTime(b, p, perfmodel.ImageNetTrainSize, 15, gpus), true}
 		}
-		grid["Caffe"][gpus] = cell{perfmodel.TrainingTime(caffe, p, perfmodel.ImageNetTrainSize, 15, gpus), true}
-		if gpus == 1 {
-			continue // the distributed platforms start at 8 GPUs
-		}
-		cmpi, err := perfmodel.SimulateCaffeMPI(p, gpus, simIters, hw)
-		if err != nil {
-			return nil, err
-		}
-		grid["Caffe-MPI"][gpus] = cell{perfmodel.TrainingTime(cmpi, p, perfmodel.ImageNetTrainSize, 15, gpus), true}
-		mpic, err := perfmodel.SimulateMPICaffe(p, gpus, simIters, hw)
-		if err != nil {
-			return nil, err
-		}
-		grid["MPICaffe"][gpus] = cell{perfmodel.TrainingTime(mpic, p, perfmodel.ImageNetTrainSize, 15, gpus), true}
-		shm, err := perfmodel.SimulateHSGD(p, hsgdGroups(gpus, hw.GPUsPerNode), simIters, hw)
-		if err != nil {
-			return nil, err
-		}
-		grid["ShmCaffe"][gpus] = cell{perfmodel.TrainingTime(shm, p, perfmodel.ImageNetTrainSize, 15, gpus), true}
 	}
 
 	base := grid["Caffe"][1].time
 	t := trace.New("Table II: Inception-v1 training time (15 epochs) and scalability",
 		"Platform", "1 GPU", "8 GPUs", "16 GPUs", "Scal. 8", "Scal. 16")
-	for _, name := range platforms {
+	for _, pl := range fourPlatforms {
+		name := pl.name
 		row := []string{name}
 		for _, gpus := range gpuCounts {
 			c := grid[name][gpus]
@@ -138,29 +149,13 @@ func Fig10CompComm(hw perfmodel.Hardware) (*trace.Table, error) {
 	const gpus = 16
 	t := trace.New("Fig. 10: Computation and communication per iteration (Inception-v1, 16 GPUs)",
 		"Platform", "Comp (ms)", "Comm (ms)", "Iter (ms)", "Comm ratio")
-	add := func(name string, b perfmodel.IterBreakdown) {
-		t.Add(name, trace.Ms(b.Comp), trace.Ms(b.Comm), trace.Ms(b.Iter), trace.Pct(b.CommRatio()))
+	for _, pl := range fourPlatforms {
+		b, err := pl.sim(p, gpus, hw)
+		if err != nil {
+			return nil, err
+		}
+		t.Add(pl.name, trace.Ms(b.Comp), trace.Ms(b.Comm), trace.Ms(b.Iter), trace.Pct(b.CommRatio()))
 	}
-	caffe, err := perfmodel.SimulateCaffe(p, gpus, simIters, hw)
-	if err != nil {
-		return nil, err
-	}
-	add("Caffe", caffe)
-	cmpi, err := perfmodel.SimulateCaffeMPI(p, gpus, simIters, hw)
-	if err != nil {
-		return nil, err
-	}
-	add("Caffe-MPI", cmpi)
-	mpic, err := perfmodel.SimulateMPICaffe(p, gpus, simIters, hw)
-	if err != nil {
-		return nil, err
-	}
-	add("MPICaffe", mpic)
-	shm, err := perfmodel.SimulateHSGD(p, hsgdGroups(gpus, hw.GPUsPerNode), simIters, hw)
-	if err != nil {
-		return nil, err
-	}
-	add("ShmCaffe", shm)
 	return t, nil
 }
 
@@ -197,7 +192,7 @@ func Table5ShmCaffeA(hw perfmodel.Hardware) (*trace.Table, error) {
 		"Model", "Workers", "Comp (ms)", "Comm (ms)", "Iter (ms)", "Comm ratio")
 	for _, p := range nn.PaperModels() {
 		for _, w := range []int{1, 2, 4, 8, 16} {
-			b, err := perfmodel.SimulateSEASGD(p, w, simIters, hw)
+			b, err := perfmodel.SimulateSEASGD(p, w, simIters, hw, perfmodel.SEASGDOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("table 5 %s w=%d: %w", p.Name, w, err)
 			}
@@ -249,7 +244,7 @@ func Fig15AvsH(hw perfmodel.Hardware) (*trace.Table, error) {
 		"Model", "GPUs", "A iter (ms)", "H iter (ms)", "H speedup")
 	for _, p := range nn.PaperModels() {
 		for _, gpus := range []int{8, 16} {
-			a, err := perfmodel.SimulateSEASGD(p, gpus, simIters, hw)
+			a, err := perfmodel.SimulateSEASGD(p, gpus, simIters, hw, perfmodel.SEASGDOptions{})
 			if err != nil {
 				return nil, err
 			}

@@ -16,7 +16,7 @@ func FutureWorkMultiServer(hw perfmodel.Hardware) (*trace.Table, error) {
 		"Model", "Servers", "Iter (ms)", "Comm (ms)", "Comm ratio")
 	for _, p := range []nn.Profile{nn.InceptionResNetV2, nn.VGG16} {
 		for _, servers := range []int{1, 2, 4, 8} {
-			b, err := perfmodel.SimulateSEASGDMultiServer(p, 16, servers, simIters, hw)
+			b, err := perfmodel.SimulateSEASGD(p, 16, simIters, hw, perfmodel.SEASGDOptions{Servers: servers})
 			if err != nil {
 				return nil, fmt.Errorf("multi-server %s k=%d: %w", p.Name, servers, err)
 			}
@@ -36,11 +36,11 @@ func AblationLayerwiseOverlap(hw perfmodel.Hardware) (*trace.Table, error) {
 	t := trace.New("Ablation: layer-wise allreduce overlap in the MPI baseline (16 workers)",
 		"Model", "MPICaffe (ms)", "MPICaffe pipelined (ms)", "ShmCaffe-H (ms)")
 	for _, p := range nn.PaperModels() {
-		plain, err := perfmodel.SimulateMPICaffe(p, 16, simIters, hw)
+		plain, err := perfmodel.SimulateMPICaffe(p, 16, simIters, hw, perfmodel.SSGDOptions{})
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := perfmodel.SimulateMPICaffeLayerwise(p, 16, 8, simIters, hw)
+		pipe, err := perfmodel.SimulateMPICaffe(p, 16, simIters, hw, perfmodel.SSGDOptions{Chunks: 8})
 		if err != nil {
 			return nil, err
 		}
@@ -63,17 +63,8 @@ func StragglerSensitivity(hw perfmodel.Hardware) (*trace.Table, error) {
 	const iters = 60
 	p := nn.InceptionV1
 
-	// Clean baselines use the same simulation path with zero jitter so
-	// the slowdown column isolates the jitter effect.
-	zero := perfmodel.StragglerModel{Seed: 1}
-	ssgdClean, err := perfmodel.SimulateSSGDWithStragglers(p, workers, iters, hw, zero)
-	if err != nil {
-		return nil, err
-	}
-	seasgdClean, err := perfmodel.SimulateSEASGDWithStragglers(p, workers, iters, hw, zero)
-	if err != nil {
-		return nil, err
-	}
+	// The first model adds no jitter: its run is the clean baseline each
+	// slowdown is relative to. SSGD is MPICaffe.
 	models := []struct {
 		label string
 		m     perfmodel.StragglerModel
@@ -83,14 +74,18 @@ func StragglerSensitivity(hw perfmodel.Hardware) (*trace.Table, error) {
 		{"sigma 0.15, 5% 4x", perfmodel.StragglerModel{Sigma: 0.15, SlowProb: 0.05, SlowFactor: 4, Seed: 3}},
 		{"sigma 0.3, 10% 5x", perfmodel.StragglerModel{Sigma: 0.3, SlowProb: 0.1, SlowFactor: 5, Seed: 5}},
 	}
-	for _, entry := range models {
-		ssgd, err := perfmodel.SimulateSSGDWithStragglers(p, workers, iters, hw, entry.m)
+	var ssgdClean, seasgdClean perfmodel.IterBreakdown
+	for i, entry := range models {
+		ssgd, err := perfmodel.SimulateMPICaffe(p, workers, iters, hw, perfmodel.SSGDOptions{Stragglers: entry.m})
 		if err != nil {
 			return nil, err
 		}
-		seasgd, err := perfmodel.SimulateSEASGDWithStragglers(p, workers, iters, hw, entry.m)
+		seasgd, err := perfmodel.SimulateSEASGD(p, workers, iters, hw, perfmodel.SEASGDOptions{Stragglers: entry.m})
 		if err != nil {
 			return nil, err
+		}
+		if i == 0 {
+			ssgdClean, seasgdClean = ssgd, seasgd
 		}
 		t.Add(entry.label,
 			trace.Ms(ssgd.Iter),

@@ -22,26 +22,7 @@ func Fig9TimeToAccuracy(workers int, targetAcc float64, o ConvergenceOptions, hw
 			100*targetAcc, workers),
 		"Platform", "Iterations to target", "Iter time (ms)", "Projected time")
 
-	p := nn.InceptionV1
-	entries := []struct {
-		name string
-		tr   platform.Trainer
-		sim  func() (perfmodel.IterBreakdown, error)
-	}{
-		{"Caffe", platform.Caffe{}, func() (perfmodel.IterBreakdown, error) {
-			return perfmodel.SimulateCaffe(p, workers, simIters, hw)
-		}},
-		{"Caffe-MPI", platform.CaffeMPI{}, func() (perfmodel.IterBreakdown, error) {
-			return perfmodel.SimulateCaffeMPI(p, workers, simIters, hw)
-		}},
-		{"MPICaffe", platform.MPICaffe{}, func() (perfmodel.IterBreakdown, error) {
-			return perfmodel.SimulateMPICaffe(p, workers, simIters, hw)
-		}},
-		{"ShmCaffe", platform.ShmCaffeH{}, func() (perfmodel.IterBreakdown, error) {
-			return perfmodel.SimulateHSGD(p, hsgdGroups(workers, hw.GPUsPerNode), simIters, hw)
-		}},
-	}
-	for _, e := range entries {
+	for _, e := range fourPlatforms {
 		cfg, err := o.config(workers)
 		if err != nil {
 			return nil, err
@@ -54,7 +35,7 @@ func Fig9TimeToAccuracy(workers int, targetAcc float64, o ConvergenceOptions, hw
 			return nil, fmt.Errorf("fig 9 %s: %w", e.name, err)
 		}
 		iters := itersToAccuracy(res, targetAcc, cfg.Workers)
-		b, err := e.sim()
+		b, err := e.sim(nn.InceptionV1, workers, hw)
 		if err != nil {
 			return nil, err
 		}

@@ -7,13 +7,11 @@
 // alignment in internal/core) can be tested against failures that are
 // reproducible from a seed instead of waiting for real hardware to misbehave.
 //
-// Three integration surfaces:
+// Two integration surfaces:
 //
 //   - Conn wraps any net.Conn (wire transports; see conn.go),
 //   - RestartableServer crash/restarts a serving frontend over a persistent
-//     backend (the SMB test servers and cmd/smbserver chaos mode; restart.go),
-//   - Injector.Transfer injects the same fault mix into simnet virtual-time
-//     transfers (sim.go).
+//     backend (the SMB test servers and cmd/smbserver chaos mode; restart.go).
 package faults
 
 import (
@@ -52,11 +50,6 @@ type Config struct {
 	Seed uint64
 }
 
-// Enabled reports whether the config can inject anything at all.
-func (c Config) Enabled() bool {
-	return c.DropRate > 0 || c.DelayRate > 0 || c.PartialWriteRate > 0
-}
-
 // Fault kind codes recorded as the EvFaultInjected payload.
 const (
 	faultDrop int64 = iota
@@ -81,9 +74,6 @@ type Injector struct {
 	mu    sync.Mutex
 	state uint64 // guarded by mu
 
-	outMu   sync.Mutex
-	outages []Outage // guarded by outMu; virtual-time partition windows (sim.go)
-
 	drops    atomic.Int64
 	delays   atomic.Int64
 	partials atomic.Int64
@@ -97,9 +87,6 @@ func New(cfg Config) *Injector {
 	// Seed 0 and 1 must diverge immediately; splitmix64 guarantees it.
 	return &Injector{cfg: cfg, state: cfg.Seed}
 }
-
-// Config returns the injector's fault mix.
-func (i *Injector) Config() Config { return i.cfg }
 
 // Stats snapshots the injected-fault counters.
 func (i *Injector) Stats() Stats {

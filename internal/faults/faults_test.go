@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"shmcaffe/internal/simnet"
 )
 
 // TestSeedDeterminism: two injectors with the same seed deal the identical
@@ -202,64 +200,5 @@ func TestRestartableServer(t *testing.T) {
 	}
 	if rs.Crashes() != 1 {
 		t.Fatalf("crashes = %d, want 1", rs.Crashes())
-	}
-}
-
-// TestSimTransferOutage: inside a partition window every transfer fails;
-// a retry loop that outlives the window completes, deterministically in
-// virtual time.
-func TestSimTransferOutage(t *testing.T) {
-	run := func(seed uint64) (time.Duration, int) {
-		sim := simnet.New()
-		link, err := simnet.NewLink("wire", 1e9, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inj := New(Config{Seed: seed})
-		inj.AddOutage(0, 100*time.Millisecond)
-		var done time.Duration
-		retries := 0
-		sim.Go("worker", func(p *simnet.Proc) {
-			for {
-				if err := inj.Transfer(p, 1e6, link); err == nil {
-					break
-				}
-				retries++
-				p.Sleep(30 * time.Millisecond)
-			}
-			done = p.Now()
-		})
-		sim.Run()
-		return done, retries
-	}
-	d1, r1 := run(5)
-	d2, r2 := run(5)
-	if d1 != d2 || r1 != r2 {
-		t.Fatalf("same seed, different schedule: (%v,%d) vs (%v,%d)", d1, r1, d2, r2)
-	}
-	if r1 == 0 {
-		t.Fatal("no retries: outage window never hit")
-	}
-	if d1 < 100*time.Millisecond {
-		t.Fatalf("completed at %v, inside the outage window", d1)
-	}
-}
-
-// TestSimTransferDrop: drops consume virtual time for the partial payload
-// and surface ErrInjected.
-func TestSimTransferDrop(t *testing.T) {
-	sim := simnet.New()
-	link, err := simnet.NewLink("wire", 1e9, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := New(Config{DropRate: 1, Seed: 9})
-	var got error
-	sim.Go("w", func(p *simnet.Proc) {
-		got = inj.Transfer(p, 1e6, link)
-	})
-	sim.Run()
-	if !errors.Is(got, ErrInjected) {
-		t.Fatalf("got %v, want ErrInjected", got)
 	}
 }

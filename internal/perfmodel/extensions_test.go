@@ -1,29 +1,52 @@
 package perfmodel
 
 import (
+	"math"
 	"testing"
 
 	"shmcaffe/internal/nn"
 )
 
-// TestMultiServerMatchesSingleAtOne: with one server the striped simulation
-// must closely match the base SEASGD simulation.
+// TestMultiServerMatchesSingleAtOne: one striped server is the paper's
+// single SMB server, to the ns.
 func TestMultiServerMatchesSingleAtOne(t *testing.T) {
 	hw := DefaultHardware()
-	base, err := SimulateSEASGD(nn.ResNet50, 8, 30, hw)
+	base, err := SimulateSEASGD(nn.ResNet50, 8, 30, hw, SEASGDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := SimulateSEASGDMultiServer(nn.ResNet50, 8, 1, 30, hw)
+	multi, err := SimulateSEASGD(nn.ResNet50, 8, 30, hw, SEASGDOptions{Servers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := base.Iter.Seconds() - multi.Iter.Seconds()
-	if diff < 0 {
-		diff = -diff
+	if multi != base {
+		t.Fatalf("1-server striped %+v vs base %+v", multi, base)
 	}
-	if diff/base.Iter.Seconds() > 0.05 {
-		t.Fatalf("1-server striped %v vs base %v", multi.Iter, base.Iter)
+}
+
+// TestZeroOptionsAreThePaperRun: a jitter model that adds no jitter, an
+// update interval of 1 and a one-chunk allreduce are the paper's runs, to
+// the ns.
+func TestZeroOptionsAreThePaperRun(t *testing.T) {
+	hw := DefaultHardware()
+	quiet := StragglerModel{Seed: 7}
+	base, err := SimulateSEASGD(nn.ResNet50, 8, 30, hw, SEASGDOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []SEASGDOptions{{Stragglers: quiet}, {UpdateInterval: 1}} {
+		if b, err := SimulateSEASGD(nn.ResNet50, 8, 30, hw, opts); err != nil || b != base {
+			t.Errorf("SEASGD %+v: %+v, %v; want %+v", opts, b, err, base)
+		}
+	}
+	ring, err := SimulateMPICaffe(nn.ResNet50, 8, 30, hw, SSGDOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []SSGDOptions{{Chunks: 1}, {Stragglers: quiet}} {
+		if b, err := SimulateMPICaffe(nn.ResNet50, 8, 30, hw, opts); err != nil || b != ring {
+			t.Errorf("MPICaffe %+v: %+v, %v; want %+v", opts, b, err, ring)
+		}
 	}
 }
 
@@ -35,7 +58,7 @@ func TestMultiServerScalesBandwidth(t *testing.T) {
 	p := nn.InceptionResNetV2
 	var prev IterBreakdown
 	for i, servers := range []int{1, 2, 4} {
-		b, err := SimulateSEASGDMultiServer(p, 16, servers, 30, hw)
+		b, err := SimulateSEASGD(p, 16, 30, hw, SEASGDOptions{Servers: servers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,8 +76,8 @@ func TestMultiServerScalesBandwidth(t *testing.T) {
 
 func TestMultiServerValidation(t *testing.T) {
 	hw := DefaultHardware()
-	if _, err := SimulateSEASGDMultiServer(nn.VGG16, 4, 0, 10, hw); err == nil {
-		t.Fatal("expected error for 0 servers")
+	if _, err := SimulateSEASGD(nn.VGG16, 4, 10, hw, SEASGDOptions{Servers: -1}); err == nil {
+		t.Fatal("expected error for -1 servers")
 	}
 }
 
@@ -69,42 +92,40 @@ func TestStragglersHurtSSGDMoreThanSEASGD(t *testing.T) {
 	const workers = 16
 	const iters = 60
 
-	zero := StragglerModel{Seed: 1}
-	ssgdClean, err := SimulateSSGDWithStragglers(p, workers, iters, hw, zero)
-	if err != nil {
-		t.Fatal(err)
+	slowdown := func(sim func(StragglerModel) (IterBreakdown, error)) float64 {
+		t.Helper()
+		clean, err := sim(StragglerModel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jitter, err := sim(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jitter.Iter.Seconds() / clean.Iter.Seconds()
 	}
-	ssgdJitter, err := SimulateSSGDWithStragglers(p, workers, iters, hw, m)
-	if err != nil {
-		t.Fatal(err)
+	ssgd := slowdown(func(m StragglerModel) (IterBreakdown, error) {
+		return SimulateMPICaffe(p, workers, iters, hw, SSGDOptions{Stragglers: m})
+	})
+	seasgd := slowdown(func(m StragglerModel) (IterBreakdown, error) {
+		return SimulateSEASGD(p, workers, iters, hw, SEASGDOptions{Stragglers: m})
+	})
+	if ssgd <= seasgd {
+		t.Fatalf("SSGD slowdown %.3f not worse than SEASGD %.3f", ssgd, seasgd)
 	}
-	seasgdClean, err := SimulateSEASGDWithStragglers(p, workers, iters, hw, zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seasgdJitter, err := SimulateSEASGDWithStragglers(p, workers, iters, hw, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ssgdSlowdown := ssgdJitter.Iter.Seconds() / ssgdClean.Iter.Seconds()
-	seasgdSlowdown := seasgdJitter.Iter.Seconds() / seasgdClean.Iter.Seconds()
-	if ssgdSlowdown <= seasgdSlowdown {
-		t.Fatalf("SSGD slowdown %.3f not worse than SEASGD %.3f", ssgdSlowdown, seasgdSlowdown)
-	}
-	if ssgdSlowdown < 1.05 {
-		t.Fatalf("jitter model produced no SSGD penalty: %.3f", ssgdSlowdown)
+	if ssgd < 1.05 {
+		t.Fatalf("jitter model produced no SSGD penalty: %.3f", ssgd)
 	}
 }
 
 func TestStragglerModelDeterministic(t *testing.T) {
 	hw := DefaultHardware()
-	m := DefaultStragglers()
-	a, err := SimulateSSGDWithStragglers(nn.ResNet50, 8, 30, hw, m)
+	opts := SSGDOptions{Stragglers: DefaultStragglers()}
+	a, err := SimulateMPICaffe(nn.ResNet50, 8, 30, hw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateSSGDWithStragglers(nn.ResNet50, 8, 30, hw, m)
+	b, err := SimulateMPICaffe(nn.ResNet50, 8, 30, hw, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +134,47 @@ func TestStragglerModelDeterministic(t *testing.T) {
 	}
 }
 
+// TestStragglerValidation: a jittered run validates its profile like every
+// other run, and a jitter model that would hand the simulator negative,
+// NaN or shrinking compute times is rejected instead of clamped.
 func TestStragglerValidation(t *testing.T) {
 	hw := DefaultHardware()
-	m := DefaultStragglers()
-	if _, err := SimulateSSGDWithStragglers(nn.VGG16, 0, 10, hw, m); err == nil {
-		t.Fatal("expected error for 0 workers")
+	seasgd := func(p nn.Profile, w, iters int, m StragglerModel) error {
+		_, err := SimulateSEASGD(p, w, iters, hw, SEASGDOptions{Stragglers: m})
+		return err
 	}
-	if _, err := SimulateSEASGDWithStragglers(nn.VGG16, 2, 0, hw, m); err == nil {
-		t.Fatal("expected error for 0 iters")
+	mpicaffe := func(p nn.Profile, w, iters int, m StragglerModel) error {
+		_, err := SimulateMPICaffe(p, w, iters, hw, SSGDOptions{Stragglers: m})
+		return err
+	}
+	for _, m := range []StragglerModel{{}, {Seed: 1}, DefaultStragglers(), {Sigma: 0.3, SlowProb: 1, SlowFactor: 1}} {
+		if err := m.Validate(); err != nil {
+			t.Errorf("%+v: %v", m, err)
+		}
+	}
+	bad := []StragglerModel{
+		{Sigma: -0.1},
+		{Sigma: math.NaN()},
+		{Sigma: math.Inf(1)},
+		{SlowProb: -0.1, SlowFactor: 3},
+		{SlowProb: 1.5, SlowFactor: 3},
+		{SlowProb: math.NaN(), SlowFactor: 3},
+		{SlowProb: 0.1, SlowFactor: 0.5},
+		{SlowProb: 0.1, SlowFactor: math.NaN()},
+		{SlowProb: 0.1, SlowFactor: math.Inf(1)},
+	}
+	for _, sim := range []func(nn.Profile, int, int, StragglerModel) error{seasgd, mpicaffe} {
+		if sim(nn.Profile{}, 4, 10, DefaultStragglers()) == nil {
+			t.Error("empty profile accepted under jitter")
+		}
+		if sim(nn.VGG16, 0, 10, DefaultStragglers()) == nil || sim(nn.VGG16, 2, 0, DefaultStragglers()) == nil {
+			t.Error("zero workers or iters accepted")
+		}
+		for _, m := range bad {
+			if m.Validate() == nil || sim(nn.VGG16, 2, 10, m) == nil {
+				t.Errorf("jitter model %+v accepted", m)
+			}
+		}
 	}
 }
 
@@ -130,11 +184,11 @@ func TestStragglerValidation(t *testing.T) {
 func TestLayerwiseOverlapHelpsMPICaffe(t *testing.T) {
 	hw := DefaultHardware()
 	p := nn.InceptionResNetV2
-	plain, err := SimulateMPICaffe(p, 16, 40, hw)
+	plain, err := SimulateMPICaffe(p, 16, 40, hw, SSGDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipelined, err := SimulateMPICaffeLayerwise(p, 16, 8, 40, hw)
+	pipelined, err := SimulateMPICaffe(p, 16, 40, hw, SSGDOptions{Chunks: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +206,14 @@ func TestLayerwiseOverlapHelpsMPICaffe(t *testing.T) {
 
 func TestLayerwiseSingleWorker(t *testing.T) {
 	hw := DefaultHardware()
-	b, err := SimulateMPICaffeLayerwise(nn.VGG16, 1, 4, 10, hw)
+	b, err := SimulateMPICaffe(nn.VGG16, 1, 10, hw, SSGDOptions{Chunks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Comm != 0 {
 		t.Fatalf("single worker comm %v", b.Comm)
 	}
-	if _, err := SimulateMPICaffeLayerwise(nn.VGG16, 2, 0, 10, hw); err == nil {
-		t.Fatal("expected error for 0 chunks")
+	if _, err := SimulateMPICaffe(nn.VGG16, 2, 10, hw, SSGDOptions{Chunks: -1}); err == nil {
+		t.Fatal("expected error for -1 chunks")
 	}
 }

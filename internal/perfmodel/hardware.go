@@ -11,9 +11,11 @@ package perfmodel
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"shmcaffe/internal/nn"
+	"shmcaffe/internal/tensor"
 )
 
 // Hardware models the paper's testbed (Sec. IV-A): SuperMicro 4028GR nodes
@@ -69,7 +71,7 @@ func DefaultHardware() Hardware {
 
 // Validate checks the hardware model.
 func (h Hardware) Validate() error {
-	if h.HCABandwidth <= 0 || h.HCAEfficiency <= 0 || h.HCAEfficiency > 1 {
+	if h.HCABandwidth <= 0 || h.HCAEfficiency <= 0 || h.HCAEfficiency > 1 || h.HCALatency < 0 {
 		return fmt.Errorf("perfmodel: bad HCA model %+v", h)
 	}
 	if h.PerFlowCap <= 0 || h.AccumBandwidth <= 0 || h.LocalMemBandwidth <= 0 {
@@ -105,14 +107,60 @@ func (h Hardware) NodePCIeBandwidth(gpusOnNode int) float64 {
 	}
 }
 
-// accumTime is the exclusive server-side time of one Accumulate.
-func (h Hardware) accumTime(p nn.Profile) time.Duration {
-	return time.Duration(float64(p.ParamBytes) / h.AccumBandwidth * float64(time.Second))
+// accumTime is the exclusive server-side time of one Accumulate of bytes.
+func (h Hardware) accumTime(bytes float64) time.Duration {
+	return time.Duration(bytes / h.AccumBandwidth * float64(time.Second))
 }
 
-// localUpdateTime is the worker-side T2/T_ulw time.
-func (h Hardware) localUpdateTime(p nn.Profile) time.Duration {
-	return time.Duration(float64(p.ParamBytes) / h.LocalMemBandwidth * float64(time.Second))
+// localUpdateTime is the worker-side T2/T_ulw time over bytes of weights.
+func (h Hardware) localUpdateTime(bytes float64) time.Duration {
+	return time.Duration(bytes / h.LocalMemBandwidth * float64(time.Second))
+}
+
+// StragglerModel adds lognormal-ish jitter to compute times: iteration
+// compute = CompTime · (1 + |N(0, Sigma)|), times SlowFactor with
+// probability SlowProb — the "deviations in computation time between deep
+// learning workers ... because workers share the system bus, file system
+// I/O and network bandwidth" (paper Sec. III-E). The zero model adds none.
+type StragglerModel struct {
+	Sigma      float64
+	SlowProb   float64
+	SlowFactor float64
+	Seed       uint64
+}
+
+// DefaultStragglers returns a moderate jitter model: ±10 % noise with a 2 %
+// chance of a 3× outlier.
+func DefaultStragglers() StragglerModel {
+	return StragglerModel{Sigma: 0.1, SlowProb: 0.02, SlowFactor: 3, Seed: 1}
+}
+
+// Validate checks the jitter model: a finite Sigma ≥ 0, SlowProb in [0, 1]
+// and, when outliers can occur, a finite SlowFactor ≥ 1.
+func (m StragglerModel) Validate() error {
+	switch {
+	case !(m.Sigma >= 0) || math.IsInf(m.Sigma, 1):
+		return fmt.Errorf("perfmodel: straggler sigma %v not in [0, +Inf)", m.Sigma)
+	case !(m.SlowProb >= 0 && m.SlowProb <= 1):
+		return fmt.Errorf("perfmodel: straggler probability %v not in [0, 1]", m.SlowProb)
+	case math.IsNaN(m.SlowFactor) || math.IsInf(m.SlowFactor, 0) || (m.SlowProb > 0 && m.SlowFactor < 1):
+		return fmt.Errorf("perfmodel: straggler slow factor %v not a finite factor ≥ 1", m.SlowFactor)
+	}
+	return nil
+}
+
+// compute returns worker w's per-iteration compute times: base jittered by
+// m, from a stream seeded by m.Seed and w. Under the zero model every draw
+// is exactly base.
+func (m StragglerModel) compute(w int, base time.Duration) func() time.Duration {
+	rng := tensor.NewRNG(m.Seed).Split(uint64(w))
+	return func() time.Duration {
+		f := 1 + m.Sigma*math.Abs(rng.NormFloat64())
+		if rng.Float64() < m.SlowProb {
+			f *= m.SlowFactor
+		}
+		return time.Duration(float64(base) * f)
+	}
 }
 
 // IterBreakdown is the Eq. (8) decomposition of one averaged training
@@ -159,7 +207,14 @@ type Eq8Components struct {
 	Iter time.Duration // resulting iteration time
 }
 
-// Eq8Decompose evaluates every term of Eq. (8) for a model profile.
+// Eq8Decompose evaluates every term of the paper's analytic iteration-time
+// model, Eq. (8):
+//
+//	T_iter = max(T_comp, T_wwi + T_ugw) + T_rgw + T_ulw
+//
+// computed for one isolated worker (no link contention). The discrete-event
+// simulations generalize it to many contending workers; tests verify they
+// agree in the single-worker case.
 func (h Hardware) Eq8Decompose(p nn.Profile) Eq8Components {
 	transfer := func(bytes float64) time.Duration {
 		bw := h.EffectiveHCA()
@@ -170,9 +225,9 @@ func (h Hardware) Eq8Decompose(p nn.Profile) Eq8Components {
 	}
 	c := Eq8Components{
 		Trgw: transfer(float64(p.ParamBytes)),
-		Tulw: h.localUpdateTime(p),
+		Tulw: h.localUpdateTime(float64(p.ParamBytes)),
 		Twwi: transfer(float64(p.ParamBytes)),
-		Tugw: h.accumTime(p),
+		Tugw: h.accumTime(float64(p.ParamBytes)),
 		Comp: p.CompTime,
 	}
 	body := c.Comp
@@ -181,16 +236,4 @@ func (h Hardware) Eq8Decompose(p nn.Profile) Eq8Components {
 	}
 	c.Iter = body + c.Trgw + c.Tulw
 	return c
-}
-
-// Eq8 is the paper's analytic iteration-time model:
-//
-//	T_iter = max(T_comp, T_wwi + T_ugw) + T_rgw + T_ulw
-//
-// computed for one isolated worker (no link contention). The discrete-event
-// simulations generalize it to many contending workers; tests verify they
-// agree in the single-worker case.
-func (h Hardware) Eq8(p nn.Profile) IterBreakdown {
-	c := h.Eq8Decompose(p)
-	return IterBreakdown{Iter: c.Iter, Comp: c.Comp, Comm: c.Iter - c.Comp}
 }

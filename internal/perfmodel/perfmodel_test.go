@@ -51,11 +51,11 @@ func TestSingleGPUIsComputeOnly(t *testing.T) {
 func TestSEASGDSingleWorkerMatchesEq8(t *testing.T) {
 	hw := DefaultHardware()
 	for _, p := range nn.PaperModels() {
-		sim, err := SimulateSEASGD(p, 1, 30, hw)
+		sim, err := SimulateSEASGD(p, 1, 30, hw, SEASGDOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		analytic := hw.Eq8(p)
+		analytic := eq8(hw, p)
 		diff := math.Abs(sim.Iter.Seconds() - analytic.Iter.Seconds())
 		if diff/analytic.Iter.Seconds() > 0.06 {
 			t.Fatalf("%s: DES %v vs Eq8 %v", p.Name, sim.Iter, analytic.Iter)
@@ -68,11 +68,11 @@ func TestSEASGDSingleWorkerMatchesEq8(t *testing.T) {
 // (paper: 16.3 %) and grows at 16 GPUs (paper: 26 %).
 func TestInceptionV1CommRatios(t *testing.T) {
 	hw := DefaultHardware()
-	b8, err := SimulateSEASGD(nn.InceptionV1, 8, 40, hw)
+	b8, err := SimulateSEASGD(nn.InceptionV1, 8, 40, hw, SEASGDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b16, err := SimulateSEASGD(nn.InceptionV1, 16, 40, hw)
+	b16, err := SimulateSEASGD(nn.InceptionV1, 16, 40, hw, SEASGDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestInceptionV1CommRatios(t *testing.T) {
 // single-GPU iterations (389.8 ms), i.e. multi-node scaling is a loss.
 func TestVGG16IsCommBoundAtTwoWorkers(t *testing.T) {
 	hw := DefaultHardware()
-	b, err := SimulateSEASGD(nn.VGG16, 2, 30, hw)
+	b, err := SimulateSEASGD(nn.VGG16, 2, 30, hw, SEASGDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestVGG16IsCommBoundAtTwoWorkers(t *testing.T) {
 func TestShmCaffeBeatsBaselinesAt16GPUs(t *testing.T) {
 	hw := DefaultHardware()
 	p := nn.InceptionV1
-	shm, err := SimulateSEASGD(p, 16, 40, hw)
+	shm, err := SimulateSEASGD(p, 16, 40, hw, SEASGDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestShmCaffeBeatsBaselinesAt16GPUs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpic, err := SimulateMPICaffe(p, 16, 40, hw)
+	mpic, err := SimulateMPICaffe(p, 16, 40, hw, SSGDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestTable2TrainingTimes(t *testing.T) {
 	if t1 < 22*time.Hour || t1 > 24*time.Hour {
 		t.Fatalf("Caffe 1-GPU 15 epochs = %v, paper: 22h59m", t1)
 	}
-	shm16, err := SimulateSEASGD(p, 16, 40, hw)
+	shm16, err := SimulateSEASGD(p, 16, 40, hw, SEASGDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCaffeSingleNodeScalability(t *testing.T) {
 func TestHSGDReducesCommVsSEASGD(t *testing.T) {
 	hw := DefaultHardware()
 	p := nn.InceptionResNetV2
-	async, err := SimulateSEASGD(p, 16, 30, hw)
+	async, err := SimulateSEASGD(p, 16, 30, hw, SEASGDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestEq8HiddenVsExposed(t *testing.T) {
 	hw := DefaultHardware()
 	// Inception-v1: push (53 MB write + accumulate) is far below the
 	// 257 ms compute, so Eq. (8) hides it: iteration = comp + read + ulw.
-	b := hw.Eq8(nn.InceptionV1)
+	b := eq8(hw, nn.InceptionV1)
 	wantComm := b.Iter - nn.InceptionV1.CompTime
 	if b.Comm != wantComm {
 		t.Fatalf("comm %v, want %v", b.Comm, wantComm)
@@ -255,7 +255,7 @@ func TestEq8HiddenVsExposed(t *testing.T) {
 		t.Fatalf("Inception-v1 exposed comm %v too large for a lone worker", b.Comm)
 	}
 	// VGG16: push exceeds compute, so the hidden phase dominates.
-	v := hw.Eq8(nn.VGG16)
+	v := eq8(hw, nn.VGG16)
 	if v.Iter <= vggPushTime(hw) {
 		t.Fatalf("VGG16 Eq8 iter %v should exceed its push time", v.Iter)
 	}
@@ -264,9 +264,15 @@ func TestEq8HiddenVsExposed(t *testing.T) {
 	}
 }
 
+// eq8 is Eq. (8)'s iteration as an IterBreakdown.
+func eq8(hw Hardware, p nn.Profile) IterBreakdown {
+	c := hw.Eq8Decompose(p)
+	return IterBreakdown{Iter: c.Iter, Comp: c.Comp, Comm: c.Iter - c.Comp}
+}
+
 func vggPushTime(hw Hardware) time.Duration {
 	return time.Duration(float64(nn.VGG16.ParamBytes)/hw.PerFlowCap*float64(time.Second)) +
-		hw.accumTime(nn.VGG16)
+		hw.accumTime(float64(nn.VGG16.ParamBytes))
 }
 
 func TestTrainingTimeScaling(t *testing.T) {
@@ -281,7 +287,7 @@ func TestTrainingTimeScaling(t *testing.T) {
 
 func TestSimulateValidation(t *testing.T) {
 	hw := DefaultHardware()
-	if _, err := SimulateSEASGD(nn.VGG16, 0, 10, hw); err == nil {
+	if _, err := SimulateSEASGD(nn.VGG16, 0, 10, hw, SEASGDOptions{}); err == nil {
 		t.Fatal("expected error for 0 workers")
 	}
 	if _, err := SimulateCaffe(nn.VGG16, 2, 0, hw); err == nil {

@@ -323,30 +323,6 @@ func TestQueueClose(t *testing.T) {
 	}
 }
 
-func TestEvent(t *testing.T) {
-	s := New()
-	ev := s.NewEvent()
-	var woke time.Duration
-	s.Go("waiter", func(p *Proc) {
-		ev.Wait(p)
-		woke = p.Now()
-		ev.Wait(p) // second wait on fired event returns immediately
-	})
-	s.Go("firer", func(p *Proc) {
-		p.Sleep(2 * time.Second)
-		ev.Fire()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != 2*time.Second {
-		t.Fatalf("event woke at %v", woke)
-	}
-	if !ev.Fired() {
-		t.Fatal("event not marked fired")
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	s := New()
 	mu := s.NewSemaphore(0) // never released

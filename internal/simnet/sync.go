@@ -144,44 +144,3 @@ func (q *Queue[T]) Close() {
 	}
 	q.waiters = nil
 }
-
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
-// Event is a one-shot broadcast signal (e.g., "all workers finished").
-type Event struct {
-	sim     *Simulation
-	fired   bool
-	waiters []*Proc
-}
-
-// NewEvent returns an unfired event.
-func (s *Simulation) NewEvent() *Event {
-	return &Event{sim: s}
-}
-
-// Fired reports whether Fire has been called.
-func (e *Event) Fired() bool { return e.fired }
-
-// Wait blocks the calling process until the event fires (returns
-// immediately if it already has).
-func (e *Event) Wait(p *Proc) {
-	if e.fired {
-		return
-	}
-	e.waiters = append(e.waiters, p)
-	p.block()
-}
-
-// Fire fires the event, waking all waiters. Subsequent Wait calls return
-// immediately.
-func (e *Event) Fire() {
-	if e.fired {
-		return
-	}
-	e.fired = true
-	for _, w := range e.waiters {
-		e.sim.unblock(w)
-	}
-	e.waiters = nil
-}

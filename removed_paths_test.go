@@ -124,6 +124,16 @@ var removedPaths = []removedPath{
 			{scope: []string{"internal/nccl"}, re: `^func \([^)]*Group\) AllReduce\(`},
 			{scope: []string{"internal/core"}, re: `^func (WeightIncrement|ApplyIncrementLocal|ApplyIncrementGlobal|CenterDistance)\(`},
 		}},
+	{"second-simulator-spelling", "One simulated Fig. 6 party and one SSGD ring",
+		"perfmodel runs one SEASGD party and one SSGD ring behind one argument check, with striping, jitter and layer-wise chunks as options; simulator API that only tests called (simnet's Event and Queue.Len, faults' virtual-time Transfer and outages, Hardware.Eq8, the facade's SEASGDOptions alias) stays out, so smb and the binaries do not link simnet",
+		[]scan{
+			{scope: []string{"."}, tests: true, re: `Simulate(SEASGDOpts|SEASGDMultiServer|SEASGDWithStragglers|SSGDWithStragglers|MPICaffeLayerwise)\b`},
+			{scope: []string{"internal/perfmodel"}, re: `\b(hw|h|p)\.Validate\(\)`},
+			{scope: []string{"internal/perfmodel"}, re: `^func \([^)]*Hardware\) Eq8\(`},
+			{scope: []string{"internal/simnet"}, tests: true, re: `\bEvent\b|NewEvent|^func \([^)]*Queue\[T\]\) Len\(`},
+			{scope: []string{"internal/faults"}, tests: true, re: `shmcaffe/internal/simnet"|AddOutage|\bOutage\b|outMu|outages|^func \([^)]*Injector\) (Transfer|Config)\(|^func \([^)]*Config\) Enabled\(`},
+			{scope: []string{"shmcaffe.go"}, re: `SEASGDOptions +=`},
+		}},
 }
 
 // TestRemovedPathsStayRemoved runs every row of removedPaths over the

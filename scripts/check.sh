@@ -53,8 +53,8 @@ tier1() {
 tier2() {
 	echo "== tier 2: go vet =="
 	go vet ./...
-	echo "== tier 2: race stress (smb, ps, core, rds, telemetry, shmserve, nccl, platform) =="
-	go test -race ./internal/smb ./internal/ps ./internal/core ./internal/rds ./internal/telemetry ./cmd/shmserve ./internal/nccl ./internal/platform
+	echo "== tier 2: race stress (smb, ps, core, rds, telemetry, shmserve, nccl, platform, simnet, perfmodel, bench) =="
+	go test -race ./internal/smb ./internal/ps ./internal/core ./internal/rds ./internal/telemetry ./cmd/shmserve ./internal/nccl ./internal/platform ./internal/simnet ./internal/perfmodel ./internal/bench
 	echo "== tier 2: fuzz smoke (100 execs per target) =="
 	# go test accepts exactly one -fuzz pattern per invocation.
 	for target in FuzzDispatch FuzzFrameRoundTrip FuzzReadFrame FuzzSnapVerbs; do

@@ -267,8 +267,6 @@ type (
 	Hardware = perfmodel.Hardware
 	// IterBreakdown is the Eq. (8) per-iteration decomposition.
 	IterBreakdown = perfmodel.IterBreakdown
-	// SEASGDOptions select design-point ablations.
-	SEASGDOptions = perfmodel.SEASGDOptions
 )
 
 // DefaultHardware returns the calibrated testbed model.
@@ -276,7 +274,7 @@ func DefaultHardware() Hardware { return perfmodel.DefaultHardware() }
 
 // SimulateSEASGD models a ShmCaffe-A configuration's iteration time.
 func SimulateSEASGD(p ModelProfile, workers, iters int, hw Hardware) (IterBreakdown, error) {
-	return perfmodel.SimulateSEASGD(p, workers, iters, hw)
+	return perfmodel.SimulateSEASGD(p, workers, iters, hw, perfmodel.SEASGDOptions{})
 }
 
 // SimulateHSGD models a ShmCaffe-H configuration's iteration time.
@@ -296,7 +294,7 @@ func SimulateCaffeMPI(p ModelProfile, workers, iters int, hw Hardware) (IterBrea
 
 // SimulateMPICaffe models the MPI_Allreduce SSGD baseline.
 func SimulateMPICaffe(p ModelProfile, workers, iters int, hw Hardware) (IterBreakdown, error) {
-	return perfmodel.SimulateMPICaffe(p, workers, iters, hw)
+	return perfmodel.SimulateMPICaffe(p, workers, iters, hw, perfmodel.SSGDOptions{})
 }
 
 // SimulateSMBBandwidth reproduces the Fig. 7 bandwidth experiment.
